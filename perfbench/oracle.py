@@ -257,21 +257,30 @@ def solution_errors(s, task, solution, unique=None) -> list:
     return errors
 
 
+def check_patch(s, task, incompatible, kind, solution=None, unique=None, hypothesis_holds=None) -> list:
+    """Check one patch outcome: ``kind`` is None for a solution, else the
+    certificate kind.  The CLI and library paths both end here."""
+    want_code, want_kind = expected_crt(s, task, incompatible)
+    if kind != want_kind:
+        return [f"{task['mode']} gave {kind or 'a solution'}, expected {want_kind or 'a solution'}"]
+    if want_kind is None:
+        return solution_errors(s, task, solution, unique)
+    if want_code == 2 and hypothesis_holds is not True:
+        return [f"{task['mode']} says a compatible system fails the pairwise hypothesis"]
+    return []
+
+
 def check_crt(s, task, incompatible, code, stdout) -> list:
     import json
 
-    want_code, want_kind = expected_crt(s, task, incompatible)
+    want_code, _ = expected_crt(s, task, incompatible)
     if code != want_code:
         return [f"crt exit {code}, expected {want_code}"]
     payload = json.loads(stdout)
-    if want_kind is not None:
-        errors = []
-        if payload.get("kind") != want_kind:
-            errors.append(f"certificate {payload.get('kind')}, expected {want_kind}")
-        if want_code == 2 and payload.get("keimel_hypothesis_holds") is not True:
-            errors.append("compatible system reported as failing the pairwise hypothesis")
-        return errors
-    return solution_errors(s, task, as_tuple(payload["solution"]), payload.get("unique"))
+    kind = payload.get("kind")
+    solution = as_tuple(payload["solution"]) if kind is None else None
+    hypothesis = payload.get("keimel_hypothesis_holds")
+    return check_patch(s, task, incompatible, kind, solution, payload.get("unique"), hypothesis)
 
 
 _IDEALS = re.compile(r"^ideals: (\d+) \((\d+) proper, all principal\)$", re.M)

@@ -35,18 +35,18 @@ def tail(values):
     return ordered[n - 11], 100.0 * (n - 10) / n, n
 
 
-def end_to_end(run):
+def end_to_end(run, records, setup_s):
     out, notes = {}, {}
     for label in (*LABELS, "op"):
-        value, n = run.p50(label)
+        value, n = run.p50(label, records)
         out[f"{label}_p50_s"] = (value, "s")
-        notes[f"{label}_p50_s"] = f"{n} {'rounds' if run.round_size else 'samples'}"
-    times = run.op_times()
+        notes[f"{label}_p50_s"] = f"{n} rounds of {run.round_size} operations"
+    times = run.op_times(records)
     value, pct, n = tail(times)
     out["op_tail_s"] = (value, "s")
     notes["op_tail_s"] = f"p{pct:.1f} of {n} operations"
     out["ops_per_s"] = (len(times) / sum(times), "1/s")
-    out["setup_s"] = (run.setup_s, "s")
+    out["setup_s"] = (setup_s, "s")
     out["peak_rss_mb"] = (run.peak_rss_mb, "MB")
     return out, notes
 
@@ -75,7 +75,11 @@ def main(argv=None):
     if args.trace:
         metrics, notes = run.layers.metrics(), {}
     else:
-        metrics, notes = end_to_end(run)
+        metrics, notes = end_to_end(run, run.records, run.setup_s)
+        unscaled, _ = end_to_end(run, run.unscaled, run.unscaled_setup_s)
+        for name, (value, unit) in unscaled.items():
+            if unit != "MB":
+                notes[name] = "; ".join(filter(None, (notes.get(name), f"measured {value:.6g} {unit}")))
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s, trace {args.trace}")
     for name, (value, unit) in metrics.items():
         note = f"  ({notes[name]})" if name in notes else ""
@@ -84,6 +88,9 @@ def main(argv=None):
         top = sorted(busy.items(), key=lambda kv: -kv[1])[:4]
         shares = ", ".join(f"{name} {b / seconds:.0%}" for name, b in top)
         print(f"  share of traced {label} time: {shares}")
+    print(f"  {run.speed.note()}")
+    if run.setup_speed is not run.speed:
+        print(f"  set-up {run.setup_speed.note()}")
     print(f"  failed_ratio {run.failed / max(run.attempted, 1):.4f} ({run.failed} of {run.attempted})")
     for error in run.errors:
         print(f"  failure: {error}")

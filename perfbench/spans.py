@@ -68,14 +68,15 @@ INFO = {
 
 
 class Tracer:
-    """Collects spans; ``enabled`` false makes the wrappers pass through."""
+    """Collects spans from the wrappers that ``install`` binds."""
 
     def __init__(self):
         self.spans = []
         self.stack = []
         self.call_id = 0
-        self.enabled = True
         self.originals = {}
+        # (namespace, attribute, library function, wrapper)
+        self.bindings = []
 
     def wrap(self, name, fn):
         spans, stack, info = self.spans, self.stack, INFO.get(name)
@@ -83,8 +84,6 @@ class Tracer:
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
-            if not self.enabled:
-                return fn(*args, **kwargs)
             span = [name, clock(), None, stack[-1] if stack else -1, self.call_id, None]
             stack.append(len(spans))
             spans.append(span)
@@ -129,14 +128,19 @@ def install(tracer):
         name = f"{mod}.{attr}"
         tracer.originals[name] = fn
         wrapped = tracer.wrap(name, fn)
-        for m in modules:
-            if vars(m).get(attr) is fn:
-                setattr(m, attr, wrapped)
+        tracer.bindings += [(m, attr, fn, wrapped) for m in modules if vars(m).get(attr) is fn]
     cls = getattr(importlib.import_module("lgroup.mv"), "GammaAlgebra", None)
     for meth in GAMMA_METHODS if cls is not None else ():
         fn = vars(cls).get(meth)
         if callable(fn):
-            setattr(cls, meth, tracer.wrap(GAMMA, fn))
+            tracer.bindings.append((cls, meth, fn, tracer.wrap(GAMMA, fn)))
+    bind(tracer, True)
+
+
+def bind(tracer, traced):
+    """Bind the wrappers (``traced``) or the library's own functions."""
+    for owner, attr, fn, wrapped in tracer.bindings:
+        setattr(owner, attr, wrapped if traced else fn)
 
 
 def _covered(intervals):
@@ -196,6 +200,7 @@ class LayerStats:
         self.outcomes = {}
         self.cache = {}
         self.startup = []
+        # paired times of the same work, traced and untraced
         self.traced = []
         self.untraced = []
 
@@ -258,8 +263,8 @@ class LayerStats:
         for kind in CERT_KINDS.values():
             out[f"crt.cert.{kind}"] = (self.outcomes.get(kind, 0) / ops, "count/op")
         out["cli.startup_s"] = (_median(self.startup), "s")
-        untraced = _median(self.untraced)
-        out["trace.overhead_ratio"] = (_median(self.traced) / untraced if untraced else 0.0, "ratio")
+        ratios = [t / u for t, u in zip(self.traced, self.untraced) if u > 0]
+        out["trace.overhead_ratio"] = (_median(ratios), "ratio")
         return out
 
 
