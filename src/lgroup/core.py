@@ -340,7 +340,6 @@ def validate_unital_group(structure: Structure, unit: Element) -> UnitalGroup:
     positions) when it fits but fails to dominate.  Use
     ``unital_group_violations`` for the non-raising variant.
     """
-    check_element(structure, unit)
     return UnitalGroup(structure, unit)
 
 
@@ -382,6 +381,15 @@ def evaluate_term(G: UnitalGroup, term, env: Optional[Mapping[str, Element]] = N
         raise LGroupError(f"malformed term: {t!r}")
 
     return ev(term)
+
+
+def random_element(rng, structure: Structure, bound: int) -> Element:
+    """A seeded random element with integer coordinates in [-bound, bound]."""
+    if isinstance(structure, Atom):
+        return rng.randint(-bound, bound)
+    if isinstance(structure, Prod):
+        return tuple(random_element(rng, c, bound) for c in structure.children)
+    return (rng.randint(-bound, bound), random_element(rng, structure.bottom, bound))
 
 
 def elements_in_box(structure: Structure, bound: int) -> Iterator[Element]:

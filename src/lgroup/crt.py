@@ -324,8 +324,8 @@ def zero_set_patch(
 
     Each generator h carries the constraint "agree with the corresponding
     target wherever h vanishes".  Compatibility is checked pointwise on
-    overlaps through exact rational values; the group must be strongly
-    semisimple, after which the strong solver produces the element.  The
+    overlaps through exact rational values; the strong solver then checks
+    that the group is strongly semisimple and produces the element.  The
     result is unique exactly when the zero sets cover the whole maximal
     spectrum: two solutions then agree everywhere, and the trivial radical
     forces them equal.
@@ -353,17 +353,12 @@ def zero_set_patch(
         (principal_ideal(G.structure, h), g)
         for h, g in zip(generators, targets)
     )
-    ok, witness = is_strongly_semisimple(G)
-    if not ok:
-        bad = _pairwise_failure(G, system)
-        return PatchResult(
-            certificate=NotStronglySemisimple(
-                witness=witness,
-                keimel_hypothesis_holds=bad is None,
-                incompatible_pair=None if bad is None else (bad[0], bad[1]),
-            )
-        )
+    # a maximal ideal lies above <h_i> v <h_j> exactly when it is in both
+    # zero sets, so the check above is strong_patch's maximal-ideal
+    # hypothesis and strong_patch can only refuse on strong semisimplicity
     result = strong_patch(G, system)
+    if isinstance(result.certificate, NotStronglySemisimple):
+        return result
     if result.solution is None:
         raise InternalInvariantViolation(
             "zero-set compatibility failed to carry over to the strong solver"

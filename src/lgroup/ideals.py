@@ -14,7 +14,9 @@ decided by shape recursion:
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
 enumeration order is fixed (zero first, whole group last) and all outputs
-respect it.
+respect it.  A quotient is one walk over the structure and the divisor,
+which yields the shape of the quotient and the image of an element
+together.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import (
     Atom,
@@ -192,18 +194,6 @@ def ideal_join(I: Ideal, J: Ideal) -> Ideal:
     return LexIdeal(ideal_join(I.inner, J.inner))
 
 
-def ideal_lattice_op(G, kind: str, I: Ideal, J: Ideal) -> Ideal:
-    """Dispatch form of the lattice operations: kind is "meet" or "join"."""
-    structure = _structure_of(G)
-    check_ideal(structure, I)
-    check_ideal(structure, J)
-    if kind == "meet":
-        return ideal_meet(I, J)
-    if kind == "join":
-        return ideal_join(I, J)
-    raise LGroupError(f"unknown lattice operation {kind!r}")
-
-
 def principal_ideal(structure, g: Element) -> Ideal:
     """The smallest ideal containing g.
 
@@ -314,122 +304,85 @@ def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     return IdealLattice(G, ideals, principal, generators)
 
 
-@dataclass(eq=False)
-class QuotientResult:
-    """A quotient group with its element and ideal projections.
+def _quotient(structure, I, g):
+    """Walk ``structure`` and the divisor ``I`` together, projecting ``g``.
 
-    ``group`` is None exactly when the quotient collapsed to the trivial
-    group (quotient by the improper ideal); ``trivial`` flags that case.
-    ``project_ideal`` is only meaningful on ideals containing the divisor.
+    Returns (shape of the quotient, image of g), or None when the quotient
+    is trivial.  Trivial factors are dropped eagerly: a product keeping a
+    single child collapses to it, and a lex extension whose bottom
+    collapses becomes an Atom carrying the dominant component.
     """
-
-    group: Optional[UnitalGroup]
-    project: Callable
-    project_ideal: Callable
-    trivial: bool
-
-
-def _identity(x):
-    return x
-
-
-def _quotient(structure, I):
-    """Return (new_structure, project_element, project_ideal) or None if trivial."""
     if isinstance(structure, Atom):
-        if I.full:
-            return None
-        return (structure, _identity, _identity)
+        return None if I.full else (structure, g)
     if isinstance(structure, Prod):
-        results = [
-            (i, _quotient(c, p))
-            for i, (c, p) in enumerate(zip(structure.children, I.parts))
-        ]
-        kept = [(i, r) for i, r in results if r is not None]
-        if not kept:
-            return None
-        if len(kept) == 1:
-            i, (st, pe, pi) = kept[0]
-            return (
-                st,
-                lambda e, i=i, pe=pe: pe(e[i]),
-                lambda J, i=i, pi=pi: pi(J.parts[i]),
-            )
-        sts = tuple(r[0] for _, r in kept)
-
-        def project(e, kept=kept):
-            return tuple(pe(e[i]) for i, (st, pe, pi) in kept)
-
-        def project_ideal(J, kept=kept):
-            return ProdIdeal(tuple(pi(J.parts[i]) for i, (st, pe, pi) in kept))
-
-        return (Prod(sts), project, project_ideal)
-    # Lex: quotient by the whole group is trivial; by {0} x J it is the
-    # lex extension of bottom/J, collapsing to an Atom when J was all of
-    # the bottom.
-    if I.inner is None:
-        return None
-    below = _quotient(structure.bottom, I.inner)
-    if below is None:
-        def project_ideal_atom(J):
-            return AtomIdeal(J.inner is None)
-
-        return (Atom(), lambda e: e[0], project_ideal_atom)
-    st, pe, pi = below
-
-    def project_lex(e, pe=pe):
-        return (e[0], pe(e[1]))
-
-    def project_ideal_lex(J, pi=pi):
-        if J.inner is None:
-            return LexIdeal(None)
-        return LexIdeal(pi(J.inner))
-
-    return (Lex(st), project_lex, project_ideal_lex)
-
-
-@lru_cache(maxsize=None)
-def _quotient_shape(structure, I):
-    if isinstance(I, AtomIdeal):
-        return None if I.full else structure
-    if isinstance(I, ProdIdeal):
         kept = [
-            q
-            for q in (
-                _quotient_shape(c, p)
-                for c, p in zip(structure.children, I.parts)
-            )
-            if q is not None
+            q for q in map(_quotient, structure.children, I.parts, g) if q is not None
         ]
         if not kept:
             return None
         if len(kept) == 1:
             return kept[0]
-        return Prod(tuple(kept))
+        return Prod(tuple(s for s, _ in kept)), tuple(e for _, e in kept)
+    # Lex: quotient by the whole group is trivial; by {0} x J it is the
+    # lex extension of bottom/J
     if I.inner is None:
         return None
-    below = _quotient_shape(structure.bottom, I.inner)
-    return Atom() if below is None else Lex(below)
+    below = _quotient(structure.bottom, I.inner, g[1])
+    if below is None:
+        return Atom(), g[0]
+    return Lex(below[0]), (g[0], below[1])
+
+
+@dataclass(frozen=True)
+class QuotientResult:
+    """The quotient of a group by an ideal, kept as data.
+
+    ``structure`` and ``divisor`` are the source structure and the ideal
+    divided out; ``group`` is the quotient, or None exactly when it
+    collapsed to the trivial group (quotient by the improper ideal).  Both
+    projections return None on a trivial quotient, and ``project_ideal``
+    is only meaningful on ideals containing the divisor.
+    """
+
+    group: Optional[UnitalGroup]
+    structure: Structure
+    divisor: Ideal
+
+    @property
+    def trivial(self) -> bool:
+        return self.group is None
+
+    def project(self, e: Element) -> Optional[Element]:
+        """The image of e in the quotient."""
+        res = _quotient(self.structure, self.divisor, e)
+        return None if res is None else res[1]
+
+    def project_ideal(self, J: Ideal) -> Optional[Ideal]:
+        """The image of J: every ideal is principal, so project a generator."""
+        if self.group is None:
+            return None
+        g = self.project(canonical_generator(self.structure, J))
+        return _principal(self.group.structure, g)
 
 
 def quotient_structure(structure, I: Ideal) -> Optional[Structure]:
     """Shape of the quotient, or None when it is trivial."""
-    return _quotient_shape(_structure_of(structure), I)
+    structure = _structure_of(structure)
+    check_ideal(structure, I)
+    res = _quotient(structure, I, zero(structure))
+    return None if res is None else res[0]
 
 
 def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:
     """Quotient of G by I, staying inside the class.
 
-    Trivial factors are dropped eagerly (a one-child product collapses to
-    the child, a fully collapsed bottom turns a lex extension into an
-    Atom), so the result is again a valid structure with unit the image
-    of G's unit.
+    Trivial factors are dropped eagerly, so the result is again a valid
+    structure; one walk gives it together with its unit, the image of
+    G's unit.
     """
     check_ideal(G.structure, I)
-    res = _quotient(G.structure, I)
-    if res is None:
-        return QuotientResult(None, lambda e: None, lambda J: None, True)
-    st, pe, pi = res
-    return QuotientResult(UnitalGroup(st, pe(G.unit)), pe, pi, False)
+    res = _quotient(G.structure, I, G.unit)
+    return QuotientResult(None if res is None else UnitalGroup(*res), G.structure, I)
 
 
 def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:

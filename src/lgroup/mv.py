@@ -25,6 +25,7 @@ from .core import (
     join,
     leq,
     meet,
+    random_element,
     scale,
     sub,
     zero,
@@ -92,22 +93,6 @@ class GammaAlgebra:
         return leq(self.group.structure, self.validate(x), self.validate(y))
 
 
-def gamma_op(
-    G: UnitalGroup, op: str, x: Element, y: Optional[Element] = None
-) -> Element:
-    """Dispatch form: op is "oplus", "neg", or "odot"."""
-    alg = GammaAlgebra(G)
-    if op == "neg":
-        return alg.neg(x)
-    if y is None:
-        raise LGroupError(f"{op!r} needs two operands")
-    if op == "oplus":
-        return alg.oplus(x, y)
-    if op == "odot":
-        return alg.odot(x, y)
-    raise LGroupError(f"unknown interval operation {op!r}")
-
-
 def interval_box(G: UnitalGroup, bound: int, limit: int = 50000) -> List[Element]:
     """All interval members with coordinates in [-bound, bound], canonically
     ordered; falls back to a seeded clamped sample when the box is large."""
@@ -121,18 +106,8 @@ def interval_box(G: UnitalGroup, bound: int, limit: int = 50000) -> List[Element
             if leq(s, z, x) and leq(s, x, G.unit)
         ]
     rng = random.Random(20480)
-    out = {alg.clamp(g) for g in (_random_element(rng, s, bound) for _ in range(2000))}
+    out = {alg.clamp(g) for g in (random_element(rng, s, bound) for _ in range(2000))}
     return sorted(out, key=repr)
-
-
-def _random_element(rng, structure, bound):
-    from .core import Atom, Prod
-
-    if isinstance(structure, Atom):
-        return rng.randint(-bound, bound)
-    if isinstance(structure, Prod):
-        return tuple(_random_element(rng, c, bound) for c in structure.children)
-    return (rng.randint(-bound, bound), _random_element(rng, structure.bottom, bound))
 
 
 @dataclass

@@ -147,19 +147,15 @@ def _lex_witnesses(structure: Structure) -> Iterator[Tuple[Element, Element]]:
         yield (0, g), (0, h)
 
 
-def archimedean_falsify(
-    G: UnitalGroup, bound: int
-) -> Optional[Tuple[Element, Element]]:
-    """Search for 0 < g with n*g <= h for every n, within the given bound.
+def archimedean_falsify(G: UnitalGroup) -> Optional[Tuple[Element, Element]]:
+    """Search for 0 < g with n*g <= h for every n.
 
     Candidate pairs are generated structurally, one per lexicographic
     position (the only places a violation can live in this class), with
-    coordinate magnitudes at most 1 <= bound; each candidate is verified
-    exactly before being returned.  Returns the first surviving witness,
-    or None when there is none.
+    coordinate magnitudes at most 1; each candidate is verified exactly
+    before being returned.  Returns the first surviving witness, or None
+    when there is none.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     z = zero(G.structure)
     for g, h in _lex_witnesses(G.structure):
         if g != z and leq(G.structure, z, g) and dominated(G.structure, g, h):

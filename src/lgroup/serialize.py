@@ -39,6 +39,7 @@ from .core import (
     ShapeMismatch,
     Structure,
     UnitalGroup,
+    _is_int,
 )
 from .ideals import (
     Ideal,
@@ -57,10 +58,6 @@ class ParseError(LGroupError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def structure_to_json(structure: Structure):

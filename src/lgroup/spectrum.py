@@ -17,6 +17,7 @@ from typing import FrozenSet, Iterable
 from .core import Atom, LGroupError, UnitalGroup, check_element, is_chain
 from .ideals import (
     Ideal,
+    _quotient,
     all_ideal,
     check_ideal,
     contains,
@@ -26,7 +27,6 @@ from .ideals import (
     ideal_meet,
     is_proper,
     quotient,
-    quotient_structure,
 )
 
 
@@ -77,11 +77,12 @@ def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     for I in enumerate_ideals(G).ideals:
         if not is_proper(I):
             continue
-        qs = quotient_structure(G.structure, I)
-        if qs is None or not is_chain(qs):
+        # the unit is projected only because the walk needs an element
+        res = _quotient(G.structure, I, G.unit)
+        if res is None or not is_chain(res[0]):
             continue
         primes.append(I)
-        maximal.append(isinstance(qs, Atom))
+        maximal.append(isinstance(res[0], Atom))
     return SpectrumSpace(G, tuple(primes), tuple(maximal))
 
 

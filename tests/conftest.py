@@ -15,6 +15,7 @@ from lgroup import (
     prod,
     validate_unital_group,
 )
+from lgroup.core import random_element
 
 A2 = validate_unital_group(prod(Z, Z), (1, 1))
 C3 = validate_unital_group(prod(Z, Z, Z), (1, 2, 1))
@@ -34,14 +35,6 @@ def random_structure(rng: random.Random, max_depth: int = 3, max_width: int = 4)
     return Prod(
         tuple(random_structure(rng, max_depth - 1, max_width) for _ in range(width))
     )
-
-
-def random_element(rng: random.Random, structure, bound: int = 3):
-    if isinstance(structure, Atom):
-        return rng.randint(-bound, bound)
-    if isinstance(structure, Prod):
-        return tuple(random_element(rng, c, bound) for c in structure.children)
-    return (rng.randint(-bound, bound), random_element(rng, structure.bottom, bound))
 
 
 def random_unit(rng: random.Random, structure):

@@ -387,3 +387,35 @@ def test_zero_set_solver_fuzz_on_strongly_semisimple_instances():
             assert holder_eval(G, targets[c.i], c.maximal) != holder_eval(
                 G, targets[c.j], c.maximal
             )
+
+
+def test_zero_set_solver_refuses_off_strongly_semisimple_instances():
+    # the groups the fuzz above skips: a system that agrees on the zero
+    # sets gets strong_patch's refusal, whose diagnostic matches the
+    # classical solver on the principal system
+    from conftest import random_group
+    from lgroup import canonical_generator, is_strongly_semisimple, principal_ideal, radical
+
+    rng = random.Random(2718)
+    diagnostics = []
+    for _ in range(150):
+        G = random_group(rng, max_atoms=4)
+        if is_strongly_semisimple(G)[0]:
+            continue
+        rad, everything = radical(G), all_ideal(G.structure)
+        small = [I for I in enumerate_ideals(G).ideals if ideal_leq(I, rad)]
+        n = rng.randint(2, 3)
+        # generators of ideals inside the radical vanish at every maximal
+        # ideal, and targets that differ by radical members agree there
+        gens = [canonical_generator(G.structure, rng.choice(small)) for _ in range(n)]
+        base = random_element(rng, G.structure, 2)
+        targets = [
+            G.add(base, riesz_split(G, random_element(rng, G.structure, 2), rad, everything)[0])
+            for _ in range(n)
+        ]
+        cert = zero_set_patch(G, gens, targets).certificate
+        assert isinstance(cert, NotStronglySemisimple)
+        system = [(principal_ideal(G.structure, h), t) for h, t in zip(gens, targets)]
+        assert cert.keimel_hypothesis_holds == keimel_patch(G, system).solved
+        diagnostics.append(cert.keimel_hypothesis_holds)
+    assert set(diagnostics) == {True, False}

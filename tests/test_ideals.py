@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX
+from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
 from lgroup import (
     AtomIdeal,
     LexIdeal,
@@ -13,7 +15,6 @@ from lgroup import (
     enumerate_ideals,
     generated_ideal,
     ideal_join,
-    ideal_lattice_op,
     ideal_leq,
     ideal_meet,
     is_all_ideal,
@@ -21,6 +22,7 @@ from lgroup import (
     is_zero_ideal,
     principal_ideal,
     quotient,
+    quotient_structure,
     zero_ideal,
 )
 
@@ -67,9 +69,9 @@ def test_generated_ideal_examples():
 def test_lattice_op_examples():
     i1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(False)))
     i2 = ProdIdeal((AtomIdeal(False), AtomIdeal(False), AtomIdeal(True)))
-    joined = ideal_lattice_op(C3, "join", i1, i2)
+    joined = ideal_join(i1, i2)
     assert joined == ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
-    assert ideal_lattice_op(LEX, "join", LEX_BOTTOM_ALL, zero_ideal(LEX.structure)) == LEX_BOTTOM_ALL
+    assert ideal_join(LEX_BOTTOM_ALL, zero_ideal(LEX.structure)) == LEX_BOTTOM_ALL
     for G in GALLERY_GROUPS.values():
         for I in enumerate_ideals(G).ideals:
             assert ideal_meet(I, all_ideal(G.structure)) == I
@@ -109,6 +111,9 @@ def test_quotient_examples():
     q = quotient(A2, all_ideal(A2.structure))
     assert q.trivial and q.group is None
 
+    with pytest.raises(ShapeMismatch):
+        quotient_structure(LEX, AtomIdeal(True))
+
 
 def test_congruence_examples():
     assert congruent(LEX, (0, 0), (0, 1), LEX_BOTTOM_ALL)
@@ -130,12 +135,18 @@ def test_ideal_lattice_distributivity_exhaustive():
 
 
 def test_quotient_lattice_matches_upper_interval():
-    # the ideals of G/I correspond one to one with the ideals above I
-    for G in GALLERY_GROUPS.values():
+    # the ideals of G/I correspond one to one with the ideals above I, and
+    # the projection is a unital lattice-group map whose kernel is I
+    rng = random.Random(1729)
+    groups = list(GALLERY_GROUPS.values())
+    groups += [random_group(rng, max_atoms=6) for _ in range(10)]
+    for G in groups:
         lattice = enumerate_ideals(G)
+        box = list(elements_in_box(G.structure, 1))
         for I in lattice.ideals:
             interval = [J for J in lattice.ideals if ideal_leq(I, J)]
             q = quotient(G, I)
+            assert quotient_structure(G, I) == (None if q.trivial else q.group.structure)
             if q.trivial:
                 assert interval == [all_ideal(G.structure)]
                 continue
@@ -145,6 +156,15 @@ def test_quotient_lattice_matches_upper_interval():
             for J1, M1 in zip(interval, mapped):
                 for J2, M2 in zip(interval, mapped):
                     assert ideal_leq(J1, J2) == ideal_leq(M1, M2)
+            Q = q.group
+            assert q.project(G.unit) == Q.unit
+            images = [q.project(g) for g in box]
+            for g, pg in zip(box, images):
+                assert (pg == Q.zero()) == contains(G.structure, I, g)
+            half = (len(box) + 1) // 2
+            for g, h, pg, ph in zip(box[:half], box[::-1], images, images[::-1]):
+                assert q.project(G.add(g, h)) == Q.add(pg, ph)
+                assert q.project(G.meet(g, h)) == Q.meet(pg, ph)
 
 
 def test_join_membership_has_additive_witnesses():

@@ -9,7 +9,6 @@ from lgroup import (
     LexIdeal,
     OutOfInterval,
     Z,
-    gamma_op,
     mv_ideal_correspondence,
     radical,
     validate_unital_group,
@@ -20,12 +19,10 @@ CHANG = GammaAlgebra(LEX)
 
 def test_truncated_addition_below_the_unit():
     assert CHANG.oplus((0, 3), (0, 4)) == (0, 7)
-    assert gamma_op(LEX, "oplus", (0, 3), (0, 4)) == (0, 7)
 
 
 def test_involution():
     assert CHANG.neg((0, 3)) == (1, -3)
-    assert gamma_op(LEX, "neg", (0, 3)) == (1, -3)
 
 
 def test_complement_saturates():

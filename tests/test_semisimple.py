@@ -62,14 +62,14 @@ def test_strongly_semisimple_witness_quotient_fails():
 
 
 def test_archimedean_falsify_examples():
-    assert archimedean_falsify(LEX, 2) == ((0, 1), (1, 0))
-    assert archimedean_falsify(C3, 5) is None
-    assert archimedean_falsify(MIX, 2) == ((0, (0, 1)), (0, (1, 0)))
+    assert archimedean_falsify(LEX) == ((0, 1), (1, 0))
+    assert archimedean_falsify(C3) is None
+    assert archimedean_falsify(MIX) == ((0, (0, 1)), (0, (1, 0)))
 
 
 def test_archimedean_witness_is_genuine():
     for G in (LEX, MIX):
-        g, h = archimedean_falsify(G, 3)
+        g, h = archimedean_falsify(G)
         assert G.lt(G.zero(), g)
         # bounded independent check of unbounded domination
         for n in range(1, 40):
