@@ -43,6 +43,23 @@ def test_analyze_lex_reports_witness(runner, tmp_path):
     assert "strongly semisimple: false (witness: bottom(zero))" in result.output
 
 
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_outputs_match_golden_bytes(runner, tmp_path, name):
+    # stdout of analyze and of both spectrum exports, byte for byte
+    path = tmp_path / f"{name}.json"
+    path.write_text(gallery_json(name))
+    commands = {
+        "analyze.txt": ["analyze", str(path)],
+        "spectrum.json": ["spectrum", str(path), "--format", "json"],
+        "spectrum.dot": ["spectrum", str(path), "--format", "dot"],
+    }
+    for suffix, args in commands.items():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        golden = (DATA / "cli_golden" / f"{name}.{suffix}").read_bytes()
+        assert result.stdout_bytes == golden, f"{name}.{suffix}"
+
+
 def test_spectrum_dot(runner, tmp_path):
     path = tmp_path / "lex.json"
     path.write_text(gallery_json("lex"))
