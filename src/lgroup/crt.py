@@ -26,6 +26,7 @@ structured certificate naming the violated condition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -109,11 +110,12 @@ class MaxHypothesisViolated:
 class NotStronglySemisimple:
     """The group fails the strong-semisimplicity hypothesis.
 
-    ``witness`` is the least principal ideal with a non-semisimple
-    quotient.  ``keimel_hypothesis_holds`` reports whether the system
-    happened to satisfy the unconditional pairwise hypothesis anyway; on
-    these groups a solution exists exactly in that case, so it doubles as
-    a solvability diagnostic.  ``incompatible_pair`` names the first pair
+    ``witness`` is the least ideal with a non-semisimple quotient, which
+    in this class is always the zero ideal (the group itself fails).
+    ``keimel_hypothesis_holds`` reports whether the system happened to
+    satisfy the unconditional pairwise hypothesis anyway; on these groups
+    a solution exists exactly in that case, so it doubles as a
+    solvability diagnostic.  ``incompatible_pair`` names the first pair
     breaking the pairwise hypothesis when there is one.
     """
 
@@ -219,15 +221,16 @@ def _split(structure, d, I: Ideal, J: Ideal):
     return (0, ta), (0, tb)
 
 
+def _pairs(G: UnitalGroup, cons):
+    """Yield (i, j, join of the ideals, difference of the targets), i < j."""
+    for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(enumerate(cons), 2):
+        yield i, j, ideal_join(Ii, Ij), sub(G.structure, gi, gj)
+
+
 def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
-    cons = system.constraints
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            (Ii, gi), (Ij, gj) = cons[i], cons[j]
-            joined = ideal_join(Ii, Ij)
-            diff = sub(G.structure, gi, gj)
-            if not contains(G.structure, joined, diff):
-                return i, j, diff, joined
+    for i, j, joined, diff in _pairs(G, system.constraints):
+        if not contains(G.structure, joined, diff):
+            return i, j, diff, joined
     return None
 
 
@@ -280,17 +283,10 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     system = _normalize(G, system)
     space = compute_spectrum(G)
     maxes = space.max_ideals()
-    cons = system.constraints
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            (Ii, gi), (Ij, gj) = cons[i], cons[j]
-            joined = ideal_join(Ii, Ij)
-            diff = sub(G.structure, gi, gj)
-            for m in maxes:
-                if ideal_leq(joined, m) and not contains(G.structure, m, diff):
-                    return PatchResult(
-                        certificate=MaxHypothesisViolated(i, j, m)
-                    )
+    for i, j, joined, diff in _pairs(G, system.constraints):
+        for m in maxes:
+            if ideal_leq(joined, m) and not contains(G.structure, m, diff):
+                return PatchResult(certificate=MaxHypothesisViolated(i, j, m))
     ok, witness = is_strongly_semisimple(G)
     if not ok:
         bad = _pairwise_failure(G, system)

@@ -22,6 +22,7 @@ together.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -288,6 +289,15 @@ def _enumerate(structure) -> tuple:
     return inner + (LexIdeal(None),)
 
 
+def ideal_count(structure) -> int:
+    """Size of the ideal lattice, without enumerating it."""
+    if isinstance(structure, Atom):
+        return 2
+    if isinstance(structure, Prod):
+        return math.prod(ideal_count(c) for c in structure.children)
+    return ideal_count(structure.bottom) + 1
+
+
 @lru_cache(maxsize=None)
 def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     """Enumerate all ideals in canonical order (zero first, whole group last).
@@ -354,11 +364,13 @@ class QuotientResult:
 
     def project(self, e: Element) -> Optional[Element]:
         """The image of e in the quotient."""
+        check_element(self.structure, e)
         res = _quotient(self.structure, self.divisor, e)
         return None if res is None else res[1]
 
     def project_ideal(self, J: Ideal) -> Optional[Ideal]:
         """The image of J: every ideal is principal, so project a generator."""
+        check_ideal(self.structure, J)
         if self.group is None:
             return None
         g = self.project(canonical_generator(self.structure, J))

@@ -1,7 +1,9 @@
 """Radicals, semisimplicity, and strong semisimplicity.
 
 Semisimplicity is decided through the radical (the intersection of all
-maximal ideals): that route is exact and finite here.  The Archimedean
+maximal ideals): that route is exact and finite here.  Strong
+semisimplicity needs no further work in this class, since it coincides
+with semisimplicity (see ``is_strongly_semisimple``).  The Archimedean
 search below is deliberately kept as an independent cross-check, not a
 decision procedure.
 """
@@ -21,14 +23,7 @@ from .core import (
     scale,
     zero,
 )
-from .ideals import (
-    Ideal,
-    enumerate_ideals,
-    ideal_leq,
-    ideal_meet,
-    is_zero_ideal,
-    quotient,
-)
+from .ideals import Ideal, ideal_meet, is_zero_ideal, zero_ideal
 from .spectrum import compute_spectrum
 
 
@@ -52,27 +47,15 @@ def is_semisimple(G: UnitalGroup) -> bool:
 def is_strongly_semisimple(G: UnitalGroup) -> Tuple[bool, Optional[Ideal]]:
     """Check that every quotient by a principal ideal is semisimple.
 
-    In this class every ideal is principal, the trivial ideal included, so
-    the check sweeps the whole lattice (the quotient by the improper ideal
-    is the trivial group, which is vacuously semisimple).  On failure the
-    witness is the lattice-least failing ideal, ties broken by enumeration
-    order.
+    A group here is semisimple exactly when its tree has no lex node, a
+    quotient of such a tree again has none, and every ideal is principal;
+    the quotient by the zero ideal is G itself.  So this holds exactly
+    when G is semisimple, and on failure the witness, the least failing
+    ideal, is always the zero ideal.
     """
-    failures = []
-    for P in enumerate_ideals(G).ideals:
-        q = quotient(G, P)
-        if q.trivial:
-            continue
-        if not is_semisimple(q.group):
-            failures.append(P)
-    if not failures:
+    if is_semisimple(G):
         return True, None
-    minimal = [
-        f
-        for f in failures
-        if not any(g != f and ideal_leq(g, f) for g in failures)
-    ]
-    return False, minimal[0]
+    return False, zero_ideal(G)
 
 
 def dominated(structure: Structure, g: Element, h: Element) -> bool:

@@ -1,4 +1,4 @@
-"""Prime spectra with the hull-kernel topology, computed extensionally.
+"""Prime spectra with the hull-kernel topology, read off the structure tree.
 
 A proper ideal is prime when the quotient is totally ordered, and maximal
 when the quotient collapses all the way to a single integer coordinate.
@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import FrozenSet, Iterable
 
-from .core import Atom, LGroupError, UnitalGroup, check_element, is_chain
+from .core import Atom, LGroupError, Prod, UnitalGroup, check_element
 from .ideals import (
+    AtomIdeal,
     Ideal,
-    _quotient,
+    LexIdeal,
+    ProdIdeal,
     all_ideal,
     check_ideal,
     contains,
@@ -25,7 +27,6 @@ from .ideals import (
     ideal_label,
     ideal_leq,
     ideal_meet,
-    is_proper,
     quotient,
 )
 
@@ -71,19 +72,26 @@ class SpectrumSpace:
 
 @lru_cache(maxsize=None)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
-    """Filter the ideal lattice down to primes; flag the maximal ones."""
-    primes = []
-    maximal = []
-    for I in enumerate_ideals(G).ideals:
-        if not is_proper(I):
-            continue
-        # the unit is projected only because the walk needs an element
-        res = _quotient(G.structure, I, G.unit)
-        if res is None or not is_chain(res[0]):
-            continue
-        primes.append(I)
-        maximal.append(isinstance(res[0], Atom))
-    return SpectrumSpace(G, tuple(primes), tuple(maximal))
+    """The primes of G with their maximality flags, in enumeration order."""
+    found = _primes(G.structure)
+    return SpectrumSpace(G, tuple(p for p, _ in found), tuple(m for _, m in found))
+
+
+def _primes(structure) -> list:
+    """(prime, maximal) pairs in enumeration order: zero for an atom; one
+    child's prime with every other part whole for a product; bottom(p) for
+    each prime p of the bottom, then the maximal bottom(all), for a lex."""
+    if isinstance(structure, Atom):
+        return [(AtomIdeal(False), True)]
+    if isinstance(structure, Prod):
+        whole = [all_ideal(c) for c in structure.children]
+        return [
+            (ProdIdeal((*whole[:i], p, *whole[i + 1 :])), m)
+            for i, child in enumerate(structure.children)
+            for p, m in _primes(child)
+        ]
+    below = [(LexIdeal(p), False) for p, _ in _primes(structure.bottom)]
+    return below + [(LexIdeal(all_ideal(structure.bottom)), True)]
 
 
 def _space_of(x) -> SpectrumSpace:

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
+import lgroup.ideals
 from lgroup import GALLERY_NAMES, gallery_json
 from lgroup.cli import main
 
@@ -58,6 +59,34 @@ def test_outputs_match_golden_bytes(runner, tmp_path, name):
         assert result.exit_code == 0, result.output
         golden = (DATA / "cli_golden" / f"{name}.{suffix}").read_bytes()
         assert result.stdout_bytes == golden, f"{name}.{suffix}"
+
+
+def test_entry_points_never_enumerate_the_lattice(runner, tmp_path, monkeypatch):
+    # Z^24 has 2^24 ideals; every answer here must come from the tree
+    def refuse(structure):
+        raise AssertionError("the ideal lattice was enumerated")
+
+    monkeypatch.setattr(lgroup.ideals, "_enumerate", refuse)
+    n = 24
+    ideals = [{"prod": ["all"] * i + ["zero"] + ["all"] * (n - 1 - i)} for i in range(2)]
+    targets = [[5] * n, [3] * n]
+    doc = {
+        "structure": {"prod": ["Z"] * n},
+        "unit": [1] * n,
+        "task": {"mode": "strong", "ideals": ideals, "targets": targets},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "ideals: 16777216 (16777215 proper, all principal)" in result.output
+    assert "spec: 24 primes, 24 maximal" in result.output
+    assert "strongly semisimple: true" in result.output
+    result = runner.invoke(main, ["spectrum", str(path)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["crt", str(path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"solution": [5] + [3] * (n - 1)}
 
 
 def test_spectrum_dot(runner, tmp_path):

@@ -156,6 +156,17 @@ def test_strong_patch_detects_max_violation():
     assert cert.maximal == A2_M1
 
 
+def test_certificates_name_the_first_failing_pair():
+    # pairs are scanned as (0, 1), (0, 2), (1, 2); only the last two fail
+    z = zero_ideal(A2.structure)
+    cert = keimel_patch(A2, [(z, (0, 0)), (z, (0, 0)), (z, (1, 1))]).certificate
+    assert (cert.i, cert.j) == (0, 2)
+    system = [(A2_M1, (5, 0)), (A2_M1, (5, 0)), (A2_M1, (7, 0))]
+    cert = strong_patch(A2, system).certificate
+    assert isinstance(cert, MaxHypothesisViolated)
+    assert (cert.i, cert.j) == (0, 2)
+
+
 def test_zero_set_patch_unique_solution():
     result = zero_set_patch(C3, [(0, 0, 1), (1, 0, 0)], [(2, 4, 6), (0, 4, 1)])
     assert result.solution == (2, 4, 1)

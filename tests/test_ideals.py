@@ -14,6 +14,7 @@ from lgroup import (
     elements_in_box,
     enumerate_ideals,
     generated_ideal,
+    ideal_count,
     ideal_join,
     ideal_leq,
     ideal_meet,
@@ -85,8 +86,11 @@ def test_enumeration_counts():
 
 
 def test_enumeration_order_and_principality():
-    for G in GALLERY_GROUPS.values():
+    rng = random.Random(4099)
+    groups = list(GALLERY_GROUPS.values()) + [random_group(rng) for _ in range(120)]
+    for G in groups:
         lattice = enumerate_ideals(G)
+        assert ideal_count(G.structure) == len(lattice)
         assert is_zero_ideal(lattice.bottom)
         assert is_all_ideal(lattice.top)
         assert all(lattice.principal)
@@ -113,6 +117,16 @@ def test_quotient_examples():
 
     with pytest.raises(ShapeMismatch):
         quotient_structure(LEX, AtomIdeal(True))
+
+    # projections validate their argument against the source structure
+    q = quotient(LEX, zero_ideal(LEX.structure))
+    for bad in ((1, 2, 3), (1,)):
+        with pytest.raises(ShapeMismatch):
+            q.project(bad)
+    with pytest.raises(ShapeMismatch):
+        q.project_ideal(AtomIdeal(True))
+    with pytest.raises(ShapeMismatch):
+        quotient(C3, zero_ideal(C3.structure)).project((1, 2))
 
 
 def test_congruence_examples():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX
+from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
 from lgroup import (
+    Atom,
     AtomIdeal,
     LexIdeal,
     ProdIdeal,
@@ -48,6 +51,23 @@ def test_spectrum_mix():
     space = compute_spectrum(MIX)
     assert len(space) == 3
     assert sum(space.maximal) == 2
+
+
+def test_spectrum_matches_the_definition_filter():
+    # oracle: the proper ideals whose quotient is a chain, in enumeration
+    # order, maximal exactly when the quotient is a single coordinate
+    rng = random.Random(8191)
+    groups = list(GALLERY_GROUPS.values()) + [random_group(rng) for _ in range(120)]
+    for G in groups:
+        primes, maximal = [], []
+        for I in enumerate_ideals(G).ideals:
+            q = quotient(G, I)
+            if is_proper(I) and is_chain(q.group.structure):
+                primes.append(I)
+                maximal.append(isinstance(q.group.structure, Atom))
+        space = compute_spectrum(G)
+        assert space.primes == tuple(primes)
+        assert space.maximal == tuple(maximal)
 
 
 def test_primality_against_sampled_totality_oracle():
