@@ -84,7 +84,7 @@ class Prod:
             raise ValueError("Prod requires at least 2 children")
 
     def __repr__(self) -> str:
-        return "Prod(%s)" % ", ".join(repr(c) for c in self.children)
+        return render_tree(self, _spell_structure)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -94,10 +94,42 @@ class Lex:
     bottom: "Structure"
 
     def __repr__(self) -> str:
-        return f"Lex({self.bottom!r})"
+        return render_tree(self, _spell_structure)
 
 
 Structure = Union[Atom, Prod, Lex]
+
+
+def render_tree(node, spell) -> str:
+    """Render a tree without recursion.  ``spell(node)`` gives a string for
+    a leaf, or (opening, children, separator, closing) for an inner node."""
+    out = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        piece = spell(x)
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        opening, children, separator, closing = piece
+        out.append(opening)
+        stack.append(closing)
+        for i in range(len(children) - 1, 0, -1):
+            stack += (children[i], separator)
+        stack.append(children[0])
+    return "".join(out)
+
+
+def _spell_structure(s):
+    if type(s) is Prod:
+        return "Prod(", s.children, ", ", ")"
+    if type(s) is Lex:
+        return "Lex(", (s.bottom,), "", ")"
+    return "Z"
+
 
 Z = Atom()
 
@@ -124,7 +156,7 @@ def atom_count(structure: Structure) -> int:
     if isinstance(structure, Atom):
         return 1
     if isinstance(structure, Prod):
-        return sum(atom_count(c) for c in structure.children)
+        return sum(map(atom_count, structure.children))
     return 1 + atom_count(structure.bottom)
 
 
@@ -159,7 +191,7 @@ def zero(structure: Structure) -> Element:
     if isinstance(structure, Atom):
         return 0
     if isinstance(structure, Prod):
-        return tuple(zero(c) for c in structure.children)
+        return tuple(map(zero, structure.children))
     return (0, zero(structure.bottom))
 
 
@@ -167,7 +199,7 @@ def add(structure: Structure, g: Element, h: Element) -> Element:
     if isinstance(structure, Atom):
         return g + h
     if isinstance(structure, Prod):
-        return tuple(add(c, a, b) for c, a, b in zip(structure.children, g, h))
+        return tuple(map(add, structure.children, g, h))
     return (g[0] + h[0], add(structure.bottom, g[1], h[1]))
 
 
@@ -175,7 +207,7 @@ def neg(structure: Structure, g: Element) -> Element:
     if isinstance(structure, Atom):
         return -g
     if isinstance(structure, Prod):
-        return tuple(neg(c, a) for c, a in zip(structure.children, g))
+        return tuple(map(neg, structure.children, g))
     return (-g[0], neg(structure.bottom, g[1]))
 
 
@@ -196,7 +228,7 @@ def leq(structure: Structure, g: Element, h: Element) -> bool:
     if isinstance(structure, Atom):
         return g <= h
     if isinstance(structure, Prod):
-        return all(leq(c, a, b) for c, a, b in zip(structure.children, g, h))
+        return all(map(leq, structure.children, g, h))
     if g[0] != h[0]:
         return g[0] < h[0]
     return leq(structure.bottom, g[1], h[1])
@@ -210,7 +242,7 @@ def meet(structure: Structure, g: Element, h: Element) -> Element:
     if isinstance(structure, Atom):
         return min(g, h)
     if isinstance(structure, Prod):
-        return tuple(meet(c, a, b) for c, a, b in zip(structure.children, g, h))
+        return tuple(map(meet, structure.children, g, h))
     # dominant component decides; only a tie descends into the bottom
     if g[0] < h[0]:
         return g
@@ -223,7 +255,7 @@ def join(structure: Structure, g: Element, h: Element) -> Element:
     if isinstance(structure, Atom):
         return max(g, h)
     if isinstance(structure, Prod):
-        return tuple(join(c, a, b) for c, a, b in zip(structure.children, g, h))
+        return tuple(map(join, structure.children, g, h))
     if g[0] < h[0]:
         return h
     if h[0] < g[0]:

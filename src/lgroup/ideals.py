@@ -38,6 +38,7 @@ from .core import (
     Structure,
     UnitalGroup,
     check_element,
+    render_tree,
     sub,
     zero,
 )
@@ -56,7 +57,7 @@ class ProdIdeal:
     parts: tuple
 
     def __repr__(self) -> str:
-        return "(%s)" % ",".join(repr(p) for p in self.parts)
+        return render_tree(self, _spell_ideal)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -64,10 +65,18 @@ class LexIdeal:
     inner: Optional["Ideal"]  # None means the whole group
 
     def __repr__(self) -> str:
-        return "all" if self.inner is None else f"bottom({self.inner!r})"
+        return render_tree(self, _spell_ideal)
 
 
 Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
+
+
+def _spell_ideal(I):
+    if type(I) is ProdIdeal:
+        return "(", I.parts, ",", ")"
+    if type(I) is LexIdeal:
+        return "all" if I.inner is None else ("bottom(", (I.inner,), "", ")")
+    return "all" if I.full else "zero"
 
 
 def ideal_label(I: Ideal) -> str:
@@ -84,7 +93,7 @@ def zero_ideal(structure) -> Ideal:
     if isinstance(structure, Atom):
         return AtomIdeal(False)
     if isinstance(structure, Prod):
-        return ProdIdeal(tuple(zero_ideal(c) for c in structure.children))
+        return ProdIdeal(tuple(map(zero_ideal, structure.children)))
     return LexIdeal(zero_ideal(structure.bottom))
 
 
@@ -93,7 +102,7 @@ def all_ideal(structure) -> Ideal:
     if isinstance(structure, Atom):
         return AtomIdeal(True)
     if isinstance(structure, Prod):
-        return ProdIdeal(tuple(all_ideal(c) for c in structure.children))
+        return ProdIdeal(tuple(map(all_ideal, structure.children)))
     return LexIdeal(None)
 
 
@@ -101,7 +110,7 @@ def is_zero_ideal(I: Ideal) -> bool:
     if isinstance(I, AtomIdeal):
         return not I.full
     if isinstance(I, ProdIdeal):
-        return all(is_zero_ideal(p) for p in I.parts)
+        return all(map(is_zero_ideal, I.parts))
     return I.inner is not None and is_zero_ideal(I.inner)
 
 
@@ -109,7 +118,7 @@ def is_all_ideal(I: Ideal) -> bool:
     if isinstance(I, AtomIdeal):
         return I.full
     if isinstance(I, ProdIdeal):
-        return all(is_all_ideal(p) for p in I.parts)
+        return all(map(is_all_ideal, I.parts))
     return I.inner is None
 
 
@@ -152,9 +161,7 @@ def _contains(structure, I, g) -> bool:
     if isinstance(structure, Atom):
         return I.full or g == 0
     if isinstance(structure, Prod):
-        return all(
-            _contains(c, p, a) for c, p, a in zip(structure.children, I.parts, g)
-        )
+        return all(map(_contains, structure.children, I.parts, g))
     if I.inner is None:
         return True
     return g[0] == 0 and _contains(structure.bottom, I.inner, g[1])
@@ -165,7 +172,7 @@ def ideal_leq(I: Ideal, J: Ideal) -> bool:
     if isinstance(I, AtomIdeal):
         return J.full or not I.full
     if isinstance(I, ProdIdeal):
-        return all(ideal_leq(a, b) for a, b in zip(I.parts, J.parts))
+        return all(map(ideal_leq, I.parts, J.parts))
     if J.inner is None:
         return True
     if I.inner is None:
@@ -177,7 +184,7 @@ def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
     if isinstance(I, AtomIdeal):
         return AtomIdeal(I.full and J.full)
     if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(ideal_meet(a, b) for a, b in zip(I.parts, J.parts)))
+        return ProdIdeal(tuple(map(ideal_meet, I.parts, J.parts)))
     if I.inner is None:
         return J
     if J.inner is None:
@@ -189,7 +196,7 @@ def ideal_join(I: Ideal, J: Ideal) -> Ideal:
     if isinstance(I, AtomIdeal):
         return AtomIdeal(I.full or J.full)
     if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(ideal_join(a, b) for a, b in zip(I.parts, J.parts)))
+        return ProdIdeal(tuple(map(ideal_join, I.parts, J.parts)))
     if I.inner is None or J.inner is None:
         return LexIdeal(None)
     return LexIdeal(ideal_join(I.inner, J.inner))
@@ -210,9 +217,7 @@ def _principal(structure, g) -> Ideal:
     if isinstance(structure, Atom):
         return AtomIdeal(g != 0)
     if isinstance(structure, Prod):
-        return ProdIdeal(
-            tuple(_principal(c, a) for c, a in zip(structure.children, g))
-        )
+        return ProdIdeal(tuple(map(_principal, structure.children, g)))
     if g[0] != 0:
         return LexIdeal(None)
     return LexIdeal(_principal(structure.bottom, g[1]))
@@ -233,7 +238,7 @@ def full_generator(structure) -> Element:
     if isinstance(structure, Atom):
         return 1
     if isinstance(structure, Prod):
-        return tuple(full_generator(c) for c in structure.children)
+        return tuple(map(full_generator, structure.children))
     return (1, zero(structure.bottom))
 
 
@@ -243,9 +248,7 @@ def canonical_generator(structure, I: Ideal) -> Element:
     if isinstance(structure, Atom):
         return 1 if I.full else 0
     if isinstance(structure, Prod):
-        return tuple(
-            canonical_generator(c, p) for c, p in zip(structure.children, I.parts)
-        )
+        return tuple(map(canonical_generator, structure.children, I.parts))
     if I.inner is None:
         return full_generator(structure)
     return (0, canonical_generator(structure.bottom, I.inner))
@@ -294,7 +297,7 @@ def ideal_count(structure) -> int:
     if isinstance(structure, Atom):
         return 2
     if isinstance(structure, Prod):
-        return math.prod(ideal_count(c) for c in structure.children)
+        return math.prod(map(ideal_count, structure.children))
     return ideal_count(structure.bottom) + 1
 
 

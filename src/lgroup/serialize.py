@@ -42,12 +42,11 @@ from .core import (
     _is_int,
 )
 from .ideals import (
+    AtomIdeal,
     Ideal,
     LexIdeal,
     ProdIdeal,
     all_ideal,
-    is_all_ideal,
-    is_zero_ideal,
     zero_ideal,
 )
 
@@ -68,22 +67,37 @@ def structure_to_json(structure: Structure):
     return {"lex": structure_to_json(structure.bottom)}
 
 
+MAX_HEIGHT = 400
+"""The tallest structure tree the parser accepts.  An atom has height 0 and
+every prod or lex level adds 1.  The library walks trees by recursion, and
+taller trees can exhaust Python's default recursion limit of 1000 frames;
+every command, run in a process of its own, answers at this height with
+room to spare."""
+
+
 def structure_from_json(obj, path: str = "structure") -> Structure:
+    return _structure_from_json(obj, path, 0)
+
+
+def _structure_from_json(obj, path: str, height: int) -> Structure:
+    # height: how many levels down the tree obj sits
     if obj == "Z":
         return Atom()
     if isinstance(obj, dict):
+        if set(obj) in ({"prod"}, {"lex"}) and height >= MAX_HEIGHT:
+            raise ParseError(path, f"structure taller than {MAX_HEIGHT} levels")
         if set(obj) == {"prod"}:
             kids = obj["prod"]
             if not isinstance(kids, list) or len(kids) < 2:
                 raise ParseError(path, "prod needs a list of at least 2 structures")
             return Prod(
                 tuple(
-                    structure_from_json(k, f"{path}.prod[{i}]")
+                    _structure_from_json(k, f"{path}.prod[{i}]", height + 1)
                     for i, k in enumerate(kids)
                 )
             )
         if set(obj) == {"lex"}:
-            return Lex(structure_from_json(obj["lex"], f"{path}.lex"))
+            return Lex(_structure_from_json(obj["lex"], f"{path}.lex", height + 1))
         raise ParseError(path, f"unknown structure keys {sorted(obj)}")
     raise ParseError(path, f"expected \"Z\", prod, or lex, got {obj!r}")
 
@@ -119,13 +133,26 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
 def ideal_to_json(I: Ideal):
     # canonical form compacts the trivial and improper ideals to their
     # shorthands at every level, so serialisation is byte-stable
-    if is_zero_ideal(I):
-        return "zero"
-    if is_all_ideal(I):
-        return "all"
-    if isinstance(I, ProdIdeal):
-        return {"prod": [ideal_to_json(p) for p in I.parts]}
-    return {"bottom": ideal_to_json(I.inner)}
+    return _ideal_json(I)[0]
+
+
+def _ideal_json(I: Ideal):
+    """(canonical JSON, is zero, is whole) of I, from one post-order walk."""
+    if isinstance(I, AtomIdeal):
+        return ("all" if I.full else "zero"), not I.full, I.full
+    if isinstance(I, LexIdeal):
+        if I.inner is None:
+            return "all", False, True
+        inner, is_zero, _ = _ideal_json(I.inner)
+        return ("zero" if is_zero else {"bottom": inner}), is_zero, False
+    parts = list(map(_ideal_json, I.parts))
+    is_zero = all(z for _, z, _ in parts)
+    is_all = all(a for _, _, a in parts)
+    if is_zero:
+        return "zero", True, False
+    if is_all:
+        return "all", False, True
+    return {"prod": [obj for obj, _, _ in parts]}, False, False
 
 
 def ideal_from_json(structure: Structure, obj, path: str = "ideal") -> Ideal:
@@ -356,4 +383,7 @@ def loads_instance(text: str) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        # the decoder refuses nesting deeper than the recursion limit
+        raise ParseError("$", "invalid JSON: nested too deeply") from None
     return instance_from_json(obj)

@@ -2,10 +2,13 @@
 
 A proper ideal is prime when the quotient is totally ordered, and maximal
 when the quotient collapses all the way to a single integer coordinate.
-Spectra in this class are finite posets under containment, so the
-vanishing-locus / kernel Galois connection, the closure operator, and all
-the topological laws can be checked by exhaustive enumeration; the report
-at the bottom of this module does exactly that.
+The primes above any prime form a chain, so the specialization order is a
+forest: every prime has at most one cover, and one walk over the tree
+yields each prime together with the index of its cover.  The exports read
+pairs, closures and edges off those cover chains.  The vanishing-locus /
+kernel Galois connection, the closure operator, and all the topological
+laws can still be checked by exhaustive enumeration; the report at the
+bottom of this module does exactly that.
 """
 
 from __future__ import annotations
@@ -37,19 +40,44 @@ class UnknownPrime(LGroupError):
 
 @dataclass(frozen=True)
 class SpectrumSpace:
-    """All prime ideals of a group, with maximality flags.
+    """All prime ideals of a group, with the forest of their specialization
+    order.
 
-    ``primes`` follows the canonical ideal enumeration order, and the
-    specialization order is plain containment (closed sets are the
-    vanishing loci, so a prime specializes to every prime above it).
+    ``primes`` follows the canonical ideal enumeration order.  The
+    specialization order is containment (closed sets are the vanishing
+    loci, so a prime specializes to every prime above it), and the primes
+    above a prime form a chain: ``cover[i]`` is the index of the least prime
+    strictly above ``primes[i]``, always larger than ``i``, or ``None``
+    exactly when ``primes[i]`` is maximal.
     """
 
     group: UnitalGroup
     primes: tuple
-    maximal: tuple
+    cover: tuple
+
+    def __post_init__(self):
+        n = len(self.primes)
+        if len(self.cover) != n or not all(
+            c is None or (type(c) is int and i < c < n)
+            for i, c in enumerate(self.cover)
+        ):
+            raise ValueError("each cover must be None or the index of a later prime")
 
     def __len__(self) -> int:
         return len(self.primes)
+
+    @property
+    def maximal(self) -> tuple:
+        """Maximality flags: a prime is maximal when nothing covers it."""
+        return tuple(c is None for c in self.cover)
+
+    def chain(self, i: int) -> list:
+        """Indices of the primes containing ``primes[i]``, ascending, i first."""
+        out = []
+        while i is not None:
+            out.append(i)
+            i = self.cover[i]
+        return out
 
     def index(self, p: Ideal) -> int:
         try:
@@ -58,40 +86,49 @@ class SpectrumSpace:
             raise UnknownPrime(f"{ideal_label(p)} is not a prime of this spectrum") from None
 
     def is_maximal(self, p: Ideal) -> bool:
-        return self.maximal[self.index(p)]
+        return self.cover[self.index(p)] is None
 
     def max_ideals(self) -> tuple:
-        return tuple(p for p, m in zip(self.primes, self.maximal) if m)
+        return tuple(p for p, c in zip(self.primes, self.cover) if c is None)
 
     def specializes(self, p: Ideal, q: Ideal) -> bool:
         """p <= q in the specialization order, i.e. p is contained in q."""
-        self.index(p)
-        self.index(q)
-        return ideal_leq(p, q)
+        return self.index(q) in self.chain(self.index(p))
 
 
 @lru_cache(maxsize=None)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
-    """The primes of G with their maximality flags, in enumeration order."""
+    """The primes of G with their covers, in enumeration order."""
     found = _primes(G.structure)
-    return SpectrumSpace(G, tuple(p for p, _ in found), tuple(m for _, m in found))
+    return SpectrumSpace(G, tuple(p for p, _ in found), tuple(c for _, c in found))
 
 
 def _primes(structure) -> list:
-    """(prime, maximal) pairs in enumeration order: zero for an atom; one
-    child's prime with every other part whole for a product; bottom(p) for
-    each prime p of the bottom, then the maximal bottom(all), for a lex."""
+    """(prime, cover index) pairs in enumeration order: zero, maximal, for
+    an atom; one child's prime with every other part whole for a product,
+    its cover shifted by the child's offset; bottom(p) for each prime p of
+    the bottom, then the maximal bottom(all), for a lex, which covers the
+    bottom's maximal primes."""
     if isinstance(structure, Atom):
-        return [(AtomIdeal(False), True)]
+        return [(AtomIdeal(False), None)]
     if isinstance(structure, Prod):
         whole = [all_ideal(c) for c in structure.children]
-        return [
-            (ProdIdeal((*whole[:i], p, *whole[i + 1 :])), m)
-            for i, child in enumerate(structure.children)
-            for p, m in _primes(child)
-        ]
-    below = [(LexIdeal(p), False) for p, _ in _primes(structure.bottom)]
-    return below + [(LexIdeal(all_ideal(structure.bottom)), True)]
+        out = []
+        for i, child in enumerate(structure.children):
+            offset = len(out)
+            out += [
+                (
+                    ProdIdeal((*whole[:i], p, *whole[i + 1 :])),
+                    None if c is None else c + offset,
+                )
+                for p, c in _primes(child)
+            ]
+        return out
+    below = _primes(structure.bottom)
+    top = len(below)
+    return [(LexIdeal(p), top if c is None else c) for p, c in below] + [
+        (LexIdeal(all_ideal(structure.bottom)), None)
+    ]
 
 
 def _space_of(x) -> SpectrumSpace:
@@ -321,20 +358,9 @@ def specialization_dot(space: SpectrumSpace) -> str:
     for i, (p, mx) in enumerate(zip(space.primes, space.maximal)):
         shape = ", shape=doublecircle" if mx else ""
         lines.append(f'  p{i} [label="{ideal_label(p)}"{shape}];')
-    n = len(space.primes)
-    for i in range(n):
-        for j in range(n):
-            if i == j or not ideal_leq(space.primes[i], space.primes[j]):
-                continue
-            covered = any(
-                k != i
-                and k != j
-                and ideal_leq(space.primes[i], space.primes[k])
-                and ideal_leq(space.primes[k], space.primes[j])
-                for k in range(n)
-            )
-            if not covered:
-                lines.append(f"  p{i} -> p{j};")
+    for i, c in enumerate(space.cover):
+        if c is not None:
+            lines.append(f"  p{i} -> p{c};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -342,24 +368,21 @@ def specialization_dot(space: SpectrumSpace) -> str:
 def spectrum_json(space: SpectrumSpace) -> dict:
     """JSON-ready description: primes with flags, specialization pairs, and
     the closure of each singleton (closures of unions follow, since the
-    closure operator preserves finite unions)."""
+    closure operator preserves finite unions).  The closure of a prime is
+    its chain of covers, so the maximal primes are dense exactly when every
+    prime is maximal."""
     from .serialize import ideal_to_json
 
-    ids = {p: f"p{i}" for i, p in enumerate(space.primes)}
-    singleton_closures = {
-        ids[p]: sorted(ids[q] for q in closure(space, [p])) for p in space.primes
-    }
+    ids = [f"p{i}" for i in range(len(space))]
+    chains = [space.chain(i) for i in range(len(space))]
     return {
         "primes": [
-            {"id": ids[p], "ideal": ideal_to_json(p), "maximal": mx}
-            for p, mx in zip(space.primes, space.maximal)
+            {"id": ids[i], "ideal": ideal_to_json(p), "maximal": mx}
+            for i, (p, mx) in enumerate(zip(space.primes, space.maximal))
         ],
         "specialization": [
-            [ids[p], ids[q]]
-            for p in space.primes
-            for q in space.primes
-            if p != q and ideal_leq(p, q)
+            [ids[chain[0]], ids[j]] for chain in chains for j in chain[1:]
         ],
-        "closure": singleton_closures,
-        "max_dense": closure(space, space.max_ideals()) == frozenset(space.primes),
+        "closure": {ids[chain[0]]: sorted(ids[j] for j in chain) for chain in chains},
+        "max_dense": all(space.maximal),
     }

@@ -1,12 +1,18 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import lgroup
 import lgroup.ideals
+import lgroup.spectrum
 from lgroup import GALLERY_NAMES, gallery_json
 from lgroup.cli import main
+from lgroup.serialize import MAX_HEIGHT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -44,11 +50,28 @@ def test_analyze_lex_reports_witness(runner, tmp_path):
     assert "strongly semisimple: false (witness: bottom(zero))" in result.output
 
 
-@pytest.mark.parametrize("name", GALLERY_NAMES)
+def _tower(height: int, level: str = "lex") -> str:
+    # instance text for a tree of lex levels, or of prod levels each with a
+    # Z beside the rest, over Z; built as text, since the encoder recurses
+    structure, unit = '"Z"', "1"
+    for _ in range(height):
+        if level == "lex":
+            structure = '{"lex": %s}' % structure
+        else:
+            structure = '{"prod": ["Z", %s]}' % structure
+        unit = "[1, %s]" % unit
+    return '{"structure": %s, "unit": %s}' % (structure, unit)
+
+
+# the gallery, and a forest whose longest chain has 14 primes
+@pytest.mark.parametrize("name", GALLERY_NAMES + ("forest",))
 def test_outputs_match_golden_bytes(runner, tmp_path, name):
     # stdout of analyze and of both spectrum exports, byte for byte
     path = tmp_path / f"{name}.json"
-    path.write_text(gallery_json(name))
+    if name in GALLERY_NAMES:
+        path.write_text(gallery_json(name))
+    else:
+        path.write_text((DATA / f"{name}.json").read_text())
     commands = {
         "analyze.txt": ["analyze", str(path)],
         "spectrum.json": ["spectrum", str(path), "--format", "json"],
@@ -87,6 +110,59 @@ def test_entry_points_never_enumerate_the_lattice(runner, tmp_path, monkeypatch)
     result = runner.invoke(main, ["crt", str(path)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == {"solution": [5] + [3] * (n - 1)}
+
+
+def test_spectrum_exports_never_compare_ideals(runner, tmp_path, monkeypatch):
+    # the exports read the order off the cover chains of the tree
+    def refuse(*args):
+        raise AssertionError("the spectrum export compared ideals")
+
+    monkeypatch.setattr(lgroup.spectrum, "ideal_leq", refuse)
+    monkeypatch.setattr(lgroup.spectrum, "closure", refuse)
+    path = tmp_path / "tower.json"
+    path.write_text(_tower(70))
+    for fmt in ("json", "dot"):
+        result = runner.invoke(main, ["spectrum", str(path), "--format", fmt])
+        assert result.exit_code == 0, result.output
+    assert "p69 -> p70;" in result.output
+
+
+def _run_alone(*args) -> subprocess.CompletedProcess:
+    # one CLI call in a process of its own, as the installed command runs
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "lgroup", *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("level", ["lex", "prod"])
+def test_trees_answer_up_to_the_height_limit(runner, tmp_path, level):
+    # at the limit analyze and the dot export answer; one level more is
+    # refused at parse time with the path of the offending level (exit 3)
+    assert MAX_HEIGHT == 400
+    path = tmp_path / "tall.json"
+    path.write_text(_tower(MAX_HEIGHT, level))
+    for args in (["analyze", str(path)], ["spectrum", str(path), "--format", "dot"]):
+        result = _run_alone(*args)
+        assert result.returncode == 0, result.stderr[-2000:]
+    # a lex tower is one chain of 401 primes; a product nest is 401 maximal
+    # primes, one per Z, and no edge
+    assert result.stdout.count(" -> ") == (MAX_HEIGHT if level == "lex" else 0)
+    step = ".lex" if level == "lex" else ".prod[1]"
+    path.write_text(_tower(MAX_HEIGHT + 1, level))
+    for args in (["analyze", str(path)], ["spectrum", str(path), "--format", "dot"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, repr(result.exception)
+        assert f"structure{step * MAX_HEIGHT}: structure taller than" in result.output
+
+
+def test_nesting_beyond_the_decoder_is_a_parse_error(runner, tmp_path):
+    path = tmp_path / "abyss.json"
+    path.write_text(_tower(5000))
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 3, repr(result.exception)
+    assert "nested too deeply" in result.output
 
 
 def test_spectrum_dot(runner, tmp_path):

@@ -190,3 +190,16 @@ def test_elements_in_box_counts():
     assert len(list(elements_in_box(prod(Z, Z), 1))) == 9
     assert len(list(elements_in_box(lex(Z), 2))) == 25
     assert zero(MIX.structure) in list(elements_in_box(MIX.structure, 1))
+
+
+def test_structures_render_without_recursion():
+    def tower(height, level):
+        s = Z
+        for _ in range(height):
+            s = lex(s) if level == "lex" else prod(Z, s)
+        return s
+
+    for level, opening in (("lex", "Lex("), ("prod", "Prod(Z, ")):
+        # far deeper than the recursion limit: repr is a walk
+        assert repr(tower(3000, level)) == opening * 3000 + "Z" + ")" * 3000
+    assert repr(lex(prod(Z, lex(Z), prod(Z, Z)))) == "Lex(Prod(Z, Lex(Z), Prod(Z, Z)))"

@@ -15,6 +15,7 @@ from lgroup import (
     enumerate_ideals,
     generated_ideal,
     ideal_count,
+    ideal_label,
     ideal_join,
     ideal_leq,
     ideal_meet,
@@ -203,3 +204,13 @@ def test_join_membership_has_additive_witnesses():
                     for b in box:
                         if contains(G.structure, J, b):
                             assert contains(G.structure, joined, G.add(a, b))
+
+
+def test_ideal_labels():
+    I = ProdIdeal((AtomIdeal(False), LEX_BOTTOM_ALL, LexIdeal(None)))
+    assert ideal_label(I) == "(zero,bottom(all),all)"
+    deep = AtomIdeal(False)
+    for _ in range(3000):
+        deep = ProdIdeal((AtomIdeal(True), LexIdeal(deep)))
+    # far deeper than the recursion limit: the label is a walk
+    assert ideal_label(deep) == "(all,bottom(" * 3000 + "zero" + "))" * 3000

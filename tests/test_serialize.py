@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from conftest import random_group
 from lgroup import (
     GALLERY_NAMES,
     AtomIdeal,
@@ -13,11 +15,14 @@ from lgroup import (
     dumps_canonical,
     element_from_json,
     element_to_json,
+    enumerate_ideals,
     gallery_instance,
     gallery_json,
     ideal_from_json,
     ideal_to_json,
     instance_to_json,
+    is_all_ideal,
+    is_zero_ideal,
     lex,
     loads_instance,
     prod,
@@ -26,6 +31,7 @@ from lgroup import (
     zero_ideal,
     Z,
 )
+from lgroup.serialize import MAX_HEIGHT
 
 MIX_STRUCTURE = prod(Z, lex(Z))
 
@@ -42,6 +48,36 @@ def test_structure_errors():
         structure_from_json({"weird": 1})
     with pytest.raises(ParseError):
         structure_from_json(3)
+
+
+def _two_pass_ideal_to_json(I):
+    # the deleted form, which tested zero and all again at every level
+    if is_zero_ideal(I):
+        return "zero"
+    if is_all_ideal(I):
+        return "all"
+    if isinstance(I, ProdIdeal):
+        return {"prod": [_two_pass_ideal_to_json(p) for p in I.parts]}
+    return {"bottom": _two_pass_ideal_to_json(I.inner)}
+
+
+def test_ideal_to_json_matches_the_two_pass_form():
+    rng = random.Random(3571)
+    for _ in range(120):
+        for I in enumerate_ideals(random_group(rng)).ideals:
+            assert ideal_to_json(I) == _two_pass_ideal_to_json(I)
+
+
+def test_structure_height_limit():
+    tower = "Z"
+    for _ in range(MAX_HEIGHT):
+        tower = {"lex": tower}
+    assert structure_from_json(tower) is not None
+    with pytest.raises(ParseError) as info:
+        structure_from_json({"prod": ["Z", tower]})
+    assert info.value.path == "structure.prod[1]" + ".lex" * (MAX_HEIGHT - 1)
+    with pytest.raises(TypeError):  # the height count is not a parameter
+        structure_from_json(tower, "structure", MAX_HEIGHT + 1)
 
 
 def test_element_round_trip():

@@ -6,18 +6,26 @@ from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
 from lgroup import (
     Atom,
     AtomIdeal,
+    UnitalGroup,
+    Z,
     LexIdeal,
     ProdIdeal,
+    SpectrumSpace,
     UnknownPrime,
     closure,
     compute_spectrum,
     elements_in_box,
     enumerate_ideals,
+    ideal_label,
+    ideal_leq,
     ideal_of_locus,
+    ideal_to_json,
     is_chain,
     is_proper,
     is_semisimple,
     leq,
+    lex,
+    prod,
     quotient,
     quotient_spectrum_correspondence,
     spectral_axioms_report,
@@ -124,6 +132,15 @@ def test_unknown_prime_rejected():
         ideal_of_locus(space, [zero_ideal(A2.structure)])
 
 
+def test_spectrum_space_checks_its_covers():
+    # covers point at later primes; maximality flags are not covers
+    space = compute_spectrum(LEX)
+    assert space.cover == (1, None)
+    for cover in ((False, True), (1, 1), (None,), (0, None), (1.0, None)):
+        with pytest.raises(ValueError):
+            SpectrumSpace(LEX, space.primes, cover)
+
+
 def test_axioms_report_gallery():
     expected_density = {"a2": True, "c3": True, "lex": False, "mix": False}
     for name, G in GALLERY_GROUPS.items():
@@ -183,3 +200,67 @@ def test_json_export():
     assert ids == {"p0", "p1", "p2"}
     for pid, closed in payload["closure"].items():
         assert pid in closed  # closures contain their points
+
+
+def _pairwise_dot(space):
+    # the deleted O(n^3) cover loop over plain containment
+    lines = ["digraph spectrum {", "  rankdir=BT;"]
+    for i, (p, mx) in enumerate(zip(space.primes, space.maximal)):
+        shape = ", shape=doublecircle" if mx else ""
+        lines.append(f'  p{i} [label="{ideal_label(p)}"{shape}];')
+    n = len(space.primes)
+    for i in range(n):
+        for j in range(n):
+            if i == j or not ideal_leq(space.primes[i], space.primes[j]):
+                continue
+            covered = any(
+                k != i
+                and k != j
+                and ideal_leq(space.primes[i], space.primes[k])
+                and ideal_leq(space.primes[k], space.primes[j])
+                for k in range(n)
+            )
+            if not covered:
+                lines.append(f"  p{i} -> p{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _pairwise_json(space):
+    # the deleted O(n^2) pairs, closures and density
+    ids = {p: f"p{i}" for i, p in enumerate(space.primes)}
+    singleton_closures = {
+        ids[p]: sorted(ids[q] for q in closure(space, [p])) for p in space.primes
+    }
+    return {
+        "primes": [
+            {"id": ids[p], "ideal": ideal_to_json(p), "maximal": mx}
+            for p, mx in zip(space.primes, space.maximal)
+        ],
+        "specialization": [
+            [ids[p], ids[q]]
+            for p in space.primes
+            for q in space.primes
+            if p != q and ideal_leq(p, q)
+        ],
+        "closure": singleton_closures,
+        "max_dense": closure(space, space.max_ideals()) == frozenset(space.primes),
+    }
+
+
+def _towers(max_depth):
+    for bottom, unit in ((Z, 1), (prod(Z, Z), (1, 1)), (prod(Z, lex(Z)), (1, (1, 0)))):
+        for _ in range(max_depth):
+            bottom, unit = lex(bottom), (1, unit)
+            yield UnitalGroup(bottom, unit)
+
+
+def test_specialization_matches_pairwise_containment():
+    rng = random.Random(1613)
+    groups = list(GALLERY_GROUPS.values()) + [random_group(rng) for _ in range(120)]
+    groups += list(_towers(12))
+    for G in groups:
+        space = compute_spectrum(G)
+        assert specialization_dot(space) == _pairwise_dot(space)
+        assert spectrum_json(space) == _pairwise_json(space)
+        assert all(c is None or c > i for i, c in enumerate(space.cover))
