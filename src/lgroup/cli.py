@@ -4,45 +4,30 @@ Commands: ``analyze`` (ideal/spectrum/radical summary plus value tables),
 ``spectrum`` (DOT or JSON export), ``crt`` (runs an instance's task block;
 exit 0 solved, 1 hypothesis violated, 2 not strongly semisimple, 3 invalid
 input), ``gallery`` (print a built-in instance), and ``selftest`` (run the
-exhaustive law suites on the gallery).
+exhaustive law checks of ``lgroup.laws`` on the gallery).  Only
+``selftest`` imports ``lgroup.laws``: the other commands read their
+answers off the structure tree and never enumerate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import random
 import sys
 
 import click
 
-from .core import LGroupError, elements_in_box, random_element
+from .core import LGroupError
 from .crt import (
     CongruenceSystem,
     NotStronglySemisimple,
     keimel_patch,
-    riesz_split,
     strong_patch,
     zero_set_patch,
 )
 from .gallery import GALLERY_NAMES, gallery_instance, gallery_json
-from .ideals import (
-    all_ideal,
-    contains,
-    enumerate_ideals,
-    ideal_count,
-    ideal_join,
-    ideal_label,
-    ideal_leq,
-    ideal_meet,
-    principal_ideal,
-)
-from .mv import GammaAlgebra, mv_ideal_correspondence
-from .semisimple import (
-    archimedean_falsify,
-    is_semisimple,
-    is_strongly_semisimple,
-    radical,
-)
+from .ideals import ideal_count
+from .semisimple import is_semisimple, is_strongly_semisimple, radical
 from .serialize import (
     Instance,
     ParseError,
@@ -51,18 +36,9 @@ from .serialize import (
     certificate_to_json,
     dumps_canonical,
     element_to_json,
-    instance_to_json,
     loads_instance,
 )
-from .spectrum import (
-    closure,
-    compute_spectrum,
-    quotient_spectrum_correspondence,
-    spectral_axioms_report,
-    specialization_dot,
-    spectrum_json,
-    vanishing_locus,
-)
+from .spectrum import compute_spectrum, specialization_dot, spectrum_json
 from .yosida import yosida_table
 
 
@@ -95,16 +71,16 @@ def analyze(file):
     click.echo(f"structure: {G.structure!r}")
     click.echo(f"unit: {json.dumps(element_to_json(G.structure, G.unit))}")
     count = ideal_count(G.structure)
-    # every ideal is principal; enumerate_ideals' flags and selftest check it
+    # every ideal is principal; the ideal-lattice law of selftest checks it
     click.echo(f"ideals: {count} ({count - 1} proper, all principal)")
     click.echo(f"spec: {len(space)} primes, {len(space.max_ideals())} maximal")
     for i, (p, mx) in enumerate(zip(space.primes, space.maximal)):
         flag = " (maximal)" if mx else ""
-        click.echo(f"  p{i} = {ideal_label(p)}{flag}")
-    click.echo(f"radical: {ideal_label(radical(G))}")
+        click.echo(f"  p{i} = {p!r}{flag}")
+    click.echo(f"radical: {radical(G)!r}")
     click.echo(f"semisimple: {str(is_semisimple(G)).lower()}")
     strong, witness = is_strongly_semisimple(G)
-    suffix = "" if strong else f" (witness: {ideal_label(witness)})"
+    suffix = "" if strong else f" (witness: {witness!r})"
     click.echo(f"strongly semisimple: {str(strong).lower()}{suffix}")
     if instance.elements:
         click.echo("values on the maximal spectrum:")
@@ -177,201 +153,19 @@ def gallery(name):
     click.echo(gallery_json(name), nl=False)
 
 
-def _check_spectral(G):
-    report = spectral_axioms_report(G)
-    errors = [f"law {law.name} failed" for law in report.failures()]
-    if report.max_dense != is_semisimple(G):
-        errors.append("density of the maximal spectrum disagrees with semisimplicity")
-    return errors
-
-
-def _check_quotient_spectra(G):
-    errors = []
-    for I in enumerate_ideals(G).ideals:
-        check = quotient_spectrum_correspondence(G, I)
-        if not check.passed:
-            errors.append(f"quotient spectrum mismatch at {ideal_label(I)}")
-    return errors
-
-
-def _check_ideal_lattice(G):
-    errors = []
-    lattice = enumerate_ideals(G)
-    ideals = lattice.ideals
-    for I in ideals:
-        for J in ideals:
-            for K in ideals:
-                lhs = ideal_meet(I, ideal_join(J, K))
-                rhs = ideal_join(ideal_meet(I, J), ideal_meet(I, K))
-                if lhs != rhs:
-                    errors.append("distributivity failed")
-    if not all(lattice.principal):
-        errors.append("an enumerated ideal has no principal witness")
-    for g in elements_in_box(G.structure, 1):
-        P = principal_ideal(G.structure, g)
-        for I in ideals:
-            if contains(G.structure, I, g) != ideal_leq(P, I):
-                errors.append(f"principal ideal of {g!r} is not least")
-    return errors
-
-
-def _check_semisimplicity(G):
-    errors = []
-    space = compute_spectrum(G)
-    dense = closure(space, space.max_ideals()) == frozenset(space.primes)
-    if is_semisimple(G) != dense:
-        errors.append("semisimple <-> dense maximal spectrum failed")
-    strong, _ = is_strongly_semisimple(G)
-    maxset = frozenset(space.max_ideals())
-    cocompact = all(
-        vanishing_locus(space, P) == closure(space, vanishing_locus(space, P) & maxset)
-        for P in enumerate_ideals(G).ideals
-    )
-    if strong != cocompact:
-        errors.append("strong semisimplicity disagrees with the co-compact density test")
-    if strong and not is_semisimple(G):
-        errors.append("strongly semisimple but not semisimple")
-    witness = archimedean_falsify(G)
-    if (witness is None) != is_semisimple(G):
-        errors.append("archimedean search disagrees with the radical")
-    return errors
-
-
-def _check_riesz(G):
-    errors = []
-    ideals = enumerate_ideals(G).ideals
-    box = list(elements_in_box(G.structure, 1))
-    for I in ideals:
-        for J in ideals:
-            members_i = [a for a in box if contains(G.structure, I, a)]
-            members_j = [b for b in box if contains(G.structure, J, b)]
-            for a in members_i[:3]:
-                for b in members_j[:3]:
-                    d = G.add(a, b)
-                    if not contains(G.structure, ideal_join(I, J), d):
-                        errors.append("sum escaped the join")
-                        continue
-                    x, y = riesz_split(G, d, I, J)
-                    if G.add(x, y) != d:
-                        errors.append("riesz split does not re-sum")
-    return errors
-
-
-def _check_mv(G):
-    errors = []
-    report = mv_ideal_correspondence(G)
-    if not report.passed:
-        errors.append("interval ideal correspondence failed")
-    alg = GammaAlgebra(G)
-    rng = random.Random(4257)
-    u = G.unit
-    for _ in range(200):
-        x = alg.clamp(random_element(rng, G.structure, 4))
-        y = alg.clamp(random_element(rng, G.structure, 4))
-        z = alg.clamp(random_element(rng, G.structure, 4))
-        if alg.oplus(x, y) != alg.oplus(y, x):
-            errors.append("oplus not commutative")
-        if alg.oplus(alg.oplus(x, y), z) != alg.oplus(x, alg.oplus(y, z)):
-            errors.append("oplus not associative")
-        if alg.neg(alg.neg(x)) != x:
-            errors.append("involution failed")
-        if alg.oplus(x, u) != u:
-            errors.append("unit not absorbing")
-        lhs = alg.oplus(alg.neg(alg.oplus(alg.neg(x), y)), y)
-        rhs = alg.oplus(alg.neg(alg.oplus(alg.neg(y), x)), x)
-        if lhs != rhs:
-            errors.append("characteristic identity failed")
-        if alg.mv_join(x, y) != G.join(x, y):
-            errors.append("interval order disagrees with the group order")
-    return errors
-
-
-def _check_crt_regressions():
-    errors = []
-    lexg = gallery_instance("lex").group
-    task = gallery_instance("lex").task
-    res = strong_patch(lexg, CongruenceSystem.of(zip(task.ideals, task.targets)))
-    if res.solved or not isinstance(res.certificate, NotStronglySemisimple):
-        errors.append("the impossible pair was not refused")
-    elif res.certificate.keimel_hypothesis_holds:
-        errors.append("refusal diagnostic claims the classical hypothesis holds")
-    kres = keimel_patch(lexg, CongruenceSystem.of(zip(task.ideals, task.targets)))
-    if kres.solved:
-        errors.append("classical solver accepted the impossible pair")
-    for g in elements_in_box(lexg.structure, 2):
-        if all(
-            contains(lexg.structure, I, lexg.sub(g, t))
-            for I, t in zip(task.ideals, task.targets)
-        ):
-            errors.append("an element satisfied the impossible pair")
-    a2 = gallery_instance("a2")
-    res = keimel_patch(a2.group, CongruenceSystem.of(zip(a2.task.ideals, a2.task.targets)))
-    if res.solution != (5, 4):
-        errors.append("classical task solution drifted")
-    c3 = gallery_instance("c3")
-    res = zero_set_patch(c3.group, c3.task.generators, c3.task.targets)
-    if res.solution != (2, 4, 1) or not res.unique:
-        errors.append("zero-set task solution drifted")
-    mix = gallery_instance("mix")
-    res = keimel_patch(mix.group, CongruenceSystem.of(zip(mix.task.ideals, mix.task.targets)))
-    if not res.solved:
-        errors.append("mix task became unsolvable")
-    rng = random.Random(90125)
-    for name in ("a2", "c3"):
-        G = gallery_instance(name).group
-        ideals = enumerate_ideals(G).ideals
-        everything = all_ideal(G.structure)
-        for _ in range(30):
-            base = random_element(rng, G.structure, 3)
-            system = []
-            for _ in range(rng.randint(1, 3)):
-                I = rng.choice(ideals)
-                noise = random_element(rng, G.structure, 3)
-                # the first half of a split against the improper ideal is
-                # the I-portion of the noise, so the target stays congruent
-                shifted = G.add(base, riesz_split(G, noise, I, everything)[0])
-                system.append((I, base if rng.random() < 0.5 else shifted))
-            result = keimel_patch(G, system)
-            if result.solution is None:
-                errors.append("a compatible random system was refused")
-                continue
-            for I, t in system:
-                if not contains(G.structure, I, G.sub(result.solution, t)):
-                    errors.append("random system solution fails a congruence")
-    return errors
-
-
-def _check_roundtrip():
-    errors = []
-    for name in GALLERY_NAMES:
-        text = gallery_json(name)
-        parsed = loads_instance(text)
-        again = dumps_canonical(instance_to_json(parsed))
-        if again != text:
-            errors.append(f"gallery {name} does not round-trip byte-stably")
-    return errors
-
-
 @main.command()
 def selftest():
     """Run the exhaustive law suites on the gallery; exit 1 on violation."""
+    from . import laws
+
+    groups = {name: gallery_instance(name).group for name in GALLERY_NAMES}
+    suites = [
+        (f"{name}: {label}", functools.partial(check, G))
+        for name, G in groups.items()
+        for label, check in laws.LAWS
+    ]
     failures = 0
-    suites = []
-    for name in GALLERY_NAMES:
-        G = gallery_instance(name).group
-        suites.extend(
-            [
-                (f"{name}: spectral axioms", lambda G=G: _check_spectral(G)),
-                (f"{name}: quotient spectra", lambda G=G: _check_quotient_spectra(G)),
-                (f"{name}: ideal lattice", lambda G=G: _check_ideal_lattice(G)),
-                (f"{name}: semisimplicity", lambda G=G: _check_semisimplicity(G)),
-                (f"{name}: riesz splitting", lambda G=G: _check_riesz(G)),
-                (f"{name}: interval algebra", lambda G=G: _check_mv(G)),
-            ]
-        )
-    suites.append(("patching regressions", _check_crt_regressions))
-    suites.append(("serialization round trips", _check_roundtrip))
-    for label, check in suites:
+    for label, check in suites + list(laws.SUITES):
         errors = check()
         if errors:
             failures += 1

@@ -48,7 +48,6 @@ from .ideals import (
     congruent,
     contains,
     ideal_join,
-    ideal_label,
     ideal_leq,
     ideal_meet,
     is_zero_ideal,
@@ -183,9 +182,7 @@ def riesz_split(
     check_ideal(G.structure, I)
     check_ideal(G.structure, J)
     if not contains(G.structure, ideal_join(I, J), d):
-        raise NotInJoin(
-            f"{d!r} is not in {ideal_label(I)} v {ideal_label(J)}"
-        )
+        raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
     a, b = _split(G.structure, d, I, J)
     if not (
         contains(G.structure, I, a)
@@ -238,7 +235,7 @@ def _verify(G: UnitalGroup, system: CongruenceSystem, g: Element) -> None:
     for I, gi in system:
         if not congruent(G, g, gi, I):
             raise InternalInvariantViolation(
-                f"patch result fails its congruence modulo {ideal_label(I)}"
+                f"patch result fails its congruence modulo {I!r}"
             )
 
 

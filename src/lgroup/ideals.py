@@ -70,6 +70,11 @@ class LexIdeal:
 
 Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
 
+# entries kept by each of the per-structure and per-group caches
+# (``_enumerate``, ``enumerate_ideals``, ``spectrum.compute_spectrum``), so
+# a long-running process holds a bounded number of lattices and spectra
+CACHE_SIZE = 128
+
 
 def _spell_ideal(I):
     if type(I) is ProdIdeal:
@@ -77,11 +82,6 @@ def _spell_ideal(I):
     if type(I) is LexIdeal:
         return "all" if I.inner is None else ("bottom(", (I.inner,), "", ")")
     return "all" if I.full else "zero"
-
-
-def ideal_label(I: Ideal) -> str:
-    """Compact deterministic rendering, e.g. ``(zero,bottom(all))``."""
-    return repr(I)
 
 
 def _structure_of(g) -> Structure:
@@ -270,7 +270,7 @@ class IdealLattice:
         try:
             return self.ideals.index(I)
         except ValueError:
-            raise LGroupError(f"ideal {ideal_label(I)} is not in the lattice") from None
+            raise LGroupError(f"ideal {I!r} is not in the lattice") from None
 
     @property
     def bottom(self) -> Ideal:
@@ -281,7 +281,7 @@ class IdealLattice:
         return self.ideals[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _enumerate(structure) -> tuple:
     if isinstance(structure, Atom):
         return (AtomIdeal(False), AtomIdeal(True))
@@ -301,7 +301,7 @@ def ideal_count(structure) -> int:
     return ideal_count(structure.bottom) + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     """Enumerate all ideals in canonical order (zero first, whole group last).
 

@@ -1,7 +1,7 @@
 """Radicals, semisimplicity, and strong semisimplicity.
 
-Semisimplicity is decided through the radical (the intersection of all
-maximal ideals): that route is exact and finite here.  Strong
+Semisimplicity is decided through the radical, the intersection of all
+maximal ideals, which is read off the structure tree.  Strong
 semisimplicity needs no further work in this class, since it coincides
 with semisimplicity (see ``is_strongly_semisimple``).  The Archimedean
 search below is deliberately kept as an independent cross-check, not a
@@ -15,7 +15,6 @@ from typing import Iterator, Optional, Tuple
 from .core import (
     Atom,
     Element,
-    InternalInvariantViolation,
     Prod,
     Structure,
     UnitalGroup,
@@ -23,21 +22,34 @@ from .core import (
     scale,
     zero,
 )
-from .ideals import Ideal, ideal_meet, is_zero_ideal, zero_ideal
-from .spectrum import compute_spectrum
+from .ideals import (
+    AtomIdeal,
+    Ideal,
+    LexIdeal,
+    ProdIdeal,
+    all_ideal,
+    is_zero_ideal,
+    zero_ideal,
+)
 
 
 def radical(G: UnitalGroup) -> Ideal:
-    """Intersection of all maximal ideals."""
-    maxes = compute_spectrum(G).max_ideals()
-    if not maxes:
-        raise InternalInvariantViolation(
-            "a validated unital group always has a maximal ideal"
-        )
-    out = maxes[0]
-    for m in maxes[1:]:
-        out = ideal_meet(out, m)
-    return out
+    """Intersection of all maximal ideals.
+
+    An atom's only maximal ideal is zero; the maximal ideals of a product
+    are one child's maximal ideal with every other part whole, so their
+    meet is the product of the children's radicals; and a lex extension
+    has the single maximal ideal bottom(all).
+    """
+    return _radical(G.structure)
+
+
+def _radical(structure: Structure) -> Ideal:
+    if isinstance(structure, Atom):
+        return AtomIdeal(False)
+    if isinstance(structure, Prod):
+        return ProdIdeal(tuple(map(_radical, structure.children)))
+    return LexIdeal(all_ideal(structure.bottom))
 
 
 def is_semisimple(G: UnitalGroup) -> bool:

@@ -6,19 +6,19 @@ The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The exports read
 pairs, closures and edges off those cover chains.  The vanishing-locus /
-kernel Galois connection, the closure operator, and all the topological
-laws can still be checked by exhaustive enumeration; the report at the
-bottom of this module does exactly that.
+kernel Galois connection, the closure operator, and the topological laws
+are checked by exhaustive enumeration in ``lgroup.laws``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable
 
 from .core import Atom, LGroupError, Prod, UnitalGroup, check_element
 from .ideals import (
+    CACHE_SIZE,
     AtomIdeal,
     Ideal,
     LexIdeal,
@@ -26,11 +26,8 @@ from .ideals import (
     all_ideal,
     check_ideal,
     contains,
-    enumerate_ideals,
-    ideal_label,
     ideal_leq,
     ideal_meet,
-    quotient,
 )
 
 
@@ -83,7 +80,7 @@ class SpectrumSpace:
         try:
             return self.primes.index(p)
         except ValueError:
-            raise UnknownPrime(f"{ideal_label(p)} is not a prime of this spectrum") from None
+            raise UnknownPrime(f"{p!r} is not a prime of this spectrum") from None
 
     def is_maximal(self, p: Ideal) -> bool:
         return self.cover[self.index(p)] is None
@@ -96,7 +93,7 @@ class SpectrumSpace:
         return self.index(q) in self.chain(self.index(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order."""
     found = _primes(G.structure)
@@ -170,194 +167,13 @@ def closure(space, S: Iterable[Ideal]) -> FrozenSet[Ideal]:
     return vanishing_locus(space, ideal_of_locus(space, S))
 
 
-@dataclass
-class LawCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class SpectralReport:
-    group: UnitalGroup
-    laws: list = field(default_factory=list)
-    max_dense: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return all(law.passed for law in self.laws)
-
-    def failures(self) -> list:
-        return [law for law in self.laws if not law.passed]
-
-
-def _subsets(items):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
-def spectral_axioms_report(G: UnitalGroup) -> SpectralReport:
-    """Exhaustively verify the hull-kernel topology laws on a finite spectrum.
-
-    Checks, over every enumerated ideal R and every subset S of primes:
-    the Galois adjunction, the closure-operator laws, both fixed-point
-    characterisations, that closed sets are specialization up-sets, T0 and
-    sobriety, the principal-ideal description of compact opens, and that
-    the maximal spectrum is a discrete antichain.  Density of the maximal
-    spectrum is reported as a flag rather than a law, since it holds
-    exactly for the semisimple instances.
-    """
-    space = compute_spectrum(G)
-    lattice = enumerate_ideals(G)
-    ideals = lattice.ideals
-    primes = list(space.primes)
-    report = SpectralReport(G)
-    subsets = list(_subsets(primes))
-    V = {I: vanishing_locus(space, I) for I in ideals}
-    closed_family = set(V.values())
-
-    bad = [
-        (I, S)
-        for I in ideals
-        for S in subsets
-        if ideal_leq(I, ideal_of_locus(space, S)) != (S <= V[I])
-    ]
-    report.laws.append(
-        LawCheck(
-            "galois-adjunction",
-            not bad,
-            "" if not bad else f"first failure at R={ideal_label(bad[0][0])}",
-        )
-    )
-
-    cl = {S: closure(space, S) for S in subsets}
-    ok = (
-        all(S <= cl[S] for S in subsets)
-        and all(cl[S] <= cl[T] for S in subsets for T in subsets if S <= T)
-        and all(cl[cl[S]] == cl[S] for S in subsets)
-        and all(cl[S | T] == cl[S] | cl[T] for S in subsets for T in subsets)
-        and cl[frozenset()] == frozenset()
-    )
-    report.laws.append(LawCheck("closure-operator", ok))
-
-    ok = all(ideal_of_locus(space, V[I]) == I for I in ideals)
-    report.laws.append(LawCheck("ideal-fixed-points", ok))
-
-    ok = all((cl[S] == S) == (S in closed_family) for S in subsets)
-    report.laws.append(LawCheck("locus-fixed-points", ok))
-
-    ok = all(
-        q in C
-        for C in closed_family
-        for p in C
-        for q in primes
-        if ideal_leq(p, q)
-    )
-    report.laws.append(LawCheck("closed-up-sets", ok))
-
-    t0 = all(
-        cl[frozenset([p])] != cl[frozenset([q])]
-        for p in primes
-        for q in primes
-        if p != q
-    )
-    sober = True
-    for C in closed_family:
-        if not C:
-            continue
-        reducible = any(
-            A | B == C
-            for A in closed_family
-            for B in closed_family
-            if A < C and B < C
-        )
-        if reducible:
-            continue
-        generic = [p for p in C if cl[frozenset([p])] == C]
-        if len(generic) != 1:
-            sober = False
-    report.laws.append(LawCheck("t0-sober", t0 and sober))
-
-    # In this class every ideal is principal, so the compact opens are
-    # exactly the complements of the closed sets, and the complement map
-    # must be an order isomorphism from the ideal lattice.
-    principal = [I for I, flag in zip(ideals, lattice.principal) if flag]
-    all_primes = frozenset(primes)
-    opens = {all_primes - C for C in closed_family}
-    ok = {all_primes - V[P] for P in principal} == opens
-    ok = ok and all(
-        (all_primes - V[P]) & (all_primes - V[Q]) in opens
-        for P in principal
-        for Q in principal
-    )
-    ok = ok and all(
-        ideal_leq(P, Q) == ((all_primes - V[P]) <= (all_primes - V[Q]))
-        for P in principal
-        for Q in principal
-    )
-    ok = ok and all(
-        ideal_leq(P, Q) == (V[P] >= V[Q]) for P in principal for Q in principal
-    )
-    report.laws.append(LawCheck("compact-open-basis", ok))
-
-    maxes = space.max_ideals()
-    antichain = not any(
-        p != q and ideal_leq(p, q) for p in maxes for q in maxes
-    )
-    discrete = all(
-        frozenset([m]) == vanishing_locus(space, m) & frozenset(maxes) for m in maxes
-    )
-    report.laws.append(LawCheck("max-hausdorff", antichain and discrete))
-
-    report.max_dense = closure(space, maxes) == all_primes
-    return report
-
-
-@dataclass
-class CorrespondenceCheck:
-    """Outcome of matching Spec(G/I) against the primes above I."""
-
-    ideal: Ideal
-    passed: bool
-    pairs: list = field(default_factory=list)
-    detail: str = ""
-
-
-def quotient_spectrum_correspondence(G: UnitalGroup, I: Ideal) -> CorrespondenceCheck:
-    """Check that J -> J/I is an order isomorphism from the primes above I
-    onto the spectrum of the quotient, preserving maximality."""
-    space = compute_spectrum(G)
-    above = [p for p in space.primes if ideal_leq(I, p)]
-    q = quotient(G, I)
-    if q.trivial:
-        ok = not above
-        return CorrespondenceCheck(I, ok, [], "" if ok else "trivial quotient with nonempty locus")
-    qspace = compute_spectrum(q.group)
-    mapped = [q.project_ideal(p) for p in above]
-    pairs = list(zip(above, mapped))
-    ok = (
-        len(set(mapped)) == len(mapped)
-        and set(mapped) == set(qspace.primes)
-        and all(
-            ideal_leq(p1, p2) == ideal_leq(m1, m2)
-            for p1, m1 in pairs
-            for p2, m2 in pairs
-        )
-        and all(
-            space.is_maximal(p) == qspace.is_maximal(m) for p, m in pairs
-        )
-    )
-    return CorrespondenceCheck(I, ok, pairs)
-
-
 def specialization_dot(space: SpectrumSpace) -> str:
     """DOT digraph of the specialization order (cover edges only);
     maximal primes are drawn double-circled."""
     lines = ["digraph spectrum {", "  rankdir=BT;"]
     for i, (p, mx) in enumerate(zip(space.primes, space.maximal)):
         shape = ", shape=doublecircle" if mx else ""
-        lines.append(f'  p{i} [label="{ideal_label(p)}"{shape}];')
+        lines.append(f'  p{i} [label="{p!r}"{shape}];')
     for i, c in enumerate(space.cover):
         if c is not None:
             lines.append(f"  p{i} -> p{c};")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Optional
 
 from .core import Atom, Element, LGroupError, UnitalGroup, check_element
-from .ideals import Ideal, check_ideal, contains, ideal_label, quotient
+from .ideals import Ideal, check_ideal, contains, quotient
 from .spectrum import SpectrumSpace, compute_spectrum
 
 
@@ -23,7 +23,7 @@ class NotMaximal(LGroupError):
 
     def __init__(self, I: Ideal):
         self.ideal = I
-        super().__init__(f"{ideal_label(I)} is not a maximal ideal")
+        super().__init__(f"{I!r} is not a maximal ideal")
 
 
 def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:

@@ -233,7 +233,31 @@ def test_analyze_rejects_malformed_json(runner, tmp_path):
 
 
 def test_selftest_passes(runner):
+    # every suite reports [ok], in the same order, byte for byte
     result = runner.invoke(main, ["selftest"])
     assert result.exit_code == 0, result.output
-    assert "all suites passed" in result.output
-    assert "[FAIL]" not in result.output
+    assert result.stdout_bytes == (DATA / "cli_golden" / "selftest.out").read_bytes()
+
+
+def test_entry_points_never_load_the_law_checkers(tmp_path):
+    # the law checkers enumerate; only selftest may import them
+    path = tmp_path / "a2.json"
+    path.write_text(gallery_json("a2"))
+    code = (
+        "import sys\n"
+        "from lgroup.cli import main\n"
+        "for args in (['analyze', sys.argv[1]], ['spectrum', sys.argv[1]],\n"
+        "             ['spectrum', sys.argv[1], '--format', 'dot'], ['crt', sys.argv[1]]):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, args\n"
+        "print('lgroup.laws' in sys.modules)\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "False"

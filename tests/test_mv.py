@@ -8,10 +8,8 @@ from lgroup import (
     GammaAlgebra,
     LexIdeal,
     OutOfInterval,
-    Z,
-    mv_ideal_correspondence,
+    laws,
     radical,
-    validate_unital_group,
 )
 
 CHANG = GammaAlgebra(LEX)
@@ -84,35 +82,6 @@ def test_interval_order_matches_group_order():
             assert alg.leq(x, y) == G.leq(x, y)
 
 
-def test_correspondence_counts():
-    assert mv_ideal_correspondence(LEX).ideal_count == 3
-    assert mv_ideal_correspondence(A2).ideal_count == 4
-    atom = validate_unital_group(Z, 1)
-    assert mv_ideal_correspondence(atom).ideal_count == 2
-
-
-def test_correspondence_reports_pass():
-    for G in (A2, C3, LEX, MIX):
-        report = mv_ideal_correspondence(G)
-        assert report.passed, (
-            report.distinct_traces,
-            report.closure_ok,
-            report.primality_ok,
-            report.maximality_ok,
-            report.radical_trace_ok,
-        )
-
-
 def test_chang_radical_is_the_infinitesimal_ideal():
-    report = mv_ideal_correspondence(LEX)
-    assert report.radical == LexIdeal(AtomIdeal(True))
     assert radical(LEX) == LexIdeal(AtomIdeal(True))
-    assert report.radical_trace_ok
-
-
-def test_semisimplicity_transfer():
-    from lgroup import is_semisimple, is_zero_ideal
-
-    for G in (A2, C3, LEX, MIX):
-        report = mv_ideal_correspondence(G)
-        assert is_zero_ideal(report.radical) == is_semisimple(G)
+    assert laws.interval_algebra(LEX) == []

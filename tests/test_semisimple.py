@@ -5,16 +5,21 @@ from lgroup import (
     AtomIdeal,
     LexIdeal,
     ProdIdeal,
+    UnitalGroup,
+    Z,
     archimedean_falsify,
     closure,
     compute_spectrum,
     dominated,
     enumerate_ideals,
     ideal_leq,
+    ideal_meet,
     is_semisimple,
     is_strongly_semisimple,
     is_zero_ideal,
     leq,
+    lex,
+    prod,
     quotient,
     radical,
     scale,
@@ -30,14 +35,25 @@ def test_radical_examples():
     assert radical(MIX) == ProdIdeal((AtomIdeal(False), LEX_MAX))
 
 
+def _nest(level, height):
+    # a lex tower, or a product nest with a Z beside each level, over Z
+    structure, unit = Z, 1
+    for _ in range(height):
+        if level == "lex":
+            structure, unit = lex(structure), (1, unit)
+        else:
+            structure, unit = prod(Z, structure), (1, unit)
+    return UnitalGroup(structure, unit)
+
+
 def test_radical_by_direct_meet():
     # oracle: recompute the meet of the maximal primes by hand
-    for G in GALLERY_GROUPS.values():
-        space = compute_spectrum(G)
-        maxes = space.max_ideals()
+    rng = random.Random(3571)
+    groups = list(GALLERY_GROUPS.values()) + [random_group(rng) for _ in range(120)]
+    groups += [_nest("lex", 30), _nest("prod", 30)]
+    for G in groups:
+        maxes = compute_spectrum(G).max_ideals()
         out = maxes[0]
-        from lgroup import ideal_meet
-
         for m in maxes[1:]:
             out = ideal_meet(out, m)
         assert radical(G) == out
