@@ -14,7 +14,6 @@ from .core import (
     Prod,
     ShapeMismatch,
     Structure,
-    UnboundVariable,
     UnitalGroup,
     Violation,
     Z,
@@ -23,7 +22,6 @@ from .core import (
     atom_count,
     check_element,
     elements_in_box,
-    evaluate_term,
     is_chain,
     join,
     leq,
@@ -68,7 +66,6 @@ from .ideals import (
     contains,
     enumerate_ideals,
     full_generator,
-    generated_ideal,
     ideal_count,
     ideal_join,
     ideal_leq,
@@ -78,7 +75,6 @@ from .ideals import (
     is_zero_ideal,
     principal_ideal,
     quotient,
-    quotient_structure,
     zero_ideal,
 )
 from .mv import GammaAlgebra, OutOfInterval
@@ -117,6 +113,6 @@ from .spectrum import (
     spectrum_json,
     vanishing_locus,
 )
-from .yosida import NotMaximal, holder_eval, principal_zero_set, yosida_json, yosida_table
+from .yosida import NotMaximal, holder_eval, principal_zero_set, yosida_table
 
 __version__ = "0.1.0"

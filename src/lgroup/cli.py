@@ -84,12 +84,14 @@ def analyze(file):
     click.echo(f"strongly semisimple: {str(strong).lower()}{suffix}")
     if instance.elements:
         click.echo("values on the maximal spectrum:")
+        # the maximal primes are the uncovered ones, in table order
+        labels = [f"p{i}" for i, c in enumerate(space.cover) if c is None]
         for name in sorted(instance.elements):
             entry = instance.elements[name]
             table = yosida_table(G, entry.value, space)
             rendered = ", ".join(
-                f"p{space.index(m)} -> {v.numerator}/{v.denominator}"
-                for m, v in table.items()
+                f"{label} -> {v.numerator}/{v.denominator}"
+                for label, v in zip(labels, table.values())
             )
             tag = " [mv]" if entry.mv else ""
             click.echo(f"  {name}{tag}: {rendered}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Iterator, Union
 
 Element = Union[int, tuple]
 Path = tuple
@@ -48,10 +48,6 @@ class NotAStrongUnit(LGroupError):
         self.violations = tuple(violations)
         detail = "; ".join(f"{v.kind} at {format_path(v.path)}" for v in self.violations)
         super().__init__(f"not a strong order unit: {detail}")
-
-
-class UnboundVariable(LGroupError):
-    """A term references a variable missing from its environment."""
 
 
 class InternalInvariantViolation(LGroupError):
@@ -373,46 +369,6 @@ def validate_unital_group(structure: Structure, unit: Element) -> UnitalGroup:
     ``unital_group_violations`` for the non-raising variant.
     """
     return UnitalGroup(structure, unit)
-
-
-_BINARY = {"+": add, "-": sub, "meet": meet, "join": join}
-_UNARY = {"-": neg, "neg": neg, "abs": absval}
-
-
-def evaluate_term(G: UnitalGroup, term, env: Optional[Mapping[str, Element]] = None) -> Element:
-    """Evaluate a lattice-group term exactly.
-
-    Terms are nested tuples over the signature {+, -, meet, join, abs}
-    plus the constants "0" (group zero) and "u" (the unit); any other
-    string is a variable resolved through ``env``.  ``("-", t)`` is unary
-    negation, ``("-", s, t)`` subtraction, and ``("lit", e)`` embeds an
-    element literal.
-    """
-    env = env or {}
-
-    def ev(t):
-        if isinstance(t, str):
-            if t == "0":
-                return G.zero()
-            if t == "u":
-                return G.unit
-            if t in env:
-                value = env[t]
-                G.check(value)
-                return value
-            raise UnboundVariable(f"variable {t!r} is not bound")
-        if isinstance(t, tuple) and t and isinstance(t[0], str):
-            head = t[0]
-            if head == "lit" and len(t) == 2:
-                G.check(t[1])
-                return t[1]
-            if len(t) == 3 and head in _BINARY:
-                return _BINARY[head](G.structure, ev(t[1]), ev(t[2]))
-            if len(t) == 2 and head in _UNARY:
-                return _UNARY[head](G.structure, ev(t[1]))
-        raise LGroupError(f"malformed term: {t!r}")
-
-    return ev(term)
 
 
 def random_element(rng, structure: Structure, bound: int) -> Element:

@@ -10,15 +10,20 @@ difference lies in the join that is being split, so the merge never gets
 stuck once the compatibility check has passed.
 
 The strong solver demands agreement only at maximal ideals above each
-pairwise join; on strongly semisimple groups that weaker hypothesis
-upgrades to full compatibility and the classical merge finishes the job.
-When strong semisimplicity fails the solver refuses with a certificate
-that also reports whether the stronger classical hypothesis happened to
-hold anyway (on these groups, that is exactly when a solution exists).
+pairwise join.  Every maximal ideal here sits at a top position (see
+``lgroup.yosida``), so the hypothesis reads: two targets have equal
+integers at every top position where both ideals are proper.  On strongly
+semisimple groups that weaker hypothesis upgrades to full compatibility
+and the classical merge finishes the job.  When strong semisimplicity
+fails the solver refuses with a certificate that also reports whether the
+stronger classical hypothesis happened to hold anyway (on these groups,
+that is exactly when a solution exists).
 
 The zero-set solver is the functional form of the strong one: constraints
-are given by generator elements (whose zero sets say where each target
-must be matched) and agreement is checked through exact rational values.
+are given by generator elements, whose zero sets say where each target
+must be matched.  It hands the principal ideals of the generators to the
+strong solver, whose hypothesis is then agreement on the overlap of each
+two zero sets, so the check lives in one place.
 
 Hypotheses are always checked, never assumed; every failure carries a
 structured certificate naming the violated condition.
@@ -44,18 +49,17 @@ from .ideals import (
     Ideal,
     ProdIdeal,
     all_ideal,
+    canonical_generator,
     check_ideal,
     congruent,
     contains,
     ideal_join,
-    ideal_leq,
     ideal_meet,
-    is_zero_ideal,
     principal_ideal,
 )
-from .semisimple import is_strongly_semisimple, radical
+from .semisimple import is_strongly_semisimple
 from .spectrum import compute_spectrum
-from .yosida import holder_eval, principal_zero_set
+from .yosida import top_values
 
 
 class NotInJoin(LGroupError):
@@ -218,16 +222,39 @@ def _split(structure, d, I: Ideal, J: Ideal):
     return (0, ta), (0, tb)
 
 
-def _pairs(G: UnitalGroup, cons):
-    """Yield (i, j, join of the ideals, difference of the targets), i < j."""
-    for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(enumerate(cons), 2):
-        yield i, j, ideal_join(Ii, Ij), sub(G.structure, gi, gj)
-
-
 def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
-    for i, j, joined, diff in _pairs(G, system.constraints):
+    """The first pair i < j whose targets differ outside the join of their
+    ideals, as (i, j, difference, join), or None."""
+    cons = enumerate(system.constraints)
+    for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
+        joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
         if not contains(G.structure, joined, diff):
             return i, j, diff, joined
+    return None
+
+
+def _max_failure(G: UnitalGroup, system: CongruenceSystem):
+    """The first pair i < j and top position k where both ideals are
+    proper and the targets differ, as (i, j, k), or None.
+
+    The maximal ideal at top position k lies above I v J exactly when it
+    lies above I and J, that is, when both canonical generators are 0 at
+    k, and it holds the difference exactly when the targets agree there.
+    So each constraint becomes its target's integers at the tops where its
+    ideal is proper, None elsewhere.
+    """
+    s = G.structure
+    rows = [
+        [
+            v if c == 0 else None
+            for c, v in zip(top_values(s, canonical_generator(s, I)), top_values(s, g))
+        ]
+        for I, g in system
+    ]
+    for (i, a), (j, b) in itertools.combinations(enumerate(rows), 2):
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x is not None and y is not None and x != y:
+                return i, j, k
     return None
 
 
@@ -248,7 +275,11 @@ def keimel_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     invariant that the running element is congruent to every processed
     target; the empty system solves to zero.
     """
-    system = _normalize(G, system)
+    return _merge(G, _normalize(G, system))
+
+
+def _merge(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
+    # keimel_patch on a system that has been validated already
     bad = _pairwise_failure(G, system)
     if bad is not None:
         i, j, diff, joined = bad
@@ -272,18 +303,20 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
 
     The system's ideals must be principal, which is a representation
     invariant of this class (every enumerable ideal carries a generator).
-    Three phases: verify the maximal-ideal hypothesis for every pair (the
-    diagonal is vacuous); gate on strong semisimplicity, refusing with a
-    diagnostic certificate otherwise; then hand over to the classical
-    merge, whose stronger hypothesis is now guaranteed to hold.
+    Three phases: check the maximal-ideal hypothesis for every pair, which
+    asks that the two targets have equal integers at every top position
+    where both ideals are proper (see ``lgroup.yosida``; the diagonal is
+    vacuous); gate on strong semisimplicity, refusing with a diagnostic
+    certificate otherwise; then hand over to the classical merge, whose
+    stronger hypothesis is now guaranteed to hold and whose result is
+    verified against every constraint.
     """
     system = _normalize(G, system)
-    space = compute_spectrum(G)
-    maxes = space.max_ideals()
-    for i, j, joined, diff in _pairs(G, system.constraints):
-        for m in maxes:
-            if ideal_leq(joined, m) and not contains(G.structure, m, diff):
-                return PatchResult(certificate=MaxHypothesisViolated(i, j, m))
+    bad = _max_failure(G, system)
+    if bad is not None:
+        i, j, k = bad
+        maximal = compute_spectrum(G).max_ideals()[k]
+        return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
     if not ok:
         bad = _pairwise_failure(G, system)
@@ -294,17 +327,11 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
                 incompatible_pair=None if bad is None else (bad[0], bad[1]),
             )
         )
-    result = keimel_patch(G, system)
+    result = _merge(G, system)
     if result.solution is None:
         raise InternalInvariantViolation(
             "maximal agreement failed to upgrade on a strongly semisimple group"
         )
-    # the solution matches each target at every prime above its ideal
-    for I, gi in system:
-        diff = sub(G.structure, result.solution, gi)
-        for p in space.primes:
-            if ideal_leq(I, p) and not contains(G.structure, p, diff):
-                raise InternalInvariantViolation("prime agreement lost after merge")
     return result
 
 
@@ -316,56 +343,30 @@ def zero_set_patch(
     """Match targets on the zero sets of the generators.
 
     Each generator h carries the constraint "agree with the corresponding
-    target wherever h vanishes".  Compatibility is checked pointwise on
-    overlaps through exact rational values; the strong solver then checks
-    that the group is strongly semisimple and produces the element.  The
-    result is unique exactly when the zero sets cover the whole maximal
-    spectrum: two solutions then agree everywhere, and the trivial radical
-    forces them equal.
+    target wherever h vanishes", which is the constraint (<h>, target) of
+    the strong solver: a maximal ideal lies above <h_i> v <h_j> exactly
+    when it is in both zero sets.  So the strong solver checks the one
+    hypothesis, agreement on each overlap, and its MaxHypothesisViolated
+    is reported as IncompatibleOnZeroSets for the same pair and maximal
+    ideal; it also checks that the group is strongly semisimple and
+    produces the element.  The result is unique exactly when the zero sets
+    cover the whole maximal spectrum: two solutions then agree everywhere,
+    and the trivial radical forces them equal.
     """
     if len(generators) != len(targets):
         raise LengthMismatch(
             f"{len(generators)} generators against {len(targets)} targets"
         )
-    for e in (*generators, *targets):
-        check_element(G.structure, e)
-    space = compute_spectrum(G)
-    zsets = [principal_zero_set(G, h, space) for h in generators]
-    for i in range(len(zsets)):
-        for j in range(i + 1, len(zsets)):
-            for m in sorted(
-                zsets[i] & zsets[j], key=space.index
-            ):
-                vi = holder_eval(G, targets[i], m)
-                vj = holder_eval(G, targets[j], m)
-                if vi != vj:
-                    return PatchResult(
-                        certificate=IncompatibleOnZeroSets(i, j, m)
-                    )
     system = CongruenceSystem.of(
-        (principal_ideal(G.structure, h), g)
-        for h, g in zip(generators, targets)
+        (principal_ideal(G.structure, h), g) for h, g in zip(generators, targets)
     )
-    # a maximal ideal lies above <h_i> v <h_j> exactly when it is in both
-    # zero sets, so the check above is strong_patch's maximal-ideal
-    # hypothesis and strong_patch can only refuse on strong semisimplicity
     result = strong_patch(G, system)
-    if isinstance(result.certificate, NotStronglySemisimple):
+    cert = result.certificate
+    if isinstance(cert, MaxHypothesisViolated):
+        return PatchResult(certificate=IncompatibleOnZeroSets(cert.i, cert.j, cert.maximal))
+    if cert is not None:
         return result
-    if result.solution is None:
-        raise InternalInvariantViolation(
-            "zero-set compatibility failed to carry over to the strong solver"
-        )
-    for i, Zi in enumerate(zsets):
-        for m in Zi:
-            if holder_eval(G, result.solution, m) != holder_eval(G, targets[i], m):
-                raise InternalInvariantViolation("zero-set agreement lost")
-    covered = frozenset().union(*zsets) if zsets else frozenset()
-    unique = covered == frozenset(space.max_ideals())
-    if unique and not is_zero_ideal(radical(G)):
-        # covering zero sets pin the solution only because the radical is
-        # trivial; strong semisimplicity already implies that
-        raise InternalInvariantViolation(
-            "strongly semisimple group with nontrivial radical"
-        )
+    # a top position is covered when some generator is 0 there
+    columns = zip(*(top_values(G.structure, h) for h in generators))
+    unique = bool(generators) and all(0 in column for column in columns)
     return PatchResult(solution=result.solution, unique=unique)

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core import (
     Atom,
@@ -223,15 +223,6 @@ def _principal(structure, g) -> Ideal:
     return LexIdeal(_principal(structure.bottom, g[1]))
 
 
-def generated_ideal(structure, elements: Iterable[Element]) -> Ideal:
-    """Join of the principal ideals of ``elements``; empty input gives zero."""
-    structure = _structure_of(structure)
-    out = zero_ideal(structure)
-    for g in elements:
-        out = ideal_join(out, principal_ideal(structure, g))
-    return out
-
-
 def full_generator(structure) -> Element:
     """A canonical single generator of the improper ideal."""
     structure = _structure_of(structure)
@@ -378,14 +369,6 @@ class QuotientResult:
             return None
         g = self.project(canonical_generator(self.structure, J))
         return _principal(self.group.structure, g)
-
-
-def quotient_structure(structure, I: Ideal) -> Optional[Structure]:
-    """Shape of the quotient, or None when it is trivial."""
-    structure = _structure_of(structure)
-    check_ideal(structure, I)
-    res = _quotient(structure, I, zero(structure))
-    return None if res is None else res[0]
 
 
 def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:

@@ -10,10 +10,16 @@ from lgroup import (
     Prod,
     UnitalGroup,
     Z,
+    all_ideal,
     atom_count,
+    compute_spectrum,
+    enumerate_ideals,
+    ideal_count,
     lex,
+    principal_ideal,
     prod,
     validate_unital_group,
+    zero_ideal,
 )
 from lgroup.core import random_element
 
@@ -50,3 +56,30 @@ def random_group(rng: random.Random, max_atoms: int = 7) -> UnitalGroup:
         structure = random_structure(rng)
         if atom_count(structure) <= max_atoms:
             return UnitalGroup(structure, random_unit(rng, structure))
+
+
+def tall_groups(max_height: int = 30) -> list:
+    """A lex tower and a product nest prod(Z, prod(Z, ...)) over Z of every
+    height from 1 to ``max_height``, with unit integers cycling 1, 2, 3."""
+    out = []
+    for height in range(1, max_height + 1):
+        tower, tower_unit = Atom(), 1
+        nest, nest_unit = Atom(), 2
+        for level in range(height):
+            tower, tower_unit = Lex(tower), (level % 3 + 1, tower_unit)
+            nest, nest_unit = Prod((Atom(), nest)), (level % 3 + 1, nest_unit)
+        out += [UnitalGroup(tower, tower_unit), UnitalGroup(nest, nest_unit)]
+    return out
+
+
+def some_ideals(rng: random.Random, G: UnitalGroup, count: int = 8) -> list:
+    """Every ideal of G when there are at most 64; otherwise the primes,
+    zero, the whole group and ``count`` principal ideals of random elements
+    (so the rng is only drawn from for large lattices)."""
+    if ideal_count(G.structure) <= 64:
+        return list(enumerate_ideals(G).ideals)
+    out = list(compute_spectrum(G).primes)
+    out += [zero_ideal(G), all_ideal(G)]
+    for _ in range(count):
+        out.append(principal_ideal(G.structure, random_element(rng, G.structure, 1)))
+    return out

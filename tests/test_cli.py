@@ -50,9 +50,10 @@ def test_analyze_lex_reports_witness(runner, tmp_path):
     assert "strongly semisimple: false (witness: bottom(zero))" in result.output
 
 
-def _tower(height: int, level: str = "lex") -> str:
+def _tower(height: int, level: str = "lex", list_unit: bool = False) -> str:
     # instance text for a tree of lex levels, or of prod levels each with a
-    # Z beside the rest, over Z; built as text, since the encoder recurses
+    # Z beside the rest, over Z, optionally listing the unit as an element;
+    # built as text, since the encoder recurses
     structure, unit = '"Z"', "1"
     for _ in range(height):
         if level == "lex":
@@ -60,7 +61,8 @@ def _tower(height: int, level: str = "lex") -> str:
         else:
             structure = '{"prod": ["Z", %s]}' % structure
         unit = "[1, %s]" % unit
-    return '{"structure": %s, "unit": %s}' % (structure, unit)
+    elements = ', "elements": {"u": %s}' % unit if list_unit else ""
+    return '{"structure": %s, "unit": %s%s}' % (structure, unit, elements)
 
 
 # the gallery, and a forest whose longest chain has 14 primes
@@ -127,6 +129,48 @@ def test_spectrum_exports_never_compare_ideals(runner, tmp_path, monkeypatch):
     assert "p69 -> p70;" in result.output
 
 
+def test_entry_points_build_no_quotient(runner, tmp_path, monkeypatch):
+    # values, zero sets and the strong hypothesis are read off top
+    # positions: analyze with listed elements and crt in every mode keep
+    # their stdout and exit codes when building a quotient fails
+    docs = {name: json.loads(gallery_json(name)) for name in GALLERY_NAMES}
+    docs["forest"] = json.loads((DATA / "forest.json").read_text())
+    docs.update({p.stem: json.loads(p.read_text()) for p in DATA.glob("crt_*.json")})
+    c3 = docs["c3"]
+    m1, m2 = ({"prod": ["all"] * i + ["zero"] + ["all"] * (2 - i)} for i in range(2))
+    for name, ideals, targets in (
+        ("c3_strong", [m1, m2], [[1, 2, 3], [9, 9, 1]]),
+        ("c3_violated", [m1, m1], [[5, 0, 0], [7, 0, 0]]),
+    ):
+        task = {"mode": "strong", "ideals": ideals, "targets": targets}
+        docs[name] = {**c3, "task": task}
+    task = {**c3["task"], "generators": [[0, 0, 1], [0, 0, 1]]}
+    docs["c3_overlap"] = {**c3, "task": task}
+    calls = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        calls += [["crt", str(path)]] if "task" in doc else []
+        calls += [["analyze", str(path)]] if "elements" in doc else []
+    expected = [runner.invoke(main, args) for args in calls]
+    assert {r.exit_code for r in expected} == {0, 1, 2, 3}
+    assert sum("values on the maximal spectrum" in r.output for r in expected) >= 6
+
+    def refuse(*args):
+        raise AssertionError("a quotient was built")
+
+    monkeypatch.setattr(lgroup.ideals, "_quotient", refuse)
+    for args, before in zip(calls, expected):
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout_bytes) == (
+            before.exit_code,
+            before.stdout_bytes,
+        ), (args, repr(result.exception))
+        golden = DATA / "cli_golden" / f"{pathlib.Path(args[1]).stem}.analyze.txt"
+        if args[0] == "analyze" and golden.exists():
+            assert result.stdout_bytes == golden.read_bytes()
+
+
 def _run_alone(*args) -> subprocess.CompletedProcess:
     # one CLI call in a process of its own, as the installed command runs
     src = pathlib.Path(lgroup.__file__).parents[1]
@@ -142,10 +186,14 @@ def test_trees_answer_up_to_the_height_limit(runner, tmp_path, level):
     # refused at parse time with the path of the offending level (exit 3)
     assert MAX_HEIGHT == 400
     path = tmp_path / "tall.json"
-    path.write_text(_tower(MAX_HEIGHT, level))
-    for args in (["analyze", str(path)], ["spectrum", str(path), "--format", "dot"]):
-        result = _run_alone(*args)
-        assert result.returncode == 0, result.stderr[-2000:]
+    path.write_text(_tower(MAX_HEIGHT, level, list_unit=True))
+    result = _run_alone("analyze", str(path))
+    assert result.returncode == 0, result.stderr[-2000:]
+    # the unit's value is 1 at every maximal prime
+    values = result.stdout.split("  u: ")[1]
+    assert values.count(" -> 1/1") == (1 if level == "lex" else MAX_HEIGHT + 1)
+    result = _run_alone("spectrum", str(path), "--format", "dot")
+    assert result.returncode == 0, result.stderr[-2000:]
     # a lex tower is one chain of 401 primes; a product nest is 401 maximal
     # primes, one per Z, and no edge
     assert result.stdout.count(" -> ") == (MAX_HEIGHT if level == "lex" else 0)

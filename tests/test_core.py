@@ -8,10 +8,8 @@ from lgroup import (
     NotAStrongUnit,
     Prod,
     ShapeMismatch,
-    UnboundVariable,
     Z,
     elements_in_box,
-    evaluate_term,
     is_chain,
     leq,
     lex,
@@ -67,25 +65,14 @@ def test_unit_shape_mismatch():
 
 
 def test_evaluate_meet_componentwise():
-    out = evaluate_term(A2, ("meet", "x", "y"), {"x": (2, 5), "y": (3, 1)})
-    assert out == (2, 1)
+    assert A2.meet((2, 5), (3, 1)) == (2, 1)
 
 
 def test_evaluate_abs_under_lex_order():
-    assert evaluate_term(LEX, ("abs", ("lit", (-1, 3)))) == (1, -3)
+    assert LEX.abs((-1, 3)) == (1, -3)
     # oracle: |g| is the larger of g and -g under direct comparison
     g, ng = (-1, 3), (1, -3)
     assert leq(LEX.structure, g, ng) and not leq(LEX.structure, ng, g)
-
-
-def test_evaluate_unit_plus_zero():
-    for G in GROUPS.values():
-        assert evaluate_term(G, ("+", "u", "0")) == G.unit
-
-
-def test_evaluate_unbound_variable():
-    with pytest.raises(UnboundVariable):
-        evaluate_term(A2, ("+", "x", "0"))
 
 
 def test_leq_lex_dominant_component():

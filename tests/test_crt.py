@@ -1,8 +1,26 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_element
+from conftest import (
+    A2,
+    C3,
+    CHAIN3,
+    GALLERY_GROUPS,
+    LEX,
+    MIX,
+    random_element,
+    some_ideals,
+    tall_groups,
+)
+from oracles import (
+    max_hypothesis_failure,
+    primes_agree,
+    unique_by_cover,
+    zero_set_overlap_failure,
+    zero_sets_agree,
+)
 from lgroup import (
     AtomIdeal,
     CongruenceSystem,
@@ -338,14 +356,19 @@ def test_classical_solver_fuzz_with_certified_refusals():
             assert not all(congruent(G, g, t, I) for I, t in system)
 
 
+def _extra_groups():
+    # the gallery, CHAIN3, and lex towers and product nests of height 1-30
+    return list(GALLERY_GROUPS.values()) + [CHAIN3] + tall_groups(30)
+
+
 def test_strong_solver_fuzz_consistent_with_classical():
     from conftest import random_group
     from lgroup import is_strongly_semisimple
 
     rng = random.Random(314)
-    for _ in range(150):
-        G = random_group(rng, max_atoms=4)
-        ideals = enumerate_ideals(G).ideals
+    randoms = (random_group(rng, max_atoms=4) for _ in range(150))
+    for G in itertools.chain(randoms, _extra_groups()):
+        ideals = some_ideals(rng, G)
         system = [
             (rng.choice(ideals), random_element(rng, G.structure, 2))
             for _ in range(rng.randint(1, 3))
@@ -353,21 +376,46 @@ def test_strong_solver_fuzz_consistent_with_classical():
         result = strong_patch(G, system)
         classical = keimel_patch(G, system)
         strongly, _ = is_strongly_semisimple(G)
+        # the first failing pair and maximal ideal, by comparing ideals
+        failure = max_hypothesis_failure(G, system)
         if result.solution is not None:
-            assert strongly
+            assert strongly and failure is None
             assert classical.solution == result.solution
+            assert primes_agree(G, system, result.solution)
         elif isinstance(result.certificate, MaxHypothesisViolated):
             c = result.certificate
+            assert (c.i, c.j, c.maximal) == failure
             (Ii, gi), (Ij, gj) = system[c.i], system[c.j]
             assert ideal_leq(ideal_join(Ii, Ij), c.maximal)
             assert not contains(G.structure, c.maximal, G.sub(gi, gj))
             # the stronger pairwise hypothesis must fail as well
             assert classical.solution is None
         else:
-            assert not strongly
+            assert not strongly and failure is None
             cert = result.certificate
             assert isinstance(cert, NotStronglySemisimple)
             assert cert.keimel_hypothesis_holds == (classical.solution is not None)
+
+
+def _check_zero_set(G, gens, targets):
+    # the certificate, solution and uniqueness against the overlap loop by
+    # quotient evaluation, the agreement loop and the covering with the
+    # radical check
+    from lgroup import is_strongly_semisimple
+
+    result = zero_set_patch(G, gens, targets)
+    failure = zero_set_overlap_failure(G, gens, targets)
+    if result.solution is not None:
+        assert failure is None
+        assert zero_sets_agree(G, gens, targets, result.solution)
+        assert result.unique == unique_by_cover(G, gens)
+        return
+    c = result.certificate
+    if isinstance(c, IncompatibleOnZeroSets):
+        assert (c.i, c.j, c.maximal) == failure
+    else:
+        assert failure is None and isinstance(c, NotStronglySemisimple)
+        assert not is_strongly_semisimple(G)[0]
 
 
 def test_zero_set_solver_fuzz_on_strongly_semisimple_instances():
@@ -382,22 +430,15 @@ def test_zero_set_solver_fuzz_on_strongly_semisimple_instances():
         n = rng.randint(0, 3)
         gens = [random_element(rng, G.structure, 2) for _ in range(n)]
         targets = [random_element(rng, G.structure, 2) for _ in range(n)]
-        result = zero_set_patch(G, gens, targets)
-        space = compute_spectrum(G)
-        zsets = [principal_zero_set(G, h, space) for h in gens]
-        if result.solution is not None:
-            for Z, t in zip(zsets, targets):
-                for m in Z:
-                    assert holder_eval(G, result.solution, m) == holder_eval(G, t, m)
-            cover = frozenset().union(*zsets) if zsets else frozenset()
-            assert result.unique == (cover == frozenset(space.max_ideals()))
-        else:
-            c = result.certificate
-            assert isinstance(c, IncompatibleOnZeroSets)
-            assert c.maximal in (zsets[c.i] & zsets[c.j])
-            assert holder_eval(G, targets[c.i], c.maximal) != holder_eval(
-                G, targets[c.j], c.maximal
-            )
+        _check_zero_set(G, gens, targets)
+    # and on the extra groups, strongly semisimple or not, with generators
+    # and targets that vanish and agree often
+    for G in _extra_groups():
+        for _ in range(3):
+            n = rng.randint(0, 3)
+            gens = [random_element(rng, G.structure, 1) for _ in range(n)]
+            targets = [random_element(rng, G.structure, 1) for _ in range(n)]
+            _check_zero_set(G, gens, targets)
 
 
 def test_zero_set_solver_refuses_off_strongly_semisimple_instances():

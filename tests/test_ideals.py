@@ -17,7 +17,6 @@ from lgroup import (
     contains,
     elements_in_box,
     enumerate_ideals,
-    generated_ideal,
     ideal_count,
     ideal_join,
     ideal_leq,
@@ -29,7 +28,6 @@ from lgroup import (
     principal_ideal,
     prod,
     quotient,
-    quotient_structure,
     validate_unital_group,
     zero_ideal,
 )
@@ -65,13 +63,6 @@ def test_principal_ideal_is_least_containing_exhaustive():
             P = principal_ideal(G.structure, g)
             for I in lattice.ideals:
                 assert contains(G.structure, I, g) == ideal_leq(P, I)
-
-
-def test_generated_ideal_examples():
-    assert generated_ideal(LEX.structure, [(0, 1), (1, 0)]) == all_ideal(LEX.structure)
-    out = generated_ideal(C3.structure, [(1, 0, 0), (0, 0, 1)])
-    assert out == ProdIdeal((AtomIdeal(True), AtomIdeal(False), AtomIdeal(True)))
-    assert is_zero_ideal(generated_ideal(A2.structure, []))
 
 
 def test_lattice_op_examples():
@@ -124,7 +115,7 @@ def test_quotient_examples():
     assert q.trivial and q.group is None
 
     with pytest.raises(ShapeMismatch):
-        quotient_structure(LEX, AtomIdeal(True))
+        quotient(LEX, AtomIdeal(True))
 
     # projections validate their argument against the source structure
     q = quotient(LEX, zero_ideal(LEX.structure))
@@ -157,7 +148,6 @@ def test_quotient_lattice_matches_upper_interval():
         for I in lattice.ideals:
             interval = [J for J in lattice.ideals if ideal_leq(I, J)]
             q = quotient(G, I)
-            assert quotient_structure(G, I) == (None if q.trivial else q.group.structure)
             if q.trivial:
                 assert interval == [all_ideal(G.structure)]
                 continue

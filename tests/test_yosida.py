@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_element
+from conftest import (
+    A2,
+    C3,
+    CHAIN3,
+    GALLERY_GROUPS,
+    LEX,
+    MIX,
+    random_element,
+    random_group,
+    some_ideals,
+    tall_groups,
+)
+from oracles import holder_eval_by_quotient, zero_set_by_membership
+
 from lgroup import (
     AtomIdeal,
     LexIdeal,
@@ -15,7 +28,6 @@ from lgroup import (
     holder_eval,
     principal_zero_set,
     radical,
-    yosida_json,
     yosida_table,
     zero_ideal,
 )
@@ -54,8 +66,40 @@ def test_principal_zero_set_examples():
         assert principal_zero_set(G, G.zero()) == frozenset(space.max_ideals())
 
 
+def _coordinate_groups():
+    # the gallery, CHAIN3, seeded random groups, and lex towers and
+    # product nests of every height from 1 to 30
+    rng = random.Random(6113)
+    groups = list(GALLERY_GROUPS.values()) + [CHAIN3]
+    return groups + [random_group(rng, max_atoms=5) for _ in range(120)] + tall_groups(30)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except NotMaximal as exc:
+        return ("not maximal", exc.ideal)
+
+
+def test_holder_eval_matches_the_quotient():
+    # the top-position reading of values, NotMaximal and tables against the
+    # quotient G/m that it replaces
+    rng = random.Random(6114)
+    for G in _coordinate_groups():
+        space = compute_spectrum(G)
+        ideals = some_ideals(rng, G)
+        for g in [random_element(rng, G.structure, 3) for _ in range(2)] + [G.unit]:
+            for I in ideals:
+                expected = _outcome(holder_eval_by_quotient, G, g, I)
+                assert _outcome(holder_eval, G, g, I) == expected, (G, g, I)
+            table = yosida_table(G, g, space)
+            assert list(table) == list(space.max_ideals())
+            assert table == {m: holder_eval_by_quotient(G, g, m) for m in table}
+
+
 def test_zero_set_matches_vanishing_values():
-    # the two descriptions of a zero set agree on sampled inputs
+    # the descriptions of a zero set agree on sampled inputs: the top
+    # positions where g is 0, where its table vanishes, and membership
     rng = random.Random(52)
     for G in (A2, C3, MIX):
         space = compute_spectrum(G)
@@ -65,7 +109,12 @@ def test_zero_set_matches_vanishing_values():
             by_values = frozenset(
                 m for m in space.max_ideals() if holder_eval(G, g, m) == 0
             )
-            assert zs == by_values
+            assert zs == by_values == zero_set_by_membership(G, g, space)
+    for G in _coordinate_groups():
+        space = compute_spectrum(G)
+        for _ in range(3):
+            g = random_element(rng, G.structure, 1)
+            assert principal_zero_set(G, g, space) == zero_set_by_membership(G, g, space)
 
 
 def test_table_is_additive_and_lattice_compatible():
@@ -119,5 +168,4 @@ def test_table_and_serialization():
     space = compute_spectrum(C3)
     table = yosida_table(C3, (0, 3, 0), space)
     assert set(table) == set(space.max_ideals())
-    payload = yosida_json(space, table)
-    assert payload == {"p0": "0/1", "p1": "3/2", "p2": "0/1"}
+    assert list(table.values()) == [0, Fraction(3, 2), 0]
