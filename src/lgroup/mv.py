@@ -58,22 +58,36 @@ class GammaAlgebra:
         return join(s, zero(s), meet(s, x, self.group.unit))
 
     def oplus(self, x: Element, y: Element) -> Element:
-        s = self.group.structure
-        return meet(s, self.group.unit, add(s, self.validate(x), self.validate(y)))
+        return self._oplus(self.validate(x), self.validate(y))
 
     def neg(self, x: Element) -> Element:
-        return sub(self.group.structure, self.group.unit, self.validate(x))
+        return self._neg(self.validate(x))
 
     def odot(self, x: Element, y: Element) -> Element:
         s = self.group.structure
         total = sub(s, add(s, self.validate(x), self.validate(y)), self.group.unit)
         return join(s, zero(s), total)
 
+    # The lattice operations are compositions of oplus and neg, whose values
+    # lie in [0, u] by construction: each operand is validated once, x
+    # first, and the composition runs unchecked.
+
     def mv_join(self, x: Element, y: Element) -> Element:
-        return self.oplus(self.neg(self.oplus(self.neg(x), y)), y)
+        return self._join(self.validate(x), self.validate(y))
 
     def mv_meet(self, x: Element, y: Element) -> Element:
-        return self.neg(self.mv_join(self.neg(x), self.neg(y)))
+        x, y = self.validate(x), self.validate(y)
+        return self._neg(self._join(self._neg(x), self._neg(y)))
 
     def leq(self, x: Element, y: Element) -> bool:
         return leq(self.group.structure, self.validate(x), self.validate(y))
+
+    def _oplus(self, x: Element, y: Element) -> Element:
+        s = self.group.structure
+        return meet(s, self.group.unit, add(s, x, y))
+
+    def _neg(self, x: Element) -> Element:
+        return sub(self.group.structure, self.group.unit, x)
+
+    def _join(self, x: Element, y: Element) -> Element:
+        return self._oplus(self._neg(self._oplus(self._neg(x), y)), y)

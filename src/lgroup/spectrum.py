@@ -96,36 +96,38 @@ class SpectrumSpace:
 @lru_cache(maxsize=CACHE_SIZE)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order."""
-    found = _primes(G.structure)
+    found, _ = _primes(G.structure)
     return SpectrumSpace(G, tuple(p for p, _ in found), tuple(c for _, c in found))
 
 
-def _primes(structure) -> list:
-    """(prime, cover index) pairs in enumeration order: zero, maximal, for
-    an atom; one child's prime with every other part whole for a product,
-    its cover shifted by the child's offset; bottom(p) for each prime p of
-    the bottom, then the maximal bottom(all), for a lex, which covers the
-    bottom's maximal primes."""
+def _primes(structure) -> tuple:
+    """(primes, whole): the (prime, cover index) pairs in enumeration order,
+    and the whole ideal of ``structure``.  Zero, maximal, for an atom; one
+    child's prime with every other part whole for a product, its cover
+    shifted by the child's offset; bottom(p) for each prime p of the
+    bottom, then the maximal bottom(whole), for a lex, which covers the
+    bottom's maximal primes.  Each node is visited once: the whole ideals
+    come out of the same walk."""
     if isinstance(structure, Atom):
-        return [(AtomIdeal(False), None)]
+        return [(AtomIdeal(False), None)], AtomIdeal(True)
     if isinstance(structure, Prod):
-        whole = [all_ideal(c) for c in structure.children]
+        walks = [_primes(c) for c in structure.children]
+        whole = tuple(w for _, w in walks)
         out = []
-        for i, child in enumerate(structure.children):
+        for i, (below, _) in enumerate(walks):
             offset = len(out)
             out += [
                 (
                     ProdIdeal((*whole[:i], p, *whole[i + 1 :])),
                     None if c is None else c + offset,
                 )
-                for p, c in _primes(child)
+                for p, c in below
             ]
-        return out
-    below = _primes(structure.bottom)
+        return out, ProdIdeal(whole)
+    below, whole = _primes(structure.bottom)
     top = len(below)
-    return [(LexIdeal(p), top if c is None else c) for p, c in below] + [
-        (LexIdeal(all_ideal(structure.bottom)), None)
-    ]
+    primes = [(LexIdeal(p), top if c is None else c) for p, c in below]
+    return primes + [(LexIdeal(whole), None)], LexIdeal(None)
 
 
 def _space_of(x) -> SpectrumSpace:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from typing import NamedTuple
 
 from lgroup import (
     Atom,
@@ -21,6 +24,7 @@ from lgroup import (
     validate_unital_group,
     zero_ideal,
 )
+from lgroup.cli import main
 from lgroup.core import random_element
 
 A2 = validate_unital_group(prod(Z, Z), (1, 1))
@@ -83,3 +87,34 @@ def some_ideals(rng: random.Random, G: UnitalGroup, count: int = 8) -> list:
     for _ in range(count):
         out.append(principal_ideal(G.structure, random_element(rng, G.structure, 1)))
     return out
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout_bytes: bytes
+    # stdout and stderr interleaved in the order they were written
+    output: str
+
+
+class _Tee(io.StringIO):
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+def invoke(args) -> CliResult:
+    """Run ``lgroup.cli.main(args)`` in this process and capture what it
+    writes and the code it exits with."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    return CliResult(code, out.getvalue().encode("utf-8"), both.getvalue())

@@ -9,9 +9,8 @@ import json
 import pathlib
 import random
 
-from click.testing import CliRunner
 
-from conftest import GALLERY_GROUPS, random_element, random_group
+from conftest import GALLERY_GROUPS, invoke, random_element, random_group
 from lgroup import (
     AtomIdeal,
     NotStronglySemisimple,
@@ -39,7 +38,6 @@ from lgroup import (
     zero_ideal,
     zero_set_patch,
 )
-from lgroup.cli import main
 from lgroup.mv import GammaAlgebra
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -310,8 +308,7 @@ def test_criterion_8_interval_algebra_suite():
 
 
 def test_criterion_9_cli_snapshot():
-    runner = CliRunner()
-    result = runner.invoke(main, ["selftest"])
+    result = invoke(["selftest"])
     assert result.exit_code == 0, result.output
 
     expectations = [
@@ -321,8 +318,8 @@ def test_criterion_9_cli_snapshot():
         ("crt_invalid.json", 3),
     ]
     for filename, code in expectations:
-        result = runner.invoke(main, ["crt", str(DATA / filename)])
+        result = invoke(["crt", str(DATA / filename)])
         assert result.exit_code == code, (filename, result.output)
-    solved = runner.invoke(main, ["crt", str(DATA / "crt_solved.json")])
+    solved = invoke(["crt", str(DATA / "crt_solved.json")])
     assert json.loads(solved.output) == {"solution": [2, 4, 1], "unique": True}
     print("criterion 9: PASS (selftest green; exit codes 0/1/2/3 as canned)")

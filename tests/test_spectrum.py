@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+import lgroup.ideals
+import lgroup.spectrum
 from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
 from lgroup import (
     Atom,
     AtomIdeal,
+    Lex,
+    Prod,
     UnitalGroup,
     Z,
     LexIdeal,
@@ -72,6 +76,32 @@ def test_spectrum_matches_the_definition_filter():
         space = compute_spectrum(G)
         assert space.primes == tuple(primes)
         assert space.maximal == tuple(maximal)
+
+
+def test_primes_walk_visits_each_node_once(monkeypatch):
+    # the walk builds each node's whole ideal beside its primes, so a tall
+    # tree costs one visit per node, not one per node and level above it
+    visits = []
+
+    def counted(walk):
+        def visit(structure):
+            visits.append(structure)
+            return walk(structure)
+
+        return visit
+
+    monkeypatch.setattr(lgroup.spectrum, "_primes", counted(lgroup.spectrum._primes))
+    for module in (lgroup.spectrum, lgroup.ideals):
+        monkeypatch.setattr(module, "all_ideal", counted(lgroup.ideals.all_ideal))
+    height = 300
+    tower, nest = Atom(), Atom()
+    for _ in range(height):
+        tower, nest = Lex(tower), Prod((Atom(), nest))
+    for structure, nodes in ((tower, height + 1), (nest, 2 * height + 1)):
+        visits.clear()
+        primes, _ = lgroup.spectrum._primes(structure)
+        assert len(primes) == height + 1
+        assert len(visits) == nodes
 
 
 def test_primality_against_sampled_totality_oracle():
