@@ -117,7 +117,6 @@ def spectrum(args) -> int:
 def crt(args) -> int:
     """Run the instance's task block and print a solution or certificate."""
     from .crt import (
-        CongruenceSystem,
         NotStronglySemisimple,
         keimel_patch,
         strong_patch,
@@ -131,9 +130,8 @@ def crt(args) -> int:
         _fail("instance has no task block")
     try:
         if isinstance(task, PatchTask):
-            system = CongruenceSystem.of(zip(task.ideals, task.targets))
             solver = keimel_patch if task.mode == "keimel" else strong_patch
-            result = solver(G, system)
+            result = solver(G, zip(task.ideals, task.targets))
         else:
             result = zero_set_patch(G, task.generators, task.targets)
     except LGroupError as exc:

@@ -326,9 +326,6 @@ class UnitalGroup:
         if violations:
             raise NotAStrongUnit(violations)
 
-    def check(self, g: Element) -> None:
-        check_element(self.structure, g)
-
     def zero(self) -> Element:
         return zero(self.structure)
 

@@ -26,14 +26,16 @@ strong solver, whose hypothesis is then agreement on the overlap of each
 two zero sets, so the check lives in one place.
 
 Hypotheses are always checked, never assumed; every failure carries a
-structured certificate naming the violated condition.
+structured certificate naming the violated condition.  ``_normalize`` (and,
+in ``zero_set_patch``, the generator check) is the solvers' only validation:
+the merge, both hypothesis checks and ``_verify`` run on trusted walks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .core import (
     Element,
@@ -48,11 +50,10 @@ from .ideals import (
     AtomIdeal,
     Ideal,
     ProdIdeal,
+    _contains,
     all_ideal,
     canonical_generator,
     check_ideal,
-    congruent,
-    contains,
     ideal_join,
     ideal_meet,
     principal_ideal,
@@ -87,7 +88,7 @@ class CongruenceSystem:
         return iter(self.constraints)
 
 
-SystemLike = Union[CongruenceSystem, Sequence[Tuple[Ideal, Element]]]
+SystemLike = Union[CongruenceSystem, Iterable[Tuple[Ideal, Element]]]
 
 
 @dataclass(frozen=True)
@@ -165,12 +166,16 @@ class PatchResult:
 
 
 def _normalize(G: UnitalGroup, system: SystemLike) -> CongruenceSystem:
-    if not isinstance(system, CongruenceSystem):
-        system = CongruenceSystem.of(system)
-    for I, g in system:
+    constraints = []
+    for k, constraint in enumerate(system):
+        try:
+            I, g = constraint
+        except (TypeError, ValueError):
+            raise LGroupError(f"constraint {k}: expected an (ideal, target) pair") from None
         check_ideal(G.structure, I)
         check_element(G.structure, g)
-    return system
+        constraints.append((I, g))
+    return CongruenceSystem(tuple(constraints))
 
 
 def riesz_split(
@@ -185,12 +190,16 @@ def riesz_split(
     check_element(G.structure, d)
     check_ideal(G.structure, I)
     check_ideal(G.structure, J)
-    if not contains(G.structure, ideal_join(I, J), d):
+    return _riesz(G, d, I, J)
+
+
+def _riesz(G: UnitalGroup, d: Element, I: Ideal, J: Ideal):
+    if not _contains(G.structure, ideal_join(I, J), d):
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
     a, b = _split(G.structure, d, I, J)
     if not (
-        contains(G.structure, I, a)
-        and contains(G.structure, J, b)
+        _contains(G.structure, I, a)
+        and _contains(G.structure, J, b)
         and G.add(a, b) == d
     ):
         raise InternalInvariantViolation("riesz split postcondition failed")
@@ -228,7 +237,7 @@ def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
-        if not contains(G.structure, joined, diff):
+        if not _contains(G.structure, joined, diff):
             return i, j, diff, joined
     return None
 
@@ -260,7 +269,7 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
 
 def _verify(G: UnitalGroup, system: CongruenceSystem, g: Element) -> None:
     for I, gi in system:
-        if not congruent(G, g, gi, I):
+        if not _contains(G.structure, I, sub(G.structure, g, gi)):
             raise InternalInvariantViolation(
                 f"patch result fails its congruence modulo {I!r}"
             )
@@ -291,7 +300,7 @@ def _merge(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     processed = cons[0][0]
     for Ik, gk in cons[1:]:
         d = sub(G.structure, g, gk)
-        a, _ = riesz_split(G, d, processed, Ik)
+        a, _ = _riesz(G, d, processed, Ik)
         g = sub(G.structure, g, a)
         processed = ideal_meet(processed, Ik)
     _verify(G, system, g)
@@ -311,7 +320,10 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     stronger hypothesis is now guaranteed to hold and whose result is
     verified against every constraint.
     """
-    system = _normalize(G, system)
+    return _strong(G, _normalize(G, system))
+
+
+def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     bad = _max_failure(G, system)
     if bad is not None:
         i, j, k = bad
@@ -357,10 +369,10 @@ def zero_set_patch(
         raise LengthMismatch(
             f"{len(generators)} generators against {len(targets)} targets"
         )
-    system = CongruenceSystem.of(
-        (principal_ideal(G.structure, h), g) for h, g in zip(generators, targets)
-    )
-    result = strong_patch(G, system)
+    ideals = [principal_ideal(G.structure, h) for h in generators]
+    for g in targets:
+        check_element(G.structure, g)
+    result = _strong(G, CongruenceSystem(tuple(zip(ideals, targets))))
     cert = result.certificate
     if isinstance(cert, MaxHypothesisViolated):
         return PatchResult(certificate=IncompatibleOnZeroSets(cert.i, cert.j, cert.maximal))

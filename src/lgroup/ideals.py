@@ -31,7 +31,6 @@ from .core import (
     Atom,
     Element,
     Lex,
-    LGroupError,
     Path,
     Prod,
     ShapeMismatch,
@@ -257,12 +256,6 @@ class IdealLattice:
     def __len__(self) -> int:
         return len(self.ideals)
 
-    def index(self, I: Ideal) -> int:
-        try:
-            return self.ideals.index(I)
-        except ValueError:
-            raise LGroupError(f"ideal {I!r} is not in the lattice") from None
-
     @property
     def bottom(self) -> Ideal:
         return self.ideals[0]
@@ -367,7 +360,7 @@ class QuotientResult:
         check_ideal(self.structure, J)
         if self.group is None:
             return None
-        g = self.project(canonical_generator(self.structure, J))
+        _, g = _quotient(self.structure, self.divisor, canonical_generator(self.structure, J))
         return _principal(self.group.structure, g)
 
 
@@ -388,4 +381,4 @@ def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:
     check_element(G.structure, g)
     check_element(G.structure, h)
     check_ideal(G.structure, I)
-    return contains(G.structure, I, sub(G.structure, g, h))
+    return _contains(G.structure, I, sub(G.structure, g, h))

@@ -32,8 +32,8 @@ from .crt import (
 )
 from .gallery import GALLERY_NAMES, gallery_instance, gallery_json
 from .ideals import (
+    _contains,
     all_ideal,
-    contains,
     enumerate_ideals,
     ideal_join,
     ideal_leq,
@@ -197,7 +197,7 @@ def ideal_lattice(G):
     for g in elements_in_box(G.structure, 1):
         P = principal_ideal(G.structure, g)
         for I in ideals:
-            if contains(G.structure, I, g) != ideal_leq(P, I):
+            if _contains(G.structure, I, g) != ideal_leq(P, I):
                 errors.append(f"principal ideal of {g!r} is not least")
     return errors
 
@@ -233,12 +233,12 @@ def riesz_splitting(G):
     box = list(elements_in_box(G.structure, 1))
     for I in ideals:
         for J in ideals:
-            members_i = [a for a in box if contains(G.structure, I, a)]
-            members_j = [b for b in box if contains(G.structure, J, b)]
+            members_i = [a for a in box if _contains(G.structure, I, a)]
+            members_j = [b for b in box if _contains(G.structure, J, b)]
             for a in members_i[:3]:
                 for b in members_j[:3]:
                     d = G.add(a, b)
-                    if not contains(G.structure, ideal_join(I, J), d):
+                    if not _contains(G.structure, ideal_join(I, J), d):
                         errors.append("sum escaped the join")
                         continue
                     x, y = riesz_split(G, d, I, J)
@@ -307,7 +307,7 @@ def interval_algebra(G):
     box = _interval_box(G, max(3, top + 1))
     boxset = frozenset(box)
     ideals = enumerate_ideals(G).ideals
-    traces = {I: frozenset(x for x in box if contains(s, I, x)) for I in ideals}
+    traces = {I: frozenset(x for x in box if _contains(s, I, x)) for I in ideals}
     if len(set(traces.values())) != len(ideals):
         errors.append("two ideals share an interval trace")
     for T in traces.values():
@@ -315,7 +315,7 @@ def interval_algebra(G):
             zero(s) in T
             and all(
                 z in T or z not in boxset
-                for z in (alg.oplus(x, y) for x in T for y in T)
+                for z in (alg._oplus(x, y) for x in T for y in T)
             )
             and all(y in T for x in T for y in box if leq(s, y, x))
         ):
@@ -335,7 +335,7 @@ def interval_algebra(G):
         outside = [x for x in box if x not in T]
         maximal = bool(outside) and all(
             any(
-                contains(s, I, alg.neg(alg.clamp(scale(s, n, x))))
+                _contains(s, I, alg._neg(alg.clamp(scale(s, n, x))))
                 for n in range(1, max(2, top) + 1)
             )
             for x in outside
@@ -370,7 +370,7 @@ def patching_regressions():
         errors.append("classical solver accepted the impossible pair")
     for g in elements_in_box(lexg.structure, 2):
         if all(
-            contains(lexg.structure, I, lexg.sub(g, t))
+            _contains(lexg.structure, I, lexg.sub(g, t))
             for I, t in zip(task.ideals, task.targets)
         ):
             errors.append("an element satisfied the impossible pair")
@@ -406,7 +406,7 @@ def patching_regressions():
                 errors.append("a compatible random system was refused")
                 continue
             for I, t in system:
-                if not contains(G.structure, I, G.sub(result.solution, t)):
+                if not _contains(G.structure, I, G.sub(result.solution, t)):
                     errors.append("random system solution fails a congruence")
     return errors
 

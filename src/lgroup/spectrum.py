@@ -23,9 +23,9 @@ from .ideals import (
     Ideal,
     LexIdeal,
     ProdIdeal,
+    _contains,
     all_ideal,
     check_ideal,
-    contains,
     ideal_leq,
     ideal_meet,
 )
@@ -147,7 +147,7 @@ def vanishing_locus(space, R) -> FrozenSet[Ideal]:
         return frozenset(
             p
             for p in space.primes
-            if all(contains(space.group.structure, p, g) for g in elements)
+            if all(_contains(space.group.structure, p, g) for g in elements)
         )
     check_ideal(space.group.structure, R)
     return frozenset(p for p in space.primes if ideal_leq(R, p))

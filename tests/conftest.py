@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import random
+import sys
 from typing import NamedTuple
 
+import pytest
+
+import lgroup.core
+import lgroup.ideals
 from lgroup import (
     Atom,
     Lex,
@@ -118,3 +124,28 @@ def invoke(args) -> CliResult:
         except SystemExit as exc:
             code = exc.code or 0
     return CliResult(code, out.getvalue().encode("utf-8"), both.getvalue())
+
+
+@pytest.fixture
+def validation_walks(monkeypatch):
+    """Count the top-level validation walks (``path == ()``) made while a
+    test runs, as a Counter keyed by ``"check_element"`` and ``"check_ideal"``.
+
+    Both checkers are rebound in every loaded ``lgroup`` namespace, the way
+    a tracer binds its wrappers, since modules import them by name; their
+    recursive calls go through the rebinding too, with a non-empty path.
+    Reset the counter with ``clear()`` before the call of interest.
+    """
+    counts = collections.Counter()
+    for module, name in ((lgroup.core, "check_element"), (lgroup.ideals, "check_ideal")):
+        walk = getattr(module, name)
+
+        def counted(structure, value, path=(), walk=walk, name=name):
+            if path == ():
+                counts[name] += 1
+            return walk(structure, value, path)
+
+        for loaded in [m for n, m in sys.modules.items() if n.split(".")[0] == "lgroup"]:
+            if vars(loaded).get(name) is walk:
+                monkeypatch.setattr(loaded, name, counted)
+    return counts

@@ -28,6 +28,7 @@ from lgroup import (
     IncompatibleOnZeroSets,
     LengthMismatch,
     LexIdeal,
+    LGroupError,
     MaxHypothesisViolated,
     NotInJoin,
     NotStronglySemisimple,
@@ -130,6 +131,20 @@ def test_keimel_incompatible_certificate():
 def test_keimel_empty_and_singleton_systems():
     assert keimel_patch(A2, []).solution == (0, 0)
     assert keimel_patch(A2, [(A2_M1, (4, 9))]).solution == (4, 9)
+
+
+@pytest.mark.parametrize("solver", [keimel_patch, strong_patch], ids=["keimel", "strong"])
+def test_malformed_constraints_raise_a_library_error(solver):
+    good = (A2_M1, (4, 9))
+    for bad in [(A2_M1,), (A2_M1, (4, 9), 5), A2_M1]:
+        for k, system in enumerate([[bad], [good, bad]]):
+            with pytest.raises(LGroupError) as info:
+                solver(A2, system)
+            assert type(info.value) is LGroupError
+            assert str(info.value) == f"constraint {k}: expected an (ideal, target) pair"
+    # any two-item iterable is a pair, and the system may be any iterable
+    assert solver(A2, [[A2_M1, (4, 9)]]).solution == (4, 9)
+    assert solver(A2, (pair for pair in [good, (A2_M2, (1, 2))])).solution == (4, 2)
 
 
 def test_keimel_duplicate_ideals_allowed():
