@@ -64,7 +64,8 @@ def _subsets(items):
 
 def spectral_axioms(G):
     """The hull-kernel topology laws, over every ideal R and every set S of
-    primes: the Galois adjunction, the closure-operator laws, both
+    primes: the Galois adjunction, the closure-operator laws with the
+    closure equal to the vanishing locus of the kernel, both
     fixed-point characterisations, that closed sets are specialization
     up-sets, T0 and sobriety, the principal-ideal description of compact
     opens, and that the maximal spectrum is a discrete antichain."""
@@ -108,6 +109,10 @@ def spectral_axioms(G):
             and all(cl[cl[S]] == cl[S] for S in subsets)
             and all(cl[S | T] == cl[S] | cl[T] for S in subsets for T in subsets)
             and cl[frozenset()] == frozenset()
+            and all(
+                cl[S] == vanishing_locus(space, ideal_of_locus(space, S))
+                for S in subsets
+            )
         ),
         "ideal-fixed-points": all(ideal_of_locus(space, V[I]) == I for I in ideals),
         "locus-fixed-points": all(
@@ -271,7 +276,9 @@ def _interval_box(G, bound):
 def interval_algebra(G):
     """The interval [0, u] as a many-valued algebra, and its ideals.
 
-    The algebra's identities and its order are checked on seeded samples.
+    The algebra's identities are checked on seeded samples, with the
+    composed join (x' + y)' + y against the group's join and the meet
+    against the De Morgan dual of the join.
     Every group ideal is then cut down to its trace on a slice of the
     interval: distinct ideals keep distinct traces, each trace is an
     interval ideal on the slice (contains 0, closed under truncated
@@ -300,8 +307,10 @@ def interval_algebra(G):
         rhs = alg.oplus(alg.neg(alg.oplus(alg.neg(y), x)), x)
         if lhs != rhs:
             errors.append("characteristic identity failed")
-        if alg.mv_join(x, y) != G.join(x, y):
+        if lhs != G.join(x, y):
             errors.append("interval order disagrees with the group order")
+        if alg.mv_meet(x, y) != alg.neg(alg.mv_join(alg.neg(x), alg.neg(y))):
+            errors.append("interval meet is not the De Morgan dual of the join")
 
     top = _max_coordinate(u)
     box = _interval_box(G, max(3, top + 1))

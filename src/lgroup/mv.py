@@ -3,9 +3,13 @@
 The interval [0, u] of a unital group carries truncated addition, an
 involution, and a truncated product; that algebra determines the group and
 its congruences, so its ideals are exactly the traces I cap [0, u] of the
-group's ideals.  ``lgroup.laws`` checks that bijection on a slice of the
-interval and finds primality and maximality on the many-valued side
-independently.
+group's ideals.  Under that correspondence the lattice order of the
+interval is the group order, so ``mv_join`` and ``mv_meet`` are the
+group's join and meet, which keep [0, u]; the many-valued compositions
+they close, x v y = (x' + y)' + y and its De Morgan dual, are the
+references ``lgroup.laws.interval_algebra`` checks them against.  That law
+also checks the ideal bijection on a slice of the interval and finds
+primality and maximality on the many-valued side independently.
 """
 
 from __future__ import annotations
@@ -68,16 +72,11 @@ class GammaAlgebra:
         total = sub(s, add(s, self.validate(x), self.validate(y)), self.group.unit)
         return join(s, zero(s), total)
 
-    # The lattice operations are compositions of oplus and neg, whose values
-    # lie in [0, u] by construction: each operand is validated once, x
-    # first, and the composition runs unchecked.
-
     def mv_join(self, x: Element, y: Element) -> Element:
-        return self._join(self.validate(x), self.validate(y))
+        return join(self.group.structure, self.validate(x), self.validate(y))
 
     def mv_meet(self, x: Element, y: Element) -> Element:
-        x, y = self.validate(x), self.validate(y)
-        return self._neg(self._join(self._neg(x), self._neg(y)))
+        return meet(self.group.structure, self.validate(x), self.validate(y))
 
     def leq(self, x: Element, y: Element) -> bool:
         return leq(self.group.structure, self.validate(x), self.validate(y))
@@ -88,6 +87,3 @@ class GammaAlgebra:
 
     def _neg(self, x: Element) -> Element:
         return sub(self.group.structure, self.group.unit, x)
-
-    def _join(self, x: Element, y: Element) -> Element:
-        return self._oplus(self._neg(self._oplus(self._neg(x), y)), y)

@@ -216,48 +216,36 @@ def _require_keys(obj: dict, allowed: set, path: str) -> None:
         raise ParseError(path, f"unknown keys {sorted(unknown)}")
 
 
+# the list each task mode pairs with its targets
+_TASK_LISTS = {"keimel": "ideals", "strong": "ideals", "zeroset": "generators"}
+
+
 def _parse_task(structure: Structure, obj, path: str) -> Task:
     if not isinstance(obj, dict):
         raise ParseError(path, "task must be an object")
     mode = obj.get("mode")
-    if mode in ("keimel", "strong"):
-        _require_keys(obj, {"mode", "ideals", "targets"}, path)
-        ideals = obj.get("ideals")
-        targets = obj.get("targets")
-        if not isinstance(ideals, list) or not isinstance(targets, list):
-            raise ParseError(path, "ideals and targets must be arrays")
-        if len(ideals) != len(targets):
-            raise ParseError(path, "ideals and targets must have equal length")
-        return PatchTask(
-            mode,
-            tuple(
-                ideal_from_json(structure, k, f"{path}.ideals[{i}]")
-                for i, k in enumerate(ideals)
-            ),
-            tuple(
-                element_from_json(structure, t, f"{path}.targets[{i}]")
-                for i, t in enumerate(targets)
-            ),
+    key = _TASK_LISTS.get(mode) if isinstance(mode, str) else None
+    if key is None:
+        raise ParseError(
+            f"{path}.mode", f"expected keimel, strong, or zeroset, got {mode!r}"
         )
-    if mode == "zeroset":
-        _require_keys(obj, {"mode", "generators", "targets"}, path)
-        gens = obj.get("generators")
-        targets = obj.get("targets")
-        if not isinstance(gens, list) or not isinstance(targets, list):
-            raise ParseError(path, "generators and targets must be arrays")
-        if len(gens) != len(targets):
-            raise ParseError(path, "generators and targets must have equal length")
-        return ZeroSetTask(
-            tuple(
-                element_from_json(structure, g, f"{path}.generators[{i}]")
-                for i, g in enumerate(gens)
-            ),
-            tuple(
-                element_from_json(structure, t, f"{path}.targets[{i}]")
-                for i, t in enumerate(targets)
-            ),
-        )
-    raise ParseError(f"{path}.mode", f"expected keimel, strong, or zeroset, got {mode!r}")
+    _require_keys(obj, {"mode", key, "targets"}, path)
+    items, targets = obj.get(key), obj.get("targets")
+    if not isinstance(items, list) or not isinstance(targets, list):
+        raise ParseError(path, f"{key} and targets must be arrays")
+    if len(items) != len(targets):
+        raise ParseError(path, f"{key} and targets must have equal length")
+    parse = ideal_from_json if key == "ideals" else element_from_json
+    items = tuple(
+        parse(structure, x, f"{path}.{key}[{i}]") for i, x in enumerate(items)
+    )
+    targets = tuple(
+        element_from_json(structure, t, f"{path}.targets[{i}]")
+        for i, t in enumerate(targets)
+    )
+    if key == "generators":
+        return ZeroSetTask(items, targets)
+    return PatchTask(mode, items, targets)
 
 
 def instance_from_json(obj) -> Instance:

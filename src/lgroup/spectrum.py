@@ -5,9 +5,13 @@ when the quotient collapses all the way to a single integer coordinate.
 The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The exports read
-pairs, closures and edges off those cover chains.  The vanishing-locus /
-kernel Galois connection, the closure operator, and the topological laws
-are checked by exhaustive enumeration in ``lgroup.laws``.
+pairs, closures and edges off those cover chains.  A prime containing the
+intersection of finitely many primes contains one of them, so the closure
+of a set of primes is the union of its members' cover chains; the
+closure-operator law of ``lgroup.laws.spectral_axioms`` checks it against
+the vanishing locus of the kernel on every set of primes.  That module
+checks the vanishing-locus / kernel Galois connection and the other
+topological laws by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -164,9 +168,10 @@ def ideal_of_locus(space, S: Iterable[Ideal]) -> Ideal:
 
 
 def closure(space, S: Iterable[Ideal]) -> FrozenSet[Ideal]:
-    """Topological closure: the vanishing locus of the kernel of S."""
+    """Topological closure: the primes on the cover chains of S's members,
+    which is the vanishing locus of the kernel of S."""
     space = _space_of(space)
-    return vanishing_locus(space, ideal_of_locus(space, S))
+    return frozenset(space.primes[j] for p in S for j in space.chain(space.index(p)))
 
 
 def specialization_dot(space: SpectrumSpace) -> str:

@@ -1,12 +1,15 @@
 import random
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
+from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_element, random_group
 from lgroup import (
+    Atom,
     AtomIdeal,
     LexIdeal,
+    Prod,
     ProdIdeal,
     UnitalGroup,
     Z,
+    add,
     archimedean_falsify,
     closure,
     compute_spectrum,
@@ -99,9 +102,45 @@ def test_dominated_decision():
     assert not dominated(LEX.structure, (1, 0), (2, 0))
     assert dominated(LEX.structure, (0, 0), (0, 0))
     assert not dominated(LEX.structure, (0, 1), (0, 5))
-    # negative dominant component: finitely many multiples checked exactly
+    # negative dominant component: the first multiple decides
     assert dominated(LEX.structure, (-1, 0), (-1, 0))
     assert not dominated(LEX.structure, (-1, 1), (-1, 0))
+    assert dominated(LEX.structure, (-2, 7), (-1, -7))
+    assert not dominated(LEX.structure, (-1, 0), (-2, 0))
+
+
+def _tied_negative_top(structure, g, h):
+    """Whether g and h share a negative top coordinate at some lex node."""
+    if isinstance(structure, Atom):
+        return False
+    if isinstance(structure, Prod):
+        return any(map(_tied_negative_top, structure.children, g, h))
+    return g[0] == h[0] < 0 or _tied_negative_top(structure.bottom, g[1], h[1])
+
+
+def test_dominated_matches_every_multiple_up_to_the_coordinate_bound():
+    # h's coordinates lie in [-4, 4], and a pair that is not dominated
+    # already fails at a multiple n <= |c| + 1 for a coordinate c of h, so
+    # the multiples 1..5 decide domination exactly
+    rng = random.Random(779)
+    answers, ties = set(), 0
+    for _ in range(150):
+        G = random_group(rng)
+        s = G.structure
+        for _ in range(20):
+            g = random_element(rng, s, 3)
+            if rng.random() < 0.5:
+                h = random_element(rng, s, 4)
+            else:
+                # h near g: dominant components often tie, and about
+                # half of the ties are negative
+                h = add(s, g, random_element(rng, s, 1))
+            expected = all(leq(s, scale(s, n, g), h) for n in range(1, 6))
+            assert dominated(s, g, h) == expected, (s, g, h)
+            answers.add(expected)
+            ties += _tied_negative_top(s, g, h)
+    assert answers == {True, False}
+    assert ties > 100
 
 
 def test_semisimple_iff_max_dense_on_random_instances():

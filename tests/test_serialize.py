@@ -144,6 +144,66 @@ def test_task_validation():
         loads_instance(json.dumps(base))
 
 
+E = [0, [0, 0]]
+MODE_MSG = "expected keimel, strong, or zeroset, got "
+# (id, task block on prod(Z, lex(Z)), the parsed task or (path, message))
+TASK_BLOCKS = [
+    ("not an object", 5, ("task", "task must be an object")),
+    ("unknown mode", {"mode": "sideways"}, ("task.mode", MODE_MSG + "'sideways'")),
+    ("list mode", {"mode": ["keimel"], "ideals": [], "targets": []},
+     ("task.mode", MODE_MSG + "['keimel']")),
+    ("object mode", {"mode": {"a": 1}}, ("task.mode", MODE_MSG + "{'a': 1}")),
+    ("missing mode", {"ideals": [], "targets": []}, ("task.mode", MODE_MSG + "None")),
+    ("keimel stray key", {"mode": "keimel", "ideals": [], "targets": [], "extra": 1},
+     ("task", "unknown keys ['extra']")),
+    ("strong stray key", {"mode": "strong", "ideals": [], "targets": [], "generators": []},
+     ("task", "unknown keys ['generators']")),
+    ("zeroset stray key", {"mode": "zeroset", "generators": [], "targets": [], "ideals": []},
+     ("task", "unknown keys ['ideals']")),
+    ("keimel ideals not an array", {"mode": "keimel", "ideals": "zero", "targets": []},
+     ("task", "ideals and targets must be arrays")),
+    ("strong targets missing", {"mode": "strong", "ideals": []},
+     ("task", "ideals and targets must be arrays")),
+    ("zeroset generators not an array", {"mode": "zeroset", "generators": {"a": 1}, "targets": []},
+     ("task", "generators and targets must be arrays")),
+    ("keimel unequal lengths", {"mode": "keimel", "ideals": ["zero"], "targets": []},
+     ("task", "ideals and targets must have equal length")),
+    ("zeroset unequal lengths", {"mode": "zeroset", "generators": [], "targets": [E]},
+     ("task", "generators and targets must have equal length")),
+    ("bad nested ideal",
+     {"mode": "strong", "ideals": ["zero", {"prod": ["all", {"bottom": "bogus"}]}], "targets": [E, E]},
+     ("task.ideals[1].prod[1].bottom", "expected \"zero\", \"all\", prod, or bottom, got 'bogus'")),
+    ("bad nested generator", {"mode": "zeroset", "generators": [E, [0, [0, True]]], "targets": [E, E]},
+     ("task.generators[1][1][1]", "expected an integer, got True")),
+    ("bad nested target", {"mode": "keimel", "ideals": ["zero"], "targets": [[0, [1.5, 0]]]},
+     ("task.targets[0][1][0]", "expected an integer, got 1.5")),
+    ("valid strong",
+     {"mode": "strong", "ideals": ["zero", {"prod": ["all", "zero"]}], "targets": [[1, [0, 2]], [0, [1, -1]]]},
+     PatchTask(
+         "strong",
+         (zero_ideal(MIX_STRUCTURE), ProdIdeal((AtomIdeal(True), LexIdeal(AtomIdeal(False))))),
+         ((1, (0, 2)), (0, (1, -1))),
+     )),
+    ("valid zeroset", {"mode": "zeroset", "generators": [[1, [0, 0]]], "targets": [[2, [1, 3]]]},
+     ZeroSetTask(((1, (0, 0)),), ((2, (1, 3)),))),
+]
+
+
+@pytest.mark.parametrize(
+    "block, expected", [row[1:] for row in TASK_BLOCKS], ids=[row[0] for row in TASK_BLOCKS]
+)
+def test_task_blocks_parse_or_raise_with_a_path(block, expected):
+    text = json.dumps({"structure": {"prod": ["Z", {"lex": "Z"}]}, "unit": [1, [1, 0]], "task": block})
+    if not isinstance(expected, tuple):
+        assert loads_instance(text).task == expected
+        return
+    with pytest.raises(ParseError) as info:
+        loads_instance(text)
+    path, message = expected
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_mv_tagged_elements():
     inst = gallery_instance("chang")
     assert inst.elements["eps"].mv is True

@@ -17,6 +17,8 @@ from lgroup import (
     Z,
     add,
     canonical_generator,
+    closure,
+    compute_spectrum,
     congruent,
     enumerate_ideals,
     keimel_patch,
@@ -128,6 +130,7 @@ ONE_WALK_PER_ARGUMENT = [
     ("congruent", lambda: congruent(MIX, E0, (0, (0, 4)), LEX_BOTTOM_ALL), 2, 1),
     ("vanishing_locus", lambda: vanishing_locus(MIX, [E0, (0, (0, 4)), (1, (0, 0))]), 3, 0),
     ("project_ideal", lambda: QUOTIENT.project_ideal(Z0), 0, 1),
+    ("closure", lambda: closure(MIX, compute_spectrum(MIX).primes[:2]), 0, 0),
 ]
 
 
