@@ -17,13 +17,25 @@ structure shape: an ``Atom`` value is an ``int``, a ``Prod`` value is a
 tuple of child values, and a ``Lex`` value is a pair ``(top, bottom_value)``.
 All values are immutable and every function here is pure, so everything is
 safe to share between threads.
+
+Structure and ideal nodes are interned (hash-consed): each node class keeps
+a table of its live nodes keyed by their fields, and its constructor
+returns the node already there, so equal trees are one object.  Equality
+is identity, and the hash, ``hash(<fields tuple>)``, is stored at
+construction: no comparison or hash walks a tree, however tall.  The table
+holds weak references only, so a node lives as long as its users hold it;
+a bounded strong table would have to drop live nodes, and an equal node
+built after that would be a second object.  Entries go in with the atomic
+``dict.setdefault``, so threads that build one tree at once get one object.
+Copying or unpickling a node re-interns it.  The other value classes are
+``_Record``s, which compare, hash and print by their fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterator, Union
+from _weakref import _remove_dead_weakref, ref
 
 Element = Union[int, tuple]
 Path = tuple
@@ -61,33 +73,123 @@ def format_path(path: Path) -> str:
     return out
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Atom:
+class _Frozen:
+    """Fields listed in ``__slots__``, which no assignment changes."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Record(_Frozen):
+    """A value with fields ``__slots__`` (``_defaults`` for trailing ones),
+    compared, hashed and shown as ``Name(field=value, ...)`` by them."""
+
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}")
+            args = map(values.__getitem__, names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Node(_Frozen):
+    """An interned tree node (see the module docstring): ``__new__`` returns
+    the live node under its fields, else (nodes are never false) a new one."""
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __init_subclass__(cls):
+        table = cls._table = {}
+        # when a node dies, drop its entry unless a live node has taken it
+        cls._forget = lambda dead: _remove_dead_weakref(table, dead.fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _Entry(ref):
+    __slots__ = ("fields",)  # the key of the entry holding this reference
+
+
+def _intern(cls, fields: tuple):
+    """Build and enter a node; one that another thread entered first wins."""
+    table = cls._table
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash(fields))
+    mine = _Entry(node, cls._forget)
+    mine.fields = fields
+    while (entry := table.setdefault(fields, mine)) is not mine:
+        if (other := entry()) is not None:
+            return other
+        _remove_dead_weakref(table, fields)
+    return node
+
+
+class Atom(_Node):
     """The ordered group of integers."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        entry = cls._table.get(())
+        return entry and entry() or _intern(cls, ())
 
     def __repr__(self) -> str:
         return "Z"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Prod:
+class Prod(_Node):
     """A direct product of at least two structures, ordered componentwise."""
 
-    children: tuple
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __new__(cls, children: tuple):
+        if len(children) < 2:
             raise ValueError("Prod requires at least 2 children")
+        entry = cls._table.get(fields := (children,))
+        return entry and entry() or _intern(cls, fields)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Lex:
+class Lex(_Node):
     """The lexicographic extension Z x-> bottom, integer component dominant."""
 
-    bottom: "Structure"
+    __slots__ = ("bottom",)
+
+    def __new__(cls, bottom: "Structure"):
+        entry = cls._table.get(fields := (bottom,))
+        return entry and entry() or _intern(cls, fields)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
@@ -263,13 +365,11 @@ def absval(structure: Structure, g: Element) -> Element:
     return join(structure, g, neg(structure, g))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """One reason a candidate unit is rejected."""
+class Violation(_Record):
+    """One reason a candidate unit is rejected: ``kind``, ``path`` and
+    ``message``."""
 
-    kind: str
-    path: Path
-    message: str
+    __slots__ = ("kind", "path", "message")
 
 
 def unit_violations(structure: Structure, unit: Element, path: Path = ()) -> list:
@@ -313,18 +413,20 @@ def unital_group_violations(structure: Structure, unit: Element) -> list:
     return unit_violations(structure, unit)
 
 
-@dataclass(frozen=True)
-class UnitalGroup:
+class UnitalGroup(_Record):
     """A structure together with a validated strong order unit."""
 
-    structure: Structure
-    unit: Element
+    __slots__ = ("structure", "unit")
 
-    def __post_init__(self):
-        check_element(self.structure, self.unit)
-        violations = unit_violations(self.structure, self.unit)
+    def __init__(self, structure: Structure, unit: Element):
+        check_element(structure, unit)
+        self._strong(structure, unit)
+
+    def _strong(self, structure, unit):
+        violations = unit_violations(structure, unit)
         if violations:
             raise NotAStrongUnit(violations)
+        _Record.__init__(self, structure, unit)
 
     def zero(self) -> Element:
         return zero(self.structure)
@@ -366,6 +468,15 @@ def validate_unital_group(structure: Structure, unit: Element) -> UnitalGroup:
     ``unital_group_violations`` for the non-raising variant.
     """
     return UnitalGroup(structure, unit)
+
+
+def _trusted_group(structure: Structure, unit: Element) -> UnitalGroup:
+    """``UnitalGroup(structure, unit)`` for a unit that the caller's own walk
+    produced or checked against ``structure``: only the strong-unit check
+    runs."""
+    group = object.__new__(UnitalGroup)
+    group._strong(structure, unit)
+    return group
 
 
 def random_element(rng, structure: Structure, bound: int) -> Element:

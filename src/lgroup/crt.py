@@ -34,14 +34,14 @@ the merge, both hypothesis checks and ``_verify`` run on trusted walks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .core import (
     Element,
     InternalInvariantViolation,
     LGroupError,
     UnitalGroup,
+    _Record,
     check_element,
     sub,
     zero,
@@ -71,11 +71,10 @@ class LengthMismatch(LGroupError):
     """Generator and target lists have different lengths."""
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(_Record):
     """An ordered list of (ideal, target) constraints; duplicates allowed."""
 
-    constraints: Tuple[Tuple[Ideal, Element], ...]
+    __slots__ = ("constraints",)
 
     @classmethod
     def of(cls, pairs) -> "CongruenceSystem":
@@ -91,27 +90,19 @@ class CongruenceSystem:
 SystemLike = Union[CongruenceSystem, Iterable[Tuple[Ideal, Element]]]
 
 
-@dataclass(frozen=True)
-class Incompatible:
+class Incompatible(_Record):
     """Targets i and j disagree modulo the join of their ideals."""
 
-    i: int
-    j: int
-    difference: Element
-    join_ideal: Ideal
+    __slots__ = ("i", "j", "difference", "join_ideal")
 
 
-@dataclass(frozen=True)
-class MaxHypothesisViolated:
+class MaxHypothesisViolated(_Record):
     """Targets i and j disagree at a maximal ideal above their join."""
 
-    i: int
-    j: int
-    maximal: Ideal
+    __slots__ = ("i", "j", "maximal")
 
 
-@dataclass(frozen=True)
-class NotStronglySemisimple:
+class NotStronglySemisimple(_Record):
     """The group fails the strong-semisimplicity hypothesis.
 
     ``witness`` is the least ideal with a non-semisimple quotient, which
@@ -123,22 +114,18 @@ class NotStronglySemisimple:
     breaking the pairwise hypothesis when there is one.
     """
 
-    witness: Ideal
-    keimel_hypothesis_holds: bool
-    incompatible_pair: Optional[Tuple[int, int]] = None
+    __slots__ = ("witness", "keimel_hypothesis_holds", "incompatible_pair")
+    _defaults = {"incompatible_pair": None}
 
     @property
     def solution_exists(self) -> bool:
         return self.keimel_hypothesis_holds
 
 
-@dataclass(frozen=True)
-class IncompatibleOnZeroSets:
+class IncompatibleOnZeroSets(_Record):
     """Targets i and j take different values on a shared zero-set point."""
 
-    i: int
-    j: int
-    maximal: Ideal
+    __slots__ = ("i", "j", "maximal")
 
 
 Certificate = Union[
@@ -146,8 +133,7 @@ Certificate = Union[
 ]
 
 
-@dataclass(frozen=True)
-class PatchResult:
+class PatchResult(_Record):
     """Outcome of a patching run.
 
     When ``solution`` is present it has been re-verified against every
@@ -156,9 +142,8 @@ class PatchResult:
     the zero sets covered the whole maximal spectrum.
     """
 
-    solution: Optional[Element] = None
-    unique: bool = False
-    certificate: Optional[Certificate] = None
+    __slots__ = ("solution", "unique", "certificate")
+    _defaults = {"solution": None, "unique": False, "certificate": None}
 
     @property
     def solved(self) -> bool:

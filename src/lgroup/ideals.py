@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -36,6 +35,10 @@ from .core import (
     ShapeMismatch,
     Structure,
     UnitalGroup,
+    _intern,
+    _Node,
+    _Record,
+    _trusted_group,
     check_element,
     render_tree,
     sub,
@@ -43,25 +46,34 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class AtomIdeal:
-    full: bool
+class AtomIdeal(_Node):
+    __slots__ = ("full",)
+
+    def __new__(cls, full: bool):
+        entry = cls._table.get(fields := (full,))
+        return entry and entry() or _intern(cls, fields)
 
     def __repr__(self) -> str:
         return "all" if self.full else "zero"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class ProdIdeal:
-    parts: tuple
+class ProdIdeal(_Node):
+    __slots__ = ("parts",)
+
+    def __new__(cls, parts: tuple):
+        entry = cls._table.get(fields := (parts,))
+        return entry and entry() or _intern(cls, fields)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class LexIdeal:
-    inner: Optional["Ideal"]  # None means the whole group
+class LexIdeal(_Node):
+    __slots__ = ("inner",)  # None means the whole group
+
+    def __new__(cls, inner: Optional["Ideal"]):
+        entry = cls._table.get(fields := (inner,))
+        return entry and entry() or _intern(cls, fields)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
@@ -180,6 +192,8 @@ def ideal_leq(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
+    if I is J:  # equal ideals are one object
+        return I
     if isinstance(I, AtomIdeal):
         return AtomIdeal(I.full and J.full)
     if isinstance(I, ProdIdeal):
@@ -192,6 +206,8 @@ def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_join(I: Ideal, J: Ideal) -> Ideal:
+    if I is J:
+        return I
     if isinstance(I, AtomIdeal):
         return AtomIdeal(I.full or J.full)
     if isinstance(I, ProdIdeal):
@@ -244,14 +260,10 @@ def canonical_generator(structure, I: Ideal) -> Element:
     return (0, canonical_generator(structure.bottom, I.inner))
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(_Record):
     """The complete (finite, distributive) lattice of ideals of a group."""
 
-    group: UnitalGroup
-    ideals: tuple
-    principal: tuple
-    generators: tuple
+    __slots__ = ("group", "ideals", "principal", "generators")
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -330,8 +342,7 @@ def _quotient(structure, I, g):
     return Lex(below[0]), (g[0], below[1])
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(_Record):
     """The quotient of a group by an ideal, kept as data.
 
     ``structure`` and ``divisor`` are the source structure and the ideal
@@ -341,9 +352,7 @@ class QuotientResult:
     is only meaningful on ideals containing the divisor.
     """
 
-    group: Optional[UnitalGroup]
-    structure: Structure
-    divisor: Ideal
+    __slots__ = ("group", "structure", "divisor")
 
     @property
     def trivial(self) -> bool:
@@ -373,7 +382,7 @@ def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:
     """
     check_ideal(G.structure, I)
     res = _quotient(G.structure, I, G.unit)
-    return QuotientResult(None if res is None else UnitalGroup(*res), G.structure, I)
+    return QuotientResult(None if res is None else _trusted_group(*res), G.structure, I)
 
 
 def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:

@@ -14,12 +14,11 @@ primality and maximality on the many-valued side independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Element,
     LGroupError,
     UnitalGroup,
+    _Record,
     add,
     check_element,
     join,
@@ -34,8 +33,7 @@ class OutOfInterval(LGroupError):
     """An operand lies outside [0, u]."""
 
 
-@dataclass(frozen=True)
-class GammaAlgebra:
+class GammaAlgebra(_Record):
     """Operations of the interval [0, u] of a unital group.
 
     Elements are plain group elements validated into the interval;
@@ -43,7 +41,7 @@ class GammaAlgebra:
     u - x, and ``odot`` the dual truncated product.
     """
 
-    group: UnitalGroup
+    __slots__ = ("group",)
 
     @property
     def unit(self) -> Element:

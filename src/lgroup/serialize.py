@@ -26,8 +26,7 @@ indent, trailing newline), so equal values always produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
 from .core import (
     Atom,
@@ -36,10 +35,11 @@ from .core import (
     LGroupError,
     NotAStrongUnit,
     Prod,
-    ShapeMismatch,
     Structure,
     UnitalGroup,
     _is_int,
+    _Record,
+    _trusted_group,
 )
 from .ideals import (
     AtomIdeal,
@@ -180,34 +180,33 @@ def ideal_from_json(structure: Structure, obj, path: str = "ideal") -> Ideal:
     raise ParseError(path, f"expected \"zero\", \"all\", prod, or bottom, got {obj!r}")
 
 
-@dataclass(frozen=True)
-class ElementEntry:
-    value: Element
-    mv: bool = False
+class ElementEntry(_Record):
+    __slots__ = ("value", "mv")
+    _defaults = {"mv": False}
 
 
-@dataclass(frozen=True)
-class PatchTask:
-    mode: str  # "keimel" or "strong"
-    ideals: Tuple[Ideal, ...]
-    targets: Tuple[Element, ...]
+class PatchTask(_Record):
+    __slots__ = ("mode", "ideals", "targets")  # mode: "keimel" or "strong"
 
 
-@dataclass(frozen=True)
-class ZeroSetTask:
-    generators: Tuple[Element, ...]
-    targets: Tuple[Element, ...]
+class ZeroSetTask(_Record):
+    __slots__ = ("generators", "targets")
 
 
 Task = Union[PatchTask, ZeroSetTask]
 
 
-@dataclass
-class Instance:
-    group: UnitalGroup
-    ideals: Dict[str, Ideal] = field(default_factory=dict)
-    elements: Dict[str, ElementEntry] = field(default_factory=dict)
-    task: Optional[Task] = None
+class Instance(_Record):
+    """A parsed instance file; mutable, so unhashable."""
+
+    __slots__ = ("group", "ideals", "elements", "task")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, group: UnitalGroup, ideals=None, elements=None, task=None):
+        self.group, self.task = group, task
+        self.ideals = {} if ideals is None else ideals
+        self.elements = {} if elements is None else elements
 
 
 def _require_keys(obj: dict, allowed: set, path: str) -> None:
@@ -257,8 +256,9 @@ def instance_from_json(obj) -> Instance:
     structure = structure_from_json(obj["structure"])
     unit = element_from_json(structure, obj["unit"], "unit")
     try:
-        group = UnitalGroup(structure, unit)
-    except (ShapeMismatch, NotAStrongUnit) as exc:
+        # element_from_json has checked the unit's shape
+        group = _trusted_group(structure, unit)
+    except NotAStrongUnit as exc:
         raise ParseError("unit", str(exc)) from exc
     instance = Instance(group)
     ideals = obj.get("ideals", {})

@@ -16,11 +16,10 @@ topological laws by exhaustive enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable
 
-from .core import Atom, LGroupError, Prod, UnitalGroup, check_element
+from .core import Atom, LGroupError, Prod, UnitalGroup, _Record, check_element
 from .ideals import (
     CACHE_SIZE,
     AtomIdeal,
@@ -39,8 +38,7 @@ class UnknownPrime(LGroupError):
     """A locus referenced an ideal that is not a prime of this spectrum."""
 
 
-@dataclass(frozen=True)
-class SpectrumSpace:
+class SpectrumSpace(_Record):
     """All prime ideals of a group, with the forest of their specialization
     order.
 
@@ -52,17 +50,15 @@ class SpectrumSpace:
     exactly when ``primes[i]`` is maximal.
     """
 
-    group: UnitalGroup
-    primes: tuple
-    cover: tuple
+    __slots__ = ("group", "primes", "cover")
 
-    def __post_init__(self):
-        n = len(self.primes)
-        if len(self.cover) != n or not all(
-            c is None or (type(c) is int and i < c < n)
-            for i, c in enumerate(self.cover)
+    def __init__(self, group, primes: tuple, cover: tuple):
+        n = len(primes)
+        if len(cover) != n or not all(
+            c is None or (type(c) is int and i < c < n) for i, c in enumerate(cover)
         ):
             raise ValueError("each cover must be None or the index of a later prime")
+        _Record.__init__(self, group, primes, cover)
 
     def __len__(self) -> int:
         return len(self.primes)

@@ -82,6 +82,21 @@ def tall_groups(max_height: int = 30) -> list:
     return out
 
 
+def tower_instance(height: int, level: str = "lex", list_unit: bool = False) -> str:
+    """Instance text for a tree of lex levels, or of prod levels each with a
+    Z beside the rest, over Z, optionally listing the unit as an element;
+    built as text, since the encoder recurses."""
+    structure, unit = '"Z"', "1"
+    for _ in range(height):
+        if level == "lex":
+            structure = '{"lex": %s}' % structure
+        else:
+            structure = '{"prod": ["Z", %s]}' % structure
+        unit = "[1, %s]" % unit
+    elements = ', "elements": {"u": %s}' % unit if list_unit else ""
+    return '{"structure": %s, "unit": %s%s}' % (structure, unit, elements)
+
+
 def some_ideals(rng: random.Random, G: UnitalGroup, count: int = 8) -> list:
     """Every ideal of G when there are at most 64; otherwise the primes,
     zero, the whole group and ``count`` principal ideals of random elements

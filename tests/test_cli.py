@@ -10,7 +10,7 @@ import lgroup
 import lgroup.ideals
 import lgroup.spectrum
 from lgroup import GALLERY_NAMES, gallery_json
-from conftest import invoke
+from conftest import invoke, tower_instance
 from lgroup.serialize import MAX_HEIGHT
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -42,21 +42,6 @@ def test_analyze_lex_reports_witness(tmp_path):
     assert "radical: bottom(all)" in result.output
     assert "semisimple: false" in result.output
     assert "strongly semisimple: false (witness: bottom(zero))" in result.output
-
-
-def _tower(height: int, level: str = "lex", list_unit: bool = False) -> str:
-    # instance text for a tree of lex levels, or of prod levels each with a
-    # Z beside the rest, over Z, optionally listing the unit as an element;
-    # built as text, since the encoder recurses
-    structure, unit = '"Z"', "1"
-    for _ in range(height):
-        if level == "lex":
-            structure = '{"lex": %s}' % structure
-        else:
-            structure = '{"prod": ["Z", %s]}' % structure
-        unit = "[1, %s]" % unit
-    elements = ', "elements": {"u": %s}' % unit if list_unit else ""
-    return '{"structure": %s, "unit": %s%s}' % (structure, unit, elements)
 
 
 # the gallery, and a forest whose longest chain has 14 primes
@@ -116,7 +101,7 @@ def test_spectrum_exports_never_compare_ideals(tmp_path, monkeypatch):
     monkeypatch.setattr(lgroup.spectrum, "ideal_leq", refuse)
     monkeypatch.setattr(lgroup.spectrum, "closure", refuse)
     path = tmp_path / "tower.json"
-    path.write_text(_tower(70))
+    path.write_text(tower_instance(70))
     for fmt in ("json", "dot"):
         result = invoke(["spectrum", str(path), "--format", fmt])
         assert result.exit_code == 0, result.output
@@ -180,7 +165,7 @@ def test_trees_answer_up_to_the_height_limit(tmp_path, level):
     # refused at parse time with the path of the offending level (exit 3)
     assert MAX_HEIGHT == 400
     path = tmp_path / "tall.json"
-    path.write_text(_tower(MAX_HEIGHT, level, list_unit=True))
+    path.write_text(tower_instance(MAX_HEIGHT, level, list_unit=True))
     result = _run_alone("analyze", str(path))
     assert result.returncode == 0, result.stderr[-2000:]
     # the unit's value is 1 at every maximal prime
@@ -192,16 +177,28 @@ def test_trees_answer_up_to_the_height_limit(tmp_path, level):
     # primes, one per Z, and no edge
     assert result.stdout.count(" -> ") == (MAX_HEIGHT if level == "lex" else 0)
     step = ".lex" if level == "lex" else ".prod[1]"
-    path.write_text(_tower(MAX_HEIGHT + 1, level))
+    path.write_text(tower_instance(MAX_HEIGHT + 1, level))
     for args in (["analyze", str(path)], ["spectrum", str(path), "--format", "dot"]):
         result = invoke(args)
         assert result.exit_code == 3, result.output
         assert f"structure{step * MAX_HEIGHT}: structure taller than" in result.output
 
 
+@pytest.mark.parametrize("level, height", [("lex", 350), ("prod", 300)])
+def test_one_process_answers_two_commands_on_a_tall_tree(tmp_path, level, height):
+    # the second command parses an equal tree again; the spectrum cache
+    # finds it without comparing the trees level by level
+    path = tmp_path / "tall.json"
+    path.write_text(tower_instance(height, level))
+    for args in (["analyze", str(path)], ["spectrum", "--format", "dot", str(path)]):
+        result = invoke(args)
+        assert result.exit_code == 0, result.output[-2000:]
+    assert result.stdout_bytes.count(b" -> ") == (height if level == "lex" else 0)
+
+
 def test_nesting_beyond_the_decoder_is_a_parse_error(tmp_path):
     path = tmp_path / "abyss.json"
-    path.write_text(_tower(5000))
+    path.write_text(tower_instance(5000))
     result = invoke(["analyze", str(path)])
     assert result.exit_code == 3, result.output
     assert "nested too deeply" in result.output
@@ -406,6 +403,54 @@ def test_entry_points_never_load_the_law_checkers(tmp_path):
     exec("from lgroup import *", star)
     assert sorted(name for name in star if name != "__builtins__") == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(lgroup))
+
+
+# every command, run alone; the crt files cover the three task modes
+COMMANDS = {
+    "analyze": ["analyze", "{a2}"],
+    "spectrum-json": ["spectrum", "{a2}"],
+    "spectrum-dot": ["spectrum", "{a2}", "--format", "dot"],
+    "crt-keimel": ["crt", str(DATA / "crt_incompatible.json")],
+    "crt-strong": ["crt", str(DATA / "crt_not_strongly_semisimple.json")],
+    "crt-zeroset": ["crt", str(DATA / "crt_solved.json")],
+    "gallery": ["gallery", "--name", "mix"],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
+def test_commands_load_no_code_generation(tmp_path, args):
+    # dataclasses, and the inspect it loads, cost a cold call more than
+    # its own work; only modules loaded after start-up count
+    path = tmp_path / "a2.json"
+    path.write_text(gallery_json("a2"))
+    code = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "try:\n"
+        "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, 1, 2), exc.code\n"
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [a.format(a2=path) for a in args]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = set(result.stderr.splitlines()[-1].split())
+    assert "lgroup.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_no_module_imports_dataclasses():
+    package = pathlib.Path(lgroup.__file__).parent
+    for source in package.glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        assert "import dataclasses" not in text, source.name
+        assert "from dataclasses" not in text, source.name
 
 
 def test_rebinding_in_loaded_modules_reaches_every_call(tmp_path):

@@ -22,6 +22,7 @@ from lgroup import (
     congruent,
     enumerate_ideals,
     keimel_patch,
+    loads_instance,
     prod,
     quotient,
     riesz_split,
@@ -125,12 +126,20 @@ def test_zero_set_patch_validates_each_element_once(n, validation_walks):
 
 
 QUOTIENT = quotient(MIX, LEX_BOTTOM_ALL)
+MIX_TEXT = (
+    '{"structure": {"prod": ["Z", {"lex": "Z"}]}, "unit": [1, [1, 0]],'
+    ' "elements": {"a": [3, [7, -2]]}}'
+)
 ONE_WALK_PER_ARGUMENT = [
     ("riesz_split", lambda: riesz_split(MIX, (0, (0, 4)), LEX_BOTTOM_ALL, Z0), 1, 2),
     ("congruent", lambda: congruent(MIX, E0, (0, (0, 4)), LEX_BOTTOM_ALL), 2, 1),
     ("vanishing_locus", lambda: vanishing_locus(MIX, [E0, (0, (0, 4)), (1, (0, 0))]), 3, 0),
     ("project_ideal", lambda: QUOTIENT.project_ideal(Z0), 0, 1),
     ("closure", lambda: closure(MIX, compute_spectrum(MIX).primes[:2]), 0, 0),
+    # the quotient's unit is the image of G's, produced by the walk, and a
+    # parsed unit is checked as it is read: only the strong-unit check runs
+    ("quotient", lambda: quotient(MIX, LEX_BOTTOM_ALL), 0, 1),
+    ("loads_instance", lambda: loads_instance(MIX_TEXT), 0, 0),
 ]
 
 
