@@ -310,14 +310,18 @@ def neg(structure: Structure, g: Element) -> Element:
 
 
 def sub(structure: Structure, g: Element, h: Element) -> Element:
-    return add(structure, g, neg(structure, h))
+    if isinstance(structure, Atom):
+        return g - h
+    if isinstance(structure, Prod):
+        return tuple(map(sub, structure.children, g, h))
+    return (g[0] - h[0], sub(structure.bottom, g[1], h[1]))
 
 
 def scale(structure: Structure, n: int, g: Element) -> Element:
     if isinstance(structure, Atom):
         return n * g
     if isinstance(structure, Prod):
-        return tuple(scale(c, n, a) for c, a in zip(structure.children, g))
+        return tuple(map(scale, structure.children, itertools.repeat(n), g))
     return (n * g[0], scale(structure.bottom, n, g[1]))
 
 

@@ -10,14 +10,26 @@ they close, x v y = (x' + y)' + y and its De Morgan dual, are the
 references ``lgroup.laws.interval_algebra`` checks them against.  That law
 also checks the ideal bijection on a slice of the interval and finds
 primality and maximality on the many-valued side independently.
+
+The operations validate their operands into the interval; ``validate``
+is one walk: it checks x's shape and both bounds 0 <= x <= u together.  At
+a lex node the top integer decides a bound, against 0 or against u's top,
+unless it ties; only a tie passes that bound down to the bottom.  Once a
+bound fails, the walk goes on checking the shape alone, so a malformed
+operand raises ``ShapeMismatch`` (with ``check_element``'s path) even
+where its order already failed: a shape error anywhere wins over
+``OutOfInterval``, as when the shape was checked first.
 """
 
 from __future__ import annotations
 
 from .core import (
+    Atom,
     Element,
     LGroupError,
+    Prod,
     UnitalGroup,
+    _is_int,
     _Record,
     add,
     check_element,
@@ -48,9 +60,13 @@ class GammaAlgebra(_Record):
         return self.group.unit
 
     def validate(self, x: Element) -> Element:
-        check_element(self.group.structure, x)
+        """x, if it lies in [0, u]: one walk (see the module docstring)
+        raises ``ShapeMismatch`` if x is malformed, else ``OutOfInterval``."""
         s = self.group.structure
-        if not (leq(s, zero(s), x) and leq(s, x, self.group.unit)):
+        verdict = _between(s, x, self.group.unit, True, True)
+        if verdict is None:
+            check_element(s, x)  # raises, naming the first bad position
+        if not verdict:
             raise OutOfInterval(f"{x!r} is not between 0 and the unit")
         return x
 
@@ -85,3 +101,31 @@ class GammaAlgebra(_Record):
 
     def _neg(self, x: Element) -> Element:
         return sub(self.group.structure, self.group.unit, x)
+
+
+def _between(s, x: Element, u: Element, low: bool, high: bool):
+    """None when x is not of shape s, by ``check_element``'s tests; else
+    whether 0 <= x (if ``low``) and x <= u (if ``high``) in s."""
+    if isinstance(s, Atom):
+        if not _is_int(x):
+            return None
+        return (not low or 0 <= x) and (not high or x <= u)
+    if isinstance(s, Prod):
+        if not isinstance(x, tuple) or len(x) != len(s.children):
+            return None
+        verdict = True
+        for child, part, top in zip(s.children, x, u):
+            inside = _between(child, part, top, low, high)
+            if inside is None:
+                return None
+            if not inside:  # out of the interval: check the shape only
+                verdict = low = high = False
+        return verdict
+    if not isinstance(x, tuple) or len(x) != 2 or not _is_int(x[0]):
+        return None
+    top = x[0]
+    verdict = (not low or 0 <= top) and (not high or top <= u[0])
+    # only a tie leaves a bound to the bottom
+    low, high = verdict and low and top == 0, verdict and high and top == u[0]
+    inside = _between(s.bottom, x[1], u[1], low, high)
+    return inside if inside is None else verdict and inside

@@ -14,8 +14,7 @@ they are 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, FrozenSet, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
 
 from .core import (
     Atom,
@@ -29,6 +28,9 @@ from .core import (
 )
 from .ideals import Ideal, check_ideal, is_all_ideal
 from .spectrum import SpectrumSpace, compute_spectrum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NotMaximal(LGroupError):
@@ -87,7 +89,9 @@ def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:
     k = top_index(G.structure, m)
     if k is None:
         raise NotMaximal(m)
-    return Fraction(top_values(G.structure, g)[k], top_values(G.structure, G.unit)[k])
+    import fractions  # here, not at the top: ``crt`` loads this module
+
+    return fractions.Fraction(top_values(G.structure, g)[k], top_values(G.structure, G.unit)[k])
 
 
 def yosida_table(
@@ -99,9 +103,11 @@ def yosida_table(
     unit's table is constantly 1.  A given ``space`` must be G's spectrum:
     its maximal ideals are paired with the top positions in order.
     """
+    import fractions
+
     check_element(G.structure, g)
     space = space or compute_spectrum(G)
-    values = map(Fraction, top_values(G.structure, g), top_values(G.structure, G.unit))
+    values = map(fractions.Fraction, top_values(G.structure, g), top_values(G.structure, G.unit))
     return dict(zip(space.max_ideals(), values))
 
 

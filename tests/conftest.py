@@ -82,6 +82,15 @@ def tall_groups(max_height: int = 30) -> list:
     return out
 
 
+# the gallery, seeded random groups, and lex towers and product nests up to
+# height 12: where the closed forms are checked against their oracles
+ORACLE_GROUPS = (
+    [A2, C3, LEX, MIX, CHAIN3]
+    + [random_group(random.Random(seed)) for seed in range(20)]
+    + tall_groups(12)
+)
+
+
 def tower_instance(height: int, level: str = "lex", list_unit: bool = False) -> str:
     """Instance text for a tree of lex levels, or of prod levels each with a
     Z beside the rest, over Z, optionally listing the unit as an element;

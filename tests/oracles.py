@@ -1,9 +1,11 @@
-"""The quotient and ideal-comparison forms that the top-position walks of
-``lgroup.yosida`` replaced, kept as test oracles.
+"""Earlier definitions that closed forms of the library replaced, kept as
+test oracles; the tests check the closed forms against them.
 
-Each is the library's earlier definition, written with ``quotient``,
-``contains`` and ``ideal_leq`` over the spectrum; the tests check the
-closed forms against them.
+Most are the quotient and ideal-comparison forms that the top-position
+walks of ``lgroup.yosida`` replaced, written with ``quotient``,
+``contains`` and ``ideal_leq`` over the spectrum.  The last two are the
+compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
+one walk each.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from lgroup import (
     Atom,
     NotMaximal,
+    OutOfInterval,
+    add,
     check_element,
     check_ideal,
     compute_spectrum,
@@ -21,8 +25,11 @@ from lgroup import (
     ideal_join,
     ideal_leq,
     is_zero_ideal,
+    leq,
+    neg,
     quotient,
     radical,
+    zero,
 )
 
 
@@ -96,3 +103,18 @@ def unique_by_cover(G, generators) -> bool:
     unique = covered == frozenset(compute_spectrum(G).max_ideals())
     assert not unique or is_zero_ideal(radical(G))
     return unique
+
+
+def validate_by_four_walks(alg, x):
+    """``alg.validate(x)`` as the shape walk, a fresh zero and two
+    comparisons."""
+    s = alg.group.structure
+    check_element(s, x)
+    if not (leq(s, zero(s), x) and leq(s, x, alg.group.unit)):
+        raise OutOfInterval(f"{x!r} is not between 0 and the unit")
+    return x
+
+
+def sub_by_negation(structure, g, h):
+    """g - h as g plus the negation of h."""
+    return add(structure, g, neg(structure, h))

@@ -418,10 +418,8 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
-def test_commands_load_no_code_generation(tmp_path, args):
-    # dataclasses, and the inspect it loads, cost a cold call more than
-    # its own work; only modules loaded after start-up count
+def _loaded_after_start_up(tmp_path, args) -> set:
+    """The modules a fresh interpreter loads to run ``lgroup *args``."""
     path = tmp_path / "a2.json"
     path.write_text(gallery_json("a2"))
     code = (
@@ -440,9 +438,25 @@ def test_commands_load_no_code_generation(tmp_path, args):
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    loaded = set(result.stderr.splitlines()[-1].split())
+    return set(result.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
+def test_commands_load_no_code_generation(tmp_path, args):
+    # dataclasses, and the inspect it loads, cost a cold call more than
+    # its own work; only modules loaded after start-up count
+    loaded = _loaded_after_start_up(tmp_path, args)
     assert "lgroup.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("mode", ["crt-keimel", "crt-strong", "crt-zeroset"])
+def test_crt_loads_no_fractions(tmp_path, mode):
+    # crt reads top integers from lgroup.yosida but prints no fraction;
+    # fractions, with the decimal it loads, costs a cold call milliseconds
+    loaded = _loaded_after_start_up(tmp_path, COMMANDS[mode])
+    assert {"lgroup.crt", "lgroup.yosida"} <= loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_no_module_imports_dataclasses():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A2, CHAIN3, LEX, MIX
+from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS
+from oracles import sub_by_negation
 from lgroup import (
     Atom,
     NotAStrongUnit,
@@ -15,6 +16,7 @@ from lgroup import (
     lex,
     prod,
     scale,
+    sub,
     unital_group_violations,
     validate_unital_group,
     zero,
@@ -171,6 +173,28 @@ def test_unit_dominates_within_computed_bound(name, data):
     g = data.draw(elements(G.structure))
     n0 = _top_magnitude_bound(G.structure, g)
     assert G.leq(g, G.scale(n0, G.unit))
+
+
+WALK_CASES = [(G, elements(G.structure)) for G in ORACLE_GROUPS]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_sub_is_addition_of_the_negation(data):
+    G, e = data.draw(st.sampled_from(WALK_CASES))
+    g, h = data.draw(e), data.draw(e)
+    assert sub(G.structure, g, h) == sub_by_negation(G.structure, g, h)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_scale_is_repeated_addition(data):
+    G, e = data.draw(st.sampled_from(WALK_CASES))
+    g, n = data.draw(e), data.draw(st.integers(-6, 6))
+    total = G.zero()
+    for _ in range(abs(n)):
+        total = G.add(total, g)
+    assert scale(G.structure, n, g) == (total if n >= 0 else G.neg(total))
 
 
 def test_elements_in_box_counts():

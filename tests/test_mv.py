@@ -1,14 +1,20 @@
 import random
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import A2, C3, LEX, MIX, random_element, random_group
+from conftest import A2, C3, LEX, MIX, ORACLE_GROUPS, random_element, random_group
+from oracles import validate_by_four_walks
 from lgroup import (
+    Atom,
     AtomIdeal,
     GammaAlgebra,
     LexIdeal,
     LGroupError,
     OutOfInterval,
+    Prod,
     ShapeMismatch,
     laws,
     radical,
@@ -137,6 +143,71 @@ def test_bad_operands_raise_as_the_first_check_does():
             for x, y in ((b, good), (good, b), (b, bad[0])):
                 assert _raised(lambda: alg.mv_join(x, y)) == _raised(lambda: _composed_join(alg, x, y))
                 assert _raised(lambda: alg.mv_meet(x, y)) == _raised(lambda: _composed_meet(alg, x, y))
+
+
+class Count(int):
+    """An int subclass: it passes as an integer, as bool does not."""
+
+
+Pair = namedtuple("Pair", "first second")
+
+MALFORMED = st.sampled_from([True, False, None, "x", "ab", 1.0, [], [0, 0], ()])
+
+
+def _near(bound):
+    return st.integers(bound - 1, bound + 1)
+
+
+def _integer(bound):
+    n = st.one_of(_near(0), _near(bound), st.integers(min(0, bound) - 3, max(0, bound) + 3))
+    return n.flatmap(lambda k: st.sampled_from([k, Count(k)]))
+
+
+def _or_malformed(good, bad, malformed):
+    if not malformed:
+        return good
+    return st.integers(0, 7).flatmap(lambda k: st.one_of(bad, MALFORMED) if k == 0 else good)
+
+
+def operands(s, u, malformed):
+    """Values about [0, u] in s: integers at, just inside and just outside
+    each bound (a lex top tying with 0 or u's top included), int
+    subclasses, namedtuples and, when ``malformed``, bad parts anywhere."""
+    if isinstance(s, Atom):
+        return _or_malformed(_integer(u), st.nothing(), malformed)
+    if isinstance(s, Prod):
+        parts = st.tuples(*map(operands, s.children, u, [malformed] * len(u)))
+        good = parts.flatmap(lambda t: st.sampled_from([t, Pair(*t)] if len(t) == 2 else [t]))
+        bad = parts.flatmap(lambda t: st.sampled_from([t[:-1], t + (0,), list(t)]))
+        return _or_malformed(good, bad, malformed)
+    top = _integer(u[0])
+    pair = st.tuples(top, operands(s.bottom, u[1], malformed))
+    good = pair.flatmap(lambda t: st.sampled_from([t, Pair(*t)]))
+    bad = st.one_of(
+        pair.map(lambda t: t[:1]),
+        pair.map(lambda t: t + (0,)),
+        st.tuples(MALFORMED, operands(s.bottom, u[1], malformed)),
+    )
+    return _or_malformed(good, bad, malformed)
+
+
+# each group with its operand strategies, well-formed and possibly malformed
+ORACLE_CASES = [(G, [operands(G.structure, G.unit, bad) for bad in (False, True)]) for G in ORACLE_GROUPS]
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_validate_agrees_with_the_four_walks(data):
+    G, strategies = data.draw(st.sampled_from(ORACLE_CASES))
+    alg = GammaAlgebra(G)
+    malformed = data.draw(st.booleans())
+    x = data.draw(strategies[malformed])
+    if not malformed and data.draw(st.booleans()):
+        x = alg.clamp(x)  # inside the interval
+    expected = _raised(lambda: validate_by_four_walks(alg, x))
+    assert _raised(lambda: alg.validate(x)) == expected
+    if expected is None:
+        assert alg.validate(x) is x
 
 
 def test_chang_radical_is_the_infinitesimal_ideal():

@@ -11,6 +11,7 @@ import pytest
 from conftest import MIX
 from lgroup import (
     AtomIdeal,
+    GammaAlgebra,
     LexIdeal,
     ProdIdeal,
     ShapeMismatch,
@@ -80,6 +81,8 @@ BAD_ARGUMENTS = [
      (1, "bottom"), BOTTOM_MSG),
     ("project_ideal", lambda: quotient(MIX, LEX_BOTTOM_ALL).project_ideal(BAD_IDEAL_CHILD),
      (1,), IDEAL_CHILD_MSG),
+    ("GammaAlgebra.oplus", lambda: GammaAlgebra(MIX).oplus(E0, BAD_BOTTOM),
+     (1, "bottom"), BOTTOM_MSG),
 ]
 
 
@@ -140,6 +143,9 @@ ONE_WALK_PER_ARGUMENT = [
     # parsed unit is checked as it is read: only the strong-unit check runs
     ("quotient", lambda: quotient(MIX, LEX_BOTTOM_ALL), 0, 1),
     ("loads_instance", lambda: loads_instance(MIX_TEXT), 0, 0),
+    # interval membership is one walk of its own; check_element walks only
+    # to name what is wrong with a malformed operand
+    ("GammaAlgebra.oplus", lambda: GammaAlgebra(MIX).oplus(E0, (1, (0, 0))), 0, 0),
 ]
 
 
@@ -151,3 +157,9 @@ ONE_WALK_PER_ARGUMENT = [
 def test_queries_validate_each_argument_once(call, elements, ideals, validation_walks):
     call()
     assert (validation_walks["check_element"], validation_walks["check_ideal"]) == (elements, ideals)
+
+
+def test_a_malformed_interval_operand_costs_one_walk(validation_walks):
+    with pytest.raises(ShapeMismatch):
+        GammaAlgebra(MIX).oplus(E0, BAD_BOTTOM)
+    assert (validation_walks["check_element"], validation_walks["check_ideal"]) == (1, 0)
