@@ -285,6 +285,38 @@ def check_element(structure: Structure, value: Element, path: Path = ()) -> None
         check_element(structure.bottom, value[1], path + ("bottom",))
 
 
+def _between(structure: Structure, x: Element, u: Element, low: bool, high: bool):
+    """None when x is malformed, by ``check_element``'s tests in its order;
+    else whether 0 <= x (if ``low``) and x <= u (if ``high``).
+
+    One walk for ``mv.GammaAlgebra.validate``: a lex top decides a bound
+    unless it ties, and after a failed bound the walk checks the shape only.
+    """
+    if isinstance(structure, Atom):
+        if not _is_int(x):
+            return None
+        return (not low or 0 <= x) and (not high or x <= u)
+    if isinstance(structure, Prod):
+        if not isinstance(x, tuple) or len(x) != len(structure.children):
+            return None
+        verdict = True
+        for child, part, top in zip(structure.children, x, u):
+            inside = _between(child, part, top, low, high)
+            if inside is None:
+                return None
+            if not inside:  # out of the interval: check the shape only
+                verdict = low = high = False
+        return verdict
+    if not isinstance(x, tuple) or len(x) != 2 or not _is_int(x[0]):
+        return None
+    top = x[0]
+    verdict = (not low or 0 <= top) and (not high or top <= u[0])
+    # only a tie leaves a bound to the bottom
+    low, high = verdict and low and top == 0, verdict and high and top == u[0]
+    inside = _between(structure.bottom, x[1], u[1], low, high)
+    return inside if inside is None else verdict and inside
+
+
 def zero(structure: Structure) -> Element:
     if isinstance(structure, Atom):
         return 0

@@ -24,12 +24,10 @@ where its order already failed: a shape error anywhere wins over
 from __future__ import annotations
 
 from .core import (
-    Atom,
     Element,
     LGroupError,
-    Prod,
     UnitalGroup,
-    _is_int,
+    _between,
     _Record,
     add,
     check_element,
@@ -66,6 +64,7 @@ class GammaAlgebra(_Record):
         verdict = _between(s, x, self.group.unit, True, True)
         if verdict is None:
             check_element(s, x)  # raises, naming the first bad position
+            raise AssertionError(f"_between and check_element disagree on {x!r}")
         if not verdict:
             raise OutOfInterval(f"{x!r} is not between 0 and the unit")
         return x
@@ -102,30 +101,3 @@ class GammaAlgebra(_Record):
     def _neg(self, x: Element) -> Element:
         return sub(self.group.structure, self.group.unit, x)
 
-
-def _between(s, x: Element, u: Element, low: bool, high: bool):
-    """None when x is not of shape s, by ``check_element``'s tests; else
-    whether 0 <= x (if ``low``) and x <= u (if ``high``) in s."""
-    if isinstance(s, Atom):
-        if not _is_int(x):
-            return None
-        return (not low or 0 <= x) and (not high or x <= u)
-    if isinstance(s, Prod):
-        if not isinstance(x, tuple) or len(x) != len(s.children):
-            return None
-        verdict = True
-        for child, part, top in zip(s.children, x, u):
-            inside = _between(child, part, top, low, high)
-            if inside is None:
-                return None
-            if not inside:  # out of the interval: check the shape only
-                verdict = low = high = False
-        return verdict
-    if not isinstance(x, tuple) or len(x) != 2 or not _is_int(x[0]):
-        return None
-    top = x[0]
-    verdict = (not low or 0 <= top) and (not high or top <= u[0])
-    # only a tie leaves a bound to the bottom
-    low, high = verdict and low and top == 0, verdict and high and top == u[0]
-    inside = _between(s.bottom, x[1], u[1], low, high)
-    return inside if inside is None else verdict and inside

@@ -7,9 +7,9 @@ PARENT and CHANGE are each a checkout directory or a git revision of this
 repository (exported with ``git archive`` into a temporary directory).  Each
 ``WORKLOAD:SEEDS`` runs one pair per seed (``A-B`` is a range, ``A,B`` a
 list): both sides run ``perfbench/run.py`` from their own checkout on the
-same seed, one run at a time, the side that runs first alternating from
-pair to pair.  ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per
-side.
+same seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one run at
+a time, the side that runs first alternating from pair to pair.
+``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
 
 The output holds, for every end-to-end metric that ``BENCHMARK.json`` lists,
 each side's runs, medians and quartiles, the change over the parent, the
@@ -179,7 +179,6 @@ def main(argv=None) -> int:
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD:SEEDS")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--traced", metavar="WORKLOAD:SEED")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
         roots = {side: checkout(spec, work, side) for side, spec in zip(SIDES, (args.parent, args.change))}
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             benchmark = json.load(f)
-        seconds = args.seconds or benchmark["run_seconds"]
+        seconds = benchmark["run_seconds"]
         report = {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
             "method": METHOD,
