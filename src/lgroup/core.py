@@ -127,8 +127,9 @@ class _Node(_Frozen):
 
     def __init_subclass__(cls):
         table = cls._table = {}
+        remove = _remove_dead_weakref  # a global, which shutdown may clear
         # when a node dies, drop its entry unless a live node has taken it
-        cls._forget = lambda dead: _remove_dead_weakref(table, dead.fields)
+        cls._forget = lambda dead: remove(table, dead.fields)
 
     def __hash__(self) -> int:
         return self._hash

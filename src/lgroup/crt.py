@@ -1,13 +1,18 @@
 """Congruence patching: the classical, strong, and zero-set solvers.
 
 The classical solver accepts any finite system of (ideal, target)
-constraints, checks pairwise compatibility modulo the join of each pair of
-ideals, and merges targets left to right: at each step the difference
+constraints and merges targets left to right: at each step the difference
 between the running solution and the next target is split across the meet
 of the processed ideals and the next ideal, and the processed-side part is
-subtracted off.  Distributivity of the ideal lattice guarantees the
-difference lies in the join that is being split, so the merge never gets
-stuck once the compatibility check has passed.
+subtracted off.  The merge is its own compatibility test, by the merge
+lemma: the running element agrees with each earlier target t_i modulo
+I_i, and the ideal lattice is distributive, so the difference at step k
+lies in the join being split exactly when t_i - t_k lies in I_i v I_k for
+every i < k.  A merge that finishes proves every pair compatible.  A stuck
+step proves some pair is not, but not which one comes first in the order
+(0, 1), (0, 2), ..., (1, 2), ... that certificates use (with (1, 2) and
+(0, 3) incompatible, the merge gets stuck at step 2), so only then are
+the pairs swept, to name it.
 
 The strong solver demands agreement only at maximal ideals above each
 pairwise join.  Every maximal ideal here sits at a top position (see
@@ -17,7 +22,7 @@ semisimple groups that weaker hypothesis upgrades to full compatibility
 and the classical merge finishes the job.  When strong semisimplicity
 fails the solver refuses with a certificate that also reports whether the
 stronger classical hypothesis happened to hold anyway (on these groups,
-that is exactly when a solution exists).
+that is exactly when a solution exists), read off the same merge.
 
 The zero-set solver is the functional form of the strong one: constraints
 are given by generator elements, whose zero sets say where each target
@@ -170,61 +175,69 @@ def riesz_split(
     and b in J.
 
     Deterministic: a coordinate claimable by both ideals goes to the first
-    one.  Raises NotInJoin otherwise.
+    one.  Raises NotInJoin otherwise.  The merge runs the same walk on
+    operands it made itself, where the merge lemma (module docstring)
+    makes a stuck step a proof of incompatibility; here the operands and
+    the split are checked.
     """
-    check_element(G.structure, d)
-    check_ideal(G.structure, I)
-    check_ideal(G.structure, J)
-    return _riesz(G, d, I, J)
-
-
-def _riesz(G: UnitalGroup, d: Element, I: Ideal, J: Ideal):
-    if not _contains(G.structure, ideal_join(I, J), d):
+    s = G.structure
+    check_element(s, d)
+    check_ideal(s, I)
+    check_ideal(s, J)
+    a = _split(s, d, I, J)
+    if a is None:
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
-    a, b = _split(G.structure, d, I, J)
-    if not (
-        _contains(G.structure, I, a)
-        and _contains(G.structure, J, b)
-        and G.add(a, b) == d
-    ):
+    b = sub(s, d, a)
+    if not (_contains(s, I, a) and _contains(s, J, b)):
         raise InternalInvariantViolation("riesz split postcondition failed")
     return a, b
 
 
 def _split(structure, d, I: Ideal, J: Ideal):
+    """The part a in I of d = a + b with b = d - a in J, or None when d is
+    not in I v J."""
     if isinstance(I, AtomIdeal):
-        if I.full:
-            return d, 0
-        if J.full:
-            return 0, d
-        return 0, 0  # d == 0 here, guaranteed by the join membership check
+        return d if I.full else (0 if J.full or d == 0 else None)
     if isinstance(I, ProdIdeal):
-        pairs = [
-            _split(c, x, p, q)
-            for c, x, p, q in zip(structure.children, d, I.parts, J.parts)
-        ]
-        return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        parts = tuple(map(_split, structure.children, d, I.parts, J.parts))
+        return None if None in parts else parts
     if I.inner is None:
-        return d, (0, zero(structure.bottom))
+        return d
     if J.inner is None:
         # give the first ideal its maximal share of the bottom component
-        ta, tb = _split(
-            structure.bottom, d[1], I.inner, all_ideal(structure.bottom)
-        )
-        return (0, ta), (d[0], tb)
-    ta, tb = _split(structure.bottom, d[1], I.inner, J.inner)
-    return (0, ta), (0, tb)
+        return 0, _split(structure.bottom, d[1], I.inner, all_ideal(structure.bottom))
+    a = None if d[0] else _split(structure.bottom, d[1], I.inner, J.inner)
+    return None if a is None else (0, a)
+
+
+def _solution(G: UnitalGroup, system: CongruenceSystem):
+    """The merged solution, verified against every constraint, or None
+    when a step gets stuck."""
+    s = G.structure
+    cons = system.constraints
+    if not cons:
+        return zero(s)
+    processed, g = cons[0]
+    for I, t in cons[1:]:
+        a = _split(s, sub(s, g, t), processed, I)
+        if a is None:
+            return None
+        g = sub(s, g, a)
+        processed = ideal_meet(processed, I)
+    _verify(G, system, g)
+    return g
 
 
 def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     """The first pair i < j whose targets differ outside the join of their
-    ideals, as (i, j, difference, join), or None."""
+    ideals, as (i, j, difference, join).  Run only once the merge has got
+    stuck, so there is one."""
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
         if not _contains(G.structure, joined, diff):
             return i, j, diff, joined
-    return None
+    raise InternalInvariantViolation("the merge got stuck on a compatible system")
 
 
 def _max_failure(G: UnitalGroup, system: CongruenceSystem):
@@ -263,33 +276,19 @@ def _verify(G: UnitalGroup, system: CongruenceSystem, g: Element) -> None:
 def keimel_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     """Solve a congruence system under the pairwise-compatibility hypothesis.
 
-    Checks that every two targets agree modulo the join of their ideals
-    (returning an Incompatible certificate with 0-based constraint indices
-    on failure), then merges targets sequentially.  The loop keeps the
-    invariant that the running element is congruent to every processed
-    target; the empty system solves to zero.
+    Merges targets sequentially, keeping the invariant that the running
+    element is congruent to every processed target; the empty system
+    solves to zero, and every solution is verified against each
+    constraint.  By the merge lemma (module docstring) a stuck step proves
+    that some two targets disagree modulo the join of their ideals; only
+    then are the pairs swept, to name the first such pair in an
+    Incompatible certificate with 0-based constraint indices.
     """
-    return _merge(G, _normalize(G, system))
-
-
-def _merge(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
-    # keimel_patch on a system that has been validated already
-    bad = _pairwise_failure(G, system)
-    if bad is not None:
-        i, j, diff, joined = bad
-        return PatchResult(certificate=Incompatible(i, j, diff, joined))
-    cons = system.constraints
-    if not cons:
-        return PatchResult(solution=zero(G.structure))
-    g = cons[0][1]
-    processed = cons[0][0]
-    for Ik, gk in cons[1:]:
-        d = sub(G.structure, g, gk)
-        a, _ = _riesz(G, d, processed, Ik)
-        g = sub(G.structure, g, a)
-        processed = ideal_meet(processed, Ik)
-    _verify(G, system, g)
-    return PatchResult(solution=g)
+    system = _normalize(G, system)
+    g = _solution(G, system)
+    if g is not None:
+        return PatchResult(solution=g)
+    return PatchResult(certificate=Incompatible(*_pairwise_failure(G, system)))
 
 
 def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
@@ -300,10 +299,13 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     Three phases: check the maximal-ideal hypothesis for every pair, which
     asks that the two targets have equal integers at every top position
     where both ideals are proper (see ``lgroup.yosida``; the diagonal is
-    vacuous); gate on strong semisimplicity, refusing with a diagnostic
-    certificate otherwise; then hand over to the classical merge, whose
-    stronger hypothesis is now guaranteed to hold and whose result is
-    verified against every constraint.
+    vacuous); gate on strong semisimplicity; run the classical merge once.
+    On a strongly semisimple group the pairwise hypothesis now holds, so
+    the merge finishes and its result is verified.  Otherwise the solver
+    refuses with a diagnostic certificate whose keimel_hypothesis_holds
+    says whether the merge finished (by the merge lemma of the module
+    docstring, whether every pair is compatible); only a stuck merge
+    sweeps the pairs, to name incompatible_pair.
     """
     return _strong(G, _normalize(G, system))
 
@@ -315,21 +317,15 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
         maximal = compute_spectrum(G).max_ideals()[k]
         return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
+    g = _solution(G, system)
     if not ok:
-        bad = _pairwise_failure(G, system)
-        return PatchResult(
-            certificate=NotStronglySemisimple(
-                witness=witness,
-                keimel_hypothesis_holds=bad is None,
-                incompatible_pair=None if bad is None else (bad[0], bad[1]),
-            )
-        )
-    result = _merge(G, system)
-    if result.solution is None:
+        pair = None if g is not None else _pairwise_failure(G, system)[:2]
+        return PatchResult(certificate=NotStronglySemisimple(witness, g is not None, pair))
+    if g is None:
         raise InternalInvariantViolation(
             "maximal agreement failed to upgrade on a strongly semisimple group"
         )
-    return result
+    return PatchResult(solution=g)
 
 
 def zero_set_patch(

@@ -3,9 +3,11 @@ test oracles; the tests check the closed forms against them.
 
 Most are the quotient and ideal-comparison forms that the top-position
 walks of ``lgroup.yosida`` replaced, written with ``quotient``,
-``contains`` and ``ideal_leq`` over the spectrum.  The last two are the
+``contains`` and ``ideal_leq`` over the spectrum.  Then come the
 compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
-one walk each.
+one walk each, and the three patch solvers as they were before the merge
+became their compatibility test: a sweep over all pairs first, then a
+merge through ``riesz_split``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,13 @@ from fractions import Fraction
 
 from lgroup import (
     Atom,
+    Incompatible,
+    IncompatibleOnZeroSets,
+    MaxHypothesisViolated,
     NotMaximal,
+    NotStronglySemisimple,
     OutOfInterval,
+    PatchResult,
     add,
     check_element,
     check_ideal,
@@ -24,11 +31,15 @@ from lgroup import (
     contains,
     ideal_join,
     ideal_leq,
+    ideal_meet,
+    is_strongly_semisimple,
     is_zero_ideal,
     leq,
     neg,
+    principal_ideal,
     quotient,
     radical,
+    riesz_split,
     zero,
 )
 
@@ -118,3 +129,52 @@ def validate_by_four_walks(alg, x):
 def sub_by_negation(structure, g, h):
     """g - h as g plus the negation of h."""
     return add(structure, g, neg(structure, h))
+
+
+def patch_by_sweep(G, system) -> PatchResult:
+    """``keimel_patch``: the first pair i < j whose targets differ outside
+    the join of their ideals, else a merge through ``riesz_split``."""
+    system = list(system)
+    for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(enumerate(system), 2):
+        joined, diff = ideal_join(Ii, Ij), G.sub(gi, gj)
+        if not contains(G.structure, joined, diff):
+            return PatchResult(certificate=Incompatible(i, j, diff, joined))
+    if not system:
+        return PatchResult(solution=zero(G.structure))
+    processed, g = system[0]
+    for I, t in system[1:]:
+        a, _ = riesz_split(G, G.sub(g, t), processed, I)
+        g = G.sub(g, a)
+        processed = ideal_meet(processed, I)
+    return PatchResult(solution=g)
+
+
+def strong_patch_by_sweep(G, system) -> PatchResult:
+    """``strong_patch``: the maximal-ideal hypothesis by comparing ideals,
+    then ``patch_by_sweep``, whose sweep also gives the diagnostic of a
+    group that is not strongly semisimple."""
+    system = list(system)
+    failure = max_hypothesis_failure(G, system)
+    if failure is not None:
+        return PatchResult(certificate=MaxHypothesisViolated(*failure))
+    result = patch_by_sweep(G, system)
+    ok, witness = is_strongly_semisimple(G)
+    if ok:
+        assert result.solved
+        return result
+    cert = result.certificate
+    pair = None if cert is None else (cert.i, cert.j)
+    return PatchResult(certificate=NotStronglySemisimple(witness, cert is None, pair))
+
+
+def zero_set_patch_by_sweep(G, generators, targets) -> PatchResult:
+    """``zero_set_patch``: ``strong_patch_by_sweep`` on the principal
+    ideals of the generators, unique when their zero sets cover."""
+    system = [(principal_ideal(G.structure, h), t) for h, t in zip(generators, targets)]
+    result = strong_patch_by_sweep(G, system)
+    cert = result.certificate
+    if isinstance(cert, MaxHypothesisViolated):
+        return PatchResult(certificate=IncompatibleOnZeroSets(cert.i, cert.j, cert.maximal))
+    if cert is not None:
+        return result
+    return PatchResult(solution=result.solution, unique=unique_by_cover(G, generators))

@@ -75,12 +75,13 @@ def test_a_workload_pairs_runs_by_seed():
     end_to_end = [
         {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15},
     ]
     pairs = [
-        (1, "parent", {"parent": _result(0, {"op_p50_s": 2.0, "ops_per_s": 0.5}),
-                       "change": _result(0, {"op_p50_s": 1.0, "ops_per_s": 1.0})}),
-        (2, "change", {"parent": _result(1, {"op_p50_s": 3.0, "ops_per_s": 0.3}),
-                       "change": _result(0, {"op_p50_s": 4.0, "ops_per_s": 0.25})}),
+        (1, "parent", {"parent": _result(0, {"op_p50_s": 2.0, "ops_per_s": 0.5, "peak_rss_mb": 20}),
+                       "change": _result(0, {"op_p50_s": 1.0, "ops_per_s": 1.0, "peak_rss_mb": 23})}),
+        (2, "change", {"parent": _result(1, {"op_p50_s": 3.0, "ops_per_s": 0.3, "peak_rss_mb": 20}),
+                       "change": _result(0, {"op_p50_s": 4.0, "ops_per_s": 0.25, "peak_rss_mb": 23.2})}),
     ]
     w = bench_pairs.summarize_workload(pairs, end_to_end)
     assert (w["pairs"], w["seeds"], w["first"]) == (2, [1, 2], ["parent", "change"])
@@ -90,3 +91,25 @@ def test_a_workload_pairs_runs_by_seed():
     assert (op["unit"], op["parent_runs"], op["change_runs"]) == ("s", [2.0, 3.0], [1.0, 4.0])
     assert (op["parent_median"], op["change_median"], op["better_in"]) == (2.5, 2.5, "1 of 2")
     assert w["metrics"]["ops_per_s"]["better_in"] == "1 of 2"
+    # 23.1 MB against a bound of 20 * 1.15 = 23.0
+    assert w["outside_bound"] == ["peak_rss_mb"]
+
+
+def test_the_report_names_its_command_line_and_both_sides():
+    argv = ["HEAD~1", "/tmp/a b", "batch:1-2", "--claim", "batch:op_p50_s", "--out", "B.json"]
+    specs = {"parent": "HEAD~1", "change": "/tmp/a b"}
+    head = bench_pairs.report_head(argv, specs, {"parent": "f" * 40, "change": None}, 30)
+    # quoted for a shell, so it can be pasted back
+    assert head["tool"] == (
+        "python3 tools/bench_pairs.py 'HEAD~1' '/tmp/a b' batch:1-2 --claim batch:op_p50_s --out B.json"
+    )
+    assert head["sides"] == {
+        "parent": {"spec": "HEAD~1", "commit": "f" * 40},
+        "change": {"spec": "/tmp/a b", "commit": None},
+    }
+    assert head["command"] == "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0"
+    assert list(head) == ["command", "tool", "sides", "method", "machine"]
+
+
+def test_a_directory_is_its_own_checkout_without_a_commit(tmp_path):
+    assert bench_pairs.checkout(str(tmp_path), "unused", "parent") == (str(tmp_path), None)

@@ -10,17 +10,22 @@ from conftest import (
     GALLERY_GROUPS,
     LEX,
     MIX,
+    ORACLE_GROUPS,
     random_element,
     some_ideals,
     tall_groups,
 )
 from oracles import (
     max_hypothesis_failure,
+    patch_by_sweep,
     primes_agree,
+    strong_patch_by_sweep,
     unique_by_cover,
     zero_set_overlap_failure,
+    zero_set_patch_by_sweep,
     zero_sets_agree,
 )
+import lgroup.crt
 from lgroup import (
     AtomIdeal,
     CongruenceSystem,
@@ -44,9 +49,15 @@ from lgroup import (
     ideal_leq,
     ideal_meet,
     keimel_patch,
+    lex,
+    principal_ideal,
     principal_zero_set,
+    prod,
+    radical,
     riesz_split,
     strong_patch,
+    validate_unital_group,
+    Z,
     zero_ideal,
     zero_set_patch,
 )
@@ -57,6 +68,20 @@ M3 = ProdIdeal((AtomIdeal(True), AtomIdeal(True), AtomIdeal(False)))
 A2_M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True)))
 A2_M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False)))
 LEX_MAX = LexIdeal(AtomIdeal(True))
+
+# pairs (1, 2) and (0, 3) are incompatible and every other pair is
+# compatible, so the merge gets stuck at step 2 while the first pair in
+# certificate order is (0, 3)
+STUCK_AT_2 = [(A2_M2, (-1, -1)), (A2_M1, (-1, 0)), (A2_M1, (0, -1)), (A2_M2, (-1, 1))]
+# the same shape on a group that is not strongly semisimple, where the
+# four targets agree at every maximal ideal above each join: constraints
+# (<h>, t) for the generators h and targets t below
+LEX2 = validate_unital_group(prod(lex(Z), lex(Z)), ((1, 0), (1, 0)))
+LEX2_GENERATORS = [((1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
+LEX2_TARGETS = [((0, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1))]
+LEX2_SYSTEM = [
+    (principal_ideal(LEX2.structure, h), t) for h, t in zip(LEX2_GENERATORS, LEX2_TARGETS)
+]
 
 
 def test_riesz_split_shared_coordinate_goes_first():
@@ -486,3 +511,117 @@ def test_zero_set_solver_refuses_off_strongly_semisimple_instances():
         assert cert.keimel_hypothesis_holds == keimel_patch(G, system).solved
         diagnostics.append(cert.keimel_hypothesis_holds)
     assert set(diagnostics) == {True, False}
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The systems that ``lgroup.crt._pairwise_failure`` sweeps while a
+    test runs, one entry per call."""
+    calls = []
+    sweep = lgroup.crt._pairwise_failure
+
+    def counted(G, system):
+        calls.append(system)
+        return sweep(G, system)
+
+    monkeypatch.setattr(lgroup.crt, "_pairwise_failure", counted)
+    return calls
+
+
+def test_only_a_stuck_merge_sweeps_the_pairs(sweeps):
+    # a solved system is never swept, by any of the three solvers
+    system = [(A2_M1, (5, 7)), (A2_M2, (3, 4)), (A2_M1, (5, 1))]
+    assert keimel_patch(A2, system).solution == (5, 4)
+    assert strong_patch(A2, system).solution == (5, 4)
+    assert zero_set_patch(C3, [(0, 0, 1), (1, 0, 0)], [(2, 4, 6), (0, 4, 1)]).solved
+    # nor is one refused on a group that is not strongly semisimple, when
+    # the merge finishes
+    z = zero_ideal(LEX.structure)
+    cert = strong_patch(LEX, [(z, (0, 1)), (z, (0, 1))]).certificate
+    assert cert.keimel_hypothesis_holds and cert.incompatible_pair is None
+    assert sweeps == []
+    # a refusal naming a pair sweeps once
+    cert = keimel_patch(A2, STUCK_AT_2).certificate
+    assert isinstance(cert, Incompatible) and (cert.i, cert.j) == (0, 3)
+    assert len(sweeps) == 1
+    cert = strong_patch(LEX, [(z, (0, 0)), (z, (0, 1))]).certificate
+    assert cert.incompatible_pair == (0, 1)
+    assert len(sweeps) == 2
+    cert = zero_set_patch(LEX2, LEX2_GENERATORS, LEX2_TARGETS).certificate
+    assert isinstance(cert, NotStronglySemisimple) and cert.incompatible_pair == (0, 3)
+    assert len(sweeps) == 3
+
+
+def _oracle_systems(rng, G):
+    """The empty system, two single constraints, and eight systems of two
+    to six constraints around a common base, half of them with one
+    target moved by a random element or by a member of the radical."""
+    s, everything = G.structure, all_ideal(G.structure)
+    ideals, rad = some_ideals(rng, G), radical(G)
+    yield []
+    for _ in range(2):
+        yield [(rng.choice(ideals), random_element(rng, s, 2))]
+    for _ in range(8):
+        base = random_element(rng, s, 2)
+        system = []
+        for _ in range(rng.randint(2, 6)):
+            I = rng.choice(ideals)
+            inside, _ = riesz_split(G, random_element(rng, s, 2), I, everything)
+            system.append((I, G.add(base, inside)))
+        if rng.random() < 0.5:
+            k, move = rng.randrange(len(system)), random_element(rng, s, 1)
+            if rng.random() < 0.5:
+                move, _ = riesz_split(G, move, rad, everything)
+            system[k] = (system[k][0], G.add(system[k][1], move))
+        yield system
+
+
+def test_solvers_agree_with_the_sweep_first_solvers():
+    # every field of every result: solution, unique and the certificates
+    rng = random.Random(1313)
+    seen = set()
+
+    def check(result, expected):
+        assert result == expected
+        cert = result.certificate
+        seen.add((type(cert).__name__, getattr(cert, "keimel_hypothesis_holds", result.unique)))
+
+    for G in ORACLE_GROUPS:
+        for system in _oracle_systems(rng, G):
+            check(keimel_patch(G, system), patch_by_sweep(G, system))
+            check(strong_patch(G, system), strong_patch_by_sweep(G, system))
+            gens = [random_element(rng, G.structure, 1) for _ in system]
+            targets = [t for _, t in system]
+            check(zero_set_patch(G, gens, targets), zero_set_patch_by_sweep(G, gens, targets))
+    # every outcome occurs: a solution, unique or not, and each refusal,
+    # with the classical hypothesis holding or not
+    assert seen == {
+        ("NoneType", False), ("NoneType", True), ("Incompatible", False),
+        ("MaxHypothesisViolated", False), ("IncompatibleOnZeroSets", False),
+        ("NotStronglySemisimple", False), ("NotStronglySemisimple", True),
+    }
+    # a merge stuck at step 2 still names the first pair, (0, 3)
+    for G, system in ((A2, STUCK_AT_2), (LEX2, LEX2_SYSTEM)):
+        check(keimel_patch(G, system), patch_by_sweep(G, system))
+        check(strong_patch(G, system), strong_patch_by_sweep(G, system))
+    check(
+        zero_set_patch(LEX2, LEX2_GENERATORS, LEX2_TARGETS),
+        zero_set_patch_by_sweep(LEX2, LEX2_GENERATORS, LEX2_TARGETS),
+    )
+    assert keimel_patch(A2, STUCK_AT_2).certificate.j == 3
+    assert strong_patch(LEX2, LEX2_SYSTEM).certificate.incompatible_pair == (0, 3)
+
+
+def test_riesz_split_refuses_exactly_outside_the_join():
+    rng = random.Random(1314)
+    for G in ORACLE_GROUPS:
+        ideals = some_ideals(rng, G)
+        for _ in range(10):
+            I, J = rng.choice(ideals), rng.choice(ideals)
+            d = random_element(rng, G.structure, 1)
+            if contains(G.structure, ideal_join(I, J), d):
+                a, b = riesz_split(G, d, I, J)
+                assert G.add(a, b) == d
+            else:
+                with pytest.raises(NotInJoin):
+                    riesz_split(G, d, I, J)

@@ -129,6 +129,23 @@ def test_intern_tables_hold_only_live_nodes():
     assert _tables() == before
 
 
+def test_a_node_dying_after_the_module_globals_are_cleared(monkeypatch):
+    # at interpreter shutdown the module globals can be None before the
+    # last nodes die; their callbacks must not look anything up there
+    import lgroup.core
+
+    errors = []
+    monkeypatch.setattr(sys, "unraisablehook", errors.append)
+    monkeypatch.setattr(lgroup.core, "_remove_dead_weakref", None)
+    node = Prod((Z,) * 37 + (lex(lex(Z)),))
+    fields = _fields(node)
+    assert Prod._table[fields]() is node
+    del node
+    gc.collect()
+    assert errors == []
+    assert fields not in Prod._table
+
+
 def test_threads_building_the_same_trees_get_one_object():
     def build(k):
         s = Z

@@ -11,11 +11,13 @@ same seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one run at
 a time, the side that runs first alternating from pair to pair.
 ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
 
-The output holds, for every end-to-end metric that ``BENCHMARK.json`` lists,
-each side's runs, medians and quartiles, the change over the parent, the
-gap between the medians in parent interquartile ranges, in how many pairs
-the change reads better, and whether the change's median is within the
-metric's bound.  The claim is met when the change reads better in at least
+The output names the tool's own command line and each side's spec, with
+its commit hash when it is a git revision.  It holds, for every end-to-end
+metric that ``BENCHMARK.json`` lists, each side's runs, medians and
+quartiles, the change over the parent, the gap between the medians in
+parent interquartile ranges, in how many pairs the change reads better,
+and whether the change's median is within the metric's bound; each
+workload lists the metrics whose change median is outside it.  The claim is met when the change reads better in at least
 nine pairs in ten and its median is better than the parent's by more than
 the parent's interquartile range.  The file is rewritten after every pair.
 """
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -124,6 +127,7 @@ def summarize_workload(pairs, end_to_end) -> dict:
         "first": [first for _, first, _ in pairs],
         "failed": {side: [r[side]["failed"] for _, _, r in pairs] for side in SIDES},
         "attempted": {side: [r[side]["attempted"] for _, _, r in pairs] for side in SIDES},
+        "outside_bound": [],
         "metrics": {},
     }
     for spec in end_to_end:
@@ -131,6 +135,8 @@ def summarize_workload(pairs, end_to_end) -> dict:
         runs = {side: [r[side]["metrics"][name]["value"] for _, _, r in pairs] for side in SIDES}
         entry = summarize(runs["parent"], runs["change"], spec["better"], spec["bound"])
         out["metrics"][name] = {"unit": spec["unit"], **entry}
+        if not entry["within_bound"]:
+            out["outside_bound"].append(name)
     return out
 
 
@@ -148,15 +154,32 @@ def machine() -> str:
     return text
 
 
-def checkout(spec: str, work: str, side: str) -> str:
-    """A checkout directory: ``spec`` itself, or revision ``spec`` exported."""
+def checkout(spec: str, work: str, side: str) -> tuple:
+    """A checkout directory and its commit: ``spec`` itself and None, or
+    revision ``spec`` exported and its hash."""
     if os.path.isdir(spec):
-        return os.path.abspath(spec)
-    tar = subprocess.run(["git", "-C", ROOT, "archive", spec], capture_output=True, check=True)
+        return os.path.abspath(spec), None
+    git = ["git", "-C", ROOT]
+    commit = subprocess.run(git + ["rev-parse", "--verify", spec + "^{commit}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(git + ["archive", commit], capture_output=True, check=True)
     dest = os.path.join(work, side)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest)
-    return dest
+    return dest, commit
+
+
+def report_head(argv, specs, commits, seconds: float) -> dict:
+    """The keys that describe a run: the command each side runs, this
+    tool's command line, each side's spec and commit (None for a
+    directory), the method and the machine."""
+    return {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
+        "tool": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
+        "sides": {side: {"spec": specs[side], "commit": commits[side]} for side in SIDES},
+        "method": METHOD,
+        "machine": machine(),
+    }
 
 
 def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -180,19 +203,18 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--traced", metavar="WORKLOAD:SEED")
     parser.add_argument("--out", required=True)
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
+    specs = {"parent": args.parent, "change": args.change}
 
     with tempfile.TemporaryDirectory() as work:
-        roots = {side: checkout(spec, work, side) for side, spec in zip(SIDES, (args.parent, args.change))}
+        roots, commits = {}, {}
+        for side in SIDES:
+            roots[side], commits[side] = checkout(specs[side], work, side)
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             benchmark = json.load(f)
         seconds = benchmark["run_seconds"]
-        report = {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-            "method": METHOD,
-            "machine": machine(),
-            "workloads": {},
-        }
+        report = {**report_head(argv, specs, commits, seconds), "workloads": {}}
 
         def write():
             with open(args.out, "w", encoding="utf-8") as f:
