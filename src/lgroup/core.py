@@ -29,6 +29,19 @@ built after that would be a second object.  Entries go in with the atomic
 ``dict.setdefault``, so threads that build one tree at once get one object.
 Copying or unpickling a node re-interns it.  The other value classes are
 ``_Record``s, which compare, hash and print by their fields.
+
+A structure node also stores facts that depend on its tree alone, in the
+slots of ``_Structure``, outside its fields: the fields alone still make
+its key, hash, repr and pickle.  Its zero element is eager: it is set at
+construction from the children's stored zeros, in O(children), so
+``zero`` reads a slot at any height.  Its primes with their covers
+(``spectrum``) and its radical (``semisimple``) are lazy: the first use
+sets them and every later one reads them.  The ideals of a unital group
+are those of its tree, whatever the unit, so every group on the tree
+shares them.  The values are immutable and their ideal nodes interned, so
+two threads that fill a slot at once store equal values, and no lock is
+needed.  They live and die with the node: the tables hold it weakly, and
+no other table holds them.
 """
 
 from __future__ import annotations
@@ -139,12 +152,17 @@ class _Entry(ref):
     __slots__ = ("fields",)  # the key of the entry holding this reference
 
 
-def _intern(cls, fields: tuple):
-    """Build and enter a node; one that another thread entered first wins."""
+def _intern(cls, fields: tuple, facts: tuple = ()):
+    """Build and enter a node, with a structure's ``facts`` (the values of
+    ``_Structure.__slots__``) set before it is seen; a node that another
+    thread entered first wins."""
     table = cls._table
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
         object.__setattr__(node, name, value)
+    if facts:  # an ideal has none, and skips the loop
+        for name, value in zip(_Structure.__slots__, facts):
+            object.__setattr__(node, name, value)
     object.__setattr__(node, "_hash", hash(fields))
     mine = _Entry(node, cls._forget)
     mine.fields = fields
@@ -155,20 +173,34 @@ def _intern(cls, fields: tuple):
     return node
 
 
-class Atom(_Node):
+class _Structure(_Node):
+    """A structure node, with the stored facts of its tree (see the module
+    docstring): its zero element, and its (primes, covers) and radical, None
+    until their first use fills them with ``_store``."""
+
+    __slots__ = ("_zero", "_spectrum", "_radical")
+
+
+def _store(node: _Structure, name: str, value):
+    """Fill the lazy slot ``name`` of ``node`` with ``value``; return it."""
+    object.__setattr__(node, name, value)
+    return value
+
+
+class Atom(_Structure):
     """The ordered group of integers."""
 
     __slots__ = ()
 
     def __new__(cls):
         entry = cls._table.get(())
-        return entry and entry() or _intern(cls, ())
+        return entry and entry() or _intern(cls, (), (0, None, None))
 
     def __repr__(self) -> str:
         return "Z"
 
 
-class Prod(_Node):
+class Prod(_Structure):
     """A direct product of at least two structures, ordered componentwise."""
 
     __slots__ = ("children",)
@@ -177,20 +209,22 @@ class Prod(_Node):
         if len(children) < 2:
             raise ValueError("Prod requires at least 2 children")
         entry = cls._table.get(fields := (children,))
-        return entry and entry() or _intern(cls, fields)
+        return entry and entry() or _intern(
+            cls, fields, (tuple([c._zero for c in children]), None, None)
+        )
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
 
 
-class Lex(_Node):
+class Lex(_Structure):
     """The lexicographic extension Z x-> bottom, integer component dominant."""
 
     __slots__ = ("bottom",)
 
     def __new__(cls, bottom: "Structure"):
         entry = cls._table.get(fields := (bottom,))
-        return entry and entry() or _intern(cls, fields)
+        return entry and entry() or _intern(cls, fields, ((0, bottom._zero), None, None))
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
@@ -319,11 +353,8 @@ def _between(structure: Structure, x: Element, u: Element, low: bool, high: bool
 
 
 def zero(structure: Structure) -> Element:
-    if isinstance(structure, Atom):
-        return 0
-    if isinstance(structure, Prod):
-        return tuple(map(zero, structure.children))
-    return (0, zero(structure.bottom))
+    """The zero element, stored on the node at construction."""
+    return structure._zero
 
 
 def add(structure: Structure, g: Element, h: Element) -> Element:

@@ -64,7 +64,7 @@ from .ideals import (
     principal_ideal,
 )
 from .semisimple import is_strongly_semisimple
-from .spectrum import compute_spectrum
+from .spectrum import _spectrum_of
 from .yosida import top_values
 
 
@@ -314,7 +314,8 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     bad = _max_failure(G, system)
     if bad is not None:
         i, j, k = bad
-        maximal = compute_spectrum(G).max_ideals()[k]
+        primes, cover = _spectrum_of(G.structure)
+        maximal = [p for p, c in zip(primes, cover) if c is None][k]
         return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
     g = _solution(G, system)

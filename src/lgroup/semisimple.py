@@ -18,6 +18,7 @@ from .core import (
     Prod,
     Structure,
     UnitalGroup,
+    _store,
     leq,
     zero,
 )
@@ -38,9 +39,11 @@ def radical(G: UnitalGroup) -> Ideal:
     An atom's only maximal ideal is zero; the maximal ideals of a product
     are one child's maximal ideal with every other part whole, so their
     meet is the product of the children's radicals; and a lex extension
-    has the single maximal ideal bottom(all).
+    has the single maximal ideal bottom(all).  Like the ideals, it depends
+    on the tree alone, which stores it on first use (see ``lgroup.core``).
     """
-    return _radical(G.structure)
+    s = G.structure
+    return s._radical or _store(s, "_radical", _radical(s))
 
 
 def _radical(structure: Structure) -> Ideal:

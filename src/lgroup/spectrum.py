@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import FrozenSet, Iterable
 
-from .core import Atom, LGroupError, Prod, UnitalGroup, _Record, check_element
+from .core import Atom, LGroupError, Prod, UnitalGroup, _Record, _store, check_element
 from .ideals import (
     CACHE_SIZE,
     AtomIdeal,
@@ -96,8 +96,20 @@ class SpectrumSpace(_Record):
 @lru_cache(maxsize=CACHE_SIZE)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order."""
-    found, _ = _primes(G.structure)
-    return SpectrumSpace(G, tuple(p for p, _ in found), tuple(c for _, c in found))
+    return SpectrumSpace(G, *_spectrum_of(G.structure))
+
+
+def _spectrum_of(structure) -> tuple:
+    """(primes, covers) of ``structure``: its ideals, and so its primes, do
+    not depend on a unit, so ``_primes`` walks each tree once and the node
+    stores the result (see ``lgroup.core``)."""
+    stored = structure._spectrum
+    if stored is None:
+        found, _ = _primes(structure)
+        stored = _store(
+            structure, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found))
+        )
+    return stored
 
 
 def _primes(structure) -> tuple:

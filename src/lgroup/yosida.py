@@ -41,6 +41,27 @@ class NotMaximal(LGroupError):
         super().__init__(f"{I!r} is not a maximal ideal")
 
 
+class ForeignSpectrum(LGroupError):
+    """The spectrum handed to an evaluation is one of another tree."""
+
+    def __init__(self, structure: Structure, space: SpectrumSpace):
+        self.structure = structure
+        self.space = space
+        super().__init__(
+            f"a spectrum of {space.group.structure!r} was given for a group on {structure!r}"
+        )
+
+
+def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
+    """The maximal ideals of G, from ``space`` when given.  A spectrum
+    depends on the tree alone, so one of any group on G's tree will do."""
+    if space is None:
+        return compute_spectrum(G).max_ideals()
+    if space.group.structure is not G.structure:
+        raise ForeignSpectrum(G.structure, space)
+    return space.max_ideals()
+
+
 def top_values(structure: Structure, g: Element) -> list:
     """g's integers at the top positions, in the order of ``max_ideals()``:
     an atom's value, a product's children in order, a lex node's dominant
@@ -100,23 +121,24 @@ def yosida_table(
     """Map each maximal ideal to the value of g there.
 
     The domain is exactly the maximal spectrum, in enumeration order; the
-    unit's table is constantly 1.  A given ``space`` must be G's spectrum:
-    its maximal ideals are paired with the top positions in order.
+    unit's table is constantly 1.  A given ``space`` must be a spectrum of
+    G's tree, else ``ForeignSpectrum`` is raised: its maximal ideals are
+    paired with the top positions in order.
     """
     import fractions
 
     check_element(G.structure, g)
-    space = space or compute_spectrum(G)
+    maxes = _max_ideals(G, space)
     values = map(fractions.Fraction, top_values(G.structure, g), top_values(G.structure, G.unit))
-    return dict(zip(space.max_ideals(), values))
+    return dict(zip(maxes, values))
 
 
 def principal_zero_set(
     G: UnitalGroup, g: Element, space: Optional[SpectrumSpace] = None
 ) -> FrozenSet[Ideal]:
-    """Maximal ideals containing g: those at the top positions where g is 0."""
+    """Maximal ideals containing g: those at the top positions where g is 0.
+    A given ``space`` is checked as in ``yosida_table``."""
     check_element(G.structure, g)
-    space = space or compute_spectrum(G)
     return frozenset(
-        m for m, v in zip(space.max_ideals(), top_values(G.structure, g)) if v == 0
+        m for m, v in zip(_max_ideals(G, space), top_values(G.structure, g)) if v == 0
     )

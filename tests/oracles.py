@@ -7,7 +7,8 @@ walks of ``lgroup.yosida`` replaced, written with ``quotient``,
 compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
 one walk each, and the three patch solvers as they were before the merge
 became their compatibility test: a sweep over all pairs first, then a
-merge through ``riesz_split``.
+merge through ``riesz_split``.  Last come the walks over a tree whose
+results its node now stores: its zero, primes and radical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import lgroup.semisimple
+import lgroup.spectrum
 from lgroup import (
     Atom,
     Incompatible,
@@ -24,6 +27,7 @@ from lgroup import (
     NotStronglySemisimple,
     OutOfInterval,
     PatchResult,
+    Prod,
     add,
     check_element,
     check_ideal,
@@ -178,3 +182,23 @@ def zero_set_patch_by_sweep(G, generators, targets) -> PatchResult:
     if cert is not None:
         return result
     return PatchResult(solution=result.solution, unique=unique_by_cover(G, generators))
+
+
+def zero_by_walk(structure):
+    """The zero element, built by recursion on the tree."""
+    if isinstance(structure, Atom):
+        return 0
+    if isinstance(structure, Prod):
+        return tuple(map(zero_by_walk, structure.children))
+    return (0, zero_by_walk(structure.bottom))
+
+
+def primes_by_walk(structure) -> tuple:
+    """(primes, covers) from a fresh walk of the tree, past its stored ones."""
+    found, _ = lgroup.spectrum._primes(structure)
+    return tuple(p for p, _ in found), tuple(c for _, c in found)
+
+
+def radical_by_walk(structure):
+    """The radical from a fresh walk of the tree, past its stored one."""
+    return lgroup.semisimple._radical(structure)

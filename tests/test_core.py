@@ -214,3 +214,16 @@ def test_structures_render_without_recursion():
         # far deeper than the recursion limit: repr is a walk
         assert repr(tower(3000, level)) == opening * 3000 + "Z" + ")" * 3000
     assert repr(lex(prod(Z, lex(Z), prod(Z, Z)))) == "Lex(Prod(Z, Lex(Z), Prod(Z, Z)))"
+
+
+@pytest.mark.parametrize("level", ["lex", "prod"])
+def test_zero_answers_on_3000_level_trees(level):
+    # far deeper than the recursion limit: each node stores its zero
+    s = Z
+    for _ in range(3000):
+        s = lex(s) if level == "lex" else prod(Z, s)
+    z = zero(s)
+    for _ in range(3000):
+        assert len(z) == 2 and z[0] == 0
+        z = z[1]
+    assert z == 0

@@ -625,3 +625,15 @@ def test_riesz_split_refuses_exactly_outside_the_join():
             else:
                 with pytest.raises(NotInJoin):
                     riesz_split(G, d, I, J)
+
+
+def test_strong_names_its_maximal_ideal_without_a_spectrum_call():
+    # the targets differ at top position 0, where both ideals are proper
+    G = validate_unital_group(prod(Z, Z), (3, 5))
+    system = [(zero_ideal(G), (0, 0)), (A2_M1, (1, 0))]
+    calls = compute_spectrum.cache_info()
+    result = strong_patch(G, system)
+    after = compute_spectrum.cache_info()
+    assert (after.hits, after.misses) == (calls.hits, calls.misses)
+    assert result.certificate == MaxHypothesisViolated(0, 1, A2_M1)
+    assert A2_M1 == compute_spectrum(G).max_ideals()[0]

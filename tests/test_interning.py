@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from conftest import tower_instance
+from oracles import primes_by_walk, radical_by_walk
 from lgroup import (
     Atom,
     AtomIdeal,
@@ -47,6 +48,8 @@ from lgroup import (
     loads_instance,
     prod,
     quotient,
+    radical,
+    scale,
     structure_from_json,
     validate_unital_group,
 )
@@ -129,6 +132,39 @@ def test_intern_tables_hold_only_live_nodes():
     assert _tables() == before
 
 
+def test_filled_slots_leave_equality_hash_repr_copy_and_pickle():
+    s = prod(Z, lex(prod(Z, lex(Z))), lex(Z), lex(lex(Z)), Z)
+    G = UnitalGroup(s, (1, (1, (2, (1, 0))), (1, 0), (1, (0, 0)), 4))
+    assert (s._spectrum, s._radical) == (None, None)
+    seen = (hash(s), repr(s), pickle.dumps(s), s._values(), s.__reduce__())
+    compute_spectrum(G)
+    radical(G)
+    assert s._spectrum is not None and s._radical is not None
+    assert (hash(s), repr(s), pickle.dumps(s), s._values(), s.__reduce__()) == seen
+    assert s == prod(Z, lex(prod(Z, lex(Z))), lex(Z), lex(lex(Z)), Z) and s != lex(s)
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert copy.deepcopy(G) == G and pickle.loads(pickle.dumps(G)) == G
+
+
+def test_stored_facts_die_with_their_trees():
+    # the spectra and radicals of 1,000 distinct trees keep no node alive
+    # once the trees and the spectrum cache are dropped
+    compute_spectrum.cache_clear()
+    gc.collect()
+    before = _tables()
+    for i in range(1000):
+        s, unit = Z, 1
+        for bit in bin(i + 1024)[3:]:  # ten levels spelling i
+            s, unit = (Lex(s), (1, unit)) if bit == "1" else (Prod((s, Z)), (unit, 2))
+        G = UnitalGroup(s, unit)
+        assert len(compute_spectrum(G)) and radical(G) is s._radical
+    del s, G
+    compute_spectrum.cache_clear()
+    gc.collect()
+    assert _tables() == before
+
+
 def test_a_node_dying_after_the_module_globals_are_cleared(monkeypatch):
     # at interpreter shutdown the module globals can be None before the
     # last nodes die; their callbacks must not look anything up there
@@ -179,6 +215,50 @@ def test_threads_building_the_same_trees_get_one_object():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert split == []
+
+
+def test_threads_filling_one_slot_store_equal_values():
+    # 4 threads ask at once for the spectra and radicals of the same 40
+    # fresh trees, each with its own unit; a slot filled twice must hold
+    # the walk's values either way
+    def tree(k):
+        s, unit = Z, 1
+        for level in range(k % 5 + 2):
+            s, unit = (Lex(s), (1, unit)) if (k + level) % 2 else (Prod((Z, s)), (2, unit))
+        return s, unit
+
+    results, errors = [None] * 4, []
+    step = threading.Barrier(4)
+
+    def run(t):
+        try:
+            for _ in range(20):
+                step.wait()
+                groups = [UnitalGroup(s, scale(s, t + 1, u)) for s, u in map(tree, range(40))]
+                results[t] = [(compute_spectrum(G).primes, radical(G)) for G in groups]
+                if step.wait() == 0:
+                    walks = [(primes_by_walk(G.structure)[0], radical_by_walk(G.structure)) for G in groups]
+                    errors.extend(r for r in results if r != walks)
+                step.wait()
+                results[t] = None
+                compute_spectrum.cache_clear()
+        except Exception as exc:  # a failing thread fails the test
+            errors.append(exc)
+            step.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        step.abort()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def _tall(height: int, ideal: bool):

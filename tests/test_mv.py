@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A2, C3, LEX, MIX, ORACLE_GROUPS, random_element, random_group
-from oracles import validate_by_four_walks
+from oracles import validate_by_four_walks, zero_by_walk
 from lgroup import (
     Atom,
     AtomIdeal,
@@ -16,8 +16,12 @@ from lgroup import (
     OutOfInterval,
     Prod,
     ShapeMismatch,
+    add,
+    join,
     laws,
+    meet,
     radical,
+    sub,
 )
 
 CHANG = GammaAlgebra(LEX)
@@ -213,3 +217,16 @@ def test_validate_agrees_with_the_four_walks(data):
 def test_chang_radical_is_the_infinitesimal_ideal():
     assert radical(LEX) == LexIdeal(AtomIdeal(True))
     assert laws.interval_algebra(LEX) == []
+
+
+def test_clamp_and_odot_agree_with_a_walked_zero():
+    # both read the stored zero; the references join with a zero built anew
+    rng = random.Random(1414)
+    for G in ORACLE_GROUPS:
+        s, u, z = G.structure, G.unit, zero_by_walk(G.structure)
+        alg = GammaAlgebra(G)
+        for _ in range(10):
+            x = random_element(rng, s, 3)
+            assert alg.clamp(x) == join(s, z, meet(s, x, u))
+            a, b = alg.clamp(x), alg.clamp(random_element(rng, s, 3))
+            assert alg.odot(a, b) == join(s, z, sub(s, add(s, a, b), u))

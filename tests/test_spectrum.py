@@ -4,7 +4,8 @@ import pytest
 
 import lgroup.ideals
 import lgroup.spectrum
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
+from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, ORACLE_GROUPS, random_group, tall_groups
+from oracles import primes_by_walk, radical_by_walk, zero_by_walk
 from lgroup import (
     Atom,
     AtomIdeal,
@@ -29,9 +30,11 @@ from lgroup import (
     lex,
     prod,
     quotient,
+    radical,
     specialization_dot,
     spectrum_json,
     vanishing_locus,
+    zero,
     zero_ideal,
 )
 
@@ -246,3 +249,34 @@ def test_specialization_matches_pairwise_containment():
         assert specialization_dot(space) == _pairwise_dot(space)
         assert spectrum_json(space) == _pairwise_json(space)
         assert all(c is None or c > i for i, c in enumerate(space.cover))
+
+
+def test_stored_facts_agree_with_their_walks():
+    for G in ORACLE_GROUPS + tall_groups(30):
+        s = G.structure
+        assert zero(s) == G.zero() == zero_by_walk(s)
+        space = compute_spectrum(G)
+        assert (space.primes, space.cover) == s._spectrum == primes_by_walk(s)
+        assert radical(G) is s._radical is radical_by_walk(s)
+
+
+def test_groups_on_one_tree_share_one_primes_walk(monkeypatch):
+    # the primes depend on the tree, not the unit: five units, one walk
+    s = prod(lex(prod(Z, Z, Z, Z, Z)), lex(lex(Z)), Z, lex(Z))
+    assert s._spectrum is None
+    walks = []
+    walk = lgroup.spectrum._primes
+
+    def counted(structure):
+        walks.append(structure)
+        return walk(structure)
+
+    monkeypatch.setattr(lgroup.spectrum, "_primes", counted)
+    spaces = [
+        compute_spectrum(UnitalGroup(s, ((k, (0,) * 5), (1, (k, 0)), k, (2, -k))))
+        for k in range(1, 6)
+    ]
+    assert walks.count(s) == 1
+    assert len({space.group for space in spaces}) == 5
+    assert all(space.primes is spaces[0].primes for space in spaces)
+    assert all(space.cover is spaces[0].cover for space in spaces)

@@ -20,6 +20,7 @@ from oracles import holder_eval_by_quotient, zero_set_by_membership
 from lgroup import (
     AtomIdeal,
     LexIdeal,
+    LGroupError,
     NotMaximal,
     ProdIdeal,
     compute_spectrum,
@@ -28,9 +29,11 @@ from lgroup import (
     holder_eval,
     principal_zero_set,
     radical,
+    UnitalGroup,
     yosida_table,
     zero_ideal,
 )
+from lgroup.yosida import ForeignSpectrum
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
 M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False), AtomIdeal(True)))
@@ -169,3 +172,16 @@ def test_table_and_serialization():
     table = yosida_table(C3, (0, 3, 0), space)
     assert set(table) == set(space.max_ideals())
     assert list(table.values()) == [0, Fraction(3, 2), 0]
+
+
+def test_a_spectrum_of_another_tree_is_refused():
+    # MIX has two maximal ideals to C3's three: zip would pair two of them
+    space = compute_spectrum(MIX)
+    for evaluate in (yosida_table, principal_zero_set):
+        with pytest.raises(ForeignSpectrum, match=r"Prod\(Z, Lex\(Z\)\).*Prod\(Z, Z, Z\)") as exc:
+            evaluate(C3, (1, 1, 1), space)
+        assert isinstance(exc.value, LGroupError)
+    # a spectrum of another unit on the same tree is the group's own
+    other = compute_spectrum(UnitalGroup(C3.structure, (3, 1, 2)))
+    assert yosida_table(C3, (1, 0, 2), other) == yosida_table(C3, (1, 0, 2))
+    assert principal_zero_set(C3, (1, 0, 0), other) == principal_zero_set(C3, (1, 0, 0)) == {M2, M3}
