@@ -23,13 +23,13 @@ from lgroup import (
     LGroupError,
     NotMaximal,
     ProdIdeal,
+    UnitalGroup,
     compute_spectrum,
     contains,
     elements_in_box,
     holder_eval,
     principal_zero_set,
     radical,
-    UnitalGroup,
     yosida_table,
     zero_ideal,
 )
