@@ -32,21 +32,35 @@ Copying or unpickling a node re-interns it.  The other value classes are
 
 A structure node also stores facts that depend on its tree alone, in the
 slots of ``_Structure``, outside its fields: the fields alone still make
-its key, hash, repr and pickle.  Its zero element is eager: it is set at
-construction from the children's stored zeros, in O(children), so
-``zero`` reads a slot at any height.  Its primes with their covers
-(``spectrum``) and its radical (``semisimple``) are lazy: the first use
-sets them and every later one reads them.  The ideals of a unital group
-are those of its tree, whatever the unit, so every group on the tree
-shares them.  The values are immutable and their ideal nodes interned, so
-two threads that fill a slot at once store equal values, and no lock is
+its key, hash, repr and pickle.  Eager facts are set at construction from
+the children's, in O(children), before the node is seen: its zero
+element, atom count and chain flag, and its element kernels.  The kernels
+are closures for ``add``, ``sub``, ``meet``, ``join``, ``leq`` and the
+interval check ``_between``, so each of those functions reads a slot and
+calls what is there, with no dispatch on the node class per call; ``neg``
+subtracts from the stored zero, and the shape test of ``check_element`` is
+the interval check with neither bound.  An atom's kernels are the
+builtins; a product maps its children's kernel in C when they are one
+tree, and otherwise loops over its children, doing an atom child's
+interval check inline; a lex node reads the top and calls its bottom's.
+A kernel calls its children's from a loop or a ``map``, never from a
+comprehension, so it adds one frame per tree level and no more, and no
+code is generated.  The constructors refuse a child that is not a
+structure, naming its position.  The lazy facts are its primes with their
+covers (``spectrum``) and its radical (``semisimple``): the first use sets
+them and every later one reads them.  The ideals of a unital group are
+those of its tree, whatever the unit, so every group on the tree shares
+them.  The values are immutable and their ideal nodes interned, so two
+threads that fill a slot at once store equal values, and no lock is
 needed.  They live and die with the node: the tables hold it weakly, and
-no other table holds them.
+no other table holds them.  A ``UnitalGroup`` likewise stores its unit's
+top integers outside its fields, on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Iterator, Union
 from _weakref import _remove_dead_weakref, ref
 
@@ -175,16 +189,160 @@ def _intern(cls, fields: tuple, facts: tuple = ()):
 
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
-    docstring): its zero element, and its (primes, covers) and radical, None
-    until their first use fills them with ``_store``."""
+    docstring): its zero element, atom count and chain flag, its element
+    kernels, and its (primes, covers) and radical, None until their first
+    use fills them with ``_store``."""
 
-    __slots__ = ("_zero", "_spectrum", "_radical")
+    __slots__ = (
+        "_zero", "_atoms", "_chain", "_add", "_sub", "_meet", "_join", "_leq", "_between",
+        "_spectrum", "_radical",
+    )
 
 
 def _store(node: _Structure, name: str, value):
     """Fill the lazy slot ``name`` of ``node`` with ``value``; return it."""
     object.__setattr__(node, name, value)
     return value
+
+
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass; JSON "true" must not pass as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _atom_between(x, u, low, high):
+    if x.__class__ is bool or not isinstance(x, int):
+        return None
+    return (not low or 0 <= x) and (not high or x <= u)
+
+
+# an atom's zero, atom count, chain flag and kernels: the builtins
+_ATOM_FACTS = (0, 1, True, operator.add, operator.sub, min, max, operator.le, _atom_between,
+               None, None)
+
+
+def _refuse_non_structures(children: tuple, steps: tuple) -> None:
+    for step, child in zip(steps, children):
+        if not isinstance(child, _Structure):
+            raise ShapeMismatch((step,), f"expected a structure, got {child!r}")
+
+
+def _map2(kernels: list):
+    """(g, h) -> the tuple of kernel k on part k of g and h, by a loop."""
+
+    def kernel(g, h):
+        out = []
+        for f, a, b in zip(kernels, g, h):
+            out.append(f(a, b))
+        return tuple(out)
+
+    return kernel
+
+
+# the kernels a product reads from each child
+_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_join", "_leq", "_between")
+
+
+def _prod_facts(children: tuple) -> tuple:
+    """A product's facts from its children's.  When every child is one tree,
+    its kernels are mapped over the parts in C; otherwise a loop calls each
+    child's, and the interval check does an atom child's work inline.  A
+    loop, not a comprehension: one frame per tree level."""
+    try:
+        adds, subs, meets, joins, leqs, betweens = zip(*map(_KERNELS, children))
+    except AttributeError:
+        _refuse_non_structures(children, range(len(children)))
+        raise
+    n = len(children)
+    atom_between = _atom_between
+
+    def between(x, u, low, high):
+        if not isinstance(x, tuple) or len(x) != n:
+            return None
+        verdict = True
+        for f, part, top in zip(betweens, x, u):
+            if f is not atom_between:
+                inside = f(part, top, low, high)
+                if inside is None:
+                    return None
+            elif part.__class__ is bool or not isinstance(part, int):
+                return None
+            else:
+                inside = (not low or 0 <= part) and (not high or part <= top)
+            if not inside:  # out of the interval: check the shape only
+                verdict = low = high = False
+        return verdict
+
+    zero = tuple([c._zero for c in children])
+    atoms = sum([c._atoms for c in children])
+    if children.count(children[0]) == n:  # one tree: equal nodes are one object
+        add, sub, meet, join, leq = adds[0], subs[0], meets[0], joins[0], leqs[0]
+        return (
+            zero, atoms, False,
+            lambda g, h: tuple(map(add, g, h)),
+            lambda g, h: tuple(map(sub, g, h)),
+            lambda g, h: tuple(map(meet, g, h)),
+            lambda g, h: tuple(map(join, g, h)),
+            lambda g, h: all(map(leq, g, h)),
+            between, None, None,
+        )
+
+    def leq(g, h):
+        for f, a, b in zip(leqs, g, h):
+            if not f(a, b):
+                return False
+        return True
+
+    return (
+        zero, atoms, False, _map2(adds), _map2(subs), _map2(meets), _map2(joins), leq, between,
+        None, None,
+    )
+
+
+def _lex_facts(bottom: _Structure) -> tuple:
+    """A lex node's facts: its kernels read the top and call the bottom's."""
+    _refuse_non_structures((bottom,), ("bottom",))
+    add, sub, meet, join, leq = bottom._add, bottom._sub, bottom._meet, bottom._join, bottom._leq
+    below = bottom._between
+
+    def lex_meet(g, h):
+        # dominant component decides; only a tie descends into the bottom
+        if g[0] < h[0]:
+            return g
+        if h[0] < g[0]:
+            return h
+        return (g[0], meet(g[1], h[1]))
+
+    def lex_join(g, h):
+        if g[0] < h[0]:
+            return h
+        if h[0] < g[0]:
+            return g
+        return (g[0], join(g[1], h[1]))
+
+    def lex_leq(g, h):
+        if g[0] != h[0]:
+            return g[0] < h[0]
+        return leq(g[1], h[1])
+
+    def lex_between(x, u, low, high):
+        if not isinstance(x, tuple) or len(x) != 2:
+            return None
+        top = x[0]
+        if top.__class__ is bool or not isinstance(top, int):
+            return None
+        verdict = (not low or 0 <= top) and (not high or top <= u[0])
+        # only a tie leaves a bound to the bottom
+        low, high = verdict and low and top == 0, verdict and high and top == u[0]
+        inside = below(x[1], u[1], low, high)
+        return inside if inside is None else verdict and inside
+
+    return (
+        (0, bottom._zero), 1 + bottom._atoms, bottom._chain,
+        lambda g, h: (g[0] + h[0], add(g[1], h[1])),
+        lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
+        lex_meet, lex_join, lex_leq, lex_between, None, None,
+    )
 
 
 class Atom(_Structure):
@@ -194,7 +352,7 @@ class Atom(_Structure):
 
     def __new__(cls):
         entry = cls._table.get(())
-        return entry and entry() or _intern(cls, (), (0, None, None))
+        return entry and entry() or _intern(cls, (), _ATOM_FACTS)
 
     def __repr__(self) -> str:
         return "Z"
@@ -208,10 +366,11 @@ class Prod(_Structure):
     def __new__(cls, children: tuple):
         if len(children) < 2:
             raise ValueError("Prod requires at least 2 children")
-        entry = cls._table.get(fields := (children,))
-        return entry and entry() or _intern(
-            cls, fields, (tuple([c._zero for c in children]), None, None)
-        )
+        try:
+            entry = cls._table.get(fields := (children,))
+        except TypeError:  # an unhashable child, which _prod_facts refuses
+            entry = None
+        return entry and entry() or _intern(cls, fields, _prod_facts(children))
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
@@ -223,8 +382,11 @@ class Lex(_Structure):
     __slots__ = ("bottom",)
 
     def __new__(cls, bottom: "Structure"):
-        entry = cls._table.get(fields := (bottom,))
-        return entry and entry() or _intern(cls, fields, ((0, bottom._zero), None, None))
+        try:
+            entry = cls._table.get(fields := (bottom,))
+        except TypeError:  # an unhashable bottom, which _lex_facts refuses
+            entry = None
+        return entry and entry() or _intern(cls, fields, _lex_facts(bottom))
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
@@ -277,47 +439,38 @@ def lex(bottom: Structure) -> Lex:
 
 def is_chain(structure: Structure) -> bool:
     """True iff the order is total: Atom is, Lex inherits, Prod never is."""
-    if isinstance(structure, Atom):
-        return True
-    if isinstance(structure, Lex):
-        return is_chain(structure.bottom)
-    return False
+    return structure._chain
 
 
 def atom_count(structure: Structure) -> int:
     """Number of integer coordinates an element of ``structure`` carries."""
-    if isinstance(structure, Atom):
-        return 1
-    if isinstance(structure, Prod):
-        return sum(map(atom_count, structure.children))
-    return 1 + atom_count(structure.bottom)
-
-
-def _is_int(value: Any) -> bool:
-    # bool is an int subclass; JSON "true" must not pass as 1
-    return isinstance(value, int) and not isinstance(value, bool)
+    return structure._atoms
 
 
 def check_element(structure: Structure, value: Element, path: Path = ()) -> None:
     """Validate that ``value`` matches the shape of ``structure``.
 
-    Raises ShapeMismatch naming the offending structural position.
+    Raises ShapeMismatch naming the offending structural position: the
+    first in pre-order, found by descending into the first malformed part.
+    The shape test is the stored interval check with neither bound.
     """
-    if isinstance(structure, Atom):
-        if not _is_int(value):
-            raise ShapeMismatch(path, f"expected an integer, got {value!r}")
-    elif isinstance(structure, Prod):
-        n = len(structure.children)
-        if not isinstance(value, tuple) or len(value) != n:
-            raise ShapeMismatch(path, f"expected a {n}-tuple, got {value!r}")
-        for i, (child, part) in enumerate(zip(structure.children, value)):
-            check_element(child, part, path + (i,))
-    else:
-        if not isinstance(value, tuple) or len(value) != 2:
-            raise ShapeMismatch(path, f"expected a (top, bottom) pair, got {value!r}")
-        if not _is_int(value[0]):
-            raise ShapeMismatch(path + ("top",), f"expected an integer, got {value[0]!r}")
-        check_element(structure.bottom, value[1], path + ("bottom",))
+    s, x = structure, value
+    while s._between(x, x, False, False) is None:
+        if type(s) is Atom:
+            raise ShapeMismatch(path, f"expected an integer, got {x!r}")
+        if type(s) is Prod:
+            n = len(s.children)
+            if not isinstance(x, tuple) or len(x) != n:
+                raise ShapeMismatch(path, f"expected a {n}-tuple, got {x!r}")
+            bad = [c._between(part, part, False, False) is None for c, part in zip(s.children, x)]
+            i = bad.index(True)
+            s, x, path = s.children[i], x[i], path + (i,)
+            continue
+        if not isinstance(x, tuple) or len(x) != 2:
+            raise ShapeMismatch(path, f"expected a (top, bottom) pair, got {x!r}")
+        if not _is_int(x[0]):
+            raise ShapeMismatch(path + ("top",), f"expected an integer, got {x[0]!r}")
+        s, x, path = s.bottom, x[1], path + ("bottom",)
 
 
 def _between(structure: Structure, x: Element, u: Element, low: bool, high: bool):
@@ -327,29 +480,7 @@ def _between(structure: Structure, x: Element, u: Element, low: bool, high: bool
     One walk for ``mv.GammaAlgebra.validate``: a lex top decides a bound
     unless it ties, and after a failed bound the walk checks the shape only.
     """
-    if isinstance(structure, Atom):
-        if not _is_int(x):
-            return None
-        return (not low or 0 <= x) and (not high or x <= u)
-    if isinstance(structure, Prod):
-        if not isinstance(x, tuple) or len(x) != len(structure.children):
-            return None
-        verdict = True
-        for child, part, top in zip(structure.children, x, u):
-            inside = _between(child, part, top, low, high)
-            if inside is None:
-                return None
-            if not inside:  # out of the interval: check the shape only
-                verdict = low = high = False
-        return verdict
-    if not isinstance(x, tuple) or len(x) != 2 or not _is_int(x[0]):
-        return None
-    top = x[0]
-    verdict = (not low or 0 <= top) and (not high or top <= u[0])
-    # only a tie leaves a bound to the bottom
-    low, high = verdict and low and top == 0, verdict and high and top == u[0]
-    inside = _between(structure.bottom, x[1], u[1], low, high)
-    return inside if inside is None else verdict and inside
+    return structure._between(x, u, low, high)
 
 
 def zero(structure: Structure) -> Element:
@@ -358,27 +489,15 @@ def zero(structure: Structure) -> Element:
 
 
 def add(structure: Structure, g: Element, h: Element) -> Element:
-    if isinstance(structure, Atom):
-        return g + h
-    if isinstance(structure, Prod):
-        return tuple(map(add, structure.children, g, h))
-    return (g[0] + h[0], add(structure.bottom, g[1], h[1]))
+    return structure._add(g, h)
 
 
 def neg(structure: Structure, g: Element) -> Element:
-    if isinstance(structure, Atom):
-        return -g
-    if isinstance(structure, Prod):
-        return tuple(map(neg, structure.children, g))
-    return (-g[0], neg(structure.bottom, g[1]))
+    return structure._sub(structure._zero, g)
 
 
 def sub(structure: Structure, g: Element, h: Element) -> Element:
-    if isinstance(structure, Atom):
-        return g - h
-    if isinstance(structure, Prod):
-        return tuple(map(sub, structure.children, g, h))
-    return (g[0] - h[0], sub(structure.bottom, g[1], h[1]))
+    return structure._sub(g, h)
 
 
 def scale(structure: Structure, n: int, g: Element) -> Element:
@@ -391,13 +510,7 @@ def scale(structure: Structure, n: int, g: Element) -> Element:
 
 def leq(structure: Structure, g: Element, h: Element) -> bool:
     """Component/lex order comparison; a partial order, total iff chain."""
-    if isinstance(structure, Atom):
-        return g <= h
-    if isinstance(structure, Prod):
-        return all(map(leq, structure.children, g, h))
-    if g[0] != h[0]:
-        return g[0] < h[0]
-    return leq(structure.bottom, g[1], h[1])
+    return structure._leq(g, h)
 
 
 def lt(structure: Structure, g: Element, h: Element) -> bool:
@@ -405,28 +518,11 @@ def lt(structure: Structure, g: Element, h: Element) -> bool:
 
 
 def meet(structure: Structure, g: Element, h: Element) -> Element:
-    if isinstance(structure, Atom):
-        return min(g, h)
-    if isinstance(structure, Prod):
-        return tuple(map(meet, structure.children, g, h))
-    # dominant component decides; only a tie descends into the bottom
-    if g[0] < h[0]:
-        return g
-    if h[0] < g[0]:
-        return h
-    return (g[0], meet(structure.bottom, g[1], h[1]))
+    return structure._meet(g, h)
 
 
 def join(structure: Structure, g: Element, h: Element) -> Element:
-    if isinstance(structure, Atom):
-        return max(g, h)
-    if isinstance(structure, Prod):
-        return tuple(map(join, structure.children, g, h))
-    if g[0] < h[0]:
-        return h
-    if h[0] < g[0]:
-        return g
-    return (g[0], join(structure.bottom, g[1], h[1]))
+    return structure._join(g, h)
 
 
 def absval(structure: Structure, g: Element) -> Element:
@@ -481,7 +577,14 @@ def unital_group_violations(structure: Structure, unit: Element) -> list:
     return unit_violations(structure, unit)
 
 
-class UnitalGroup(_Record):
+class _GroupFacts(_Record):
+    """The slot of a group's stored fact, outside its fields: the unit's
+    top integers (``yosida``), None until their first use fills it."""
+
+    __slots__ = ("_tops",)
+
+
+class UnitalGroup(_GroupFacts):
     """A structure together with a validated strong order unit."""
 
     __slots__ = ("structure", "unit")
@@ -495,6 +598,7 @@ class UnitalGroup(_Record):
         if violations:
             raise NotAStrongUnit(violations)
         _Record.__init__(self, structure, unit)
+        object.__setattr__(self, "_tops", None)
 
     def zero(self) -> Element:
         return zero(self.structure)

@@ -12,13 +12,15 @@ also checks the ideal bijection on a slice of the interval and finds
 primality and maximality on the many-valued side independently.
 
 The operations validate their operands into the interval; ``validate``
-is one walk: it checks x's shape and both bounds 0 <= x <= u together.  At
-a lex node the top integer decides a bound, against 0 or against u's top,
-unless it ties; only a tie passes that bound down to the bottom.  Once a
-bound fails, the walk goes on checking the shape alone, so a malformed
-operand raises ``ShapeMismatch`` (with ``check_element``'s path) even
-where its order already failed: a shape error anywhere wins over
-``OutOfInterval``, as when the shape was checked first.
+is one call of the interval-check kernel that the tree stores (see
+``lgroup.core``): it checks x's shape and both bounds 0 <= x <= u
+together, in one pass over x.  At a lex node the top integer decides a
+bound, against 0 or against u's top, unless it ties; only a tie passes
+that bound down to the bottom.  Once a bound fails, the pass goes on
+checking the shape alone, so a malformed operand raises ``ShapeMismatch``
+(with ``check_element``'s path) even where its order already failed: a
+shape error anywhere wins over ``OutOfInterval``, as when the shape was
+checked first.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class GammaAlgebra(_Record):
         return self.group.unit
 
     def validate(self, x: Element) -> Element:
-        """x, if it lies in [0, u]: one walk (see the module docstring)
-        raises ``ShapeMismatch`` if x is malformed, else ``OutOfInterval``."""
+        """x, if it lies in [0, u]: one kernel call (see the module
+        docstring); ``check_element`` runs only to name what is wrong with a
+        malformed x, raising ``ShapeMismatch``; else ``OutOfInterval``."""
         s = self.group.structure
         verdict = _between(s, x, self.group.unit, True, True)
         if verdict is None:

@@ -24,6 +24,7 @@ from .core import (
     Prod,
     Structure,
     UnitalGroup,
+    _store,
     check_element,
 )
 from .ideals import Ideal, check_ideal, is_all_ideal
@@ -77,6 +78,11 @@ def top_values(structure: Structure, g: Element) -> list:
     return out
 
 
+def _unit_tops(G: UnitalGroup) -> tuple:
+    """The unit's ``top_values``, stored on G at their first use."""
+    return G._tops or _store(G, "_tops", tuple(top_values(G.structure, G.unit)))
+
+
 def top_index(structure: Structure, m: Ideal) -> Optional[int]:
     """The top position whose maximal ideal is m, or None when m is not
     maximal.
@@ -112,7 +118,7 @@ def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:
         raise NotMaximal(m)
     import fractions  # here, not at the top: ``crt`` loads this module
 
-    return fractions.Fraction(top_values(G.structure, g)[k], top_values(G.structure, G.unit)[k])
+    return fractions.Fraction(top_values(G.structure, g)[k], _unit_tops(G)[k])
 
 
 def yosida_table(
@@ -129,7 +135,7 @@ def yosida_table(
 
     check_element(G.structure, g)
     maxes = _max_ideals(G, space)
-    values = map(fractions.Fraction, top_values(G.structure, g), top_values(G.structure, G.unit))
+    values = map(fractions.Fraction, top_values(G.structure, g), _unit_tops(G))
     return dict(zip(maxes, values))
 
 

@@ -7,9 +7,11 @@ import contextlib
 import io
 import random
 import sys
+from collections import namedtuple
 from typing import NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
 import lgroup.core
 import lgroup.ideals
@@ -89,6 +91,52 @@ ORACLE_GROUPS = (
     + [random_group(random.Random(seed)) for seed in range(20)]
     + tall_groups(12)
 )
+
+
+class Count(int):
+    """An int subclass: it passes as an integer, as bool does not."""
+
+
+Pair = namedtuple("Pair", "first second")
+
+MALFORMED = st.sampled_from([True, False, None, "x", "ab", 1.0, [], [0, 0], ()])
+
+
+def _near(bound):
+    return st.integers(bound - 1, bound + 1)
+
+
+def _integer(bound):
+    n = st.one_of(_near(0), _near(bound), st.integers(min(0, bound) - 3, max(0, bound) + 3))
+    return n.flatmap(lambda k: st.sampled_from([k, Count(k)]))
+
+
+def _or_malformed(good, bad, malformed):
+    if not malformed:
+        return good
+    return st.integers(0, 7).flatmap(lambda k: st.one_of(bad, MALFORMED) if k == 0 else good)
+
+
+def operands(s, u, malformed):
+    """Values about [0, u] in s: integers at, just inside and just outside
+    each bound (a lex top tying with 0 or u's top included), int
+    subclasses, namedtuples and, when ``malformed``, bad parts anywhere."""
+    if isinstance(s, Atom):
+        return _or_malformed(_integer(u), st.nothing(), malformed)
+    if isinstance(s, Prod):
+        parts = st.tuples(*map(operands, s.children, u, [malformed] * len(u)))
+        good = parts.flatmap(lambda t: st.sampled_from([t, Pair(*t)] if len(t) == 2 else [t]))
+        bad = parts.flatmap(lambda t: st.sampled_from([t[:-1], t + (0,), list(t)]))
+        return _or_malformed(good, bad, malformed)
+    top = _integer(u[0])
+    pair = st.tuples(top, operands(s.bottom, u[1], malformed))
+    good = pair.flatmap(lambda t: st.sampled_from([t, Pair(*t)]))
+    bad = st.one_of(
+        pair.map(lambda t: t[:1]),
+        pair.map(lambda t: t + (0,)),
+        st.tuples(MALFORMED, operands(s.bottom, u[1], malformed)),
+    )
+    return _or_malformed(good, bad, malformed)
 
 
 def tower_instance(height: int, level: str = "lex", list_unit: bool = False) -> str:

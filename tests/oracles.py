@@ -8,7 +8,9 @@ compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
 one walk each, and the three patch solvers as they were before the merge
 became their compatibility test: a sweep over all pairs first, then a
 merge through ``riesz_split``.  Last come the walks over a tree whose
-results its node now stores: its zero, primes and radical.
+results its node now stores: its zero, primes and radical, its atom count
+and chain flag, and the recursive element operations that its stored
+kernels replaced, dispatching on the node class at every node.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from lgroup import (
     Atom,
     Incompatible,
     IncompatibleOnZeroSets,
+    Lex,
     MaxHypothesisViolated,
     NotMaximal,
     NotStronglySemisimple,
     OutOfInterval,
     PatchResult,
     Prod,
+    ShapeMismatch,
     add,
     check_element,
     check_ideal,
@@ -38,7 +42,6 @@ from lgroup import (
     ideal_meet,
     is_strongly_semisimple,
     is_zero_ideal,
-    leq,
     neg,
     principal_ideal,
     quotient,
@@ -124,8 +127,8 @@ def validate_by_four_walks(alg, x):
     """``alg.validate(x)`` as the shape walk, a fresh zero and two
     comparisons."""
     s = alg.group.structure
-    check_element(s, x)
-    if not (leq(s, zero(s), x) and leq(s, x, alg.group.unit)):
+    check_element_by_walk(s, x)
+    if not (leq_by_walk(s, zero_by_walk(s), x) and leq_by_walk(s, x, alg.group.unit)):
         raise OutOfInterval(f"{x!r} is not between 0 and the unit")
     return x
 
@@ -202,3 +205,129 @@ def primes_by_walk(structure) -> tuple:
 def radical_by_walk(structure):
     """The radical from a fresh walk of the tree, past its stored one."""
     return lgroup.semisimple._radical(structure)
+
+
+def atom_count_by_walk(structure) -> int:
+    if isinstance(structure, Atom):
+        return 1
+    if isinstance(structure, Prod):
+        return sum(map(atom_count_by_walk, structure.children))
+    return 1 + atom_count_by_walk(structure.bottom)
+
+
+def is_chain_by_walk(structure) -> bool:
+    if isinstance(structure, Atom):
+        return True
+    if isinstance(structure, Lex):
+        return is_chain_by_walk(structure.bottom)
+    return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_element_by_walk(structure, value, path=()) -> None:
+    """``check_element``: raise ShapeMismatch at the first bad position in
+    pre-order."""
+    if isinstance(structure, Atom):
+        if not _is_int(value):
+            raise ShapeMismatch(path, f"expected an integer, got {value!r}")
+    elif isinstance(structure, Prod):
+        n = len(structure.children)
+        if not isinstance(value, tuple) or len(value) != n:
+            raise ShapeMismatch(path, f"expected a {n}-tuple, got {value!r}")
+        for i, (child, part) in enumerate(zip(structure.children, value)):
+            check_element_by_walk(child, part, path + (i,))
+    else:
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise ShapeMismatch(path, f"expected a (top, bottom) pair, got {value!r}")
+        if not _is_int(value[0]):
+            raise ShapeMismatch(path + ("top",), f"expected an integer, got {value[0]!r}")
+        check_element_by_walk(structure.bottom, value[1], path + ("bottom",))
+
+
+def between_by_walk(structure, x, u, low, high):
+    """``core._between``: None when x is malformed, else whether 0 <= x (if
+    ``low``) and x <= u (if ``high``); after a failed bound only the shape
+    is checked."""
+    if isinstance(structure, Atom):
+        if not _is_int(x):
+            return None
+        return (not low or 0 <= x) and (not high or x <= u)
+    if isinstance(structure, Prod):
+        if not isinstance(x, tuple) or len(x) != len(structure.children):
+            return None
+        verdict = True
+        for child, part, top in zip(structure.children, x, u):
+            inside = between_by_walk(child, part, top, low, high)
+            if inside is None:
+                return None
+            if not inside:
+                verdict = low = high = False
+        return verdict
+    if not isinstance(x, tuple) or len(x) != 2 or not _is_int(x[0]):
+        return None
+    top = x[0]
+    verdict = (not low or 0 <= top) and (not high or top <= u[0])
+    low, high = verdict and low and top == 0, verdict and high and top == u[0]
+    inside = between_by_walk(structure.bottom, x[1], u[1], low, high)
+    return inside if inside is None else verdict and inside
+
+
+def add_by_walk(structure, g, h):
+    if isinstance(structure, Atom):
+        return g + h
+    if isinstance(structure, Prod):
+        return tuple(map(add_by_walk, structure.children, g, h))
+    return (g[0] + h[0], add_by_walk(structure.bottom, g[1], h[1]))
+
+
+def neg_by_walk(structure, g):
+    if isinstance(structure, Atom):
+        return -g
+    if isinstance(structure, Prod):
+        return tuple(map(neg_by_walk, structure.children, g))
+    return (-g[0], neg_by_walk(structure.bottom, g[1]))
+
+
+def sub_by_walk(structure, g, h):
+    if isinstance(structure, Atom):
+        return g - h
+    if isinstance(structure, Prod):
+        return tuple(map(sub_by_walk, structure.children, g, h))
+    return (g[0] - h[0], sub_by_walk(structure.bottom, g[1], h[1]))
+
+
+def leq_by_walk(structure, g, h) -> bool:
+    if isinstance(structure, Atom):
+        return g <= h
+    if isinstance(structure, Prod):
+        return all(map(leq_by_walk, structure.children, g, h))
+    if g[0] != h[0]:
+        return g[0] < h[0]
+    return leq_by_walk(structure.bottom, g[1], h[1])
+
+
+def meet_by_walk(structure, g, h):
+    if isinstance(structure, Atom):
+        return min(g, h)
+    if isinstance(structure, Prod):
+        return tuple(map(meet_by_walk, structure.children, g, h))
+    if g[0] < h[0]:
+        return g
+    if h[0] < g[0]:
+        return h
+    return (g[0], meet_by_walk(structure.bottom, g[1], h[1]))
+
+
+def join_by_walk(structure, g, h):
+    if isinstance(structure, Atom):
+        return max(g, h)
+    if isinstance(structure, Prod):
+        return tuple(map(join_by_walk, structure.children, g, h))
+    if g[0] < h[0]:
+        return h
+    if h[0] < g[0]:
+        return g
+    return (g[0], join_by_walk(structure.bottom, g[1], h[1]))

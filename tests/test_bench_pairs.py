@@ -16,6 +16,42 @@ def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("1301-1305") == [1301, 1302, 1303, 1304, 1305]
     assert bench_pairs.parse_seeds("7,3,9") == [7, 3, 9]
     assert bench_pairs.parse_seeds("12") == [12]
+    assert bench_pairs.parse_seeds("4-4") == [4]
+    for text in ("2101-2006", "5-4", "1-", ""):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(text)
+
+
+ROOT = str(TOOL.parents[1])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["batch:2101-2006", "--claim", "batch:op_p50_s"],  # a reversed range
+        ["batch:7-7", "wide:3-2"],
+        ["batch:"],
+        ["batch"],
+        ["batch:1-2", "batch:3-4"],  # one workload twice
+        ["batch:1-2", "--claim", "wide:op_p50_s"],  # a claim on no run
+        ["batch:1-2", "--claim", "batch"],
+        ["batch:1-2", "--traced", "deep:5"],  # a traced run of no run
+        ["batch:1-2", "--traced", "batch:x"],
+        ["bogus:1-2"],  # no such workload in BENCHMARK.json
+        ["batch:1-2", "--claim", "batch:op_p99_s"],  # no such metric
+    ],
+)
+def test_bad_arguments_are_a_usage_error_before_anything_runs(args, monkeypatch, tmp_path, capsys):
+    def refuse(*_):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run", refuse)
+    out = tmp_path / "B.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([ROOT, ROOT, *args, "--out", str(out)])
+    assert info.value.code == 2
+    assert "usage: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quartiles_use_the_inclusive_method():

@@ -1,19 +1,47 @@
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS
-from oracles import sub_by_negation
+import lgroup
+from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS, operands, random_structure, random_unit
+from oracles import (
+    add_by_walk,
+    atom_count_by_walk,
+    between_by_walk,
+    check_element_by_walk,
+    is_chain_by_walk,
+    join_by_walk,
+    leq_by_walk,
+    meet_by_walk,
+    neg_by_walk,
+    sub_by_negation,
+    sub_by_walk,
+)
 from lgroup import (
     Atom,
+    GammaAlgebra,
+    Lex,
     NotAStrongUnit,
     Prod,
     ShapeMismatch,
+    UnitalGroup,
     Z,
+    add,
+    atom_count,
+    check_element,
     elements_in_box,
     is_chain,
+    join,
     leq,
     lex,
+    meet,
+    neg,
     prod,
     scale,
     sub,
@@ -21,6 +49,7 @@ from lgroup import (
     validate_unital_group,
     zero,
 )
+from lgroup.core import _between
 
 GROUPS = {"a2": A2, "lex": LEX, "mix": MIX, "chain3": CHAIN3}
 
@@ -227,3 +256,109 @@ def test_zero_answers_on_3000_level_trees(level):
         assert len(z) == 2 and z[0] == 0
         z = z[1]
     assert z == 0
+    # the atom count and the chain flag are stored at construction too
+    assert atom_count(s) == 3001
+    assert is_chain(s) is (level == "lex")
+
+
+@pytest.mark.parametrize(
+    "build, path, got",
+    [
+        (lambda: prod(Z, 5), (1,), "5"),
+        (lambda: prod(Z, None), (1,), "None"),
+        (lambda: lex("Z"), ("bottom",), "'Z'"),
+        (lambda: Prod((lex(Z), Z, [Z])), (2,), "[Z]"),
+        (lambda: lex([Z]), ("bottom",), "[Z]"),
+    ],
+    ids=["int", "none", "string", "list", "list-bottom"],
+)
+def test_constructors_refuse_a_child_that_is_not_a_structure(build, path, got):
+    tables = len(Prod._table), len(Lex._table)
+    with pytest.raises(ShapeMismatch) as info:
+        build()
+    assert type(info.value) is ShapeMismatch and info.value.path == path
+    assert str(info.value).endswith(f": expected a structure, got {got}")
+    assert (len(Prod._table), len(Lex._table)) == tables
+
+
+def _seeded_tree_group(seed):
+    # deeper and wider than conftest's random groups
+    rng = random.Random(seed)
+    structure = random_structure(rng, max_depth=6, max_width=3)
+    return UnitalGroup(structure, random_unit(rng, structure))
+
+
+# products whose children are one tree, which map its kernels in C
+TWINS = [
+    UnitalGroup(prod(lex(Z), lex(Z)), ((1, 0), (2, -1))),
+    UnitalGroup(prod(*[lex(prod(Z, Z))] * 3), ((1, (0, 0)), (2, (1, -1)), (1, (3, 2)))),
+]
+# these, the oracle groups and 30 seeded random trees, with their operand
+# strategies, well-formed and possibly malformed
+KERNEL_CASES = st.sampled_from([
+    (G, [operands(G.structure, G.unit, bad) for bad in (False, True)])
+    for G in TWINS + ORACLE_GROUPS + [_seeded_tree_group(seed) for seed in range(1500, 1530)]
+])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_element_kernels_agree_with_their_walks(data):
+    G, (good, _) = data.draw(KERNEL_CASES)
+    s = G.structure
+    g, h = data.draw(good), data.draw(good)
+    assert add(s, g, h) == add_by_walk(s, g, h)
+    assert sub(s, g, h) == sub_by_walk(s, g, h)
+    assert neg(s, g) == neg_by_walk(s, g)
+    assert meet(s, g, h) == meet_by_walk(s, g, h)
+    assert join(s, g, h) == join_by_walk(s, g, h)
+    assert leq(s, g, h) is leq_by_walk(s, g, h)
+    assert (atom_count(s), is_chain(s)) == (atom_count_by_walk(s), is_chain_by_walk(s))
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except ShapeMismatch as exc:
+        return type(exc), exc.path, str(exc)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_shape_and_interval_kernels_agree_with_their_walks(data):
+    # operands drawn with True, int and tuple subclasses, wrong arities and
+    # lex values that are not pairs at any position
+    G, (_, maybe_bad) = data.draw(KERNEL_CASES)
+    s, u = G.structure, G.unit
+    x = data.draw(maybe_bad)
+    shape_error = _raised(check_element_by_walk, s, x)
+    assert _raised(check_element, s, x) == shape_error
+    for low in (False, True):
+        for high in (False, True):
+            assert _between(s, x, u, low, high) == between_by_walk(s, x, u, low, high)
+    if shape_error is not None:
+        # a shape error wins over OutOfInterval, wherever the order failed
+        with pytest.raises(ShapeMismatch) as info:
+            GammaAlgebra(G).validate(x)
+        assert (type(info.value), info.value.path, str(info.value)) == shape_error
+
+
+def test_kernels_answer_on_a_900_level_lex_tower():
+    # in a fresh interpreter, as deep as the parser never goes: one frame
+    # per level, as the recursive walks took
+    code = (
+        "from lgroup import GammaAlgebra, UnitalGroup, Z, add, lex, meet\n"
+        "s, u = Z, 1\n"
+        "for _ in range(900):\n"
+        "    s, u = lex(s), (1, u)\n"
+        "G = UnitalGroup(s, u)\n"
+        "assert add(s, u, u)[0] == 2 and meet(s, u, G.zero()) == G.zero()\n"
+        "assert GammaAlgebra(G).validate(u) is u\n"
+        "print('ok')\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["ok"]

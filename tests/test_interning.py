@@ -52,6 +52,7 @@ from lgroup import (
     scale,
     structure_from_json,
     validate_unital_group,
+    yosida_table,
 )
 
 NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)
@@ -145,6 +146,22 @@ def test_filled_slots_leave_equality_hash_repr_copy_and_pickle():
     assert copy.copy(s) is s and copy.deepcopy(s) is s
     assert pickle.loads(pickle.dumps(s)) is s
     assert copy.deepcopy(G) == G and pickle.loads(pickle.dumps(G)) == G
+
+
+def test_a_filled_group_slot_leaves_equality_hash_repr_copy_and_pickle():
+    # a group stores its unit's top integers outside its fields
+    s = prod(Z, lex(prod(Z, lex(Z))), lex(Z))
+    G = UnitalGroup(s, (1, (2, (1, (1, 0))), (3, 0)))
+    assert G._tops is None
+    seen = (hash(G), repr(G), pickle.dumps(G), G._values(), G.__reduce__())
+    yosida_table(G, G.unit)
+    assert G._tops == (1, 2, 3)
+    assert (hash(G), repr(G), pickle.dumps(G), G._values(), G.__reduce__()) == seen
+    fresh = UnitalGroup(s, (1, (2, (1, (1, 0))), (3, 0)))
+    assert G == fresh and hash(G) == hash(fresh) and fresh._tops is None
+    for twin in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+        assert twin == G and twin._tops is None
+    assert repr(G) == "UnitalGroup(structure=Prod(Z, Lex(Prod(Z, Lex(Z))), Lex(Z)), unit=(1, (2, (1, (1, 0))), (3, 0)))"
 
 
 def test_stored_facts_die_with_their_trees():

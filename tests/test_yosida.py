@@ -185,3 +185,22 @@ def test_a_spectrum_of_another_tree_is_refused():
     other = compute_spectrum(UnitalGroup(C3.structure, (3, 1, 2)))
     assert yosida_table(C3, (1, 0, 2), other) == yosida_table(C3, (1, 0, 2))
     assert principal_zero_set(C3, (1, 0, 0), other) == principal_zero_set(C3, (1, 0, 0)) == {M2, M3}
+
+
+def test_the_unit_is_walked_once_per_group(monkeypatch):
+    # the unit's top integers are stored on the group at the first table
+    import lgroup.yosida
+
+    walked = []
+    top_values = lgroup.yosida.top_values
+    monkeypatch.setattr(lgroup.yosida, "top_values", lambda s, g: walked.append(g) or top_values(s, g))
+    G = UnitalGroup(MIX.structure, (2, (3, -1)))
+    space = compute_spectrum(G)
+    elements = [(1, (0, 5)), (0, (2, 2))]
+    tables = [yosida_table(G, g, space) for g in elements]
+    values = [holder_eval(G, g, m) for g in elements for m in space.max_ideals()]
+    # each element once per call, the unit once in all
+    assert walked == [elements[0], G.unit, elements[1]] + [g for g in elements for _ in range(2)]
+    assert [list(t.values()) for t in tables] == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]]
+    assert values == [v for t in tables for v in t.values()]
+    assert G._tops == (2, 3)

@@ -9,7 +9,11 @@ repository (exported with ``git archive`` into a temporary directory).  Each
 list): both sides run ``perfbench/run.py`` from their own checkout on the
 same seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one run at
 a time, the side that runs first alternating from pair to pair.
-``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
+``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.  A
+malformed or empty seed range, a workload listed twice or unknown to
+``BENCHMARK.json``, and a ``--claim`` or ``--traced`` workload that is not
+among the runs or metric that it does not list are usage errors (exit 2),
+raised before any run.
 
 The output names the tool's own command line and each side's spec, with
 its commit hash when it is a git revision.  It holds, for every end-to-end
@@ -50,11 +54,37 @@ METHOD = (
 
 
 def parse_seeds(text: str) -> list:
-    """``"5"``, ``"1-3"`` or ``"1,4,7"`` as a list of seeds."""
+    """``"5"``, ``"1-3"`` or ``"1,4,7"`` as a list of seeds; ValueError for
+    an empty or reversed range."""
     if "-" in text:
         first, last = map(int, text.split("-"))
+        if first > last:
+            raise ValueError(f"the seed range {text} is empty or reversed")
         return list(range(first, last + 1))
     return [int(seed) for seed in text.split(",")]
+
+
+def parse_args(parser, argv) -> tuple:
+    """The arguments, the runs as (workload, seeds) pairs and the claim and
+    traced run as pairs or None; a usage error (exit 2) for a malformed
+    spec, a repeated workload, or a claim or traced run of a workload that
+    is not among the runs.  Nothing has run yet."""
+    args = parser.parse_args(argv)
+    try:
+        runs = [(workload, parse_seeds(seeds)) for workload, seeds in (s.split(":") for s in args.runs)]
+        claimed = args.claim and tuple(args.claim.split(":"))
+        traced = args.traced and tuple(args.traced.split(":"))
+        if traced:
+            traced = traced[0], int(traced[1])
+    except ValueError as exc:
+        parser.error(f"expected WORKLOAD:SEEDS, WORKLOAD:METRIC and WORKLOAD:SEED ({exc})")
+    workloads = [workload for workload, _ in runs]
+    if len(set(workloads)) < len(workloads):
+        parser.error(f"a workload is listed twice in {' '.join(args.runs)}")
+    for option, spec in (("--claim", claimed), ("--traced", traced)):
+        if spec and (len(spec) != 2 or spec[0] not in workloads):
+            parser.error(f"{option} {getattr(args, option[2:])}: not a workload among the runs")
+    return args, runs, claimed, traced
 
 
 def quartiles(values) -> tuple:
@@ -204,7 +234,7 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", metavar="WORKLOAD:SEED")
     parser.add_argument("--out", required=True)
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(argv)
+    args, runs, claimed, traced = parse_args(parser, argv)
     specs = {"parent": args.parent, "change": args.change}
 
     with tempfile.TemporaryDirectory() as work:
@@ -214,6 +244,11 @@ def main(argv=None) -> int:
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             benchmark = json.load(f)
         seconds = benchmark["run_seconds"]
+        names = {w["name"] for w in benchmark["workloads"]}
+        if any(workload not in names for workload, _ in runs):
+            parser.error(f"the workloads of BENCHMARK.json are {', '.join(sorted(names))}")
+        if claimed and claimed[1] not in [m["name"] for m in benchmark["end_to_end"]]:
+            parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
         report = {**report_head(argv, specs, commits, seconds), "workloads": {}}
 
         def write():
@@ -221,25 +256,24 @@ def main(argv=None) -> int:
                 json.dump(report, f, indent=2)
                 f.write("\n")
 
-        for spec in args.runs:
-            workload, seeds = spec.split(":")
+        for workload, seeds in runs:
             pairs = []
-            for k, seed in enumerate(parse_seeds(seeds)):
+            for k, seed in enumerate(seeds):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 results = {side: run(roots[side], workload, seed, seconds, 0) for side in order}
                 pairs.append((seed, order[0], results))
                 report["workloads"][workload] = summarize_workload(pairs, benchmark["end_to_end"])
                 print(f"{workload} seed {seed}: pair {k + 1} done", file=sys.stderr)
                 write()
-        if args.claim:
-            workload, metric = args.claim.split(":")
+        if claimed:
+            workload, metric = claimed
             report["claim"] = claim(workload, metric, report["workloads"][workload]["metrics"][metric])
-        if args.traced:
-            workload, seed = args.traced.split(":")
+        if traced:
+            workload, seed = traced
             report["traced"] = {
                 "note": f"one traced {workload} run per side, seed {seed}, parent first; "
                 "per-layer values are per operation",
-                **{side: _values(run(roots[side], workload, int(seed), seconds, 1)) for side in SIDES},
+                **{side: _values(run(roots[side], workload, seed, seconds, 1)) for side in SIDES},
             }
         write()
     return 0
