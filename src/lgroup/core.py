@@ -199,8 +199,9 @@ class _Structure(_Node):
     )
 
 
-def _store(node: _Structure, name: str, value):
-    """Fill the lazy slot ``name`` of ``node`` with ``value``; return it."""
+def _store(node, name: str, value):
+    """Fill the lazy slot ``name`` of ``node``, a structure node or a group,
+    with ``value``; return it."""
     object.__setattr__(node, name, value)
     return value
 
