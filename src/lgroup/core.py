@@ -43,9 +43,10 @@ the interval check with neither bound.  An atom's kernels are the
 builtins; a product maps its children's kernel in C when they are one
 tree, and otherwise loops over its children, doing an atom child's
 interval check inline; a lex node reads the top and calls its bottom's.
-A kernel calls its children's from a loop or a ``map``, never from a
-comprehension, so it adds one frame per tree level and no more, and no
-code is generated.  The constructors refuse a child that is not a
+A kernel calls its children's from a loop (one frame per tree level) or
+a ``map`` (as the walks did), never from a comprehension, so it recurses
+no deeper than the recursive walks it replaced, and no code is
+generated.  The constructors refuse a child that is not a
 structure, naming its position.  The lazy facts are its primes with their
 covers (``spectrum``) and its radical (``semisimple``): the first use sets
 them and every later one reads them.  The ideals of a unital group are
@@ -248,7 +249,7 @@ def _prod_facts(children: tuple) -> tuple:
     """A product's facts from its children's.  When every child is one tree,
     its kernels are mapped over the parts in C; otherwise a loop calls each
     child's, and the interval check does an atom child's work inline.  A
-    loop, not a comprehension: one frame per tree level."""
+    loop, not a comprehension, calls each child with one frame."""
     try:
         adds, subs, meets, joins, leqs, betweens = zip(*map(_KERNELS, children))
     except AttributeError:
