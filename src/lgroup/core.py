@@ -30,11 +30,14 @@ built after that would be a second object.  Entries go in with the atomic
 Copying or unpickling a node re-interns it.  The other value classes are
 ``_Record``s, which compare, hash and print by their fields.
 
-A structure node also stores facts that depend on its tree alone, in the
-slots of ``_Structure``, outside its fields: the fields alone still make
-its key, hash, repr and pickle.  Eager facts are set at construction from
-the children's, in O(children), before the node is seen: its zero
-element, atom count and chain flag, and its element kernels.  The kernels
+Each node class also names the slots of its stored facts, ``_facts``,
+outside its fields: the fields alone still make its key, hash, repr and
+pickle, and ``_intern`` sets the facts before the node is seen.  An ideal
+node stores whether it is zero and where it is proper (see
+``lgroup.ideals``).  A structure node stores facts that depend on its
+tree alone.  Eager facts are set at construction from the children's, in
+O(children): its zero element, atom count, chain flag and ideal count,
+and its element kernels.  The kernels
 are closures for ``add``, ``sub``, ``meet``, ``join``, ``leq`` and the
 interval check ``_between``, so each of those functions reads a slot and
 calls what is there, with no dispatch on the node class per call; ``neg``
@@ -61,6 +64,7 @@ top integers outside its fields, on first use.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Any, Iterator, Union
 from _weakref import _remove_dead_weakref, ref
@@ -167,17 +171,14 @@ class _Entry(ref):
     __slots__ = ("fields",)  # the key of the entry holding this reference
 
 
-def _intern(cls, fields: tuple, facts: tuple = ()):
-    """Build and enter a node, with a structure's ``facts`` (the values of
-    ``_Structure.__slots__``) set before it is seen; a node that another
-    thread entered first wins."""
+def _intern(cls, fields: tuple, facts: tuple):
+    """Build and enter a node, with its ``facts`` (the values of
+    ``cls._facts``) set before it is seen; a node that another thread
+    entered first wins."""
     table = cls._table
     node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
+    for name, value in zip(cls.__slots__ + cls._facts, fields + facts):
         object.__setattr__(node, name, value)
-    if facts:  # an ideal has none, and skips the loop
-        for name, value in zip(_Structure.__slots__, facts):
-            object.__setattr__(node, name, value)
     object.__setattr__(node, "_hash", hash(fields))
     mine = _Entry(node, cls._forget)
     mine.fields = fields
@@ -190,13 +191,13 @@ def _intern(cls, fields: tuple, facts: tuple = ()):
 
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
-    docstring): its zero element, atom count and chain flag, its element
-    kernels, and its (primes, covers) and radical, None until their first
-    use fills them with ``_store``."""
+    docstring): its zero element, atom count, chain flag and ideal count,
+    its element kernels, and its (primes, covers) and radical, None until
+    their first use fills them with ``_store``."""
 
-    __slots__ = (
-        "_zero", "_atoms", "_chain", "_add", "_sub", "_meet", "_join", "_leq", "_between",
-        "_spectrum", "_radical",
+    __slots__ = _facts = (
+        "_zero", "_atoms", "_chain", "_ideal_count",
+        "_add", "_sub", "_meet", "_join", "_leq", "_between", "_spectrum", "_radical",
     )
 
 
@@ -218,8 +219,9 @@ def _atom_between(x, u, low, high):
     return (not low or 0 <= x) and (not high or x <= u)
 
 
-# an atom's zero, atom count, chain flag and kernels: the builtins
-_ATOM_FACTS = (0, 1, True, operator.add, operator.sub, min, max, operator.le, _atom_between,
+# an atom's zero, atom count, chain flag and ideal count (zero and all),
+# and its kernels: the builtins
+_ATOM_FACTS = (0, 1, True, 2, operator.add, operator.sub, min, max, operator.le, _atom_between,
                None, None)
 
 
@@ -277,10 +279,11 @@ def _prod_facts(children: tuple) -> tuple:
 
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
+    count = math.prod([c._ideal_count for c in children])
     if children.count(children[0]) == n:  # one tree: equal nodes are one object
         add, sub, meet, join, leq = adds[0], subs[0], meets[0], joins[0], leqs[0]
         return (
-            zero, atoms, False,
+            zero, atoms, False, count,
             lambda g, h: tuple(map(add, g, h)),
             lambda g, h: tuple(map(sub, g, h)),
             lambda g, h: tuple(map(meet, g, h)),
@@ -296,8 +299,8 @@ def _prod_facts(children: tuple) -> tuple:
         return True
 
     return (
-        zero, atoms, False, _map2(adds), _map2(subs), _map2(meets), _map2(joins), leq, between,
-        None, None,
+        zero, atoms, False, count,
+        _map2(adds), _map2(subs), _map2(meets), _map2(joins), leq, between, None, None,
     )
 
 
@@ -340,7 +343,7 @@ def _lex_facts(bottom: _Structure) -> tuple:
         return inside if inside is None else verdict and inside
 
     return (
-        (0, bottom._zero), 1 + bottom._atoms, bottom._chain,
+        (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
         lambda g, h: (g[0] + h[0], add(g[1], h[1])),
         lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
         lex_meet, lex_join, lex_leq, lex_between, None, None,

@@ -57,14 +57,13 @@ from .ideals import (
     ProdIdeal,
     _contains,
     all_ideal,
-    canonical_generator,
     check_ideal,
     ideal_join,
     ideal_meet,
     principal_ideal,
 )
 from .semisimple import is_strongly_semisimple
-from .spectrum import _spectrum_of
+from .spectrum import _max_ideals_of
 from .yosida import top_values
 
 
@@ -245,22 +244,16 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
     proper and the targets differ, as (i, j, k), or None.
 
     The maximal ideal at top position k lies above I v J exactly when it
-    lies above I and J, that is, when both canonical generators are 0 at
-    k, and it holds the difference exactly when the targets agree there.
-    So each constraint becomes its target's integers at the tops where its
-    ideal is proper, None elsewhere.
+    lies above I and J, that is, when both ideals are proper at k (bit k
+    of their stored masks), and it holds the difference exactly when the
+    targets agree there.
     """
     s = G.structure
-    rows = [
-        [
-            v if c == 0 else None
-            for c, v in zip(top_values(s, canonical_generator(s, I)), top_values(s, g))
-        ]
-        for I, g in system
-    ]
-    for (i, a), (j, b) in itertools.combinations(enumerate(rows), 2):
+    rows = [(I._mask, top_values(s, g)) for I, g in system]
+    for (i, (mi, a)), (j, (mj, b)) in itertools.combinations(enumerate(rows), 2):
+        both = mi & mj
         for k, (x, y) in enumerate(zip(a, b)):
-            if x is not None and y is not None and x != y:
+            if both >> k & 1 and x != y:
                 return i, j, k
     return None
 
@@ -314,8 +307,7 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     bad = _max_failure(G, system)
     if bad is not None:
         i, j, k = bad
-        primes, cover = _spectrum_of(G.structure)
-        maximal = [p for p, c in zip(primes, cover) if c is None][k]
+        maximal = _max_ideals_of(G.structure)[k]
         return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
     g = _solution(G, system)
@@ -360,7 +352,10 @@ def zero_set_patch(
         return PatchResult(certificate=IncompatibleOnZeroSets(cert.i, cert.j, cert.maximal))
     if cert is not None:
         return result
-    # a top position is covered when some generator is 0 there
-    columns = zip(*(top_values(G.structure, h) for h in generators))
-    unique = bool(generators) and all(0 in column for column in columns)
+    # a top position is covered when some generator is 0 there, that is,
+    # when its principal ideal is proper there
+    covered = 0
+    for I in ideals:
+        covered |= I._mask
+    unique = bool(ideals) and covered == (1 << ideals[0]._width) - 1
     return PatchResult(solution=result.solution, unique=unique)

@@ -11,6 +11,10 @@ decided by shape recursion:
   (``inner is None``) or {0} x inner: any member with a nonzero dominant
   component generates everything, so proper ideals live in the bottom.
 
+Each ideal node stores its own facts from construction (see ``_Ideal``):
+the zero and whole tests, the canonical JSON, ``yosida.top_index`` and the
+strong solver's hypothesis check read them instead of walking.
+
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
 enumeration order is fixed (zero first, whole group last) and all outputs
@@ -22,7 +26,6 @@ together.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -46,34 +49,56 @@ from .core import (
 )
 
 
-class AtomIdeal(_Node):
+class _Ideal(_Node):
+    """An ideal node, with three facts stored at construction from its
+    parts' in O(parts): ``_zero``, whether it is the zero ideal; ``_mask``,
+    an int whose bit k is set when the ideal is proper at top position k
+    (see ``lgroup.yosida``), 0 exactly when it is the whole group; and
+    ``_width``, its number of top positions."""
+
+    __slots__ = _facts = ("_zero", "_mask", "_width")
+
+
+class AtomIdeal(_Ideal):
     __slots__ = ("full",)
 
     def __new__(cls, full: bool):
         entry = cls._table.get(fields := (full,))
-        return entry and entry() or _intern(cls, fields)
+        return entry and entry() or _intern(cls, fields, (not full, int(not full), 1))
 
     def __repr__(self) -> str:
         return "all" if self.full else "zero"
 
 
-class ProdIdeal(_Node):
+def _prod_ideal_facts(parts: tuple) -> tuple:
+    # the parts' top positions, in order, are the product's
+    zero, mask, width = True, 0, 0
+    for part in parts:
+        zero = zero and part._zero
+        mask |= part._mask << width
+        width += part._width
+    return zero, mask, width
+
+
+class ProdIdeal(_Ideal):
     __slots__ = ("parts",)
 
     def __new__(cls, parts: tuple):
         entry = cls._table.get(fields := (parts,))
-        return entry and entry() or _intern(cls, fields)
+        return entry and entry() or _intern(cls, fields, _prod_ideal_facts(parts))
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
 
 
-class LexIdeal(_Node):
+class LexIdeal(_Ideal):
     __slots__ = ("inner",)  # None means the whole group
 
     def __new__(cls, inner: Optional["Ideal"]):
         entry = cls._table.get(fields := (inner,))
-        return entry and entry() or _intern(cls, fields)
+        # one top position, the dominant component: proper unless whole
+        facts = (False, 0, 1) if inner is None else (inner._zero, 1, 1)
+        return entry and entry() or _intern(cls, fields, facts)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
@@ -100,12 +125,9 @@ def _structure_of(g) -> Structure:
 
 
 def zero_ideal(structure) -> Ideal:
+    """The ideal generated by the stored zero element."""
     structure = _structure_of(structure)
-    if isinstance(structure, Atom):
-        return AtomIdeal(False)
-    if isinstance(structure, Prod):
-        return ProdIdeal(tuple(map(zero_ideal, structure.children)))
-    return LexIdeal(zero_ideal(structure.bottom))
+    return _principal(structure, structure._zero)
 
 
 def all_ideal(structure) -> Ideal:
@@ -118,23 +140,15 @@ def all_ideal(structure) -> Ideal:
 
 
 def is_zero_ideal(I: Ideal) -> bool:
-    if isinstance(I, AtomIdeal):
-        return not I.full
-    if isinstance(I, ProdIdeal):
-        return all(map(is_zero_ideal, I.parts))
-    return I.inner is not None and is_zero_ideal(I.inner)
+    return I._zero
 
 
 def is_all_ideal(I: Ideal) -> bool:
-    if isinstance(I, AtomIdeal):
-        return I.full
-    if isinstance(I, ProdIdeal):
-        return all(map(is_all_ideal, I.parts))
-    return I.inner is None
+    return not I._mask
 
 
 def is_proper(I: Ideal) -> bool:
-    return not is_all_ideal(I)
+    return I._mask != 0
 
 
 def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
@@ -241,11 +255,7 @@ def _principal(structure, g) -> Ideal:
 def full_generator(structure) -> Element:
     """A canonical single generator of the improper ideal."""
     structure = _structure_of(structure)
-    if isinstance(structure, Atom):
-        return 1
-    if isinstance(structure, Prod):
-        return tuple(map(full_generator, structure.children))
-    return (1, zero(structure.bottom))
+    return canonical_generator(structure, all_ideal(structure))
 
 
 def canonical_generator(structure, I: Ideal) -> Element:
@@ -256,7 +266,7 @@ def canonical_generator(structure, I: Ideal) -> Element:
     if isinstance(structure, Prod):
         return tuple(map(canonical_generator, structure.children, I.parts))
     if I.inner is None:
-        return full_generator(structure)
+        return (1, zero(structure.bottom))
     return (0, canonical_generator(structure.bottom, I.inner))
 
 
@@ -289,12 +299,8 @@ def _enumerate(structure) -> tuple:
 
 
 def ideal_count(structure) -> int:
-    """Size of the ideal lattice, without enumerating it."""
-    if isinstance(structure, Atom):
-        return 2
-    if isinstance(structure, Prod):
-        return math.prod(map(ideal_count, structure.children))
-    return ideal_count(structure.bottom) + 1
+    """Size of the ideal lattice, stored on the node at construction."""
+    return structure._ideal_count
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from .core import (
     Element,
+    InternalInvariantViolation,
     LGroupError,
     UnitalGroup,
     _between,
@@ -67,7 +68,7 @@ class GammaAlgebra(_Record):
         verdict = _between(s, x, self.group.unit, True, True)
         if verdict is None:
             check_element(s, x)  # raises, naming the first bad position
-            raise AssertionError(f"_between and check_element disagree on {x!r}")
+            raise InternalInvariantViolation(f"_between and check_element disagree on {x!r}")
         if not verdict:
             raise OutOfInterval(f"{x!r} is not between 0 and the unit")
         return x

@@ -28,7 +28,6 @@ from .ideals import (
     LexIdeal,
     ProdIdeal,
     all_ideal,
-    is_zero_ideal,
     zero_ideal,
 )
 
@@ -55,7 +54,7 @@ def _radical(structure: Structure) -> Ideal:
 
 
 def is_semisimple(G: UnitalGroup) -> bool:
-    return is_zero_ideal(radical(G))
+    return radical(G)._zero
 
 
 def is_strongly_semisimple(G: UnitalGroup) -> Tuple[bool, Optional[Ideal]]:

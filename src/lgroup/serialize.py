@@ -42,7 +42,6 @@ from .core import (
     _trusted_group,
 )
 from .ideals import (
-    AtomIdeal,
     Ideal,
     LexIdeal,
     ProdIdeal,
@@ -131,28 +130,16 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
 
 
 def ideal_to_json(I: Ideal):
-    # canonical form compacts the trivial and improper ideals to their
-    # shorthands at every level, so serialisation is byte-stable
-    return _ideal_json(I)[0]
-
-
-def _ideal_json(I: Ideal):
-    """(canonical JSON, is zero, is whole) of I, from one post-order walk."""
-    if isinstance(I, AtomIdeal):
-        return ("all" if I.full else "zero"), not I.full, I.full
-    if isinstance(I, LexIdeal):
-        if I.inner is None:
-            return "all", False, True
-        inner, is_zero, _ = _ideal_json(I.inner)
-        return ("zero" if is_zero else {"bottom": inner}), is_zero, False
-    parts = list(map(_ideal_json, I.parts))
-    is_zero = all(z for _, z, _ in parts)
-    is_all = all(a for _, _, a in parts)
-    if is_zero:
-        return "zero", True, False
-    if is_all:
-        return "all", False, True
-    return {"prod": [obj for obj, _, _ in parts]}, False, False
+    """The canonical form: the zero and improper ideals are their shorthands
+    at every level, read off the flags each ideal node stores, so
+    serialisation is byte-stable and descends only into mixed nodes."""
+    if I._zero:
+        return "zero"
+    if not I._mask:
+        return "all"
+    if type(I) is ProdIdeal:
+        return {"prod": list(map(ideal_to_json, I.parts))}
+    return {"bottom": ideal_to_json(I.inner)}
 
 
 def ideal_from_json(structure: Structure, obj, path: str = "ideal") -> Ideal:

@@ -112,6 +112,13 @@ def _spectrum_of(structure) -> tuple:
     return stored
 
 
+def _max_ideals_of(structure) -> list:
+    """The maximal ideals of ``structure`` in top order (see
+    ``lgroup.yosida``): its stored primes that nothing covers."""
+    primes, covers = _spectrum_of(structure)
+    return [p for p, c in zip(primes, covers) if c is None]
+
+
 def _primes(structure) -> tuple:
     """(primes, whole): the (prime, cover index) pairs in enumeration order,
     and the whole ideal of ``structure``.  Zero, maximal, for an atom; one

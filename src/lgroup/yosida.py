@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
 
 from .core import (
-    Atom,
     Element,
     Lex,
     LGroupError,
@@ -27,8 +26,8 @@ from .core import (
     _store,
     check_element,
 )
-from .ideals import Ideal, check_ideal, is_all_ideal
-from .spectrum import SpectrumSpace, compute_spectrum
+from .ideals import Ideal, check_ideal
+from .spectrum import SpectrumSpace, _max_ideals_of, compute_spectrum
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -87,25 +86,16 @@ def top_index(structure: Structure, m: Ideal) -> Optional[int]:
     """The top position whose maximal ideal is m, or None when m is not
     maximal.
 
-    m is maximal exactly when it is proper at one top position only and
-    is there as large as a proper ideal gets: zero at an atom, bottom(all)
-    at a lex node.  One walk, which compares at most one lex bottom.
+    m is maximal exactly when it is proper at one top position k only, as
+    its stored mask says, and is the maximal ideal at k: the k-th of the
+    tree's stored maximal ideals, one interned node.
     """
-    found = None
-    k = 0
-    stack = [(structure, m)]
-    while stack:
-        s, I = stack.pop()
-        if isinstance(s, Prod):
-            stack += zip(reversed(s.children), reversed(I.parts))
-            continue
-        proper = (not I.full) if isinstance(s, Atom) else I.inner is not None
-        if proper:
-            if found is not None or (isinstance(s, Lex) and not is_all_ideal(I.inner)):
-                return None
-            found = k
-        k += 1
-    return found
+    mask = m._mask
+    if not mask or mask & (mask - 1):  # whole, or proper at two positions
+        return None
+    k = mask.bit_length() - 1
+    maxes = _max_ideals_of(structure)
+    return k if k < len(maxes) and maxes[k] is m else None
 
 
 def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:

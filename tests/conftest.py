@@ -70,6 +70,14 @@ def random_group(rng: random.Random, max_atoms: int = 7) -> UnitalGroup:
             return UnitalGroup(structure, random_unit(rng, structure))
 
 
+def seeded_tree_group(seed: int) -> UnitalGroup:
+    """A group on a random tree up to depth 6, deeper and wider than
+    ``random_group``'s, with no bound on its atoms."""
+    rng = random.Random(seed)
+    structure = random_structure(rng, max_depth=6, max_width=3)
+    return UnitalGroup(structure, random_unit(rng, structure))
+
+
 def tall_groups(max_height: int = 30) -> list:
     """A lex tower and a product nest prod(Z, prod(Z, ...)) over Z of every
     height from 1 to ``max_height``, with unit integers cycling 1, 2, 3."""

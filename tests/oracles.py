@@ -10,29 +10,39 @@ became their compatibility test: a sweep over all pairs first, then a
 merge through ``riesz_split``.  Last come the walks over a tree whose
 results its node now stores: its zero, primes and radical, its atom count
 and chain flag, and the recursive element operations that its stored
-kernels replaced, dispatching on the node class at every node.
+kernels replaced, dispatching on the node class at every node.  Then the
+walks over an ideal whose results its node now stores (whether it is zero
+or whole, and where it is proper), and those that read them: the
+canonical JSON, the top position of a maximal ideal, the strong solver's
+hypothesis check and the zero-set solver's uniqueness; and the walks that
+a structure's stored zero, ideal count and whole ideal replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import lgroup.semisimple
 import lgroup.spectrum
 from lgroup import (
     Atom,
+    AtomIdeal,
     Incompatible,
     IncompatibleOnZeroSets,
     Lex,
+    LexIdeal,
     MaxHypothesisViolated,
     NotMaximal,
     NotStronglySemisimple,
     OutOfInterval,
     PatchResult,
     Prod,
+    ProdIdeal,
     ShapeMismatch,
     add,
+    canonical_generator,
     check_element,
     check_ideal,
     compute_spectrum,
@@ -49,6 +59,7 @@ from lgroup import (
     riesz_split,
     zero,
 )
+from lgroup.yosida import top_values
 
 
 def holder_eval_by_quotient(G, g, m) -> Fraction:
@@ -331,3 +342,121 @@ def join_by_walk(structure, g, h):
     if h[0] < g[0]:
         return g
     return (g[0], join_by_walk(structure.bottom, g[1], h[1]))
+
+
+def is_zero_ideal_by_walk(I) -> bool:
+    if isinstance(I, AtomIdeal):
+        return not I.full
+    if isinstance(I, ProdIdeal):
+        return all(map(is_zero_ideal_by_walk, I.parts))
+    return I.inner is not None and is_zero_ideal_by_walk(I.inner)
+
+
+def is_all_ideal_by_walk(I) -> bool:
+    if isinstance(I, AtomIdeal):
+        return I.full
+    if isinstance(I, ProdIdeal):
+        return all(map(is_all_ideal_by_walk, I.parts))
+    return I.inner is None
+
+
+def proper_tops_by_generator(structure, I) -> list:
+    """Whether I is proper at each top position: where its canonical
+    generator is 0."""
+    return [v == 0 for v in top_values(structure, canonical_generator(structure, I))]
+
+
+def _ideal_json(I):
+    """(canonical JSON, is zero, is whole) of I, from one post-order walk."""
+    if isinstance(I, AtomIdeal):
+        return ("all" if I.full else "zero"), not I.full, I.full
+    if isinstance(I, LexIdeal):
+        if I.inner is None:
+            return "all", False, True
+        inner, is_zero, _ = _ideal_json(I.inner)
+        return ("zero" if is_zero else {"bottom": inner}), is_zero, False
+    parts = list(map(_ideal_json, I.parts))
+    is_zero = all(z for _, z, _ in parts)
+    is_all = all(a for _, _, a in parts)
+    if is_zero:
+        return "zero", True, False
+    if is_all:
+        return "all", False, True
+    return {"prod": [obj for obj, _, _ in parts]}, False, False
+
+
+def ideal_to_json_by_walk(I):
+    """``ideal_to_json``: the zero and improper ideals compacted to their
+    shorthands at every level."""
+    return _ideal_json(I)[0]
+
+
+def top_index_by_walk(structure, m):
+    """``yosida.top_index``: m is maximal exactly when it is proper at one
+    top position only and is there as large as a proper ideal gets, zero at
+    an atom and bottom(all) at a lex node."""
+    found = None
+    k = 0
+    stack = [(structure, m)]
+    while stack:
+        s, I = stack.pop()
+        if isinstance(s, Prod):
+            stack += zip(reversed(s.children), reversed(I.parts))
+            continue
+        proper = (not I.full) if isinstance(s, Atom) else I.inner is not None
+        if proper:
+            if found is not None or (isinstance(s, Lex) and not is_all_ideal_by_walk(I.inner)):
+                return None
+            found = k
+        k += 1
+    return found
+
+
+def max_failure_by_generators(G, system):
+    """``crt._max_failure``: the first (i, j, k) with both ideals proper at
+    top position k, where their canonical generators are 0, and the
+    targets' integers there different."""
+    s = G.structure
+    rows = [
+        [
+            v if c == 0 else None
+            for c, v in zip(top_values(s, canonical_generator(s, I)), top_values(s, g))
+        ]
+        for I, g in system
+    ]
+    for (i, a), (j, b) in itertools.combinations(enumerate(rows), 2):
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x is not None and y is not None and x != y:
+                return i, j, k
+    return None
+
+
+def unique_by_top_values(G, generators) -> bool:
+    """``zero_set_patch``'s uniqueness: some generator is 0 at every top
+    position."""
+    columns = zip(*(top_values(G.structure, h) for h in generators))
+    return bool(generators) and all(0 in column for column in columns)
+
+
+def zero_ideal_by_walk(structure):
+    if isinstance(structure, Atom):
+        return AtomIdeal(False)
+    if isinstance(structure, Prod):
+        return ProdIdeal(tuple(map(zero_ideal_by_walk, structure.children)))
+    return LexIdeal(zero_ideal_by_walk(structure.bottom))
+
+
+def full_generator_by_walk(structure):
+    if isinstance(structure, Atom):
+        return 1
+    if isinstance(structure, Prod):
+        return tuple(map(full_generator_by_walk, structure.children))
+    return (1, zero(structure.bottom))
+
+
+def ideal_count_by_walk(structure) -> int:
+    if isinstance(structure, Atom):
+        return 2
+    if isinstance(structure, Prod):
+        return math.prod(map(ideal_count_by_walk, structure.children))
+    return ideal_count_by_walk(structure.bottom) + 1

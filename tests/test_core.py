@@ -1,6 +1,5 @@
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgroup
-from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS, operands, random_structure, random_unit
+from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS, operands, seeded_tree_group
 from oracles import (
     add_by_walk,
     atom_count_by_walk,
@@ -281,13 +280,6 @@ def test_constructors_refuse_a_child_that_is_not_a_structure(build, path, got):
     assert (len(Prod._table), len(Lex._table)) == tables
 
 
-def _seeded_tree_group(seed):
-    # deeper and wider than conftest's random groups
-    rng = random.Random(seed)
-    structure = random_structure(rng, max_depth=6, max_width=3)
-    return UnitalGroup(structure, random_unit(rng, structure))
-
-
 # products whose children are one tree, which map its kernels in C
 TWINS = [
     UnitalGroup(prod(lex(Z), lex(Z)), ((1, 0), (2, -1))),
@@ -297,7 +289,7 @@ TWINS = [
 # strategies, well-formed and possibly malformed
 KERNEL_CASES = st.sampled_from([
     (G, [operands(G.structure, G.unit, bad) for bad in (False, True)])
-    for G in TWINS + ORACLE_GROUPS + [_seeded_tree_group(seed) for seed in range(1500, 1530)]
+    for G in TWINS + ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(1500, 1530)]
 ])
 
 

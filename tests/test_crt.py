@@ -12,15 +12,18 @@ from conftest import (
     MIX,
     ORACLE_GROUPS,
     random_element,
+    seeded_tree_group,
     some_ideals,
     tall_groups,
 )
 from oracles import (
+    max_failure_by_generators,
     max_hypothesis_failure,
     patch_by_sweep,
     primes_agree,
     strong_patch_by_sweep,
     unique_by_cover,
+    unique_by_top_values,
     zero_set_overlap_failure,
     zero_set_patch_by_sweep,
     zero_sets_agree,
@@ -637,3 +640,23 @@ def test_strong_names_its_maximal_ideal_without_a_spectrum_call():
     assert (after.hits, after.misses) == (calls.hits, calls.misses)
     assert result.certificate == MaxHypothesisViolated(0, 1, A2_M1)
     assert A2_M1 == compute_spectrum(G).max_ideals()[0]
+
+
+def test_hypothesis_check_and_uniqueness_agree_with_their_walks():
+    # the stored masks of the ideals against their canonical generators'
+    # top integers, and of the principal ideals against the generators'
+    rng = random.Random(1315)
+    failures = unique = 0
+    groups = ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(1700, 1720)]
+    for G in groups:
+        for system in _oracle_systems(rng, G):
+            found = lgroup.crt._max_failure(G, CongruenceSystem.of(system))
+            assert found == max_failure_by_generators(G, system)
+            failures += found is not None
+            gens = [random_element(rng, G.structure, 1) for _ in system]
+            targets = [G.zero()] * len(gens)
+            result = zero_set_patch(G, gens, targets)
+            if result.solved:
+                assert result.unique is unique_by_top_values(G, gens)
+                unique += result.unique
+    assert failures > 50 and unique > 20

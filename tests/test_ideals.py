@@ -2,7 +2,28 @@ import random
 
 import pytest
 
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_group
+from conftest import (
+    A2,
+    C3,
+    GALLERY_GROUPS,
+    LEX,
+    MIX,
+    ORACLE_GROUPS,
+    random_group,
+    seeded_tree_group,
+    some_ideals,
+    tall_groups,
+)
+from oracles import (
+    full_generator_by_walk,
+    ideal_count_by_walk,
+    ideal_to_json_by_walk,
+    is_all_ideal_by_walk,
+    is_zero_ideal_by_walk,
+    proper_tops_by_generator,
+    top_index_by_walk,
+    zero_ideal_by_walk,
+)
 import lgroup.ideals
 from lgroup import (
     AtomIdeal,
@@ -17,7 +38,9 @@ from lgroup import (
     contains,
     elements_in_box,
     enumerate_ideals,
+    full_generator,
     ideal_count,
+    ideal_to_json,
     ideal_join,
     ideal_leq,
     ideal_meet,
@@ -31,6 +54,7 @@ from lgroup import (
     validate_unital_group,
     zero_ideal,
 )
+from lgroup.yosida import top_index
 
 LEX_BOTTOM_ALL = LexIdeal(AtomIdeal(True))  # {0} x Z inside Z x-> Z
 
@@ -220,3 +244,65 @@ def test_caches_stay_bounded():
     for cached in (lgroup.ideals._enumerate, enumerate_ideals, compute_spectrum):
         info = cached.cache_info()
         assert info.maxsize == size and info.currsize <= size
+
+
+def _fact_cases():
+    """Every enumerated ideal of the oracle groups; on 30 seeded trees up to
+    depth 6, the primes, zero, the whole group, principal ideals and the
+    meets and joins of neighbours among them, so that mixed ideals occur."""
+    for G in ORACLE_GROUPS:
+        yield G, enumerate_ideals(G).ideals
+    for seed in range(1600, 1630):
+        G = seeded_tree_group(seed)
+        ideals = some_ideals(random.Random(seed), G, count=12)
+        pairs = list(zip(ideals, ideals[1:]))
+        yield G, ideals + [ideal_meet(I, J) for I, J in pairs] + [ideal_join(I, J) for I, J in pairs]
+
+
+FACT_CASES = list(_fact_cases())
+
+
+def test_stored_ideal_facts_agree_with_their_walks():
+    kinds = set()
+    for G, ideals in FACT_CASES:
+        for I in ideals:
+            tops = proper_tops_by_generator(G.structure, I)
+            assert I._zero is is_zero_ideal_by_walk(I) is is_zero_ideal(I)
+            assert is_all_ideal(I) is is_all_ideal_by_walk(I) is not is_proper(I)
+            assert I._mask == sum(1 << k for k, proper in enumerate(tops) if proper)
+            assert I._width == len(tops)
+            kinds.add((I._zero, is_all_ideal(I), type(I)))
+    # zero, whole and mixed ideals of each node class occur
+    assert len(kinds) == 8
+
+
+def test_ideal_json_and_top_index_agree_with_their_walks():
+    maximal = 0
+    for G, ideals in FACT_CASES:
+        s = G.structure
+        for I in ideals:
+            assert ideal_to_json(I) == ideal_to_json_by_walk(I)
+            k = top_index(s, I)
+            assert k == top_index_by_walk(s, I)
+            maximal += k is not None
+        maxes = compute_spectrum(G).max_ideals()
+        assert [top_index(s, m) for m in maxes] == list(range(len(maxes)))
+    assert maximal > 100
+
+
+def test_zero_ideal_full_generator_and_ideal_count_agree_with_their_walks():
+    for G in ORACLE_GROUPS + tall_groups(30):
+        s = G.structure
+        assert zero_ideal(G) is zero_ideal(s) is zero_ideal_by_walk(s)
+        assert full_generator(G) == full_generator(s) == full_generator_by_walk(s)
+        assert principal_ideal(s, full_generator(s)) is all_ideal(s)
+        assert ideal_count(s) == ideal_count_by_walk(s)
+
+
+@pytest.mark.parametrize("level", ["lex", "prod"])
+def test_ideal_count_answers_on_3000_level_trees(level):
+    # far deeper than the recursion limit: each node stores its count
+    s = Z
+    for _ in range(3000):
+        s = lex(s) if level == "lex" else prod(Z, s)
+    assert ideal_count(s) == (3002 if level == "lex" else 2**3001)

@@ -164,6 +164,27 @@ def test_a_filled_group_slot_leaves_equality_hash_repr_copy_and_pickle():
     assert repr(G) == "UnitalGroup(structure=Prod(Z, Lex(Prod(Z, Lex(Z))), Lex(Z)), unit=(1, (2, (1, (1, 0))), (3, 0)))"
 
 
+def test_ideal_facts_leave_equality_hash_repr_copy_and_pickle():
+    # an ideal node stores whether it is zero, where it is proper and its
+    # width at construction, outside its fields
+    parts = (AtomIdeal(False), LexIdeal(ProdIdeal((AtomIdeal(True), AtomIdeal(False)))),
+             LexIdeal(None))
+    I = ProdIdeal(parts)
+    assert (I._zero, I._mask, I._width) == (False, 0b011, 3)
+    assert I._values() == (parts,) and I.__reduce__() == (ProdIdeal, (parts,))
+    assert hash(I) == hash((parts,)) and repr(I) == "(zero,bottom((all,zero)),all)"
+    assert I == ProdIdeal(parts) and I != LexIdeal(I)
+    assert copy.copy(I) is I and copy.deepcopy(I) is I
+    data = pickle.dumps(I)
+    assert pickle.loads(data) is I
+    # unpickled once the node has died, it is built again with its facts
+    del I
+    gc.collect()
+    assert (parts,) not in ProdIdeal._table
+    again = pickle.loads(data)
+    assert again.parts == parts and (again._zero, again._mask, again._width) == (False, 0b011, 3)
+
+
 def test_stored_facts_die_with_their_trees():
     # the spectra and radicals of 1,000 distinct trees keep no node alive
     # once the trees and the spectrum cache are dropped

@@ -9,6 +9,7 @@ from oracles import validate_by_four_walks, zero_by_walk
 from lgroup import (
     AtomIdeal,
     GammaAlgebra,
+    InternalInvariantViolation,
     LexIdeal,
     LGroupError,
     OutOfInterval,
@@ -163,6 +164,17 @@ def test_validate_agrees_with_the_four_walks(data):
     assert _raised(lambda: alg.validate(x)) == expected
     if expected is None:
         assert alg.validate(x) is x
+
+
+def test_a_kernel_disagreeing_with_check_element_raises_the_library_error(monkeypatch):
+    # check_element rebound to accept anything: the kernel's verdict on a
+    # malformed operand is then contradicted, which is a library fault
+    import lgroup.mv
+
+    monkeypatch.setattr(lgroup.mv, "check_element", lambda structure, value: None)
+    for G, bad in ((A2, (1, "x")), (LEX, (0,)), (MIX, (1, (0, True)))):
+        with pytest.raises(InternalInvariantViolation, match="disagree"):
+            GammaAlgebra(G).validate(bad)
 
 
 def test_chang_radical_is_the_infinitesimal_ideal():
