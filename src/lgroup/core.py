@@ -37,9 +37,8 @@ node stores whether it is zero and where it is proper (see
 ``lgroup.ideals``).  A structure node stores facts that depend on its
 tree alone.  Eager facts are set at construction from the children's, in
 O(children): its zero element, atom count, chain flag and ideal count,
-and its element kernels.  The kernels
-are closures for ``add``, ``sub``, ``meet``, ``join``, ``leq`` and the
-interval check ``_between``, so each of those functions reads a slot and
+and its element kernels, closures for ``add``, ``sub``, ``meet``, ``join``,
+``leq`` and the interval check ``_between``, so each of those reads a slot and
 calls what is there, with no dispatch on the node class per call; ``neg``
 subtracts from the stored zero, and the shape test of ``check_element`` is
 the interval check with neither bound.  An atom's kernels are the

@@ -56,6 +56,8 @@ from .ideals import (
     Ideal,
     ProdIdeal,
     _contains,
+    _proper_mask,
+    _top_width,
     all_ideal,
     check_ideal,
     ideal_join,
@@ -63,7 +65,7 @@ from .ideals import (
     principal_ideal,
 )
 from .semisimple import is_strongly_semisimple
-from .spectrum import _max_ideals_of
+from .spectrum import _max_ideals_of, _spectrum_of
 from .yosida import top_values
 
 
@@ -249,7 +251,7 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
     targets agree there.
     """
     s = G.structure
-    rows = [(I._mask, top_values(s, g)) for I, g in system]
+    rows = [(_proper_mask(I), top_values(s, g)) for I, g in system]
     for (i, (mi, a)), (j, (mj, b)) in itertools.combinations(enumerate(rows), 2):
         both = mi & mj
         for k, (x, y) in enumerate(zip(a, b)):
@@ -307,7 +309,7 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     bad = _max_failure(G, system)
     if bad is not None:
         i, j, k = bad
-        maximal = _max_ideals_of(G.structure)[k]
+        maximal = _max_ideals_of(*_spectrum_of(G.structure))[k]
         return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
     g = _solution(G, system)
@@ -356,6 +358,6 @@ def zero_set_patch(
     # when its principal ideal is proper there
     covered = 0
     for I in ideals:
-        covered |= I._mask
-    unique = bool(ideals) and covered == (1 << ideals[0]._width) - 1
+        covered |= _proper_mask(I)
+    unique = bool(ideals) and covered == (1 << _top_width(ideals[0])) - 1
     return PatchResult(solution=result.solution, unique=unique)

@@ -29,7 +29,6 @@ from .core import (
     Element,
     InternalInvariantViolation,
     LGroupError,
-    UnitalGroup,
     _between,
     _Record,
     add,

@@ -28,6 +28,7 @@ from .ideals import (
     LexIdeal,
     ProdIdeal,
     all_ideal,
+    is_zero_ideal,
     zero_ideal,
 )
 
@@ -54,7 +55,7 @@ def _radical(structure: Structure) -> Ideal:
 
 
 def is_semisimple(G: UnitalGroup) -> bool:
-    return radical(G)._zero
+    return is_zero_ideal(radical(G))
 
 
 def is_strongly_semisimple(G: UnitalGroup) -> Tuple[bool, Optional[Ideal]]:

@@ -46,6 +46,8 @@ from .ideals import (
     LexIdeal,
     ProdIdeal,
     all_ideal,
+    is_all_ideal,
+    is_zero_ideal,
     zero_ideal,
 )
 
@@ -133,9 +135,9 @@ def ideal_to_json(I: Ideal):
     """The canonical form: the zero and improper ideals are their shorthands
     at every level, read off the flags each ideal node stores, so
     serialisation is byte-stable and descends only into mixed nodes."""
-    if I._zero:
+    if is_zero_ideal(I):
         return "zero"
-    if not I._mask:
+    if is_all_ideal(I):
         return "all"
     if type(I) is ProdIdeal:
         return {"prod": list(map(ideal_to_json, I.parts))}

@@ -86,7 +86,7 @@ class SpectrumSpace(_Record):
         return self.cover[self.index(p)] is None
 
     def max_ideals(self) -> tuple:
-        return tuple(p for p, c in zip(self.primes, self.cover) if c is None)
+        return _max_ideals_of(self.primes, self.cover)
 
     def specializes(self, p: Ideal, q: Ideal) -> bool:
         """p <= q in the specialization order, i.e. p is contained in q."""
@@ -112,11 +112,9 @@ def _spectrum_of(structure) -> tuple:
     return stored
 
 
-def _max_ideals_of(structure) -> list:
-    """The maximal ideals of ``structure`` in top order (see
-    ``lgroup.yosida``): its stored primes that nothing covers."""
-    primes, covers = _spectrum_of(structure)
-    return [p for p, c in zip(primes, covers) if c is None]
+def _max_ideals_of(primes: tuple, covers: tuple) -> tuple:
+    """The primes that nothing covers: the maximal ideals, in top order."""
+    return tuple(p for p, c in zip(primes, covers) if c is None)
 
 
 def _primes(structure) -> tuple:

@@ -26,8 +26,8 @@ from .core import (
     _store,
     check_element,
 )
-from .ideals import Ideal, check_ideal
-from .spectrum import SpectrumSpace, _max_ideals_of, compute_spectrum
+from .ideals import Ideal, LexIdeal, ProdIdeal, _proper_mask, check_ideal
+from .spectrum import SpectrumSpace, compute_spectrum
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -83,19 +83,19 @@ def _unit_tops(G: UnitalGroup) -> tuple:
 
 
 def top_index(structure: Structure, m: Ideal) -> Optional[int]:
-    """The top position whose maximal ideal is m, or None when m is not
-    maximal.
+    """The top position of the maximal ideal m, or None if m is not maximal.
 
-    m is maximal exactly when it is proper at one top position k only, as
-    its stored mask says, and is the maximal ideal at k: the k-th of the
-    tree's stored maximal ideals, one interned node.
+    m is maximal exactly when its stored mask has one bit k and m is there
+    as large as a proper ideal gets: zero at an atom, bottom(all) at a lex
+    node, which a descent through the one proper part of each product finds.
     """
-    mask = m._mask
+    mask = _proper_mask(m)
     if not mask or mask & (mask - 1):  # whole, or proper at two positions
         return None
-    k = mask.bit_length() - 1
-    maxes = _max_ideals_of(structure)
-    return k if k < len(maxes) and maxes[k] is m else None
+    while type(m) is ProdIdeal:
+        m = next(part for part in m.parts if _proper_mask(part))
+    proper_below = type(m) is LexIdeal and _proper_mask(m.inner)
+    return None if proper_below else mask.bit_length() - 1
 
 
 def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:

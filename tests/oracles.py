@@ -366,29 +366,17 @@ def proper_tops_by_generator(structure, I) -> list:
     return [v == 0 for v in top_values(structure, canonical_generator(structure, I))]
 
 
-def _ideal_json(I):
-    """(canonical JSON, is zero, is whole) of I, from one post-order walk."""
-    if isinstance(I, AtomIdeal):
-        return ("all" if I.full else "zero"), not I.full, I.full
-    if isinstance(I, LexIdeal):
-        if I.inner is None:
-            return "all", False, True
-        inner, is_zero, _ = _ideal_json(I.inner)
-        return ("zero" if is_zero else {"bottom": inner}), is_zero, False
-    parts = list(map(_ideal_json, I.parts))
-    is_zero = all(z for _, z, _ in parts)
-    is_all = all(a for _, _, a in parts)
-    if is_zero:
-        return "zero", True, False
-    if is_all:
-        return "all", False, True
-    return {"prod": [obj for obj, _, _ in parts]}, False, False
-
-
 def ideal_to_json_by_walk(I):
     """``ideal_to_json``: the zero and improper ideals compacted to their
-    shorthands at every level."""
-    return _ideal_json(I)[0]
+    shorthands at every level, by testing zero and whole again at each
+    level with the walks, not the stored flags."""
+    if is_zero_ideal_by_walk(I):
+        return "zero"
+    if is_all_ideal_by_walk(I):
+        return "all"
+    if isinstance(I, ProdIdeal):
+        return {"prod": [ideal_to_json_by_walk(p) for p in I.parts]}
+    return {"bottom": ideal_to_json_by_walk(I.inner)}
 
 
 def top_index_by_walk(structure, m):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_group
-from oracles import is_all_ideal_by_walk, is_zero_ideal_by_walk
+from oracles import ideal_to_json_by_walk
 from lgroup import (
     GALLERY_NAMES,
     AtomIdeal,
@@ -49,23 +49,11 @@ def test_structure_errors():
         structure_from_json(3)
 
 
-def _two_pass_ideal_to_json(I):
-    # an older form, which tested zero and all again at every level, by
-    # walks: the stored flags that ideal_to_json reads are not used here
-    if is_zero_ideal_by_walk(I):
-        return "zero"
-    if is_all_ideal_by_walk(I):
-        return "all"
-    if isinstance(I, ProdIdeal):
-        return {"prod": [_two_pass_ideal_to_json(p) for p in I.parts]}
-    return {"bottom": _two_pass_ideal_to_json(I.inner)}
-
-
 def test_ideal_to_json_matches_the_two_pass_form():
     rng = random.Random(3571)
     for _ in range(120):
         for I in enumerate_ideals(random_group(rng)).ideals:
-            assert ideal_to_json(I) == _two_pass_ideal_to_json(I)
+            assert ideal_to_json(I) == ideal_to_json_by_walk(I)
 
 
 def test_structure_height_limit():

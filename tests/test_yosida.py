@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +37,7 @@ from lgroup import (
     yosida_table,
     zero_ideal,
 )
+import lgroup
 from lgroup.yosida import ForeignSpectrum
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
@@ -204,3 +209,31 @@ def test_the_unit_is_walked_once_per_group(monkeypatch):
     assert [list(t.values()) for t in tables] == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]]
     assert values == [v for t in tables for v in t.values()]
     assert G._tops == (2, 3)
+
+
+def test_holder_eval_answers_on_a_600_level_product_nest_without_a_spectrum():
+    # in a fresh interpreter: maximality is read off the stored masks by a
+    # descent through the products, so the tree's spectrum is never built
+    code = (
+        "from lgroup import AtomIdeal, LexIdeal, NotMaximal, ProdIdeal, UnitalGroup, Z, holder_eval, lex, prod\n"
+        "s, u, g = lex(Z), (1, 0), (3, 5)\n"
+        "m, below = LexIdeal(AtomIdeal(True)), LexIdeal(AtomIdeal(False))\n"
+        "for _ in range(600):\n"
+        "    s, u, g = prod(Z, s), (1, u), (2, g)\n"
+        "    m, below = ProdIdeal((AtomIdeal(True), m)), ProdIdeal((AtomIdeal(True), below))\n"
+        "G = UnitalGroup(s, u)\n"
+        "assert holder_eval(G, g, m) == 3\n"
+        "try:\n"
+        "    holder_eval(G, g, below)\n"
+        "except NotMaximal:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a non-maximal ideal was evaluated')\n"
+        "assert s._spectrum is None\n"
+        "print('ok')\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["ok"]
