@@ -48,12 +48,12 @@ interval check inline; a lex node reads the top and calls its bottom's.
 A kernel calls its children's from a loop (one frame per tree level) or
 a ``map`` (as the walks did), never from a comprehension, so it recurses
 no deeper than the recursive walks it replaced, and no code is
-generated.  The constructors refuse a child that is not a
-structure, naming its position.  The lazy facts are its primes with their
-covers (``spectrum``) and its radical (``semisimple``): the first use sets
-them and every later one reads them.  The ideals of a unital group are
-those of its tree, whatever the unit, so every group on the tree shares
-them.  The values are immutable and their ideal nodes interned, so two
+generated.  The constructors refuse a child that is not a structure, and
+a product's children that are not a tuple, naming the position.  The lazy
+facts are its primes with their covers (``spectrum``) and its radical
+(``semisimple``): the first use sets them and every later one reads them.
+The ideals of a unital group are those of its tree, whatever the unit, so
+every group on the tree shares them.  The values are immutable and their ideal nodes interned, so two
 threads that fill a slot at once store equal values, and no lock is
 needed.  They live and die with the node: the tables hold it weakly, and
 no other table holds them.  A ``UnitalGroup`` likewise stores its unit's
@@ -192,7 +192,11 @@ class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring): its zero element, atom count, chain flag and ideal count,
     its element kernels, and its (primes, covers) and radical, None until
-    their first use fills them with ``_store``."""
+    their first use fills them with ``_store``.  The interval check
+    ``_between(x, u, low, high)`` is None when x is malformed, by
+    ``check_element``'s tests in its order, else whether 0 <= x (if ``low``)
+    and x <= u (if ``high``): one walk, in which a lex top decides a bound
+    unless it ties, and which checks only the shape after a failed bound."""
 
     __slots__ = _facts = (
         "_zero", "_atoms", "_chain", "_ideal_count",
@@ -251,6 +255,8 @@ def _prod_facts(children: tuple) -> tuple:
     its kernels are mapped over the parts in C; otherwise a loop calls each
     child's, and the interval check does an atom child's work inline.  A
     loop, not a comprehension, calls each child with one frame."""
+    if children.__class__ is not tuple:
+        raise ShapeMismatch((), f"expected a tuple of structures, got {children!r}")
     try:
         adds, subs, meets, joins, leqs, betweens = zip(*map(_KERNELS, children))
     except AttributeError:
@@ -372,7 +378,7 @@ class Prod(_Structure):
             raise ValueError("Prod requires at least 2 children")
         try:
             entry = cls._table.get(fields := (children,))
-        except TypeError:  # an unhashable child, which _prod_facts refuses
+        except TypeError:  # unhashable children, which _prod_facts refuses
             entry = None
         return entry and entry() or _intern(cls, fields, _prod_facts(children))
 
@@ -475,16 +481,6 @@ def check_element(structure: Structure, value: Element, path: Path = ()) -> None
         if not _is_int(x[0]):
             raise ShapeMismatch(path + ("top",), f"expected an integer, got {x[0]!r}")
         s, x, path = s.bottom, x[1], path + ("bottom",)
-
-
-def _between(structure: Structure, x: Element, u: Element, low: bool, high: bool):
-    """None when x is malformed, by ``check_element``'s tests in its order;
-    else whether 0 <= x (if ``low``) and x <= u (if ``high``).
-
-    One walk for ``mv.GammaAlgebra.validate``: a lex top decides a bound
-    unless it ties, and after a failed bound the walk checks the shape only.
-    """
-    return structure._between(x, u, low, high)
 
 
 def zero(structure: Structure) -> Element:

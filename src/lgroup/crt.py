@@ -17,7 +17,8 @@ the pairs swept, to name it.
 The strong solver demands agreement only at maximal ideals above each
 pairwise join.  Every maximal ideal here sits at a top position (see
 ``lgroup.yosida``), so the hypothesis reads: two targets have equal
-integers at every top position where both ideals are proper.  On strongly
+integers at every top position where both ideals are proper (a certificate
+builds the maximal ideal there with ``ideals._max_meet``).  On strongly
 semisimple groups that weaker hypothesis upgrades to full compatibility
 and the classical merge finishes the job.  When strong semisimplicity
 fails the solver refuses with a certificate that also reports whether the
@@ -56,6 +57,7 @@ from .ideals import (
     Ideal,
     ProdIdeal,
     _contains,
+    _max_meet,
     _proper_mask,
     _top_width,
     all_ideal,
@@ -65,7 +67,6 @@ from .ideals import (
     principal_ideal,
 )
 from .semisimple import is_strongly_semisimple
-from .spectrum import _max_ideals_of, _spectrum_of
 from .yosida import top_values
 
 
@@ -309,7 +310,7 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     bad = _max_failure(G, system)
     if bad is not None:
         i, j, k = bad
-        maximal = _max_ideals_of(*_spectrum_of(G.structure))[k]
+        maximal = _max_meet(G.structure, 1 << k)
         return PatchResult(certificate=MaxHypothesisViolated(i, j, maximal))
     ok, witness = is_strongly_semisimple(G)
     g = _solution(G, system)

@@ -13,7 +13,11 @@ decided by shape recursion:
 
 Each ideal node stores its own facts from construction (see ``_Ideal``):
 the zero and whole tests, the canonical JSON, ``yosida.top_index`` and the
-strong solver's hypothesis check read them instead of walking.
+strong solver's hypothesis check read them instead of walking.  A fresh
+node whose part is not an ideal is refused, naming its position.  The
+meet of the maximal ideals at any set of top positions has one closed
+form, ``_max_meet``: the whole group, the radical and a certificate's
+maximal ideal are the meets of none, all and one.
 
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
@@ -63,8 +67,15 @@ class AtomIdeal(_Ideal):
     __slots__ = ("full",)
 
     def __new__(cls, full: bool):
-        entry = cls._table.get(fields := (full,))
-        return entry and entry() or _intern(cls, fields, (not full, int(not full), 1))
+        try:
+            entry = cls._table.get(fields := (full,))
+        except TypeError:  # unhashable, so refused below
+            entry = None
+        if entry and (node := entry()):
+            return node
+        if full.__class__ is not bool:
+            raise ShapeMismatch((), f"expected True or False, got {full!r}")
+        return _intern(cls, fields, (not full, int(not full), 1))
 
     def __repr__(self) -> str:
         return "all" if self.full else "zero"
@@ -72,8 +83,15 @@ class AtomIdeal(_Ideal):
 
 def _prod_ideal_facts(parts: tuple) -> tuple:
     # the parts' top positions, in order, are the product's
+    if parts.__class__ is not tuple:
+        raise ShapeMismatch((), f"expected a tuple of ideals, got {parts!r}")
+    if len(parts) < 2:
+        raise ValueError("ProdIdeal requires at least 2 parts")
     zero, mask, width = True, 0, 0
     for part in parts:
+        if not isinstance(part, _Ideal):
+            i = next(i for i, p in enumerate(parts) if not isinstance(p, _Ideal))
+            raise ShapeMismatch((i,), f"expected an ideal, got {part!r}")
         zero = zero and part._zero
         mask |= part._mask << width
         width += part._width
@@ -84,7 +102,10 @@ class ProdIdeal(_Ideal):
     __slots__ = ("parts",)
 
     def __new__(cls, parts: tuple):
-        entry = cls._table.get(fields := (parts,))
+        try:
+            entry = cls._table.get(fields := (parts,))
+        except TypeError:  # unhashable parts, which _prod_ideal_facts refuses
+            entry = None
         return entry and entry() or _intern(cls, fields, _prod_ideal_facts(parts))
 
     def __repr__(self) -> str:
@@ -95,10 +116,17 @@ class LexIdeal(_Ideal):
     __slots__ = ("inner",)  # None means the whole group
 
     def __new__(cls, inner: Optional["Ideal"]):
-        entry = cls._table.get(fields := (inner,))
-        # one top position, the dominant component: proper unless whole
-        facts = (False, 0, 1) if inner is None else (inner._zero, 1, 1)
-        return entry and entry() or _intern(cls, fields, facts)
+        try:
+            entry = cls._table.get(fields := (inner,))
+        except TypeError:  # unhashable, so refused below
+            entry = None
+        if entry and (node := entry()):
+            return node
+        if inner is None:  # one top position, the dominant component
+            return _intern(cls, fields, (False, 0, 1))
+        if not isinstance(inner, _Ideal):
+            raise ShapeMismatch(("bottom",), f"expected an ideal, got {inner!r}")
+        return _intern(cls, fields, (inner._zero, 1, 1))
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
@@ -131,12 +159,25 @@ def zero_ideal(structure) -> Ideal:
 
 
 def all_ideal(structure) -> Ideal:
-    structure = _structure_of(structure)
+    """The whole group: the meet of no maximal ideal."""
+    return _max_meet(_structure_of(structure), 0)
+
+
+def _max_meet(structure, mask: int) -> Ideal:
+    """The meet of the maximal ideals at the top positions (see
+    ``lgroup.yosida``) whose bits are set in ``mask``: zero at such an atom,
+    bottom(all) at such a lex node, whole elsewhere.  A product's children
+    are taken in a loop, with one frame, past each part's positions."""
     if isinstance(structure, Atom):
-        return AtomIdeal(True)
+        return AtomIdeal(not mask & 1)
     if isinstance(structure, Prod):
-        return ProdIdeal(tuple(map(all_ideal, structure.children)))
-    return LexIdeal(None)
+        parts = []
+        for child in structure.children:
+            part = _max_meet(child, mask)
+            parts.append(part)
+            mask >>= part._width
+        return ProdIdeal(tuple(parts))
+    return LexIdeal(_max_meet(structure.bottom, 0) if mask & 1 else None)
 
 
 def is_zero_ideal(I: Ideal) -> bool:

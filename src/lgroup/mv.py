@@ -29,7 +29,6 @@ from .core import (
     Element,
     InternalInvariantViolation,
     LGroupError,
-    _between,
     _Record,
     add,
     check_element,
@@ -64,7 +63,7 @@ class GammaAlgebra(_Record):
         docstring); ``check_element`` runs only to name what is wrong with a
         malformed x, raising ``ShapeMismatch``; else ``OutOfInterval``."""
         s = self.group.structure
-        verdict = _between(s, x, self.group.unit, True, True)
+        verdict = s._between(x, self.group.unit, True, True)
         if verdict is None:
             check_element(s, x)  # raises, naming the first bad position
             raise InternalInvariantViolation(f"_between and check_element disagree on {x!r}")

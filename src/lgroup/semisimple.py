@@ -1,7 +1,7 @@
 """Radicals, semisimplicity, and strong semisimplicity.
 
 Semisimplicity is decided through the radical, the intersection of all
-maximal ideals, which is read off the structure tree.  Strong
+maximal ideals, which ``ideals._max_meet`` builds in closed form.  Strong
 semisimplicity needs no further work in this class, since it coincides
 with semisimplicity (see ``is_strongly_semisimple``).  The Archimedean
 search below is deliberately kept as an independent cross-check, not a
@@ -12,46 +12,21 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from .core import (
-    Atom,
-    Element,
-    Prod,
-    Structure,
-    UnitalGroup,
-    _store,
-    leq,
-    zero,
-)
-from .ideals import (
-    AtomIdeal,
-    Ideal,
-    LexIdeal,
-    ProdIdeal,
-    all_ideal,
-    is_zero_ideal,
-    zero_ideal,
-)
+from .core import Atom, Element, Prod, Structure, UnitalGroup, _store, leq, zero
+from .ideals import Ideal, _max_meet, is_zero_ideal, zero_ideal
 
 
 def radical(G: UnitalGroup) -> Ideal:
     """Intersection of all maximal ideals.
 
-    An atom's only maximal ideal is zero; the maximal ideals of a product
-    are one child's maximal ideal with every other part whole, so their
-    meet is the product of the children's radicals; and a lex extension
-    has the single maximal ideal bottom(all).  Like the ideals, it depends
-    on the tree alone, which stores it on first use (see ``lgroup.core``).
+    Every maximal ideal sits at one top position (see ``lgroup.yosida``),
+    so this is their meet at every position: zero at each atom and
+    bottom(all) at each lex node reached through products alone.  Like
+    the ideals, it depends on the tree alone, which stores it on first use
+    (see ``lgroup.core``).
     """
     s = G.structure
-    return s._radical or _store(s, "_radical", _radical(s))
-
-
-def _radical(structure: Structure) -> Ideal:
-    if isinstance(structure, Atom):
-        return AtomIdeal(False)
-    if isinstance(structure, Prod):
-        return ProdIdeal(tuple(map(_radical, structure.children)))
-    return LexIdeal(all_ideal(structure.bottom))
+    return s._radical or _store(s, "_radical", _max_meet(s, -1))
 
 
 def is_semisimple(G: UnitalGroup) -> bool:

@@ -4,8 +4,10 @@ A proper ideal is prime when the quotient is totally ordered, and maximal
 when the quotient collapses all the way to a single integer coordinate.
 The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
-yields each prime together with the index of its cover.  The exports read
-pairs, closures and edges off those cover chains.  A prime containing the
+yields each prime together with the index of its cover.  The maximal
+ideals are the primes that nothing covers (``ideals._max_meet`` builds any
+of them, or their meet, without the spectrum).  The exports read pairs,
+closures and edges off those cover chains.  A prime containing the
 intersection of finitely many primes contains one of them, so the closure
 of a set of primes is the union of its members' cover chains; the
 closure-operator law of ``lgroup.laws.spectral_axioms`` checks it against
@@ -86,7 +88,8 @@ class SpectrumSpace(_Record):
         return self.cover[self.index(p)] is None
 
     def max_ideals(self) -> tuple:
-        return _max_ideals_of(self.primes, self.cover)
+        """The primes that nothing covers: the maximal ideals, in top order."""
+        return tuple(p for p, c in zip(self.primes, self.cover) if c is None)
 
     def specializes(self, p: Ideal, q: Ideal) -> bool:
         """p <= q in the specialization order, i.e. p is contained in q."""
@@ -95,26 +98,14 @@ class SpectrumSpace(_Record):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
-    """The primes of G with their covers, in enumeration order."""
-    return SpectrumSpace(G, *_spectrum_of(G.structure))
-
-
-def _spectrum_of(structure) -> tuple:
-    """(primes, covers) of ``structure``: its ideals, and so its primes, do
-    not depend on a unit, so ``_primes`` walks each tree once and the node
-    stores the result (see ``lgroup.core``)."""
-    stored = structure._spectrum
-    if stored is None:
-        found, _ = _primes(structure)
-        stored = _store(
-            structure, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found))
-        )
-    return stored
-
-
-def _max_ideals_of(primes: tuple, covers: tuple) -> tuple:
-    """The primes that nothing covers: the maximal ideals, in top order."""
-    return tuple(p for p, c in zip(primes, covers) if c is None)
+    """The primes of G with their covers, in enumeration order.  They depend
+    on the tree alone, so ``_primes`` walks each tree once and the node
+    stores them (see ``lgroup.core``)."""
+    s = G.structure
+    if s._spectrum is None:
+        found, _ = _primes(s)
+        _store(s, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found)))
+    return SpectrumSpace(G, *s._spectrum)
 
 
 def _primes(structure) -> tuple:
@@ -124,22 +115,21 @@ def _primes(structure) -> tuple:
     shifted by the child's offset; bottom(p) for each prime p of the
     bottom, then the maximal bottom(whole), for a lex, which covers the
     bottom's maximal primes.  Each node is visited once: the whole ideals
-    come out of the same walk."""
+    come out of the same walk, which loops over a product's children, so it
+    takes one frame per tree level."""
     if isinstance(structure, Atom):
         return [(AtomIdeal(False), None)], AtomIdeal(True)
     if isinstance(structure, Prod):
-        walks = [_primes(c) for c in structure.children]
+        walks = []
+        for child in structure.children:
+            walks.append(_primes(child))
         whole = tuple(w for _, w in walks)
         out = []
         for i, (below, _) in enumerate(walks):
             offset = len(out)
-            out += [
-                (
-                    ProdIdeal((*whole[:i], p, *whole[i + 1 :])),
-                    None if c is None else c + offset,
-                )
-                for p, c in below
-            ]
+            for p, c in below:
+                parts = (*whole[:i], p, *whole[i + 1 :])
+                out.append((ProdIdeal(parts), None if c is None else c + offset))
         return out, ProdIdeal(whole)
     below, whole = _primes(structure.bottom)
     top = len(below)

@@ -26,7 +26,7 @@ from .core import (
     _store,
     check_element,
 )
-from .ideals import Ideal, LexIdeal, ProdIdeal, _proper_mask, check_ideal
+from .ideals import Ideal, _max_meet, _proper_mask, check_ideal
 from .spectrum import SpectrumSpace, compute_spectrum
 
 if TYPE_CHECKING:
@@ -85,17 +85,13 @@ def _unit_tops(G: UnitalGroup) -> tuple:
 def top_index(structure: Structure, m: Ideal) -> Optional[int]:
     """The top position of the maximal ideal m, or None if m is not maximal.
 
-    m is maximal exactly when its stored mask has one bit k and m is there
-    as large as a proper ideal gets: zero at an atom, bottom(all) at a lex
-    node, which a descent through the one proper part of each product finds.
+    m is maximal exactly when its stored mask has one bit k and m is the
+    maximal ideal there, the meet of those at k alone (``ideals._max_meet``).
     """
     mask = _proper_mask(m)
     if not mask or mask & (mask - 1):  # whole, or proper at two positions
         return None
-    while type(m) is ProdIdeal:
-        m = next(part for part in m.parts if _proper_mask(part))
-    proper_below = type(m) is LexIdeal and _proper_mask(m.inner)
-    return None if proper_below else mask.bit_length() - 1
+    return mask.bit_length() - 1 if m is _max_meet(structure, mask) else None
 
 
 def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:

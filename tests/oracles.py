@@ -15,7 +15,9 @@ walks over an ideal whose results its node now stores (whether it is zero
 or whole, and where it is proper), and those that read them: the
 canonical JSON, the top position of a maximal ideal, the strong solver's
 hypothesis check and the zero-set solver's uniqueness; and the walks that
-a structure's stored zero, ideal count and whole ideal replaced.
+a structure's stored zero, ideal count and whole ideal replaced.  The
+radical and whole-ideal walks are those that ``ideals._max_meet``, the
+meet of the maximal ideals at a mask of top positions, replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import lgroup.semisimple
 import lgroup.spectrum
 from lgroup import (
     Atom,
@@ -214,8 +215,23 @@ def primes_by_walk(structure) -> tuple:
 
 
 def radical_by_walk(structure):
-    """The radical from a fresh walk of the tree, past its stored one."""
-    return lgroup.semisimple._radical(structure)
+    """The radical from a fresh walk of the tree, past its stored one: an
+    atom's zero, a product of its children's radicals, and a lex node's
+    bottom(all)."""
+    if isinstance(structure, Atom):
+        return AtomIdeal(False)
+    if isinstance(structure, Prod):
+        return ProdIdeal(tuple(map(radical_by_walk, structure.children)))
+    return LexIdeal(all_ideal_by_walk(structure.bottom))
+
+
+def all_ideal_by_walk(structure):
+    """The whole ideal, built by recursion on the tree."""
+    if isinstance(structure, Atom):
+        return AtomIdeal(True)
+    if isinstance(structure, Prod):
+        return ProdIdeal(tuple(map(all_ideal_by_walk, structure.children)))
+    return LexIdeal(None)
 
 
 def atom_count_by_walk(structure) -> int:
@@ -259,9 +275,9 @@ def check_element_by_walk(structure, value, path=()) -> None:
 
 
 def between_by_walk(structure, x, u, low, high):
-    """``core._between``: None when x is malformed, else whether 0 <= x (if
-    ``low``) and x <= u (if ``high``); after a failed bound only the shape
-    is checked."""
+    """The interval kernel ``_between``: None when x is malformed, else
+    whether 0 <= x (if ``low``) and x <= u (if ``high``); after a failed
+    bound only the shape is checked."""
     if isinstance(structure, Atom):
         if not _is_int(x):
             return None

@@ -24,10 +24,13 @@ from oracles import (
 )
 from lgroup import (
     Atom,
+    AtomIdeal,
     GammaAlgebra,
     Lex,
+    LexIdeal,
     NotAStrongUnit,
     Prod,
+    ProdIdeal,
     ShapeMismatch,
     UnitalGroup,
     Z,
@@ -48,9 +51,10 @@ from lgroup import (
     validate_unital_group,
     zero,
 )
-from lgroup.core import _between
 
 GROUPS = {"a2": A2, "lex": LEX, "mix": MIX, "chain3": CHAIN3}
+NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)
+ATOM_ALL, ATOM_ZERO = AtomIdeal(True), AtomIdeal(False)
 
 
 def elements(structure, bound=12):
@@ -261,23 +265,43 @@ def test_zero_answers_on_3000_level_trees(level):
 
 
 @pytest.mark.parametrize(
-    "build, path, got",
+    "build, path, message",
     [
-        (lambda: prod(Z, 5), (1,), "5"),
-        (lambda: prod(Z, None), (1,), "None"),
-        (lambda: lex("Z"), ("bottom",), "'Z'"),
-        (lambda: Prod((lex(Z), Z, [Z])), (2,), "[Z]"),
-        (lambda: lex([Z]), ("bottom",), "[Z]"),
+        (lambda: prod(Z, 5), (1,), "expected a structure, got 5"),
+        (lambda: prod(Z, None), (1,), "expected a structure, got None"),
+        (lambda: lex("Z"), ("bottom",), "expected a structure, got 'Z'"),
+        (lambda: Prod((lex(Z), Z, [Z])), (2,), "expected a structure, got [Z]"),
+        (lambda: lex([Z]), ("bottom",), "expected a structure, got [Z]"),
+        (lambda: Prod([Z, Z]), (), "expected a tuple of structures, got [Z, Z]"),
+        (lambda: AtomIdeal("x"), (), "expected True or False, got 'x'"),
+        (lambda: AtomIdeal([]), (), "expected True or False, got []"),
+        (lambda: LexIdeal(Z), ("bottom",), "expected an ideal, got Z"),
+        (lambda: LexIdeal(5), ("bottom",), "expected an ideal, got 5"),
+        (lambda: LexIdeal([ATOM_ALL]), ("bottom",), "expected an ideal, got [all]"),
+        (lambda: ProdIdeal((ATOM_ALL, Z)), (1,), "expected an ideal, got Z"),
+        (lambda: ProdIdeal([ATOM_ALL, ATOM_ZERO]), (), "expected a tuple of ideals, got [all, zero]"),
     ],
-    ids=["int", "none", "string", "list", "list-bottom"],
+    ids=[
+        "int", "none", "string", "list", "list-bottom", "list-children", "ideal-string",
+        "ideal-list", "ideal-structure-bottom", "ideal-int-bottom", "ideal-list-bottom",
+        "ideal-structure-part", "ideal-list-parts",
+    ],
 )
-def test_constructors_refuse_a_child_that_is_not_a_structure(build, path, got):
-    tables = len(Prod._table), len(Lex._table)
+def test_constructors_refuse_a_child_that_is_not_a_structure(build, path, message):
+    # ideal constructors refuse what is not an ideal alike; nothing refused
+    # is entered in an intern table
+    tables = [len(cls._table) for cls in NODE_CLASSES]
     with pytest.raises(ShapeMismatch) as info:
         build()
     assert type(info.value) is ShapeMismatch and info.value.path == path
-    assert str(info.value).endswith(f": expected a structure, got {got}")
-    assert (len(Prod._table), len(Lex._table)) == tables
+    assert str(info.value).endswith(f": {message}")
+    assert [len(cls._table) for cls in NODE_CLASSES] == tables
+
+
+def test_products_of_fewer_than_two_are_refused():
+    for build in (lambda: Prod((Z,)), lambda: ProdIdeal((ATOM_ALL,)), lambda: ProdIdeal(())):
+        with pytest.raises(ValueError, match="at least 2"):
+            build()
 
 
 # products whose children are one tree, which map its kernels in C
@@ -328,7 +352,7 @@ def test_shape_and_interval_kernels_agree_with_their_walks(data):
     assert _raised(check_element, s, x) == shape_error
     for low in (False, True):
         for high in (False, True):
-            assert _between(s, x, u, low, high) == between_by_walk(s, x, u, low, high)
+            assert s._between(x, u, low, high) == between_by_walk(s, x, u, low, high)
     if shape_error is not None:
         # a shape error wins over OutOfInterval, wherever the order failed
         with pytest.raises(ShapeMismatch) as info:

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -660,3 +664,38 @@ def test_hypothesis_check_and_uniqueness_agree_with_their_walks():
                 assert result.unique is unique_by_top_values(G, gens)
                 unique += result.unique
     assert failures > 50 and unique > 20
+
+
+def test_entries_answer_on_900_level_trees_and_a_failing_strong_patch_builds_no_spectrum():
+    # in a fresh interpreter: the certificate's maximal ideal is the closed
+    # form at its top position, so no spectrum is built for it; the primes
+    # walk takes one frame per product level, so the spectrum's readers
+    # answer too
+    code = (
+        "from lgroup import UnitalGroup, Z, compute_spectrum, lex, prod, principal_zero_set\n"
+        "from lgroup import specialization_dot, spectrum_json, strong_patch, yosida_table\n"
+        "from lgroup import zero_ideal, zero_set_patch\n"
+        "from lgroup.yosida import top_index\n"
+        "for level, k in ((lambda s: prod(Z, s), 900), (lex, 0)):\n"
+        "    s, u, e = Z, 1, 1\n"
+        "    for _ in range(900):\n"
+        "        s, u, e = level(s), (1, u), (0, e) if k else (1, e)\n"
+        "    G = UnitalGroup(s, u)\n"
+        "    zero = G.zero()\n"
+        "    cert = strong_patch(G, [(zero_ideal(G), zero), (zero_ideal(G), e)]).certificate\n"
+        "    assert (cert.i, cert.j, top_index(s, cert.maximal)) == (0, 1, k)\n"
+        "    assert zero_set_patch(G, [zero, zero], [zero, e]).certificate.maximal is cert.maximal\n"
+        "    assert s._spectrum is None\n"
+        "    space = compute_spectrum(G)\n"
+        "    assert space.max_ideals()[k] is cert.maximal\n"
+        "    assert len(spectrum_json(space)['primes']) == len(space) == 901\n"
+        "    assert specialization_dot(space).count('doublecircle') == len(space.max_ideals())\n"
+        "    assert yosida_table(G, u)[cert.maximal] == 1\n"
+        "    assert cert.maximal in principal_zero_set(G, zero)\n"
+        "print('ok')\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["ok"]

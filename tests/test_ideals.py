@@ -15,6 +15,7 @@ from conftest import (
     tall_groups,
 )
 from oracles import (
+    all_ideal_by_walk,
     full_generator_by_walk,
     ideal_count_by_walk,
     ideal_to_json_by_walk,
@@ -306,3 +307,23 @@ def test_ideal_count_answers_on_3000_level_trees(level):
     for _ in range(3000):
         s = lex(s) if level == "lex" else prod(Z, s)
     assert ideal_count(s) == (3002 if level == "lex" else 2**3001)
+
+
+def test_max_meet_is_the_meet_of_the_maximal_ideals_at_its_mask():
+    # mask 0 is the whole ideal, -1 the radical, 1 << k the k-th maximal
+    # ideal: each the meet, from the whole ideal, of the maximal ideals at
+    # the set bits
+    rng = random.Random(17)
+    for G in ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(1700, 1730)]:
+        s = G.structure
+        maxes = compute_spectrum(G).max_ideals()
+        n = len(maxes)
+        masks = [0, -1] + [1 << k for k in range(n)] + [rng.getrandbits(n) for _ in range(8)]
+        for mask in masks:
+            meet = all_ideal_by_walk(s)
+            for k, m in enumerate(maxes):
+                if mask >> k & 1:
+                    meet = ideal_meet(meet, m)
+            assert lgroup.ideals._max_meet(s, mask) is meet
+        assert [top_index(s, lgroup.ideals._max_meet(s, 1 << k)) for k in range(n)] == list(range(n))
+        assert all_ideal(G) is all_ideal(s) is all_ideal_by_walk(s)
