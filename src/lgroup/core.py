@@ -53,11 +53,11 @@ a product's children that are not a tuple, naming the position.  The lazy
 facts are its primes with their covers (``spectrum``) and its radical
 (``semisimple``): the first use sets them and every later one reads them.
 The ideals of a unital group are those of its tree, whatever the unit, so
-every group on the tree shares them.  The values are immutable and their ideal nodes interned, so two
-threads that fill a slot at once store equal values, and no lock is
-needed.  They live and die with the node: the tables hold it weakly, and
-no other table holds them.  A ``UnitalGroup`` likewise stores its unit's
-top integers outside its fields, on first use.
+every group on the tree shares them.  The values are immutable and their
+ideal nodes interned, so two threads that fill a slot at once store equal
+values, and no lock is needed.  They live and die with the node: the
+tables hold it weakly, and no other table holds them.  A ``UnitalGroup``
+likewise stores its unit's top integers outside its fields, on first use.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ decided by shape recursion:
 
 Each ideal node stores its own facts from construction (see ``_Ideal``):
 the zero and whole tests, the canonical JSON, ``yosida.top_index`` and the
-strong solver's hypothesis check read them instead of walking.  A fresh
-node whose part is not an ideal is refused, naming its position.  The
+strong solver's hypothesis check read them instead of walking.  The
+constructors refuse what is not an ideal, naming its position.  The
 meet of the maximal ideals at any set of top positions has one closed
 form, ``_max_meet``: the whole group, the radical and a certificate's
 maximal ideal are the meets of none, all and one.
@@ -68,17 +68,16 @@ class AtomIdeal(_Ideal):
 
     def __new__(cls, full: bool):
         try:
-            entry = cls._table.get(fields := (full,))
-        except TypeError:  # unhashable, so refused below
-            entry = None
-        if entry and (node := entry()):
-            return node
-        if full.__class__ is not bool:
-            raise ShapeMismatch((), f"expected True or False, got {full!r}")
-        return _intern(cls, fields, (not full, int(not full), 1))
+            return _ATOM_IDEALS[full]
+        except (KeyError, TypeError):
+            raise ShapeMismatch((), f"expected True or False, got {full!r}") from None
 
     def __repr__(self) -> str:
         return "all" if self.full else "zero"
+
+
+# zero and whole, held for good, so a field equal to a bool finds its node
+_ATOM_IDEALS = {b: _intern(AtomIdeal, (b,), (not b, int(not b), 1)) for b in (False, True)}
 
 
 def _prod_ideal_facts(parts: tuple) -> tuple:

@@ -298,6 +298,22 @@ def test_constructors_refuse_a_child_that_is_not_a_structure(build, path, messag
     assert [len(cls._table) for cls in NODE_CLASSES] == tables
 
 
+def test_an_atom_ideal_field_equal_to_a_bool_finds_that_node_in_a_fresh_interpreter():
+    # the two atom ideals are held from import, so 0 and 1 find them whatever
+    # else is live, and never build a node whose field is not a bool
+    code = (
+        "from lgroup import AtomIdeal\n"
+        "assert AtomIdeal(1).full is True and AtomIdeal(0).full is False\n"
+        "assert AtomIdeal(1) is AtomIdeal(True) and AtomIdeal(0) is AtomIdeal(False)\n"
+        "print('ok')\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["ok"]
+
+
 def test_products_of_fewer_than_two_are_refused():
     for build in (lambda: Prod((Z,)), lambda: ProdIdeal((ATOM_ALL,)), lambda: ProdIdeal(())):
         with pytest.raises(ValueError, match="at least 2"):
