@@ -17,8 +17,11 @@ import lgroup.core
 import lgroup.ideals
 from lgroup import (
     Atom,
+    AtomIdeal,
     Lex,
+    LexIdeal,
     Prod,
+    ProdIdeal,
     UnitalGroup,
     Z,
     all_ideal,
@@ -34,6 +37,9 @@ from lgroup import (
 )
 from lgroup.cli import main
 from lgroup.core import random_element
+
+# the interned node classes, each with its own table
+NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)
 
 A2 = validate_unital_group(prod(Z, Z), (1, 1))
 C3 = validate_unital_group(prod(Z, Z, Z), (1, 2, 1))

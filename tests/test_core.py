@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgroup
-from conftest import A2, CHAIN3, LEX, MIX, ORACLE_GROUPS, operands, seeded_tree_group
+from conftest import (
+    A2,
+    CHAIN3,
+    LEX,
+    MIX,
+    NODE_CLASSES,
+    ORACLE_GROUPS,
+    operands,
+    seeded_tree_group,
+)
 from oracles import (
     add_by_walk,
     atom_count_by_walk,
@@ -53,7 +62,6 @@ from lgroup import (
 )
 
 GROUPS = {"a2": A2, "lex": LEX, "mix": MIX, "chain3": CHAIN3}
-NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)
 ATOM_ALL, ATOM_ZERO = AtomIdeal(True), AtomIdeal(False)
 
 

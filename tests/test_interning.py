@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from conftest import tower_instance
+from conftest import NODE_CLASSES, tower_instance
 from oracles import primes_by_walk, radical_by_walk
 from lgroup import (
     Atom,
@@ -54,8 +54,6 @@ from lgroup import (
     validate_unital_group,
     yosida_table,
 )
-
-NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)
 
 
 def _nodes():
