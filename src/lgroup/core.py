@@ -37,11 +37,14 @@ node stores whether it is zero and where it is proper (see
 ``lgroup.ideals``).  A structure node stores facts that depend on its
 tree alone.  Eager facts are set at construction from the children's, in
 O(children): its zero element, atom count, chain flag and ideal count,
-and its element kernels, closures for ``add``, ``sub``, ``meet``, ``join``,
-``leq`` and the interval check ``_between``, so each of those reads a slot and
-calls what is there, with no dispatch on the node class per call; ``neg``
-subtracts from the stored zero, and the shape test of ``check_element`` is
-the interval check with neither bound.  An atom's kernels are the
+and its four element kernels, closures for ``add``, ``sub``, ``meet`` and
+the interval check ``_between``, so each of those reads a slot and calls
+what is there, with no dispatch on the node class per call.  The rest
+follow from these by the identities of a lattice-ordered group: ``neg``
+subtracts from the stored zero; g <= h exactly when h - g lies in the
+positive cone, which is the interval check with the lower bound alone;
+g v h = g + h - (g ^ h); and the shape test of ``check_element`` is the
+interval check with neither bound.  An atom's kernels are the
 builtins; a product maps its children's kernel in C when they are one
 tree, and otherwise loops over its children, doing an atom child's
 interval check inline; a lex node reads the top and calls its bottom's.
@@ -191,16 +194,18 @@ def _intern(cls, fields: tuple, facts: tuple):
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring): its zero element, atom count, chain flag and ideal count,
-    its element kernels, and its (primes, covers) and radical, None until
-    their first use fills them with ``_store``.  The interval check
-    ``_between(x, u, low, high)`` is None when x is malformed, by
-    ``check_element``'s tests in its order, else whether 0 <= x (if ``low``)
-    and x <= u (if ``high``): one walk, in which a lex top decides a bound
-    unless it ties, and which checks only the shape after a failed bound."""
+    its four element kernels ``_add``, ``_sub``, ``_meet`` and ``_between``
+    (``leq`` and ``join`` derive from them), and its (primes, covers) and
+    radical, None until their first use fills them with ``_store``.  The
+    interval check ``_between(x, u, low, high)`` is None when x is
+    malformed, by ``check_element``'s tests in its order, else whether
+    0 <= x (if ``low``) and x <= u (if ``high``): one walk, in which a lex
+    top decides a bound unless it ties, and which checks only the shape
+    after a failed bound."""
 
     __slots__ = _facts = (
         "_zero", "_atoms", "_chain", "_ideal_count",
-        "_add", "_sub", "_meet", "_join", "_leq", "_between", "_spectrum", "_radical",
+        "_add", "_sub", "_meet", "_between", "_spectrum", "_radical",
     )
 
 
@@ -224,8 +229,7 @@ def _atom_between(x, u, low, high):
 
 # an atom's zero, atom count, chain flag and ideal count (zero and all),
 # and its kernels: the builtins
-_ATOM_FACTS = (0, 1, True, 2, operator.add, operator.sub, min, max, operator.le, _atom_between,
-               None, None)
+_ATOM_FACTS = (0, 1, True, 2, operator.add, operator.sub, min, _atom_between, None, None)
 
 
 def _refuse_non_structures(children: tuple, steps: tuple) -> None:
@@ -247,7 +251,7 @@ def _map2(kernels: list):
 
 
 # the kernels a product reads from each child
-_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_join", "_leq", "_between")
+_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_between")
 
 
 def _prod_facts(children: tuple) -> tuple:
@@ -258,7 +262,7 @@ def _prod_facts(children: tuple) -> tuple:
     if children.__class__ is not tuple:
         raise ShapeMismatch((), f"expected a tuple of structures, got {children!r}")
     try:
-        adds, subs, meets, joins, leqs, betweens = zip(*map(_KERNELS, children))
+        adds, subs, meets, betweens = zip(*map(_KERNELS, children))
     except AttributeError:
         _refuse_non_structures(children, range(len(children)))
         raise
@@ -286,33 +290,21 @@ def _prod_facts(children: tuple) -> tuple:
     atoms = sum([c._atoms for c in children])
     count = math.prod([c._ideal_count for c in children])
     if children.count(children[0]) == n:  # one tree: equal nodes are one object
-        add, sub, meet, join, leq = adds[0], subs[0], meets[0], joins[0], leqs[0]
+        add, sub, meet = adds[0], subs[0], meets[0]
         return (
             zero, atoms, False, count,
             lambda g, h: tuple(map(add, g, h)),
             lambda g, h: tuple(map(sub, g, h)),
             lambda g, h: tuple(map(meet, g, h)),
-            lambda g, h: tuple(map(join, g, h)),
-            lambda g, h: all(map(leq, g, h)),
             between, None, None,
         )
-
-    def leq(g, h):
-        for f, a, b in zip(leqs, g, h):
-            if not f(a, b):
-                return False
-        return True
-
-    return (
-        zero, atoms, False, count,
-        _map2(adds), _map2(subs), _map2(meets), _map2(joins), leq, between, None, None,
-    )
+    return zero, atoms, False, count, _map2(adds), _map2(subs), _map2(meets), between, None, None
 
 
 def _lex_facts(bottom: _Structure) -> tuple:
     """A lex node's facts: its kernels read the top and call the bottom's."""
     _refuse_non_structures((bottom,), ("bottom",))
-    add, sub, meet, join, leq = bottom._add, bottom._sub, bottom._meet, bottom._join, bottom._leq
+    add, sub, meet = bottom._add, bottom._sub, bottom._meet
     below = bottom._between
 
     def lex_meet(g, h):
@@ -322,18 +314,6 @@ def _lex_facts(bottom: _Structure) -> tuple:
         if h[0] < g[0]:
             return h
         return (g[0], meet(g[1], h[1]))
-
-    def lex_join(g, h):
-        if g[0] < h[0]:
-            return h
-        if h[0] < g[0]:
-            return g
-        return (g[0], join(g[1], h[1]))
-
-    def lex_leq(g, h):
-        if g[0] != h[0]:
-            return g[0] < h[0]
-        return leq(g[1], h[1])
 
     def lex_between(x, u, low, high):
         if not isinstance(x, tuple) or len(x) != 2:
@@ -351,7 +331,7 @@ def _lex_facts(bottom: _Structure) -> tuple:
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
         lambda g, h: (g[0] + h[0], add(g[1], h[1])),
         lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
-        lex_meet, lex_join, lex_leq, lex_between, None, None,
+        lex_meet, lex_between, None, None,
     )
 
 
@@ -509,8 +489,10 @@ def scale(structure: Structure, n: int, g: Element) -> Element:
 
 
 def leq(structure: Structure, g: Element, h: Element) -> bool:
-    """Component/lex order comparison; a partial order, total iff chain."""
-    return structure._leq(g, h)
+    """Component/lex order comparison; a partial order, total iff chain.
+    g <= h exactly when h - g lies in the positive cone."""
+    d = structure._sub(h, g)
+    return structure._between(d, d, True, False)
 
 
 def lt(structure: Structure, g: Element, h: Element) -> bool:
@@ -522,7 +504,8 @@ def meet(structure: Structure, g: Element, h: Element) -> Element:
 
 
 def join(structure: Structure, g: Element, h: Element) -> Element:
-    return structure._join(g, h)
+    """g v h = g + h - (g ^ h)."""
+    return structure._sub(structure._add(g, h), structure._meet(g, h))
 
 
 def absval(structure: Structure, g: Element) -> Element:

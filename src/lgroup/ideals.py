@@ -1,8 +1,8 @@
 """Ideal lattices, quotients, and congruence tests.
 
 An ideal here is always an order-convex sublattice subgroup, represented
-structurally so that membership, containment, meet, and join are all
-decided by shape recursion:
+structurally so that membership, meet, and join are decided by shape
+recursion, and containment is a meet:
 
 * ``AtomIdeal(full)``   -- {0} or all of Z;
 * ``ProdIdeal(parts)``  -- a componentwise product of child ideals (every
@@ -133,9 +133,9 @@ class LexIdeal(_Ideal):
 
 Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
 
-# entries kept by each of the per-structure and per-group caches
-# (``_enumerate``, ``enumerate_ideals``, ``spectrum.compute_spectrum``), so
-# a long-running process holds a bounded number of lattices and spectra
+# entries kept by each of the per-group caches (``enumerate_ideals``,
+# ``spectrum.compute_spectrum``), so a long-running process holds a bounded
+# number of lattices and spectra
 CACHE_SIZE = 128
 
 
@@ -231,39 +231,35 @@ def contains(structure, I: Ideal, g: Element) -> bool:
 
 
 def _contains(structure, I, g) -> bool:
+    """Membership without validation; a product's parts are taken in a
+    loop, with one frame per level."""
     if isinstance(structure, Atom):
         return I.full or g == 0
     if isinstance(structure, Prod):
-        return all(map(_contains, structure.children, I.parts, g))
+        for child, part, x in zip(structure.children, I.parts, g):
+            if not _contains(child, part, x):
+                return False
+        return True
     if I.inner is None:
         return True
     return g[0] == 0 and _contains(structure.bottom, I.inner, g[1])
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    """Containment I subseteq J, decided structurally."""
-    if isinstance(I, AtomIdeal):
-        return J.full or not I.full
-    if isinstance(I, ProdIdeal):
-        return all(map(ideal_leq, I.parts, J.parts))
-    if J.inner is None:
-        return True
-    if I.inner is None:
-        return False
-    return ideal_leq(I.inner, J.inner)
+    """Containment I subseteq J: the meet is I, one object, as ideal nodes
+    are interned."""
+    return ideal_meet(I, J) is I
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
-    if I is J:  # equal ideals are one object
+    # equal ideals are one object, and the whole ideal (mask 0) is the meet's unit
+    if I is J or not J._mask:
         return I
-    if isinstance(I, AtomIdeal):
-        return AtomIdeal(I.full and J.full)
+    if not I._mask:
+        return J
     if isinstance(I, ProdIdeal):
         return ProdIdeal(tuple(map(ideal_meet, I.parts, J.parts)))
-    if I.inner is None:
-        return J
-    if J.inner is None:
-        return I
+    # both proper: {0} x inner at a lex node (proper atom ideals are zero, one object)
     return LexIdeal(ideal_meet(I.inner, J.inner))
 
 
@@ -335,7 +331,6 @@ class IdealLattice(_Record):
         return self.ideals[-1]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _enumerate(structure) -> tuple:
     if isinstance(structure, Atom):
         return (AtomIdeal(False), AtomIdeal(True))

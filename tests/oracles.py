@@ -17,7 +17,10 @@ canonical JSON, the top position of a maximal ideal, the strong solver's
 hypothesis check and the zero-set solver's uniqueness; and the walks that
 a structure's stored zero, ideal count and whole ideal replaced.  The
 radical and whole-ideal walks are those that ``ideals._max_meet``, the
-meet of the maximal ideals at a mask of top positions, replaced.
+meet of the maximal ideals at a mask of top positions, replaced.  The
+order and join walks are what ``core.leq`` and ``core.join`` replaced by
+the positive cone and the meet, and the containment walk what
+``ideal_leq`` replaced by the meet.
 """
 
 from __future__ import annotations
@@ -358,6 +361,19 @@ def join_by_walk(structure, g, h):
     if h[0] < g[0]:
         return g
     return (g[0], join_by_walk(structure.bottom, g[1], h[1]))
+
+
+def ideal_leq_by_walk(I, J) -> bool:
+    """Containment I subseteq J, decided part by part."""
+    if isinstance(I, AtomIdeal):
+        return J.full or not I.full
+    if isinstance(I, ProdIdeal):
+        return all(map(ideal_leq_by_walk, I.parts, J.parts))
+    if J.inner is None:
+        return True
+    if I.inner is None:
+        return False
+    return ideal_leq_by_walk(I.inner, J.inner)
 
 
 def is_zero_ideal_by_walk(I) -> bool:

@@ -43,6 +43,7 @@ from lgroup import (
     ShapeMismatch,
     UnitalGroup,
     Z,
+    absval,
     add,
     atom_count,
     check_element,
@@ -51,6 +52,7 @@ from lgroup import (
     join,
     leq,
     lex,
+    lt,
     meet,
     neg,
     prod,
@@ -352,7 +354,9 @@ def test_element_kernels_agree_with_their_walks(data):
     assert neg(s, g) == neg_by_walk(s, g)
     assert meet(s, g, h) == meet_by_walk(s, g, h)
     assert join(s, g, h) == join_by_walk(s, g, h)
+    assert absval(s, g) == join_by_walk(s, g, neg_by_walk(s, g))
     assert leq(s, g, h) is leq_by_walk(s, g, h)
+    assert lt(s, g, h) is (g != h and leq_by_walk(s, g, h))
     assert (atom_count(s), is_chain(s)) == (atom_count_by_walk(s), is_chain_by_walk(s))
 
 

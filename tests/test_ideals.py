@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +22,7 @@ from oracles import (
     all_ideal_by_walk,
     full_generator_by_walk,
     ideal_count_by_walk,
+    ideal_leq_by_walk,
     ideal_to_json_by_walk,
     is_all_ideal_by_walk,
     is_zero_ideal_by_walk,
@@ -242,7 +247,7 @@ def test_caches_stay_bounded():
         G = UnitalGroup(prod(s, t), (u, v))
         enumerate_ideals(G)
         compute_spectrum(G)
-    for cached in (lgroup.ideals._enumerate, enumerate_ideals, compute_spectrum):
+    for cached in (enumerate_ideals, compute_spectrum):
         info = cached.cache_info()
         assert info.maxsize == size and info.currsize <= size
 
@@ -275,6 +280,21 @@ def test_stored_ideal_facts_agree_with_their_walks():
             kinds.add((I._zero, is_all_ideal(I), type(I)))
     # zero, whole and mixed ideals of each node class occur
     assert len(kinds) == 8
+
+
+def test_ideal_leq_agrees_with_its_walk():
+    # every ordered pair where there are at most 100 ideals; in the larger
+    # lattices, each ideal against 4 seeded others
+    rng = random.Random(19)
+    held = 0
+    for G, ideals in FACT_CASES:
+        for I in ideals:
+            others = ideals if len(ideals) <= 100 else rng.sample(ideals, 4)
+            for J in others:
+                verdict = ideal_leq(I, J)
+                assert verdict is ideal_leq_by_walk(I, J)
+                held += verdict
+    assert held > 10000
 
 
 def test_ideal_json_and_top_index_agree_with_their_walks():
@@ -327,3 +347,40 @@ def test_max_meet_is_the_meet_of_the_maximal_ideals_at_its_mask():
             assert lgroup.ideals._max_meet(s, mask) is meet
         assert [top_index(s, lgroup.ideals._max_meet(s, 1 << k)) for k in range(n)] == list(range(n))
         assert all_ideal(G) is all_ideal(s) is all_ideal_by_walk(s)
+
+
+def test_containment_entries_answer_on_600_and_900_level_product_nests():
+    # in a fresh interpreter: membership takes a product's parts in a loop
+    # and containment is a meet, one frame per level each; every entry
+    # below walks down to the deepest atom, and each pair of verdicts is
+    # one that holds and one that does not
+    code = (
+        "from lgroup import UnitalGroup, Z, compute_spectrum, congruent, contains, ideal_leq\n"
+        "from lgroup import keimel_patch, prod, strong_patch, vanishing_locus, zero_ideal\n"
+        "for n in (600, 900):\n"
+        "    s, u, deep = Z, 1, 1\n"
+        "    for _ in range(n):\n"
+        "        s, u, deep = prod(Z, s), (1, u), (0, deep)\n"
+        "    G = UnitalGroup(s, u)\n"
+        "    zero = G.zero()\n"
+        "    top = (1,) + zero[1:]  # 1 at the first atom, where deep is 0\n"
+        "    space = compute_spectrum(G)\n"
+        "    first, last = space.max_ideals()[0], space.max_ideals()[-1]\n"
+        "    table = [\n"
+        "        ideal_leq(zero_ideal(G), last), ideal_leq(last, zero_ideal(G)),\n"
+        "        contains(s, last, top), contains(s, last, deep),\n"
+        "        congruent(G, u, deep, last), congruent(G, u, top, last),\n"
+        "        len(vanishing_locus(space, zero_ideal(G))), len(vanishing_locus(space, [deep])),\n"
+        "    ]\n"
+        "    for patch in (keimel_patch, strong_patch):\n"
+        "        g = patch(G, [(last, deep), (first, zero)]).solution\n"
+        "        table.append(contains(s, last, G.sub(g, deep)) and contains(s, first, g))\n"
+        "    print(n, *table)\n"
+    )
+    src = pathlib.Path(lgroup.ideals.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    rows = [line.split() for line in result.stdout.splitlines()]
+    verdicts = ["True", "False"] * 3
+    assert rows == [[str(n), *verdicts, str(n + 1), str(n), "True", "True"] for n in (600, 900)]
