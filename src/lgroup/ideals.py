@@ -247,8 +247,9 @@ def _contains(structure, I, g) -> bool:
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
     """Containment I subseteq J: the meet is I, one object, as ideal nodes
-    are interned."""
-    return ideal_meet(I, J) is I
+    are interned.  I is proper wherever J is, which the masks decide first
+    without building the meet."""
+    return (J._mask & ~I._mask) == 0 and ideal_meet(I, J) is I
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
