@@ -246,9 +246,9 @@ def _contains(structure, I, g) -> bool:
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    """Containment I subseteq J: the meet is I, one object, as ideal nodes
-    are interned.  I is proper wherever J is, which the masks decide first
-    without building the meet."""
+    """Containment I subseteq J: I is proper at every top position where J
+    is (a test of the stored masks, which builds nothing), and their meet
+    is I, one object, as ideal nodes are interned."""
     return (J._mask & ~I._mask) == 0 and ideal_meet(I, J) is I
 
 
