@@ -35,25 +35,36 @@ outside its fields: the fields alone still make its key, hash, repr and
 pickle, and ``_intern`` sets the facts before the node is seen.  An ideal
 node stores whether it is zero and where it is proper (see
 ``lgroup.ideals``).  A structure node stores facts that depend on its
-tree alone.  Eager facts are set at construction from the children's, in
-O(children): its zero element, atom count, chain flag and ideal count,
-and its four element kernels, closures for ``add``, ``sub``, ``meet`` and
-the interval check ``_between``, so each of those reads a slot and calls
-what is there, with no dispatch on the node class per call.  The rest
-follow from these by the identities of a lattice-ordered group: ``neg``
-subtracts from the stored zero; g <= h exactly when h - g lies in the
-positive cone, which is the interval check with the lower bound alone;
-g v h = g + h - (g ^ h); and the shape test of ``check_element`` is the
-interval check with neither bound.  An atom's kernels are the
-builtins; a product maps its children's kernel in C when they are one
-tree, and otherwise loops over its children, doing an atom child's
-interval check inline; a lex node reads the top and calls its bottom's.
-A kernel calls its children's from a loop (one frame per tree level) or
-a ``map`` (as the walks did), never from a comprehension, so it recurses
-no deeper than the recursive walks it replaced, and no code is
-generated.  The constructors refuse a child that is not a structure, and
-a product's children that are not a tuple, naming the position.  The lazy
-facts are its primes with their covers (``spectrum``) and its radical
+tree alone.  Its zero element, atom count, chain flag and ideal count are
+set at construction from the children's, in O(children).  Its kernels
+are built on first read, not at construction.  Each family of kernels
+(the element kernels here; the ideal kernels of ``lgroup.ideals``) has a
+maker, which builds a node's kernels from its children's; its slots stay
+unset, so reading one raises ``AttributeError`` and only then does
+``_Structure.__getattr__`` run.  That read builds the family at the node
+and at every node below it that lacks it, children first, with an
+explicit stack, so no tree is too tall for it; every later read is a
+plain slot read.  The element kernels are closures for ``add``, ``sub``,
+``meet``, the interval check ``_between`` and the top integers
+``_tops``, so each of those reads a slot and calls what is there, with
+no dispatch on the node class per call.  The rest follow from these by
+the identities of a lattice-ordered group: ``neg`` subtracts from the
+stored zero; g <= h exactly when h - g lies in the positive cone, which
+is the interval check with the lower bound alone; g v h = g + h -
+(g ^ h); and the shape test of ``check_element`` is the interval check
+with neither bound.  An atom's kernels are the builtins; a product maps
+its children's kernel in C when they are one tree, and otherwise loops
+over its children, doing an atom child's interval check inline; a lex
+node reads the top and calls its bottom's.  A kernel calls its
+children's from a loop (one frame per tree level) or a ``map`` (as the
+walks did), never from a comprehension, so it recurses no deeper than
+the recursive walks it replaced, and no code is generated.  A kernel
+holds its children's kernels and never a structure node, so the kernels
+form no reference cycle and a tree dies with its last user.  Two threads that
+build one node at once store kernels that behave alike.  The
+constructors refuse a child that is not a structure, and a product's
+children that are not a tuple, naming the position.  The lazy facts are
+its primes with their covers (``spectrum``) and its radical
 (``semisimple``): the first use sets them and every later one reads them.
 The ideals of a unital group are those of its tree, whatever the unit, so
 every group on the tree shares them.  The values are immutable and their
@@ -193,20 +204,68 @@ def _intern(cls, fields: tuple, facts: tuple):
 
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
-    docstring): its zero element, atom count, chain flag and ideal count,
-    its four element kernels ``_add``, ``_sub``, ``_meet`` and ``_between``
-    (``leq`` and ``join`` derive from them), and its (primes, covers) and
-    radical, None until their first use fills them with ``_store``.  The
+    docstring).  Set at construction: its zero element, atom count, chain
+    flag and ideal count, and its (primes, covers) and radical, None until
+    their first use fills them with ``_store``.  Unset until their first
+    read: its kernels.  The element kernels are ``_add``, ``_sub``,
+    ``_meet``, ``_between`` and ``_tops`` (``leq`` and ``join`` derive from
+    them); the ideal kernels, which ``lgroup.ideals`` makes, follow.  The
     interval check ``_between(x, u, low, high)`` is None when x is
     malformed, by ``check_element``'s tests in its order, else whether
     0 <= x (if ``low``) and x <= u (if ``high``): one walk, in which a lex
     top decides a bound unless it ties, and which checks only the shape
-    after a failed bound."""
+    after a failed bound.  ``_tops(out, g)`` appends g's top integers (see
+    ``lgroup.yosida``) to the list ``out``."""
 
-    __slots__ = _facts = (
-        "_zero", "_atoms", "_chain", "_ideal_count",
-        "_add", "_sub", "_meet", "_between", "_spectrum", "_radical",
+    _facts = ("_zero", "_atoms", "_chain", "_ideal_count", "_spectrum", "_radical")
+    __slots__ = _facts + (
+        "_add", "_sub", "_meet", "_between", "_tops",
+        "_shape", "_has", "_gen", "_split", "_all",
     )
+
+    def __getattr__(self, name):
+        # runs only when a slot is unset: build its family, then read it
+        family = _FAMILIES.get(name)
+        if family is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _build(self, *family)
+        return object.__getattribute__(self, name)
+
+
+# kernel slot -> (the slots of its family, the maker of their values at a node)
+_FAMILIES = {}
+
+
+def _family(names: tuple, make) -> None:
+    """Register a family of kernels: ``make(node)`` gives their values at a
+    node whose children have theirs."""
+    for name in names:
+        _FAMILIES[name] = names, make
+
+
+def _build(node, names: tuple, make) -> None:
+    """Build the kernels ``names`` of ``node`` and of every node below it
+    that lacks them, children first: a walk with an explicit stack, which
+    enters each node once and builds it once its children are built.
+    Threads that build one node at once store kernels that behave alike."""
+    last = names[-1]
+    seen = set()
+    stack = [(node, False)]
+    while stack:
+        s, entered = stack.pop()
+        if entered:
+            for name, kernel in zip(names, make(s)):
+                object.__setattr__(s, name, kernel)
+            continue
+        if s in seen:
+            continue
+        seen.add(s)
+        stack.append((s, True))
+        for child in s.children if type(s) is Prod else (s.bottom,) if type(s) is Lex else ():
+            try:
+                object.__getattribute__(child, last)  # set last, so all are set
+            except AttributeError:
+                stack.append((child, False))
 
 
 def _store(node, name: str, value):
@@ -227,15 +286,31 @@ def _atom_between(x, u, low, high):
     return (not low or 0 <= x) and (not high or x <= u)
 
 
-# an atom's zero, atom count, chain flag and ideal count (zero and all),
-# and its kernels: the builtins
-_ATOM_FACTS = (0, 1, True, 2, operator.add, operator.sub, min, _atom_between, None, None)
+# an atom's zero, atom count, chain flag and ideal count (zero and all)
+_ATOM_FACTS = (0, 1, True, 2, None, None)
+# and its element kernels: the builtins, and its value is its one top
+_ATOM_KERNELS = (operator.add, operator.sub, min, _atom_between, list.append)
 
 
 def _refuse_non_structures(children: tuple, steps: tuple) -> None:
     for step, child in zip(steps, children):
         if not isinstance(child, _Structure):
             raise ShapeMismatch((step,), f"expected a structure, got {child!r}")
+
+
+def _prod_facts(children: tuple) -> tuple:
+    """A product's facts from its children's."""
+    if children.__class__ is not tuple:
+        raise ShapeMismatch((), f"expected a tuple of structures, got {children!r}")
+    _refuse_non_structures(children, range(len(children)))
+    zero = tuple([c._zero for c in children])
+    atoms = sum([c._atoms for c in children])
+    return zero, atoms, False, math.prod([c._ideal_count for c in children]), None, None
+
+
+def _lex_facts(bottom: _Structure) -> tuple:
+    _refuse_non_structures((bottom,), ("bottom",))
+    return (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1, None, None
 
 
 def _map2(kernels: list):
@@ -250,22 +325,22 @@ def _map2(kernels: list):
     return kernel
 
 
-# the kernels a product reads from each child
-_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_between")
+# the element kernels a product reads from each child
+_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_between", "_tops")
 
 
-def _prod_facts(children: tuple) -> tuple:
-    """A product's facts from its children's.  When every child is one tree,
-    its kernels are mapped over the parts in C; otherwise a loop calls each
-    child's, and the interval check does an atom child's work inline.  A
-    loop, not a comprehension, calls each child with one frame."""
-    if children.__class__ is not tuple:
-        raise ShapeMismatch((), f"expected a tuple of structures, got {children!r}")
-    try:
-        adds, subs, meets, betweens = zip(*map(_KERNELS, children))
-    except AttributeError:
-        _refuse_non_structures(children, range(len(children)))
-        raise
+def _element_kernels(s) -> tuple:
+    """A node's element kernels from its children's.  A product maps its
+    children's kernel in C when they are one tree; otherwise a loop calls
+    each child's, and the interval check does an atom child's work inline.
+    A loop, not a comprehension, calls each child with one frame.  A lex
+    node reads the top and calls its bottom's."""
+    if type(s) is Atom:
+        return _ATOM_KERNELS
+    if type(s) is Lex:
+        return _lex_kernels(s.bottom)
+    children = s.children
+    adds, subs, meets, betweens, topss = zip(*map(_KERNELS, children))
     n = len(children)
     atom_between = _atom_between
 
@@ -286,24 +361,24 @@ def _prod_facts(children: tuple) -> tuple:
                 verdict = low = high = False
         return verdict
 
-    zero = tuple([c._zero for c in children])
-    atoms = sum([c._atoms for c in children])
-    count = math.prod([c._ideal_count for c in children])
-    if children.count(children[0]) == n:  # one tree: equal nodes are one object
-        add, sub, meet = adds[0], subs[0], meets[0]
-        return (
-            zero, atoms, False, count,
-            lambda g, h: tuple(map(add, g, h)),
-            lambda g, h: tuple(map(sub, g, h)),
-            lambda g, h: tuple(map(meet, g, h)),
-            between, None, None,
-        )
-    return zero, atoms, False, count, _map2(adds), _map2(subs), _map2(meets), between, None, None
+    def tops(out, g):
+        for f, x in zip(topss, g):
+            f(out, x)
+
+    if children.count(children[0]) < n:
+        return _map2(adds), _map2(subs), _map2(meets), between, tops
+    # one tree: equal nodes are one object
+    add, sub, meet = adds[0], subs[0], meets[0]
+    return (
+        lambda g, h: tuple(map(add, g, h)),
+        lambda g, h: tuple(map(sub, g, h)),
+        lambda g, h: tuple(map(meet, g, h)),
+        between,
+        list.extend if type(children[0]) is Atom else tops,  # atoms: the parts are the tops
+    )
 
 
-def _lex_facts(bottom: _Structure) -> tuple:
-    """A lex node's facts: its kernels read the top and call the bottom's."""
-    _refuse_non_structures((bottom,), ("bottom",))
+def _lex_kernels(bottom: _Structure) -> tuple:
     add, sub, meet = bottom._add, bottom._sub, bottom._meet
     below = bottom._between
 
@@ -328,11 +403,14 @@ def _lex_facts(bottom: _Structure) -> tuple:
         return inside if inside is None else verdict and inside
 
     return (
-        (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
         lambda g, h: (g[0] + h[0], add(g[1], h[1])),
         lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
-        lex_meet, lex_between, None, None,
+        lex_meet, lex_between,
+        lambda out, g: out.append(g[0]),
     )
+
+
+_family(("_add", "_sub", "_meet", "_between", "_tops"), _element_kernels)
 
 
 class Atom(_Structure):

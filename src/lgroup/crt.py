@@ -34,7 +34,10 @@ two zero sets, so the check lives in one place.
 Hypotheses are always checked, never assumed; every failure carries a
 structured certificate naming the violated condition.  ``_normalize`` (and,
 in ``zero_set_patch``, the generator check) is the solvers' only validation:
-the merge, both hypothesis checks and ``_verify`` run on trusted walks.
+the merge, both hypothesis checks and ``_verify`` trust their operands and
+call the structure's stored kernels (see ``lgroup.ideals``): the Riesz
+split ``_split`` and membership ``_has``, each one call per step, and the
+top integers of ``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -53,14 +56,10 @@ from .core import (
     zero,
 )
 from .ideals import (
-    AtomIdeal,
     Ideal,
-    ProdIdeal,
-    _contains,
     _max_meet,
     _proper_mask,
     _top_width,
-    all_ideal,
     check_ideal,
     ideal_join,
     ideal_meet,
@@ -177,8 +176,8 @@ def riesz_split(
     and b in J.
 
     Deterministic: a coordinate claimable by both ideals goes to the first
-    one.  Raises NotInJoin otherwise.  The merge runs the same walk on
-    operands it made itself, where the merge lemma (module docstring)
+    one.  Raises NotInJoin otherwise.  The merge calls the same kernel,
+    the structure's ``_split``, on operands it made itself, where the merge lemma (module docstring)
     makes a stuck step a proof of incompatibility; here the operands and
     the split are checked.
     """
@@ -186,30 +185,13 @@ def riesz_split(
     check_element(s, d)
     check_ideal(s, I)
     check_ideal(s, J)
-    a = _split(s, d, I, J)
+    a = s._split(d, I, J)
     if a is None:
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
     b = sub(s, d, a)
-    if not (_contains(s, I, a) and _contains(s, J, b)):
+    if not (s._has(I, a) and s._has(J, b)):
         raise InternalInvariantViolation("riesz split postcondition failed")
     return a, b
-
-
-def _split(structure, d, I: Ideal, J: Ideal):
-    """The part a in I of d = a + b with b = d - a in J, or None when d is
-    not in I v J."""
-    if isinstance(I, AtomIdeal):
-        return d if I.full else (0 if J.full or d == 0 else None)
-    if isinstance(I, ProdIdeal):
-        parts = tuple(map(_split, structure.children, d, I.parts, J.parts))
-        return None if None in parts else parts
-    if I.inner is None:
-        return d
-    if J.inner is None:
-        # give the first ideal its maximal share of the bottom component
-        return 0, _split(structure.bottom, d[1], I.inner, all_ideal(structure.bottom))
-    a = None if d[0] else _split(structure.bottom, d[1], I.inner, J.inner)
-    return None if a is None else (0, a)
 
 
 def _solution(G: UnitalGroup, system: CongruenceSystem):
@@ -221,7 +203,7 @@ def _solution(G: UnitalGroup, system: CongruenceSystem):
         return zero(s)
     processed, g = cons[0]
     for I, t in cons[1:]:
-        a = _split(s, sub(s, g, t), processed, I)
+        a = s._split(sub(s, g, t), processed, I)
         if a is None:
             return None
         g = sub(s, g, a)
@@ -237,7 +219,7 @@ def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
-        if not _contains(G.structure, joined, diff):
+        if not G.structure._has(joined, diff):
             return i, j, diff, joined
     raise InternalInvariantViolation("the merge got stuck on a compatible system")
 
@@ -263,7 +245,7 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
 
 def _verify(G: UnitalGroup, system: CongruenceSystem, g: Element) -> None:
     for I, gi in system:
-        if not _contains(G.structure, I, sub(G.structure, g, gi)):
+        if not G.structure._has(I, sub(G.structure, g, gi)):
             raise InternalInvariantViolation(
                 f"patch result fails its congruence modulo {I!r}"
             )

@@ -14,10 +14,17 @@ recursion, and containment is a meet:
 Each ideal node stores its own facts from construction (see ``_Ideal``):
 the zero and whole tests, the canonical JSON, ``yosida.top_index`` and the
 strong solver's hypothesis check read them instead of walking.  The
-constructors refuse what is not an ideal, naming its position.  The
-meet of the maximal ideals at any set of top positions has one closed
-form, ``_max_meet``: the whole group, the radical and a certificate's
-maximal ideal are the meets of none, all and one.
+constructors refuse what is not an ideal, naming its position.  What
+depends on the structure as well is a family of kernels on the structure
+node, built on its first read like the element kernels (see
+``lgroup.core``) by ``_ideal_kernels``: the shape check of
+``check_ideal``, membership, generation, the Riesz split of the patch
+solvers, and the whole ideal.  Each is one call, with no dispatch on the
+node class; ``check_ideal`` descends only after the shape check fails,
+to name the position.  The meet of the maximal ideals at any set of top
+positions has one closed form, ``_max_meet``: the whole group, the
+radical and a certificate's maximal ideal are the meets of none, all and
+one.
 
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
@@ -30,6 +37,7 @@ together.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -42,6 +50,7 @@ from .core import (
     ShapeMismatch,
     Structure,
     UnitalGroup,
+    _family,
     _intern,
     _Node,
     _Record,
@@ -133,6 +142,102 @@ class LexIdeal(_Ideal):
 
 Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
 
+_WHOLE_LEX = LexIdeal(None)
+
+
+def _atom_split(d, I, J):
+    return d if I.full else (0 if J.full or d == 0 else None)
+
+
+# an atom's ideal kernels: the shape check is isinstance(I, AtomIdeal), in C
+_ATOM_IDEAL_KERNELS = (
+    AtomIdeal.__instancecheck__,
+    lambda I, g: I.full or g == 0,
+    lambda g: _ATOM_IDEALS[g != 0],
+    _atom_split,
+    _ATOM_IDEALS[True],
+)
+# the ideal kernels a product reads from each child
+_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_split", "_all")
+
+
+def _ideal_kernels(s) -> tuple:
+    """A structure node's ideal kernels from its children's: ``_shape(I)``,
+    whether I has the shape of an ideal of s (``check_ideal``);
+    ``_has(I, g)``, membership (``contains``); ``_gen(g)``, the ideal g
+    generates (``principal_ideal``); ``_split(d, I, J)``, the part a in I
+    of d = a + b with b in J, or None when d is not in I v J
+    (``riesz_split``); and ``_all``, the whole ideal.  All but the first
+    trust their operands.  A product calls its children's in a loop, with
+    one frame per level; a lex node reads the top and calls its bottom's."""
+    if type(s) is Atom:
+        return _ATOM_IDEAL_KERNELS
+    if type(s) is Prod:
+        return _prod_kernels(s.children)
+    shape, has, gen, split, whole = _IDEAL_KERNELS(s.bottom)
+
+    def lex_shape(I):
+        return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
+
+    def lex_has(I, g):
+        return I.inner is None or g[0] == 0 and has(I.inner, g[1])
+
+    def lex_gen(g):
+        return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
+
+    def lex_split(d, I, J):
+        if I.inner is None:
+            return d
+        if J.inner is None:  # the first ideal takes its largest share of the bottom
+            return 0, split(d[1], I.inner, whole)
+        a = None if d[0] else split(d[1], I.inner, J.inner)
+        return None if a is None else (0, a)
+
+    return lex_shape, lex_has, lex_gen, lex_split, _WHOLE_LEX
+
+
+def _prod_kernels(children: tuple) -> tuple:
+    shapes, hass, gens, splits, wholes = zip(*map(_IDEAL_KERNELS, children))
+    zeros = [c._zero for c in children]
+    n = len(children)
+
+    def shape(I):
+        if not isinstance(I, ProdIdeal) or len(I.parts) != n:
+            return False
+        for f, part in zip(shapes, I.parts):
+            if not f(part):
+                return False
+        return True
+
+    def has(I, g):
+        # a whole part holds every x, and the zero part only the zero
+        for f, zero, part, x in zip(hass, zeros, I.parts, g):
+            if part._mask and (x != zero if part._zero else not f(part, x)):
+                return False
+        return True
+
+    def gen(g):
+        parts = []
+        for f, x in zip(gens, g):
+            parts.append(f(x))
+        return ProdIdeal(tuple(parts))
+
+    def split(d, I, J):
+        if not I._mask:  # the whole ideal takes everything
+            return d
+        out = []
+        for f, x, p, q in zip(splits, d, I.parts, J.parts):
+            a = f(x, p, q)
+            if a is None:
+                return None
+            out.append(a)
+        return tuple(out)
+
+    return shape, has, gen, split, ProdIdeal(wholes)
+
+
+_family(("_shape", "_has", "_gen", "_split", "_all"), _ideal_kernels)
+
 # entries kept by each of the per-group caches (``enumerate_ideals``,
 # ``spectrum.compute_spectrum``), so a long-running process holds a bounded
 # number of lattices and spectra
@@ -154,12 +259,12 @@ def _structure_of(g) -> Structure:
 def zero_ideal(structure) -> Ideal:
     """The ideal generated by the stored zero element."""
     structure = _structure_of(structure)
-    return _principal(structure, structure._zero)
+    return structure._gen(structure._zero)
 
 
 def all_ideal(structure) -> Ideal:
-    """The whole group: the meet of no maximal ideal."""
-    return _max_meet(_structure_of(structure), 0)
+    """The whole group, the meet of no maximal ideal: a stored kernel."""
+    return _structure_of(structure)._all
 
 
 def _max_meet(structure, mask: int) -> Ideal:
@@ -167,6 +272,8 @@ def _max_meet(structure, mask: int) -> Ideal:
     ``lgroup.yosida``) whose bits are set in ``mask``: zero at such an atom,
     bottom(all) at such a lex node, whole elsewhere.  A product's children
     are taken in a loop, with one frame, past each part's positions."""
+    if not mask:
+        return structure._all
     if isinstance(structure, Atom):
         return AtomIdeal(not mask & 1)
     if isinstance(structure, Prod):
@@ -176,7 +283,7 @@ def _max_meet(structure, mask: int) -> Ideal:
             parts.append(part)
             mask >>= part._width
         return ProdIdeal(tuple(parts))
-    return LexIdeal(_max_meet(structure.bottom, 0) if mask & 1 else None)
+    return LexIdeal(structure.bottom._all) if mask & 1 else _WHOLE_LEX
 
 
 def is_zero_ideal(I: Ideal) -> bool:
@@ -200,26 +307,28 @@ def _top_width(I: Ideal) -> int:
 
 
 def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
-    """Validate that ``I`` matches the shape of ``structure``."""
-    structure = _structure_of(structure)
-    if isinstance(structure, Atom):
-        if not isinstance(I, AtomIdeal):
+    """Validate that ``I`` matches the shape of ``structure``: one call of
+    its stored shape check.  Only a failure descends, into the first
+    malformed part, to name the first bad position in pre-order."""
+    s = _structure_of(structure)
+    while not s._shape(I):
+        if type(s) is Atom:
             raise ShapeMismatch(path, f"expected an atom ideal, got {I!r}")
-    elif isinstance(structure, Prod):
-        n = len(structure.children)
-        if not isinstance(I, ProdIdeal) or len(I.parts) != n:
-            raise ShapeMismatch(path, f"expected a {n}-part product ideal, got {I!r}")
-        for i, (child, part) in enumerate(zip(structure.children, I.parts)):
-            check_ideal(child, part, path + (i,))
-    else:
+        if type(s) is Prod:
+            n = len(s.children)
+            if not isinstance(I, ProdIdeal) or len(I.parts) != n:
+                raise ShapeMismatch(path, f"expected a {n}-part product ideal, got {I!r}")
+            bad = [not c._shape(part) for c, part in zip(s.children, I.parts)]
+            i = bad.index(True)
+            s, I, path = s.children[i], I.parts[i], path + (i,)
+            continue
         if not isinstance(I, LexIdeal):
             raise ShapeMismatch(path, f"expected a lex ideal, got {I!r}")
-        if I.inner is not None:
-            check_ideal(structure.bottom, I.inner, path + ("bottom",))
+        s, I, path = s.bottom, I.inner, path + ("bottom",)
 
 
 def contains(structure, I: Ideal, g: Element) -> bool:
-    """Decide membership g in I.
+    """Decide membership g in I: the stored kernel ``_has``.
 
     Atom: zero holds only 0; Prod: componentwise; Lex: the whole group
     holds everything, while {0} x J holds (a, t) iff a = 0 and t in J.
@@ -227,22 +336,7 @@ def contains(structure, I: Ideal, g: Element) -> bool:
     structure = _structure_of(structure)
     check_ideal(structure, I)
     check_element(structure, g)
-    return _contains(structure, I, g)
-
-
-def _contains(structure, I, g) -> bool:
-    """Membership without validation; a product's parts are taken in a
-    loop, with one frame per level."""
-    if isinstance(structure, Atom):
-        return I.full or g == 0
-    if isinstance(structure, Prod):
-        for child, part, x in zip(structure.children, I.parts, g):
-            if not _contains(child, part, x):
-                return False
-        return True
-    if I.inner is None:
-        return True
-    return g[0] == 0 and _contains(structure.bottom, I.inner, g[1])
+    return structure._has(I, g)
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
@@ -284,35 +378,30 @@ def principal_ideal(structure, g: Element) -> Ideal:
     """
     structure = _structure_of(structure)
     check_element(structure, g)
-    return _principal(structure, g)
-
-
-def _principal(structure, g) -> Ideal:
-    if isinstance(structure, Atom):
-        return AtomIdeal(g != 0)
-    if isinstance(structure, Prod):
-        return ProdIdeal(tuple(map(_principal, structure.children, g)))
-    if g[0] != 0:
-        return LexIdeal(None)
-    return LexIdeal(_principal(structure.bottom, g[1]))
+    return structure._gen(g)
 
 
 def full_generator(structure) -> Element:
     """A canonical single generator of the improper ideal."""
     structure = _structure_of(structure)
-    return canonical_generator(structure, all_ideal(structure))
+    return _generator(structure, structure._all)
 
 
 def canonical_generator(structure, I: Ideal) -> Element:
     """A witness g with <g> = I (in this class every ideal is principal)."""
     structure = _structure_of(structure)
+    check_ideal(structure, I)
+    return _generator(structure, I)
+
+
+def _generator(structure, I: Ideal) -> Element:
     if isinstance(structure, Atom):
         return 1 if I.full else 0
     if isinstance(structure, Prod):
-        return tuple(map(canonical_generator, structure.children, I.parts))
+        return tuple(map(_generator, structure.children, I.parts))
     if I.inner is None:
         return (1, zero(structure.bottom))
-    return (0, canonical_generator(structure.bottom, I.inner))
+    return (0, _generator(structure.bottom, I.inner))
 
 
 class IdealLattice(_Record):
@@ -344,7 +433,7 @@ def _enumerate(structure) -> tuple:
 
 def ideal_count(structure) -> int:
     """Size of the ideal lattice, stored on the node at construction."""
-    return structure._ideal_count
+    return _structure_of(structure)._ideal_count
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -355,11 +444,10 @@ def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     generator candidate and the flag records whether that candidate
     actually generates it.
     """
-    ideals = _enumerate(G.structure)
-    generators = tuple(canonical_generator(G.structure, I) for I in ideals)
-    principal = tuple(
-        _principal(G.structure, g) == I for g, I in zip(generators, ideals)
-    )
+    s = G.structure
+    ideals = _enumerate(s)
+    generators = tuple(_generator(s, I) for I in ideals)
+    principal = tuple(s._gen(g) == I for g, I in zip(generators, ideals))
     return IdealLattice(G, ideals, principal, generators)
 
 
@@ -419,8 +507,8 @@ class QuotientResult(_Record):
         check_ideal(self.structure, J)
         if self.group is None:
             return None
-        _, g = _quotient(self.structure, self.divisor, canonical_generator(self.structure, J))
-        return _principal(self.group.structure, g)
+        _, g = _quotient(self.structure, self.divisor, _generator(self.structure, J))
+        return self.group.structure._gen(g)
 
 
 def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:
@@ -440,4 +528,4 @@ def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:
     check_element(G.structure, g)
     check_element(G.structure, h)
     check_ideal(G.structure, I)
-    return _contains(G.structure, I, sub(G.structure, g, h))
+    return G.structure._has(I, sub(G.structure, g, h))

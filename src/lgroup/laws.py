@@ -32,7 +32,6 @@ from .crt import (
 )
 from .gallery import GALLERY_NAMES, gallery_instance, gallery_json
 from .ideals import (
-    _contains,
     all_ideal,
     enumerate_ideals,
     ideal_join,
@@ -202,7 +201,7 @@ def ideal_lattice(G):
     for g in elements_in_box(G.structure, 1):
         P = principal_ideal(G.structure, g)
         for I in ideals:
-            if _contains(G.structure, I, g) != ideal_leq(P, I):
+            if G.structure._has(I, g) != ideal_leq(P, I):
                 errors.append(f"principal ideal of {g!r} is not least")
     return errors
 
@@ -238,12 +237,12 @@ def riesz_splitting(G):
     box = list(elements_in_box(G.structure, 1))
     for I in ideals:
         for J in ideals:
-            members_i = [a for a in box if _contains(G.structure, I, a)]
-            members_j = [b for b in box if _contains(G.structure, J, b)]
+            members_i = [a for a in box if G.structure._has(I, a)]
+            members_j = [b for b in box if G.structure._has(J, b)]
             for a in members_i[:3]:
                 for b in members_j[:3]:
                     d = G.add(a, b)
-                    if not _contains(G.structure, ideal_join(I, J), d):
+                    if not G.structure._has(ideal_join(I, J), d):
                         errors.append("sum escaped the join")
                         continue
                     x, y = riesz_split(G, d, I, J)
@@ -316,7 +315,7 @@ def interval_algebra(G):
     box = _interval_box(G, max(3, top + 1))
     boxset = frozenset(box)
     ideals = enumerate_ideals(G).ideals
-    traces = {I: frozenset(x for x in box if _contains(s, I, x)) for I in ideals}
+    traces = {I: frozenset(x for x in box if s._has(I, x)) for I in ideals}
     if len(set(traces.values())) != len(ideals):
         errors.append("two ideals share an interval trace")
     for T in traces.values():
@@ -344,7 +343,7 @@ def interval_algebra(G):
         outside = [x for x in box if x not in T]
         maximal = bool(outside) and all(
             any(
-                _contains(s, I, alg._neg(alg.clamp(scale(s, n, x))))
+                s._has(I, alg._neg(alg.clamp(scale(s, n, x))))
                 for n in range(1, max(2, top) + 1)
             )
             for x in outside
@@ -379,7 +378,7 @@ def patching_regressions():
         errors.append("classical solver accepted the impossible pair")
     for g in elements_in_box(lexg.structure, 2):
         if all(
-            _contains(lexg.structure, I, lexg.sub(g, t))
+            lexg.structure._has(I, lexg.sub(g, t))
             for I, t in zip(task.ideals, task.targets)
         ):
             errors.append("an element satisfied the impossible pair")
@@ -415,7 +414,7 @@ def patching_regressions():
                 errors.append("a compatible random system was refused")
                 continue
             for I, t in system:
-                if not _contains(G.structure, I, G.sub(result.solution, t)):
+                if not G.structure._has(I, G.sub(result.solution, t)):
                     errors.append("random system solution fails a congruence")
     return errors
 

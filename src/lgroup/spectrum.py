@@ -28,7 +28,6 @@ from .ideals import (
     Ideal,
     LexIdeal,
     ProdIdeal,
-    _contains,
     all_ideal,
     check_ideal,
     ideal_leq,
@@ -154,7 +153,7 @@ def vanishing_locus(space, R) -> FrozenSet[Ideal]:
         return frozenset(
             p
             for p in space.primes
-            if all(_contains(space.group.structure, p, g) for g in elements)
+            if all(space.group.structure._has(p, g) for g in elements)
         )
     check_ideal(space.group.structure, R)
     return frozenset(p for p in space.primes if ideal_leq(R, p))

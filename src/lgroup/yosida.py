@@ -9,7 +9,8 @@ positions.  The value of g at the maximal ideal of position k, under the
 unique unital embedding of the quotient into the reals, is g's integer
 there over the unit's, ``g[k]/u[k]``.  So an element's table over the
 maximal spectrum is a list of its top integers, and its zero set is where
-they are 0.
+they are 0.  ``top_values`` reads them with one call of the structure's
+stored kernel ``_tops`` (see ``lgroup.core``), built on its first read.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
 
 from .core import (
     Element,
-    Lex,
     LGroupError,
-    Prod,
     Structure,
     UnitalGroup,
     _store,
@@ -65,15 +64,9 @@ def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
 def top_values(structure: Structure, g: Element) -> list:
     """g's integers at the top positions, in the order of ``max_ideals()``:
     an atom's value, a product's children in order, a lex node's dominant
-    component.  One walk, without recursion."""
+    component.  One call of the structure's stored kernel ``_tops``."""
     out = []
-    stack = [(structure, g)]
-    while stack:
-        s, x = stack.pop()
-        if isinstance(s, Prod):
-            stack += zip(reversed(s.children), reversed(x))
-        else:
-            out.append(x[0] if isinstance(s, Lex) else x)
+    structure._tops(out, g)
     return out
 
 

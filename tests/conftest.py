@@ -218,9 +218,8 @@ def validation_walks(monkeypatch):
     test runs, as a Counter keyed by ``"check_element"`` and ``"check_ideal"``.
 
     Both checkers are rebound in every loaded ``lgroup`` namespace, the way
-    a tracer binds its wrappers, since modules import them by name; their
-    recursive calls go through the rebinding too, with a non-empty path.
-    Reset the counter with ``clear()`` before the call of interest.
+    a tracer binds its wrappers, since modules import them by name.  Reset
+    the counter with ``clear()`` before the call of interest.
     """
     counts = collections.Counter()
     for module, name in ((lgroup.core, "check_element"), (lgroup.ideals, "check_ideal")):

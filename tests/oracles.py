@@ -20,7 +20,10 @@ radical and whole-ideal walks are those that ``ideals._max_meet``, the
 meet of the maximal ideals at a mask of top positions, replaced.  The
 order and join walks are what ``core.leq`` and ``core.join`` replaced by
 the positive cone and the meet, and the containment walk what
-``ideal_leq`` replaced by the meet.
+``ideal_leq`` replaced by the meet.  Last, the walks that a structure's
+stored kernels replaced: the shape check of ``check_ideal``, membership,
+generation, the Riesz split of the patch solvers and the top integers of
+``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from lgroup import (
     riesz_split,
     zero,
 )
-from lgroup.yosida import top_values
 
 
 def holder_eval_by_quotient(G, g, m) -> Fraction:
@@ -395,7 +397,7 @@ def is_all_ideal_by_walk(I) -> bool:
 def proper_tops_by_generator(structure, I) -> list:
     """Whether I is proper at each top position: where its canonical
     generator is 0."""
-    return [v == 0 for v in top_values(structure, canonical_generator(structure, I))]
+    return [v == 0 for v in top_values_by_walk(structure, canonical_generator(structure, I))]
 
 
 def ideal_to_json_by_walk(I):
@@ -440,7 +442,7 @@ def max_failure_by_generators(G, system):
     rows = [
         [
             v if c == 0 else None
-            for c, v in zip(top_values(s, canonical_generator(s, I)), top_values(s, g))
+            for c, v in zip(top_values_by_walk(s, canonical_generator(s, I)), top_values_by_walk(s, g))
         ]
         for I, g in system
     ]
@@ -454,7 +456,7 @@ def max_failure_by_generators(G, system):
 def unique_by_top_values(G, generators) -> bool:
     """``zero_set_patch``'s uniqueness: some generator is 0 at every top
     position."""
-    columns = zip(*(top_values(G.structure, h) for h in generators))
+    columns = zip(*(top_values_by_walk(G.structure, h) for h in generators))
     return bool(generators) and all(0 in column for column in columns)
 
 
@@ -480,3 +482,74 @@ def ideal_count_by_walk(structure) -> int:
     if isinstance(structure, Prod):
         return math.prod(map(ideal_count_by_walk, structure.children))
     return ideal_count_by_walk(structure.bottom) + 1
+
+
+def check_ideal_by_walk(structure, I, path=()) -> None:
+    """``check_ideal``: raise ShapeMismatch at the first bad position in
+    pre-order."""
+    if isinstance(structure, Atom):
+        if not isinstance(I, AtomIdeal):
+            raise ShapeMismatch(path, f"expected an atom ideal, got {I!r}")
+    elif isinstance(structure, Prod):
+        n = len(structure.children)
+        if not isinstance(I, ProdIdeal) or len(I.parts) != n:
+            raise ShapeMismatch(path, f"expected a {n}-part product ideal, got {I!r}")
+        for i, (child, part) in enumerate(zip(structure.children, I.parts)):
+            check_ideal_by_walk(child, part, path + (i,))
+    else:
+        if not isinstance(I, LexIdeal):
+            raise ShapeMismatch(path, f"expected a lex ideal, got {I!r}")
+        if I.inner is not None:
+            check_ideal_by_walk(structure.bottom, I.inner, path + ("bottom",))
+
+
+def contains_by_walk(structure, I, g) -> bool:
+    """Membership g in I, part by part."""
+    if isinstance(structure, Atom):
+        return I.full or g == 0
+    if isinstance(structure, Prod):
+        return all(map(contains_by_walk, structure.children, I.parts, g))
+    if I.inner is None:
+        return True
+    return g[0] == 0 and contains_by_walk(structure.bottom, I.inner, g[1])
+
+
+def principal_by_walk(structure, g):
+    """The ideal that g generates."""
+    if isinstance(structure, Atom):
+        return AtomIdeal(g != 0)
+    if isinstance(structure, Prod):
+        return ProdIdeal(tuple(map(principal_by_walk, structure.children, g)))
+    if g[0] != 0:
+        return LexIdeal(None)
+    return LexIdeal(principal_by_walk(structure.bottom, g[1]))
+
+
+def split_by_walk(structure, d, I, J):
+    """The part a in I of d = a + b with b = d - a in J, or None when d is
+    not in I v J; a coordinate that both ideals can take goes to I."""
+    if isinstance(I, AtomIdeal):
+        return d if I.full else (0 if J.full or d == 0 else None)
+    if isinstance(I, ProdIdeal):
+        parts = tuple(map(split_by_walk, structure.children, d, I.parts, J.parts))
+        return None if None in parts else parts
+    if I.inner is None:
+        return d
+    if J.inner is None:
+        bottom = structure.bottom
+        return 0, split_by_walk(bottom, d[1], I.inner, all_ideal_by_walk(bottom))
+    a = None if d[0] else split_by_walk(structure.bottom, d[1], I.inner, J.inner)
+    return None if a is None else (0, a)
+
+
+def top_values_by_walk(structure, g) -> list:
+    """g's integers at the top positions, by a walk with an explicit stack."""
+    out = []
+    stack = [(structure, g)]
+    while stack:
+        s, x = stack.pop()
+        if isinstance(s, Prod):
+            stack += zip(reversed(s.children), reversed(x))
+        else:
+            out.append(x[0] if isinstance(s, Lex) else x)
+    return out

@@ -37,6 +37,7 @@ ROOT = str(TOOL.parents[1])
         ["batch:1-2", "--claim", "batch"],
         ["batch:1-2", "--traced", "deep:5"],  # a traced run of no run
         ["batch:1-2", "--traced", "batch:x"],
+        ["batch:1-2", "--traced", "batch:7-5"],  # a reversed traced range
         ["bogus:1-2"],  # no such workload in BENCHMARK.json
         ["batch:1-2", "--claim", "batch:op_p99_s"],  # no such metric
     ],
@@ -52,6 +53,31 @@ def test_bad_arguments_are_a_usage_error_before_anything_runs(args, monkeypatch,
     assert info.value.code == 2
     assert "usage: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_traced_spec_takes_a_seed_range_or_list():
+    parser = bench_pairs.argparse.ArgumentParser()
+    parser.add_argument("runs", nargs="+")
+    parser.add_argument("--claim")
+    parser.add_argument("--traced")
+    for spec, seeds in (("batch:5", [5]), ("batch:5-7", [5, 6, 7]), ("batch:9,3", [9, 3])):
+        _, runs, claimed, traced = bench_pairs.parse_args(parser, ["batch:1-2", "--traced", spec])
+        assert (runs, claimed, traced) == ([("batch", [1, 2])], None, ("batch", seeds))
+
+
+def test_traced_runs_report_each_metric_median_per_side():
+    runs = [
+        {"crt.strong_patch.self_s": 3.0, "crt.solved_ratio": 1.0, "trace.overhead_ratio": None},
+        {"crt.strong_patch.self_s": 1.0, "crt.solved_ratio": 0.5, "trace.overhead_ratio": 1.25},
+        {"crt.strong_patch.self_s": 2.5, "trace.overhead_ratio": 1.75},
+    ]
+    # a metric a run lacks, or reports as None, counts only where present
+    assert bench_pairs.medians(runs) == {
+        "crt.strong_patch.self_s": 2.5,
+        "crt.solved_ratio": 0.75,
+        "trace.overhead_ratio": 1.5,
+    }
+    assert bench_pairs.medians([{"x": None}]) == {"x": None}
 
 
 def test_quartiles_use_the_inclusive_method():

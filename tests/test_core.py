@@ -388,6 +388,31 @@ def test_shape_and_interval_kernels_agree_with_their_walks(data):
         assert (type(info.value), info.value.path, str(info.value)) == shape_error
 
 
+def test_the_first_kernel_read_builds_3000_level_trees():
+    # in a fresh interpreter, where no node has kernels yet: the first read
+    # builds those of every node below, children first, with an explicit
+    # stack, and the later reads find them in the slots
+    code = (
+        "from lgroup import Z, all_ideal, lex, prod\n"
+        "from lgroup.yosida import top_values\n"
+        "for name, level in (('lex', lex), ('prod', lambda s: prod(Z, s))):\n"
+        "    s = Z\n"
+        "    for _ in range(3000):\n"
+        "        s = level(s)\n"
+        "    kernels = s._meet, s._shape\n"
+        "    deep = s\n"
+        "    while deep is not Z:\n"
+        "        deep = deep.bottom if name == 'lex' else deep.children[1]\n"
+        "        object.__getattribute__(deep, '_between'), object.__getattribute__(deep, '_split')\n"
+        "    print(name, all_ideal(s)._width, len(top_values(s, s._zero)) if name == 'lex' else '-')\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["lex", "1", "1", "prod", "3001", "-"]
+
+
 def test_kernels_answer_on_a_900_level_lex_tower():
     # in a fresh interpreter, as deep as the parser never goes: one frame
     # per level, as the recursive walks took

@@ -20,25 +20,34 @@ from conftest import (
 )
 from oracles import (
     all_ideal_by_walk,
+    check_ideal_by_walk,
+    contains_by_walk,
     full_generator_by_walk,
     ideal_count_by_walk,
     ideal_leq_by_walk,
     ideal_to_json_by_walk,
     is_all_ideal_by_walk,
     is_zero_ideal_by_walk,
+    principal_by_walk,
     proper_tops_by_generator,
+    split_by_walk,
     top_index_by_walk,
     zero_ideal_by_walk,
 )
 import lgroup.ideals
 from lgroup import (
+    Atom,
     AtomIdeal,
+    Lex,
     LexIdeal,
     ProdIdeal,
     ShapeMismatch,
     UnitalGroup,
     Z,
+    add,
     all_ideal,
+    canonical_generator,
+    check_ideal,
     compute_spectrum,
     congruent,
     contains,
@@ -57,9 +66,11 @@ from lgroup import (
     principal_ideal,
     prod,
     quotient,
+    sub,
     validate_unital_group,
     zero_ideal,
 )
+from lgroup.core import random_element
 from lgroup.yosida import top_index
 
 LEX_BOTTOM_ALL = LexIdeal(AtomIdeal(True))  # {0} x Z inside Z x-> Z
@@ -297,6 +308,82 @@ def test_ideal_leq_agrees_with_its_walk():
     assert held > 10000
 
 
+def test_membership_generation_and_split_kernels_agree_with_their_walks():
+    # up to 12 ideals of each case, against their generators, which they
+    # hold, and seeded random elements; each pair splits the sum and the
+    # difference of their generators, which lie in the join, and a random
+    # element, which may not
+    rng = random.Random(20)
+    held = split = 0
+    for G, ideals in FACT_CASES:
+        s = G.structure
+        sample = ideals if len(ideals) <= 12 else rng.sample(ideals, 12)
+        generators = [canonical_generator(s, I) for I in sample]
+        box = generators + [random_element(rng, s, 1) for _ in range(6)]
+        for g in box:
+            assert principal_ideal(s, g) is principal_by_walk(s, g)
+            for I in sample:
+                verdict = contains(s, I, g)
+                assert verdict is contains_by_walk(s, I, g)
+                held += verdict
+        for I, g in zip(sample, generators):
+            for J, h in zip(sample, generators):
+                for d in (add(s, g, h), sub(s, g, h), rng.choice(box)):
+                    a = s._split(d, I, J)
+                    assert a == split_by_walk(s, d, I, J)
+                    split += a is not None
+    assert held > 2000 and split > 5000
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except ShapeMismatch as exc:
+        return type(exc), exc.path, str(exc)
+    return None
+
+
+def _wrong(s):
+    """Ideals of a shape other than s's."""
+    if isinstance(s, Atom):
+        return [LexIdeal(None), ProdIdeal((AtomIdeal(True), AtomIdeal(False)))]
+    if isinstance(s, Lex):
+        return [AtomIdeal(False), ProdIdeal((AtomIdeal(True),) * 2)]
+    return [AtomIdeal(True), LexIdeal(AtomIdeal(False)), ProdIdeal((AtomIdeal(False),) * (len(s.children) + 1))]
+
+
+def _malformed(rng, s, I):
+    """I with the part at one seeded position swapped for an ideal of
+    another shape."""
+    if isinstance(s, Atom) or (isinstance(s, Lex) and I.inner is None) or rng.random() < 0.3:
+        return rng.choice(_wrong(s))
+    if isinstance(s, Lex):
+        return LexIdeal(_malformed(rng, s.bottom, I.inner))
+    i = rng.randrange(len(s.children))
+    parts = list(I.parts)
+    parts[i] = _malformed(rng, s.children[i], parts[i])
+    return ProdIdeal(tuple(parts))
+
+
+def test_check_ideal_agrees_with_its_walk_on_malformed_ideals():
+    # the same exception, path and message as the walk: the kernel finds
+    # that something is wrong, and the descent names where
+    rng = random.Random(21)
+    deep = 0
+    for G, ideals in FACT_CASES:
+        s = G.structure
+        for I in ideals[:30]:
+            assert s._shape(I) is True and check_ideal(s, I) is None
+            bad = _malformed(rng, s, I)
+            raised = _raised(check_ideal_by_walk, s, bad)
+            assert raised is not None and s._shape(bad) is False
+            assert _raised(check_ideal, s, bad) == raised
+            deep += len(raised[1]) > 1
+        for junk in (5, None, "zero", ()):
+            assert _raised(check_ideal, G, junk) == _raised(check_ideal_by_walk, s, junk)
+    assert deep > 200
+
+
 def test_ideal_json_and_top_index_agree_with_their_walks():
     maximal = 0
     for G, ideals in FACT_CASES:
@@ -317,7 +404,7 @@ def test_zero_ideal_full_generator_and_ideal_count_agree_with_their_walks():
         assert zero_ideal(G) is zero_ideal(s) is zero_ideal_by_walk(s)
         assert full_generator(G) == full_generator(s) == full_generator_by_walk(s)
         assert principal_ideal(s, full_generator(s)) is all_ideal(s)
-        assert ideal_count(s) == ideal_count_by_walk(s)
+        assert ideal_count(G) == ideal_count(s) == ideal_count_by_walk(s)
 
 
 @pytest.mark.parametrize("level", ["lex", "prod"])

@@ -9,13 +9,23 @@ tree.  The records compare, hash and print by their fields.
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
+import weakref
 
 import pytest
 
-from conftest import NODE_CLASSES, tower_instance
-from oracles import primes_by_walk, radical_by_walk
+from conftest import NODE_CLASSES, random_structure, random_unit, tower_instance
+from oracles import (
+    add_by_walk,
+    contains_by_walk,
+    primes_by_walk,
+    principal_by_walk,
+    radical_by_walk,
+    split_by_walk,
+    top_values_by_walk,
+)
 from lgroup import (
     Atom,
     AtomIdeal,
@@ -40,20 +50,27 @@ from lgroup import (
     Violation,
     Z,
     ZeroSetTask,
+    add,
     all_ideal,
+    check_element,
     compute_spectrum,
+    contains,
     enumerate_ideals,
     ideal_from_json,
     lex,
     loads_instance,
+    principal_ideal,
     prod,
     quotient,
     radical,
+    riesz_split,
     scale,
     structure_from_json,
     validate_unital_group,
     yosida_table,
+    zero_ideal,
 )
+from lgroup.yosida import top_values
 
 
 def _nodes():
@@ -295,6 +312,78 @@ def test_threads_filling_one_slot_store_equal_values():
         step.abort()
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def _fresh_tree(seed: int):
+    """A seeded random tree under lex and product levels over a product of
+    Z with a seed-sized width, which no other test builds, so that every
+    node above that product is new; and a unit of it."""
+    rng = random.Random(seed)
+    s = Prod((random_structure(rng, 4, 3),) + (Z,) * (seed % 1000 + 50))
+    for level in range(4):
+        s = Lex(s) if level % 2 else Prod((Z, s, lex(Z)))
+    return s, random_unit(rng, s)
+
+
+def _kernel_answers(s, u):
+    """What the kernels of s say of u and of the ideal that u's double's
+    top part generates, with the walks' answers beside them."""
+    g = add(s, u, u)
+    I = principal_ideal(s, s._sub(u, g))
+    check_element(s, g)
+    return (
+        (g, top_values(s, g), I, contains(s, I, u), riesz_split(UnitalGroup(s, u), g, I, zero_ideal(s))[0]),
+        (add_by_walk(s, u, u), top_values_by_walk(s, g), principal_by_walk(s, s._sub(u, g)),
+         contains_by_walk(s, I, u), split_by_walk(s, g, I, zero_ideal(s))),
+    )
+
+
+def test_threads_racing_on_a_first_kernel_read_get_kernels_that_agree_with_the_walks():
+    # in each round 4 threads read the kernels of the same 10 fresh trees
+    # at once, so that two of them race to build one node's
+    results, errors = [None] * 4, []
+    step = threading.Barrier(4)
+
+    def run(t):
+        try:
+            for r in range(20):
+                trees = [_fresh_tree(10 * r + k) for k in range(10)]
+                step.wait()
+                results[t] = [_kernel_answers(s, u) for s, u in trees]
+                step.wait()
+                errors.extend(got for got, walked in results[t] if got != walked)
+        except Exception as exc:  # a failing thread fails the test
+            errors.append(exc)
+            step.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        step.abort()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_a_tree_with_built_kernels_dies_without_the_cyclic_gc():
+    # the kernels hold their children's kernels, never their own node, so
+    # reference counting alone frees a tree once its last user drops it
+    s, u = _fresh_tree(999)
+    _kernel_answers(s, u)
+    nodes = [weakref.ref(s), weakref.ref(s.bottom), weakref.ref(s.bottom.children[1])]
+    gc.collect()
+    gc.disable()
+    try:
+        del s
+        assert [node() for node in nodes] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def _tall(height: int, ideal: bool):

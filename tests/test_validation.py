@@ -34,7 +34,8 @@ from lgroup import (
     zero_set_patch,
 )
 
-# MIX is prod(Z, lex(Z)): each bad value below is wrong only below the root
+# MIX is prod(Z, lex(Z)): each bad value below but the last ideal is wrong
+# only below the root
 E0 = (0, (0, 0))
 Z0 = zero_ideal(MIX)
 LEX_BOTTOM_ALL = ProdIdeal((AtomIdeal(False), LexIdeal(AtomIdeal(True))))
@@ -69,6 +70,10 @@ BAD_ARGUMENTS = [
      (1, "bottom"), IDEAL_BOTTOM_MSG),
     ("riesz_split second ideal", lambda: riesz_split(MIX, E0, Z0, BAD_IDEAL_CHILD),
      (1,), IDEAL_CHILD_MSG),
+    ("canonical_generator ideal", lambda: canonical_generator(MIX, BAD_IDEAL_CHILD),
+     (1,), IDEAL_CHILD_MSG),
+    ("canonical_generator root", lambda: canonical_generator(MIX, AtomIdeal(False)),
+     (), "root: expected a 2-part product ideal, got zero"),
     ("congruent first", lambda: congruent(MIX, BAD_PAIR, E0, Z0),
      (1,), PAIR_MSG),
     ("congruent second", lambda: congruent(MIX, E0, BAD_BOTTOM, Z0),

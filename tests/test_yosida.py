@@ -14,12 +14,14 @@ from conftest import (
     GALLERY_GROUPS,
     LEX,
     MIX,
+    ORACLE_GROUPS,
     random_element,
     random_group,
+    seeded_tree_group,
     some_ideals,
     tall_groups,
 )
-from oracles import holder_eval_by_quotient, zero_set_by_membership
+from oracles import holder_eval_by_quotient, top_values_by_walk, zero_set_by_membership
 
 from lgroup import (
     AtomIdeal,
@@ -38,7 +40,7 @@ from lgroup import (
     zero_ideal,
 )
 import lgroup
-from lgroup.yosida import ForeignSpectrum
+from lgroup.yosida import ForeignSpectrum, top_values
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
 M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False), AtomIdeal(True)))
@@ -190,6 +192,14 @@ def test_a_spectrum_of_another_tree_is_refused():
     other = compute_spectrum(UnitalGroup(C3.structure, (3, 1, 2)))
     assert yosida_table(C3, (1, 0, 2), other) == yosida_table(C3, (1, 0, 2))
     assert principal_zero_set(C3, (1, 0, 0), other) == principal_zero_set(C3, (1, 0, 0)) == {M2, M3}
+
+
+def test_top_values_agree_with_their_walk():
+    rng = random.Random(22)
+    for G in ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(1800, 1830)]:
+        s = G.structure
+        for g in [G.unit] + [random_element(rng, s, 3) for _ in range(5)]:
+            assert top_values(s, g) == top_values_by_walk(s, g)
 
 
 def test_the_unit_is_walked_once_per_group(monkeypatch):

@@ -1,7 +1,7 @@
 """Run the benchmark in alternating parent/change pairs and summarise them.
 
     python3 tools/bench_pairs.py PARENT CHANGE batch:1301-1310 wide:1301-1305 \\
-        --claim batch:op_p50_s --traced batch:1311 --out BENCH_N.json
+        --claim batch:op_p50_s --traced batch:1311-1315 --out BENCH_N.json
 
 PARENT and CHANGE are each a checkout directory or a git revision of this
 repository (exported with ``git archive`` into a temporary directory).  Each
@@ -9,7 +9,9 @@ repository (exported with ``git archive`` into a temporary directory).  Each
 list): both sides run ``perfbench/run.py`` from their own checkout on the
 same seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one run at
 a time, the side that runs first alternating from pair to pair.
-``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.  A
+``--traced WORKLOAD:SEEDS`` adds one ``--trace 1`` run per side per seed,
+alternating likewise, and reports the median of each per-layer metric per
+side: one traced run spreads too widely to show a change of 10-20%.  A
 malformed or empty seed range, a workload listed twice or unknown to
 ``BENCHMARK.json``, and a ``--claim`` or ``--traced`` workload that is not
 among the runs or metric that it does not list are usage errors (exit 2),
@@ -75,9 +77,9 @@ def parse_args(parser, argv) -> tuple:
         claimed = args.claim and tuple(args.claim.split(":"))
         traced = args.traced and tuple(args.traced.split(":"))
         if traced:
-            traced = traced[0], int(traced[1])
+            traced = traced[0], parse_seeds(traced[1])
     except ValueError as exc:
-        parser.error(f"expected WORKLOAD:SEEDS, WORKLOAD:METRIC and WORKLOAD:SEED ({exc})")
+        parser.error(f"expected WORKLOAD:SEEDS and WORKLOAD:METRIC ({exc})")
     workloads = [workload for workload, _ in runs]
     if len(set(workloads)) < len(workloads):
         parser.error(f"a workload is listed twice in {' '.join(args.runs)}")
@@ -225,13 +227,22 @@ def _values(result: dict) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def medians(runs: list) -> dict:
+    """Each metric's median over the runs that report a value for it."""
+    out = {}
+    for name in dict.fromkeys(name for values in runs for name in values):
+        present = [values[name] for values in runs if values.get(name) is not None]
+        out[name] = statistics.median(present) if present else None
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout directory or git revision")
     parser.add_argument("change", help="checkout directory or git revision")
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD:SEEDS")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--traced", metavar="WORKLOAD:SEED")
+    parser.add_argument("--traced", metavar="WORKLOAD:SEEDS")
     parser.add_argument("--out", required=True)
     argv = sys.argv[1:] if argv is None else argv
     args, runs, claimed, traced = parse_args(parser, argv)
@@ -269,11 +280,18 @@ def main(argv=None) -> int:
             workload, metric = claimed
             report["claim"] = claim(workload, metric, report["workloads"][workload]["metrics"][metric])
         if traced:
-            workload, seed = traced
+            workload, seeds = traced
+            runs = {side: [] for side in SIDES}
+            for k, seed in enumerate(seeds):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    runs[side].append(_values(run(roots[side], workload, seed, seconds, 1)))
+                print(f"{workload} seed {seed}: traced pair {k + 1} done", file=sys.stderr)
             report["traced"] = {
-                "note": f"one traced {workload} run per side, seed {seed}, parent first; "
-                "per-layer values are per operation",
-                **{side: _values(run(roots[side], workload, seed, seconds, 1)) for side in SIDES},
+                "note": f"one traced {workload} run per side per seed, the side that runs first "
+                "alternating, parent first; each metric's median over the runs; per-layer values "
+                "are per operation",
+                "seeds": seeds,
+                **{side: medians(runs[side]) for side in SIDES},
             }
         write()
     return 0
