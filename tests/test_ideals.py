@@ -40,6 +40,7 @@ from lgroup import (
     AtomIdeal,
     Lex,
     LexIdeal,
+    Prod,
     ProdIdeal,
     ShapeMismatch,
     UnitalGroup,
@@ -354,8 +355,13 @@ def _wrong(s):
 
 def _malformed(rng, s, I):
     """I with the part at one seeded position swapped for an ideal of
-    another shape."""
-    if isinstance(s, Atom) or (isinstance(s, Lex) and I.inner is None) or rng.random() < 0.3:
+    another shape.  The descent stops at an atom, at a whole lex ideal and
+    at a part already of another shape."""
+    if isinstance(s, Prod):
+        fits = isinstance(I, ProdIdeal) and len(I.parts) == len(s.children)
+    else:
+        fits = isinstance(I, LexIdeal) and I.inner is not None
+    if not fits or rng.random() < 0.3:
         return rng.choice(_wrong(s))
     if isinstance(s, Lex):
         return LexIdeal(_malformed(rng, s.bottom, I.inner))
@@ -375,13 +381,15 @@ def test_check_ideal_agrees_with_its_walk_on_malformed_ideals():
         for I in ideals[:30]:
             assert s._shape(I) is True and check_ideal(s, I) is None
             bad = _malformed(rng, s, I)
+            if rng.random() < 0.5:  # two bad parts: the first in pre-order is named
+                bad = _malformed(rng, s, bad)
             raised = _raised(check_ideal_by_walk, s, bad)
             assert raised is not None and s._shape(bad) is False
             assert _raised(check_ideal, s, bad) == raised
             deep += len(raised[1]) > 1
         for junk in (5, None, "zero", ()):
             assert _raised(check_ideal, G, junk) == _raised(check_ideal_by_walk, s, junk)
-    assert deep > 200
+    assert deep > 100
 
 
 def test_ideal_json_and_top_index_agree_with_their_walks():

@@ -52,7 +52,6 @@ from lgroup import (
     ZeroSetTask,
     add,
     all_ideal,
-    check_element,
     compute_spectrum,
     contains,
     enumerate_ideals,
@@ -70,6 +69,7 @@ from lgroup import (
     yosida_table,
     zero_ideal,
 )
+from lgroup.core import random_element
 from lgroup.yosida import top_values
 
 
@@ -317,25 +317,28 @@ def test_threads_filling_one_slot_store_equal_values():
 def _fresh_tree(seed: int):
     """A seeded random tree under lex and product levels over a product of
     Z with a seed-sized width, which no other test builds, so that every
-    node above that product is new; and a unit of it."""
+    node above that product is new; a unit of it and an element."""
     rng = random.Random(seed)
     s = Prod((random_structure(rng, 4, 3),) + (Z,) * (seed % 1000 + 50))
     for level in range(4):
         s = Lex(s) if level % 2 else Prod((Z, s, lex(Z)))
-    return s, random_unit(rng, s)
+    return s, random_unit(rng, s), random_element(rng, s, 1)
 
 
-def _kernel_answers(s, u):
-    """What the kernels of s say of u and of the ideal that u's double's
-    top part generates, with the walks' answers beside them."""
-    g = add(s, u, u)
-    I = principal_ideal(s, s._sub(u, g))
-    check_element(s, g)
-    return (
-        (g, top_values(s, g), I, contains(s, I, u), riesz_split(UnitalGroup(s, u), g, I, zero_ideal(s))[0]),
-        (add_by_walk(s, u, u), top_values_by_walk(s, g), principal_by_walk(s, s._sub(u, g)),
-         contains_by_walk(s, I, u), split_by_walk(s, g, I, zero_ideal(s))),
+def _kernel_answers(s, u, e):
+    """What the kernels of s say of u, e and the ideal I that e generates,
+    and what the walks say."""
+    I = principal_ideal(s, e)
+    G = UnitalGroup(s, u)
+    got = (add(s, u, e), top_values(s, e), I, contains(s, I, u), riesz_split(G, e, zero_ideal(s), I)[0])
+    walked = (
+        add_by_walk(s, u, e),
+        top_values_by_walk(s, e),
+        principal_by_walk(s, e),
+        contains_by_walk(s, I, u),
+        split_by_walk(s, e, zero_ideal(s), I),
     )
+    return got, walked
 
 
 def test_threads_racing_on_a_first_kernel_read_get_kernels_that_agree_with_the_walks():
@@ -349,7 +352,7 @@ def test_threads_racing_on_a_first_kernel_read_get_kernels_that_agree_with_the_w
             for r in range(20):
                 trees = [_fresh_tree(10 * r + k) for k in range(10)]
                 step.wait()
-                results[t] = [_kernel_answers(s, u) for s, u in trees]
+                results[t] = [_kernel_answers(*tree) for tree in trees]
                 step.wait()
                 errors.extend(got for got, walked in results[t] if got != walked)
         except Exception as exc:  # a failing thread fails the test
@@ -374,8 +377,8 @@ def test_threads_racing_on_a_first_kernel_read_get_kernels_that_agree_with_the_w
 def test_a_tree_with_built_kernels_dies_without_the_cyclic_gc():
     # the kernels hold their children's kernels, never their own node, so
     # reference counting alone frees a tree once its last user drops it
-    s, u = _fresh_tree(999)
-    _kernel_answers(s, u)
+    s, u, e = _fresh_tree(999)
+    _kernel_answers(s, u, e)
     nodes = [weakref.ref(s), weakref.ref(s.bottom), weakref.ref(s.bottom.children[1])]
     gc.collect()
     gc.disable()
