@@ -224,7 +224,8 @@ class _Structure(_Node):
     )
 
     def __getattr__(self, name):
-        # runs only when a slot is unset: build its family, then read it
+        # runs only when a read fails, as an unset kernel slot's does:
+        # build that kernel's family, then read it
         family = _FAMILIES.get(name)
         if family is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")

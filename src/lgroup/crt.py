@@ -177,9 +177,9 @@ def riesz_split(
 
     Deterministic: a coordinate claimable by both ideals goes to the first
     one.  Raises NotInJoin otherwise.  The merge calls the same kernel,
-    the structure's ``_split``, on operands it made itself, where the merge lemma (module docstring)
-    makes a stuck step a proof of incompatibility; here the operands and
-    the split are checked.
+    the structure's ``_split``, on operands it made itself, where the
+    merge lemma (module docstring) makes a stuck step a proof of
+    incompatibility; here the operands and the split are checked.
     """
     s = G.structure
     check_element(s, d)
