@@ -37,9 +37,9 @@ ROOT = str(TOOL.parents[1])
         ["batch:1-2", "--claim", "batch"],
         ["batch:1-2", "--traced", "deep:5"],  # a traced run of no run
         ["batch:1-2", "--traced", "batch:x"],
-        ["batch:1-2", "--traced", "batch:7-5"],  # a reversed traced range
         ["bogus:1-2"],  # no such workload in BENCHMARK.json
         ["batch:1-2", "--claim", "batch:op_p99_s"],  # no such metric
+        ["batch:1-2", "--traced", "batch:7-5"],  # a reversed traced range
     ],
 )
 def test_bad_arguments_are_a_usage_error_before_anything_runs(args, monkeypatch, tmp_path, capsys):
