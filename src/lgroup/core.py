@@ -33,26 +33,21 @@ Copying or unpickling a node re-interns it.  The other value classes are
 Each node class also names the slots of its stored facts, ``_facts``,
 outside its fields: the fields alone still make its key, hash, repr and
 pickle, and ``_intern`` sets the facts before the node is seen.  An ideal
-node stores whether it is zero and where it is proper (see
-``lgroup.ideals``).  A structure node stores facts that depend on its
-tree alone.  Its zero element, atom count, chain flag and ideal count are
-set at construction from the children's, in O(children).  Its kernels
-are built on first read, not at construction.  Each family of kernels
-(the element kernels here; the ideal kernels of ``lgroup.ideals``) has a
-maker, which builds a node's kernels from its children's; its slots stay
-unset, so reading one raises ``AttributeError`` and only then does
-``_Structure.__getattr__`` run.  That read builds the family at the node
-and at every node below it that lacks it, children first, with an
-explicit stack, so no tree is too tall for it; every later read is a
-plain slot read.  The element kernels are closures for ``add``, ``sub``,
-``meet``, the interval check ``_between`` and the top integers
+node stores whether it is zero and where it is proper (see ``_Ideal``).
+A structure node stores facts that depend on its tree alone, each made at
+construction from its children's in O(children): its zero element, atom
+count, chain flag and ideal count, and its kernels.  Construction goes
+bottom-up, so a tree of any height builds without recursion, and every
+fact is a plain slot read.  The element kernels are closures for ``add``,
+``sub``, ``meet``, the interval check ``_between`` and the top integers
 ``_tops``, so each of those reads a slot and calls what is there, with
 no dispatch on the node class per call.  The rest follow from these by
 the identities of a lattice-ordered group: ``neg`` subtracts from the
 stored zero; g <= h exactly when h - g lies in the positive cone, which
 is the interval check with the lower bound alone; g v h = g + h -
 (g ^ h); and the shape test of ``check_element`` is the interval check
-with neither bound.  An atom's kernels are the builtins; a product maps
+with neither bound.  The ideal kernels (see ``_Structure``) do the same
+for the ideal walks.  An atom's kernels are the builtins; a product maps
 its children's kernel in C when they are one tree, and otherwise loops
 over its children, doing an atom child's interval check inline; a lex
 node reads the top and calls its bottom's.  A kernel calls its
@@ -60,8 +55,7 @@ children's from a loop (one frame per tree level) or a ``map`` (as the
 walks did), never from a comprehension, so it recurses no deeper than
 the recursive walks it replaced, and no code is generated.  A kernel
 holds its children's kernels and never a structure node, so the kernels
-form no reference cycle and a tree dies with its last user.  Two threads that
-build one node at once store kernels that behave alike.  The
+form no reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
 its primes with their covers (``spectrum``) and its radical
@@ -79,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Iterator, Union
+from typing import Any, Iterator, Optional, Union
 from _weakref import _remove_dead_weakref, ref
 
 Element = Union[int, tuple]
@@ -202,71 +196,126 @@ def _intern(cls, fields: tuple, facts: tuple):
     return node
 
 
+class _Ideal(_Node):
+    """An ideal node, with three facts stored at construction from its
+    parts' in O(parts): ``_zero``, whether it is the zero ideal; ``_mask``,
+    an int whose bit k is set when the ideal is proper at top position k
+    (see ``lgroup.yosida``), 0 exactly when it is the whole group; and
+    ``_width``, its number of top positions."""
+
+    __slots__ = _facts = ("_zero", "_mask", "_width")
+
+
+class AtomIdeal(_Ideal):
+    __slots__ = ("full",)
+
+    def __new__(cls, full: bool):
+        try:
+            return _ATOM_IDEALS[full]
+        except (KeyError, TypeError):
+            raise ShapeMismatch((), f"expected True or False, got {full!r}") from None
+
+    def __repr__(self) -> str:
+        return "all" if self.full else "zero"
+
+
+# zero and whole, held for good, so a field equal to a bool finds its node
+_ATOM_IDEALS = {b: _intern(AtomIdeal, (b,), (not b, int(not b), 1)) for b in (False, True)}
+
+
+def _prod_ideal_facts(parts: tuple) -> tuple:
+    # the parts' top positions, in order, are the product's
+    if parts.__class__ is not tuple:
+        raise ShapeMismatch((), f"expected a tuple of ideals, got {parts!r}")
+    if len(parts) < 2:
+        raise ValueError("ProdIdeal requires at least 2 parts")
+    zero, mask, width = True, 0, 0
+    for part in parts:
+        if not isinstance(part, _Ideal):
+            i = next(i for i, p in enumerate(parts) if not isinstance(p, _Ideal))
+            raise ShapeMismatch((i,), f"expected an ideal, got {part!r}")
+        zero = zero and part._zero
+        mask |= part._mask << width
+        width += part._width
+    return zero, mask, width
+
+
+class ProdIdeal(_Ideal):
+    __slots__ = ("parts",)
+
+    def __new__(cls, parts: tuple):
+        try:
+            entry = cls._table.get(fields := (parts,))
+        except TypeError:  # unhashable parts, which _prod_ideal_facts refuses
+            entry = None
+        return entry and entry() or _intern(cls, fields, _prod_ideal_facts(parts))
+
+    def __repr__(self) -> str:
+        return render_tree(self, _spell_ideal)
+
+
+class LexIdeal(_Ideal):
+    __slots__ = ("inner",)  # None means the whole group
+
+    def __new__(cls, inner: Optional["Ideal"]):
+        try:
+            entry = cls._table.get(fields := (inner,))
+        except TypeError:  # unhashable, so refused below
+            entry = None
+        if entry and (node := entry()):
+            return node
+        if inner is None:  # one top position, the dominant component
+            return _intern(cls, fields, (False, 0, 1))
+        if not isinstance(inner, _Ideal):
+            raise ShapeMismatch(("bottom",), f"expected an ideal, got {inner!r}")
+        return _intern(cls, fields, (inner._zero, 1, 1))
+
+    def __repr__(self) -> str:
+        return render_tree(self, _spell_ideal)
+
+
+Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
+
+_WHOLE_LEX = LexIdeal(None)
+
+
+def _spell_ideal(I):
+    if type(I) is ProdIdeal:
+        return "(", I.parts, ",", ")"
+    if type(I) is LexIdeal:
+        return "all" if I.inner is None else ("bottom(", (I.inner,), "", ")")
+    return "all" if I.full else "zero"
+
+
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
-    docstring).  Set at construction: its zero element, atom count, chain
-    flag and ideal count, and its (primes, covers) and radical, None until
-    their first use fills them with ``_store``.  Unset until their first
-    read: its kernels.  The element kernels are ``_add``, ``_sub``,
-    ``_meet``, ``_between`` and ``_tops`` (``leq`` and ``join`` derive from
-    them); the ideal kernels, which ``lgroup.ideals`` makes, follow.  The
-    interval check ``_between(x, u, low, high)`` is None when x is
-    malformed, by ``check_element``'s tests in its order, else whether
-    0 <= x (if ``low``) and x <= u (if ``high``): one walk, in which a lex
-    top decides a bound unless it ties, and which checks only the shape
-    after a failed bound.  ``_tops(out, g)`` appends g's top integers (see
-    ``lgroup.yosida``) to the list ``out``."""
+    docstring), all set at construction: its zero element, atom count,
+    chain flag and ideal count; its kernels; and its (primes, covers) and
+    radical, None until their first use fills them with ``_store``.
 
-    _facts = ("_zero", "_atoms", "_chain", "_ideal_count", "_spectrum", "_radical")
-    __slots__ = _facts + (
+    The element kernels are ``_add``, ``_sub``, ``_meet``, ``_between`` and
+    ``_tops`` (``leq`` and ``join`` derive from them).  The interval check
+    ``_between(x, u, low, high)`` is None when x is malformed, by
+    ``check_element``'s tests in its order, else whether 0 <= x (if
+    ``low``) and x <= u (if ``high``): one walk, in which a lex top decides
+    a bound unless it ties, and which checks only the shape after a failed
+    bound.  ``_tops(out, g)`` appends g's top integers (see
+    ``lgroup.yosida``) to the list ``out``.
+
+    The ideal kernels are ``_shape(I)``, whether I has the shape of an
+    ideal of the node (``check_ideal``); ``_has(I, g)``, membership
+    (``contains``); ``_gen(g)``, the ideal g generates
+    (``principal_ideal``); ``_split(d, I, J)``, the part a in I of
+    d = a + b with b in J, or None when d is not in I v J
+    (``riesz_split``); and ``_all``, the whole ideal.  All but the first
+    trust their operands."""
+
+    __slots__ = _facts = (
+        "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
         "_shape", "_has", "_gen", "_split", "_all",
+        "_spectrum", "_radical",
     )
-
-    def __getattr__(self, name):
-        # runs only when a read fails, as an unset kernel slot's does:
-        # build that kernel's family, then read it
-        family = _FAMILIES.get(name)
-        if family is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _build(self, *family)
-        return object.__getattribute__(self, name)
-
-
-# kernel slot -> (the slots of its family, the maker of their values at a node)
-_FAMILIES = {}
-
-
-def _family(names: tuple, make) -> None:
-    """Register a family of kernels: ``make(node)`` gives their values at a
-    node whose children have theirs."""
-    for name in names:
-        _FAMILIES[name] = names, make
-
-
-def _build(node, names: tuple, make) -> None:
-    """Build the kernels ``names`` of ``node`` and of every node below it
-    that lacks them, children first: a walk with an explicit stack, which
-    enters each node once and builds it once its children are built.
-    Threads that build one node at once store kernels that behave alike."""
-    last = names[-1]
-    seen = set()
-    stack = [(node, False)]
-    while stack:
-        s, entered = stack.pop()
-        if entered:
-            for name, kernel in zip(names, make(s)):
-                object.__setattr__(s, name, kernel)
-            continue
-        if s in seen:
-            continue
-        seen.add(s)
-        stack.append((s, True))
-        for child in s.children if type(s) is Prod else (s.bottom,) if type(s) is Lex else ():
-            try:
-                object.__getattribute__(child, last)  # set last, so all are set
-            except AttributeError:
-                stack.append((child, False))
 
 
 def _store(node, name: str, value):
@@ -287,10 +336,21 @@ def _atom_between(x, u, low, high):
     return (not low or 0 <= x) and (not high or x <= u)
 
 
-# an atom's zero, atom count, chain flag and ideal count (zero and all)
-_ATOM_FACTS = (0, 1, True, 2, None, None)
-# and its element kernels: the builtins, and its value is its one top
-_ATOM_KERNELS = (operator.add, operator.sub, min, _atom_between, list.append)
+def _atom_split(d, I, J):
+    return d if I.full else (0 if J.full or d == 0 else None)
+
+
+# an atom's zero, atom count, chain flag and ideal count (zero and all);
+# its element kernels: the builtins, and its value is its one top; its
+# ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
+# its unfilled (primes, covers) and radical
+_ATOM_FACTS = (
+    0, 1, True, 2,
+    operator.add, operator.sub, min, _atom_between, list.append,
+    AtomIdeal.__instancecheck__, lambda I, g: I.full or g == 0,
+    lambda g: _ATOM_IDEALS[g != 0], _atom_split, _ATOM_IDEALS[True],
+    None, None,
+)
 
 
 def _refuse_non_structures(children: tuple, steps: tuple) -> None:
@@ -306,12 +366,19 @@ def _prod_facts(children: tuple) -> tuple:
     _refuse_non_structures(children, range(len(children)))
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
-    return zero, atoms, False, math.prod([c._ideal_count for c in children]), None, None
+    count = math.prod([c._ideal_count for c in children])
+    return (
+        zero, atoms, False, count,
+        *_prod_kernels(children), *_prod_ideal_kernels(children), None, None,
+    )
 
 
 def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
-    return (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1, None, None
+    return (
+        (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
+        *_lex_kernels(bottom), *_lex_ideal_kernels(bottom), None, None,
+    )
 
 
 def _map2(kernels: list):
@@ -330,17 +397,11 @@ def _map2(kernels: list):
 _KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_between", "_tops")
 
 
-def _element_kernels(s) -> tuple:
-    """A node's element kernels from its children's.  A product maps its
+def _prod_kernels(children: tuple) -> tuple:
+    """A product's element kernels from its children's.  It maps its
     children's kernel in C when they are one tree; otherwise a loop calls
     each child's, and the interval check does an atom child's work inline.
-    A loop, not a comprehension, calls each child with one frame.  A lex
-    node reads the top and calls its bottom's."""
-    if type(s) is Atom:
-        return _ATOM_KERNELS
-    if type(s) is Lex:
-        return _lex_kernels(s.bottom)
-    children = s.children
+    A loop, not a comprehension, calls each child with one frame."""
     adds, subs, meets, betweens, topss = zip(*map(_KERNELS, children))
     n = len(children)
     atom_between = _atom_between
@@ -380,6 +441,8 @@ def _element_kernels(s) -> tuple:
 
 
 def _lex_kernels(bottom: _Structure) -> tuple:
+    """A lex node's element kernels: each reads the top and calls its
+    bottom's."""
     add, sub, meet = bottom._add, bottom._sub, bottom._meet
     below = bottom._between
 
@@ -411,7 +474,75 @@ def _lex_kernels(bottom: _Structure) -> tuple:
     )
 
 
-_family(("_add", "_sub", "_meet", "_between", "_tops"), _element_kernels)
+# the ideal kernels a product reads from each child
+_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_split", "_all")
+
+
+def _prod_ideal_kernels(children: tuple) -> tuple:
+    """A product's ideal kernels: each calls its children's in a loop, with
+    one frame per level."""
+    shapes, hass, gens, splits, wholes = zip(*map(_IDEAL_KERNELS, children))
+    zeros = [c._zero for c in children]
+    n = len(children)
+
+    def shape(I):
+        if not isinstance(I, ProdIdeal) or len(I.parts) != n:
+            return False
+        for f, part in zip(shapes, I.parts):
+            if not f(part):
+                return False
+        return True
+
+    def has(I, g):
+        # a whole part holds every x, and the zero part only the zero
+        for f, zero, part, x in zip(hass, zeros, I.parts, g):
+            if part._mask and (x != zero if part._zero else not f(part, x)):
+                return False
+        return True
+
+    def gen(g):
+        parts = []
+        for f, x in zip(gens, g):
+            parts.append(f(x))
+        return ProdIdeal(tuple(parts))
+
+    def split(d, I, J):
+        if not I._mask:  # the whole ideal takes everything
+            return d
+        out = []
+        for f, x, p, q in zip(splits, d, I.parts, J.parts):
+            a = f(x, p, q)
+            if a is None:
+                return None
+            out.append(a)
+        return tuple(out)
+
+    return shape, has, gen, split, ProdIdeal(wholes)
+
+
+def _lex_ideal_kernels(bottom: _Structure) -> tuple:
+    """A lex node's ideal kernels: each reads the top and calls its
+    bottom's."""
+    shape, has, gen, split, whole = _IDEAL_KERNELS(bottom)
+
+    def lex_shape(I):
+        return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
+
+    def lex_has(I, g):
+        return I.inner is None or g[0] == 0 and has(I.inner, g[1])
+
+    def lex_gen(g):
+        return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
+
+    def lex_split(d, I, J):
+        if I.inner is None:
+            return d
+        if J.inner is None:  # the first ideal takes its largest share of the bottom
+            return 0, split(d[1], I.inner, whole)
+        a = None if d[0] else split(d[1], I.inner, J.inner)
+        return None if a is None else (0, a)
+
+    return lex_shape, lex_has, lex_gen, lex_split, _WHOLE_LEX
 
 
 class Atom(_Structure):

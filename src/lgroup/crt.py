@@ -35,7 +35,7 @@ Hypotheses are always checked, never assumed; every failure carries a
 structured certificate naming the violated condition.  ``_normalize`` (and,
 in ``zero_set_patch``, the generator check) is the solvers' only validation:
 the merge, both hypothesis checks and ``_verify`` trust their operands and
-call the structure's stored kernels (see ``lgroup.ideals``): the Riesz
+call the structure's stored kernels (see ``core._Structure``): the Riesz
 split ``_split`` and membership ``_has``, each one call per step, and the
 top integers of ``yosida.top_values``.
 """
@@ -84,7 +84,15 @@ class CongruenceSystem(_Record):
 
     @classmethod
     def of(cls, pairs) -> "CongruenceSystem":
-        return cls(tuple((I, g) for I, g in pairs))
+        """The system of ``pairs``, any iterable of two-item iterables."""
+        constraints = []
+        for k, constraint in enumerate(pairs):
+            try:
+                I, g = constraint
+            except (TypeError, ValueError):
+                raise LGroupError(f"constraint {k}: expected an (ideal, target) pair") from None
+            constraints.append((I, g))
+        return cls(tuple(constraints))
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -157,16 +165,11 @@ class PatchResult(_Record):
 
 
 def _normalize(G: UnitalGroup, system: SystemLike) -> CongruenceSystem:
-    constraints = []
-    for k, constraint in enumerate(system):
-        try:
-            I, g = constraint
-        except (TypeError, ValueError):
-            raise LGroupError(f"constraint {k}: expected an (ideal, target) pair") from None
+    system = CongruenceSystem.of(system)
+    for I, g in system:
         check_ideal(G.structure, I)
         check_element(G.structure, g)
-        constraints.append((I, g))
-    return CongruenceSystem(tuple(constraints))
+    return system
 
 
 def riesz_split(

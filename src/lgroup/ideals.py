@@ -11,20 +11,21 @@ recursion, and containment is a meet:
   (``inner is None``) or {0} x inner: any member with a nonzero dominant
   component generates everything, so proper ideals live in the bottom.
 
-Each ideal node stores its own facts from construction (see ``_Ideal``):
-the zero and whole tests, the canonical JSON, ``yosida.top_index`` and the
-strong solver's hypothesis check read them instead of walking.  The
-constructors refuse what is not an ideal, naming its position.  What
-depends on the structure as well is a family of kernels on the structure
-node, built on its first read like the element kernels (see
-``lgroup.core``) by ``_ideal_kernels``: the shape check of
-``check_ideal``, membership, generation, the Riesz split of the patch
-solvers, and the whole ideal.  Each is one call, with no dispatch on the
-node class; ``check_ideal`` descends only after the shape check fails,
-to name the position.  The meet of the maximal ideals at any set of top
-positions has one closed form, ``_max_meet``: the whole group, the
-radical and a certificate's maximal ideal are the meets of none, all and
-one.
+The node classes live in ``lgroup.core``, which a structure node's
+ideal kernels need, and are imported here.  Each ideal node stores its
+own facts from construction (see ``core._Ideal``): the zero and whole
+tests, the canonical JSON, ``yosida.top_index`` and the strong solver's
+hypothesis check read them instead of walking.  The constructors refuse
+what is not an ideal, naming its position.  What depends on the
+structure as well is a set of kernels that each structure node stores
+from construction, like the element kernels (see ``core._Structure``):
+the shape check of ``check_ideal``, membership, generation, the Riesz
+split of the patch solvers, and the whole ideal.  Each is one call, with
+no dispatch on the node class; ``check_ideal`` descends only after the
+shape check fails, to name the position.  The meet of the maximal ideals
+at any set of top positions has one closed form, ``_max_meet``: the
+whole group, the radical and a certificate's maximal ideal are the meets
+of none, all and one.
 
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
@@ -37,219 +38,34 @@ together.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     Atom,
+    AtomIdeal,
     Element,
+    Ideal,
     Lex,
+    LexIdeal,
     Path,
     Prod,
+    ProdIdeal,
     ShapeMismatch,
     Structure,
     UnitalGroup,
-    _family,
-    _intern,
-    _Node,
+    _WHOLE_LEX,
     _Record,
     _trusted_group,
     check_element,
-    render_tree,
     sub,
     zero,
 )
-
-
-class _Ideal(_Node):
-    """An ideal node, with three facts stored at construction from its
-    parts' in O(parts): ``_zero``, whether it is the zero ideal; ``_mask``,
-    an int whose bit k is set when the ideal is proper at top position k
-    (see ``lgroup.yosida``), 0 exactly when it is the whole group; and
-    ``_width``, its number of top positions."""
-
-    __slots__ = _facts = ("_zero", "_mask", "_width")
-
-
-class AtomIdeal(_Ideal):
-    __slots__ = ("full",)
-
-    def __new__(cls, full: bool):
-        try:
-            return _ATOM_IDEALS[full]
-        except (KeyError, TypeError):
-            raise ShapeMismatch((), f"expected True or False, got {full!r}") from None
-
-    def __repr__(self) -> str:
-        return "all" if self.full else "zero"
-
-
-# zero and whole, held for good, so a field equal to a bool finds its node
-_ATOM_IDEALS = {b: _intern(AtomIdeal, (b,), (not b, int(not b), 1)) for b in (False, True)}
-
-
-def _prod_ideal_facts(parts: tuple) -> tuple:
-    # the parts' top positions, in order, are the product's
-    if parts.__class__ is not tuple:
-        raise ShapeMismatch((), f"expected a tuple of ideals, got {parts!r}")
-    if len(parts) < 2:
-        raise ValueError("ProdIdeal requires at least 2 parts")
-    zero, mask, width = True, 0, 0
-    for part in parts:
-        if not isinstance(part, _Ideal):
-            i = next(i for i, p in enumerate(parts) if not isinstance(p, _Ideal))
-            raise ShapeMismatch((i,), f"expected an ideal, got {part!r}")
-        zero = zero and part._zero
-        mask |= part._mask << width
-        width += part._width
-    return zero, mask, width
-
-
-class ProdIdeal(_Ideal):
-    __slots__ = ("parts",)
-
-    def __new__(cls, parts: tuple):
-        try:
-            entry = cls._table.get(fields := (parts,))
-        except TypeError:  # unhashable parts, which _prod_ideal_facts refuses
-            entry = None
-        return entry and entry() or _intern(cls, fields, _prod_ideal_facts(parts))
-
-    def __repr__(self) -> str:
-        return render_tree(self, _spell_ideal)
-
-
-class LexIdeal(_Ideal):
-    __slots__ = ("inner",)  # None means the whole group
-
-    def __new__(cls, inner: Optional["Ideal"]):
-        try:
-            entry = cls._table.get(fields := (inner,))
-        except TypeError:  # unhashable, so refused below
-            entry = None
-        if entry and (node := entry()):
-            return node
-        if inner is None:  # one top position, the dominant component
-            return _intern(cls, fields, (False, 0, 1))
-        if not isinstance(inner, _Ideal):
-            raise ShapeMismatch(("bottom",), f"expected an ideal, got {inner!r}")
-        return _intern(cls, fields, (inner._zero, 1, 1))
-
-    def __repr__(self) -> str:
-        return render_tree(self, _spell_ideal)
-
-
-Ideal = Union[AtomIdeal, ProdIdeal, LexIdeal]
-
-_WHOLE_LEX = LexIdeal(None)
-
-
-def _atom_split(d, I, J):
-    return d if I.full else (0 if J.full or d == 0 else None)
-
-
-# an atom's ideal kernels: the shape check is isinstance(I, AtomIdeal), in C
-_ATOM_IDEAL_KERNELS = (
-    AtomIdeal.__instancecheck__,
-    lambda I, g: I.full or g == 0,
-    lambda g: _ATOM_IDEALS[g != 0],
-    _atom_split,
-    _ATOM_IDEALS[True],
-)
-# the ideal kernels a product reads from each child
-_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_split", "_all")
-
-
-def _ideal_kernels(s) -> tuple:
-    """A structure node's ideal kernels from its children's: ``_shape(I)``,
-    whether I has the shape of an ideal of s (``check_ideal``);
-    ``_has(I, g)``, membership (``contains``); ``_gen(g)``, the ideal g
-    generates (``principal_ideal``); ``_split(d, I, J)``, the part a in I
-    of d = a + b with b in J, or None when d is not in I v J
-    (``riesz_split``); and ``_all``, the whole ideal.  All but the first
-    trust their operands.  A product calls its children's in a loop, with
-    one frame per level; a lex node reads the top and calls its bottom's."""
-    if type(s) is Atom:
-        return _ATOM_IDEAL_KERNELS
-    if type(s) is Prod:
-        return _prod_kernels(s.children)
-    shape, has, gen, split, whole = _IDEAL_KERNELS(s.bottom)
-
-    def lex_shape(I):
-        return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
-
-    def lex_has(I, g):
-        return I.inner is None or g[0] == 0 and has(I.inner, g[1])
-
-    def lex_gen(g):
-        return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
-
-    def lex_split(d, I, J):
-        if I.inner is None:
-            return d
-        if J.inner is None:  # the first ideal takes its largest share of the bottom
-            return 0, split(d[1], I.inner, whole)
-        a = None if d[0] else split(d[1], I.inner, J.inner)
-        return None if a is None else (0, a)
-
-    return lex_shape, lex_has, lex_gen, lex_split, _WHOLE_LEX
-
-
-def _prod_kernels(children: tuple) -> tuple:
-    shapes, hass, gens, splits, wholes = zip(*map(_IDEAL_KERNELS, children))
-    zeros = [c._zero for c in children]
-    n = len(children)
-
-    def shape(I):
-        if not isinstance(I, ProdIdeal) or len(I.parts) != n:
-            return False
-        for f, part in zip(shapes, I.parts):
-            if not f(part):
-                return False
-        return True
-
-    def has(I, g):
-        # a whole part holds every x, and the zero part only the zero
-        for f, zero, part, x in zip(hass, zeros, I.parts, g):
-            if part._mask and (x != zero if part._zero else not f(part, x)):
-                return False
-        return True
-
-    def gen(g):
-        parts = []
-        for f, x in zip(gens, g):
-            parts.append(f(x))
-        return ProdIdeal(tuple(parts))
-
-    def split(d, I, J):
-        if not I._mask:  # the whole ideal takes everything
-            return d
-        out = []
-        for f, x, p, q in zip(splits, d, I.parts, J.parts):
-            a = f(x, p, q)
-            if a is None:
-                return None
-            out.append(a)
-        return tuple(out)
-
-    return shape, has, gen, split, ProdIdeal(wholes)
-
-
-_family(("_shape", "_has", "_gen", "_split", "_all"), _ideal_kernels)
 
 # entries kept by each of the per-group caches (``enumerate_ideals``,
 # ``spectrum.compute_spectrum``), so a long-running process holds a bounded
 # number of lattices and spectra
 CACHE_SIZE = 128
-
-
-def _spell_ideal(I):
-    if type(I) is ProdIdeal:
-        return "(", I.parts, ",", ")"
-    if type(I) is LexIdeal:
-        return "all" if I.inner is None else ("bottom(", (I.inner,), "", ")")
-    return "all" if I.full else "zero"
 
 
 def _structure_of(g) -> Structure:

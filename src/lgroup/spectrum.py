@@ -18,10 +18,11 @@ topological laws by exhaustive enumeration.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
-from .core import Atom, LGroupError, Prod, UnitalGroup, _Record, _store, check_element
+from .core import Atom, LGroupError, Prod, UnitalGroup, _Ideal, _Record, _store, check_element
 from .ideals import (
     CACHE_SIZE,
     AtomIdeal,
@@ -141,22 +142,20 @@ def _space_of(x) -> SpectrumSpace:
 
 
 def vanishing_locus(space, R) -> FrozenSet[Ideal]:
-    """V(R): primes containing R (an Ideal, or an iterable of elements).
+    """V(R): primes containing R (an ideal node, or any other iterable of
+    elements).
 
     ``space`` may be a SpectrumSpace or a UnitalGroup (spectra are cached).
     """
     space = _space_of(space)
-    if isinstance(R, (list, tuple, set, frozenset)):
-        elements = list(R)
-        for g in elements:
-            check_element(space.group.structure, g)
-        return frozenset(
-            p
-            for p in space.primes
-            if all(space.group.structure._has(p, g) for g in elements)
-        )
-    check_ideal(space.group.structure, R)
-    return frozenset(p for p in space.primes if ideal_leq(R, p))
+    s = space.group.structure
+    if isinstance(R, _Ideal) or not isinstance(R, Iterable):
+        check_ideal(s, R)
+        return frozenset(p for p in space.primes if ideal_leq(R, p))
+    elements = list(R)
+    for g in elements:
+        check_element(s, g)
+    return frozenset(p for p in space.primes if all(s._has(p, g) for g in elements))
 
 
 def ideal_of_locus(space, S: Iterable[Ideal]) -> Ideal:

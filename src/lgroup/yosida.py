@@ -10,7 +10,7 @@ unique unital embedding of the quotient into the reals, is g's integer
 there over the unit's, ``g[k]/u[k]``.  So an element's table over the
 maximal spectrum is a list of its top integers, and its zero set is where
 they are 0.  ``top_values`` reads them with one call of the structure's
-stored kernel ``_tops`` (see ``lgroup.core``), built on its first read.
+stored kernel ``_tops`` (see ``lgroup.core``), built at construction.
 """
 
 from __future__ import annotations

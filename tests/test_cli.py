@@ -459,6 +459,40 @@ def test_crt_loads_no_fractions(tmp_path, mode):
     assert not loaded & {"fractions", "decimal"}
 
 
+# the lgroup source lines, by ``wc -l``, of the modules whose bodies each
+# command runs in a fresh interpreter: every cold call compiles them
+# again, so a change that runs more of them must raise its budget here
+COLD_LINE_BUDGET = {"analyze": 2476, "spectrum": 2215, "crt": 2825}
+
+
+@pytest.mark.parametrize("command", COLD_LINE_BUDGET)
+def test_commands_run_no_more_lines_than_their_budget(tmp_path, command):
+    path = tmp_path / "mix.json"
+    path.write_text(gallery_json("mix"))
+    # a module that never ran is still a lazy module, and reading any
+    # attribute of it would run it
+    code = (
+        "import runpy, sys, types\n"
+        "try:\n"
+        "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "ran = [m.__file__ for n, m in sys.modules.items()\n"
+        "       if n.partition('.')[0] == 'lgroup' and type(m) is types.ModuleType]\n"
+        "print(*ran, sep='\\n', file=sys.stderr)\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code, command, str(path)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    ran = {pathlib.Path(f) for f in result.stderr.splitlines() if f.endswith(".py")}
+    assert {"__init__.py", "cli.py"} <= {f.name for f in ran}
+    lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in ran)
+    assert lines <= COLD_LINE_BUDGET[command]
+
+
 def test_no_module_imports_dataclasses():
     package = pathlib.Path(lgroup.__file__).parent
     for source in package.glob("*.py"):

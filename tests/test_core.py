@@ -388,29 +388,33 @@ def test_shape_and_interval_kernels_agree_with_their_walks(data):
         assert (type(info.value), info.value.path, str(info.value)) == shape_error
 
 
-def test_the_first_kernel_read_builds_3000_level_trees():
-    # in a fresh interpreter, where no node has kernels yet: the first read
-    # builds those of every node below, children first, with an explicit
-    # stack, and the later reads find them in the slots
+def test_construction_sets_every_kernel_of_3000_level_trees():
+    # in a fresh interpreter: before any call, every node of a 3000-level
+    # tower and nest has every kernel in its slot, set by the constructor
     code = (
         "from lgroup import Z, all_ideal, lex, prod\n"
         "from lgroup.yosida import top_values\n"
+        "KERNELS = ('_add', '_sub', '_meet', '_between', '_tops',\n"
+        "           '_shape', '_has', '_gen', '_split', '_all')\n"
         "for name, level in (('lex', lex), ('prod', lambda s: prod(Z, s))):\n"
         "    s = Z\n"
         "    for _ in range(3000):\n"
         "        s = level(s)\n"
-        "    kernels = s._meet, s._shape\n"
-        "    deep = s\n"
-        "    while deep is not Z:\n"
+        "    deep, nodes = s, 0\n"
+        "    while True:\n"
+        "        for kernel in KERNELS:\n"
+        "            assert object.__getattribute__(deep, kernel) is not None, (nodes, kernel)\n"
+        "        nodes += 1\n"
+        "        if deep is Z:\n"
+        "            break\n"
         "        deep = deep.bottom if name == 'lex' else deep.children[1]\n"
-        "        object.__getattribute__(deep, '_between'), object.__getattribute__(deep, '_split')\n"
-        "    print(name, all_ideal(s)._width, len(top_values(s, s._zero)) if name == 'lex' else '-')\n"
+        "    print(name, nodes, all_ideal(s)._width, len(top_values(s, s._zero)) if name == 'lex' else '-')\n"
     )
     src = pathlib.Path(lgroup.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.split() == ["lex", "1", "1", "prod", "3001", "-"]
+    assert result.stdout.split() == ["lex", "3001", "1", "1", "prod", "3001", "3001", "-"]
 
 
 def test_kernels_answer_on_a_900_level_lex_tower():

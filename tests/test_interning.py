@@ -341,17 +341,17 @@ def _kernel_answers(s, u, e):
     return got, walked
 
 
-def test_threads_racing_on_a_first_kernel_read_get_kernels_that_agree_with_the_walks():
-    # in each round 4 threads read the kernels of the same 10 fresh trees
-    # at once, so that two of them race to build one node's
+def test_threads_racing_to_build_fresh_trees_get_kernels_that_agree_with_the_walks():
+    # in each round 4 threads build the same 10 fresh trees at once and
+    # use their kernels, so that two of them race to build one node's
     results, errors = [None] * 4, []
     step = threading.Barrier(4)
 
     def run(t):
         try:
             for r in range(20):
-                trees = [_fresh_tree(10 * r + k) for k in range(10)]
                 step.wait()
+                trees = [_fresh_tree(10 * r + k) for k in range(10)]
                 results[t] = [_kernel_answers(*tree) for tree in trees]
                 step.wait()
                 errors.extend(got for got, walked in results[t] if got != walked)

@@ -15,6 +15,7 @@ from lgroup import (
     Z,
     LexIdeal,
     ProdIdeal,
+    ShapeMismatch,
     SpectrumSpace,
     UnknownPrime,
     closure,
@@ -133,6 +134,16 @@ def test_vanishing_locus_examples():
         assert vanishing_locus(space, [G.zero()]) == frozenset(space.primes)
     space = compute_spectrum(LEX)
     assert vanishing_locus(space, [(0, 1)]) == frozenset([LEX_MAX])
+    # any iterable but an ideal node holds elements; a non-iterable is
+    # checked as an ideal
+    space = compute_spectrum(MIX)
+    a_and_top = frozenset(space.primes[i] for i in (0, 2))
+    e = (0, (0, 1))
+    assert vanishing_locus(space, (g for g in [e])) == a_and_top
+    assert vanishing_locus(space, {e: None}.keys()) == a_and_top
+    with pytest.raises(ShapeMismatch) as info:
+        vanishing_locus(space, 5)
+    assert str(info.value) == "root: expected a 2-part product ideal, got 5"
 
 
 def test_ideal_of_locus_examples():

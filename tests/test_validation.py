@@ -11,7 +11,9 @@ import pytest
 from conftest import MIX
 from lgroup import (
     AtomIdeal,
+    CongruenceSystem,
     GammaAlgebra,
+    LGroupError,
     LexIdeal,
     ProdIdeal,
     ShapeMismatch,
@@ -102,6 +104,21 @@ def test_bad_arguments_raise_at_the_boundary(call, path, message):
     assert str(info.value) == message
 
 
+# a constraint that is not a pair: the system's builder names it, for the
+# solvers too
+NOT_PAIRS = [
+    ("CongruenceSystem.of", lambda: CongruenceSystem.of([1]), 0),
+    ("keimel_patch", lambda: keimel_patch(MIX, [1]), 0),
+    ("strong_patch", lambda: strong_patch(MIX, [(Z0, E0), (Z0,)]), 1),
+]
+
+
+@pytest.mark.parametrize("call, k", [row[1:] for row in NOT_PAIRS], ids=[row[0] for row in NOT_PAIRS])
+def test_a_constraint_that_is_not_a_pair_is_named(call, k):
+    with pytest.raises(LGroupError) as info:
+        call()
+    assert type(info.value) is LGroupError
+    assert str(info.value) == f"constraint {k}: expected an (ideal, target) pair"
 # a strongly semisimple group, so every solver runs its merge to the end
 WIDE = validate_unital_group(prod(Z, prod(Z, Z), Z), (1, (2, 1), 3))
 WIDE_IDEALS = enumerate_ideals(WIDE).ideals
