@@ -305,15 +305,16 @@ class _Structure(_Node):
     The ideal kernels are ``_shape(I)``, whether I has the shape of an
     ideal of the node (``check_ideal``); ``_has(I, g)``, membership
     (``contains``); ``_gen(g)``, the ideal g generates
-    (``principal_ideal``); ``_split(d, I, J)``, the part a in I of
-    d = a + b with b in J, or None when d is not in I v J
-    (``riesz_split``); and ``_all``, the whole ideal.  All but the first
-    trust their operands."""
+    (``principal_ideal``); ``_part(d, I)``, the projection of d into I:
+    d off the coordinates that I pins to 0 and 0 on them, which is the
+    part in I of the Riesz split (``riesz_split``) and the step of the
+    patch fold (``lgroup.crt``); and ``_all``, the whole ideal.  All but
+    the first trust their operands."""
 
     __slots__ = _facts = (
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
-        "_shape", "_has", "_gen", "_split", "_all",
+        "_shape", "_has", "_gen", "_part", "_all",
         "_spectrum", "_radical",
     )
 
@@ -336,10 +337,6 @@ def _atom_between(x, u, low, high):
     return (not low or 0 <= x) and (not high or x <= u)
 
 
-def _atom_split(d, I, J):
-    return d if I.full else (0 if J.full or d == 0 else None)
-
-
 # an atom's zero, atom count, chain flag and ideal count (zero and all);
 # its element kernels: the builtins, and its value is its one top; its
 # ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
@@ -348,7 +345,7 @@ _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
     AtomIdeal.__instancecheck__, lambda I, g: I.full or g == 0,
-    lambda g: _ATOM_IDEALS[g != 0], _atom_split, _ATOM_IDEALS[True],
+    lambda g: _ATOM_IDEALS[g != 0], lambda d, I: d if I.full else 0, _ATOM_IDEALS[True],
     None, None,
 )
 
@@ -475,13 +472,13 @@ def _lex_kernels(bottom: _Structure) -> tuple:
 
 
 # the ideal kernels a product reads from each child
-_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_split", "_all")
+_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_part", "_all")
 
 
 def _prod_ideal_kernels(children: tuple) -> tuple:
     """A product's ideal kernels: each calls its children's in a loop, with
     one frame per level."""
-    shapes, hass, gens, splits, wholes = zip(*map(_IDEAL_KERNELS, children))
+    shapes, hass, gens, parts, wholes = zip(*map(_IDEAL_KERNELS, children))
     zeros = [c._zero for c in children]
     n = len(children)
 
@@ -506,24 +503,21 @@ def _prod_ideal_kernels(children: tuple) -> tuple:
             parts.append(f(x))
         return ProdIdeal(tuple(parts))
 
-    def split(d, I, J):
-        if not I._mask:  # the whole ideal takes everything
+    def part(d, I):
+        if not I._mask:  # the whole ideal pins nothing
             return d
         out = []
-        for f, x, p, q in zip(splits, d, I.parts, J.parts):
-            a = f(x, p, q)
-            if a is None:
-                return None
-            out.append(a)
+        for f, x, p in zip(parts, d, I.parts):
+            out.append(f(x, p))
         return tuple(out)
 
-    return shape, has, gen, split, ProdIdeal(wholes)
+    return shape, has, gen, part, ProdIdeal(wholes)
 
 
 def _lex_ideal_kernels(bottom: _Structure) -> tuple:
     """A lex node's ideal kernels: each reads the top and calls its
     bottom's."""
-    shape, has, gen, split, whole = _IDEAL_KERNELS(bottom)
+    shape, has, gen, part, _ = _IDEAL_KERNELS(bottom)
 
     def lex_shape(I):
         return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
@@ -534,15 +528,10 @@ def _lex_ideal_kernels(bottom: _Structure) -> tuple:
     def lex_gen(g):
         return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
 
-    def lex_split(d, I, J):
-        if I.inner is None:
-            return d
-        if J.inner is None:  # the first ideal takes its largest share of the bottom
-            return 0, split(d[1], I.inner, whole)
-        a = None if d[0] else split(d[1], I.inner, J.inner)
-        return None if a is None else (0, a)
+    def lex_part(d, I):  # a proper ideal pins the top
+        return d if I.inner is None else (0, part(d[1], I.inner))
 
-    return lex_shape, lex_has, lex_gen, lex_split, _WHOLE_LEX
+    return lex_shape, lex_has, lex_gen, lex_part, _WHOLE_LEX
 
 
 class Atom(_Structure):

@@ -1,18 +1,28 @@
 """Congruence patching: the classical, strong, and zero-set solvers.
 
-The classical solver accepts any finite system of (ideal, target)
-constraints and merges targets left to right: at each step the difference
-between the running solution and the next target is split across the meet
-of the processed ideals and the next ideal, and the processed-side part is
-subtracted off.  The merge is its own compatibility test, by the merge
-lemma: the running element agrees with each earlier target t_i modulo
-I_i, and the ideal lattice is distributive, so the difference at step k
-lies in the join being split exactly when t_i - t_k lies in I_i v I_k for
-every i < k.  A merge that finishes proves every pair compatible.  A stuck
-step proves some pair is not, but not which one comes first in the order
-(0, 1), (0, 2), ..., (1, 2), ... that certificates use (with (1, 2) and
-(0, 3) incompatible, the merge gets stuck at step 2), so only then are
-the pairs swept, to name it.
+Every ideal here is a coordinate subgroup.  An element's coordinates are
+its integers (an atom's value, a lex node's top); an ideal I pins the
+coordinates at which all its members are 0, and it holds exactly the
+elements that are 0 there.  So a constraint (I, t) pins t's values at the
+coordinates of I and says nothing about the others, and the classical
+solver writes its solution in closed form: each coordinate takes the
+value of the first target whose ideal pins it, and the last target's
+value where none does.  ``_solution`` folds that from the last constraint
+back with the projection kernel ``_part(d, I)``, which is d off the
+coordinates of I and 0 on them: g = t_last, then g = t_k + _part(g - t_k,
+I_k) for k descending, so an earlier target overwrites what it pins.
+
+The fold is its own compatibility test.  A system is solvable exactly
+when every two targets agree where both ideals pin (Keimel's condition:
+t_i - t_j lies in I_i v I_j).  Then at each coordinate that I_k pins,
+the closed form takes the value of the first target that pins it, which
+agrees with t_k there, so g - t_k lies in I_k for every k; and when no
+solution exists, g fails some constraint.
+So checking g against every constraint decides compatibility, and every
+solution returned has passed that check.  A failed check proves some pair
+incompatible, but not which one comes first in the order (0, 1), (0, 2),
+..., (1, 2), ... that certificates use, so only then are the pairs swept,
+to name it.
 
 The strong solver demands agreement only at maximal ideals above each
 pairwise join.  Every maximal ideal here sits at a top position (see
@@ -20,10 +30,10 @@ pairwise join.  Every maximal ideal here sits at a top position (see
 integers at every top position where both ideals are proper (a certificate
 builds the maximal ideal there with ``ideals._max_meet``).  On strongly
 semisimple groups that weaker hypothesis upgrades to full compatibility
-and the classical merge finishes the job.  When strong semisimplicity
+and the classical fold solves the system.  When strong semisimplicity
 fails the solver refuses with a certificate that also reports whether the
 stronger classical hypothesis happened to hold anyway (on these groups,
-that is exactly when a solution exists), read off the same merge.
+that is exactly when a solution exists), read off the same fold.
 
 The zero-set solver is the functional form of the strong one: constraints
 are given by generator elements, whose zero sets say where each target
@@ -34,10 +44,10 @@ two zero sets, so the check lives in one place.
 Hypotheses are always checked, never assumed; every failure carries a
 structured certificate naming the violated condition.  ``_normalize`` (and,
 in ``zero_set_patch``, the generator check) is the solvers' only validation:
-the merge, both hypothesis checks and ``_verify`` trust their operands and
-call the structure's stored kernels (see ``core._Structure``): the Riesz
-split ``_split`` and membership ``_has``, each one call per step, and the
-top integers of ``yosida.top_values``.
+the fold, its check and both hypothesis checks trust their operands and
+call the structure's stored kernels (see ``core._Structure``): the
+projection ``_part`` and membership ``_has``, each one call per
+constraint, and the top integers of ``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -53,16 +63,12 @@ from .core import (
     _Record,
     check_element,
     sub,
-    zero,
 )
 from .ideals import (
     Ideal,
     _max_meet,
-    _proper_mask,
-    _top_width,
     check_ideal,
     ideal_join,
-    ideal_meet,
     principal_ideal,
 )
 from .semisimple import is_strongly_semisimple
@@ -178,53 +184,51 @@ def riesz_split(
     """Write d (which must lie in the join of I and J) as a + b with a in I
     and b in J.
 
-    Deterministic: a coordinate claimable by both ideals goes to the first
-    one.  Raises NotInJoin otherwise.  The merge calls the same kernel,
-    the structure's ``_split``, on operands it made itself, where the
-    merge lemma (module docstring) makes a stuck step a proof of
-    incompatibility; here the operands and the split are checked.
+    Deterministic: a is the projection ``_part(d, I)`` of the structure,
+    d off the coordinates I pins and 0 on them, so a coordinate claimable
+    by both ideals goes to the first one; b = d - a is d on those
+    coordinates, and it lies in J exactly when d lies in I v J.  Raises
+    NotInJoin otherwise.  The operands are checked, and so is a in I.
     """
     s = G.structure
     check_element(s, d)
     check_ideal(s, I)
     check_ideal(s, J)
-    a = s._split(d, I, J)
-    if a is None:
+    a = s._part(d, I)
+    b = s._sub(d, a)
+    if not s._has(J, b):
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
-    b = sub(s, d, a)
-    if not (s._has(I, a) and s._has(J, b)):
+    if not s._has(I, a):
         raise InternalInvariantViolation("riesz split postcondition failed")
     return a, b
 
 
 def _solution(G: UnitalGroup, system: CongruenceSystem):
-    """The merged solution, verified against every constraint, or None
-    when a step gets stuck."""
+    """The closed form folded from the last constraint back (module
+    docstring), if it satisfies every constraint, else None."""
     s = G.structure
     cons = system.constraints
     if not cons:
-        return zero(s)
-    processed, g = cons[0]
-    for I, t in cons[1:]:
-        a = s._split(sub(s, g, t), processed, I)
-        if a is None:
+        return s._zero
+    g = cons[-1][1]
+    for I, t in reversed(cons[:-1]):
+        g = s._add(t, s._part(s._sub(g, t), I))
+    for I, t in cons:
+        if not s._has(I, s._sub(g, t)):
             return None
-        g = sub(s, g, a)
-        processed = ideal_meet(processed, I)
-    _verify(G, system, g)
     return g
 
 
 def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     """The first pair i < j whose targets differ outside the join of their
-    ideals, as (i, j, difference, join).  Run only once the merge has got
-    stuck, so there is one."""
+    ideals, as (i, j, difference, join).  Run only once the fold has
+    failed its check, so there is one."""
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
         if not G.structure._has(joined, diff):
             return i, j, diff, joined
-    raise InternalInvariantViolation("the merge got stuck on a compatible system")
+    raise InternalInvariantViolation("the patch fold failed on a compatible system")
 
 
 def _max_failure(G: UnitalGroup, system: CongruenceSystem):
@@ -237,7 +241,7 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
     targets agree there.
     """
     s = G.structure
-    rows = [(_proper_mask(I), top_values(s, g)) for I, g in system]
+    rows = [(I._mask, top_values(s, g)) for I, g in system]
     for (i, (mi, a)), (j, (mj, b)) in itertools.combinations(enumerate(rows), 2):
         both = mi & mj
         for k, (x, y) in enumerate(zip(a, b)):
@@ -246,24 +250,15 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
     return None
 
 
-def _verify(G: UnitalGroup, system: CongruenceSystem, g: Element) -> None:
-    for I, gi in system:
-        if not G.structure._has(I, sub(G.structure, g, gi)):
-            raise InternalInvariantViolation(
-                f"patch result fails its congruence modulo {I!r}"
-            )
-
-
 def keimel_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     """Solve a congruence system under the pairwise-compatibility hypothesis.
 
-    Merges targets sequentially, keeping the invariant that the running
-    element is congruent to every processed target; the empty system
-    solves to zero, and every solution is verified against each
-    constraint.  By the merge lemma (module docstring) a stuck step proves
-    that some two targets disagree modulo the join of their ideals; only
-    then are the pairs swept, to name the first such pair in an
-    Incompatible certificate with 0-based constraint indices.
+    Folds the closed form from the last constraint back (module
+    docstring); the empty system solves to zero, and the result is checked
+    against every constraint.  A failed check proves that some two targets
+    disagree modulo the join of their ideals; only then are the pairs
+    swept, to name the first such pair in an Incompatible certificate with
+    0-based constraint indices.
     """
     system = _normalize(G, system)
     g = _solution(G, system)
@@ -280,13 +275,13 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
     Three phases: check the maximal-ideal hypothesis for every pair, which
     asks that the two targets have equal integers at every top position
     where both ideals are proper (see ``lgroup.yosida``; the diagonal is
-    vacuous); gate on strong semisimplicity; run the classical merge once.
+    vacuous); gate on strong semisimplicity; run the classical fold once.
     On a strongly semisimple group the pairwise hypothesis now holds, so
-    the merge finishes and its result is verified.  Otherwise the solver
-    refuses with a diagnostic certificate whose keimel_hypothesis_holds
-    says whether the merge finished (by the merge lemma of the module
-    docstring, whether every pair is compatible); only a stuck merge
-    sweeps the pairs, to name incompatible_pair.
+    the fold passes its check against every constraint.  Otherwise the
+    solver refuses with a diagnostic certificate whose
+    keimel_hypothesis_holds says whether the fold passed its check (by
+    the module docstring, whether every pair is compatible); only a
+    failed check sweeps the pairs, to name incompatible_pair.
     """
     return _strong(G, _normalize(G, system))
 
@@ -344,6 +339,6 @@ def zero_set_patch(
     # when its principal ideal is proper there
     covered = 0
     for I in ideals:
-        covered |= _proper_mask(I)
-    unique = bool(ideals) and covered == (1 << _top_width(ideals[0])) - 1
+        covered |= I._mask
+    unique = bool(ideals) and covered == (1 << ideals[0]._width) - 1
     return PatchResult(solution=result.solution, unique=unique)

@@ -114,14 +114,6 @@ def is_proper(I: Ideal) -> bool:
     return I._mask != 0
 
 
-def _proper_mask(I: Ideal) -> int:  # the readers of two of I's stored facts
-    return I._mask
-
-
-def _top_width(I: Ideal) -> int:
-    return I._width
-
-
 def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
     """Validate that ``I`` matches the shape of ``structure``: one call of
     its stored shape check.  Only a failure descends, into the first

@@ -72,8 +72,10 @@ class GammaAlgebra(_Record):
         return x
 
     def clamp(self, x: Element) -> Element:
-        """Project an arbitrary group element into the interval."""
+        """Project an arbitrary group element into the interval; a
+        malformed x raises ``ShapeMismatch``, as ``check_element`` does."""
         s = self.group.structure
+        check_element(s, x)
         return join(s, zero(s), meet(s, x, self.group.unit))
 
     def oplus(self, x: Element, y: Element) -> Element:

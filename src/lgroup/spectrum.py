@@ -103,38 +103,37 @@ def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     stores them (see ``lgroup.core``)."""
     s = G.structure
     if s._spectrum is None:
-        found, _ = _primes(s)
+        found = _primes(s)
         _store(s, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found)))
     return SpectrumSpace(G, *s._spectrum)
 
 
-def _primes(structure) -> tuple:
-    """(primes, whole): the (prime, cover index) pairs in enumeration order,
-    and the whole ideal of ``structure``.  Zero, maximal, for an atom; one
-    child's prime with every other part whole for a product, its cover
-    shifted by the child's offset; bottom(p) for each prime p of the
-    bottom, then the maximal bottom(whole), for a lex, which covers the
-    bottom's maximal primes.  Each node is visited once: the whole ideals
-    come out of the same walk, which loops over a product's children, so it
-    takes one frame per tree level."""
+def _primes(structure) -> list:
+    """The (prime, cover index) pairs of ``structure`` in enumeration order.
+    Zero, maximal, for an atom; one child's prime with every other part
+    whole (the child's stored ``_all``) for a product, its cover shifted by
+    the child's offset; bottom(p) for each prime p of the bottom, then the
+    maximal bottom(whole), for a lex, which covers the bottom's maximal
+    primes.  Each node is visited once, by a loop over a product's
+    children, so the walk takes one frame per tree level."""
     if isinstance(structure, Atom):
-        return [(AtomIdeal(False), None)], AtomIdeal(True)
+        return [(AtomIdeal(False), None)]
     if isinstance(structure, Prod):
         walks = []
         for child in structure.children:
             walks.append(_primes(child))
-        whole = tuple(w for _, w in walks)
+        whole = tuple(child._all for child in structure.children)
         out = []
-        for i, (below, _) in enumerate(walks):
+        for i, below in enumerate(walks):
             offset = len(out)
             for p, c in below:
                 parts = (*whole[:i], p, *whole[i + 1 :])
                 out.append((ProdIdeal(parts), None if c is None else c + offset))
-        return out, ProdIdeal(whole)
-    below, whole = _primes(structure.bottom)
+        return out
+    below = _primes(structure.bottom)
     top = len(below)
     primes = [(LexIdeal(p), top if c is None else c) for p, c in below]
-    return primes + [(LexIdeal(whole), None)], LexIdeal(None)
+    return primes + [(LexIdeal(structure.bottom._all), None)]
 
 
 def _space_of(x) -> SpectrumSpace:

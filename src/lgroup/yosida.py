@@ -25,7 +25,7 @@ from .core import (
     _store,
     check_element,
 )
-from .ideals import Ideal, _max_meet, _proper_mask, check_ideal
+from .ideals import Ideal, _max_meet, check_ideal
 from .spectrum import SpectrumSpace, compute_spectrum
 
 if TYPE_CHECKING:
@@ -81,7 +81,7 @@ def top_index(structure: Structure, m: Ideal) -> Optional[int]:
     m is maximal exactly when its stored mask has one bit k and m is the
     maximal ideal there, the meet of those at k alone (``ideals._max_meet``).
     """
-    mask = _proper_mask(m)
+    mask = m._mask
     if not mask or mask & (mask - 1):  # whole, or proper at two positions
         return None
     return mask.bit_length() - 1 if m is _max_meet(structure, mask) else None

@@ -5,9 +5,13 @@ Most are the quotient and ideal-comparison forms that the top-position
 walks of ``lgroup.yosida`` replaced, written with ``quotient``,
 ``contains`` and ``ideal_leq`` over the spectrum.  Then come the
 compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
-one walk each, and the three patch solvers as they were before the merge
-became their compatibility test: a sweep over all pairs first, then a
-merge through ``riesz_split``.  Last come the walks over a tree whose
+one walk each, and the three patch solvers as they were before the fold
+became their compatibility test: a sweep over all pairs first, then the
+old forward merge, which splits the difference between the running
+solution and the next target across the meet of the processed ideals and
+the next ideal, through ``split_by_walk`` and ``ideal_meet``, and
+subtracts the processed-side part; it shares no kernel with the fold of
+``lgroup.crt``, the projection ``_part``.  Last come the walks over a tree whose
 results its node now stores: its zero, primes and radical, its atom count
 and chain flag, and the recursive element operations that its stored
 kernels replaced, dispatching on the node class at every node.  Then the
@@ -22,8 +26,8 @@ order and join walks are what ``core.leq`` and ``core.join`` replaced by
 the positive cone and the meet, and the containment walk what
 ``ideal_leq`` replaced by the meet.  Last, the walks that a structure's
 stored kernels replaced: the shape check of ``check_ideal``, membership,
-generation, the Riesz split of the patch solvers and the top integers of
-``yosida.top_values``.
+generation, the Riesz split (the three-way split that the projection
+``_part`` replaced) and the top integers of ``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from lgroup import (
     principal_ideal,
     quotient,
     radical,
-    riesz_split,
     zero,
 )
 
@@ -157,7 +160,8 @@ def sub_by_negation(structure, g, h):
 
 def patch_by_sweep(G, system) -> PatchResult:
     """``keimel_patch``: the first pair i < j whose targets differ outside
-    the join of their ideals, else a merge through ``riesz_split``."""
+    the join of their ideals, else the forward merge through
+    ``split_by_walk``, which gets stuck on no compatible system."""
     system = list(system)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(enumerate(system), 2):
         joined, diff = ideal_join(Ii, Ij), G.sub(gi, gj)
@@ -167,7 +171,8 @@ def patch_by_sweep(G, system) -> PatchResult:
         return PatchResult(solution=zero(G.structure))
     processed, g = system[0]
     for I, t in system[1:]:
-        a, _ = riesz_split(G, G.sub(g, t), processed, I)
+        a = split_by_walk(G.structure, G.sub(g, t), processed, I)
+        assert a is not None, "the merge got stuck on a compatible system"
         g = G.sub(g, a)
         processed = ideal_meet(processed, I)
     return PatchResult(solution=g)
@@ -215,7 +220,7 @@ def zero_by_walk(structure):
 
 def primes_by_walk(structure) -> tuple:
     """(primes, covers) from a fresh walk of the tree, past its stored ones."""
-    found, _ = lgroup.spectrum._primes(structure)
+    found = lgroup.spectrum._primes(structure)
     return tuple(p for p, _ in found), tuple(c for _, c in found)
 
 

@@ -21,10 +21,12 @@ from conftest import (
     tall_groups,
 )
 from oracles import (
+    all_ideal_by_walk,
     max_failure_by_generators,
     max_hypothesis_failure,
     patch_by_sweep,
     primes_agree,
+    split_by_walk,
     strong_patch_by_sweep,
     unique_by_cover,
     unique_by_top_values,
@@ -77,7 +79,7 @@ A2_M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False)))
 LEX_MAX = LexIdeal(AtomIdeal(True))
 
 # pairs (1, 2) and (0, 3) are incompatible and every other pair is
-# compatible, so the merge gets stuck at step 2 while the first pair in
+# compatible, so a forward merge gets stuck at step 2 while the first pair in
 # certificate order is (0, 3)
 STUCK_AT_2 = [(A2_M2, (-1, -1)), (A2_M1, (-1, 0)), (A2_M1, (0, -1)), (A2_M2, (-1, 1))]
 # the same shape on a group that is not strongly semisimple, where the
@@ -298,7 +300,7 @@ def test_upgrade_holds_on_strongly_semisimple_instances():
 
 
 def test_merge_distributivity_identity():
-    # the identity that keeps the sequential merge sound
+    # the identity that keeps the forward merge of the reference sound
     for G in GALLERY_GROUPS.values():
         ideals = enumerate_ideals(G).ideals
         for I1 in ideals:
@@ -542,7 +544,7 @@ def test_only_a_stuck_merge_sweeps_the_pairs(sweeps):
     assert strong_patch(A2, system).solution == (5, 4)
     assert zero_set_patch(C3, [(0, 0, 1), (1, 0, 0)], [(2, 4, 6), (0, 4, 1)]).solved
     # nor is one refused on a group that is not strongly semisimple, when
-    # the merge finishes
+    # the fold passes its check
     z = zero_ideal(LEX.structure)
     cert = strong_patch(LEX, [(z, (0, 1)), (z, (0, 1))]).certificate
     assert cert.keimel_hypothesis_holds and cert.incompatible_pair is None
@@ -607,7 +609,7 @@ def test_solvers_agree_with_the_sweep_first_solvers():
         ("MaxHypothesisViolated", False), ("IncompatibleOnZeroSets", False),
         ("NotStronglySemisimple", False), ("NotStronglySemisimple", True),
     }
-    # a merge stuck at step 2 still names the first pair, (0, 3)
+    # where a forward merge gets stuck at step 2, the first pair, (0, 3), is named
     for G, system in ((A2, STUCK_AT_2), (LEX2, LEX2_SYSTEM)):
         check(keimel_patch(G, system), patch_by_sweep(G, system))
         check(strong_patch(G, system), strong_patch_by_sweep(G, system))
@@ -617,6 +619,43 @@ def test_solvers_agree_with_the_sweep_first_solvers():
     )
     assert keimel_patch(A2, STUCK_AT_2).certificate.j == 3
     assert strong_patch(LEX2, LEX2_SYSTEM).certificate.incompatible_pair == (0, 3)
+
+
+def _small_systems(rng, G):
+    """Systems of 0 to 4 constraints, three of each size: targets around a
+    common base, each moved inside its ideal by the reference split, and
+    in one of the three one target moved by a random element, which
+    usually breaks compatibility."""
+    s, whole = G.structure, all_ideal_by_walk(G.structure)
+    ideals = some_ideals(rng, G)
+    for n in range(5):
+        for moved in (False, False, True):
+            base = random_element(rng, s, 2)
+            system = []
+            for _ in range(n):
+                I = rng.choice(ideals)
+                inside = split_by_walk(s, random_element(rng, s, 2), I, whole)
+                system.append((I, G.add(base, inside)))
+            if moved and system:
+                k = rng.randrange(n)
+                system[k] = (system[k][0], G.add(system[k][1], random_element(rng, s, 1)))
+            yield system
+
+
+def test_solvers_match_the_forward_merge_on_small_systems():
+    # the same solution, or the same certificate, as the sweep and the
+    # forward merge, which share no kernel with the fold
+    rng = random.Random(2201)
+    seen = set()
+    groups = ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(2200, 2220)]
+    for G in groups:
+        for system in _small_systems(rng, G):
+            expected = patch_by_sweep(G, system)
+            assert keimel_patch(G, system) == expected
+            assert strong_patch(G, system) == strong_patch_by_sweep(G, system)
+            seen.add((len(system), expected.solved))
+    # every size is solved, and every size from 2 on is refused
+    assert seen == {(n, True) for n in range(5)} | {(n, False) for n in range(2, 5)}
 
 
 def test_riesz_split_refuses_exactly_outside_the_join():

@@ -313,11 +313,14 @@ def test_membership_generation_and_split_kernels_agree_with_their_walks():
     # up to 12 ideals of each case, against their generators, which they
     # hold, and seeded random elements; each pair splits the sum and the
     # difference of their generators, which lie in the join, and a random
-    # element, which may not
+    # element, which may not: the projection into I is the split against
+    # the whole ideal, and the rest lies in J exactly when the split
+    # against J does not get stuck
     rng = random.Random(20)
     held = split = 0
     for G, ideals in FACT_CASES:
         s = G.structure
+        whole = all_ideal_by_walk(s)
         sample = ideals if len(ideals) <= 12 else rng.sample(ideals, 12)
         generators = [canonical_generator(s, I) for I in sample]
         box = generators + [random_element(rng, s, 1) for _ in range(6)]
@@ -330,9 +333,11 @@ def test_membership_generation_and_split_kernels_agree_with_their_walks():
         for I, g in zip(sample, generators):
             for J, h in zip(sample, generators):
                 for d in (add(s, g, h), sub(s, g, h), rng.choice(box)):
-                    a = s._split(d, I, J)
-                    assert a == split_by_walk(s, d, I, J)
-                    split += a is not None
+                    a = s._part(d, I)
+                    assert a == split_by_walk(s, d, I, whole)
+                    joined = s._has(J, sub(s, d, a))
+                    assert joined is (split_by_walk(s, d, I, J) is not None)
+                    split += joined
     assert held > 2000 and split > 5000
 
 

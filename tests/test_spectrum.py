@@ -103,7 +103,7 @@ def test_primes_walk_visits_each_node_once(monkeypatch):
         tower, nest = Lex(tower), Prod((Atom(), nest))
     for structure, nodes in ((tower, height + 1), (nest, 2 * height + 1)):
         visits.clear()
-        primes, _ = lgroup.spectrum._primes(structure)
+        primes = lgroup.spectrum._primes(structure)
         assert len(primes) == height + 1
         assert len(visits) == nodes
 

@@ -90,6 +90,8 @@ BAD_ARGUMENTS = [
      (1,), IDEAL_CHILD_MSG),
     ("GammaAlgebra.oplus", lambda: GammaAlgebra(MIX).oplus(E0, BAD_BOTTOM),
      (1, "bottom"), BOTTOM_MSG),
+    ("GammaAlgebra.clamp", lambda: GammaAlgebra(MIX).clamp(BAD_BOTTOM),
+     (1, "bottom"), BOTTOM_MSG),
 ]
 
 
@@ -119,7 +121,7 @@ def test_a_constraint_that_is_not_a_pair_is_named(call, k):
         call()
     assert type(info.value) is LGroupError
     assert str(info.value) == f"constraint {k}: expected an (ideal, target) pair"
-# a strongly semisimple group, so every solver runs its merge to the end
+# a strongly semisimple group, so every solver runs its fold and its check
 WIDE = validate_unital_group(prod(Z, prod(Z, Z), Z), (1, (2, 1), 3))
 WIDE_IDEALS = enumerate_ideals(WIDE).ideals
 BASE = (3, (-1, 2), 0)
@@ -168,6 +170,8 @@ ONE_WALK_PER_ARGUMENT = [
     # interval membership is one walk of its own; check_element walks only
     # to name what is wrong with a malformed operand
     ("GammaAlgebra.oplus", lambda: GammaAlgebra(MIX).oplus(E0, (1, (0, 0))), 0, 0),
+    # clamp takes any element of the group, whose shape is one walk
+    ("GammaAlgebra.clamp", lambda: GammaAlgebra(MIX).clamp((2, (-1, 5))), 1, 0),
 ]
 
 
