@@ -478,7 +478,7 @@ _IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_part", "_all")
 def _prod_ideal_kernels(children: tuple) -> tuple:
     """A product's ideal kernels: each calls its children's in a loop, with
     one frame per level."""
-    shapes, hass, gens, parts, wholes = zip(*map(_IDEAL_KERNELS, children))
+    shapes, hass, gens, projections, wholes = zip(*map(_IDEAL_KERNELS, children))
     zeros = [c._zero for c in children]
     n = len(children)
 
@@ -507,7 +507,7 @@ def _prod_ideal_kernels(children: tuple) -> tuple:
         if not I._mask:  # the whole ideal pins nothing
             return d
         out = []
-        for f, x, p in zip(parts, d, I.parts):
+        for f, x, p in zip(projections, d, I.parts):
             out.append(f(x, p))
         return tuple(out)
 

@@ -11,23 +11,24 @@ old forward merge, which splits the difference between the running
 solution and the next target across the meet of the processed ideals and
 the next ideal, through ``split_by_walk`` and ``ideal_meet``, and
 subtracts the processed-side part; it shares no kernel with the fold of
-``lgroup.crt``, the projection ``_part``.  Last come the walks over a tree whose
-results its node now stores: its zero, primes and radical, its atom count
-and chain flag, and the recursive element operations that its stored
-kernels replaced, dispatching on the node class at every node.  Then the
-walks over an ideal whose results its node now stores (whether it is zero
-or whole, and where it is proper), and those that read them: the
-canonical JSON, the top position of a maximal ideal, the strong solver's
-hypothesis check and the zero-set solver's uniqueness; and the walks that
-a structure's stored zero, ideal count and whole ideal replaced.  The
-radical and whole-ideal walks are those that ``ideals._max_meet``, the
-meet of the maximal ideals at a mask of top positions, replaced.  The
-order and join walks are what ``core.leq`` and ``core.join`` replaced by
-the positive cone and the meet, and the containment walk what
-``ideal_leq`` replaced by the meet.  Last, the walks that a structure's
-stored kernels replaced: the shape check of ``check_ideal``, membership,
-generation, the Riesz split (the three-way split that the projection
-``_part`` replaced) and the top integers of ``yosida.top_values``.
+``lgroup.crt``, which calls the projection ``_part``.  Last come the
+walks over a tree whose results its node now stores: its zero, primes
+and radical, its atom count and chain flag, and the recursive element
+operations that its stored kernels replaced, dispatching on the node
+class at every node.  Then the walks over an ideal whose results its node
+now stores (whether it is zero or whole, and where it is proper), and
+those that read them: the canonical JSON, the top position of a maximal
+ideal, the strong solver's hypothesis check and the zero-set solver's
+uniqueness; and the walks that a structure's stored zero, ideal count
+and whole ideal replaced.  The radical and whole-ideal walks are those
+that ``ideals._max_meet``, the meet of the maximal ideals at a mask of
+top positions, replaced.  The order and join walks are what ``core.leq``
+and ``core.join`` replaced by the positive cone and the meet, and the
+containment walk what ``ideal_leq`` replaced by the meet.  Last, the
+walks that a structure's stored kernels replaced: the shape check of
+``check_ideal``, membership, generation, the Riesz split (the three-way
+split that the projection ``_part`` replaced) and the top integers of
+``yosida.top_values``.
 """
 
 from __future__ import annotations
