@@ -303,18 +303,19 @@ class _Structure(_Node):
     ``lgroup.yosida``) to the list ``out``.
 
     The ideal kernels are ``_shape(I)``, whether I has the shape of an
-    ideal of the node (``check_ideal``); ``_has(I, g)``, membership
-    (``contains``); ``_gen(g)``, the ideal g generates
-    (``principal_ideal``); ``_part(d, I)``, the projection of d into I:
-    d off the coordinates that I pins to 0 and 0 on them, which is the
-    part in I of the Riesz split (``riesz_split``) and the step of the
-    patch fold (``lgroup.crt``); and ``_all``, the whole ideal.  All but
-    the first trust their operands."""
+    ideal of the node (``check_ideal``); ``_agree(I, g, t)``, whether
+    g = t mod I, that is, g and t agree where I pins to 0 (``congruent``,
+    and ``contains`` with t = 0); ``_gen(g)``, the ideal g generates
+    (``principal_ideal``); ``_patch(g, t, I)``, t where I pins and g
+    elsewhere (g for the whole ideal and t for the zero one, with no
+    walk), the step of the patch fold (``lgroup.crt``) and, with t = 0,
+    the part in I of the Riesz split; and ``_all``, the whole ideal.  All
+    but the first trust their operands."""
 
     __slots__ = _facts = (
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
-        "_shape", "_has", "_gen", "_part", "_all",
+        "_shape", "_agree", "_gen", "_patch", "_all",
         "_spectrum", "_radical",
     )
 
@@ -344,8 +345,8 @@ def _atom_between(x, u, low, high):
 _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
-    AtomIdeal.__instancecheck__, lambda I, g: I.full or g == 0,
-    lambda g: _ATOM_IDEALS[g != 0], lambda d, I: d if I.full else 0, _ATOM_IDEALS[True],
+    AtomIdeal.__instancecheck__, lambda I, g, t: I.full or g == t,
+    lambda g: _ATOM_IDEALS[g != 0], lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
     None, None,
 )
 
@@ -472,14 +473,13 @@ def _lex_kernels(bottom: _Structure) -> tuple:
 
 
 # the ideal kernels a product reads from each child
-_IDEAL_KERNELS = operator.attrgetter("_shape", "_has", "_gen", "_part", "_all")
+_IDEAL_KERNELS = operator.attrgetter("_shape", "_agree", "_gen", "_patch", "_all")
 
 
 def _prod_ideal_kernels(children: tuple) -> tuple:
     """A product's ideal kernels: each calls its children's in a loop, with
     one frame per level."""
-    shapes, hass, gens, projections, wholes = zip(*map(_IDEAL_KERNELS, children))
-    zeros = [c._zero for c in children]
+    shapes, agrees, gens, patches, wholes = zip(*map(_IDEAL_KERNELS, children))
     n = len(children)
 
     def shape(I):
@@ -490,10 +490,10 @@ def _prod_ideal_kernels(children: tuple) -> tuple:
                 return False
         return True
 
-    def has(I, g):
-        # a whole part holds every x, and the zero part only the zero
-        for f, zero, part, x in zip(hass, zeros, I.parts, g):
-            if part._mask and (x != zero if part._zero else not f(part, x)):
+    def agree(I, g, t):
+        # a whole part pins nothing, and the zero part everything
+        for f, part, x, y in zip(agrees, I.parts, g, t):
+            if part._mask and (x != y if part._zero else not f(part, x, y)):
                 return False
         return True
 
@@ -503,35 +503,35 @@ def _prod_ideal_kernels(children: tuple) -> tuple:
             parts.append(f(x))
         return ProdIdeal(tuple(parts))
 
-    def part(d, I):
-        if not I._mask:  # the whole ideal pins nothing
-            return d
+    def patch(g, t, I):
+        if I._zero or not I._mask:  # likewise for the ideal and each part
+            return t if I._zero else g
         out = []
-        for f, x, p in zip(projections, d, I.parts):
-            out.append(f(x, p))
+        for f, x, y, p in zip(patches, g, t, I.parts):
+            out.append(x if not p._mask else y if p._zero else f(x, y, p))
         return tuple(out)
 
-    return shape, has, gen, part, ProdIdeal(wholes)
+    return shape, agree, gen, patch, ProdIdeal(wholes)
 
 
 def _lex_ideal_kernels(bottom: _Structure) -> tuple:
     """A lex node's ideal kernels: each reads the top and calls its
     bottom's."""
-    shape, has, gen, part, _ = _IDEAL_KERNELS(bottom)
+    shape, agree, gen, patch, _ = _IDEAL_KERNELS(bottom)
 
     def lex_shape(I):
         return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
 
-    def lex_has(I, g):
-        return I.inner is None or g[0] == 0 and has(I.inner, g[1])
+    def lex_agree(I, g, t):
+        return I.inner is None or g[0] == t[0] and agree(I.inner, g[1], t[1])
 
     def lex_gen(g):
         return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
 
-    def lex_part(d, I):  # a proper ideal pins the top
-        return d if I.inner is None else (0, part(d[1], I.inner))
+    def lex_patch(g, t, I):  # a proper ideal pins the top
+        return g if I.inner is None else t if I._zero else (t[0], patch(g[1], t[1], I.inner))
 
-    return lex_shape, lex_has, lex_gen, lex_part, _WHOLE_LEX
+    return lex_shape, lex_agree, lex_gen, lex_patch, _WHOLE_LEX
 
 
 class Atom(_Structure):

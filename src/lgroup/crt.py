@@ -8,21 +8,20 @@ coordinates of I and says nothing about the others, and the classical
 solver writes its solution in closed form: each coordinate takes the
 value of the first target whose ideal pins it, and the last target's
 value where none does.  ``_solution`` folds that from the last constraint
-back with the projection kernel ``_part(d, I)``, which is d off the
-coordinates of I and 0 on them: g = t_last, then g = t_k + _part(g - t_k,
-I_k) for k descending, so an earlier target overwrites what it pins.
+back with the patch kernel ``_patch(g, t, I)``, which is t on the
+coordinates of I and g elsewhere: g = t_last, then g = _patch(g, t_k, I_k)
+for k descending, so an earlier target overwrites what it pins.
 
 The fold is its own compatibility test.  A system is solvable exactly
 when every two targets agree where both ideals pin (Keimel's condition:
 t_i - t_j lies in I_i v I_j).  Then at each coordinate that I_k pins,
 the closed form takes the value of the first target that pins it, which
-agrees with t_k there, so g - t_k lies in I_k for every k; and when no
-solution exists, g fails some constraint.
-So checking g against every constraint decides compatibility, and every
-solution returned has passed that check.  A failed check proves some pair
-incompatible, but not which one comes first in the order (0, 1), (0, 2),
-..., (1, 2), ... that certificates use, so only then are the pairs swept,
-to name it.
+agrees with t_k there, so g = t_k mod I_k for every k; and when no
+solution exists, g fails some constraint.  So checking g against every
+constraint decides compatibility, and every solution returned has passed
+that check.  A failed check proves some pair incompatible, but not which
+one comes first in the order (0, 1), (0, 2), ..., (1, 2), ... that
+certificates use, so only then are the pairs swept, to name it.
 
 The strong solver demands agreement only at maximal ideals above each
 pairwise join.  Every maximal ideal here sits at a top position (see
@@ -45,9 +44,9 @@ Hypotheses are always checked, never assumed; every failure carries a
 structured certificate naming the violated condition.  ``_normalize`` (and,
 in ``zero_set_patch``, the generator check) is the solvers' only validation:
 the fold, its check and both hypothesis checks trust their operands and
-call the structure's stored kernels (see ``core._Structure``): the
-projection ``_part`` and membership ``_has``, each one call per
-constraint, and the top integers of ``yosida.top_values``.
+call the structure's stored kernels (see ``core._Structure``): the patch
+and the congruence test ``_agree(I, g, t)``, one walk each per constraint,
+and the top integers of ``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .core import (
     UnitalGroup,
     _Record,
     check_element,
-    sub,
 )
 from .ideals import (
     Ideal,
@@ -184,7 +182,7 @@ def riesz_split(
     """Write d (which must lie in the join of I and J) as a + b with a in I
     and b in J.
 
-    Deterministic: a is the projection ``_part(d, I)`` of the structure,
+    Deterministic: a is the patch ``_patch(d, 0, I)`` of the structure,
     d off the coordinates I pins and 0 on them, so a coordinate claimable
     by both ideals goes to the first one; b = d - a is d on those
     coordinates, and it lies in J exactly when d lies in I v J.  Raises
@@ -194,13 +192,12 @@ def riesz_split(
     check_element(s, d)
     check_ideal(s, I)
     check_ideal(s, J)
-    a = s._part(d, I)
-    b = s._sub(d, a)
-    if not s._has(J, b):
+    a = s._patch(d, s._zero, I)
+    if not s._agree(J, d, a):
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
-    if not s._has(I, a):
+    if not s._agree(I, a, s._zero):
         raise InternalInvariantViolation("riesz split postcondition failed")
-    return a, b
+    return a, s._sub(d, a)
 
 
 def _solution(G: UnitalGroup, system: CongruenceSystem):
@@ -212,9 +209,9 @@ def _solution(G: UnitalGroup, system: CongruenceSystem):
         return s._zero
     g = cons[-1][1]
     for I, t in reversed(cons[:-1]):
-        g = s._add(t, s._part(s._sub(g, t), I))
+        g = s._patch(g, t, I)
     for I, t in cons:
-        if not s._has(I, s._sub(g, t)):
+        if not s._agree(I, g, t):
             return None
     return g
 
@@ -225,9 +222,9 @@ def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     failed its check, so there is one."""
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
-        joined, diff = ideal_join(Ii, Ij), sub(G.structure, gi, gj)
-        if not G.structure._has(joined, diff):
-            return i, j, diff, joined
+        joined = ideal_join(Ii, Ij)
+        if not G.structure._agree(joined, gi, gj):
+            return i, j, G.sub(gi, gj), joined
     raise InternalInvariantViolation("the patch fold failed on a compatible system")
 
 
@@ -235,19 +232,23 @@ def _max_failure(G: UnitalGroup, system: CongruenceSystem):
     """The first pair i < j and top position k where both ideals are
     proper and the targets differ, as (i, j, k), or None.
 
-    The maximal ideal at top position k lies above I v J exactly when it
-    lies above I and J, that is, when both ideals are proper at k (bit k
-    of their stored masks), and it holds the difference exactly when the
-    targets agree there.
+    The maximal ideal at top position k lies above I v J exactly when both
+    ideals are proper at k (bit k of their stored masks), and it holds the
+    difference exactly when the targets agree there.  One pass keeps, at
+    each top position, the first such target's integer; only a later one
+    that differs sweeps the pairs, to name the first in certificate order.
     """
     s = G.structure
     rows = [(I._mask, top_values(s, g)) for I, g in system]
+    first = {}
+    if all(first.setdefault(k, x) == x for m, a in rows for k, x in enumerate(a) if m >> k & 1):
+        return None
     for (i, (mi, a)), (j, (mj, b)) in itertools.combinations(enumerate(rows), 2):
         both = mi & mj
         for k, (x, y) in enumerate(zip(a, b)):
             if both >> k & 1 and x != y:
                 return i, j, k
-    return None
+    raise InternalInvariantViolation("a top position disagrees, but no pair does")
 
 
 def keimel_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
@@ -272,16 +273,15 @@ def strong_patch(G: UnitalGroup, system: SystemLike) -> PatchResult:
 
     The system's ideals must be principal, which is a representation
     invariant of this class (every enumerable ideal carries a generator).
-    Three phases: check the maximal-ideal hypothesis for every pair, which
-    asks that the two targets have equal integers at every top position
-    where both ideals are proper (see ``lgroup.yosida``; the diagonal is
-    vacuous); gate on strong semisimplicity; run the classical fold once.
-    On a strongly semisimple group the pairwise hypothesis now holds, so
-    the fold passes its check against every constraint.  Otherwise the
-    solver refuses with a diagnostic certificate whose
-    keimel_hypothesis_holds says whether the fold passed its check (by
-    the module docstring, whether every pair is compatible); only a
-    failed check sweeps the pairs, to name incompatible_pair.
+    Three phases: check the maximal-ideal hypothesis, equal integers at
+    every top position where two ideals are proper (see ``lgroup.yosida``),
+    in one pass; gate on strong semisimplicity; run the classical fold
+    once.  On a strongly semisimple group the pairwise hypothesis now
+    holds, so the fold passes its check against every constraint.
+    Otherwise the solver refuses with a diagnostic certificate whose
+    keimel_hypothesis_holds says whether the fold passed its check (by the
+    module docstring, whether every pair is compatible); only a failed
+    check sweeps the pairs, to name incompatible_pair.
     """
     return _strong(G, _normalize(G, system))
 

@@ -19,13 +19,13 @@ hypothesis check read them instead of walking.  The constructors refuse
 what is not an ideal, naming its position.  What depends on the
 structure as well is a set of kernels that each structure node stores
 from construction, like the element kernels (see ``core._Structure``):
-the shape check of ``check_ideal``, membership, generation, the Riesz
-split of the patch solvers, and the whole ideal.  Each is one call, with
-no dispatch on the node class; ``check_ideal`` descends only after the
-shape check fails, to name the position.  The meet of the maximal ideals
-at any set of top positions has one closed form, ``_max_meet``: the
-whole group, the radical and a certificate's maximal ideal are the meets
-of none, all and one.
+the shape check of ``check_ideal``, congruence (and so membership),
+generation, the patch solvers' patch, and the whole ideal.  Each is one
+call, with no dispatch on the node class; ``check_ideal`` descends only
+after the shape check fails, to name the position.  The meet of the
+maximal ideals at any set of top positions has one closed form,
+``_max_meet``: the whole group, the radical and a certificate's maximal
+ideal are the meets of none, all and one.
 
 Because the class only has finitely many ideals per structure, the whole
 lattice is enumerable and every ideal turns out to be principal; the
@@ -136,7 +136,7 @@ def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
 
 
 def contains(structure, I: Ideal, g: Element) -> bool:
-    """Decide membership g in I: the stored kernel ``_has``.
+    """Decide membership g in I: the stored kernel ``_agree`` against 0.
 
     Atom: zero holds only 0; Prod: componentwise; Lex: the whole group
     holds everything, while {0} x J holds (a, t) iff a = 0 and t in J.
@@ -144,7 +144,7 @@ def contains(structure, I: Ideal, g: Element) -> bool:
     structure = _structure_of(structure)
     check_ideal(structure, I)
     check_element(structure, g)
-    return structure._has(I, g)
+    return structure._agree(I, g, structure._zero)
 
 
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
@@ -336,4 +336,4 @@ def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:
     check_element(G.structure, g)
     check_element(G.structure, h)
     check_ideal(G.structure, I)
-    return G.structure._has(I, sub(G.structure, g, h))
+    return G.structure._agree(I, g, h)

@@ -198,10 +198,11 @@ def ideal_lattice(G):
                     errors.append("distributivity failed")
     if not all(lattice.principal):
         errors.append("an enumerated ideal has no principal witness")
-    for g in elements_in_box(G.structure, 1):
-        P = principal_ideal(G.structure, g)
+    s = G.structure
+    for g in elements_in_box(s, 1):
+        P = principal_ideal(s, g)
         for I in ideals:
-            if G.structure._has(I, g) != ideal_leq(P, I):
+            if s._agree(I, g, s._zero) != ideal_leq(P, I):
                 errors.append(f"principal ideal of {g!r} is not least")
     return errors
 
@@ -233,16 +234,17 @@ def semisimplicity(G):
 def riesz_splitting(G):
     """Sums of members of I and J lie in I v J and split back into them."""
     errors = []
+    s = G.structure
     ideals = enumerate_ideals(G).ideals
-    box = list(elements_in_box(G.structure, 1))
+    box = list(elements_in_box(s, 1))
     for I in ideals:
         for J in ideals:
-            members_i = [a for a in box if G.structure._has(I, a)]
-            members_j = [b for b in box if G.structure._has(J, b)]
+            members_i = [a for a in box if s._agree(I, a, s._zero)]
+            members_j = [b for b in box if s._agree(J, b, s._zero)]
             for a in members_i[:3]:
                 for b in members_j[:3]:
                     d = G.add(a, b)
-                    if not G.structure._has(ideal_join(I, J), d):
+                    if not s._agree(ideal_join(I, J), d, s._zero):
                         errors.append("sum escaped the join")
                         continue
                     x, y = riesz_split(G, d, I, J)
@@ -315,7 +317,7 @@ def interval_algebra(G):
     box = _interval_box(G, max(3, top + 1))
     boxset = frozenset(box)
     ideals = enumerate_ideals(G).ideals
-    traces = {I: frozenset(x for x in box if s._has(I, x)) for I in ideals}
+    traces = {I: frozenset(x for x in box if s._agree(I, x, s._zero)) for I in ideals}
     if len(set(traces.values())) != len(ideals):
         errors.append("two ideals share an interval trace")
     for T in traces.values():
@@ -343,7 +345,7 @@ def interval_algebra(G):
         outside = [x for x in box if x not in T]
         maximal = bool(outside) and all(
             any(
-                s._has(I, alg._neg(alg.clamp(scale(s, n, x))))
+                s._agree(I, alg._neg(alg.clamp(scale(s, n, x))), s._zero)
                 for n in range(1, max(2, top) + 1)
             )
             for x in outside
@@ -378,7 +380,7 @@ def patching_regressions():
         errors.append("classical solver accepted the impossible pair")
     for g in elements_in_box(lexg.structure, 2):
         if all(
-            lexg.structure._has(I, lexg.sub(g, t))
+            lexg.structure._agree(I, g, t)
             for I, t in zip(task.ideals, task.targets)
         ):
             errors.append("an element satisfied the impossible pair")
@@ -414,7 +416,7 @@ def patching_regressions():
                 errors.append("a compatible random system was refused")
                 continue
             for I, t in system:
-                if not G.structure._has(I, G.sub(result.solution, t)):
+                if not G.structure._agree(I, result.solution, t):
                     errors.append("random system solution fails a congruence")
     return errors
 

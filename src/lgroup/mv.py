@@ -85,9 +85,11 @@ class GammaAlgebra(_Record):
         return self._neg(self.validate(x))
 
     def odot(self, x: Element, y: Element) -> Element:
+        """0 v (x + y - u), as x - (x ^ (u - y)) by a - (b ^ c) = (a - b) v
+        (a - c): three walks, where the join with 0 took five."""
+        x, y = self.validate(x), self.validate(y)
         s = self.group.structure
-        total = sub(s, add(s, self.validate(x), self.validate(y)), self.group.unit)
-        return join(s, zero(s), total)
+        return sub(s, x, meet(s, x, sub(s, self.group.unit, y)))
 
     def mv_join(self, x: Element, y: Element) -> Element:
         return join(self.group.structure, self.validate(x), self.validate(y))

@@ -154,7 +154,7 @@ def vanishing_locus(space, R) -> FrozenSet[Ideal]:
     elements = list(R)
     for g in elements:
         check_element(s, g)
-    return frozenset(p for p in space.primes if all(s._has(p, g) for g in elements))
+    return frozenset(p for p in space.primes if all(s._agree(p, g, s._zero) for g in elements))
 
 
 def ideal_of_locus(space, S: Iterable[Ideal]) -> Ideal:

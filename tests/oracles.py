@@ -11,7 +11,8 @@ old forward merge, which splits the difference between the running
 solution and the next target across the meet of the processed ideals and
 the next ideal, through ``split_by_walk`` and ``ideal_meet``, and
 subtracts the processed-side part; it shares no kernel with the fold of
-``lgroup.crt``, which calls the projection ``_part``.  Last come the
+``lgroup.crt``, which calls the patch ``_patch`` and the congruence test
+``_agree``.  Last come the
 walks over a tree whose results its node now stores: its zero, primes
 and radical, its atom count and chain flag, and the recursive element
 operations that its stored kernels replaced, dispatching on the node
@@ -27,8 +28,10 @@ and ``core.join`` replaced by the positive cone and the meet, and the
 containment walk what ``ideal_leq`` replaced by the meet.  Last, the
 walks that a structure's stored kernels replaced: the shape check of
 ``check_ideal``, membership, generation, the Riesz split (the three-way
-split that the projection ``_part`` replaced) and the top integers of
-``yosida.top_values``.
+split that a projection, and then the patch ``_patch``, replaced), the
+patch and the congruence test as the compositions that the fold once
+made of a difference, that split and a sum, and of a difference and
+membership, and the top integers of ``yosida.top_values``.
 """
 
 from __future__ import annotations
@@ -546,6 +549,18 @@ def split_by_walk(structure, d, I, J):
         return 0, split_by_walk(bottom, d[1], I.inner, all_ideal_by_walk(bottom))
     a = None if d[0] else split_by_walk(structure.bottom, d[1], I.inner, J.inner)
     return None if a is None else (0, a)
+
+
+def patch_by_walk(structure, g, t, I):
+    """The patch kernel ``_patch``: t plus the part in I of g - t, split
+    against the whole ideal, which is t where I pins and g elsewhere."""
+    d = sub_by_walk(structure, g, t)
+    return add_by_walk(structure, t, split_by_walk(structure, d, I, all_ideal_by_walk(structure)))
+
+
+def agree_by_walk(structure, I, g, t) -> bool:
+    """The congruence kernel ``_agree``: whether g - t lies in I."""
+    return contains_by_walk(structure, I, sub_by_walk(structure, g, t))
 
 
 def top_values_by_walk(structure, g) -> list:

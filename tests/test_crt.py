@@ -689,20 +689,39 @@ def test_hypothesis_check_and_uniqueness_agree_with_their_walks():
     # the stored masks of the ideals against their canonical generators'
     # top integers, and of the principal ideals against the generators'
     rng = random.Random(1315)
-    failures = unique = 0
+    failures = passes = unique = 0
     groups = ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(1700, 1720)]
     for G in groups:
         for system in _oracle_systems(rng, G):
             found = lgroup.crt._max_failure(G, CongruenceSystem.of(system))
             assert found == max_failure_by_generators(G, system)
             failures += found is not None
+            passes += found is None and len(system) > 1
             gens = [random_element(rng, G.structure, 1) for _ in system]
             targets = [G.zero()] * len(gens)
             result = zero_set_patch(G, gens, targets)
             if result.solved:
                 assert result.unique is unique_by_top_values(G, gens)
                 unique += result.unique
-    assert failures > 50 and unique > 20
+    assert failures > 50 and passes > 50 and unique > 20
+
+
+def test_the_one_pass_hypothesis_check_still_names_the_first_pair():
+    # constraint 0 pins top position 1, constraint 1 position 0 and
+    # constraint 2 both: the pass first meets a disagreement at position 0
+    # (constraints 1 and 2), but the first pair in certificate order is
+    # (0, 2), at position 1
+    G = validate_unital_group(prod(Z, Z, Z), (1, 1, 1))
+    both = ProdIdeal((AtomIdeal(False), AtomIdeal(False), AtomIdeal(True)))
+    system = [(M2, (0, 5, 0)), (M1, (3, 0, 0)), (both, (4, 6, 0))]
+    assert lgroup.crt._max_failure(G, CongruenceSystem.of(system)) == (0, 2, 1)
+    assert max_failure_by_generators(G, system) == (0, 2, 1)
+    assert strong_patch(G, system).certificate == MaxHypothesisViolated(0, 2, M2)
+    # agreeing where they overlap, the three pass, and the solution takes
+    # each coordinate from the first constraint that pins it
+    system[2] = (both, (3, 5, 9))
+    assert lgroup.crt._max_failure(G, CongruenceSystem.of(system)) is None
+    assert strong_patch(G, system).solution == (3, 5, 9)
 
 
 def test_entries_answer_on_900_level_trees_and_a_failing_strong_patch_builds_no_spectrum():

@@ -19,6 +19,7 @@ from conftest import (
     tall_groups,
 )
 from oracles import (
+    agree_by_walk,
     all_ideal_by_walk,
     check_ideal_by_walk,
     contains_by_walk,
@@ -28,6 +29,7 @@ from oracles import (
     ideal_to_json_by_walk,
     is_all_ideal_by_walk,
     is_zero_ideal_by_walk,
+    patch_by_walk,
     principal_by_walk,
     proper_tops_by_generator,
     split_by_walk,
@@ -310,18 +312,22 @@ def test_ideal_leq_agrees_with_its_walk():
 
 
 def test_membership_generation_and_split_kernels_agree_with_their_walks():
-    # up to 12 ideals of each case, against their generators, which they
-    # hold, and seeded random elements; each pair splits the sum and the
-    # difference of their generators, which lie in the join, and a random
-    # element, which may not: the projection into I is the split against
-    # the whole ideal, and the rest lies in J exactly when the split
-    # against J does not get stuck
+    # up to 12 ideals of each case, with zero and the whole group, against
+    # their generators, which they hold, and seeded random elements; each
+    # pair splits the sum and the difference of their generators, which lie
+    # in the join, and a random element, which may not: the patch of d
+    # with 0 on I is the split against the whole ideal, and the rest lies
+    # in J, d agreeing with it mod J, exactly when the split against J does
+    # not get stuck.  Each pair also patches a random element with the sum
+    # of the generators on I, which must equal t + split(g - t) whatever
+    # I is, and tests the patch for agreement mod J with three elements
     rng = random.Random(20)
-    held = split = 0
+    held = split = agreed = 0
     for G, ideals in FACT_CASES:
         s = G.structure
-        whole = all_ideal_by_walk(s)
+        whole, nothing = all_ideal_by_walk(s), zero_ideal_by_walk(s)
         sample = ideals if len(ideals) <= 12 else rng.sample(ideals, 12)
+        sample = [nothing, *sample, whole]
         generators = [canonical_generator(s, I) for I in sample]
         box = generators + [random_element(rng, s, 1) for _ in range(6)]
         for g in box:
@@ -333,12 +339,21 @@ def test_membership_generation_and_split_kernels_agree_with_their_walks():
         for I, g in zip(sample, generators):
             for J, h in zip(sample, generators):
                 for d in (add(s, g, h), sub(s, g, h), rng.choice(box)):
-                    a = s._part(d, I)
+                    a = s._patch(d, s._zero, I)
                     assert a == split_by_walk(s, d, I, whole)
-                    joined = s._has(J, sub(s, d, a))
+                    joined = s._agree(J, d, a)
                     assert joined is (split_by_walk(s, d, I, J) is not None)
                     split += joined
-    assert held > 2000 and split > 5000
+                x, t = rng.choice(box), add(s, g, h)
+                patched = s._patch(x, t, I)
+                assert patched == patch_by_walk(s, x, t, I)
+                if I is whole or I is nothing:  # no walk: one of the operands
+                    assert patched is (x if I is whole else t)
+                for y in (x, t, sub(s, x, h)):
+                    verdict = s._agree(J, patched, y)
+                    assert verdict is agree_by_walk(s, J, patched, y)
+                    agreed += verdict
+    assert held > 2000 and split > 5000 and agreed > 10000
 
 
 def _raised(call, *args):

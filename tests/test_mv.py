@@ -4,8 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A2, C3, LEX, MIX, ORACLE_GROUPS, operands, random_element, random_group
-from oracles import validate_by_four_walks, zero_by_walk
+from conftest import (
+    A2,
+    C3,
+    LEX,
+    MIX,
+    ORACLE_GROUPS,
+    operands,
+    random_element,
+    random_group,
+    seeded_tree_group,
+)
+from oracles import (
+    add_by_walk,
+    join_by_walk,
+    sub_by_walk,
+    validate_by_four_walks,
+    zero_by_walk,
+)
 from lgroup import (
     AtomIdeal,
     GammaAlgebra,
@@ -193,3 +209,27 @@ def test_clamp_and_odot_agree_with_a_walked_zero():
             assert alg.clamp(x) == join(s, z, meet(s, x, u))
             a, b = alg.clamp(x), alg.clamp(random_element(rng, s, 3))
             assert alg.odot(a, b) == join(s, z, sub(s, add(s, a, b), u))
+
+
+def test_odot_is_the_truncated_sum_on_trees_with_lex_nodes():
+    # x - (x ^ (u - y)) against 0 v (x + y - u) by the recursive walks, on
+    # seeded trees that hold a lex node, where the meet decides by the top
+    # unless it ties; operands on the interval's bounds and inside it.  In
+    # many pairs the join is neither 0 nor x + y - u, but mixes them
+    rng = random.Random(2323)
+    trees = mixed = 0
+    for seed in range(2300, 2360):
+        G = seeded_tree_group(seed)
+        s, u = G.structure, G.unit
+        if "Lex" not in repr(s):
+            continue
+        trees += 1
+        alg = GammaAlgebra(G)
+        z = zero_by_walk(s)
+        box = [z, u] + [alg.clamp(random_element(rng, s, 3)) for _ in range(8)]
+        for x in box:
+            for y in box:
+                expected = join_by_walk(s, z, sub_by_walk(s, add_by_walk(s, x, y), u))
+                assert alg.odot(x, y) == expected
+                mixed += expected != z and expected != add_by_walk(s, x, sub_by_walk(s, y, u))
+    assert trees > 20 and mixed > 500
