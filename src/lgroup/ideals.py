@@ -58,7 +58,6 @@ from .core import (
     _Record,
     _trusted_group,
     check_element,
-    sub,
     zero,
 )
 

@@ -12,11 +12,10 @@ solution and the next target across the meet of the processed ideals and
 the next ideal, through ``split_by_walk`` and ``ideal_meet``, and
 subtracts the processed-side part; it shares no kernel with the fold of
 ``lgroup.crt``, which calls the patch ``_patch`` and the congruence test
-``_agree``.  Last come the
-walks over a tree whose results its node now stores: its zero, primes
-and radical, its atom count and chain flag, and the recursive element
-operations that its stored kernels replaced, dispatching on the node
-class at every node.  Then the walks over an ideal whose results its node
+``_agree``.  Last come the walks over a tree whose results its node now
+stores: its zero, primes and radical, its atom count and chain flag, and
+the recursive element operations that its stored kernels replaced,
+dispatching on the node class at every node.  Then the walks over an ideal whose results its node
 now stores (whether it is zero or whole, and where it is proper), and
 those that read them: the canonical JSON, the top position of a maximal
 ideal, the strong solver's hypothesis check and the zero-set solver's
