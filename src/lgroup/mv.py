@@ -21,6 +21,21 @@ checking the shape alone, so a malformed operand raises ``ShapeMismatch``
 (with ``check_element``'s path) even where its order already failed: a
 shape error anywhere wins over ``OutOfInterval``, as when the shape was
 checked first.
+
+Each algebra records the operands that ``validate`` passed, keyed by
+``id(x)`` and holding x itself, and an operand that is a recorded object
+returns at once: a script that feeds results back in checks each value
+once.  The record matches by identity, not equality: ``(True, 0) == (1,
+0)`` and both hash alike, so a record matched by value would admit the
+bool that the walk refuses.  Every other operand takes the walk, and a
+failure is never recorded, so a malformed or out-of-interval operand
+raises on every call.  The record holds each object strongly, so no
+recorded id is reused while it is there; it keeps at most
+``ideals.CACHE_SIZE`` entries and is cleared when full.  It needs no lock:
+two threads that race can only walk an operand twice.  It lives in a slot
+outside the fields, as ``UnitalGroup``'s top integers do, so it takes no
+part in ``==``, ``hash``, ``repr``, pickling or copying, and a copy starts
+with an empty record.  The operations call the tree's kernels directly.
 """
 
 from __future__ import annotations
@@ -30,21 +45,24 @@ from .core import (
     InternalInvariantViolation,
     LGroupError,
     _Record,
-    add,
     check_element,
-    join,
     leq,
-    meet,
-    sub,
-    zero,
 )
+from .ideals import CACHE_SIZE
 
 
 class OutOfInterval(LGroupError):
     """An operand lies outside [0, u]."""
 
 
-class GammaAlgebra(_Record):
+class _AlgebraFacts(_Record):
+    """The slot of an algebra's record of passed operands, outside its
+    fields (see ``GammaAlgebra.validate``)."""
+
+    __slots__ = ("_seen",)
+
+
+class GammaAlgebra(_AlgebraFacts):
     """Operations of the interval [0, u] of a unital group.
 
     Elements are plain group elements validated into the interval;
@@ -54,6 +72,10 @@ class GammaAlgebra(_Record):
 
     __slots__ = ("group",)
 
+    def __init__(self, *args, **kwargs):
+        _Record.__init__(self, *args, **kwargs)
+        object.__setattr__(self, "_seen", {})
+
     @property
     def unit(self) -> Element:
         return self.group.unit
@@ -61,7 +83,18 @@ class GammaAlgebra(_Record):
     def validate(self, x: Element) -> Element:
         """x, if it lies in [0, u]: one kernel call (see the module
         docstring); ``check_element`` runs only to name what is wrong with a
-        malformed x, raising ``ShapeMismatch``; else ``OutOfInterval``."""
+        malformed x, raising ``ShapeMismatch``; else ``OutOfInterval``.
+
+        An operand that is an object this algebra passed before returns at
+        once, matched by identity and not by equality, so the bool twin of
+        a passed value still takes the walk and fails.  The record holds the
+        objects it names, at most ``CACHE_SIZE`` of them (cleared when
+        full), needs no lock and is not part of the value (see the module
+        docstring).  A miss reads the record itself, which no caller holds:
+        with None for a miss, ``validate(None)`` would pass."""
+        seen = self._seen
+        if seen.get(id(x), seen) is x:
+            return x
         s = self.group.structure
         verdict = s._between(x, self.group.unit, True, True)
         if verdict is None:
@@ -69,14 +102,19 @@ class GammaAlgebra(_Record):
             raise InternalInvariantViolation(f"_between and check_element disagree on {x!r}")
         if not verdict:
             raise OutOfInterval(f"{x!r} is not between 0 and the unit")
+        if len(seen) >= CACHE_SIZE:
+            seen.clear()
+        seen[id(x)] = x
         return x
 
     def clamp(self, x: Element) -> Element:
-        """Project an arbitrary group element into the interval; a
-        malformed x raises ``ShapeMismatch``, as ``check_element`` does."""
+        """Project an arbitrary group element into the interval, as 0 v m
+        for m = x ^ u, which is m - (m ^ 0): four walks with the shape walk;
+        a malformed x raises ``ShapeMismatch``, as ``check_element`` does."""
         s = self.group.structure
         check_element(s, x)
-        return join(s, zero(s), meet(s, x, self.group.unit))
+        m = s._meet(x, self.group.unit)
+        return s._sub(m, s._meet(m, s._zero))
 
     def oplus(self, x: Element, y: Element) -> Element:
         return self._oplus(self.validate(x), self.validate(y))
@@ -89,21 +127,23 @@ class GammaAlgebra(_Record):
         (a - c): three walks, where the join with 0 took five."""
         x, y = self.validate(x), self.validate(y)
         s = self.group.structure
-        return sub(s, x, meet(s, x, sub(s, self.group.unit, y)))
+        return s._sub(x, s._meet(x, s._sub(self.group.unit, y)))
 
     def mv_join(self, x: Element, y: Element) -> Element:
-        return join(self.group.structure, self.validate(x), self.validate(y))
+        """x v y = x + y - (x ^ y), as ``core.join``."""
+        x, y = self.validate(x), self.validate(y)
+        s = self.group.structure
+        return s._sub(s._add(x, y), s._meet(x, y))
 
     def mv_meet(self, x: Element, y: Element) -> Element:
-        return meet(self.group.structure, self.validate(x), self.validate(y))
+        return self.group.structure._meet(self.validate(x), self.validate(y))
 
     def leq(self, x: Element, y: Element) -> bool:
         return leq(self.group.structure, self.validate(x), self.validate(y))
 
     def _oplus(self, x: Element, y: Element) -> Element:
         s = self.group.structure
-        return meet(s, self.group.unit, add(s, x, y))
+        return s._meet(self.group.unit, s._add(x, y))
 
     def _neg(self, x: Element) -> Element:
-        return sub(self.group.structure, self.group.unit, x)
-
+        return self.group.structure._sub(self.group.unit, x)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     A2,
     C3,
+    CHAIN3,
     LEX,
     MIX,
     ORACLE_GROUPS,
@@ -37,6 +40,7 @@ from lgroup import (
     radical,
     sub,
 )
+from lgroup.ideals import CACHE_SIZE
 
 CHANG = GammaAlgebra(LEX)
 
@@ -233,3 +237,101 @@ def test_odot_is_the_truncated_sum_on_trees_with_lex_nodes():
                 assert alg.odot(x, y) == expected
                 mixed += expected != z and expected != add_by_walk(s, x, sub_by_walk(s, y, u))
     assert trees > 20 and mixed > 500
+
+
+def _bool_twins(x):
+    """x with one integer 0 or 1 replaced by the bool equal to it, each way
+    there is: equal to x and hashing alike, yet no element."""
+    if type(x) is int:
+        return [bool(x)] if x in (0, 1) else []
+    return [x[:i] + (twin,) + x[i + 1:] for i, part in enumerate(x) for twin in _bool_twins(part)]
+
+
+def _lex_trees(seeds):
+    return [G for G in map(seeded_tree_group, seeds) if "Lex" in repr(G.structure)]
+
+
+def test_a_recorded_operand_leaves_every_refusal_standing():
+    # each refusal holds on a fresh algebra and again once its operands,
+    # the unit among them, have passed and been recorded
+    rng = random.Random(2424)
+    for G in (A2, C3, LEX, MIX, CHAIN3):
+        alg = GammaAlgebra(G)
+        passed = [G.unit, G.zero()] + [alg.clamp(random_element(rng, G.structure, 4)) for _ in range(6)]
+        twins = [t for x in passed for t in _bool_twins(x)]
+        assert twins and all(t in passed and hash(t) in map(hash, passed) for t in twins)
+        outside = [G.add(G.unit, G.unit), G.neg(G.unit)]
+        for recorded in (False, True):
+            assert (len(alg._seen) > 0) == recorded
+            for _ in range(2):
+                with pytest.raises(ShapeMismatch):
+                    alg.validate(None)
+                for t in twins:
+                    with pytest.raises(ShapeMismatch):
+                        alg.validate(t)
+                for x in outside:
+                    with pytest.raises(OutOfInterval):
+                        alg.validate(x)
+                    with pytest.raises(OutOfInterval):
+                        alg.oplus(x, G.unit)
+            for x in passed:
+                assert alg.validate(x) is x
+
+
+def test_the_record_is_not_part_of_the_value():
+    used, fresh = GammaAlgebra(MIX), GammaAlgebra(MIX)
+    assert used.oplus(MIX.unit, MIX.zero()) == MIX.unit
+    assert len(used._seen) == 2 and fresh._seen == {}
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+        assert twin == used and twin._seen == {} and twin._seen is not used._seen
+    assert GammaAlgebra(group=MIX)._seen == {}
+
+
+def test_the_record_stays_bounded_and_agrees_with_the_four_walks():
+    # more passing operands than the record keeps, so it is cleared on the
+    # way; each operand is met twice, with the bool twins and the values
+    # outside the interval among them
+    rng = random.Random(2425)
+    trees = _lex_trees(range(2400, 2420))[:4]
+    assert len(trees) == 4
+    for G in trees:
+        s = G.structure
+        alg = GammaAlgebra(G)
+        inside = [alg.clamp(random_element(rng, s, 3)) for _ in range(200)]
+        pool = inside + [random_element(rng, s, 3) for _ in range(40)] + [None]
+        pool += [t for x in inside[:20] for t in _bool_twins(x)]
+        stream = pool + rng.sample(pool, len(pool))
+        cleared = 0
+        for x in stream:
+            before = len(alg._seen)
+            expected = _raised(lambda: validate_by_four_walks(alg, x))
+            assert _raised(lambda: alg.validate(x)) == expected
+            assert len(alg._seen) <= CACHE_SIZE
+            cleared += len(alg._seen) < before
+        assert cleared >= 2
+
+
+def test_a_reused_operand_is_walked_once():
+    # the interval check of the tree's root is rebound to count itself;
+    # only validate checks the upper bound (leq checks the cone alone)
+    rng = random.Random(2426)
+    for G in _lex_trees(range(2400, 2420))[:4]:
+        s = G.structure
+        alg = GammaAlgebra(G)
+        box = [alg.clamp(random_element(rng, s, 3)) for _ in range(6)]
+        between, walks = s._between, []
+
+        def counted(x, hi, low, high):
+            walks.append(high)
+            return between(x, hi, low, high)
+
+        object.__setattr__(s, "_between", counted)
+        try:
+            for _ in range(100):
+                name = rng.choice(["oplus", "odot", "mv_join", "mv_meet", "leq", "neg"])
+                x, y = rng.choice(box), rng.choice(box)
+                getattr(alg, name)(x) if name == "neg" else getattr(alg, name)(x, y)
+        finally:
+            object.__setattr__(s, "_between", between)
+        assert walks.count(True) == len({id(x) for x in box}) == 6
