@@ -111,12 +111,14 @@ SystemLike = Union[CongruenceSystem, Iterable[Tuple[Ideal, Element]]]
 class Incompatible(_Record):
     """Targets i and j disagree modulo the join of their ideals."""
 
+    kind = "incompatible"
     __slots__ = ("i", "j", "difference", "join_ideal")
 
 
 class MaxHypothesisViolated(_Record):
     """Targets i and j disagree at a maximal ideal above their join."""
 
+    kind = "max-hypothesis-violated"
     __slots__ = ("i", "j", "maximal")
 
 
@@ -132,6 +134,7 @@ class NotStronglySemisimple(_Record):
     breaking the pairwise hypothesis when there is one.
     """
 
+    kind = "not-strongly-semisimple"
     __slots__ = ("witness", "keimel_hypothesis_holds", "incompatible_pair")
     _defaults = {"incompatible_pair": None}
 
@@ -143,9 +146,12 @@ class NotStronglySemisimple(_Record):
 class IncompatibleOnZeroSets(_Record):
     """Targets i and j take different values on a shared zero-set point."""
 
+    kind = "incompatible-on-zero-sets"
     __slots__ = ("i", "j", "maximal")
 
 
+# each certificate's JSON is its ``kind`` and its record's fields
+# (``serialize.certificate_to_json``)
 Certificate = Union[
     Incompatible, MaxHypothesisViolated, NotStronglySemisimple, IncompatibleOnZeroSets
 ]

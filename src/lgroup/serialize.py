@@ -1,4 +1,5 @@
-"""JSON interchange for structures, elements, ideals, and instance files.
+"""JSON interchange for structures, elements, ideals, instance files and
+certificates.
 
 The instance-file schema:
 
@@ -21,35 +22,23 @@ and [top, bottom] pairs for lexicographic extensions.  Ideals are "zero" |
 accepted at any position and normalised structurally.  Unknown keys are
 rejected everywhere.  Serialisation is canonical (sorted keys, two-space
 indent, trailing newline), so equal values always produce identical bytes.
+
+Output is rendered from the values, not by a walk of the structure: an
+ideal node is its canonical form, a tuple the array of its items' forms,
+and an integer, boolean or string itself (an element is checked against
+its structure first).  A certificate is its ``kind`` and every field of
+its record that is not None, so a new field renders with no change here.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Union
 
-from .core import (
-    Atom,
-    Element,
-    Lex,
-    LGroupError,
-    NotAStrongUnit,
-    Prod,
-    Structure,
-    UnitalGroup,
-    _is_int,
-    _Record,
-    _trusted_group,
-)
-from .ideals import (
-    Ideal,
-    LexIdeal,
-    ProdIdeal,
-    all_ideal,
-    is_all_ideal,
-    is_zero_ideal,
-    zero_ideal,
-)
+from .core import Atom, Element, Lex, LGroupError, NotAStrongUnit, Prod, Structure, UnitalGroup
+from .core import _Ideal, _is_int, _Record, _trusted_group, check_element
+from .ideals import Ideal, LexIdeal, ProdIdeal, all_ideal, zero_ideal
 
 
 class ParseError(LGroupError):
@@ -84,31 +73,35 @@ def _structure_from_json(obj, path: str, height: int) -> Structure:
     # height: how many levels down the tree obj sits
     if obj == "Z":
         return Atom()
-    if isinstance(obj, dict):
-        if set(obj) in ({"prod"}, {"lex"}) and height >= MAX_HEIGHT:
-            raise ParseError(path, f"structure taller than {MAX_HEIGHT} levels")
-        if set(obj) == {"prod"}:
-            kids = obj["prod"]
-            if not isinstance(kids, list) or len(kids) < 2:
-                raise ParseError(path, "prod needs a list of at least 2 structures")
-            return Prod(
-                tuple(
-                    _structure_from_json(k, f"{path}.prod[{i}]", height + 1)
-                    for i, k in enumerate(kids)
-                )
-            )
-        if set(obj) == {"lex"}:
-            return Lex(_structure_from_json(obj["lex"], f"{path}.lex", height + 1))
+    if not isinstance(obj, dict):
+        raise ParseError(path, f"expected \"Z\", prod, or lex, got {obj!r}")
+    if set(obj) not in ({"prod"}, {"lex"}):
         raise ParseError(path, f"unknown structure keys {sorted(obj)}")
-    raise ParseError(path, f"expected \"Z\", prod, or lex, got {obj!r}")
+    if height >= MAX_HEIGHT:
+        raise ParseError(path, f"structure taller than {MAX_HEIGHT} levels")
+    if "lex" in obj:
+        return Lex(_structure_from_json(obj["lex"], f"{path}.lex", height + 1))
+    kids = obj["prod"]
+    if not isinstance(kids, list) or len(kids) < 2:
+        raise ParseError(path, "prod needs a list of at least 2 structures")
+    parts = enumerate(kids)
+    return Prod(tuple(_structure_from_json(k, f"{path}.prod[{i}]", height + 1) for i, k in parts))
+
+
+def _to_json(value):
+    """The JSON form of a value made of ideal nodes, tuples and scalars."""
+    if isinstance(value, _Ideal):
+        return ideal_to_json(value)
+    if isinstance(value, tuple):
+        return list(map(_to_json, value))
+    return value
 
 
 def element_to_json(structure: Structure, e: Element):
-    if isinstance(structure, Atom):
-        return e
-    if isinstance(structure, Prod):
-        return [element_to_json(c, p) for c, p in zip(structure.children, e)]
-    return [e[0], element_to_json(structure.bottom, e[1])]
+    """``e`` as JSON, after one walk checking it against ``structure``
+    (raising ShapeMismatch at the first malformed position)."""
+    check_element(structure, e)
+    return _to_json(e)
 
 
 def element_from_json(structure: Structure, obj, path: str = "element") -> Element:
@@ -120,10 +113,8 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
         n = len(structure.children)
         if not isinstance(obj, list) or len(obj) != n:
             raise ParseError(path, f"expected an array of {n} elements")
-        return tuple(
-            element_from_json(c, o, f"{path}[{i}]")
-            for i, (c, o) in enumerate(zip(structure.children, obj))
-        )
+        parts = enumerate(zip(structure.children, obj))
+        return tuple(element_from_json(c, o, f"{path}[{i}]") for i, (c, o) in parts)
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParseError(path, "expected a [top, bottom] pair")
     if not _is_int(obj[0]):
@@ -135,9 +126,9 @@ def ideal_to_json(I: Ideal):
     """The canonical form: the zero and improper ideals are their shorthands
     at every level, read off the flags each ideal node stores, so
     serialisation is byte-stable and descends only into mixed nodes."""
-    if is_zero_ideal(I):
+    if I._zero:
         return "zero"
-    if is_all_ideal(I):
+    if not I._mask:
         return "all"
     if type(I) is ProdIdeal:
         return {"prod": list(map(ideal_to_json, I.parts))}
@@ -149,24 +140,19 @@ def ideal_from_json(structure: Structure, obj, path: str = "ideal") -> Ideal:
         return zero_ideal(structure)
     if obj == "all":
         return all_ideal(structure)
-    if isinstance(obj, dict) and set(obj) == {"prod"}:
-        if not isinstance(structure, Prod):
-            raise ParseError(path, "prod ideal against a non-product structure")
-        kids = obj["prod"]
-        n = len(structure.children)
-        if not isinstance(kids, list) or len(kids) != n:
-            raise ParseError(path, f"expected {n} component ideals")
-        return ProdIdeal(
-            tuple(
-                ideal_from_json(c, k, f"{path}.prod[{i}]")
-                for i, (c, k) in enumerate(zip(structure.children, kids))
-            )
-        )
-    if isinstance(obj, dict) and set(obj) == {"bottom"}:
+    if not isinstance(obj, dict) or set(obj) not in ({"prod"}, {"bottom"}):
+        raise ParseError(path, f"expected \"zero\", \"all\", prod, or bottom, got {obj!r}")
+    if "bottom" in obj:
         if not isinstance(structure, Lex):
             raise ParseError(path, "bottom ideal against a non-lex structure")
         return LexIdeal(ideal_from_json(structure.bottom, obj["bottom"], f"{path}.bottom"))
-    raise ParseError(path, f"expected \"zero\", \"all\", prod, or bottom, got {obj!r}")
+    if not isinstance(structure, Prod):
+        raise ParseError(path, "prod ideal against a non-product structure")
+    kids, n = obj["prod"], len(structure.children)
+    if not isinstance(kids, list) or len(kids) != n:
+        raise ParseError(path, f"expected {n} component ideals")
+    parts = enumerate(zip(structure.children, kids))
+    return ProdIdeal(tuple(ideal_from_json(c, k, f"{path}.prod[{i}]") for i, (c, k) in parts))
 
 
 class ElementEntry(_Record):
@@ -214,9 +200,7 @@ def _parse_task(structure: Structure, obj, path: str) -> Task:
     mode = obj.get("mode")
     key = _TASK_LISTS.get(mode) if isinstance(mode, str) else None
     if key is None:
-        raise ParseError(
-            f"{path}.mode", f"expected keimel, strong, or zeroset, got {mode!r}"
-        )
+        raise ParseError(f"{path}.mode", f"expected keimel, strong, or zeroset, got {mode!r}")
     _require_keys(obj, {"mode", key, "targets"}, path)
     items, targets = obj.get(key), obj.get("targets")
     if not isinstance(items, list) or not isinstance(targets, list):
@@ -224,16 +208,11 @@ def _parse_task(structure: Structure, obj, path: str) -> Task:
     if len(items) != len(targets):
         raise ParseError(path, f"{key} and targets must have equal length")
     parse = ideal_from_json if key == "ideals" else element_from_json
-    items = tuple(
-        parse(structure, x, f"{path}.{key}[{i}]") for i, x in enumerate(items)
-    )
+    items = tuple(parse(structure, x, f"{path}.{key}[{i}]") for i, x in enumerate(items))
     targets = tuple(
-        element_from_json(structure, t, f"{path}.targets[{i}]")
-        for i, t in enumerate(targets)
+        element_from_json(structure, t, f"{path}.targets[{i}]") for i, t in enumerate(targets)
     )
-    if key == "generators":
-        return ZeroSetTask(items, targets)
-    return PatchTask(mode, items, targets)
+    return ZeroSetTask(items, targets) if key == "generators" else PatchTask(mode, items, targets)
 
 
 def instance_from_json(obj) -> Instance:
@@ -259,96 +238,55 @@ def instance_from_json(obj) -> Instance:
     if not isinstance(elements, dict):
         raise ParseError("elements", "must be an object of named elements")
     for name, raw in elements.items():
-        path = f"elements.{name}"
-        if isinstance(raw, dict):
+        path, mv = f"elements.{name}", isinstance(raw, dict)
+        if mv:
             _require_keys(raw, {"mv", "value"}, path)
             if raw.get("mv") is not True or "value" not in raw:
                 raise ParseError(path, "tagged entries need \"mv\": true and a value")
-            value = element_from_json(structure, raw["value"], f"{path}.value")
-            instance.elements[name] = ElementEntry(value, mv=True)
-        else:
-            instance.elements[name] = ElementEntry(
-                element_from_json(structure, raw, path)
-            )
+            raw, path = raw["value"], f"{path}.value"
+        instance.elements[name] = ElementEntry(element_from_json(structure, raw, path), mv)
     if "task" in obj:
         instance.task = _parse_task(structure, obj["task"], "task")
     return instance
 
 
 def instance_to_json(instance: Instance) -> dict:
-    structure = instance.group.structure
-    out: dict = {
-        "structure": structure_to_json(structure),
-        "unit": element_to_json(structure, instance.group.unit),
-    }
+    structure, task = instance.group.structure, instance.task
+    element = partial(element_to_json, structure)
+    out: dict = {"structure": structure_to_json(structure), "unit": element(instance.group.unit)}
     if instance.ideals:
-        out["ideals"] = {
-            name: ideal_to_json(I) for name, I in instance.ideals.items()
-        }
+        out["ideals"] = {name: ideal_to_json(I) for name, I in instance.ideals.items()}
     if instance.elements:
-        rendered = {}
-        for name, entry in instance.elements.items():
-            value = element_to_json(structure, entry.value)
-            rendered[name] = {"mv": True, "value": value} if entry.mv else value
-        out["elements"] = rendered
-    task = instance.task
-    if isinstance(task, PatchTask):
-        out["task"] = {
-            "mode": task.mode,
-            "ideals": [ideal_to_json(I) for I in task.ideals],
-            "targets": [element_to_json(structure, t) for t in task.targets],
+        out["elements"] = {
+            name: {"mv": True, "value": element(e.value)} if e.mv else element(e.value)
+            for name, e in instance.elements.items()
         }
-    elif isinstance(task, ZeroSetTask):
+    if task is not None:
+        mode = getattr(task, "mode", "zeroset")  # a zero-set task has no mode field
+        key = _TASK_LISTS[mode]
+        render = element if key == "generators" else ideal_to_json
         out["task"] = {
-            "mode": "zeroset",
-            "generators": [element_to_json(structure, g) for g in task.generators],
-            "targets": [element_to_json(structure, t) for t in task.targets],
+            "mode": mode,
+            key: list(map(render, getattr(task, key))),
+            "targets": list(map(element, task.targets)),
         }
     return out
 
 
 def certificate_to_json(structure: Structure, cert) -> dict:
-    """Structured rendering of a patching failure certificate."""
-    from .crt import (
-        Incompatible,
-        IncompatibleOnZeroSets,
-        MaxHypothesisViolated,
-        NotStronglySemisimple,
-    )
+    """A patching failure certificate as its kind and every field of its
+    record that is not None."""
+    from .crt import Certificate
 
-    if isinstance(cert, Incompatible):
-        return {
-            "kind": "incompatible",
-            "i": cert.i,
-            "j": cert.j,
-            "difference": element_to_json(structure, cert.difference),
-            "join_ideal": ideal_to_json(cert.join_ideal),
-        }
-    if isinstance(cert, MaxHypothesisViolated):
-        return {
-            "kind": "max-hypothesis-violated",
-            "i": cert.i,
-            "j": cert.j,
-            "maximal": ideal_to_json(cert.maximal),
-        }
-    if isinstance(cert, NotStronglySemisimple):
-        out = {
-            "kind": "not-strongly-semisimple",
-            "witness": ideal_to_json(cert.witness),
-            "keimel_hypothesis_holds": cert.keimel_hypothesis_holds,
-            "solution_exists": cert.solution_exists,
-        }
-        if cert.incompatible_pair is not None:
-            out["incompatible_pair"] = list(cert.incompatible_pair)
-        return out
-    if isinstance(cert, IncompatibleOnZeroSets):
-        return {
-            "kind": "incompatible-on-zero-sets",
-            "i": cert.i,
-            "j": cert.j,
-            "maximal": ideal_to_json(cert.maximal),
-        }
-    raise LGroupError(f"unknown certificate {cert!r}")
+    if not isinstance(cert, Certificate.__args__):
+        raise LGroupError(f"unknown certificate {cert!r}")
+    out = {"kind": cert.kind}
+    for name, value in zip(cert.__slots__, cert._values()):
+        if value is not None:
+            out[name] = _to_json(value)
+    if hasattr(cert, "solution_exists"):
+        out["solution_exists"] = cert.solution_exists
+    return out
 
 
 def dumps_canonical(obj) -> str:

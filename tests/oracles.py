@@ -30,7 +30,10 @@ walks that a structure's stored kernels replaced: the shape check of
 split that a projection, and then the patch ``_patch``, replaced), the
 patch and the congruence test as the compositions that the fold once
 made of a difference, that split and a sum, and of a difference and
-membership, and the top integers of ``yosida.top_values``.
+membership, and the top integers of ``yosida.top_values``.  Last, the
+renderers that ``serialize`` replaced by one walk over the values: an
+element's JSON by a walk of its structure, and a certificate's JSON by a
+branch per certificate class naming its fields.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from lgroup import (
     IncompatibleOnZeroSets,
     Lex,
     LexIdeal,
+    LGroupError,
     MaxHypothesisViolated,
     NotMaximal,
     NotStronglySemisimple,
@@ -573,3 +577,51 @@ def top_values_by_walk(structure, g) -> list:
         else:
             out.append(x[0] if isinstance(s, Lex) else x)
     return out
+
+
+def element_to_json_by_walk(structure, e):
+    """``element_to_json`` as a walk of the structure, turning each tuple
+    into a list; it checks nothing."""
+    if isinstance(structure, Atom):
+        return e
+    if isinstance(structure, Prod):
+        return [element_to_json_by_walk(c, p) for c, p in zip(structure.children, e)]
+    return [e[0], element_to_json_by_walk(structure.bottom, e[1])]
+
+
+def certificate_to_json_by_kind(structure, cert) -> dict:
+    """``certificate_to_json`` as a branch per certificate class, each
+    naming its kind and its fields; ideals render by their walk."""
+    if isinstance(cert, Incompatible):
+        return {
+            "kind": "incompatible",
+            "i": cert.i,
+            "j": cert.j,
+            "difference": element_to_json_by_walk(structure, cert.difference),
+            "join_ideal": ideal_to_json_by_walk(cert.join_ideal),
+        }
+    if isinstance(cert, MaxHypothesisViolated):
+        return {
+            "kind": "max-hypothesis-violated",
+            "i": cert.i,
+            "j": cert.j,
+            "maximal": ideal_to_json_by_walk(cert.maximal),
+        }
+    if isinstance(cert, NotStronglySemisimple):
+        out = {
+            "kind": "not-strongly-semisimple",
+            "witness": ideal_to_json_by_walk(cert.witness),
+            "keimel_hypothesis_holds": cert.keimel_hypothesis_holds,
+            "solution_exists": cert.solution_exists,
+        }
+        if cert.incompatible_pair is not None:
+            out["incompatible_pair"] = list(cert.incompatible_pair)
+        return out
+    if isinstance(cert, IncompatibleOnZeroSets):
+        return {
+            "kind": "incompatible-on-zero-sets",
+            "i": cert.i,
+            "j": cert.j,
+            "maximal": ideal_to_json_by_walk(cert.maximal),
+        }
+    raise LGroupError(f"unknown certificate {cert!r}")

@@ -108,15 +108,13 @@ def test_spectrum_exports_never_compare_ideals(tmp_path, monkeypatch):
     assert "p69 -> p70;" in result.output
 
 
-def test_entry_points_build_no_quotient(tmp_path, monkeypatch):
-    # values, zero sets and the strong hypothesis are read off top
-    # positions: analyze with listed elements and crt in every mode keep
-    # their stdout and exit codes when building a quotient fails
-    docs = {name: json.loads(gallery_json(name)) for name in GALLERY_NAMES}
-    docs["forest"] = json.loads((DATA / "forest.json").read_text())
-    docs.update({p.stem: json.loads(p.read_text()) for p in DATA.glob("crt_*.json")})
-    c3 = docs["c3"]
+def _c3_task_docs() -> dict:
+    """The c3 gallery instance with three more tasks: a solvable strong
+    one, a strong one breaking the maximal hypothesis, and zero sets that
+    overlap where the targets differ."""
+    c3 = json.loads(gallery_json("c3"))
     m1, m2 = ({"prod": ["all"] * i + ["zero"] + ["all"] * (2 - i)} for i in range(2))
+    docs = {}
     for name, ideals, targets in (
         ("c3_strong", [m1, m2], [[1, 2, 3], [9, 9, 1]]),
         ("c3_violated", [m1, m1], [[5, 0, 0], [7, 0, 0]]),
@@ -125,6 +123,17 @@ def test_entry_points_build_no_quotient(tmp_path, monkeypatch):
         docs[name] = {**c3, "task": task}
     task = {**c3["task"], "generators": [[0, 0, 1], [0, 0, 1]]}
     docs["c3_overlap"] = {**c3, "task": task}
+    return docs
+
+
+def test_entry_points_build_no_quotient(tmp_path, monkeypatch):
+    # values, zero sets and the strong hypothesis are read off top
+    # positions: analyze with listed elements and crt in every mode keep
+    # their stdout and exit codes when building a quotient fails
+    docs = {name: json.loads(gallery_json(name)) for name in GALLERY_NAMES}
+    docs["forest"] = json.loads((DATA / "forest.json").read_text())
+    docs.update({p.stem: json.loads(p.read_text()) for p in DATA.glob("crt_*.json")})
+    docs.update(_c3_task_docs())
     calls = []
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
@@ -148,6 +157,26 @@ def test_entry_points_build_no_quotient(tmp_path, monkeypatch):
         golden = DATA / "cli_golden" / f"{pathlib.Path(args[1]).stem}.analyze.txt"
         if args[0] == "analyze" and golden.exists():
             assert result.stdout_bytes == golden.read_bytes()
+
+
+# crt's stdout and exit code for each kind of certificate
+CERTIFICATE_GOLDENS = {
+    "crt_incompatible": 1,
+    "c3_violated": 1,
+    "crt_not_strongly_semisimple": 2,
+    "c3_overlap": 1,
+}
+
+
+@pytest.mark.parametrize("name, code", CERTIFICATE_GOLDENS.items())
+def test_certificates_match_golden_bytes(tmp_path, name, code):
+    path = DATA / f"{name}.json"
+    if not path.exists():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_c3_task_docs()[name]))
+    result = invoke(["crt", str(path)])
+    assert result.exit_code == code
+    assert result.stdout_bytes == (DATA / "cli_golden" / f"{name}.crt.json").read_bytes()
 
 
 def _run_alone(*args) -> subprocess.CompletedProcess:
@@ -464,7 +493,7 @@ def test_crt_loads_no_fractions(tmp_path, mode):
 # the lgroup source lines, by ``wc -l``, of the modules whose bodies each
 # command runs in a fresh interpreter: every cold call compiles them
 # again, so a change that runs more of them must raise its budget here
-COLD_LINE_BUDGET = {"analyze": 2455, "spectrum": 2194, "crt": 2799}
+COLD_LINE_BUDGET = {"analyze": 2393, "spectrum": 2132, "crt": 2743}
 
 
 @pytest.mark.parametrize("command", COLD_LINE_BUDGET)

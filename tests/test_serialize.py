@@ -1,18 +1,24 @@
+import collections
 import json
+import pathlib
 import random
 
 import pytest
 
-from conftest import random_group
-from oracles import ideal_to_json_by_walk
+from conftest import ORACLE_GROUPS, random_element, random_group, seeded_tree_group, some_ideals
+from oracles import certificate_to_json_by_kind, element_to_json_by_walk, ideal_to_json_by_walk
 from lgroup import (
     GALLERY_NAMES,
     AtomIdeal,
     LexIdeal,
+    LGroupError,
     ParseError,
+    PatchResult,
     PatchTask,
     ProdIdeal,
+    ShapeMismatch,
     ZeroSetTask,
+    certificate_to_json,
     dumps_canonical,
     element_from_json,
     element_to_json,
@@ -22,15 +28,20 @@ from lgroup import (
     ideal_from_json,
     ideal_to_json,
     instance_to_json,
+    keimel_patch,
     lex,
     loads_instance,
     prod,
+    strong_patch,
     structure_from_json,
     structure_to_json,
     zero_ideal,
+    zero_set_patch,
     Z,
 )
 from lgroup.serialize import MAX_HEIGHT
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 MIX_STRUCTURE = prod(Z, lex(Z))
 
@@ -73,6 +84,35 @@ def test_element_round_trip():
     assert element_from_json(MIX_STRUCTURE, element_to_json(MIX_STRUCTURE, e)) == e
 
 
+def test_element_to_json_matches_the_structure_walk():
+    rng = random.Random(2501)
+    for G in ORACLE_GROUPS:
+        for _ in range(10):
+            e = random_element(rng, G.structure, 3)
+            assert element_to_json(G.structure, e) == element_to_json_by_walk(G.structure, e)
+
+
+# (structure, malformed element, path, message): the walk of the structure
+# truncated, passed a bool through, or raised TypeError
+MALFORMED_ELEMENTS = [
+    (prod(Z, Z), (1, 2, 3), (), "root: expected a 2-tuple, got (1, 2, 3)"),
+    (MIX_STRUCTURE, (0, (True, 0)), (1, "top"), "root[1].top: expected an integer, got True"),
+    (MIX_STRUCTURE, 5, (), "root: expected a 2-tuple, got 5"),
+    (lex(Z), [1, 2], (), "root: expected a (top, bottom) pair, got [1, 2]"),
+]
+
+
+@pytest.mark.parametrize(
+    "structure, e, path, message",
+    MALFORMED_ELEMENTS,
+    ids=["long tuple", "bool top", "int for a pair", "list for a pair"],
+)
+def test_element_to_json_refuses_a_malformed_element(structure, e, path, message):
+    with pytest.raises(ShapeMismatch) as info:
+        element_to_json(structure, e)
+    assert (info.value.path, str(info.value)) == (path, message)
+
+
 def test_element_rejects_booleans_and_bad_arity():
     with pytest.raises(ParseError):
         element_from_json(Z, True)
@@ -105,6 +145,53 @@ def test_gallery_round_trips_byte_stably():
         text = gallery_json(name)
         parsed = loads_instance(text)
         assert dumps_canonical(instance_to_json(parsed)) == text
+
+
+def test_data_files_round_trip_byte_stably():
+    paths = [p for p in sorted(DATA.glob("*.json")) if p.stem != "crt_invalid"]
+    assert len(paths) == 4
+    for path in paths:
+        text = path.read_text()
+        assert dumps_canonical(instance_to_json(loads_instance(text))) == text, path.name
+    with pytest.raises(ParseError):
+        loads_instance((DATA / "crt_invalid.json").read_text())
+
+
+def _certificates(rng, G):
+    """The certificates of the three solvers on four systems of two to four
+    constraints around a common base, each target moved by a random
+    element, and on zero sets of random generators: most are refused."""
+    s = G.structure
+    ideals = some_ideals(rng, G)
+    for _ in range(4):
+        base = random_element(rng, s, 1)
+        n = rng.randint(2, 4)
+        system = [(rng.choice(ideals), G.add(base, random_element(rng, s, 1))) for _ in range(n)]
+        yield keimel_patch(G, system).certificate
+        yield strong_patch(G, system).certificate
+        generators = [random_element(rng, s, 1) for _ in system]
+        yield zero_set_patch(G, generators, [t for _, t in system]).certificate
+
+
+def test_certificates_render_as_the_per_kind_renderer():
+    rng = random.Random(2502)
+    kinds = collections.Counter()
+    for G in ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(2500, 2520)]:
+        for cert in _certificates(rng, G):
+            if cert is not None:
+                rendered = certificate_to_json(G.structure, cert)
+                assert rendered == certificate_to_json_by_kind(G.structure, cert), cert
+                kinds[rendered["kind"]] += 1
+    assert sum(kinds.values()) >= 500
+    assert len(kinds) == 4 and min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("value", [None, "incompatible", (0, 1), PatchResult()])
+def test_a_non_certificate_is_refused(value):
+    with pytest.raises(LGroupError) as info:
+        certificate_to_json(Z, value)
+    assert type(info.value) is LGroupError
+    assert str(info.value) == f"unknown certificate {value!r}"
 
 
 def test_unknown_keys_rejected():

@@ -23,6 +23,7 @@ from lgroup import (
     closure,
     compute_spectrum,
     congruent,
+    element_to_json,
     enumerate_ideals,
     keimel_patch,
     loads_instance,
@@ -92,6 +93,8 @@ BAD_ARGUMENTS = [
      (1, "bottom"), BOTTOM_MSG),
     ("GammaAlgebra.clamp", lambda: GammaAlgebra(MIX).clamp(BAD_BOTTOM),
      (1, "bottom"), BOTTOM_MSG),
+    ("element_to_json", lambda: element_to_json(MIX.structure, BAD_TOP),
+     (1, "top"), TOP_MSG),
 ]
 
 
@@ -172,6 +175,8 @@ ONE_WALK_PER_ARGUMENT = [
     ("GammaAlgebra.oplus", lambda: GammaAlgebra(MIX).oplus(E0, (1, (0, 0))), 0, 0),
     # clamp takes any element of the group, whose shape is one walk
     ("GammaAlgebra.clamp", lambda: GammaAlgebra(MIX).clamp((2, (-1, 5))), 1, 0),
+    # rendering reads the element itself, after its one shape walk
+    ("element_to_json", lambda: element_to_json(MIX.structure, (2, (-1, 5))), 1, 0),
 ]
 
 
