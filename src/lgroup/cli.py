@@ -59,7 +59,7 @@ def _load(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return loads_instance(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
     except (ParseError, LGroupError) as exc:
         _fail(str(exc))

@@ -21,7 +21,10 @@ and [top, bottom] pairs for lexicographic extensions.  Ideals are "zero" |
 "all" | {"prod": [...]} | {"bottom": ideal}; the two string shorthands are
 accepted at any position and normalised structurally.  Unknown keys are
 rejected everywhere.  Serialisation is canonical (sorted keys, two-space
-indent, trailing newline), so equal values always produce identical bytes.
+indent, trailing newline), so equal values always produce identical bytes:
+``dumps_canonical`` writes the bytes of the stdlib's ``json.dumps`` with
+those settings, in one pass over an explicit stack, so nesting of any
+depth exports.
 
 Output is rendered from the values, not by a walk of the structure: an
 ideal node is its canonical form, a tuple the array of its items' forms,
@@ -38,7 +41,7 @@ from typing import Union
 
 from .core import Atom, Element, Lex, LGroupError, NotAStrongUnit, Prod, Structure, UnitalGroup
 from .core import _Ideal, _is_int, _Record, _trusted_group, check_element
-from .ideals import Ideal, LexIdeal, ProdIdeal, all_ideal, zero_ideal
+from .ideals import Ideal, LexIdeal, ProdIdeal, all_ideal, check_ideal, zero_ideal
 
 
 class ParseError(LGroupError):
@@ -253,6 +256,8 @@ def instance_from_json(obj) -> Instance:
 def instance_to_json(instance: Instance) -> dict:
     structure, task = instance.group.structure, instance.task
     element = partial(element_to_json, structure)
+    for I in (*instance.ideals.values(), *getattr(task, "ideals", ())):
+        check_ideal(structure, I)  # as element_to_json checks each element
     out: dict = {"structure": structure_to_json(structure), "unit": element(instance.group.unit)}
     if instance.ideals:
         out["ideals"] = {name: ideal_to_json(I) for name, I in instance.ideals.items()}
@@ -289,14 +294,66 @@ def certificate_to_json(structure: Structure, cert) -> dict:
     return out
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C encoder's string writer
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline: the
+    stdlib's bytes, written in one pass with no recursion, so any depth
+    exports.  Strings, integers, booleans, None, and non-empty lists, tuples
+    and dicts are written here, each open container as the iterator of its
+    items on one explicit stack, and a list of strings with one join.  Any
+    other value is the stdlib's own text, indented to its place, and a
+    document with a key that is not a string is the stdlib's throughout."""
+    out, open_ids = [], set()
+    stack = [(iter((("", obj),)), "", None)]  # (prefixed items, closing text, id) per container
+    try:
+        while stack:
+            items, close, key = stack[-1]
+            for prefix, value in items:
+                kind = type(value)
+                if kind is str:
+                    out.append(prefix + _escape(value))
+                elif kind is int:
+                    out.append(prefix + int.__repr__(value))
+                elif kind is bool or value is None:
+                    out.append(prefix + _LITERALS[value])
+                elif value and kind in (list, tuple, dict):
+                    if id(value) in open_ids:
+                        raise ValueError("Circular reference detected")
+                    pad, brackets = "\n" + "  " * len(stack), "{}" if kind is dict else "[]"
+                    if kind is dict:
+                        keys = sorted(value)
+                        prefixes = [f",{pad}{_escape(k)}: " for k in keys]
+                        parts = map(value.get, keys)
+                    elif all(type(x) is str for x in value):
+                        body = f",{pad}".join(map(_escape, value))
+                        out.append(f"{prefix}[{pad}{body}{pad[:-2]}]")
+                        continue
+                    else:
+                        prefixes, parts = [f",{pad}"] * len(value), value
+                    open_ids.add(id(value))
+                    prefixes[0] = prefixes[0][1:]
+                    out.append(prefix + brackets[0])
+                    stack.append((zip(prefixes, parts), pad[:-2] + brackets[1], id(value)))
+                    break
+                else:
+                    text = json.dumps(value, indent=2, sort_keys=True)
+                    out.append(prefix + text.replace("\n", "\n" + "  " * (len(stack) - 1)))
+            else:
+                out.append(close)
+                open_ids.discard(key)
+                stack.pop()
+    except TypeError:  # a key that is not a string: the stdlib converts or refuses it
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(out) + "\n"
 
 
 def loads_instance(text: str) -> Instance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed text, or an integer too long to convert
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     except RecursionError:
         # the decoder refuses nesting deeper than the recursion limit

@@ -34,6 +34,7 @@ from .ideals import (
     ideal_leq,
     ideal_meet,
 )
+from .serialize import ideal_to_json
 
 
 class UnknownPrime(LGroupError):
@@ -105,7 +106,10 @@ def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     if s._spectrum is None:
         found = _primes(s)
         _store(s, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found)))
-    return SpectrumSpace(G, *s._spectrum)
+    # the walk made these covers, so the constructor's check is skipped
+    space = object.__new__(SpectrumSpace)
+    _Record.__init__(space, G, *s._spectrum)
+    return space
 
 
 def _primes(structure) -> list:
@@ -193,19 +197,18 @@ def spectrum_json(space: SpectrumSpace) -> dict:
     the closure of each singleton (closures of unions follow, since the
     closure operator preserves finite unions).  The closure of a prime is
     its chain of covers, so the maximal primes are dense exactly when every
-    prime is maximal."""
-    from .serialize import ideal_to_json
-
-    ids = [f"p{i}" for i in range(len(space))]
-    chains = [space.chain(i) for i in range(len(space))]
+    prime is maximal.  A cover has a larger index, so one pass from the
+    last prime down builds each chain from its cover's."""
+    cover, n = space.cover, len(space)
+    ids, above = [f"p{i}" for i in range(n)], [None] * n  # above[i]: ids above prime i, ascending
+    for i in reversed(range(n)):
+        above[i] = [] if cover[i] is None else [ids[cover[i]], *above[cover[i]]]
     return {
         "primes": [
-            {"id": ids[i], "ideal": ideal_to_json(p), "maximal": mx}
-            for i, (p, mx) in enumerate(zip(space.primes, space.maximal))
+            {"id": ids[i], "ideal": ideal_to_json(p), "maximal": cover[i] is None}
+            for i, p in enumerate(space.primes)
         ],
-        "specialization": [
-            [ids[chain[0]], ids[j]] for chain in chains for j in chain[1:]
-        ],
-        "closure": {ids[chain[0]]: sorted(ids[j] for j in chain) for chain in chains},
-        "max_dense": all(space.maximal),
+        "specialization": [[ids[i], j] for i in range(n) for j in above[i]],
+        "closure": {ids[i]: sorted([ids[i], *above[i]]) for i in range(n)},
+        "max_dense": cover.count(None) == n,
     }

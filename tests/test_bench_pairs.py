@@ -175,3 +175,75 @@ def test_the_report_names_its_command_line_and_both_sides():
 
 def test_a_directory_is_its_own_checkout_without_a_commit(tmp_path):
     assert bench_pairs.checkout(str(tmp_path), "unused", "parent") == (str(tmp_path), None)
+
+
+# the tail of a traced batch run of perfbench/run.py, whose set-up has a speed line of its own
+RUN_OUTPUT = """workload batch, seed 7, 30 s, trace 1
+  spectrum.spectrum_json.self_s                     1.25e-05 s/op
+  spectrum.spectrum_json.calls                             1 count/op
+  share of traced spectrum time: spectrum_json 61%, compute_spectrum 22%
+  reference: median 0.02469 s over 31 samples, nominal 0.02 s; timings scaled by 0.810 on the whole
+  set-up reference: median 0.025 s over 3 samples, nominal 0.02 s; timings scaled by 0.800 on the whole
+  failed_ratio 0.0000 (0 of 1200)
+{"correct": true, "attempted": 1200, "failed": 0, "metrics": {}}
+"""
+
+
+def test_the_speed_line_is_read_from_run_output():
+    assert bench_pairs.speed_factor(RUN_OUTPUT) == 0.81
+    # a run that is not batch prints no set-up line
+    without_set_up = "\n".join(l for l in RUN_OUTPUT.splitlines() if "set-up" not in l)
+    assert bench_pairs.speed_factor(without_set_up) == 0.81
+
+
+def test_a_missing_speed_line_is_an_error_not_a_factor_of_one():
+    only_set_up = "\n".join(l for l in RUN_OUTPUT.splitlines() if not l.startswith("  reference"))
+    for text in (only_set_up, '{"metrics": {}}\n'):
+        with pytest.raises(ValueError):
+            bench_pairs.speed_factor(text)
+
+
+def _traced(scale, values):
+    return {**_result(0, values), "scale": scale}
+
+
+PER_LAYER = [
+    {"name": "spectrum.spectrum_json.self_s", "unit": "s/op", "better": "lower"},
+    {"name": "spectrum.spectrum_json.calls", "unit": "count/op", "better": "lower"},
+    {"name": "spectrum.compute_spectrum.hit_ratio", "unit": "ratio", "better": "higher"},
+    {"name": "cli.startup_s", "unit": "s", "better": "lower"},
+]
+
+
+def test_a_factor_of_two_doubles_the_time_readings_only():
+    values = {"spectrum.spectrum_json.self_s": 1.5, "spectrum.spectrum_json.calls": 3.0,
+              "spectrum.compute_spectrum.hit_ratio": 0.5, "cli.startup_s": None}
+    assert bench_pairs.scaled(values, 2.0) == {
+        "spectrum.spectrum_json.self_s": 3.0,
+        "spectrum.spectrum_json.calls": 3.0,
+        "spectrum.compute_spectrum.hit_ratio": 0.5,
+        "cli.startup_s": None,
+    }
+
+
+def test_traced_pairs_are_summarised_scaled_with_the_unscaled_medians_beside():
+    # each parent run read 2.0 at factor 2, each change run 3.0 at factor 1
+    pairs = [
+        {"parent": _traced(2.0, {"spectrum.spectrum_json.self_s": 2.0, "spectrum.spectrum_json.calls": 1}),
+         "change": _traced(1.0, {"spectrum.spectrum_json.self_s": 3.0, "spectrum.spectrum_json.calls": 1})}
+        for _ in range(3)
+    ]
+    t = bench_pairs.summarize_traced(pairs, PER_LAYER)
+    assert (t["pairs"], t["label"]) == (3, "note")
+    assert t["scale"] == {"parent": [2.0] * 3, "change": [1.0] * 3}
+    self_s = t["metrics"]["spectrum.spectrum_json.self_s"]
+    # scaled, the change reads 3.0 against the parent's 4.0: better in every pair
+    assert (self_s["parent_median"], self_s["change_median"], self_s["better_in"]) == (4.0, 3.0, "3 of 3")
+    assert (self_s["unit"], self_s["parent_q1"], self_s["parent_q3"]) == ("s/op", 4.0, 4.0)
+    assert "within_bound" not in self_s
+    assert t["metrics"]["spectrum.spectrum_json.calls"]["better_in"] == "0 of 3"
+    # a metric that no pair reports on both sides is left out
+    assert set(t["metrics"]) == {"spectrum.spectrum_json.self_s", "spectrum.spectrum_json.calls"}
+    assert t["unscaled_medians"]["parent"]["spectrum.spectrum_json.self_s"] == 2.0
+    assert t["unscaled_medians"]["change"]["spectrum.spectrum_json.self_s"] == 3.0
+    assert bench_pairs.summarize_traced(pairs * 4, PER_LAYER)["label"] == "reading"

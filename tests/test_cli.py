@@ -339,6 +339,23 @@ def test_analyze_rejects_malformed_json(tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"structure": "Z", "unit": 1}\xff', "cannot read {path}: 'utf-8' codec can't decode"),
+        (b'{"structure": "Z", "unit": ' + b"9" * 4301 + b"}", "$: invalid JSON: Exceeds the limit"),
+    ],
+    ids=["not-utf-8", "integer-beyond-the-conversion-limit"],
+)
+def test_undecodable_input_exits_3(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in ("analyze", "spectrum", "crt"):
+        result = invoke([command, str(path)])
+        assert result.exit_code == 3
+        assert result.output.startswith("error: " + message.format(path=path))
+
+
 def test_selftest_passes():
     # every suite reports [ok], in the same order, byte for byte
     result = invoke(["selftest"])
@@ -493,7 +510,7 @@ def test_crt_loads_no_fractions(tmp_path, mode):
 # the lgroup source lines, by ``wc -l``, of the modules whose bodies each
 # command runs in a fresh interpreter: every cold call compiles them
 # again, so a change that runs more of them must raise its budget here
-COLD_LINE_BUDGET = {"analyze": 2393, "spectrum": 2132, "crt": 2743}
+COLD_LINE_BUDGET = {"analyze": 2453, "spectrum": 2192, "crt": 2803}
 
 
 @pytest.mark.parametrize("command", COLD_LINE_BUDGET)

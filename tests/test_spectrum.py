@@ -181,6 +181,17 @@ def test_spectrum_space_checks_its_covers():
             SpectrumSpace(LEX, space.primes, cover)
 
 
+def test_compute_spectrum_trusts_the_covers_of_its_own_walk(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the covers were checked again")
+
+    monkeypatch.setattr(SpectrumSpace, "__init__", refuse)
+    for G in (LEX, MIX):
+        space = compute_spectrum.__wrapped__(G)  # past the cache
+        assert type(space) is SpectrumSpace and space.group is G
+        assert (space.primes, space.cover) == G.structure._spectrum
+
+
 def test_dot_export():
     dot = specialization_dot(compute_spectrum(LEX))
     assert "doublecircle" in dot

@@ -10,8 +10,13 @@ list): both sides run ``perfbench/run.py`` from their own checkout on the
 same seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one run at
 a time, the side that runs first alternating from pair to pair.
 ``--traced WORKLOAD:SEEDS`` adds one ``--trace 1`` run per side per seed,
-alternating likewise, and reports the median of each per-layer metric per
-side: one traced run spreads too widely to show a change of 10-20%.  A
+alternating likewise, and summarises each per-layer metric over those
+pairs as it does an end-to-end one: one traced run spreads too widely to
+show a change of 10-20%.  ``run.py`` scales its end-to-end timings to the
+reference speed but not its per-layer ones, so each ``*_s`` reading of a
+traced run is multiplied by the factor of the run's ``timings scaled by
+F`` line; the unscaled medians stay beside the scaled ones, and a summary
+over fewer than 10 traced pairs is labelled a note.  A
 malformed or empty seed range, a workload listed twice or unknown to
 ``BENCHMARK.json``, and a ``--claim`` or ``--traced`` workload that is not
 among the runs or metric that it does not list are usage errors (exit 2),
@@ -35,6 +40,7 @@ import io
 import json
 import os
 import platform
+import re
 import shlex
 import statistics
 import subprocess
@@ -220,7 +226,34 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        return {**result, "scale": speed_factor(proc.stdout)}
+    except ValueError as exc:
+        raise SystemExit(f"{' '.join(argv[1:])} in {root}: {exc}") from None
+
+
+# run.py's speed line for the run itself; a batch run's set-up has its own
+_SPEED = re.compile(r"^  reference: .*; timings scaled by ([0-9.]+) on the whole$", re.M)
+
+
+def speed_factor(stdout: str) -> float:
+    """The factor F of the ``reference: ... timings scaled by F on the
+    whole`` line of a ``run.py`` output; ValueError when it has none."""
+    match = _SPEED.search(stdout)
+    if match is None:
+        raise ValueError("no 'reference: ... timings scaled by F' line in the output of run.py")
+    return float(match.group(1))
+
+
+def scaled(values: dict, factor: float) -> dict:
+    """One traced run's per-layer readings with each ``*_s`` time
+    multiplied by the run's reference factor, as run.py scales its
+    end-to-end timings."""
+    return {
+        name: value * factor if name.endswith("_s") and value is not None else value
+        for name, value in values.items()
+    }
 
 
 def _values(result: dict) -> dict:
@@ -233,6 +266,34 @@ def medians(runs: list) -> dict:
     for name in dict.fromkeys(name for values in runs for name in values):
         present = [values[name] for values in runs if values.get(name) is not None]
         out[name] = statistics.median(present) if present else None
+    return out
+
+
+def summarize_traced(pairs, per_layer) -> dict:
+    """``pairs``: {side: traced run.py result with its "scale"} per pair;
+    ``per_layer``: the per-layer entries of BENCHMARK.json.  Each metric
+    is summarised, scaled, over the pairs where both sides report it."""
+    raw = {side: [_values(pair[side]) for pair in pairs] for side in SIDES}
+    runs = {
+        side: [scaled(values, pair[side]["scale"]) for values, pair in zip(raw[side], pairs)]
+        for side in SIDES
+    }
+    out = {
+        "pairs": len(pairs),
+        "label": "note" if len(pairs) < 10 else "reading",
+        "scale": {side: [pair[side]["scale"] for pair in pairs] for side in SIDES},
+        "metrics": {},
+        "unscaled_medians": {side: medians(raw[side]) for side in SIDES},
+    }
+    for spec in per_layer:
+        name = spec["name"]
+        both = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
+                if p.get(name) is not None and c.get(name) is not None]
+        if not both:
+            continue
+        entry = summarize([p for p, _ in both], [c for _, c in both], spec["better"], 0.0)
+        del entry["bound"], entry["within_bound"]  # per-layer metrics have no bound
+        out["metrics"][name] = {"unit": spec["unit"], **entry}
     return out
 
 
@@ -281,17 +342,19 @@ def main(argv=None) -> int:
             report["claim"] = claim(workload, metric, report["workloads"][workload]["metrics"][metric])
         if traced:
             workload, seeds = traced
-            runs = {side: [] for side in SIDES}
+            pairs = []
             for k, seed in enumerate(seeds):
-                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(_values(run(roots[side], workload, seed, seconds, 1)))
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                pairs.append({side: run(roots[side], workload, seed, seconds, 1)
+                              for side in order})
                 print(f"{workload} seed {seed}: traced pair {k + 1} done", file=sys.stderr)
             report["traced"] = {
                 "note": f"one traced {workload} run per side per seed, the side that runs first "
-                "alternating, parent first; each metric's median over the runs; per-layer values "
-                "are per operation",
+                "alternating, parent first; per-layer values are per operation, and each *_s "
+                "reading is multiplied by its run's reference factor ('scale'); a summary over "
+                "fewer than 10 pairs is labelled a note, not a reading",
                 "seeds": seeds,
-                **{side: medians(runs[side]) for side in SIDES},
+                **summarize_traced(pairs, benchmark["per_layer"]),
             }
         write()
     return 0
