@@ -58,14 +58,15 @@ holds its children's kernels and never a structure node, so the kernels
 form no reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
-its primes with their covers (``spectrum``) and its radical
-(``semisimple``): the first use sets them and every later one reads them.
-The ideals of a unital group are those of its tree, whatever the unit, so
-every group on the tree shares them.  The values are immutable and their
-ideal nodes interned, so two threads that fill a slot at once store equal
-values, and no lock is needed.  They live and die with the node: the
-tables hold it weakly, and no other table holds them.  A ``UnitalGroup``
-likewise stores its unit's top integers outside its fields, on first use.
+its primes with their covers and maximal ideals (``spectrum``), radical
+(``semisimple``) and zero ideal (``ideals``): the first use sets them and
+every later one reads them.  The ideals of a unital group are those of its
+tree, whatever the unit, so every group on the tree shares them.  The
+values are immutable and their ideal nodes interned, so two threads that
+fill a slot at once store equal values, and no lock is needed.  They live
+and die with the node: the tables hold it weakly, and no other table holds
+them.  A ``UnitalGroup`` likewise stores its unit's top integers outside
+its fields, at construction: the strong-unit check reads them.
 """
 
 from __future__ import annotations
@@ -290,8 +291,9 @@ def _spell_ideal(I):
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring), all set at construction: its zero element, atom count,
-    chain flag and ideal count; its kernels; and its (primes, covers) and
-    radical, None until their first use fills them with ``_store``.
+    chain flag and ideal count; its kernels; and its (primes, covers),
+    maximal ideals, radical and zero ideal, None until their first use
+    fills them with ``_store``.
 
     The element kernels are ``_add``, ``_sub``, ``_meet``, ``_between`` and
     ``_tops`` (``leq`` and ``join`` derive from them).  The interval check
@@ -316,12 +318,12 @@ class _Structure(_Node):
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
         "_shape", "_agree", "_gen", "_patch", "_all",
-        "_spectrum", "_radical",
+        "_spectrum", "_max_ideals", "_radical", "_zero_ideal",
     )
 
 
 def _store(node, name: str, value):
-    """Fill the lazy slot ``name`` of ``node``, a structure node or a group,
+    """Fill the slot ``name`` of ``node``, a stored fact outside its fields,
     with ``value``; return it."""
     object.__setattr__(node, name, value)
     return value
@@ -341,13 +343,13 @@ def _atom_between(x, u, low, high):
 # an atom's zero, atom count, chain flag and ideal count (zero and all);
 # its element kernels: the builtins, and its value is its one top; its
 # ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
-# its unfilled (primes, covers) and radical
+# its unfilled (primes, covers), maximal ideals, radical and zero ideal
 _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
     AtomIdeal.__instancecheck__, lambda I, g, t: I.full or g == t,
     lambda g: _ATOM_IDEALS[g != 0], lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
-    None, None,
+    None, None, None, None,
 )
 
 
@@ -367,7 +369,7 @@ def _prod_facts(children: tuple) -> tuple:
     count = math.prod([c._ideal_count for c in children])
     return (
         zero, atoms, False, count,
-        *_prod_kernels(children), *_prod_ideal_kernels(children), None, None,
+        *_prod_kernels(children), *_prod_ideal_kernels(children), None, None, None, None,
     )
 
 
@@ -375,7 +377,7 @@ def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
     return (
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
-        *_lex_kernels(bottom), *_lex_ideal_kernels(bottom), None, None,
+        *_lex_kernels(bottom), *_lex_ideal_kernels(bottom), None, None, None, None,
     )
 
 
@@ -761,7 +763,8 @@ def unital_group_violations(structure: Structure, unit: Element) -> list:
 
 class _GroupFacts(_Record):
     """The slot of a group's stored fact, outside its fields: the unit's
-    top integers (``yosida``), None until their first use fills it."""
+    top integers (``yosida``), read by the strong-unit check and stored at
+    construction, so a copy or an unpickled group reads them again."""
 
     __slots__ = ("_tops",)
 
@@ -776,11 +779,13 @@ class UnitalGroup(_GroupFacts):
         self._strong(structure, unit)
 
     def _strong(self, structure, unit):
-        violations = unit_violations(structure, unit)
-        if violations:
-            raise NotAStrongUnit(violations)
+        # the unit's tops are the integers unit_violations checks: one walk
+        tops = []
+        structure._tops(tops, unit)
+        if min(tops) < 1:
+            raise NotAStrongUnit(unit_violations(structure, unit))
         _Record.__init__(self, structure, unit)
-        object.__setattr__(self, "_tops", None)
+        object.__setattr__(self, "_tops", tuple(tops))
 
     def zero(self) -> Element:
         return zero(self.structure)

@@ -56,6 +56,7 @@ from .core import (
     UnitalGroup,
     _WHOLE_LEX,
     _Record,
+    _store,
     _trusted_group,
     check_element,
     zero,
@@ -72,9 +73,10 @@ def _structure_of(g) -> Structure:
 
 
 def zero_ideal(structure) -> Ideal:
-    """The ideal generated by the stored zero element."""
-    structure = _structure_of(structure)
-    return structure._gen(structure._zero)
+    """The ideal generated by the stored zero element, which the node
+    stores at its first use (see ``lgroup.core``)."""
+    s = _structure_of(structure)
+    return s._zero_ideal or _store(s, "_zero_ideal", s._gen(s._zero))
 
 
 def all_ideal(structure) -> Ideal:

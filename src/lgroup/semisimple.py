@@ -40,7 +40,7 @@ def is_strongly_semisimple(G: UnitalGroup) -> Tuple[bool, Optional[Ideal]]:
     quotient of such a tree again has none, and every ideal is principal;
     the quotient by the zero ideal is G itself.  So this holds exactly
     when G is semisimple, and on failure the witness, the least failing
-    ideal, is always the zero ideal.
+    ideal, is always the zero ideal, stored on the tree as the radical is.
     """
     if is_semisimple(G):
         return True, None

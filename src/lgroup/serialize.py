@@ -67,6 +67,13 @@ taller trees can exhaust Python's default recursion limit of 1000 frames;
 every command, run in a process of its own, answers at this height with
 room to spare."""
 
+MAX_INT_BITS = 12_900
+"""The longest integer, in bits (3,884 digits), that an element may hold.
+Each integer printed is an input one, a sum or difference of two, or a
+reduced fraction of them, so it stays under the 4,300 digits to which
+Python limits conversion to text; that guard is process-global, so it is
+left as it is."""
+
 
 def structure_from_json(obj, path: str = "structure") -> Structure:
     return _structure_from_json(obj, path, 0)
@@ -111,6 +118,8 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
     if isinstance(structure, Atom):
         if not _is_int(obj):
             raise ParseError(path, f"expected an integer, got {obj!r}")
+        if obj.bit_length() > MAX_INT_BITS:
+            raise ParseError(path, f"integer longer than {MAX_INT_BITS} bits")
         return obj
     if isinstance(structure, Prod):
         n = len(structure.children)
@@ -120,9 +129,8 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
         return tuple(element_from_json(c, o, f"{path}[{i}]") for i, (c, o) in parts)
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParseError(path, "expected a [top, bottom] pair")
-    if not _is_int(obj[0]):
-        raise ParseError(f"{path}[0]", f"expected an integer, got {obj[0]!r}")
-    return (obj[0], element_from_json(structure.bottom, obj[1], f"{path}[1]"))
+    top = element_from_json(Atom(), obj[0], f"{path}[0]")  # the dominant integer
+    return (top, element_from_json(structure.bottom, obj[1], f"{path}[1]"))
 
 
 def ideal_to_json(I: Ideal):
@@ -278,12 +286,19 @@ def instance_to_json(instance: Instance) -> dict:
     return out
 
 
+_CERTIFICATES = ()  # ``crt``'s certificate classes, bound at the first call
+
+
 def certificate_to_json(structure: Structure, cert) -> dict:
     """A patching failure certificate as its kind and every field of its
-    record that is not None."""
-    from .crt import Certificate
+    record that is not None (``analyze`` and ``spectrum`` never load
+    ``crt``, so its classes are bound here at the first call)."""
+    global _CERTIFICATES
+    if not _CERTIFICATES:
+        from .crt import Certificate
 
-    if not isinstance(cert, Certificate.__args__):
+        _CERTIFICATES = Certificate.__args__
+    if not isinstance(cert, _CERTIFICATES):
         raise LGroupError(f"unknown certificate {cert!r}")
     out = {"kind": cert.kind}
     for name, value in zip(cert.__slots__, cert._values()):

@@ -6,7 +6,8 @@ The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The maximal
 ideals are the primes that nothing covers (``ideals._max_meet`` builds any
-of them, or their meet, without the spectrum).  The exports read pairs,
+of them, or their meet, without the spectrum); the tree stores them, and
+a space its own, so ``max_ideals()`` is a read.  The exports read pairs,
 closures and edges off those cover chains.  A prime containing the
 intersection of finitely many primes contains one of them, so the closure
 of a set of primes is the union of its members' cover chains; the
@@ -41,7 +42,14 @@ class UnknownPrime(LGroupError):
     """A locus referenced an ideal that is not a prime of this spectrum."""
 
 
-class SpectrumSpace(_Record):
+class _SpaceFacts(_Record):
+    """The slot of a spectrum's stored fact, outside its fields: its maximal
+    ideals, set at construction from its own covers (or the tree's)."""
+
+    __slots__ = ("_max_ideals",)
+
+
+class SpectrumSpace(_SpaceFacts):
     """All prime ideals of a group, with the forest of their specialization
     order.
 
@@ -62,6 +70,7 @@ class SpectrumSpace(_Record):
         ):
             raise ValueError("each cover must be None or the index of a later prime")
         _Record.__init__(self, group, primes, cover)
+        _store(self, "_max_ideals", tuple(p for p, c in zip(primes, cover) if c is None))
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -90,7 +99,7 @@ class SpectrumSpace(_Record):
 
     def max_ideals(self) -> tuple:
         """The primes that nothing covers: the maximal ideals, in top order."""
-        return tuple(p for p, c in zip(self.primes, self.cover) if c is None)
+        return self._max_ideals
 
     def specializes(self, p: Ideal, q: Ideal) -> bool:
         """p <= q in the specialization order, i.e. p is contained in q."""
@@ -101,14 +110,16 @@ class SpectrumSpace(_Record):
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order.  They depend
     on the tree alone, so ``_primes`` walks each tree once and the node
-    stores them (see ``lgroup.core``)."""
+    stores them and the uncovered ones, its maximal ideals."""
     s = G.structure
     if s._spectrum is None:
         found = _primes(s)
+        _store(s, "_max_ideals", tuple(p for p, c in found if c is None))
         _store(s, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found)))
     # the walk made these covers, so the constructor's check is skipped
     space = object.__new__(SpectrumSpace)
     _Record.__init__(space, G, *s._spectrum)
+    _store(space, "_max_ideals", s._max_ideals)
     return space
 
 

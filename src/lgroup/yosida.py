@@ -10,7 +10,12 @@ unique unital embedding of the quotient into the reals, is g's integer
 there over the unit's, ``g[k]/u[k]``.  So an element's table over the
 maximal spectrum is a list of its top integers, and its zero set is where
 they are 0.  ``top_values`` reads them with one call of the structure's
-stored kernel ``_tops`` (see ``lgroup.core``), built at construction.
+stored kernel ``_tops`` (see ``lgroup.core``); a group stores its unit's
+at construction.  On [0, u] the integer at k runs over 0..u[k], so values
+repeat: the tables and ``holder_eval`` share one table of the (immutable)
+Fractions, keyed by (integer, unit integer), of at most
+``ideals.CACHE_SIZE`` entries and cleared when full.  An ``int`` subclass
+gets the plain Fraction, equal to its own, as ``Fraction`` makes ints.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from .core import (
     LGroupError,
     Structure,
     UnitalGroup,
-    _store,
     check_element,
 )
-from .ideals import Ideal, _max_meet, check_ideal
+from .ideals import CACHE_SIZE, Ideal, _max_meet, check_ideal
 from .spectrum import SpectrumSpace, compute_spectrum
 
 if TYPE_CHECKING:
@@ -70,9 +74,19 @@ def top_values(structure: Structure, g: Element) -> list:
     return out
 
 
-def _unit_tops(G: UnitalGroup) -> tuple:
-    """The unit's ``top_values``, stored on G at their first use."""
-    return G._tops or _store(G, "_tops", tuple(top_values(G.structure, G.unit)))
+# (integer, unit integer) -> its Fraction; no lock: a race can only make one twice
+_FRACTIONS: dict = {}
+
+
+def _fraction(g: int, u: int) -> Fraction:
+    """g/u from the shared table of Fractions, made and entered on a miss."""
+    value = _FRACTIONS.get((g, u))
+    if value is None:
+        import fractions  # here, not at the top: ``crt`` loads this module
+        if len(_FRACTIONS) >= CACHE_SIZE:
+            _FRACTIONS.clear()
+        value = _FRACTIONS[g, u] = fractions.Fraction(g, u)
+    return value
 
 
 def top_index(structure: Structure, m: Ideal) -> Optional[int]:
@@ -95,9 +109,7 @@ def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:
     k = top_index(G.structure, m)
     if k is None:
         raise NotMaximal(m)
-    import fractions  # here, not at the top: ``crt`` loads this module
-
-    return fractions.Fraction(top_values(G.structure, g)[k], _unit_tops(G)[k])
+    return _fraction(top_values(G.structure, g)[k], G._tops[k])
 
 
 def yosida_table(
@@ -110,12 +122,9 @@ def yosida_table(
     G's tree, else ``ForeignSpectrum`` is raised: its maximal ideals are
     paired with the top positions in order.
     """
-    import fractions
-
     check_element(G.structure, g)
-    maxes = _max_ideals(G, space)
-    values = map(fractions.Fraction, top_values(G.structure, g), _unit_tops(G))
-    return dict(zip(maxes, values))
+    values = map(_fraction, top_values(G.structure, g), G._tops)
+    return dict(zip(_max_ideals(G, space), values))
 
 
 def principal_zero_set(

@@ -62,6 +62,8 @@ from lgroup import (
     validate_unital_group,
     zero,
 )
+from lgroup.core import _trusted_group, unit_violations
+from lgroup.yosida import top_values
 
 GROUPS = {"a2": A2, "lex": LEX, "mix": MIX, "chain3": CHAIN3}
 ATOM_ALL, ATOM_ZERO = AtomIdeal(True), AtomIdeal(False)
@@ -106,6 +108,50 @@ def test_unit_shape_mismatch():
         validate_unital_group(prod(Z, Z), (1, 1, 1))
     violations = unital_group_violations(lex(Z), 3)
     assert violations[0].kind == "shape-mismatch"
+
+
+@st.composite
+def trees(draw, atoms=6, levels=3):
+    """A structure tree of at most ``atoms`` atoms and ``levels`` levels; a
+    lex node counts its top as an atom, as ``atom_count`` does."""
+    kind = draw(st.sampled_from(["Z", "lex", "prod"])) if levels and atoms > 1 else "Z"
+    if kind == "Z":
+        return Z
+    if kind == "lex":
+        return lex(draw(trees(atoms - 1, levels - 1)))
+    children = []
+    for i in range(width := draw(st.integers(2, min(atoms, 3)))):
+        children.append(draw(trees(atoms - (width - 1 - i), levels - 1)))
+        atoms -= atom_count(children[-1])
+    return prod(*children)
+
+
+def coordinates(structure, low, high):
+    """Elements of ``structure`` with every integer in [low, high]."""
+    if isinstance(structure, Atom):
+        return st.integers(low, high)
+    if isinstance(structure, Prod):
+        return st.tuples(*(coordinates(c, low, high) for c in structure.children))
+    return st.tuples(st.integers(low, high), coordinates(structure.bottom, low, high))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_group_builds_exactly_when_its_unit_has_no_violation(data):
+    # the strong-unit check reads the unit's tops; the walk of
+    # unit_violations is the oracle, and names a failure's violations
+    s = data.draw(trees())
+    assert atom_count(s) <= 6
+    unit = data.draw(coordinates(s, -2, 3))
+    violations = unit_violations(s, unit)
+    for build in (UnitalGroup, _trusted_group):
+        try:
+            G = build(s, unit)
+        except NotAStrongUnit as exc:
+            assert violations and list(exc.violations) == violations
+        else:
+            assert not violations
+            assert G._tops == tuple(top_values(s, unit))
 
 
 def test_evaluate_meet_componentwise():

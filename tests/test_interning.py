@@ -56,6 +56,7 @@ from lgroup import (
     contains,
     enumerate_ideals,
     ideal_from_json,
+    is_strongly_semisimple,
     lex,
     loads_instance,
     principal_ideal,
@@ -164,18 +165,19 @@ def test_filled_slots_leave_equality_hash_repr_copy_and_pickle():
 
 
 def test_a_filled_group_slot_leaves_equality_hash_repr_copy_and_pickle():
-    # a group stores its unit's top integers outside its fields
+    # a group stores its unit's top integers outside its fields, at
+    # construction; a copy or an unpickled group is built, so walks again
     s = prod(Z, lex(prod(Z, lex(Z))), lex(Z))
     G = UnitalGroup(s, (1, (2, (1, (1, 0))), (3, 0)))
-    assert G._tops is None
+    assert G._tops == (1, 2, 3)
     seen = (hash(G), repr(G), pickle.dumps(G), G._values(), G.__reduce__())
     yosida_table(G, G.unit)
-    assert G._tops == (1, 2, 3)
     assert (hash(G), repr(G), pickle.dumps(G), G._values(), G.__reduce__()) == seen
+    assert G.__reduce__() == (UnitalGroup, (s, (1, (2, (1, (1, 0))), (3, 0))))
     fresh = UnitalGroup(s, (1, (2, (1, (1, 0))), (3, 0)))
-    assert G == fresh and hash(G) == hash(fresh) and fresh._tops is None
+    assert G == fresh and hash(G) == hash(fresh) and fresh._tops == (1, 2, 3)
     for twin in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
-        assert twin == G and twin._tops is None
+        assert twin == G and twin is not G and twin._tops == (1, 2, 3)
     assert repr(G) == "UnitalGroup(structure=Prod(Z, Lex(Prod(Z, Lex(Z))), Lex(Z)), unit=(1, (2, (1, (1, 0))), (3, 0)))"
 
 
@@ -216,6 +218,21 @@ def test_stored_facts_die_with_their_trees():
     compute_spectrum.cache_clear()
     gc.collect()
     assert _tables() == before
+
+
+def test_the_stored_zero_ideal_is_generated_by_zero_and_dies_with_its_tree():
+    # a tree that no other test builds, so its zero ideal is its own
+    s = prod(*(Z,) * 29, lex(prod(Z, lex(Z))))
+    G = UnitalGroup(s, (1,) * 29 + ((1, (0, (1, 0))),))
+    assert s._zero_ideal is None
+    I = zero_ideal(G)
+    assert I is s._zero_ideal is s._gen(s._zero) and I._zero
+    assert zero_ideal(s) is I and ideal_from_json(s, "zero") is I
+    assert is_strongly_semisimple(G) == (False, I)
+    tree, ideal = weakref.ref(s), weakref.ref(I)
+    del s, G, I
+    gc.collect()
+    assert tree() is None and ideal() is None
 
 
 def test_a_node_dying_after_the_module_globals_are_cleared(monkeypatch):

@@ -1,3 +1,4 @@
+import builtins
 import collections
 import json
 import pathlib
@@ -46,7 +47,7 @@ from lgroup import (
     zero_set_patch,
     Z,
 )
-from lgroup.serialize import MAX_HEIGHT
+from lgroup.serialize import MAX_HEIGHT, MAX_INT_BITS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -285,6 +286,48 @@ def test_a_non_certificate_is_refused(value):
         certificate_to_json(Z, value)
     assert type(info.value) is LGroupError
     assert str(info.value) == f"unknown certificate {value!r}"
+
+
+def test_a_certificate_renders_with_no_import(monkeypatch):
+    # crt's certificate classes are bound at the first call, not looked up
+    # by an import on every call
+    G = UnitalGroup(prod(Z, Z), (1, 1))
+    cert = keimel_patch(G, [(zero_ideal(G), (1, 0)), (zero_ideal(G), (0, 1))]).certificate
+    first = certificate_to_json(G.structure, cert)
+    imported, real = [], builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        imported.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    again = certificate_to_json(G.structure, cert)
+    monkeypatch.undo()
+    assert imported == [] and again == first and first["kind"] == "incompatible"
+
+
+def test_an_integer_up_to_the_bound_round_trips_and_a_longer_one_is_refused():
+    big = 2**MAX_INT_BITS - 1  # MAX_INT_BITS bits, 3,884 digits
+    for value in (big, -big):
+        doc = {
+            "structure": {"prod": ["Z", {"lex": "Z"}]},
+            "unit": [1, [1, 0]],
+            "elements": {"g": [value, [-value, value]]},
+        }
+        text = dumps_canonical(doc)
+        instance = loads_instance(text)
+        assert instance.elements["g"].value == (value, (-value, value))
+        assert dumps_canonical(instance_to_json(instance)) == text
+    s = prod(Z, lex(Z))
+    for obj, path in (
+        ([big + 1, [0, 0]], "element[0]"),
+        ([0, [-big - 1, 0]], "element[1][0]"),
+        ([0, [0, 2**MAX_INT_BITS]], "element[1][1]"),
+    ):
+        with pytest.raises(ParseError) as info:
+            element_from_json(s, obj)
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: integer longer than {MAX_INT_BITS} bits"
 
 
 def test_unknown_keys_rejected():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -280,6 +282,25 @@ def test_stored_facts_agree_with_their_walks():
         space = compute_spectrum(G)
         assert (space.primes, space.cover) == s._spectrum == primes_by_walk(s)
         assert radical(G) is s._radical is radical_by_walk(s)
+
+
+def test_a_space_answers_max_ideals_from_its_own_covers():
+    # the tree stores its maximal ideals beside its primes, and a space
+    # built by hand stores those of its own covers, not the tree's
+    tree = compute_spectrum(MIX)
+    assert tree.cover == (None, 2, None)
+    assert tree.max_ideals() is MIX.structure._max_ideals
+    assert tree.max_ideals() == (tree.primes[0], tree.primes[2])
+    for cover in ((None, None, None), (2, 2, None), (1, None, None)):
+        space = SpectrumSpace(MIX, tree.primes, cover)
+        want = tuple(p for p, c in zip(tree.primes, cover) if c is None)
+        assert space.max_ideals() == want
+        assert space == SpectrumSpace(MIX, tree.primes, cover) and space != tree
+        fields = f"group={MIX!r}, primes={tree.primes!r}, cover={cover!r}"
+        assert repr(space) == f"SpectrumSpace({fields})"
+        for twin in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert twin == space and twin.max_ideals() == want
+    assert compute_spectrum(MIX).max_ideals() == (tree.primes[0], tree.primes[2])
 
 
 def test_groups_on_one_tree_share_one_primes_walk(monkeypatch):

@@ -11,6 +11,7 @@ from conftest import (
     A2,
     C3,
     CHAIN3,
+    Count,
     GALLERY_GROUPS,
     LEX,
     MIX,
@@ -30,21 +31,26 @@ from lgroup import (
     NotMaximal,
     ProdIdeal,
     UnitalGroup,
+    Z,
     compute_spectrum,
     contains,
     elements_in_box,
     holder_eval,
+    lex,
     principal_zero_set,
+    prod,
     radical,
     yosida_table,
     zero_ideal,
 )
 import lgroup
+from lgroup.ideals import CACHE_SIZE
 from lgroup.yosida import ForeignSpectrum, top_values
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
 M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False), AtomIdeal(True)))
 M3 = ProdIdeal((AtomIdeal(True), AtomIdeal(True), AtomIdeal(False)))
+M1_OF_A2 = ProdIdeal((AtomIdeal(False), AtomIdeal(True)))
 
 
 def test_holder_eval_scaled_unit_coordinate():
@@ -203,22 +209,66 @@ def test_top_values_agree_with_their_walk():
 
 
 def test_the_unit_is_walked_once_per_group(monkeypatch):
-    # the unit's top integers are stored on the group at the first table
+    # the unit's top integers are stored on the group at construction, by
+    # the strong-unit check; a valid unit is not walked again to name
+    # violations, and no table or value walks it
+    import lgroup.core
     import lgroup.yosida
 
     walked = []
     top_values = lgroup.yosida.top_values
     monkeypatch.setattr(lgroup.yosida, "top_values", lambda s, g: walked.append(g) or top_values(s, g))
+    monkeypatch.setattr(lgroup.core, "unit_violations", lambda *_: pytest.fail("walked again"))
     G = UnitalGroup(MIX.structure, (2, (3, -1)))
+    assert G._tops == (2, 3)
     space = compute_spectrum(G)
     elements = [(1, (0, 5)), (0, (2, 2))]
     tables = [yosida_table(G, g, space) for g in elements]
     values = [holder_eval(G, g, m) for g in elements for m in space.max_ideals()]
-    # each element once per call, the unit once in all
-    assert walked == [elements[0], G.unit, elements[1]] + [g for g in elements for _ in range(2)]
+    # each element once per call, the unit never
+    assert walked == elements + [g for g in elements for _ in range(2)]
     assert [list(t.values()) for t in tables] == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2, 3)]]
     assert values == [v for t in tables for v in t.values()]
-    assert G._tops == (2, 3)
+
+
+def test_values_are_the_fractions_of_the_top_integers():
+    # the shared table of Fractions gives what Fraction(g_k, u_k) makes
+    rng = random.Random(28)
+    for G in ORACLE_GROUPS:
+        s, space = G.structure, compute_spectrum(G)
+        units = top_values(s, G.unit)
+        for g in [G.unit, G.zero()] + [random_element(rng, s, 4) for _ in range(4)]:
+            want = [Fraction(k, u) for k, u in zip(top_values(s, g), units)]
+            assert list(yosida_table(G, g, space).values()) == want
+            assert [holder_eval(G, g, m) for m in space.max_ideals()] == want
+    # an int subclass gets the plain Fraction, as Fraction itself makes
+    for g in ((3, Count(3)), (Count(3), 3)):
+        values = list(yosida_table(A2, g).values())
+        assert values == [Fraction(3), Fraction(3)]
+        assert {type(v.numerator) for v in values} == {int}
+
+
+def test_equal_values_are_one_object():
+    # an (integer, unit integer) pair is one Fraction in every table, and
+    # in holder_eval, whatever the group
+    G = UnitalGroup(prod(Z, Z, lex(Z)), (2, 4, (2, 7)))
+    first = list(yosida_table(G, (1, 2, (1, 0))).values())
+    second = list(yosida_table(G, (3, 2, (1, 5))).values())
+    assert first == [Fraction(1, 2)] * 3
+    assert second == [Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)]
+    assert first[0] is first[2] is second[2] and first[1] is second[1]
+    H = UnitalGroup(lex(Z), (2, 0))
+    assert holder_eval(H, (1, 9), LexIdeal(AtomIdeal(True))) is first[0]
+
+
+def test_the_fraction_table_holds_at_most_cache_size_entries():
+    table = lgroup.yosida._FRACTIONS
+    G = UnitalGroup(prod(Z, Z), (3, 7))
+    for k in range(3 * CACHE_SIZE):
+        values = yosida_table(G, (k, -k))
+        assert len(table) <= CACHE_SIZE
+        assert list(values.values()) == [Fraction(k, 3), Fraction(-k, 7)]
+    assert holder_eval(G, (5, 0), M1_OF_A2) == Fraction(5, 3) and len(table) <= CACHE_SIZE
 
 
 def test_holder_eval_answers_on_a_600_level_product_nest_without_a_spectrum():
