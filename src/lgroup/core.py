@@ -47,15 +47,22 @@ stored zero; g <= h exactly when h - g lies in the positive cone, which
 is the interval check with the lower bound alone; g v h = g + h -
 (g ^ h); and the shape test of ``check_element`` is the interval check
 with neither bound.  The ideal kernels (see ``_Structure``) do the same
-for the ideal walks.  An atom's kernels are the builtins; a product maps
-its children's kernel in C when they are one tree, and otherwise loops
-over its children, doing an atom child's interval check inline; a lex
-node reads the top and calls its bottom's.  A kernel calls its
-children's from a loop (one frame per tree level) or a ``map`` (as the
-walks did), never from a comprehension, so it recurses no deeper than
-the recursive walks it replaced, and no code is generated.  A kernel
-holds its children's kernels and never a structure node, so the kernels
-form no reference cycle and a tree dies with its last user.  The
+for the ideal walks.  An atom's kernels are the builtins, and a lex
+node's read the top and call its bottom's.  A product of up to
+``_STRAIGHT_ARITY`` = 16 children runs straight-line code: one source
+template writes its nine kernels, part i calling child i's kernel (an
+atom child's interval check inline), and is compiled once per arity, at
+its first use, into a module table of at most 15 factories.  Only the
+arity and the indices go into the source, never a value.  A wider
+product loops over its children, and maps them in C when they are one
+tree: compiling costs about 0.3 ms per child, so a product of a thousand
+children would take most of a second to build.  A product of atoms
+extends the list of tops by its value.  A kernel calls its children's
+directly, from straight-line code, a loop or a ``map``, never from a
+comprehension, so it takes one frame per tree level and recurses no
+deeper than the recursive walks it replaced.  A kernel holds its
+children's kernels and never a structure node, so the kernels form no
+reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
 its primes with their covers and maximal ideals (``spectrum``), radical
@@ -367,10 +374,7 @@ def _prod_facts(children: tuple) -> tuple:
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
     count = math.prod([c._ideal_count for c in children])
-    return (
-        zero, atoms, False, count,
-        *_prod_kernels(children), *_prod_ideal_kernels(children), None, None, None, None,
-    )
+    return zero, atoms, False, count, *_prod_kernels(children), None, None, None, None
 
 
 def _lex_facts(bottom: _Structure) -> tuple:
@@ -378,65 +382,6 @@ def _lex_facts(bottom: _Structure) -> tuple:
     return (
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
         *_lex_kernels(bottom), *_lex_ideal_kernels(bottom), None, None, None, None,
-    )
-
-
-def _map2(kernels: list):
-    """(g, h) -> the tuple of kernel k on part k of g and h, by a loop."""
-
-    def kernel(g, h):
-        out = []
-        for f, a, b in zip(kernels, g, h):
-            out.append(f(a, b))
-        return tuple(out)
-
-    return kernel
-
-
-# the element kernels a product reads from each child
-_KERNELS = operator.attrgetter("_add", "_sub", "_meet", "_between", "_tops")
-
-
-def _prod_kernels(children: tuple) -> tuple:
-    """A product's element kernels from its children's.  It maps its
-    children's kernel in C when they are one tree; otherwise a loop calls
-    each child's, and the interval check does an atom child's work inline.
-    A loop, not a comprehension, calls each child with one frame."""
-    adds, subs, meets, betweens, topss = zip(*map(_KERNELS, children))
-    n = len(children)
-    atom_between = _atom_between
-
-    def between(x, u, low, high):
-        if not isinstance(x, tuple) or len(x) != n:
-            return None
-        verdict = True
-        for f, part, top in zip(betweens, x, u):
-            if f is not atom_between:
-                inside = f(part, top, low, high)
-                if inside is None:
-                    return None
-            elif part.__class__ is bool or not isinstance(part, int):
-                return None
-            else:
-                inside = (not low or 0 <= part) and (not high or part <= top)
-            if not inside:  # out of the interval: check the shape only
-                verdict = low = high = False
-        return verdict
-
-    def tops(out, g):
-        for f, x in zip(topss, g):
-            f(out, x)
-
-    if children.count(children[0]) < n:
-        return _map2(adds), _map2(subs), _map2(meets), between, tops
-    # one tree: equal nodes are one object
-    add, sub, meet = adds[0], subs[0], meets[0]
-    return (
-        lambda g, h: tuple(map(add, g, h)),
-        lambda g, h: tuple(map(sub, g, h)),
-        lambda g, h: tuple(map(meet, g, h)),
-        between,
-        list.extend if type(children[0]) is Atom else tops,  # atoms: the parts are the tops
     )
 
 
@@ -474,15 +419,165 @@ def _lex_kernels(bottom: _Structure) -> tuple:
     )
 
 
-# the ideal kernels a product reads from each child
-_IDEAL_KERNELS = operator.attrgetter("_shape", "_agree", "_gen", "_patch", "_all")
+# the kernels a product reads from each child, in the order of its slots
+_KERNELS = operator.attrgetter(
+    "_add", "_sub", "_meet", "_between", "_tops", "_shape", "_agree", "_gen", "_patch", "_all"
+)
+
+# Products of up to this many children run straight-line kernels, compiled
+# once per arity; wider ones run the loops.  A fixed bound, not an option:
+# compiling costs about 0.3 ms per child, so a 1,000-child product would
+# take most of a second to build, and the table holds at most 15 entries.
+_STRAIGHT_ARITY = 16
+_STRAIGHT = {}  # arity -> the factory compiled from _STRAIGHT_SOURCE
+
+# The nine kernels of an n-child product: each piece between two "@@"s is
+# written out once per child, "#" its index, and "$n" is n.  Part i calls
+# child i's kernel, so each kernel takes one frame per tree level.
+_STRAIGHT_SOURCE = """\
+def factory(adds, subs, meets, betweens, topss, shapes, agrees, gens, patches):
+    @@between#, @@ = betweens
+    @@tops#, @@ = topss
+    @@shape#, @@ = shapes
+    @@agree#, @@ = agrees
+    @@gen#, @@ = gens
+    @@patch#, @@ = patches
+    @@atom# = between# is atom_between
+    @@
+    def partwise(@@f#, @@):  # add, sub or meet
+        def kernel(g, h):
+            @@g#, @@ = g
+            @@h#, @@ = h
+            return (@@f#(g#, h#), @@)
+
+        return kernel
+
+    def between(x, u, low, high):
+        if not isinstance(x, tuple) or len(x) != $n:
+            return None
+        @@x#, @@ = x
+        verdict = True
+        @@if atom#:
+            if x#.__class__ is bool or not isinstance(x#, int):
+                return None
+            inside = (not low or 0 <= x#) and (not high or x# <= u[#])
+        else:
+            inside = between#(x#, u[#], low, high)
+            if inside is None:
+                return None
+        if not inside:
+            verdict = low = high = False
+        @@return verdict
+
+    def tops(out, g):
+        @@g#, @@ = g
+        @@tops#(out, g#)
+        @@
+    def shape(I):
+        if not isinstance(I, ProdIdeal) or len(I.parts) != $n:
+            return False
+        @@p#, @@ = I.parts
+        return @@shape#(p#) and @@True
+
+    def agree(I, g, t):
+        @@p#, @@ = I.parts
+        @@g#, @@ = g
+        @@t#, @@ = t
+        @@if p#._mask and (g# != t# if p#._zero else not agree#(p#, g#, t#)):
+            return False
+        @@return True
+
+    def gen(g):
+        @@g#, @@ = g
+        return ProdIdeal((@@gen#(g#), @@))
+
+    def patch(g, t, I):
+        if I._zero or not I._mask:
+            return t if I._zero else g
+        @@p#, @@ = I.parts
+        @@g#, @@ = g
+        @@t#, @@ = t
+        return (@@g# if not p#._mask else t# if p#._zero else patch#(g#, t#, p#), @@)
+
+    kernels = [partwise(*adds), partwise(*subs), partwise(*meets)]
+    return kernels + [between, tops, shape, agree, gen, patch]
+"""
 
 
-def _prod_ideal_kernels(children: tuple) -> tuple:
-    """A product's ideal kernels: each calls its children's in a loop, with
-    one frame per level."""
-    shapes, agrees, gens, patches, wholes = zip(*map(_IDEAL_KERNELS, children))
+def _straight_factory(n: int):
+    """The compiled factory of n-child kernels, compiled at its first use
+    (threads that race may compile it twice, and all keep the first)."""
+    factory = _STRAIGHT.get(n)
+    if factory is None:
+        pieces = _STRAIGHT_SOURCE.replace("$n", str(n)).split("@@")
+        # odd pieces repeat per child; within a repeated piece "#" is the index
+        source = "".join(
+            "".join(piece.replace("#", str(i)) for i in range(n)) if k % 2 else piece
+            for k, piece in enumerate(pieces)
+        )
+        namespace = {"ProdIdeal": ProdIdeal, "atom_between": _atom_between}
+        exec(compile(source, f"<kernels of {n}-child products>", "exec"), namespace)
+        factory = _STRAIGHT.setdefault(n, namespace["factory"])
+    return factory
+
+
+def _prod_kernels(children: tuple) -> tuple:
+    """A product's kernels and whole ideal from its children's: straight-
+    line code up to _STRAIGHT_ARITY children, else loops; a product of
+    atoms extends the list of tops by its value."""
+    *columns, wholes = zip(*map(_KERNELS, children))
     n = len(children)
+    if n <= _STRAIGHT_ARITY:
+        kernels = _straight_factory(n)(*columns)
+    else:
+        kernels = _loop_kernels(n, *columns)
+    if all(type(c) is Atom for c in children):  # the parts are the tops
+        kernels[4] = list.extend
+    return (*kernels, ProdIdeal(wholes))
+
+
+def _map2(kernels: tuple):
+    """(g, h) -> the tuple of kernel k on part k of g and h: a map in C
+    when the kernels are one (the children are one tree), else a loop."""
+    first = kernels[0]
+    if kernels.count(first) == len(kernels):
+        return lambda g, h: tuple(map(first, g, h))
+
+    def kernel(g, h):
+        out = []
+        for f, a, b in zip(kernels, g, h):
+            out.append(f(a, b))
+        return tuple(out)
+
+    return kernel
+
+
+def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, agrees, gens, patches) -> list:
+    """A wide product's kernels: each calls its children's from a loop,
+    with one frame per level, and the interval check does an atom child's
+    work inline."""
+    atom_between = _atom_between
+
+    def between(x, u, low, high):
+        if not isinstance(x, tuple) or len(x) != n:
+            return None
+        verdict = True
+        for f, part, top in zip(betweens, x, u):
+            if f is not atom_between:
+                inside = f(part, top, low, high)
+                if inside is None:
+                    return None
+            elif part.__class__ is bool or not isinstance(part, int):
+                return None
+            else:
+                inside = (not low or 0 <= part) and (not high or part <= top)
+            if not inside:  # out of the interval: check the shape only
+                verdict = low = high = False
+        return verdict
+
+    def tops(out, g):
+        for f, x in zip(topss, g):
+            f(out, x)
 
     def shape(I):
         if not isinstance(I, ProdIdeal) or len(I.parts) != n:
@@ -513,13 +608,13 @@ def _prod_ideal_kernels(children: tuple) -> tuple:
             out.append(x if not p._mask else y if p._zero else f(x, y, p))
         return tuple(out)
 
-    return shape, agree, gen, patch, ProdIdeal(wholes)
+    return [_map2(adds), _map2(subs), _map2(meets), between, tops, shape, agree, gen, patch]
 
 
 def _lex_ideal_kernels(bottom: _Structure) -> tuple:
     """A lex node's ideal kernels: each reads the top and calls its
     bottom's."""
-    shape, agree, gen, patch, _ = _IDEAL_KERNELS(bottom)
+    shape, agree, gen, patch = bottom._shape, bottom._agree, bottom._gen, bottom._patch
 
     def lex_shape(I):
         return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))

@@ -45,24 +45,33 @@ class NotMaximal(LGroupError):
 
 
 class ForeignSpectrum(LGroupError):
-    """The spectrum handed to an evaluation is one of another tree."""
+    """The spectrum handed to an evaluation is one of another tree, or its
+    maximal ideals are not those of its tree."""
 
     def __init__(self, structure: Structure, space: SpectrumSpace):
         self.structure = structure
         self.space = space
-        super().__init__(
-            f"a spectrum of {space.group.structure!r} was given for a group on {structure!r}"
-        )
+        if space.group.structure is structure:
+            message = f"a space on {structure!r} whose maximal ideals are not the tree's"
+        else:
+            message = f"a spectrum of {space.group.structure!r} was given for a group on "
+            message += repr(structure)
+        super().__init__(message)
 
 
 def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
     """The maximal ideals of G, from ``space`` when given.  A spectrum
-    depends on the tree alone, so one of any group on G's tree will do."""
+    depends on the tree alone, so one of any group on G's tree will do,
+    and a space whose maximal ideals are not the tree's stored ones (an
+    identity test, as ideal nodes are interned) is refused."""
     if space is None:
         return compute_spectrum(G).max_ideals()
-    if space.group.structure is not G.structure:
-        raise ForeignSpectrum(G.structure, space)
-    return space.max_ideals()
+    s = G.structure
+    if space.group.structure is not s or space._max_ideals != (
+        s._max_ideals or compute_spectrum(G).max_ideals()
+    ):
+        raise ForeignSpectrum(s, space)
+    return space._max_ideals
 
 
 def top_values(structure: Structure, g: Element) -> list:
@@ -119,8 +128,8 @@ def yosida_table(
 
     The domain is exactly the maximal spectrum, in enumeration order; the
     unit's table is constantly 1.  A given ``space`` must be a spectrum of
-    G's tree, else ``ForeignSpectrum`` is raised: its maximal ideals are
-    paired with the top positions in order.
+    G's tree with the tree's maximal ideals, else ``ForeignSpectrum`` is
+    raised: its maximal ideals are paired with the top positions in order.
     """
     check_element(G.structure, g)
     values = map(_fraction, top_values(G.structure, g), G._tops)

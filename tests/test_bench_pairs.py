@@ -2,6 +2,7 @@
 benchmark runs."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -247,3 +248,38 @@ def test_traced_pairs_are_summarised_scaled_with_the_unscaled_medians_beside():
     assert t["unscaled_medians"]["parent"]["spectrum.spectrum_json.self_s"] == 2.0
     assert t["unscaled_medians"]["change"]["spectrum.spectrum_json.self_s"] == 3.0
     assert bench_pairs.summarize_traced(pairs * 4, PER_LAYER)["label"] == "reading"
+
+
+def test_the_table_has_a_row_per_workload_and_metric_and_the_verdict_on_the_claimed_one():
+    end_to_end = [
+        {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+    pairs = [
+        (k, "parent", {"parent": _result(0, {"op_p50_s": p, "setup_s": 0.03}),
+                       "change": _result(0, {"op_p50_s": c, "setup_s": 0.04})})
+        for k, (p, c) in enumerate(zip(PARENT, [p - 2.0 for p in PARENT]))
+    ]
+    report = {"workloads": {"batch": bench_pairs.summarize_workload(pairs, end_to_end)}}
+    report["claim"] = bench_pairs.claim("batch", "op_p50_s", report["workloads"]["batch"]["metrics"]["op_p50_s"])
+    # op: medians 11.0 and 9.0, 2.0 apart over an IQR of 1.75; set-up: no IQR, 1/3 over its bound
+    assert bench_pairs.table(report).splitlines() == [
+        "workload  metric    parent  change  change/parent  better_in  gap/IQR  within_bound  claim",
+        "batch     op_p50_s  11      9       -18.2%         10 of 10   1.14     yes           met",
+        "batch     setup_s   0.03    0.04    +33.3%         0 of 10    -        no",
+    ]
+    report["claim"]["met"] = False
+    assert bench_pairs.table(report).splitlines()[1].endswith("yes           not met")
+
+
+def test_a_run_ends_by_printing_the_table_on_stdout(monkeypatch, tmp_path, capsys):
+    names = [m["name"] for m in json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(bench_pairs, "run", lambda *_: _result(0, dict.fromkeys(names, 1.0)))
+    out = tmp_path / "B.json"
+    assert bench_pairs.main([ROOT, ROOT, "batch:1-2", "--claim", "batch:op_p50_s", "--out", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split() == ["workload", "metric", "parent", "change", "change/parent", "better_in",
+                               "gap/IQR", "within_bound", "claim"]
+    assert [row.split()[:2] for row in rows[1:]] == [["batch", name] for name in names]
+    assert rows[1 + names.index("op_p50_s")].endswith("not met")
+    assert bench_pairs.table(json.loads(out.read_text())) == "\n".join(rows)

@@ -376,7 +376,7 @@ def test_products_of_fewer_than_two_are_refused():
             build()
 
 
-# products whose children are one tree, which map its kernels in C
+# products whose children are one tree
 TWINS = [
     UnitalGroup(prod(lex(Z), lex(Z)), ((1, 0), (2, -1))),
     UnitalGroup(prod(*[lex(prod(Z, Z))] * 3), ((1, (0, 0)), (2, (1, -1)), (1, (3, 2)))),

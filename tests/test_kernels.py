@@ -1,0 +1,165 @@
+"""The nine kernels of product nodes: straight-line code compiled once per
+arity up to ``core._STRAIGHT_ARITY`` children, loops beyond it, each
+checked against the recursive walks of ``tests/oracles.py``."""
+
+import random
+import time
+
+import lgroup.core
+from conftest import ORACLE_GROUPS, random_element, seeded_tree_group, some_ideals
+from oracles import (
+    add_by_walk,
+    agree_by_walk,
+    between_by_walk,
+    check_ideal_by_walk,
+    meet_by_walk,
+    patch_by_walk,
+    principal_by_walk,
+    sub_by_walk,
+    top_values_by_walk,
+)
+from lgroup import AtomIdeal, LexIdeal, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, Z, lex, prod
+from lgroup.core import _STRAIGHT, _STRAIGHT_ARITY
+
+# children of the mixed products: atoms, lex nodes and small products
+POOL = [Z, lex(Z), prod(Z, Z), lex(prod(Z, lex(Z))), prod(lex(Z), Z, Z)]
+
+
+def _strong(rng, s):
+    """A seeded strong unit of s: tops in 1..3, anything below a lex top."""
+    if s is Z:
+        return rng.randint(1, 3)
+    if type(s) is Prod:
+        return tuple(_strong(rng, c) for c in s.children)
+    return (rng.randint(1, 3), random_element(rng, s.bottom, 2))
+
+
+def _products(rng, n):
+    """A mixed product of n children, with an atom and a lex node among
+    them, and the products of n atoms and of n copies of one lex node."""
+    children = [Z, lex(Z)] + [rng.choice(POOL) for _ in range(n - 2)]
+    rng.shuffle(children)
+    return [prod(*children), prod(*[Z] * n), prod(*[lex(prod(Z, Z))] * n)]
+
+
+def _cases():
+    rng = random.Random(3000)
+    products = [s for n in range(2, _STRAIGHT_ARITY + 2) for s in _products(rng, n)]
+    groups = [UnitalGroup(s, _strong(rng, s)) for s in products]
+    return ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(3000, 3020)] + groups
+
+
+CASES = _cases()
+
+
+def _malformed(rng, x):
+    """x with one part swapped for a value of no shape, or cut short."""
+    if not isinstance(x, tuple):
+        return rng.choice([True, "1", None, (x,)])
+    if rng.random() < 0.25:
+        return x[:-1]
+    i = rng.randrange(len(x))
+    return (*x[:i], _malformed(rng, x[i]), *x[i + 1 :])
+
+
+def test_every_compiled_arity_is_covered():
+    arities = {len(G.structure.children) for G in CASES if type(G.structure) is Prod}
+    assert set(range(2, _STRAIGHT_ARITY + 2)) <= arities
+
+
+def test_element_kernels_agree_with_their_walks():
+    rng = random.Random(3001)
+    for G in CASES:
+        s, u = G.structure, G.unit
+        box = [u, s._zero] + [random_element(rng, s, 3) for _ in range(6)]
+        for g in box:
+            h = rng.choice(box)
+            assert s._add(g, h) == add_by_walk(s, g, h)
+            assert s._sub(g, h) == sub_by_walk(s, g, h)
+            assert s._meet(g, h) == meet_by_walk(s, g, h)
+            tops = []
+            s._tops(tops, g)
+            assert tops == top_values_by_walk(s, g)
+            for x in (g, _malformed(rng, g)):
+                for low in (False, True):
+                    for high in (False, True):
+                        assert s._between(x, u, low, high) == between_by_walk(s, x, u, low, high)
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except ShapeMismatch:
+        return True
+    return False
+
+
+def _wrong_part(rng, I):
+    """I with one part of a product ideal swapped for one of another shape."""
+    if not isinstance(I, ProdIdeal):
+        return ProdIdeal((AtomIdeal(True), AtomIdeal(False)))
+    i = rng.randrange(len(I.parts))
+    other = LexIdeal(None) if isinstance(I.parts[i], AtomIdeal) else AtomIdeal(False)
+    return ProdIdeal((*I.parts[:i], other, *I.parts[i + 1 :]))
+
+
+def test_ideal_kernels_agree_with_their_walks():
+    rng = random.Random(3002)
+    for G in CASES:
+        s = G.structure
+        ideals = some_ideals(rng, G, count=4)
+        ideals = ideals if len(ideals) <= 10 else rng.sample(ideals, 10)
+        box = [G.unit, s._zero] + [random_element(rng, s, 1) for _ in range(4)]
+        for g in box:
+            assert s._gen(g) is principal_by_walk(s, g)
+        for I in ideals:
+            assert s._shape(I) is True
+            bad = _wrong_part(rng, I)
+            assert s._shape(bad) is not _raised(check_ideal_by_walk, s, bad)
+            for _ in range(3):
+                g, t = rng.choice(box), rng.choice(box)
+                assert s._agree(I, g, t) is agree_by_walk(s, I, g, t)
+                assert s._patch(g, t, I) == patch_by_walk(s, g, t, I)
+                assert s._agree(I, s._patch(g, t, I), t) is True
+
+
+def test_a_second_tree_of_a_seen_arity_compiles_nothing(monkeypatch):
+    first = prod(Z, lex(Z), Z, prod(Z, Z), lex(lex(Z)))
+    factory = _STRAIGHT[5]
+    children = (lex(Z), prod(Z, lex(Z)), Z, lex(lex(lex(Z))), prod(Z, Z, Z))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(lgroup.core, "compile", refuse, raising=False)
+    monkeypatch.setattr(lgroup.core, "exec", refuse, raising=False)
+    second = prod(*children)
+    assert second is not first and _STRAIGHT[5] is factory
+    g = ((1, 2), (3, (4, 5)), 6, (7, (8, (9, 10))), (11, 12, 13))
+    assert second._add(g, g) == add_by_walk(second, g, g)
+
+
+def test_the_table_holds_only_arities_up_to_the_bound():
+    rng = random.Random(3003)
+    for n in range(2, 41):
+        for s in _products(rng, n):
+            tops = []
+            s._tops(tops, s._zero)
+            assert tops == top_values_by_walk(s, s._zero)
+    assert set(_STRAIGHT) <= set(range(2, _STRAIGHT_ARITY + 1))
+    assert len(_STRAIGHT) <= _STRAIGHT_ARITY - 1 == 15
+
+
+def test_a_wide_product_builds_with_no_compile_and_answers():
+    # a 1,000-child mixed product: loops, so building it costs microseconds
+    # per child where compiling its straight-line kernels would take most
+    # of a second
+    children = tuple([Z, lex(Z), prod(Z, Z), lex(prod(Z, Z))][i % 4] for i in range(999)) + (Z,)
+    started = time.perf_counter()
+    s = prod(*children)
+    assert time.perf_counter() - started < 0.05
+    assert 1000 not in _STRAIGHT
+    rng = random.Random(3004)
+    g, h = random_element(rng, s, 3), random_element(rng, s, 3)
+    assert s._add(g, h) == add_by_walk(s, g, h)
+    assert s._between(g, h, True, True) == between_by_walk(s, g, h, True, True)

@@ -30,6 +30,7 @@ from lgroup import (
     LGroupError,
     NotMaximal,
     ProdIdeal,
+    SpectrumSpace,
     UnitalGroup,
     Z,
     compute_spectrum,
@@ -198,6 +199,21 @@ def test_a_spectrum_of_another_tree_is_refused():
     other = compute_spectrum(UnitalGroup(C3.structure, (3, 1, 2)))
     assert yosida_table(C3, (1, 0, 2), other) == yosida_table(C3, (1, 0, 2))
     assert principal_zero_set(C3, (1, 0, 0), other) == principal_zero_set(C3, (1, 0, 0)) == {M2, M3}
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_a_space_on_the_tree_with_other_maximal_ideals_is_refused(fresh):
+    # primes with no covers are all "maximal": zip would pair a non-maximal
+    # prime, such as MIX's (all,bottom(zero)), with a top position and drop
+    # a maximal ideal; a tree of its own has stored no spectrum yet
+    G = UnitalGroup(prod(lex(Z), Z, lex(lex(Z))), ((1, 0), 1, (1, (1, 0)))) if fresh else MIX
+    primes = tuple(p for p, _ in lgroup.spectrum._primes(G.structure))
+    space = SpectrumSpace(G, primes, (None,) * len(primes))
+    g = G.add(G.unit, G.unit)
+    for evaluate in (yosida_table, principal_zero_set):
+        with pytest.raises(ForeignSpectrum, match="maximal ideals are not the tree's"):
+            evaluate(G, g, space)
+    assert yosida_table(G, g, compute_spectrum(G)) == yosida_table(G, g)
 
 
 def test_top_values_agree_with_their_walk():

@@ -31,6 +31,10 @@ and whether the change's median is within the metric's bound; each
 workload lists the metrics whose change median is outside it.  The claim is met when the change reads better in at least
 nine pairs in ten and its median is better than the parent's by more than
 the parent's interquartile range.  The file is rewritten after every pair.
+At the end the tool prints on stdout a table of one row per workload and
+end-to-end metric: the medians, the change, ``better_in``, the gap in
+parent interquartile ranges, whether it is within the bound, and the
+claim's verdict on the claimed row.
 """
 
 from __future__ import annotations
@@ -154,6 +158,30 @@ def claim(workload: str, metric: str, summary: dict) -> dict:
         "median_gap_over_parent_iqr": summary["median_gap_over_parent_iqr"],
         "met": claim_met(summary),
     }
+
+
+def table(report: dict) -> str:
+    """One row per workload and end-to-end metric: both medians, the change
+    over the parent, the pairs where the change reads better, the median
+    gap in parent interquartile ranges, whether the change is within the
+    bound, and on the claimed metric's row the claim's verdict."""
+    claimed = report.get("claim") or {}
+    rows = [("workload", "metric", "parent", "change", "change/parent", "better_in",
+             "gap/IQR", "within_bound", "claim")]
+    for workload, summary in report["workloads"].items():
+        for metric, m in summary["metrics"].items():
+            change, gap = m["change_over_parent"], m["median_gap_over_parent_iqr"]
+            verdict = ""
+            if (claimed.get("workload"), claimed.get("metric")) == (workload, metric):
+                verdict = "met" if claimed["met"] else "not met"
+            rows.append((
+                workload, metric, f"{m['parent_median']:.4g}", f"{m['change_median']:.4g}",
+                "-" if change is None else f"{change:+.1%}", m["better_in"],
+                "-" if gap is None else f"{gap:.2f}", "yes" if m["within_bound"] else "no",
+                verdict,
+            ))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
 
 
 def summarize_workload(pairs, end_to_end) -> dict:
@@ -357,6 +385,7 @@ def main(argv=None) -> int:
                 **summarize_traced(pairs, benchmark["per_layer"]),
             }
         write()
+    print(table(report))
     return 0
 
 
