@@ -19,20 +19,24 @@ All values are immutable and every function here is pure, so everything is
 safe to share between threads.
 
 Structure and ideal nodes are interned (hash-consed): each node class keeps
-a table of its live nodes keyed by their fields, and its constructor
-returns the node already there, so equal trees are one object.  Equality
-is identity, and the hash, ``hash(<fields tuple>)``, is stored at
-construction: no comparison or hash walks a tree, however tall.  The table
-holds weak references only, so a node lives as long as its users hold it;
-a bounded strong table would have to drop live nodes, and an equal node
-built after that would be a second object.  Entries go in with the atomic
-``dict.setdefault``, so threads that build one tree at once get one object.
-Copying or unpickling a node re-interns it.  The other value classes are
-``_Record``s, which compare, hash and print by their fields.
+a table of its live nodes keyed by their fields, and one constructor,
+``_Node.__new__``, serves every node class: it returns the node already
+there, so equal trees are one object, or else builds one with the facts
+that the class's ``_make`` gives from the fields.  Equality is identity,
+and so is the hash, ``object.__hash__``, in C: no comparison or hash walks
+a tree, however tall, and a fields tuple hashes its child nodes without a
+Python call.  A node's hash differs between processes, so no output may
+depend on the order of a set of nodes.  The table holds weak references
+only, so a node lives as long as its users hold it; a bounded strong table
+would have to drop live nodes, and an equal node built after that would be
+a second object.  Entries go in with the atomic ``dict.setdefault``, so
+threads that build one tree at once get one object.  Copying or unpickling
+a node re-interns it.  The other value classes are ``_Record``s, which
+compare, hash and print by their fields.
 
 Each node class also names the slots of its stored facts, ``_facts``,
-outside its fields: the fields alone still make its key, hash, repr and
-pickle, and ``_intern`` sets the facts before the node is seen.  An ideal
+outside its fields: the fields alone still make its key, repr and pickle,
+and the constructor sets the facts before the node is seen.  An ideal
 node stores whether it is zero and where it is proper (see ``_Ideal``).
 A structure node stores facts that depend on its tree alone, each made at
 construction from its children's in O(children): its zero element, atom
@@ -121,9 +125,20 @@ def format_path(path: Path) -> str:
 
 
 class _Frozen:
-    """Fields listed in ``__slots__``, which no assignment changes."""
+    """Fields listed in ``__slots__`` (``_defaults`` for trailing ones),
+    which no assignment changes."""
 
     __slots__ = ()
+    _defaults = {}
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """The values of ``__slots__``, in order, from a call's arguments."""
+        names = cls.__slots__
+        values = dict(cls._defaults, **dict(zip(names, args)), **kwargs)
+        if len(args) > len(names) or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() expects the arguments ({', '.join(names)})")
+        return tuple(map(values.__getitem__, names))
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -138,19 +153,13 @@ class _Frozen:
 
 
 class _Record(_Frozen):
-    """A value with fields ``__slots__`` (``_defaults`` for trailing ones),
-    compared, hashed and shown as ``Name(field=value, ...)`` by them."""
-
-    _defaults = {}
+    """A value compared, hashed and shown as ``Name(field=value, ...)`` by
+    its fields."""
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
-            if len(args) > len(names) or values.keys() != set(names):
-                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}")
-            args = map(values.__getitem__, names)
-        for name, value in zip(names, args):
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(self.__slots__, args):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -167,10 +176,14 @@ class _Record(_Frozen):
 
 
 class _Node(_Frozen):
-    """An interned tree node (see the module docstring): ``__new__`` returns
-    the live node under its fields, else (nodes are never false) a new one."""
+    """An interned tree node (see the module docstring), compared and hashed
+    by identity.  ``__new__`` is every node class's one constructor: it
+    returns the live node under its fields, else builds one with the facts
+    (the values of ``cls._facts``) that ``cls._make(*fields)`` gives or
+    refuses, set before the node is seen, and enters it; a node that
+    another thread entered first wins."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls):
         table = cls._table = {}
@@ -178,30 +191,31 @@ class _Node(_Frozen):
         # when a node dies, drop its entry unless a live node has taken it
         cls._forget = lambda dead: remove(table, dead.fields)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *fields, **named):
+        if named:  # a wrong number of positional fields fails _make's call
+            fields = cls._arguments(fields, named)
+        table = cls._table
+        try:
+            entry = table.get(fields)
+        except TypeError:  # unhashable fields, which _make refuses
+            entry = None
+        if entry and (node := entry()):  # nodes are never false
+            return node
+        facts = cls._make(*fields)
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__ + cls._facts, fields + facts):
+            object.__setattr__(node, name, value)
+        mine = _Entry(node, cls._forget)
+        mine.fields = fields
+        while (entry := table.setdefault(fields, mine)) is not mine:
+            if (other := entry()) is not None:
+                return other
+            _remove_dead_weakref(table, fields)
+        return node
 
 
 class _Entry(ref):
     __slots__ = ("fields",)  # the key of the entry holding this reference
-
-
-def _intern(cls, fields: tuple, facts: tuple):
-    """Build and enter a node, with its ``facts`` (the values of
-    ``cls._facts``) set before it is seen; a node that another thread
-    entered first wins."""
-    table = cls._table
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__ + cls._facts, fields + facts):
-        object.__setattr__(node, name, value)
-    object.__setattr__(node, "_hash", hash(fields))
-    mine = _Entry(node, cls._forget)
-    mine.fields = fields
-    while (entry := table.setdefault(fields, mine)) is not mine:
-        if (other := entry()) is not None:
-            return other
-        _remove_dead_weakref(table, fields)
-    return node
 
 
 class _Ideal(_Node):
@@ -217,18 +231,18 @@ class _Ideal(_Node):
 class AtomIdeal(_Ideal):
     __slots__ = ("full",)
 
-    def __new__(cls, full: bool):
-        try:
-            return _ATOM_IDEALS[full]
-        except (KeyError, TypeError):
-            raise ShapeMismatch((), f"expected True or False, got {full!r}") from None
+    @staticmethod
+    def _make(full: bool) -> tuple:
+        if full.__class__ is not bool:
+            raise ShapeMismatch((), f"expected True or False, got {full!r}")
+        return not full, int(not full), 1
 
     def __repr__(self) -> str:
         return "all" if self.full else "zero"
 
 
 # zero and whole, held for good, so a field equal to a bool finds its node
-_ATOM_IDEALS = {b: _intern(AtomIdeal, (b,), (not b, int(not b), 1)) for b in (False, True)}
+_ATOM_IDEALS = {b: AtomIdeal(b) for b in (False, True)}
 
 
 def _prod_ideal_facts(parts: tuple) -> tuple:
@@ -250,13 +264,7 @@ def _prod_ideal_facts(parts: tuple) -> tuple:
 
 class ProdIdeal(_Ideal):
     __slots__ = ("parts",)
-
-    def __new__(cls, parts: tuple):
-        try:
-            entry = cls._table.get(fields := (parts,))
-        except TypeError:  # unhashable parts, which _prod_ideal_facts refuses
-            entry = None
-        return entry and entry() or _intern(cls, fields, _prod_ideal_facts(parts))
+    _make = staticmethod(_prod_ideal_facts)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
@@ -265,18 +273,13 @@ class ProdIdeal(_Ideal):
 class LexIdeal(_Ideal):
     __slots__ = ("inner",)  # None means the whole group
 
-    def __new__(cls, inner: Optional["Ideal"]):
-        try:
-            entry = cls._table.get(fields := (inner,))
-        except TypeError:  # unhashable, so refused below
-            entry = None
-        if entry and (node := entry()):
-            return node
+    @staticmethod
+    def _make(inner: Optional["Ideal"]) -> tuple:
         if inner is None:  # one top position, the dominant component
-            return _intern(cls, fields, (False, 0, 1))
+            return False, 0, 1
         if not isinstance(inner, _Ideal):
             raise ShapeMismatch(("bottom",), f"expected an ideal, got {inner!r}")
-        return _intern(cls, fields, (inner._zero, 1, 1))
+        return inner._zero, 1, 1
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_ideal)
@@ -370,6 +373,8 @@ def _prod_facts(children: tuple) -> tuple:
     """A product's facts from its children's."""
     if children.__class__ is not tuple:
         raise ShapeMismatch((), f"expected a tuple of structures, got {children!r}")
+    if len(children) < 2:
+        raise ValueError("Prod requires at least 2 children")
     _refuse_non_structures(children, range(len(children)))
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
@@ -635,10 +640,7 @@ class Atom(_Structure):
     """The ordered group of integers."""
 
     __slots__ = ()
-
-    def __new__(cls):
-        entry = cls._table.get(())
-        return entry and entry() or _intern(cls, (), _ATOM_FACTS)
+    _make = staticmethod(lambda: _ATOM_FACTS)
 
     def __repr__(self) -> str:
         return "Z"
@@ -648,15 +650,7 @@ class Prod(_Structure):
     """A direct product of at least two structures, ordered componentwise."""
 
     __slots__ = ("children",)
-
-    def __new__(cls, children: tuple):
-        if len(children) < 2:
-            raise ValueError("Prod requires at least 2 children")
-        try:
-            entry = cls._table.get(fields := (children,))
-        except TypeError:  # unhashable children, which _prod_facts refuses
-            entry = None
-        return entry and entry() or _intern(cls, fields, _prod_facts(children))
+    _make = staticmethod(_prod_facts)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)
@@ -666,13 +660,7 @@ class Lex(_Structure):
     """The lexicographic extension Z x-> bottom, integer component dominant."""
 
     __slots__ = ("bottom",)
-
-    def __new__(cls, bottom: "Structure"):
-        try:
-            entry = cls._table.get(fields := (bottom,))
-        except TypeError:  # an unhashable bottom, which _lex_facts refuses
-            entry = None
-        return entry and entry() or _intern(cls, fields, _lex_facts(bottom))
+    _make = staticmethod(_lex_facts)
 
     def __repr__(self) -> str:
         return render_tree(self, _spell_structure)

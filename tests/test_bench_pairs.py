@@ -1,9 +1,13 @@
-"""The arithmetic of ``tools/bench_pairs.py`` on canned run results; no
+"""The arithmetic of ``tools/bench_pairs.py`` on canned run results, and
+its clean-up when a signal stops it, with a stand-in for ``run.py``; no
 benchmark runs."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import shutil
+import signal
 
 import pytest
 
@@ -283,3 +287,54 @@ def test_a_run_ends_by_printing_the_table_on_stdout(monkeypatch, tmp_path, capsy
     assert [row.split()[:2] for row in rows[1:]] == [["batch", name] for name in names]
     assert rows[1 + names.index("op_p50_s")].endswith("not met")
     assert bench_pairs.table(json.loads(out.read_text())) == "\n".join(rows)
+
+
+# a run.py that makes its work directory as run.py does, records its pid
+# and session, signals the tool and sleeps
+STAND_IN = """\
+import os, signal, time
+os.makedirs(os.path.join(".perfbench_work", str(os.getpid())))
+with open("child.txt", "w") as f:
+    f.write(f"{os.getpid()} {os.getsid(0)}")
+os.kill(os.getppid(), signal.SIGTERM)
+time.sleep(60)
+"""
+
+
+def test_a_signal_stops_the_run_and_removes_the_checkouts_and_its_work_directory(monkeypatch, tmp_path):
+    # the parent side is a directory checkout; the change side is exported
+    # into the tool's temporary directory (copied here, without git), so
+    # the stand-in is the one process that the test starts
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text(STAND_IN)
+    exported = []
+
+    def export(spec, work, side):
+        if os.path.isdir(spec):
+            return spec, None
+        exported.append(os.path.join(work, side))
+        os.makedirs(exported[-1])
+        shutil.copy(TOOL.parents[1] / "BENCHMARK.json", exported[-1])
+        return exported[-1], "f" * 40
+
+    def unhandled(*_):
+        raise AssertionError("the tool left SIGTERM to its caller's handler")
+
+    monkeypatch.setattr(bench_pairs, "checkout", export)
+    before = signal.signal(signal.SIGTERM, unhandled)
+    out = tmp_path / "B.json"
+    try:
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main([str(parent), "HEAD", "batch:1", "--out", str(out)])
+        assert signal.getsignal(signal.SIGTERM) is unhandled
+    finally:
+        signal.signal(signal.SIGTERM, before)
+    assert info.value.code == 128 + signal.SIGTERM
+    pid, session = map(int, (parent / "child.txt").read_text().split())
+    assert session == pid  # a session of its own, whose every process the tool kills
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert not (parent / ".perfbench_work").exists()
+    assert len(exported) == 1 and not os.path.exists(os.path.dirname(exported[0]))
+    assert not out.exists()

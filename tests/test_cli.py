@@ -530,7 +530,7 @@ def test_crt_loads_no_fractions(tmp_path, mode):
 # the lgroup source lines, by ``wc -l``, of the modules whose bodies each
 # command runs in a fresh interpreter: every cold call compiles them
 # again, so a change that runs more of them must raise its budget here
-COLD_LINE_BUDGET = {"analyze": 2599, "spectrum": 2320, "crt": 2949}
+COLD_LINE_BUDGET = {"analyze": 2587, "spectrum": 2308, "crt": 2937}
 
 
 @pytest.mark.parametrize("command", COLD_LINE_BUDGET)

@@ -329,6 +329,7 @@ def test_zero_answers_on_3000_level_trees(level):
         (lambda: Prod((lex(Z), Z, [Z])), (2,), "expected a structure, got [Z]"),
         (lambda: lex([Z]), ("bottom",), "expected a structure, got [Z]"),
         (lambda: Prod([Z, Z]), (), "expected a tuple of structures, got [Z, Z]"),
+        (lambda: Prod(5), (), "expected a tuple of structures, got 5"),
         (lambda: AtomIdeal("x"), (), "expected True or False, got 'x'"),
         (lambda: AtomIdeal([]), (), "expected True or False, got []"),
         (lambda: LexIdeal(Z), ("bottom",), "expected an ideal, got Z"),
@@ -338,7 +339,7 @@ def test_zero_answers_on_3000_level_trees(level):
         (lambda: ProdIdeal([ATOM_ALL, ATOM_ZERO]), (), "expected a tuple of ideals, got [all, zero]"),
     ],
     ids=[
-        "int", "none", "string", "list", "list-bottom", "list-children", "ideal-string",
+        "int", "none", "string", "list", "list-bottom", "list-children", "int-children", "ideal-string",
         "ideal-list", "ideal-structure-bottom", "ideal-int-bottom", "ideal-list-bottom",
         "ideal-structure-part", "ideal-list-parts",
     ],

@@ -1,9 +1,10 @@
 """Interned tree nodes and the value records.
 
 Equal structure and ideal trees are one object, whether built through the
-API or by the parser; equality is identity and the hash, stored at
-construction, is ``hash(<fields tuple>)``, so no comparison or hash walks a
-tree.  The records compare, hash and print by their fields.
+API or by the parser, found or built by one constructor, ``_Node.__new__``;
+equality is identity and so is the hash, ``object.__hash__``, so no
+comparison or hash walks a tree.  The records compare, hash and print by
+their fields.
 """
 
 import copy
@@ -70,7 +71,7 @@ from lgroup import (
     yosida_table,
     zero_ideal,
 )
-from lgroup.core import random_element
+from lgroup.core import _Node, random_element
 from lgroup.yosida import top_values
 
 
@@ -103,13 +104,32 @@ def test_equal_trees_from_the_api_and_the_parser_are_one_object():
     assert ideal_from_json(s, "all") is all_ideal(s)
 
 
-def test_hash_is_the_hash_of_the_fields_tuple():
-    # the value the generated dataclass hash gave, so set and dict orders
-    # stay as they were
-    for node in _nodes():
-        assert hash(node) == hash(_fields(node)), node
-    assert hash(Z) == hash(())
-    assert hash(lex(Z)) == hash((Z,))
+def test_nodes_hash_by_identity():
+    # object's hash, in C, agrees with identity equality; it differs between
+    # processes, and so may the order of a set of nodes
+    nodes = _nodes()
+    for node in nodes:
+        assert type(node).__hash__ is object.__hash__, node
+    assert len({*nodes, *_nodes()}) == len(nodes)
+
+
+def test_a_constructor_hit_runs_no_python_function_but_the_one_constructor():
+    # the table lookup hashes the parts in C, and finds the live node
+    parts = (AtomIdeal(False), LexIdeal(None), ProdIdeal((AtomIdeal(True), AtomIdeal(False))))
+    I = ProdIdeal(parts)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        again = ProdIdeal(parts)
+    finally:
+        sys.setprofile(None)
+    assert again is I
+    assert calls == [_Node.__new__.__code__]
 
 
 def test_copy_deepcopy_and_pickle_return_the_same_object():
@@ -189,7 +209,7 @@ def test_ideal_facts_leave_equality_hash_repr_copy_and_pickle():
     I = ProdIdeal(parts)
     assert (I._zero, I._mask, I._width) == (False, 0b011, 3)
     assert I._values() == (parts,) and I.__reduce__() == (ProdIdeal, (parts,))
-    assert hash(I) == hash((parts,)) and repr(I) == "(zero,bottom((all,zero)),all)"
+    assert type(I).__hash__ is object.__hash__ and repr(I) == "(zero,bottom((all,zero)),all)"
     assert I == ProdIdeal(parts) and I != LexIdeal(I)
     assert copy.copy(I) is I and copy.deepcopy(I) is I
     data = pickle.dumps(I)
@@ -420,7 +440,7 @@ def _tall(height: int, ideal: bool):
 @pytest.mark.parametrize("ideal", [False, True], ids=["structure", "ideal"])
 def test_nodes_3000_levels_tall_hash_and_compare(ideal):
     a, b = _tall(3000, ideal), _tall(3000, ideal)
-    assert hash(a) == hash(b) == hash(_fields(a))
+    assert hash(a) == hash(b) and type(a).__hash__ is object.__hash__
     assert a == b and a != _tall(2999, ideal)
     assert len({a, b, _tall(2999, ideal)}) == 2
     assert a is b

@@ -35,17 +35,26 @@ At the end the tool prints on stdout a table of one row per workload and
 end-to-end metric: the medians, the change, ``better_in``, the gap in
 parent interquartile ranges, whether it is within the bound, and the
 claim's verdict on the claimed row.
+
+SIGTERM or SIGINT stops the tool (exit 128 plus the signal's number): it
+stops the running ``run.py``, which runs in a session of its own, with
+every process that it started, removes the work directory that it leaves
+in its checkout, ``.perfbench_work/<pid>``, and removes the exported
+checkouts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
 import re
 import shlex
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -251,14 +260,60 @@ def report_head(argv, specs, commits, seconds: float) -> dict:
 def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    # a session of its own, so that stop() reaches every process it starts
+    with subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:  # a signal stopping the tool, or any other error
+            stop(proc, root)
+            raise
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+        raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}:\n{stderr}")
+    result = json.loads(stdout.strip().splitlines()[-1])
     try:
-        return {**result, "scale": speed_factor(proc.stdout)}
+        return {**result, "scale": speed_factor(stdout)}
     except ValueError as exc:
         raise SystemExit(f"{' '.join(argv[1:])} in {root}: {exc}") from None
+
+
+def stop(proc, root: str) -> None:
+    """Kill a ``run.py`` child and the processes of its session, and remove
+    the work directory that it leaves under ``root``."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the session has ended
+        pass
+    proc.wait()
+    work = os.path.join(root, ".perfbench_work")
+    shutil.rmtree(os.path.join(work, str(proc.pid)), ignore_errors=True)
+    try:
+        os.rmdir(work)  # as run.py does, unless another run's is there
+    except OSError:
+        pass
+
+
+_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _stopped(signum, frame):
+    # ignore a second signal, which would cut short the clean-up of the first
+    for sig in _SIGNALS:
+        signal.signal(sig, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def stopping_on_signals():
+    """SIGTERM and SIGINT raise SystemExit(128 + signal) inside, so that
+    every ``finally`` and ``with`` cleans up; the handlers are restored on
+    leaving."""
+    handlers = {sig: signal.signal(sig, _stopped) for sig in _SIGNALS}
+    try:
+        yield
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
 
 
 # run.py's speed line for the run itself; a batch run's set-up has its own
@@ -337,7 +392,7 @@ def main(argv=None) -> int:
     args, runs, claimed, traced = parse_args(parser, argv)
     specs = {"parent": args.parent, "change": args.change}
 
-    with tempfile.TemporaryDirectory() as work:
+    with stopping_on_signals(), tempfile.TemporaryDirectory() as work:
         roots, commits = {}, {}
         for side in SIDES:
             roots[side], commits[side] = checkout(specs[side], work, side)
