@@ -9,20 +9,27 @@ exhaustive law checks of ``lgroup.laws`` on the gallery).  A usage error
 with its message on stderr.
 
 Every call is a fresh process, so each command imports only what it runs.
-Reading an instance and its spectrum needs ``serialize`` and ``spectrum``
-(with the ``core`` and ``ideals`` they import), imported here; ``analyze``
-adds ``semisimple`` and ``yosida``, ``crt`` adds ``crt``, and ``gallery``
-and ``selftest`` load their own modules.  Only ``selftest`` imports
+``main`` reads the argv shapes that the commands take itself: ``analyze
+FILE``, ``crt FILE``, ``spectrum FILE``, and ``spectrum`` with ``--format
+dot|json`` before or after FILE, where FILE does not start with ``-``.
+Every other argv (``--help``, ``--``, ``--format=...``, an abbreviation,
+a missing or extra argument, ``gallery`` and ``selftest``) goes to the
+``argparse`` parser, and only ``_parser`` imports ``argparse``, so every
+usage error, help text and exit code is argparse's.  Reading an instance
+and its spectrum needs ``serialize`` and ``spectrum`` (with the ``core``
+and ``ideals`` they import), imported here; ``analyze`` adds
+``semisimple`` and ``yosida``, ``crt`` adds ``crt``, and ``gallery`` and
+``selftest`` load their own modules.  Only ``selftest`` imports
 ``lgroup.laws``: the other commands read their answers off the structure
 tree and never enumerate.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .core import LGroupError
 from .ideals import ideal_count
@@ -39,15 +46,6 @@ from .serialize import (
 from .spectrum import compute_spectrum, specialization_dot, spectrum_json
 
 INVALID_INPUT = 3  # the exit code of bad input and of usage errors
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 3, not 2: exit 2 means
-    "not strongly semisimple" to ``crt``."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _fail(message: str):
@@ -148,6 +146,8 @@ def crt(args) -> int:
 
 
 def _gallery_name(name: str) -> str:
+    import argparse
+
     from .gallery import GALLERY_NAMES
 
     if name not in GALLERY_NAMES:
@@ -190,7 +190,17 @@ def selftest(args) -> int:
     return 0
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser(prog: str):
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors exit 3, not 2: exit 2 means
+        "not strongly semisimple" to ``crt``."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog=prog,
         allow_abbrev=False,
@@ -224,10 +234,32 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _fast_path(args):
+    """The parsed arguments of the argv shapes the commands take, as the
+    argparse parser would give them, or None for any other argv."""
+    if len(args) == 2 and args[0] in ("analyze", "crt", "spectrum"):
+        command, file = args
+        fmt = "json"
+    elif len(args) == 4 and args[0] == "spectrum" and args[1] == "--format":
+        command, _, fmt, file = args
+    elif len(args) == 4 and args[0] == "spectrum" and args[2] == "--format":
+        command, file, _, fmt = args
+    else:
+        return None
+    if file.startswith("-") or fmt not in ("dot", "json"):
+        return None
+    parsed = SimpleNamespace(command=command, file=file)
+    if command == "spectrum":
+        parsed.format = fmt
+    parsed.run = {"analyze": analyze, "crt": crt, "spectrum": spectrum}[command]
+    return parsed
+
+
 def main(args=None, prog_name=None):
     """Run one command with ``args`` (default: ``sys.argv[1:]``); always
     ends in ``SystemExit`` with the command's exit code."""
-    parsed = _parser(prog_name or "lgroup").parse_args(args)
+    args = sys.argv[1:] if args is None else args
+    parsed = _fast_path(args) or _parser(prog_name or "lgroup").parse_args(args)
     sys.exit(parsed.run(parsed))
 
 

@@ -60,8 +60,11 @@ its first use, into a module table of at most 15 factories.  Only the
 arity and the indices go into the source, never a value.  A wider
 product loops over its children, and maps them in C when they are one
 tree: compiling costs about 0.3 ms per child, so a product of a thousand
-children would take most of a second to build.  A product of atoms
-extends the list of tops by its value.  A kernel calls its children's
+children would take most of a second to build.  The compile pays in a
+long-lived process (the library, ``cli.main`` called in process), but
+``python -m lgroup`` meets each arity about once, so its ``__main__``
+lowers the bound and every product it builds runs the loops.  A product
+of atoms extends the list of tops by its value.  A kernel calls its children's
 directly, from straight-line code, a loop or a ``map``, never from a
 comprehension, so it takes one frame per tree level and recurses no
 deeper than the recursive walks it replaced.  A kernel holds its
@@ -430,9 +433,10 @@ _KERNELS = operator.attrgetter(
 )
 
 # Products of up to this many children run straight-line kernels, compiled
-# once per arity; wider ones run the loops.  A fixed bound, not an option:
-# compiling costs about 0.3 ms per child, so a 1,000-child product would
-# take most of a second to build, and the table holds at most 15 entries.
+# once per arity; wider ones run the loops.  A fixed bound, not an option
+# (only ``lgroup.__main__`` lowers it, for its one-shot process): compiling
+# costs about 0.3 ms per child, so a 1,000-child product would take most
+# of a second to build, and the table holds at most 15 entries.
 _STRAIGHT_ARITY = 16
 _STRAIGHT = {}  # arity -> the factory compiled from _STRAIGHT_SOURCE
 

@@ -54,6 +54,7 @@ from .core import (
     ShapeMismatch,
     Structure,
     UnitalGroup,
+    _ATOM_IDEALS,
     _WHOLE_LEX,
     _Record,
     _store,
@@ -92,7 +93,7 @@ def _max_meet(structure, mask: int) -> Ideal:
     if not mask:
         return structure._all
     if isinstance(structure, Atom):
-        return AtomIdeal(not mask & 1)
+        return _ATOM_IDEALS[not mask & 1]
     if isinstance(structure, Prod):
         parts = []
         for child in structure.children:
@@ -171,7 +172,7 @@ def ideal_join(I: Ideal, J: Ideal) -> Ideal:
     if I is J:
         return I
     if isinstance(I, AtomIdeal):
-        return AtomIdeal(I.full or J.full)
+        return _ATOM_IDEALS[I.full or J.full]
     if isinstance(I, ProdIdeal):
         return ProdIdeal(tuple(map(ideal_join, I.parts, J.parts)))
     if I.inner is None or J.inner is None:
@@ -232,7 +233,7 @@ class IdealLattice(_Record):
 
 def _enumerate(structure) -> tuple:
     if isinstance(structure, Atom):
-        return (AtomIdeal(False), AtomIdeal(True))
+        return (_ATOM_IDEALS[False], _ATOM_IDEALS[True])
     if isinstance(structure, Prod):
         pools = [_enumerate(c) for c in structure.children]
         return tuple(ProdIdeal(combo) for combo in itertools.product(*pools))

@@ -23,10 +23,11 @@ from collections.abc import Iterable
 from functools import lru_cache
 from typing import FrozenSet
 
-from .core import Atom, LGroupError, Prod, UnitalGroup, _Ideal, _Record, _store, check_element
+from .core import (
+    Atom, LGroupError, Prod, UnitalGroup, _ATOM_IDEALS, _Ideal, _Record, _store, check_element,
+)
 from .ideals import (
     CACHE_SIZE,
-    AtomIdeal,
     Ideal,
     LexIdeal,
     ProdIdeal,
@@ -132,7 +133,7 @@ def _primes(structure) -> list:
     primes.  Each node is visited once, by a loop over a product's
     children, so the walk takes one frame per tree level."""
     if isinstance(structure, Atom):
-        return [(AtomIdeal(False), None)]
+        return [(_ATOM_IDEALS[False], None)]
     if isinstance(structure, Prod):
         walks = []
         for child in structure.children:

@@ -276,6 +276,26 @@ def test_the_table_has_a_row_per_workload_and_metric_and_the_verdict_on_the_clai
     assert bench_pairs.table(report).splitlines()[1].endswith("yes           not met")
 
 
+def test_a_cold_claim_over_fewer_than_20_pairs_is_a_note():
+    # cold calls drift between spells, so wide and deep need 20 pairs
+    end_to_end = [{"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    for n, label in ((1, "note"), (2, "verdict")):
+        parent, change = PARENT * n, [p - 3.0 for p in PARENT] * n
+        s = bench_pairs.summarize(parent, change, "lower", 0.25)
+        assert bench_pairs.claim("batch", "op_p50_s", s)["label"] == "verdict"
+        for workload in ("wide", "deep"):
+            c = bench_pairs.claim(workload, "op_p50_s", s)
+            assert (c["met"], c["label"]) == (True, label)
+        pairs = [
+            (k, "parent", {"parent": _result(0, {"op_p50_s": p}), "change": _result(0, {"op_p50_s": c})})
+            for k, (p, c) in enumerate(zip(parent, change))
+        ]
+        report = {"workloads": {"wide": bench_pairs.summarize_workload(pairs, end_to_end)},
+                  "claim": bench_pairs.claim("wide", "op_p50_s", s)}
+        verdict = bench_pairs.table(report).splitlines()[1].split("yes", 1)[1].strip()
+        assert verdict == ("met (note)" if label == "note" else "met")
+
+
 def test_a_run_ends_by_printing_the_table_on_stdout(monkeypatch, tmp_path, capsys):
     names = [m["name"] for m in json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
     monkeypatch.setattr(bench_pairs, "run", lambda *_: _result(0, dict.fromkeys(names, 1.0)))

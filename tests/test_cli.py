@@ -486,8 +486,9 @@ COMMANDS = {
 }
 
 
-def _loaded_after_start_up(tmp_path, args) -> set:
-    """The modules a fresh interpreter loads to run ``lgroup *args``."""
+def _loaded_after_start_up(tmp_path, args, codes=(0, 1, 2)) -> tuple:
+    """The modules a fresh interpreter loads to run ``lgroup *args``, and
+    the product arities whose straight-line kernels it compiled."""
     path = tmp_path / "a2.json"
     path.write_text(gallery_json("a2"))
     code = (
@@ -496,7 +497,8 @@ def _loaded_after_start_up(tmp_path, args) -> set:
         "try:\n"
         "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code in (0, 1, 2), exc.code\n"
+        f"    assert exc.code in {codes!r}, exc.code\n"
+        "print(*sorted(sys.modules['lgroup.core']._STRAIGHT), file=sys.stderr)\n"
         "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
     )
     src = pathlib.Path(lgroup.__file__).parents[1]
@@ -506,14 +508,15 @@ def _loaded_after_start_up(tmp_path, args) -> set:
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    return set(result.stderr.splitlines()[-1].split())
+    *_, compiled, loaded = result.stderr.splitlines()
+    return set(loaded.split()), set(map(int, compiled.split()))
 
 
 @pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
 def test_commands_load_no_code_generation(tmp_path, args):
     # dataclasses, and the inspect it loads, cost a cold call more than
     # its own work; only modules loaded after start-up count
-    loaded = _loaded_after_start_up(tmp_path, args)
+    loaded, _ = _loaded_after_start_up(tmp_path, args)
     assert "lgroup.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
 
@@ -522,15 +525,42 @@ def test_commands_load_no_code_generation(tmp_path, args):
 def test_crt_loads_no_fractions(tmp_path, mode):
     # crt reads top integers from lgroup.yosida but prints no fraction;
     # fractions, with the decimal it loads, costs a cold call milliseconds
-    loaded = _loaded_after_start_up(tmp_path, COMMANDS[mode])
+    loaded, _ = _loaded_after_start_up(tmp_path, COMMANDS[mode])
     assert {"lgroup.crt", "lgroup.yosida"} <= loaded
     assert not loaded & {"fractions", "decimal"}
+
+
+# the argv shapes that cli.main reads itself, each on a product instance
+FAST_SHAPES = {
+    **{name: args for name, args in COMMANDS.items() if name not in ("gallery", "selftest")},
+    "spectrum-format-first": ["spectrum", "--format", "json", "{a2}"],
+}
+
+
+@pytest.mark.parametrize("args", FAST_SHAPES.values(), ids=FAST_SHAPES)
+def test_a_cold_call_loads_no_argparse_and_compiles_no_kernels(tmp_path, args):
+    # argparse, with the gettext and locale it loads, costs a cold call
+    # about 5 ms, and a one-shot process builds its products with the loops
+    loaded, compiled = _loaded_after_start_up(tmp_path, args)
+    assert "lgroup.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
+    assert compiled == set()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--help"], 0), (["spectrum", "{a2}", "--format", "xml"], 3), (COMMANDS["gallery"], 0)],
+    ids=["help", "usage-error", "gallery"],
+)
+def test_every_other_argv_goes_to_argparse(tmp_path, args, code):
+    loaded, _ = _loaded_after_start_up(tmp_path, args, codes=(code,))
+    assert "argparse" in loaded
 
 
 # the lgroup source lines, by ``wc -l``, of the modules whose bodies each
 # command runs in a fresh interpreter: every cold call compiles them
 # again, so a change that runs more of them must raise its budget here
-COLD_LINE_BUDGET = {"analyze": 2587, "spectrum": 2308, "crt": 2937}
+COLD_LINE_BUDGET = {"analyze": 2625, "spectrum": 2346, "crt": 2975}
 
 
 @pytest.mark.parametrize("command", COLD_LINE_BUDGET)

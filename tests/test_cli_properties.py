@@ -2,7 +2,9 @@
 of the gallery and ``tests/data`` instances, and instance documents with
 one value swapped for a hostile scalar or container.  Every run ends in
 an exit code from 0 to 3 (solved, violated, not strongly semisimple,
-invalid input) and never in a traceback."""
+invalid input) and never in a traceback.  Last, the argv shapes that
+``main`` reads without argparse: on generated argv, its fast path either
+declines or gives what the argparse parser gives."""
 
 import contextlib
 import io
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgroup import GALLERY_NAMES, gallery_json
-from lgroup.cli import main
+from lgroup.cli import _fast_path, _parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 SOURCES = [gallery_json(name).encode() for name in GALLERY_NAMES] + [
@@ -124,3 +126,55 @@ def test_hostile_scalars_exit_0_to_3_without_a_traceback(instance, data, command
         text = text.replace(marker, spelled)
     instance.write_text(text, encoding="utf-8")
     _check(instance, command)
+
+
+# argv pieces: commands, options spelled whole, with "=" or cut short,
+# "--", values, and file names, some starting with "-"
+WORDS = st.sampled_from([
+    "analyze", "spectrum", "crt", "gallery", "selftest", "--format", "--format=dot",
+    "--format=json", "--form", "--f", "--name", "--help", "-h", "--", "dot", "json", "xml",
+])
+FILES = st.one_of(
+    st.sampled_from(["a.json", "-a.json", "-", "-1", "", " ", "- x", "dot"]), st.text(max_size=4)
+)
+# near the shapes the fast path takes: a command, then the pieces of
+# "--format dot|json FILE" in any order, or anything
+NEAR = st.sampled_from(["--format", "dot", "json", "a.json"])
+ARGV = st.one_of(
+    st.lists(st.one_of(WORDS, FILES), max_size=5),
+    st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(["analyze", "spectrum", "crt", "gallery", "selftest"]),
+        st.lists(st.one_of(NEAR, NEAR, WORDS, FILES), max_size=4),
+    ),
+)
+
+
+@given(argv=ARGV)
+@settings(max_examples=1000, deadline=None)
+def test_the_fast_path_declines_an_argv_or_parses_it_as_argparse_does(argv):
+    fast = _fast_path(argv)
+    if fast is None:
+        return
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = _parser("lgroup").parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the fast path took {argv!r}, which argparse refuses")
+    assert vars(fast) == vars(parsed)
+
+
+def test_the_fast_path_takes_the_command_shapes_and_declines_the_rest():
+    taken = [
+        ["analyze", "a.json"], ["crt", "a.json"], ["spectrum", "a.json"],
+        ["spectrum", "--format", "dot", "a.json"], ["spectrum", "a.json", "--format", "json"],
+    ]
+    declined = [
+        [], ["analyze"], ["analyze", "a.json", "b.json"], ["analyze", "-a.json"],
+        ["analyze", "--", "a.json"], ["spectrum", "--format=dot", "a.json"],
+        ["spectrum", "--form", "dot", "a.json"], ["spectrum", "a.json", "--format", "xml"],
+        ["crt", "a.json", "--format", "dot"], ["gallery", "--name", "mix"], ["selftest"],
+        ["--help"], ["crt", "--help"],
+    ]
+    assert all(_fast_path(argv) is not None for argv in taken)
+    assert all(_fast_path(argv) is None for argv in declined)

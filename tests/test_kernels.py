@@ -1,9 +1,11 @@
 """The nine kernels of product nodes: straight-line code compiled once per
-arity up to ``core._STRAIGHT_ARITY`` children, loops beyond it, each
-checked against the recursive walks of ``tests/oracles.py``."""
+arity up to ``core._STRAIGHT_ARITY`` children, loops beyond it and in a
+``python -m lgroup`` process, each checked against the recursive walks of
+``tests/oracles.py``; the loops at every arity from 2 to 17."""
 
 import random
 import time
+from types import SimpleNamespace
 
 import lgroup.core
 from conftest import ORACLE_GROUPS, random_element, seeded_tree_group, some_ideals
@@ -19,7 +21,7 @@ from oracles import (
     top_values_by_walk,
 )
 from lgroup import AtomIdeal, LexIdeal, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, Z, lex, prod
-from lgroup.core import _STRAIGHT, _STRAIGHT_ARITY
+from lgroup.core import _KERNELS, _STRAIGHT, _STRAIGHT_ARITY, _loop_kernels
 
 # children of the mixed products: atoms, lex nodes and small products
 POOL = [Z, lex(Z), prod(Z, Z), lex(prod(Z, lex(Z))), prod(lex(Z), Z, Z)]
@@ -62,28 +64,50 @@ def _malformed(rng, x):
     return (*x[:i], _malformed(rng, x[i]), *x[i + 1 :])
 
 
+def _kernels(s, loops: bool):
+    """s, whose slots hold its kernels; with ``loops``, a product's loop
+    kernels built from its children's instead, as a one-shot process
+    builds them at any arity."""
+    if not loops or type(s) is not Prod:
+        return s
+    *columns, _ = zip(*map(_KERNELS, s.children))
+    names = ("_add", "_sub", "_meet", "_between", "_tops", "_shape", "_agree", "_gen", "_patch")
+    return SimpleNamespace(**dict(zip(names, _loop_kernels(len(s.children), *columns))))
+
+
 def test_every_compiled_arity_is_covered():
-    arities = {len(G.structure.children) for G in CASES if type(G.structure) is Prod}
-    assert set(range(2, _STRAIGHT_ARITY + 2)) <= arities
+    # by a mixed product and a one-tree one, whose add, sub and meet the
+    # loops map in C (_map2)
+    mixed, one_tree = set(), set()
+    for G in CASES:
+        if type(G.structure) is Prod:
+            children = G.structure.children
+            (one_tree if children.count(children[0]) == len(children) else mixed).add(len(children))
+    assert set(range(2, _STRAIGHT_ARITY + 2)) <= mixed & one_tree
 
 
-def test_element_kernels_agree_with_their_walks():
+def _element_kernels_agree(loops: bool):
     rng = random.Random(3001)
     for G in CASES:
         s, u = G.structure, G.unit
+        k = _kernels(s, loops)
         box = [u, s._zero] + [random_element(rng, s, 3) for _ in range(6)]
         for g in box:
             h = rng.choice(box)
-            assert s._add(g, h) == add_by_walk(s, g, h)
-            assert s._sub(g, h) == sub_by_walk(s, g, h)
-            assert s._meet(g, h) == meet_by_walk(s, g, h)
+            assert k._add(g, h) == add_by_walk(s, g, h)
+            assert k._sub(g, h) == sub_by_walk(s, g, h)
+            assert k._meet(g, h) == meet_by_walk(s, g, h)
             tops = []
-            s._tops(tops, g)
+            k._tops(tops, g)
             assert tops == top_values_by_walk(s, g)
             for x in (g, _malformed(rng, g)):
                 for low in (False, True):
                     for high in (False, True):
-                        assert s._between(x, u, low, high) == between_by_walk(s, x, u, low, high)
+                        assert k._between(x, u, low, high) == between_by_walk(s, x, u, low, high)
+
+
+def test_element_kernels_agree_with_their_walks():
+    _element_kernels_agree(loops=False)
 
 
 def _raised(call, *args):
@@ -103,24 +127,35 @@ def _wrong_part(rng, I):
     return ProdIdeal((*I.parts[:i], other, *I.parts[i + 1 :]))
 
 
-def test_ideal_kernels_agree_with_their_walks():
+def _ideal_kernels_agree(loops: bool):
     rng = random.Random(3002)
     for G in CASES:
         s = G.structure
+        k = _kernels(s, loops)
         ideals = some_ideals(rng, G, count=4)
         ideals = ideals if len(ideals) <= 10 else rng.sample(ideals, 10)
         box = [G.unit, s._zero] + [random_element(rng, s, 1) for _ in range(4)]
         for g in box:
-            assert s._gen(g) is principal_by_walk(s, g)
+            assert k._gen(g) is principal_by_walk(s, g)
         for I in ideals:
-            assert s._shape(I) is True
+            assert k._shape(I) is True
             bad = _wrong_part(rng, I)
-            assert s._shape(bad) is not _raised(check_ideal_by_walk, s, bad)
+            assert k._shape(bad) is not _raised(check_ideal_by_walk, s, bad)
             for _ in range(3):
                 g, t = rng.choice(box), rng.choice(box)
-                assert s._agree(I, g, t) is agree_by_walk(s, I, g, t)
-                assert s._patch(g, t, I) == patch_by_walk(s, g, t, I)
-                assert s._agree(I, s._patch(g, t, I), t) is True
+                assert k._agree(I, g, t) is agree_by_walk(s, I, g, t)
+                assert k._patch(g, t, I) == patch_by_walk(s, g, t, I)
+                assert k._agree(I, k._patch(g, t, I), t) is True
+
+
+def test_ideal_kernels_agree_with_their_walks():
+    _ideal_kernels_agree(loops=False)
+
+
+def test_loop_kernels_agree_with_their_walks_at_every_arity():
+    # a python -m lgroup process builds every product with the loops
+    _element_kernels_agree(loops=True)
+    _ideal_kernels_agree(loops=True)
 
 
 def test_a_second_tree_of_a_seen_arity_compiles_nothing(monkeypatch):

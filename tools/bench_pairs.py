@@ -30,11 +30,13 @@ parent interquartile ranges, in how many pairs the change reads better,
 and whether the change's median is within the metric's bound; each
 workload lists the metrics whose change median is outside it.  The claim is met when the change reads better in at least
 nine pairs in ten and its median is better than the parent's by more than
-the parent's interquartile range.  The file is rewritten after every pair.
+the parent's interquartile range.  A claim on a cold workload (``wide``,
+``deep``) over fewer than 20 pairs is labelled a note, not a verdict.
+The file is rewritten after every pair.
 At the end the tool prints on stdout a table of one row per workload and
 end-to-end metric: the medians, the change, ``better_in``, the gap in
 parent interquartile ranges, whether it is within the bound, and the
-claim's verdict on the claimed row.
+claim's verdict on the claimed row, followed by "(note)" when it is one.
 
 SIGTERM or SIGINT stops the tool (exit 128 plus the signal's number): it
 stops the running ``run.py``, which runs in a session of its own, with
@@ -63,6 +65,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# Cold CLI calls drift by 10-20% between spells on a shared machine: two
+# sets of 10 pairs on the same two commits have read a timing either way.
+# So a claim on these workloads needs at least COLD_PAIRS pairs.
+COLD_WORKLOADS, COLD_PAIRS = ("wide", "deep"), 20
 METHOD = (
     "alternating parent/change pairs per workload, one seed per pair (both sides run the same "
     "seed), the side that runs first alternating; each side runs perfbench/run.py from its own "
@@ -156,6 +162,7 @@ def claim_met(summary: dict) -> bool:
 
 
 def claim(workload: str, metric: str, summary: dict) -> dict:
+    pairs = len(summary["parent_runs"])
     return {
         "workload": workload,
         "metric": metric,
@@ -166,6 +173,7 @@ def claim(workload: str, metric: str, summary: dict) -> dict:
         "parent_iqr": summary["parent_q3"] - summary["parent_q1"],
         "median_gap_over_parent_iqr": summary["median_gap_over_parent_iqr"],
         "met": claim_met(summary),
+        "label": "note" if workload in COLD_WORKLOADS and pairs < COLD_PAIRS else "verdict",
     }
 
 
@@ -183,6 +191,8 @@ def table(report: dict) -> str:
             verdict = ""
             if (claimed.get("workload"), claimed.get("metric")) == (workload, metric):
                 verdict = "met" if claimed["met"] else "not met"
+                if claimed.get("label") == "note":
+                    verdict += " (note)"
             rows.append((
                 workload, metric, f"{m['parent_median']:.4g}", f"{m['change_median']:.4g}",
                 "-" if change is None else f"{change:+.1%}", m["better_in"],
