@@ -25,35 +25,51 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "Atom",
+        "AtomIdeal",
         "Element",
+        "Ideal",
         "InternalInvariantViolation",
         "Lex",
+        "LexIdeal",
         "LGroupError",
         "NotAStrongUnit",
         "Prod",
+        "ProdIdeal",
         "ShapeMismatch",
         "Structure",
+        "TooLarge",
         "UnitalGroup",
         "Violation",
         "Z",
         "absval",
         "add",
+        "all_ideal",
         "atom_count",
         "check_element",
+        "check_ideal",
         "elements_in_box",
+        "ideal_count",
+        "ideal_join",
+        "ideal_leq",
+        "ideal_meet",
+        "is_all_ideal",
         "is_chain",
+        "is_proper",
+        "is_zero_ideal",
         "join",
         "leq",
         "lex",
         "lt",
         "meet",
         "neg",
+        "principal_ideal",
         "prod",
         "scale",
         "sub",
         "unital_group_violations",
         "validate_unital_group",
         "zero",
+        "zero_ideal",
     ),
     "crt": (
         "Certificate",
@@ -72,29 +88,14 @@ _EXPORTS = {
     ),
     "gallery": ("GALLERY_NAMES", "gallery_instance", "gallery_json"),
     "ideals": (
-        "AtomIdeal",
-        "Ideal",
         "IdealLattice",
-        "LexIdeal",
-        "ProdIdeal",
         "QuotientResult",
-        "all_ideal",
         "canonical_generator",
-        "check_ideal",
         "congruent",
         "contains",
         "enumerate_ideals",
         "full_generator",
-        "ideal_count",
-        "ideal_join",
-        "ideal_leq",
-        "ideal_meet",
-        "is_all_ideal",
-        "is_proper",
-        "is_zero_ideal",
-        "principal_ideal",
         "quotient",
-        "zero_ideal",
     ),
     "mv": ("GammaAlgebra", "OutOfInterval"),
     "semisimple": (

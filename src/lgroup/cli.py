@@ -16,12 +16,13 @@ Every other argv (``--help``, ``--``, ``--format=...``, an abbreviation,
 a missing or extra argument, ``gallery`` and ``selftest``) goes to the
 ``argparse`` parser, and only ``_parser`` imports ``argparse``, so every
 usage error, help text and exit code is argparse's.  Reading an instance
-and its spectrum needs ``serialize`` and ``spectrum`` (with the ``core``
-and ``ideals`` they import), imported here; ``analyze`` adds
-``semisimple`` and ``yosida``, ``crt`` adds ``crt``, and ``gallery`` and
-``selftest`` load their own modules.  Only ``selftest`` imports
-``lgroup.laws``: the other commands read their answers off the structure
-tree and never enumerate.
+needs ``serialize`` (with the ``core`` it imports), imported here;
+``spectrum`` adds ``spectrum``, ``analyze`` adds ``spectrum``,
+``semisimple`` and ``yosida``, and ``crt`` adds ``crt`` with the
+``semisimple`` it imports, each inside its command; ``gallery`` and
+``selftest`` load their own modules.  No command but ``selftest`` loads
+``lgroup.ideals`` (with ``lgroup.laws``): the others read their answers
+off the structure tree and never enumerate.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .core import LGroupError
-from .ideals import ideal_count
+from .core import LGroupError, ideal_count
 from .serialize import (
     Instance,
     ParseError,
@@ -43,7 +43,6 @@ from .serialize import (
     element_to_json,
     loads_instance,
 )
-from .spectrum import compute_spectrum, specialization_dot, spectrum_json
 
 INVALID_INPUT = 3  # the exit code of bad input and of usage errors
 
@@ -67,6 +66,7 @@ def analyze(args) -> int:
     """Summarise an instance: ideals, spectrum, radical, semisimplicity,
     and the value tables of its listed elements."""
     from .semisimple import is_semisimple, is_strongly_semisimple, radical
+    from .spectrum import compute_spectrum
     from .yosida import yosida_table
 
     instance = _load(args.file)
@@ -104,6 +104,8 @@ def analyze(args) -> int:
 
 def spectrum(args) -> int:
     """Export the prime spectrum of an instance."""
+    from .spectrum import compute_spectrum, specialization_dot, spectrum_json
+
     space = compute_spectrum(_load(args.file).group)
     if args.format == "dot":
         sys.stdout.write(specialization_dot(space))

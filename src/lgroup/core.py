@@ -73,14 +73,26 @@ reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
 its primes with their covers and maximal ideals (``spectrum``), radical
-(``semisimple``) and zero ideal (``ideals``): the first use sets them and
-every later one reads them.  The ideals of a unital group are those of its
-tree, whatever the unit, so every group on the tree shares them.  The
+(``semisimple``) and zero ideal (``zero_ideal``): the first use sets them
+and every later one reads them.  The ideals of a unital group are those of
+its tree, whatever the unit, so every group on the tree shares them.  The
 values are immutable and their ideal nodes interned, so two threads that
 fill a slot at once store equal values, and no lock is needed.  They live
 and die with the node: the tables hold it weakly, and no other table holds
 them.  A ``UnitalGroup`` likewise stores its unit's top integers outside
 its fields, at construction: the strong-unit check reads them.
+
+The ideal closed forms that read these stored facts live here too, so
+that a command that never enumerates loads no ``lgroup.ideals``: the
+zero and whole ideals, the tests of the masks (``is_zero_ideal``,
+``is_all_ideal``, ``is_proper``), ``check_ideal``, meet, join and
+containment, ``principal_ideal``, ``ideal_count``, and ``_max_meet``,
+the meet of the maximal ideals at any set of top positions in one closed
+form (the whole group, the radical and a certificate's maximal ideal are
+the meets of none, all and one).  ``lgroup.ideals`` re-exports them, and
+keeps enumeration, quotients, generators and congruence.  Likewise
+``top_values``, g's top integers by one call of ``_tops``, lives here
+for the patch solvers, and ``lgroup.yosida`` re-exports it.
 """
 
 from __future__ import annotations
@@ -118,6 +130,18 @@ class NotAStrongUnit(LGroupError):
 
 class InternalInvariantViolation(LGroupError):
     """An internal consistency check failed; indicates a library bug."""
+
+
+class TooLarge(LGroupError):
+    """An enumeration would list more items than its limit: ``count``
+    items against ``limit``, refused before any is listed."""
+
+    def __init__(self, count: int, limit: int):
+        self.count = count
+        self.limit = limit
+        # a count of thousands of digits would overrun int-to-str
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        super().__init__(f"{shown} ideals exceed the enumeration limit of {limit}")
 
 
 def format_path(path: Path) -> str:
@@ -725,6 +749,16 @@ def atom_count(structure: Structure) -> int:
     return structure._atoms
 
 
+def top_values(structure: Structure, g: Element) -> list:
+    """g's integers at the top positions (see ``lgroup.yosida``), in the
+    order of ``max_ideals()``: an atom's value, a product's children in
+    order, a lex node's dominant component.  One call of the structure's
+    stored kernel ``_tops``."""
+    out = []
+    structure._tops(out, g)
+    return out
+
+
 def check_element(structure: Structure, value: Element, path: Path = ()) -> None:
     """Validate that ``value`` matches the shape of ``structure``.
 
@@ -798,6 +832,127 @@ def join(structure: Structure, g: Element, h: Element) -> Element:
 
 def absval(structure: Structure, g: Element) -> Element:
     return join(structure, g, neg(structure, g))
+
+
+# entries kept by each of the per-group caches (``ideals.enumerate_ideals``,
+# ``spectrum.compute_spectrum``), so a long-running process holds a bounded
+# number of lattices and spectra
+CACHE_SIZE = 128
+
+
+def _structure_of(g) -> Structure:
+    return g.structure if isinstance(g, UnitalGroup) else g
+
+
+def zero_ideal(structure) -> Ideal:
+    """The ideal generated by the stored zero element, which the node
+    stores at its first use (see the module docstring)."""
+    s = _structure_of(structure)
+    return s._zero_ideal or _store(s, "_zero_ideal", s._gen(s._zero))
+
+
+def all_ideal(structure) -> Ideal:
+    """The whole group, the meet of no maximal ideal: a stored kernel."""
+    return _structure_of(structure)._all
+
+
+def _max_meet(structure, mask: int) -> Ideal:
+    """The meet of the maximal ideals at the top positions (see
+    ``lgroup.yosida``) whose bits are set in ``mask``: zero at such an atom,
+    bottom(all) at such a lex node, whole elsewhere.  A product's children
+    are taken in a loop, with one frame, past each part's positions."""
+    if not mask:
+        return structure._all
+    if isinstance(structure, Atom):
+        return _ATOM_IDEALS[not mask & 1]
+    if isinstance(structure, Prod):
+        parts = []
+        for child in structure.children:
+            part = _max_meet(child, mask)
+            parts.append(part)
+            mask >>= part._width
+        return ProdIdeal(tuple(parts))
+    return LexIdeal(structure.bottom._all) if mask & 1 else _WHOLE_LEX
+
+
+def is_zero_ideal(I: Ideal) -> bool:
+    return I._zero
+
+
+def is_all_ideal(I: Ideal) -> bool:
+    return not I._mask
+
+
+def is_proper(I: Ideal) -> bool:
+    return I._mask != 0
+
+
+def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
+    """Validate that ``I`` matches the shape of ``structure``: one call of
+    its stored shape check.  Only a failure descends, into the first
+    malformed part, to name the first bad position in pre-order."""
+    s = _structure_of(structure)
+    while not s._shape(I):
+        if type(s) is Atom:
+            raise ShapeMismatch(path, f"expected an atom ideal, got {I!r}")
+        if type(s) is Prod:
+            n = len(s.children)
+            if not isinstance(I, ProdIdeal) or len(I.parts) != n:
+                raise ShapeMismatch(path, f"expected a {n}-part product ideal, got {I!r}")
+            bad = [not c._shape(part) for c, part in zip(s.children, I.parts)]
+            i = bad.index(True)
+            s, I, path = s.children[i], I.parts[i], path + (i,)
+            continue
+        if not isinstance(I, LexIdeal):
+            raise ShapeMismatch(path, f"expected a lex ideal, got {I!r}")
+        s, I, path = s.bottom, I.inner, path + ("bottom",)
+
+
+def ideal_leq(I: Ideal, J: Ideal) -> bool:
+    """Containment I subseteq J: I is proper at every top position where J
+    is (a test of the stored masks, which builds nothing), and their meet
+    is I, one object, as ideal nodes are interned."""
+    return (J._mask & ~I._mask) == 0 and ideal_meet(I, J) is I
+
+
+def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
+    # equal ideals are one object, and the whole ideal (mask 0) is the meet's unit
+    if I is J or not J._mask:
+        return I
+    if not I._mask:
+        return J
+    if isinstance(I, ProdIdeal):
+        return ProdIdeal(tuple(map(ideal_meet, I.parts, J.parts)))
+    # both proper: {0} x inner at a lex node (proper atom ideals are zero, one object)
+    return LexIdeal(ideal_meet(I.inner, J.inner))
+
+
+def ideal_join(I: Ideal, J: Ideal) -> Ideal:
+    if I is J:
+        return I
+    if isinstance(I, AtomIdeal):
+        return _ATOM_IDEALS[I.full or J.full]
+    if isinstance(I, ProdIdeal):
+        return ProdIdeal(tuple(map(ideal_join, I.parts, J.parts)))
+    if I.inner is None or J.inner is None:
+        return LexIdeal(None)
+    return LexIdeal(ideal_join(I.inner, J.inner))
+
+
+def principal_ideal(structure, g: Element) -> Ideal:
+    """The smallest ideal containing g.
+
+    A nonzero dominant component in a lex extension forces the whole
+    group; otherwise generation happens inside the bottom.
+    """
+    structure = _structure_of(structure)
+    check_element(structure, g)
+    return structure._gen(g)
+
+
+def ideal_count(structure) -> int:
+    """Size of the ideal lattice, stored on the node at construction."""
+    return _structure_of(structure)._ideal_count
 
 
 class Violation(_Record):

@@ -27,7 +27,7 @@ The strong solver demands agreement only at maximal ideals above each
 pairwise join.  Every maximal ideal here sits at a top position (see
 ``lgroup.yosida``), so the hypothesis reads: two targets have equal
 integers at every top position where both ideals are proper (a certificate
-builds the maximal ideal there with ``ideals._max_meet``).  On strongly
+builds the maximal ideal there with ``core._max_meet``).  On strongly
 semisimple groups that weaker hypothesis upgrades to full compatibility
 and the classical fold solves the system.  When strong semisimplicity
 fails the solver refuses with a certificate that also reports whether the
@@ -46,7 +46,9 @@ in ``zero_set_patch``, the generator check) is the solvers' only validation:
 the fold, its check and both hypothesis checks trust their operands and
 call the structure's stored kernels (see ``core._Structure``): the patch
 and the congruence test ``_agree(I, g, t)``, one walk each per constraint,
-and the top integers of ``yosida.top_values``.
+and the top integers of ``core.top_values``.  The ideal closed forms come
+from ``lgroup.core`` too, so a solver call loads neither ``lgroup.ideals``
+nor ``lgroup.yosida`` nor ``lgroup.spectrum``.
 """
 
 from __future__ import annotations
@@ -56,21 +58,19 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .core import (
     Element,
+    Ideal,
     InternalInvariantViolation,
     LGroupError,
     UnitalGroup,
+    _max_meet,
     _Record,
     check_element,
-)
-from .ideals import (
-    Ideal,
-    _max_meet,
     check_ideal,
     ideal_join,
     principal_ideal,
+    top_values,
 )
 from .semisimple import is_strongly_semisimple
-from .yosida import top_values
 
 
 class NotInJoin(LGroupError):

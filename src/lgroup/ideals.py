@@ -1,38 +1,28 @@
 """Ideal lattices, quotients, and congruence tests.
 
 An ideal here is always an order-convex sublattice subgroup, represented
-structurally so that membership, meet, and join are decided by shape
-recursion, and containment is a meet:
+structurally: ``AtomIdeal(full)`` ({0} or all of Z), ``ProdIdeal(parts)``
+(a componentwise product of child ideals) and ``LexIdeal(inner)`` (the
+whole lexicographic extension, ``inner is None``, or {0} x inner).  The
+node classes, their stored facts and kernels, and the closed forms that
+read those facts live in ``lgroup.core``, which every command loads, and
+are re-exported here, one object under both names: ``CACHE_SIZE``,
+``_structure_of``, ``zero_ideal``, ``all_ideal``, ``_max_meet``,
+``is_zero_ideal``, ``is_all_ideal``, ``is_proper``, ``check_ideal``,
+``ideal_join``, ``ideal_meet``, ``ideal_leq``, ``principal_ideal`` and
+``ideal_count``.  No command of the CLI but ``selftest`` loads this
+module.
 
-* ``AtomIdeal(full)``   -- {0} or all of Z;
-* ``ProdIdeal(parts)``  -- a componentwise product of child ideals (every
-  ideal of a finite product decomposes this way, by convexity);
-* ``LexIdeal(inner)``   -- either the whole lexicographic extension
-  (``inner is None``) or {0} x inner: any member with a nonzero dominant
-  component generates everything, so proper ideals live in the bottom.
-
-The node classes live in ``lgroup.core``, which a structure node's
-ideal kernels need, and are imported here.  Each ideal node stores its
-own facts from construction (see ``core._Ideal``): the zero and whole
-tests, the canonical JSON, ``yosida.top_index`` and the strong solver's
-hypothesis check read them instead of walking.  The constructors refuse
-what is not an ideal, naming its position.  What depends on the
-structure as well is a set of kernels that each structure node stores
-from construction, like the element kernels (see ``core._Structure``):
-the shape check of ``check_ideal``, congruence (and so membership),
-generation, the patch solvers' patch, and the whole ideal.  Each is one
-call, with no dispatch on the node class; ``check_ideal`` descends only
-after the shape check fails, to name the position.  The meet of the
-maximal ideals at any set of top positions has one closed form,
-``_max_meet``: the whole group, the radical and a certificate's maximal
-ideal are the meets of none, all and one.
-
-Because the class only has finitely many ideals per structure, the whole
-lattice is enumerable and every ideal turns out to be principal; the
-enumeration order is fixed (zero first, whole group last) and all outputs
-respect it.  A quotient is one walk over the structure and the divisor,
-which yields the shape of the quotient and the image of an element
-together.
+What stays here walks the lattice or the quotient.  Because the class
+only has finitely many ideals per structure, the whole lattice is
+enumerable and every ideal turns out to be principal; the enumeration
+order is fixed (zero first, whole group last) and all outputs respect
+it.  ``enumerate_ideals`` refuses a lattice of more than ``MAX_IDEALS``
+ideals with ``TooLarge``, from the count that the tree stores, before it
+lists any.  Membership and congruence are one call of the stored kernel
+``_agree``, and generators one walk.  A quotient is one walk over the
+structure and the divisor, which yields the shape of the quotient and the
+image of an element together.
 """
 
 from __future__ import annotations
@@ -42,99 +32,41 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (
+    CACHE_SIZE,
     Atom,
-    AtomIdeal,
     Element,
     Ideal,
     Lex,
     LexIdeal,
-    Path,
     Prod,
     ProdIdeal,
-    ShapeMismatch,
-    Structure,
+    TooLarge,
     UnitalGroup,
     _ATOM_IDEALS,
-    _WHOLE_LEX,
     _Record,
-    _store,
+    _structure_of,
     _trusted_group,
     check_element,
+    check_ideal,
     zero,
 )
+from .core import (  # noqa: F401  (re-exported: see the module docstring)
+    AtomIdeal,
+    _max_meet,
+    all_ideal,
+    ideal_count,
+    ideal_join,
+    ideal_leq,
+    ideal_meet,
+    is_all_ideal,
+    is_proper,
+    is_zero_ideal,
+    principal_ideal,
+    zero_ideal,
+)
 
-# entries kept by each of the per-group caches (``enumerate_ideals``,
-# ``spectrum.compute_spectrum``), so a long-running process holds a bounded
-# number of lattices and spectra
-CACHE_SIZE = 128
-
-
-def _structure_of(g) -> Structure:
-    return g.structure if isinstance(g, UnitalGroup) else g
-
-
-def zero_ideal(structure) -> Ideal:
-    """The ideal generated by the stored zero element, which the node
-    stores at its first use (see ``lgroup.core``)."""
-    s = _structure_of(structure)
-    return s._zero_ideal or _store(s, "_zero_ideal", s._gen(s._zero))
-
-
-def all_ideal(structure) -> Ideal:
-    """The whole group, the meet of no maximal ideal: a stored kernel."""
-    return _structure_of(structure)._all
-
-
-def _max_meet(structure, mask: int) -> Ideal:
-    """The meet of the maximal ideals at the top positions (see
-    ``lgroup.yosida``) whose bits are set in ``mask``: zero at such an atom,
-    bottom(all) at such a lex node, whole elsewhere.  A product's children
-    are taken in a loop, with one frame, past each part's positions."""
-    if not mask:
-        return structure._all
-    if isinstance(structure, Atom):
-        return _ATOM_IDEALS[not mask & 1]
-    if isinstance(structure, Prod):
-        parts = []
-        for child in structure.children:
-            part = _max_meet(child, mask)
-            parts.append(part)
-            mask >>= part._width
-        return ProdIdeal(tuple(parts))
-    return LexIdeal(structure.bottom._all) if mask & 1 else _WHOLE_LEX
-
-
-def is_zero_ideal(I: Ideal) -> bool:
-    return I._zero
-
-
-def is_all_ideal(I: Ideal) -> bool:
-    return not I._mask
-
-
-def is_proper(I: Ideal) -> bool:
-    return I._mask != 0
-
-
-def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
-    """Validate that ``I`` matches the shape of ``structure``: one call of
-    its stored shape check.  Only a failure descends, into the first
-    malformed part, to name the first bad position in pre-order."""
-    s = _structure_of(structure)
-    while not s._shape(I):
-        if type(s) is Atom:
-            raise ShapeMismatch(path, f"expected an atom ideal, got {I!r}")
-        if type(s) is Prod:
-            n = len(s.children)
-            if not isinstance(I, ProdIdeal) or len(I.parts) != n:
-                raise ShapeMismatch(path, f"expected a {n}-part product ideal, got {I!r}")
-            bad = [not c._shape(part) for c, part in zip(s.children, I.parts)]
-            i = bad.index(True)
-            s, I, path = s.children[i], I.parts[i], path + (i,)
-            continue
-        if not isinstance(I, LexIdeal):
-            raise ShapeMismatch(path, f"expected a lex ideal, got {I!r}")
-        s, I, path = s.bottom, I.inner, path + ("bottom",)
+# the most ideals ``enumerate_ideals`` lists: Z^16 has this many
+MAX_IDEALS = 1 << 16
 
 
 def contains(structure, I: Ideal, g: Element) -> bool:
@@ -147,48 +79,6 @@ def contains(structure, I: Ideal, g: Element) -> bool:
     check_ideal(structure, I)
     check_element(structure, g)
     return structure._agree(I, g, structure._zero)
-
-
-def ideal_leq(I: Ideal, J: Ideal) -> bool:
-    """Containment I subseteq J: I is proper at every top position where J
-    is (a test of the stored masks, which builds nothing), and their meet
-    is I, one object, as ideal nodes are interned."""
-    return (J._mask & ~I._mask) == 0 and ideal_meet(I, J) is I
-
-
-def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
-    # equal ideals are one object, and the whole ideal (mask 0) is the meet's unit
-    if I is J or not J._mask:
-        return I
-    if not I._mask:
-        return J
-    if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(map(ideal_meet, I.parts, J.parts)))
-    # both proper: {0} x inner at a lex node (proper atom ideals are zero, one object)
-    return LexIdeal(ideal_meet(I.inner, J.inner))
-
-
-def ideal_join(I: Ideal, J: Ideal) -> Ideal:
-    if I is J:
-        return I
-    if isinstance(I, AtomIdeal):
-        return _ATOM_IDEALS[I.full or J.full]
-    if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(map(ideal_join, I.parts, J.parts)))
-    if I.inner is None or J.inner is None:
-        return LexIdeal(None)
-    return LexIdeal(ideal_join(I.inner, J.inner))
-
-
-def principal_ideal(structure, g: Element) -> Ideal:
-    """The smallest ideal containing g.
-
-    A nonzero dominant component in a lex extension forces the whole
-    group; otherwise generation happens inside the bottom.
-    """
-    structure = _structure_of(structure)
-    check_element(structure, g)
-    return structure._gen(g)
 
 
 def full_generator(structure) -> Element:
@@ -241,20 +131,18 @@ def _enumerate(structure) -> tuple:
     return inner + (LexIdeal(None),)
 
 
-def ideal_count(structure) -> int:
-    """Size of the ideal lattice, stored on the node at construction."""
-    return _structure_of(structure)._ideal_count
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     """Enumerate all ideals in canonical order (zero first, whole group last).
 
     Principality flags are computed honestly: each ideal gets a canonical
     generator candidate and the flag records whether that candidate
-    actually generates it.
+    actually generates it.  A lattice of more than ``MAX_IDEALS`` ideals
+    is refused with ``TooLarge``, in O(1), before any is listed.
     """
     s = G.structure
+    if s._ideal_count > MAX_IDEALS:
+        raise TooLarge(s._ideal_count, MAX_IDEALS)
     ideals = _enumerate(s)
     generators = tuple(_generator(s, I) for I in ideals)
     principal = tuple(s._gen(g) == I for g, I in zip(generators, ideals))

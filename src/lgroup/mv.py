@@ -31,7 +31,7 @@ bool that the walk refuses.  Every other operand takes the walk, and a
 failure is never recorded, so a malformed or out-of-interval operand
 raises on every call.  The record holds each object strongly, so no
 recorded id is reused while it is there; it keeps at most
-``ideals.CACHE_SIZE`` entries and is cleared when full.  It needs no lock:
+``core.CACHE_SIZE`` entries and is cleared when full.  It needs no lock:
 two threads that race can only walk an operand twice.  It lives in a slot
 outside the fields, as ``UnitalGroup``'s top integers do, so it takes no
 part in ``==``, ``hash``, ``repr``, pickling or copying, and a copy starts
@@ -41,6 +41,7 @@ with an empty record.  The operations call the tree's kernels directly.
 from __future__ import annotations
 
 from .core import (
+    CACHE_SIZE,
     Element,
     InternalInvariantViolation,
     LGroupError,
@@ -48,7 +49,6 @@ from .core import (
     check_element,
     leq,
 )
-from .ideals import CACHE_SIZE
 
 
 class OutOfInterval(LGroupError):

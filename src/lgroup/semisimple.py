@@ -1,7 +1,7 @@
 """Radicals, semisimplicity, and strong semisimplicity.
 
 Semisimplicity is decided through the radical, the intersection of all
-maximal ideals, which ``ideals._max_meet`` builds in closed form.  Strong
+maximal ideals, which ``core._max_meet`` builds in closed form.  Strong
 semisimplicity needs no further work in this class, since it coincides
 with semisimplicity (see ``is_strongly_semisimple``).  The Archimedean
 search below is deliberately kept as an independent cross-check, not a
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from .core import Atom, Element, Prod, Structure, UnitalGroup, _store, leq, zero
-from .ideals import Ideal, _max_meet, is_zero_ideal, zero_ideal
+from .core import Atom, Element, Ideal, Prod, Structure, UnitalGroup, _max_meet, _store, leq, zero
+from .core import is_zero_ideal, zero_ideal
 
 
 def radical(G: UnitalGroup) -> Ideal:

@@ -41,7 +41,7 @@ from typing import Union
 
 from .core import Atom, Element, Lex, LGroupError, NotAStrongUnit, Prod, Structure, UnitalGroup
 from .core import _Ideal, _is_int, _Record, _trusted_group, check_element
-from .ideals import Ideal, LexIdeal, ProdIdeal, all_ideal, check_ideal, zero_ideal
+from .core import Ideal, LexIdeal, ProdIdeal, all_ideal, check_ideal, zero_ideal
 
 
 class ParseError(LGroupError):

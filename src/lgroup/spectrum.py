@@ -5,7 +5,7 @@ when the quotient collapses all the way to a single integer coordinate.
 The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The maximal
-ideals are the primes that nothing covers (``ideals._max_meet`` builds any
+ideals are the primes that nothing covers (``core._max_meet`` builds any
 of them, or their meet, without the spectrum); the tree stores them, and
 a space its own, so ``max_ideals()`` is a read.  The exports read pairs,
 closures and edges off those cover chains.  A prime containing the
@@ -24,17 +24,8 @@ from functools import lru_cache
 from typing import FrozenSet
 
 from .core import (
-    Atom, LGroupError, Prod, UnitalGroup, _ATOM_IDEALS, _Ideal, _Record, _store, check_element,
-)
-from .ideals import (
-    CACHE_SIZE,
-    Ideal,
-    LexIdeal,
-    ProdIdeal,
-    all_ideal,
-    check_ideal,
-    ideal_leq,
-    ideal_meet,
+    CACHE_SIZE, Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, UnitalGroup, _ATOM_IDEALS,
+    _Ideal, _Record, _store, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
 )
 from .serialize import ideal_to_json
 

@@ -10,11 +10,12 @@ unique unital embedding of the quotient into the reals, is g's integer
 there over the unit's, ``g[k]/u[k]``.  So an element's table over the
 maximal spectrum is a list of its top integers, and its zero set is where
 they are 0.  ``top_values`` reads them with one call of the structure's
-stored kernel ``_tops`` (see ``lgroup.core``); a group stores its unit's
-at construction.  On [0, u] the integer at k runs over 0..u[k], so values
-repeat: the tables and ``holder_eval`` share one table of the (immutable)
-Fractions, keyed by (integer, unit integer), of at most
-``ideals.CACHE_SIZE`` entries and cleared when full.  An ``int`` subclass
+stored kernel ``_tops``; it lives in ``lgroup.core``, where the patch
+solvers import it without this module, and is re-exported here.  A group
+stores its unit's at construction.  On [0, u] the integer at k runs over
+0..u[k], so values repeat: the tables and ``holder_eval`` share one table
+of the (immutable) Fractions, keyed by (integer, unit integer), of at
+most ``core.CACHE_SIZE`` entries and cleared when full.  An ``int`` subclass
 gets the plain Fraction, equal to its own, as ``Fraction`` makes ints.
 """
 
@@ -23,13 +24,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
 
 from .core import (
+    CACHE_SIZE,
     Element,
+    Ideal,
     LGroupError,
     Structure,
     UnitalGroup,
+    _max_meet,
     check_element,
+    check_ideal,
+    top_values,
 )
-from .ideals import CACHE_SIZE, Ideal, _max_meet, check_ideal
 from .spectrum import SpectrumSpace, compute_spectrum
 
 if TYPE_CHECKING:
@@ -74,15 +79,6 @@ def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
     return space._max_ideals
 
 
-def top_values(structure: Structure, g: Element) -> list:
-    """g's integers at the top positions, in the order of ``max_ideals()``:
-    an atom's value, a product's children in order, a lex node's dominant
-    component.  One call of the structure's stored kernel ``_tops``."""
-    out = []
-    structure._tops(out, g)
-    return out
-
-
 # (integer, unit integer) -> its Fraction; no lock: a race can only make one twice
 _FRACTIONS: dict = {}
 
@@ -102,7 +98,7 @@ def top_index(structure: Structure, m: Ideal) -> Optional[int]:
     """The top position of the maximal ideal m, or None if m is not maximal.
 
     m is maximal exactly when its stored mask has one bit k and m is the
-    maximal ideal there, the meet of those at k alone (``ideals._max_meet``).
+    maximal ideal there, the meet of those at k alone (``core._max_meet``).
     """
     mask = m._mask
     if not mask or mask & (mask - 1):  # whole, or proper at two positions

@@ -384,7 +384,7 @@ def test_selftest_passes():
 
 
 # what ``from lgroup import *`` bound when the package imported every
-# module: the public names and the nine library modules
+# module: the public names and the nine library modules, and ``TooLarge``
 PUBLIC_NAMES = sorted([
     "core", "crt", "gallery", "ideals", "mv", "semisimple", "serialize",
     "spectrum", "yosida",
@@ -395,7 +395,7 @@ PUBLIC_NAMES = sorted([
     "LexIdeal", "MaxHypothesisViolated", "NotAStrongUnit", "NotInJoin",
     "NotMaximal", "NotStronglySemisimple", "OutOfInterval", "ParseError",
     "PatchResult", "PatchTask", "Prod", "ProdIdeal", "QuotientResult",
-    "ShapeMismatch", "SpectrumSpace", "Structure", "UnitalGroup", "UnknownPrime",
+    "ShapeMismatch", "SpectrumSpace", "Structure", "TooLarge", "UnitalGroup", "UnknownPrime",
     "Violation", "Z", "ZeroSetTask", "absval", "add", "all_ideal",
     "archimedean_falsify", "atom_count", "canonical_generator",
     "certificate_to_json", "check_element", "check_ideal", "closure",
@@ -431,6 +431,18 @@ def _ran(code, *args) -> set:
     return set(result.stderr.splitlines()[-1].split())
 
 
+def _ran_as_main(*args, codes=(0, 1, 2)) -> set:
+    # the modules whose bodies ran in a fresh ``python -m lgroup *args``
+    code = (
+        "import runpy\n"
+        "try:\n"
+        "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    assert exc.code in {codes!r}, exc.code\n"
+    )
+    return _ran(code, *args)
+
+
 def test_entry_points_never_load_the_law_checkers(tmp_path):
     # the law checkers enumerate, and only they use the interval algebra:
     # only selftest may import either
@@ -451,14 +463,7 @@ def test_entry_points_never_load_the_law_checkers(tmp_path):
     # each command runs only the modules it needs: the spectrum export runs
     # neither the patch solvers nor the gallery, and no argument parser
     # beyond the standard library's
-    as_main = (
-        "import runpy\n"
-        "try:\n"
-        "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0\n"
-    )
-    ran = _ran(as_main, "spectrum", str(path))
+    ran = _ran_as_main("spectrum", str(path), codes=(0,))
     assert {"lgroup.serialize", "lgroup.spectrum"} <= ran
     assert not ran & {
         "click", "lgroup.crt", "lgroup.semisimple", "lgroup.yosida", "lgroup.gallery", "lgroup.laws"
@@ -523,11 +528,86 @@ def test_commands_load_no_code_generation(tmp_path, args):
 
 @pytest.mark.parametrize("mode", ["crt-keimel", "crt-strong", "crt-zeroset"])
 def test_crt_loads_no_fractions(tmp_path, mode):
-    # crt reads top integers from lgroup.yosida but prints no fraction;
-    # fractions, with the decimal it loads, costs a cold call milliseconds
+    # crt prints no fraction, and lgroup.yosida, which makes them, stays a
+    # lazy module; fractions, with the decimal it loads, costs a cold call
+    # milliseconds
     loaded, _ = _loaded_after_start_up(tmp_path, COMMANDS[mode])
     assert {"lgroup.crt", "lgroup.yosida"} <= loaded
     assert not loaded & {"fractions", "decimal"}
+
+
+# the library modules, besides the package and ``cli``, whose bodies each
+# command runs: the ideal closed forms and the top integers live in
+# ``core``, so no command runs ``ideals``, and the patch solvers run
+# neither ``spectrum`` nor ``yosida``
+COMMAND_MODULES = {
+    "analyze": {"core", "serialize", "spectrum", "semisimple", "yosida"},
+    "spectrum-json": {"core", "serialize", "spectrum"},
+    "spectrum-dot": {"core", "serialize", "spectrum"},
+    **{mode: {"core", "serialize", "crt", "semisimple"} for mode in COMMANDS if mode.startswith("crt")},
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_each_command_runs_only_its_modules(tmp_path, name):
+    path = tmp_path / "a2.json"
+    path.write_text(gallery_json("a2"))
+    ran = _ran_as_main(*(a.format(a2=path) for a in COMMANDS[name]))
+    expected = {"lgroup", "lgroup.cli", *(f"lgroup.{m}" for m in COMMAND_MODULES[name])}
+    assert {m for m in ran if m.startswith("lgroup")} == expected
+
+
+# the names that moved from ``ideals`` to ``core``, which ``ideals``
+# re-exports, and ``top_values``, which moved from ``yosida``
+MOVED_TO_CORE = {
+    "ideals": (
+        "CACHE_SIZE", "_structure_of", "zero_ideal", "all_ideal", "_max_meet",
+        "is_zero_ideal", "is_all_ideal", "is_proper", "check_ideal", "ideal_join",
+        "ideal_meet", "ideal_leq", "principal_ideal", "ideal_count",
+    ),
+    "yosida": ("top_values",),
+}
+
+
+def test_every_moved_name_is_one_object_under_each_module():
+    import lgroup.core
+    import lgroup.yosida
+
+    for home, names in MOVED_TO_CORE.items():
+        for name in names:
+            obj = getattr(lgroup.core, name)
+            assert getattr(getattr(lgroup, home), name) is obj, (home, name)
+            if name in lgroup.__all__:
+                assert getattr(lgroup, name) is obj, name
+    # reading a public name of core runs core alone
+    code = "import lgroup\nlgroup.zero_ideal, lgroup.ideal_count, lgroup.TooLarge\n"
+    assert {m for m in _ran(code) if m.startswith("lgroup")} == {"lgroup", "lgroup.core"}
+
+
+def test_the_console_script_builds_products_with_the_loops():
+    # the installed ``lgroup`` script is a one-shot process, as ``python -m
+    # lgroup`` is: its target lowers the bound before it runs cli.main
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    module, function = json.loads(section.partition("lgroup = ")[2]).split(":")
+    argv = ["spectrum", "--format=json", str(DATA / "forest.json")]
+    # what the script that pip writes does, with sys.argv[0] its own path
+    code = (
+        "import importlib, sys\n"
+        "sys.argv[0] = 'lgroup'\n"
+        "try:\n"
+        f"    sys.exit(importlib.import_module({module!r}).{function}())\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(sys.modules['lgroup.core']._STRAIGHT), file=sys.stderr)\n"
+    )
+    src = pathlib.Path(lgroup.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+    assert script.returncode == 0, script.stderr[-2000:]
+    assert script.stderr.splitlines()[-1] == b""  # no arity compiled
+    as_main = subprocess.run([sys.executable, "-m", "lgroup", *argv], capture_output=True, env=env)
+    assert as_main.returncode == 0 and script.stdout == as_main.stdout
 
 
 # the argv shapes that cli.main reads itself, each on a product instance
@@ -560,7 +640,7 @@ def test_every_other_argv_goes_to_argparse(tmp_path, args, code):
 # the lgroup source lines, by ``wc -l``, of the modules whose bodies each
 # command runs in a fresh interpreter: every cold call compiles them
 # again, so a change that runs more of them must raise its budget here
-COLD_LINE_BUDGET = {"analyze": 2625, "spectrum": 2346, "crt": 2975}
+COLD_LINE_BUDGET = {"analyze": 2429, "spectrum": 2154, "crt": 2419}
 
 
 @pytest.mark.parametrize("command", COLD_LINE_BUDGET)

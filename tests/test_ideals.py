@@ -499,3 +499,36 @@ def test_containment_entries_answer_on_600_and_900_level_product_nests():
     rows = [line.split() for line in result.stdout.splitlines()]
     verdicts = ["True", "False"] * 3
     assert rows == [[str(n), *verdicts, str(n + 1), str(n), "True", "True"] for n in (600, 900)]
+
+
+def test_enumeration_refuses_a_lattice_over_its_limit_before_listing_any():
+    # in a fresh interpreter, as the nest needs one frame per level: the
+    # refusal reads the stored ideal count, so it takes no time on Z^17
+    # (131,072 ideals) or on a 900-level product nest (2^901), whose
+    # enumeration would never end
+    code = (
+        "import time\n"
+        "from lgroup import LGroupError, TooLarge, UnitalGroup, Z, enumerate_ideals, ideal_count, prod\n"
+        "from lgroup.ideals import MAX_IDEALS\n"
+        "nest, u = Z, 1\n"
+        "for _ in range(900):\n"
+        "    nest, u = prod(Z, nest), (1, u)\n"
+        "for G in (UnitalGroup(prod(*[Z] * 17), (1,) * 17), UnitalGroup(nest, u)):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        enumerate_ideals(G)\n"
+        "    except TooLarge as exc:\n"
+        "        took = time.perf_counter() - start\n"
+        "        assert isinstance(exc, LGroupError)\n"
+        "        assert (exc.count, exc.limit) == (ideal_count(G), MAX_IDEALS) == (exc.count, 1 << 16)\n"
+        "        print(exc.count.bit_length() - 1, took < 0.05, exc)\n"
+    )
+    src = pathlib.Path(lgroup.ideals.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines() == [
+        "17 True 131072 ideals exceed the enumeration limit of 65536",
+        "901 True at least 2^901 ideals exceed the enumeration limit of 65536",
+    ]
+
