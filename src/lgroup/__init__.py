@@ -47,7 +47,6 @@ _EXPORTS = {
         "atom_count",
         "check_element",
         "check_ideal",
-        "elements_in_box",
         "ideal_count",
         "ideal_join",
         "ideal_leq",
@@ -97,10 +96,9 @@ _EXPORTS = {
         "full_generator",
         "quotient",
     ),
+    "laws": ("archimedean_falsify", "dominated", "elements_in_box"),
     "mv": ("GammaAlgebra", "OutOfInterval"),
     "semisimple": (
-        "archimedean_falsify",
-        "dominated",
         "is_semisimple",
         "is_strongly_semisimple",
         "radical",

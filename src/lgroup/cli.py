@@ -8,31 +8,35 @@ exhaustive law checks of ``lgroup.laws`` on the gallery).  A usage error
 (a missing argument, an unknown option, command or format) also exits 3,
 with its message on stderr.
 
-Every call is a fresh process, so each command imports only what it runs.
-``main`` reads the argv shapes that the commands take itself: ``analyze
-FILE``, ``crt FILE``, ``spectrum FILE``, and ``spectrum`` with ``--format
-dot|json`` before or after FILE, where FILE does not start with ``-``.
-Every other argv (``--help``, ``--``, ``--format=...``, an abbreviation,
-a missing or extra argument, ``gallery`` and ``selftest``) goes to the
-``argparse`` parser, and only ``_parser`` imports ``argparse``, so every
-usage error, help text and exit code is argparse's.  Reading an instance
-needs ``serialize`` (with the ``core`` it imports), imported here;
-``spectrum`` adds ``spectrum``, ``analyze`` adds ``spectrum``,
-``semisimple`` and ``yosida``, and ``crt`` adds ``crt`` with the
-``semisimple`` it imports, each inside its command; ``gallery`` and
-``selftest`` load their own modules.  No command but ``selftest`` loads
-``lgroup.ideals`` (with ``lgroup.laws``): the others read their answers
-off the structure tree and never enumerate.
+Every call is a fresh process, so each command imports and compiles
+only what it runs.  ``main`` reads the argv shapes that the commands take
+itself: ``analyze FILE``, ``crt FILE``, ``spectrum FILE``, and
+``spectrum`` with ``--format dot|json`` before or after FILE, where FILE
+does not start with ``-``.  Every other argv (``--help``, ``--``,
+``--format=...``, an abbreviation, a missing or extra argument,
+``gallery`` and ``selftest``) goes to the ``argparse`` parser of
+``lgroup.argparser``, which ``main`` imports for it alone, with the
+``gallery`` and ``selftest`` commands, so every usage error, help text
+and exit code is argparse's.  Reading an instance needs ``serialize``
+(with the ``core`` it imports), imported here; ``spectrum`` adds
+``spectrum``, ``analyze`` adds ``spectrum`` and ``semisimple``, and
+``crt`` adds ``crt`` with the ``semisimple`` it imports, each inside its
+command.  ``analyze`` prints each value as g's top integer over the
+unit's in lowest terms, from ``core.top_values`` and the unit's stored
+integers, so it loads neither ``lgroup.yosida`` nor ``fractions``.  No
+command but ``selftest`` loads ``lgroup.ideals`` (with ``lgroup.laws``):
+the others read their answers off the structure tree and never
+enumerate.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import math
 import sys
 from types import SimpleNamespace
 
-from .core import LGroupError, ideal_count
+from .core import LGroupError, ideal_count, top_values
 from .serialize import (
     Instance,
     ParseError,
@@ -62,12 +66,18 @@ def _load(path: str) -> Instance:
         _fail(str(exc))
 
 
+def _ratio(g: int, u: int) -> str:
+    """g/u in lowest terms for a positive u, as ``numerator/denominator``
+    of ``Fraction(g, u)``."""
+    d = math.gcd(g, u)
+    return f"{g // d}/{u // d}"
+
+
 def analyze(args) -> int:
     """Summarise an instance: ideals, spectrum, radical, semisimplicity,
     and the value tables of its listed elements."""
     from .semisimple import is_semisimple, is_strongly_semisimple, radical
     from .spectrum import compute_spectrum
-    from .yosida import yosida_table
 
     instance = _load(args.file)
     G = instance.group
@@ -88,15 +98,14 @@ def analyze(args) -> int:
     print(f"strongly semisimple: {str(strong).lower()}{suffix}")
     if instance.elements:
         print("values on the maximal spectrum:")
-        # the maximal primes are the uncovered ones, in table order
+        # the maximal primes are the uncovered ones, in table order, and
+        # g's value at each is its top integer over the unit's (see
+        # ``lgroup.yosida``); the unit's are positive
         labels = [f"p{i}" for i, c in enumerate(space.cover) if c is None]
         for name in sorted(instance.elements):
             entry = instance.elements[name]
-            table = yosida_table(G, entry.value, space)
-            rendered = ", ".join(
-                f"{label} -> {v.numerator}/{v.denominator}"
-                for label, v in zip(labels, table.values())
-            )
+            values = zip(top_values(G.structure, entry.value), G._tops)
+            rendered = ", ".join(f"{label} -> {_ratio(*v)}" for label, v in zip(labels, values))
             tag = " [mv]" if entry.mv else ""
             print(f"  {name}{tag}: {rendered}")
     return 0
@@ -147,95 +156,6 @@ def crt(args) -> int:
     return 2 if isinstance(cert, NotStronglySemisimple) else 1
 
 
-def _gallery_name(name: str) -> str:
-    import argparse
-
-    from .gallery import GALLERY_NAMES
-
-    if name not in GALLERY_NAMES:
-        choices = ", ".join(map(repr, GALLERY_NAMES))
-        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
-    return name
-
-
-def gallery(args) -> int:
-    """Print a built-in instance file."""
-    from .gallery import gallery_json
-
-    sys.stdout.write(gallery_json(args.name))
-    return 0
-
-
-def selftest(args) -> int:
-    """Run the exhaustive law suites on the gallery; exit 1 on violation."""
-    from . import laws
-    from .gallery import GALLERY_NAMES, gallery_instance
-
-    groups = {name: gallery_instance(name).group for name in GALLERY_NAMES}
-    suites = [
-        (f"{name}: {label}", functools.partial(check, G))
-        for name, G in groups.items()
-        for label, check in laws.LAWS
-    ]
-    failures = 0
-    for label, check in suites + list(laws.SUITES):
-        errors = check()
-        if errors:
-            failures += 1
-            print(f"[FAIL] {label}: {'; '.join(sorted(set(errors))[:3])}")
-        else:
-            print(f"[ok] {label}")
-    if failures:
-        print(f"{failures} suite(s) failed", file=sys.stderr)
-        return 1
-    print("all suites passed")
-    return 0
-
-
-def _parser(prog: str):
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """An argument parser whose usage errors exit 3, not 2: exit 2 means
-        "not strongly semisimple" to ``crt``."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(INVALID_INPUT, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(
-        prog=prog,
-        allow_abbrev=False,
-        description="Exact ideal, spectrum, and congruence-patching computations "
-        "on a decidable class of unital lattice-ordered Abelian groups.",
-    )
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    def command(run):
-        summary = " ".join(run.__doc__.split())
-        sub = commands.add_parser(
-            run.__name__, help=summary, description=summary, allow_abbrev=False
-        )
-        sub.set_defaults(run=run)
-        return sub
-
-    command(analyze).add_argument("file")
-    sub = command(spectrum)
-    sub.add_argument("file")
-    sub.add_argument(
-        "--format",
-        choices=("dot", "json"),
-        default="json",
-        help="specialization diagram (dot) or closure tables (json); default: json",
-    )
-    command(crt).add_argument("file")
-    command(gallery).add_argument(
-        "--name", required=True, type=_gallery_name, help="name of a built-in instance"
-    )
-    command(selftest)
-    return parser
-
-
 def _fast_path(args):
     """The parsed arguments of the argv shapes the commands take, as the
     argparse parser would give them, or None for any other argv."""
@@ -261,7 +181,11 @@ def main(args=None, prog_name=None):
     """Run one command with ``args`` (default: ``sys.argv[1:]``); always
     ends in ``SystemExit`` with the command's exit code."""
     args = sys.argv[1:] if args is None else args
-    parsed = _fast_path(args) or _parser(prog_name or "lgroup").parse_args(args)
+    parsed = _fast_path(args)
+    if parsed is None:
+        from .argparser import _parser
+
+        parsed = _parser(prog_name or "lgroup").parse_args(args)
     sys.exit(parsed.run(parsed))
 
 

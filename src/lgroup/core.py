@@ -92,7 +92,11 @@ form (the whole group, the radical and a certificate's maximal ideal are
 the meets of none, all and one).  ``lgroup.ideals`` re-exports them, and
 keeps enumeration, quotients, generators and congruence.  Likewise
 ``top_values``, g's top integers by one call of ``_tops``, lives here
-for the patch solvers, and ``lgroup.yosida`` re-exports it.
+for its users outside ``lgroup.yosida``, which re-exports it: the patch
+solvers, and ``cli.analyze``, which prints each value as g's top integer
+over the unit's in lowest terms and so makes no Fraction.  The element
+generators that only the law checks and the tests use,
+``random_element`` and ``elements_in_box``, live in ``lgroup.laws``.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 from _weakref import _remove_dead_weakref, ref
 
 Element = Union[int, tuple]
@@ -133,15 +137,17 @@ class InternalInvariantViolation(LGroupError):
 
 
 class TooLarge(LGroupError):
-    """An enumeration would list more items than its limit: ``count``
-    items against ``limit``, refused before any is listed."""
+    """An enumeration or a sweep would take more items than its limit:
+    ``count`` items against ``limit``, refused before any is taken.
+    ``items`` names them: the ideals of a lattice, or what a law check of
+    ``lgroup.laws`` sweeps."""
 
-    def __init__(self, count: int, limit: int):
+    def __init__(self, count: int, limit: int, items: str = "ideals"):
         self.count = count
         self.limit = limit
         # a count of thousands of digits would overrun int-to-str
         shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
-        super().__init__(f"{shown} ideals exceed the enumeration limit of {limit}")
+        super().__init__(f"{shown} {items} exceed the enumeration limit of {limit}")
 
 
 def format_path(path: Path) -> str:
@@ -1078,32 +1084,3 @@ def _trusted_group(structure: Structure, unit: Element) -> UnitalGroup:
     group = object.__new__(UnitalGroup)
     group._strong(structure, unit)
     return group
-
-
-def random_element(rng, structure: Structure, bound: int) -> Element:
-    """A seeded random element with integer coordinates in [-bound, bound]."""
-    if isinstance(structure, Atom):
-        return rng.randint(-bound, bound)
-    if isinstance(structure, Prod):
-        return tuple(random_element(rng, c, bound) for c in structure.children)
-    return (rng.randint(-bound, bound), random_element(rng, structure.bottom, bound))
-
-
-def elements_in_box(structure: Structure, bound: int) -> Iterator[Element]:
-    """Yield every element whose integer coordinates lie in [-bound, bound].
-
-    The count is (2*bound+1)**atom_count(structure); callers are expected
-    to keep that small.
-    """
-    rng = range(-bound, bound + 1)
-    if isinstance(structure, Atom):
-        yield from rng
-    elif isinstance(structure, Prod):
-        pools = [list(elements_in_box(c, bound)) for c in structure.children]
-        for combo in itertools.product(*pools):
-            yield combo
-    else:
-        pool = list(elements_in_box(structure.bottom, bound))
-        for a in rng:
-            for t in pool:
-                yield (a, t)

@@ -7,18 +7,30 @@ checks walk whole ideal lattices, every set of primes and boxes of
 elements, so they are meant for small groups: ``lgroup selftest`` runs
 ``LAWS`` on each gallery instance and then ``SUITES``, in table order,
 and the tests run ``LAWS`` on small random groups too.
+
+The code that only the checks and the tests call lives here as well, so
+that no command compiles it: the element generators ``random_element``
+and ``elements_in_box``, and the Archimedean search ``archimedean_falsify``
+with its exact test ``dominated``, the cross-check of the radical.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator, Optional, Tuple
 
 from .core import (
+    Atom,
+    Element,
+    Prod,
+    Structure,
+    TooLarge,
+    UnitalGroup,
     atom_count,
-    elements_in_box,
+    ideal_count,
     leq,
     meet,
-    random_element,
     scale,
     zero,
 )
@@ -42,17 +54,138 @@ from .ideals import (
     quotient,
 )
 from .mv import GammaAlgebra
-from .semisimple import (
-    archimedean_falsify,
-    is_semisimple,
-    is_strongly_semisimple,
-    radical,
-)
+from .semisimple import is_semisimple, is_strongly_semisimple, radical
 from .serialize import dumps_canonical, instance_to_json, loads_instance
 from .spectrum import closure, compute_spectrum, ideal_of_locus, vanishing_locus
 
 # interval slices with more points than this are sampled, not swept
 _BOX_LIMIT = 50000
+# the sweeps that would take more than about a second are refused before
+# they start, with TooLarge: spectral_axioms over the pairs of sets of
+# primes (Z^8 has 4^8 and took 0.55 s, Z^10 24 s), and
+# interval_algebra over an ideal and two points of its slice (about a
+# microsecond each)
+_SUBSET_PAIR_LIMIT = 1 << 16
+_TRIPLE_LIMIT = 1 << 20
+
+
+def _refuse_over(count: int, limit: int, items: str) -> None:
+    if count > limit:
+        raise TooLarge(count, limit, items)
+
+
+def random_element(rng, structure: Structure, bound: int) -> Element:
+    """A seeded random element with integer coordinates in [-bound, bound]."""
+    if isinstance(structure, Atom):
+        return rng.randint(-bound, bound)
+    if isinstance(structure, Prod):
+        return tuple(random_element(rng, c, bound) for c in structure.children)
+    return (rng.randint(-bound, bound), random_element(rng, structure.bottom, bound))
+
+
+def elements_in_box(structure: Structure, bound: int) -> Iterator[Element]:
+    """Yield every element whose integer coordinates lie in [-bound, bound].
+
+    The count is (2*bound+1)**atom_count(structure); callers are expected
+    to keep that small.
+    """
+    rng = range(-bound, bound + 1)
+    if isinstance(structure, Atom):
+        yield from rng
+    elif isinstance(structure, Prod):
+        pools = [list(elements_in_box(c, bound)) for c in structure.children]
+        for combo in itertools.product(*pools):
+            yield combo
+    else:
+        pool = list(elements_in_box(structure.bottom, bound))
+        for a in rng:
+            for t in pool:
+                yield (a, t)
+
+
+def dominated(structure: Structure, g: Element, h: Element) -> bool:
+    """Decide exactly whether n*g <= h for every integer n >= 1.
+
+    The only way a positive g can stay below all of its multiples' bound
+    is through a lex extension: a zero dominant component against a
+    positive one.  The recursion mirrors that.  A negative dominant
+    component a makes n*a fall as n grows, so the first multiple decides:
+    a < b, or a == b with the bottoms compared once.  A property test in
+    ``tests/test_semisimple.py`` compares this with every multiple up to
+    the coordinate bound.
+    """
+    if isinstance(structure, Atom):
+        if g > 0:
+            return False
+        if g == 0:
+            return h >= 0
+        return g <= h
+    if isinstance(structure, Prod):
+        return all(
+            dominated(c, a, b) for c, a, b in zip(structure.children, g, h)
+        )
+    a, t = g
+    b, s = h
+    if a > 0:
+        return False
+    if a == 0:
+        if b > 0:
+            return True
+        if b < 0:
+            return False
+        return dominated(structure.bottom, t, s)
+    return a < b or (a == b and leq(structure.bottom, t, s))
+
+
+def _first_positive(structure: Structure) -> Element:
+    """A minimal positive element touching only the first coordinate."""
+    if isinstance(structure, Atom):
+        return 1
+    if isinstance(structure, Prod):
+        parts = [zero(c) for c in structure.children]
+        parts[0] = _first_positive(structure.children[0])
+        return tuple(parts)
+    return (1, zero(structure.bottom))
+
+
+def _embed_at(structure: Prod, i: int, value: Element) -> Element:
+    return tuple(
+        value if j == i else zero(c) for j, c in enumerate(structure.children)
+    )
+
+
+def _lex_witnesses(structure: Structure) -> Iterator[Tuple[Element, Element]]:
+    """Yield (g, h) candidates, one per lex position, outermost first.
+
+    At a lex node the infinitesimal pair is g = (0, positive) against
+    h = (1, 0); in surrounding positions both members are zero.
+    """
+    if isinstance(structure, Atom):
+        return
+    if isinstance(structure, Prod):
+        for i, child in enumerate(structure.children):
+            for g, h in _lex_witnesses(child):
+                yield _embed_at(structure, i, g), _embed_at(structure, i, h)
+        return
+    yield (0, _first_positive(structure.bottom)), (1, zero(structure.bottom))
+    for g, h in _lex_witnesses(structure.bottom):
+        yield (0, g), (0, h)
+
+
+def archimedean_falsify(G: UnitalGroup) -> Optional[Tuple[Element, Element]]:
+    """Search for 0 < g with n*g <= h for every n.
+
+    Candidate pairs are generated structurally, one per lexicographic
+    position (the only places a violation can live in this class), with
+    coordinate magnitudes at most 1; each candidate is verified exactly
+    before being returned.  Returns the first surviving witness, or None
+    when there is none.
+    """
+    z = zero(G.structure)
+    for g, h in _lex_witnesses(G.structure):
+        if g != z and leq(G.structure, z, g) and dominated(G.structure, g, h):
+            return g, h
+    return None
 
 
 def _subsets(items):
@@ -67,8 +200,11 @@ def spectral_axioms(G):
     closure equal to the vanishing locus of the kernel, both
     fixed-point characterisations, that closed sets are specialization
     up-sets, T0 and sobriety, the principal-ideal description of compact
-    opens, and that the maximal spectrum is a discrete antichain."""
+    opens, and that the maximal spectrum is a discrete antichain.  Over
+    ``_SUBSET_PAIR_LIMIT`` pairs of sets of primes it raises ``TooLarge``
+    before any law is checked."""
     space = compute_spectrum(G)
+    _refuse_over(4 ** len(space.primes), _SUBSET_PAIR_LIMIT, "pairs of sets of primes")
     lattice = enumerate_ideals(G)
     ideals = lattice.ideals
     primes = list(space.primes)
@@ -285,12 +421,17 @@ def interval_algebra(G):
     interval ideal on the slice (contains 0, closed under truncated
     addition, downward closed), primality and maximality found by search
     on the interval side match the group side, and the radical's trace is
-    the meet of the maximal traces.
+    the meet of the maximal traces.  Over ``_TRIPLE_LIMIT`` triples of
+    an ideal and two points of the slice, it raises ``TooLarge`` before
+    any check.
     """
     errors = []
     alg = GammaAlgebra(G)
     s = G.structure
     u = G.unit
+    top = _max_coordinate(u)
+    box = _interval_box(G, max(3, top + 1))
+    _refuse_over(ideal_count(s) * len(box) ** 2, _TRIPLE_LIMIT, "(ideal, point, point) triples")
     rng = random.Random(4257)
     for _ in range(200):
         x = alg.clamp(random_element(rng, s, 4))
@@ -313,8 +454,6 @@ def interval_algebra(G):
         if alg.mv_meet(x, y) != alg.neg(alg.mv_join(alg.neg(x), alg.neg(y))):
             errors.append("interval meet is not the De Morgan dual of the join")
 
-    top = _max_coordinate(u)
-    box = _interval_box(G, max(3, top + 1))
     boxset = frozenset(box)
     ideals = enumerate_ideals(G).ideals
     traces = {I: frozenset(x for x in box if s._agree(I, x, s._zero)) for I in ideals}

@@ -36,7 +36,7 @@ from lgroup import (
     zero_ideal,
 )
 from lgroup.cli import main
-from lgroup.core import random_element
+from lgroup.laws import random_element
 
 # the interned node classes, each with its own table
 NODE_CLASSES = (Atom, Prod, Lex, AtomIdeal, ProdIdeal, LexIdeal)

@@ -16,7 +16,6 @@ from lgroup import (
     NotStronglySemisimple,
     ProdIdeal,
     Z,
-    archimedean_falsify,
     closure,
     compute_spectrum,
     contains,
@@ -38,6 +37,7 @@ from lgroup import (
     zero_ideal,
     zero_set_patch,
 )
+from lgroup.laws import archimedean_falsify
 from lgroup.mv import GammaAlgebra
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -243,7 +243,7 @@ def test_criterion_6_lex_counterexample_regression():
     assert isinstance(result.certificate, NotStronglySemisimple)
     assert result.certificate.witness == z
     # exhaustive verification: nothing satisfies both congruences
-    from lgroup import elements_in_box
+    from lgroup.laws import elements_in_box
 
     for g in elements_in_box(G.structure, 4):
         both = contains(G.structure, z, G.sub(g, g1)) and contains(

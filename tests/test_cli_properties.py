@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgroup import GALLERY_NAMES, gallery_json
-from lgroup.cli import _fast_path, _parser, main
+from lgroup.argparser import _parser
+from lgroup.cli import _fast_path, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 SOURCES = [gallery_json(name).encode() for name in GALLERY_NAMES] + [

@@ -47,7 +47,6 @@ from lgroup import (
     add,
     atom_count,
     check_element,
-    elements_in_box,
     is_chain,
     join,
     leq,
@@ -62,6 +61,7 @@ from lgroup import (
     validate_unital_group,
     zero,
 )
+from lgroup.laws import elements_in_box
 from lgroup.core import _trusted_group, unit_violations
 from lgroup.yosida import top_values
 

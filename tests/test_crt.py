@@ -51,7 +51,6 @@ from lgroup import (
     compute_spectrum,
     congruent,
     contains,
-    elements_in_box,
     enumerate_ideals,
     holder_eval,
     ideal_join,
@@ -70,6 +69,7 @@ from lgroup import (
     zero_ideal,
     zero_set_patch,
 )
+from lgroup.laws import elements_in_box
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
 M2 = ProdIdeal((AtomIdeal(True), AtomIdeal(False), AtomIdeal(True)))

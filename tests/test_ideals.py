@@ -54,7 +54,6 @@ from lgroup import (
     compute_spectrum,
     congruent,
     contains,
-    elements_in_box,
     enumerate_ideals,
     full_generator,
     ideal_count,
@@ -73,7 +72,7 @@ from lgroup import (
     validate_unital_group,
     zero_ideal,
 )
-from lgroup.core import random_element
+from lgroup.laws import elements_in_box, random_element
 from lgroup.yosida import top_index
 
 LEX_BOTTOM_ALL = LexIdeal(AtomIdeal(True))  # {0} x Z inside Z x-> Z

@@ -71,7 +71,8 @@ from lgroup import (
     yosida_table,
     zero_ideal,
 )
-from lgroup.core import _Node, random_element
+from lgroup.core import _Node
+from lgroup.laws import random_element
 from lgroup.yosida import top_values
 
 

@@ -1,11 +1,12 @@
 import ast
 import pathlib
 import random
+import time
 
 import pytest
 
 from conftest import CHAIN3, random_group
-from lgroup import GALLERY_NAMES, Z, gallery_instance, laws, lex, validate_unital_group
+from lgroup import GALLERY_NAMES, TooLarge, Z, gallery_instance, laws, lex, prod, validate_unital_group
 
 SRC = pathlib.Path(laws.__file__).parent
 
@@ -45,3 +46,22 @@ def test_only_the_lattice_and_the_laws_enumerate():
                 if getattr(node, key, None) in users:
                     users[getattr(node, key)].add(path.name)
     assert users == {name: {"ideals.py", "laws.py"} for name in users}
+
+
+@pytest.mark.parametrize(
+    "check, G, count, items",
+    [
+        # 24 s of sweeping on the 10 primes of Z^10, 27 s on this 7-atom group
+        (laws.spectral_axioms, validate_unital_group(prod(*[Z] * 10), (1,) * 10), 4**10,
+         "pairs of sets of primes"),
+        (laws.interval_algebra, random_group(random.Random(6)), 96 * 586**2, "(ideal, point, point) triples"),
+    ],
+    ids=["spectral-axioms", "interval-algebra"],
+)
+def test_the_wide_sweeps_are_refused_within_a_second(check, G, count, items):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as refused:
+        check(G)
+    assert time.perf_counter() - start < 1
+    assert refused.value.count == count > refused.value.limit
+    assert str(refused.value) == f"{count} {items} exceed the enumeration limit of {refused.value.limit}"

@@ -10,10 +10,8 @@ from lgroup import (
     UnitalGroup,
     Z,
     add,
-    archimedean_falsify,
     closure,
     compute_spectrum,
-    dominated,
     enumerate_ideals,
     ideal_leq,
     ideal_meet,
@@ -28,6 +26,7 @@ from lgroup import (
     scale,
     zero_ideal,
 )
+from lgroup.laws import archimedean_falsify, dominated
 
 LEX_MAX = LexIdeal(AtomIdeal(True))
 

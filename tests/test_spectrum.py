@@ -22,7 +22,6 @@ from lgroup import (
     UnknownPrime,
     closure,
     compute_spectrum,
-    elements_in_box,
     enumerate_ideals,
     ideal_leq,
     ideal_of_locus,
@@ -40,6 +39,7 @@ from lgroup import (
     zero,
     zero_ideal,
 )
+from lgroup.laws import elements_in_box
 
 LEX_MAX = LexIdeal(AtomIdeal(True))
 

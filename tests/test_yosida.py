@@ -35,7 +35,6 @@ from lgroup import (
     Z,
     compute_spectrum,
     contains,
-    elements_in_box,
     holder_eval,
     lex,
     principal_zero_set,
@@ -44,6 +43,7 @@ from lgroup import (
     yosida_table,
     zero_ideal,
 )
+from lgroup.laws import elements_in_box
 import lgroup
 from lgroup.ideals import CACHE_SIZE
 from lgroup.yosida import ForeignSpectrum, top_values
