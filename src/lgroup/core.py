@@ -54,7 +54,7 @@ with neither bound.  The ideal kernels (see ``_Structure``) do the same
 for the ideal walks.  An atom's kernels are the builtins, and a lex
 node's read the top and call its bottom's.  A product of up to
 ``_STRAIGHT_ARITY`` = 16 children runs straight-line code: one source
-template writes its nine kernels, part i calling child i's kernel (an
+template writes its eight kernels, part i calling child i's kernel (an
 atom child's interval check inline), and is compiled once per arity, at
 its first use, into a module table of at most 15 factories.  Only the
 arity and the indices go into the source, never a value.  A wider
@@ -348,19 +348,20 @@ class _Structure(_Node):
     ``lgroup.yosida``) to the list ``out``.
 
     The ideal kernels are ``_shape(I)``, whether I has the shape of an
-    ideal of the node (``check_ideal``); ``_agree(I, g, t)``, whether
-    g = t mod I, that is, g and t agree where I pins to 0 (``congruent``,
-    and ``contains`` with t = 0); ``_gen(g)``, the ideal g generates
-    (``principal_ideal``); ``_patch(g, t, I)``, t where I pins and g
-    elsewhere (g for the whole ideal and t for the zero one, with no
-    walk), the step of the patch fold (``lgroup.crt``) and, with t = 0,
+    ideal of the node (``check_ideal``); ``_gen(g)``, the ideal g
+    generates (``principal_ideal``); ``_patch(g, t, I)``, t where I pins
+    and g elsewhere (g for the whole ideal and t for the zero one, with
+    no walk), the step of the patch fold (``lgroup.crt``) and, with t = 0,
     the part in I of the Riesz split; and ``_all``, the whole ideal.  All
-    but the first trust their operands."""
+    but the first trust their operands.  The patch is also the congruence
+    test: g = t mod I exactly when g and t agree where I pins, that is,
+    when ``_patch(g, t, I) == g`` (``congruent``, and ``contains`` with
+    t = 0)."""
 
     __slots__ = _facts = (
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
-        "_shape", "_agree", "_gen", "_patch", "_all",
+        "_shape", "_gen", "_patch", "_all",
         "_spectrum", "_max_ideals", "_radical", "_zero_ideal",
     )
 
@@ -390,8 +391,8 @@ def _atom_between(x, u, low, high):
 _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
-    AtomIdeal.__instancecheck__, lambda I, g, t: I.full or g == t,
-    lambda g: _ATOM_IDEALS[g != 0], lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
+    AtomIdeal.__instancecheck__, lambda g: _ATOM_IDEALS[g != 0],
+    lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
     None, None, None, None,
 )
 
@@ -419,15 +420,15 @@ def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
     return (
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
-        *_lex_kernels(bottom), *_lex_ideal_kernels(bottom), None, None, None, None,
+        *_lex_kernels(bottom), None, None, None, None,
     )
 
 
 def _lex_kernels(bottom: _Structure) -> tuple:
-    """A lex node's element kernels: each reads the top and calls its
-    bottom's."""
-    add, sub, meet = bottom._add, bottom._sub, bottom._meet
-    below = bottom._between
+    """A lex node's kernels and whole ideal: each kernel reads the top and
+    calls its bottom's."""
+    add, sub, meet, below = bottom._add, bottom._sub, bottom._meet, bottom._between
+    shape, gen, patch = bottom._shape, bottom._gen, bottom._patch
 
     def lex_meet(g, h):
         # dominant component decides; only a tie descends into the bottom
@@ -449,17 +450,27 @@ def _lex_kernels(bottom: _Structure) -> tuple:
         inside = below(x[1], u[1], low, high)
         return inside if inside is None else verdict and inside
 
+    def lex_shape(I):
+        return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
+
+    def lex_gen(g):
+        return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
+
+    def lex_patch(g, t, I):  # a proper ideal pins the top
+        return g if I.inner is None else t if I._zero else (t[0], patch(g[1], t[1], I.inner))
+
     return (
         lambda g, h: (g[0] + h[0], add(g[1], h[1])),
         lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
         lex_meet, lex_between,
         lambda out, g: out.append(g[0]),
+        lex_shape, lex_gen, lex_patch, _WHOLE_LEX,
     )
 
 
 # the kernels a product reads from each child, in the order of its slots
 _KERNELS = operator.attrgetter(
-    "_add", "_sub", "_meet", "_between", "_tops", "_shape", "_agree", "_gen", "_patch", "_all"
+    "_add", "_sub", "_meet", "_between", "_tops", "_shape", "_gen", "_patch", "_all"
 )
 
 # Products of up to this many children run straight-line kernels, compiled
@@ -470,15 +481,14 @@ _KERNELS = operator.attrgetter(
 _STRAIGHT_ARITY = 16
 _STRAIGHT = {}  # arity -> the factory compiled from _STRAIGHT_SOURCE
 
-# The nine kernels of an n-child product: each piece between two "@@"s is
+# The eight kernels of an n-child product: each piece between two "@@"s is
 # written out once per child, "#" its index, and "$n" is n.  Part i calls
 # child i's kernel, so each kernel takes one frame per tree level.
 _STRAIGHT_SOURCE = """\
-def factory(adds, subs, meets, betweens, topss, shapes, agrees, gens, patches):
+def factory(adds, subs, meets, betweens, topss, shapes, gens, patches):
     @@between#, @@ = betweens
     @@tops#, @@ = topss
     @@shape#, @@ = shapes
-    @@agree#, @@ = agrees
     @@gen#, @@ = gens
     @@patch#, @@ = patches
     @@atom# = between# is atom_between
@@ -518,14 +528,6 @@ def factory(adds, subs, meets, betweens, topss, shapes, agrees, gens, patches):
         @@p#, @@ = I.parts
         return @@shape#(p#) and @@True
 
-    def agree(I, g, t):
-        @@p#, @@ = I.parts
-        @@g#, @@ = g
-        @@t#, @@ = t
-        @@if p#._mask and (g# != t# if p#._zero else not agree#(p#, g#, t#)):
-            return False
-        @@return True
-
     def gen(g):
         @@g#, @@ = g
         return ProdIdeal((@@gen#(g#), @@))
@@ -539,7 +541,7 @@ def factory(adds, subs, meets, betweens, topss, shapes, agrees, gens, patches):
         return (@@g# if not p#._mask else t# if p#._zero else patch#(g#, t#, p#), @@)
 
     kernels = [partwise(*adds), partwise(*subs), partwise(*meets)]
-    return kernels + [between, tops, shape, agree, gen, patch]
+    return kernels + [between, tops, shape, gen, patch]
 """
 
 
@@ -591,7 +593,7 @@ def _map2(kernels: tuple):
     return kernel
 
 
-def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, agrees, gens, patches) -> list:
+def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) -> list:
     """A wide product's kernels: each calls its children's from a loop,
     with one frame per level, and the interval check does an atom child's
     work inline."""
@@ -626,13 +628,6 @@ def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, agrees, gens, p
                 return False
         return True
 
-    def agree(I, g, t):
-        # a whole part pins nothing, and the zero part everything
-        for f, part, x, y in zip(agrees, I.parts, g, t):
-            if part._mask and (x != y if part._zero else not f(part, x, y)):
-                return False
-        return True
-
     def gen(g):
         parts = []
         for f, x in zip(gens, g):
@@ -640,34 +635,15 @@ def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, agrees, gens, p
         return ProdIdeal(tuple(parts))
 
     def patch(g, t, I):
-        if I._zero or not I._mask:  # likewise for the ideal and each part
+        # a whole ideal or part pins nothing, and the zero one everything
+        if I._zero or not I._mask:
             return t if I._zero else g
         out = []
         for f, x, y, p in zip(patches, g, t, I.parts):
             out.append(x if not p._mask else y if p._zero else f(x, y, p))
         return tuple(out)
 
-    return [_map2(adds), _map2(subs), _map2(meets), between, tops, shape, agree, gen, patch]
-
-
-def _lex_ideal_kernels(bottom: _Structure) -> tuple:
-    """A lex node's ideal kernels: each reads the top and calls its
-    bottom's."""
-    shape, agree, gen, patch = bottom._shape, bottom._agree, bottom._gen, bottom._patch
-
-    def lex_shape(I):
-        return isinstance(I, LexIdeal) and (I.inner is None or shape(I.inner))
-
-    def lex_agree(I, g, t):
-        return I.inner is None or g[0] == t[0] and agree(I.inner, g[1], t[1])
-
-    def lex_gen(g):
-        return _WHOLE_LEX if g[0] else LexIdeal(gen(g[1]))
-
-    def lex_patch(g, t, I):  # a proper ideal pins the top
-        return g if I.inner is None else t if I._zero else (t[0], patch(g[1], t[1], I.inner))
-
-    return lex_shape, lex_agree, lex_gen, lex_patch, _WHOLE_LEX
+    return [_map2(adds), _map2(subs), _map2(meets), between, tops, shape, gen, patch]
 
 
 class Atom(_Structure):

@@ -45,8 +45,9 @@ structured certificate naming the violated condition.  ``_normalize`` (and,
 in ``zero_set_patch``, the generator check) is the solvers' only validation:
 the fold, its check and both hypothesis checks trust their operands and
 call the structure's stored kernels (see ``core._Structure``): the patch
-and the congruence test ``_agree(I, g, t)``, one walk each per constraint,
-and the top integers of ``core.top_values``.  The ideal closed forms come
+``_patch(g, t, I)``, which is also the congruence test (g = t mod I exactly
+when the patch returns g), one walk each per constraint, and the top
+integers of ``core.top_values``.  The ideal closed forms come
 from ``lgroup.core`` too, so a solver call loads neither ``lgroup.ideals``
 nor ``lgroup.yosida`` nor ``lgroup.spectrum``.
 """
@@ -199,9 +200,9 @@ def riesz_split(
     check_ideal(s, I)
     check_ideal(s, J)
     a = s._patch(d, s._zero, I)
-    if not s._agree(J, d, a):
+    if s._patch(d, a, J) != d:
         raise NotInJoin(f"{d!r} is not in {I!r} v {J!r}")
-    if not s._agree(I, a, s._zero):
+    if s._patch(a, s._zero, I) != a:
         raise InternalInvariantViolation("riesz split postcondition failed")
     return a, s._sub(d, a)
 
@@ -217,7 +218,7 @@ def _solution(G: UnitalGroup, system: CongruenceSystem):
     for I, t in reversed(cons[:-1]):
         g = s._patch(g, t, I)
     for I, t in cons:
-        if not s._agree(I, g, t):
+        if s._patch(g, t, I) != g:
             return None
     return g
 
@@ -229,7 +230,7 @@ def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     cons = enumerate(system.constraints)
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined = ideal_join(Ii, Ij)
-        if not G.structure._agree(joined, gi, gj):
+        if G.structure._patch(gi, gj, joined) != gi:
             return i, j, G.sub(gi, gj), joined
     raise InternalInvariantViolation("the patch fold failed on a compatible system")
 

@@ -19,8 +19,9 @@ enumerable and every ideal turns out to be principal; the enumeration
 order is fixed (zero first, whole group last) and all outputs respect
 it.  ``enumerate_ideals`` refuses a lattice of more than ``MAX_IDEALS``
 ideals with ``TooLarge``, from the count that the tree stores, before it
-lists any.  Membership and congruence are one call of the stored kernel
-``_agree``, and generators one walk.  A quotient is one walk over the
+lists any.  Membership and congruence are one call of the stored patch
+kernel (g = h mod I exactly when ``_patch(g, h, I)`` is g), and generators
+one walk.  A quotient is one walk over the
 structure and the divisor, which yields the shape of the quotient and the
 image of an element together.
 """
@@ -70,7 +71,8 @@ MAX_IDEALS = 1 << 16
 
 
 def contains(structure, I: Ideal, g: Element) -> bool:
-    """Decide membership g in I: the stored kernel ``_agree`` against 0.
+    """Decide membership g in I: g = 0 mod I, so the stored patch of g
+    by 0 on I is g.
 
     Atom: zero holds only 0; Prod: componentwise; Lex: the whole group
     holds everything, while {0} x J holds (a, t) iff a = 0 and t in J.
@@ -78,7 +80,7 @@ def contains(structure, I: Ideal, g: Element) -> bool:
     structure = _structure_of(structure)
     check_ideal(structure, I)
     check_element(structure, g)
-    return structure._agree(I, g, structure._zero)
+    return structure._patch(g, structure._zero, I) == g
 
 
 def full_generator(structure) -> Element:
@@ -222,8 +224,9 @@ def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:
 
 
 def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:
-    """True iff g and h fall in the same congruence class modulo I."""
+    """True iff g and h fall in the same congruence class modulo I: they
+    agree where I pins, so the stored patch of g by h on I is g."""
     check_element(G.structure, g)
     check_element(G.structure, h)
     check_ideal(G.structure, I)
-    return G.structure._agree(I, g, h)
+    return G.structure._patch(g, h, I) == g

@@ -62,11 +62,14 @@ from .spectrum import closure, compute_spectrum, ideal_of_locus, vanishing_locus
 _BOX_LIMIT = 50000
 # the sweeps that would take more than about a second are refused before
 # they start, with TooLarge: spectral_axioms over the pairs of sets of
-# primes (Z^8 has 4^8 and took 0.55 s, Z^10 24 s), and
-# interval_algebra over an ideal and two points of its slice (about a
-# microsecond each)
+# primes (Z^8 has 4^8 and took 0.55 s, Z^10 24 s); interval_algebra over
+# an ideal and two points of its slice (about a microsecond each), and
+# ideal_lattice over triples of ideals (Z^6 has 2^18 and took about 2 s,
+# Z^7 over 13 s); and riesz_splitting over two ideals and a point of the
+# box (Z^6 has 64^2 * 3^6 and took about 2 s, Z^7 over 13 s)
 _SUBSET_PAIR_LIMIT = 1 << 16
 _TRIPLE_LIMIT = 1 << 20
+_SPLIT_LIMIT = 1 << 22
 
 
 def _refuse_over(count: int, limit: int, items: str) -> None:
@@ -321,7 +324,9 @@ def quotient_spectra(G):
 
 def ideal_lattice(G):
     """Distributivity of the ideal lattice, a principal generator for every
-    ideal, and <g> as the least ideal containing g."""
+    ideal, and <g> as the least ideal containing g.  Over ``_TRIPLE_LIMIT``
+    triples of ideals it raises ``TooLarge`` before any check."""
+    _refuse_over(ideal_count(G.structure) ** 3, _TRIPLE_LIMIT, "(ideal, ideal, ideal) triples")
     errors = []
     lattice = enumerate_ideals(G)
     ideals = lattice.ideals
@@ -338,7 +343,7 @@ def ideal_lattice(G):
     for g in elements_in_box(s, 1):
         P = principal_ideal(s, g)
         for I in ideals:
-            if s._agree(I, g, s._zero) != ideal_leq(P, I):
+            if (s._patch(g, s._zero, I) == g) != ideal_leq(P, I):
                 errors.append(f"principal ideal of {g!r} is not least")
     return errors
 
@@ -368,19 +373,23 @@ def semisimplicity(G):
 
 
 def riesz_splitting(G):
-    """Sums of members of I and J lie in I v J and split back into them."""
-    errors = []
+    """Sums of members of I and J lie in I v J and split back into them.
+    Over ``_SPLIT_LIMIT`` triples of two ideals and a point of the box it
+    raises ``TooLarge`` before any check."""
     s = G.structure
+    count = ideal_count(s) ** 2 * 3 ** atom_count(s)
+    _refuse_over(count, _SPLIT_LIMIT, "(ideal, ideal, point) triples")
+    errors = []
     ideals = enumerate_ideals(G).ideals
     box = list(elements_in_box(s, 1))
     for I in ideals:
         for J in ideals:
-            members_i = [a for a in box if s._agree(I, a, s._zero)]
-            members_j = [b for b in box if s._agree(J, b, s._zero)]
+            members_i = [a for a in box if s._patch(a, s._zero, I) == a]
+            members_j = [b for b in box if s._patch(b, s._zero, J) == b]
             for a in members_i[:3]:
                 for b in members_j[:3]:
                     d = G.add(a, b)
-                    if not s._agree(ideal_join(I, J), d, s._zero):
+                    if s._patch(d, s._zero, ideal_join(I, J)) != d:
                         errors.append("sum escaped the join")
                         continue
                     x, y = riesz_split(G, d, I, J)
@@ -456,7 +465,7 @@ def interval_algebra(G):
 
     boxset = frozenset(box)
     ideals = enumerate_ideals(G).ideals
-    traces = {I: frozenset(x for x in box if s._agree(I, x, s._zero)) for I in ideals}
+    traces = {I: frozenset(x for x in box if s._patch(x, s._zero, I) == x) for I in ideals}
     if len(set(traces.values())) != len(ideals):
         errors.append("two ideals share an interval trace")
     for T in traces.values():
@@ -484,8 +493,8 @@ def interval_algebra(G):
         outside = [x for x in box if x not in T]
         maximal = bool(outside) and all(
             any(
-                s._agree(I, alg._neg(alg.clamp(scale(s, n, x))), s._zero)
-                for n in range(1, max(2, top) + 1)
+                s._patch(y, s._zero, I) == y
+                for y in (alg._neg(alg.clamp(scale(s, n, x))) for n in range(1, max(2, top) + 1))
             )
             for x in outside
         )
@@ -519,7 +528,7 @@ def patching_regressions():
         errors.append("classical solver accepted the impossible pair")
     for g in elements_in_box(lexg.structure, 2):
         if all(
-            lexg.structure._agree(I, g, t)
+            lexg.structure._patch(g, t, I) == g
             for I, t in zip(task.ideals, task.targets)
         ):
             errors.append("an element satisfied the impossible pair")
@@ -555,7 +564,7 @@ def patching_regressions():
                 errors.append("a compatible random system was refused")
                 continue
             for I, t in system:
-                if not G.structure._agree(I, result.solution, t):
+                if G.structure._patch(result.solution, t, I) != result.solution:
                     errors.append("random system solution fails a congruence")
     return errors
 

@@ -286,19 +286,11 @@ def instance_to_json(instance: Instance) -> dict:
     return out
 
 
-_CERTIFICATES = ()  # ``crt``'s certificate classes, bound at the first call
-
-
 def certificate_to_json(structure: Structure, cert) -> dict:
-    """A patching failure certificate as its kind and every field of its
-    record that is not None (``analyze`` and ``spectrum`` never load
-    ``crt``, so its classes are bound here at the first call)."""
-    global _CERTIFICATES
-    if not _CERTIFICATES:
-        from .crt import Certificate
-
-        _CERTIFICATES = Certificate.__args__
-    if not isinstance(cert, _CERTIFICATES):
+    """A patching failure certificate, a record whose class names its
+    ``kind`` (a ``Violation``'s kind is a field, so it is refused), as its
+    kind and every field of its record that is not None."""
+    if not isinstance(cert, _Record) or not isinstance(getattr(type(cert), "kind", None), str):
         raise LGroupError(f"unknown certificate {cert!r}")
     out = {"kind": cert.kind}
     for name, value in zip(cert.__slots__, cert._values()):

@@ -149,7 +149,9 @@ def _space_of(x) -> SpectrumSpace:
 
 def vanishing_locus(space, R) -> FrozenSet[Ideal]:
     """V(R): primes containing R (an ideal node, or any other iterable of
-    elements).
+    elements).  A prime p contains an ideal when it lies above it, and an
+    element g when g = 0 mod p, so the stored patch ``_patch(g, 0, p)``
+    is g.
 
     ``space`` may be a SpectrumSpace or a UnitalGroup (spectra are cached).
     """
@@ -161,7 +163,7 @@ def vanishing_locus(space, R) -> FrozenSet[Ideal]:
     elements = list(R)
     for g in elements:
         check_element(s, g)
-    return frozenset(p for p in space.primes if all(s._agree(p, g, s._zero) for g in elements))
+    return frozenset(p for p in space.primes if all(s._patch(g, s._zero, p) == g for g in elements))
 
 
 def ideal_of_locus(space, S: Iterable[Ideal]) -> Ideal:

@@ -11,8 +11,8 @@ old forward merge, which splits the difference between the running
 solution and the next target across the meet of the processed ideals and
 the next ideal, through ``split_by_walk`` and ``ideal_meet``, and
 subtracts the processed-side part; it shares no kernel with the fold of
-``lgroup.crt``, which calls the patch ``_patch`` and the congruence test
-``_agree``.  Last come the walks over a tree whose results its node now
+``lgroup.crt``, which calls the patch ``_patch``, also as its congruence
+test.  Last come the walks over a tree whose results its node now
 stores: its zero, primes and radical, its atom count and chain flag, and
 the recursive element operations that its stored kernels replaced,
 dispatching on the node class at every node.  Then the walks over an ideal whose results its node
@@ -562,7 +562,8 @@ def patch_by_walk(structure, g, t, I):
 
 
 def agree_by_walk(structure, I, g, t) -> bool:
-    """The congruence kernel ``_agree``: whether g - t lies in I."""
+    """The congruence test ``_patch(g, t, I) == g``: whether g - t lies
+    in I."""
     return contains_by_walk(structure, I, sub_by_walk(structure, g, t))
 
 

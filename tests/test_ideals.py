@@ -340,7 +340,7 @@ def test_membership_generation_and_split_kernels_agree_with_their_walks():
                 for d in (add(s, g, h), sub(s, g, h), rng.choice(box)):
                     a = s._patch(d, s._zero, I)
                     assert a == split_by_walk(s, d, I, whole)
-                    joined = s._agree(J, d, a)
+                    joined = s._patch(d, a, J) == d
                     assert joined is (split_by_walk(s, d, I, J) is not None)
                     split += joined
                 x, t = rng.choice(box), add(s, g, h)
@@ -349,7 +349,7 @@ def test_membership_generation_and_split_kernels_agree_with_their_walks():
                 if I is whole or I is nothing:  # no walk: one of the operands
                     assert patched is (x if I is whole else t)
                 for y in (x, t, sub(s, x, h)):
-                    verdict = s._agree(J, patched, y)
+                    verdict = s._patch(patched, y, J) == patched
                     assert verdict is agree_by_walk(s, J, patched, y)
                     agreed += verdict
     assert held > 2000 and split > 5000 and agreed > 10000

@@ -1,7 +1,9 @@
-"""The nine kernels of product nodes: straight-line code compiled once per
+"""The eight kernels of product nodes: straight-line code compiled once per
 arity up to ``core._STRAIGHT_ARITY`` children, loops beyond it and in a
 ``python -m lgroup`` process, each checked against the recursive walks of
-``tests/oracles.py``; the loops at every arity from 2 to 17."""
+``tests/oracles.py``; the loops at every arity from 2 to 17.  The patch
+is also the congruence test, g = t mod I exactly when ``_patch(g, t, I)``
+is g, and that verdict is checked against ``agree_by_walk``."""
 
 import random
 import time
@@ -71,7 +73,7 @@ def _kernels(s, loops: bool):
     if not loops or type(s) is not Prod:
         return s
     *columns, _ = zip(*map(_KERNELS, s.children))
-    names = ("_add", "_sub", "_meet", "_between", "_tops", "_shape", "_agree", "_gen", "_patch")
+    names = ("_add", "_sub", "_meet", "_between", "_tops", "_shape", "_gen", "_patch")
     return SimpleNamespace(**dict(zip(names, _loop_kernels(len(s.children), *columns))))
 
 
@@ -129,9 +131,11 @@ def _wrong_part(rng, I):
 
 def _ideal_kernels_agree(loops: bool):
     rng = random.Random(3002)
+    verdicts = set()  # (arity, whether the congruence test held)
     for G in CASES:
         s = G.structure
         k = _kernels(s, loops)
+        arity = len(s.children) if type(s) is Prod else 0
         ideals = some_ideals(rng, G, count=4)
         ideals = ideals if len(ideals) <= 10 else rng.sample(ideals, 10)
         box = [G.unit, s._zero] + [random_element(rng, s, 1) for _ in range(4)]
@@ -143,9 +147,14 @@ def _ideal_kernels_agree(loops: bool):
             assert k._shape(bad) is not _raised(check_ideal_by_walk, s, bad)
             for _ in range(3):
                 g, t = rng.choice(box), rng.choice(box)
-                assert k._agree(I, g, t) is agree_by_walk(s, I, g, t)
-                assert k._patch(g, t, I) == patch_by_walk(s, g, t, I)
-                assert k._agree(I, k._patch(g, t, I), t) is True
+                patched = k._patch(g, t, I)
+                assert patched == patch_by_walk(s, g, t, I)
+                # the patch is congruent to t, and g to it exactly when to t
+                for x, y in ((g, t), (patched, t), (g, patched)):
+                    verdict = k._patch(x, y, I) == x
+                    assert verdict is agree_by_walk(s, I, x, y)
+                    verdicts.add((arity, verdict))
+    assert {(n, v) for n in range(2, _STRAIGHT_ARITY + 2) for v in (False, True)} <= verdicts
 
 
 def test_ideal_kernels_agree_with_their_walks():

@@ -55,8 +55,13 @@ def test_only_the_lattice_and_the_laws_enumerate():
         (laws.spectral_axioms, validate_unital_group(prod(*[Z] * 10), (1,) * 10), 4**10,
          "pairs of sets of primes"),
         (laws.interval_algebra, random_group(random.Random(6)), 96 * 586**2, "(ideal, point, point) triples"),
+        # over 13 s each on Z^7, against about 2 s on Z^6, which both still sweep
+        (laws.ideal_lattice, validate_unital_group(prod(*[Z] * 7), (1,) * 7), 128**3,
+         "(ideal, ideal, ideal) triples"),
+        (laws.riesz_splitting, validate_unital_group(prod(*[Z] * 7), (1,) * 7), 128**2 * 3**7,
+         "(ideal, ideal, point) triples"),
     ],
-    ids=["spectral-axioms", "interval-algebra"],
+    ids=["spectral-axioms", "interval-algebra", "ideal-lattice", "riesz-splitting"],
 )
 def test_the_wide_sweeps_are_refused_within_a_second(check, G, count, items):
     start = time.perf_counter()

@@ -41,6 +41,7 @@ from lgroup import (
     structure_from_json,
     structure_to_json,
     UnitalGroup,
+    Violation,
     compute_spectrum,
     spectrum_json,
     zero_ideal,
@@ -280,7 +281,9 @@ def test_certificates_render_as_the_per_kind_renderer():
     assert len(kinds) == 4 and min(kinds.values()) >= 50, kinds
 
 
-@pytest.mark.parametrize("value", [None, "incompatible", (0, 1), PatchResult()])
+@pytest.mark.parametrize(
+    "value", [None, "incompatible", (0, 1), PatchResult(), Violation("incompatible", (), "")]
+)
 def test_a_non_certificate_is_refused(value):
     with pytest.raises(LGroupError) as info:
         certificate_to_json(Z, value)
@@ -289,11 +292,10 @@ def test_a_non_certificate_is_refused(value):
 
 
 def test_a_certificate_renders_with_no_import(monkeypatch):
-    # crt's certificate classes are bound at the first call, not looked up
-    # by an import on every call
+    # a certificate's class names its kind, so no call looks up crt's
+    # classes by an import, the first call included
     G = UnitalGroup(prod(Z, Z), (1, 1))
     cert = keimel_patch(G, [(zero_ideal(G), (1, 0)), (zero_ideal(G), (0, 1))]).certificate
-    first = certificate_to_json(G.structure, cert)
     imported, real = [], builtins.__import__
 
     def counted(name, *args, **kwargs):
@@ -301,6 +303,7 @@ def test_a_certificate_renders_with_no_import(monkeypatch):
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", counted)
+    first = certificate_to_json(G.structure, cert)
     again = certificate_to_json(G.structure, cert)
     monkeypatch.undo()
     assert imported == [] and again == first and first["kind"] == "incompatible"
