@@ -816,9 +816,9 @@ def absval(structure: Structure, g: Element) -> Element:
     return join(structure, g, neg(structure, g))
 
 
-# entries kept by each of the per-group caches (``ideals.enumerate_ideals``,
-# ``spectrum.compute_spectrum``), so a long-running process holds a bounded
-# number of lattices and spectra
+# entries kept by each bounded table: the Fraction table of
+# ``lgroup.yosida`` and the operand record of ``mv.GammaAlgebra``, each
+# cleared when full, so a long-running process holds a bounded number
 CACHE_SIZE = 128
 
 

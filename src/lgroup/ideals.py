@@ -29,11 +29,10 @@ image of an element together.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import _CacheInfo
 from typing import Optional
 
 from .core import (
-    CACHE_SIZE,
     Atom,
     Element,
     Ideal,
@@ -52,6 +51,7 @@ from .core import (
     zero,
 )
 from .core import (  # noqa: F401  (re-exported: see the module docstring)
+    CACHE_SIZE,
     AtomIdeal,
     _max_meet,
     all_ideal,
@@ -133,22 +133,31 @@ def _enumerate(structure) -> tuple:
     return inner + (LexIdeal(None),)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+# the walks of ``enumerate_ideals``, read by its ``cache_info()`` as misses
+_walks = [0]
+
+
 def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     """Enumerate all ideals in canonical order (zero first, whole group last).
 
     Principality flags are computed honestly: each ideal gets a canonical
     generator candidate and the flag records whether that candidate
     actually generates it.  A lattice of more than ``MAX_IDEALS`` ideals
-    is refused with ``TooLarge``, in O(1), before any is listed.
+    is refused with ``TooLarge``, in O(1), before any is listed.  Every
+    call walks and nothing stores the lattice: it has 2^atoms ideals on a
+    product of atoms, and only the law checks and the tests list it.
     """
     s = G.structure
     if s._ideal_count > MAX_IDEALS:
         raise TooLarge(s._ideal_count, MAX_IDEALS)
+    _walks[0] += 1
     ideals = _enumerate(s)
     generators = tuple(_generator(s, I) for I in ideals)
     principal = tuple(s._gen(g) == I for g, I in zip(generators, ideals))
     return IdealLattice(G, ideals, principal, generators)
+
+
+enumerate_ideals.cache_info = lambda: _CacheInfo(0, *_walks, 0, 0)
 
 
 def _quotient(structure, I, g):

@@ -64,12 +64,20 @@ _BOX_LIMIT = 50000
 # they start, with TooLarge: spectral_axioms over the pairs of sets of
 # primes (Z^8 has 4^8 and took 0.55 s, Z^10 24 s); interval_algebra over
 # an ideal and two points of its slice (about a microsecond each), and
-# ideal_lattice over triples of ideals (Z^6 has 2^18 and took about 2 s,
-# Z^7 over 13 s); and riesz_splitting over two ideals and a point of the
-# box (Z^6 has 64^2 * 3^6 and took about 2 s, Z^7 over 13 s)
+# ideal_lattice over triples of ideals and pairs of an ideal and a point
+# of the box (Z^6 has 2^18 + 2^6 * 3^6 and took about 2 s, Z^7 over 13 s;
+# a lex tower has few ideals but one atom per level, lex^8 has
+# 10^3 + 10 * 3^9 and took 0.25 s, lex^10 2.6 s, and the box of lex^25
+# alone outgrows memory); riesz_splitting over two ideals and a point of
+# the box (Z^6 has 64^2 * 3^6 and took about 2 s, Z^7 over 13 s); and
+# quotient_spectra over an ideal and two primes, which it compares above
+# each ideal and projects with one walk each (lex^57 has 59 * 58^2 and
+# took about 0.85 s, lex^100 7.8 s, lex^200 145 s; Z^n costs less per
+# triple, since fewer primes lie above each ideal)
 _SUBSET_PAIR_LIMIT = 1 << 16
 _TRIPLE_LIMIT = 1 << 20
 _SPLIT_LIMIT = 1 << 22
+_PRIME_PAIR_LIMIT = 200_000
 
 
 def _refuse_over(count: int, limit: int, items: str) -> None:
@@ -295,8 +303,12 @@ def spectral_axioms(G):
 
 def quotient_spectra(G):
     """For every ideal I, J -> J/I is an order isomorphism from the primes
-    above I onto the spectrum of G/I, preserving maximality."""
+    above I onto the spectrum of G/I, preserving maximality.  Over
+    ``_PRIME_PAIR_LIMIT`` triples of an ideal and two primes it raises
+    ``TooLarge`` before any check."""
     space = compute_spectrum(G)
+    count = ideal_count(G.structure) * len(space) ** 2
+    _refuse_over(count, _PRIME_PAIR_LIMIT, "(ideal, prime, prime) triples")
     errors = []
     for I in enumerate_ideals(G).ideals:
         above = [p for p in space.primes if ideal_leq(I, p)]
@@ -325,8 +337,11 @@ def quotient_spectra(G):
 def ideal_lattice(G):
     """Distributivity of the ideal lattice, a principal generator for every
     ideal, and <g> as the least ideal containing g.  Over ``_TRIPLE_LIMIT``
-    triples of ideals it raises ``TooLarge`` before any check."""
-    _refuse_over(ideal_count(G.structure) ** 3, _TRIPLE_LIMIT, "(ideal, ideal, ideal) triples")
+    triples of ideals and pairs of an ideal and a point of the box it
+    raises ``TooLarge`` before any check."""
+    s = G.structure
+    count = ideal_count(s) ** 3 + ideal_count(s) * 3 ** atom_count(s)
+    _refuse_over(count, _TRIPLE_LIMIT, "ideal triples and (ideal, point) pairs")
     errors = []
     lattice = enumerate_ideals(G)
     ideals = lattice.ideals
@@ -339,7 +354,6 @@ def ideal_lattice(G):
                     errors.append("distributivity failed")
     if not all(lattice.principal):
         errors.append("an enumerated ideal has no principal witness")
-    s = G.structure
     for g in elements_in_box(s, 1):
         P = principal_ideal(s, g)
         for I in ideals:
@@ -382,12 +396,12 @@ def riesz_splitting(G):
     errors = []
     ideals = enumerate_ideals(G).ideals
     box = list(elements_in_box(s, 1))
+    # the first three members of the box in each ideal
+    members = {I: [a for a in box if s._patch(a, s._zero, I) == a][:3] for I in ideals}
     for I in ideals:
         for J in ideals:
-            members_i = [a for a in box if s._patch(a, s._zero, I) == a]
-            members_j = [b for b in box if s._patch(b, s._zero, J) == b]
-            for a in members_i[:3]:
-                for b in members_j[:3]:
+            for a in members[I]:
+                for b in members[J]:
                     d = G.add(a, b)
                     if s._patch(d, s._zero, ideal_join(I, J)) != d:
                         errors.append("sum escaped the join")

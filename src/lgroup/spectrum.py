@@ -7,8 +7,10 @@ forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The maximal
 ideals are the primes that nothing covers (``core._max_meet`` builds any
 of them, or their meet, without the spectrum); the tree stores them, and
-a space its own, so ``max_ideals()`` is a read.  The exports read pairs,
-closures and edges off those cover chains.  A prime containing the
+a space its own, so ``max_ideals()`` is a read.  Those stored facts are
+the only memo: no table keyed by group keeps a tree alive, so a dropped
+group frees its tree and all that is stored on it.  The exports read
+pairs, closures and edges off those cover chains.  A prime containing the
 intersection of finitely many primes contains one of them, so the closure
 of a set of primes is the union of its members' cover chains; the
 closure-operator law of ``lgroup.laws.spectral_axioms`` checks it against
@@ -20,12 +22,12 @@ topological laws by exhaustive enumeration.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import _CacheInfo
 from typing import FrozenSet
 
 from .core import (
-    CACHE_SIZE, Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, UnitalGroup, _ATOM_IDEALS,
-    _Ideal, _Record, _store, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
+    Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, UnitalGroup, _ATOM_IDEALS, _Record, _store,
+    all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
 )
 from .serialize import ideal_to_json
 
@@ -98,21 +100,33 @@ class SpectrumSpace(_SpaceFacts):
         return self.index(q) in self.chain(self.index(p))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+# (calls that read the tree's stored spectrum, calls that walked), read by
+# ``compute_spectrum.cache_info()`` as its (hits, misses)
+_calls = [0, 0]
+
+
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order.  They depend
     on the tree alone, so ``_primes`` walks each tree once and the node
-    stores them and the uncovered ones, its maximal ideals."""
+    stores them and the uncovered ones, its maximal ideals; every later
+    call, with any group on that tree, reads them.  Nothing else keeps
+    them: they die with the tree."""
     s = G.structure
+    _calls[s._spectrum is None] += 1
     if s._spectrum is None:
         found = _primes(s)
+        # the maximal ideals first: a thread that sees the primes stored
+        # must see them too
         _store(s, "_max_ideals", tuple(p for p, c in found if c is None))
-        _store(s, "_spectrum", (tuple(p for p, _ in found), tuple(c for _, c in found)))
+        _store(s, "_spectrum", tuple(zip(*found)))
     # the walk made these covers, so the constructor's check is skipped
     space = object.__new__(SpectrumSpace)
     _Record.__init__(space, G, *s._spectrum)
     _store(space, "_max_ideals", s._max_ideals)
     return space
+
+
+compute_spectrum.cache_info = lambda: _CacheInfo(*_calls, 0, 0)
 
 
 def _primes(structure) -> list:
@@ -153,11 +167,12 @@ def vanishing_locus(space, R) -> FrozenSet[Ideal]:
     element g when g = 0 mod p, so the stored patch ``_patch(g, 0, p)``
     is g.
 
-    ``space`` may be a SpectrumSpace or a UnitalGroup (spectra are cached).
+    ``space`` may be a SpectrumSpace or a UnitalGroup, whose spectrum is
+    read off its tree's stored primes after the first walk.
     """
     space = _space_of(space)
     s = space.group.structure
-    if isinstance(R, _Ideal) or not isinstance(R, Iterable):
+    if not isinstance(R, Iterable):
         check_ideal(s, R)
         return frozenset(p for p in space.primes if ideal_leq(R, p))
     elements = list(R)

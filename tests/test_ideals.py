@@ -1,8 +1,10 @@
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -68,6 +70,7 @@ from lgroup import (
     principal_ideal,
     prod,
     quotient,
+    scale,
     sub,
     validate_unital_group,
     zero_ideal,
@@ -252,17 +255,43 @@ def _lex_power(depth):
     return structure, unit
 
 
-def test_caches_stay_bounded():
-    # one more distinct structure, and group, than a cache holds
-    size = lgroup.ideals.CACHE_SIZE
-    for k in range(size + 1):
-        (s, u), (t, v) = (_lex_power(d) for d in divmod(k, 16))
-        G = UnitalGroup(prod(s, t), (u, v))
+def _fresh_product(width):
+    # a product of two lex towers and ``width`` atoms, which no other test
+    # builds, so that its root is a new node
+    (s, u), (t, v) = _lex_power(3), _lex_power(width % 7 + 1)
+    return Prod((s, t) + (Z,) * width), (u, v) + (1,) * width
+
+
+def test_a_dropped_group_frees_its_tree():
+    # the tree's stored facts are the only memo: once the caller drops the
+    # group, nothing keeps the tree, its spectrum or its lattice alive
+    s, unit = _fresh_product(5)
+    G = UnitalGroup(s, unit)
+    assert len(compute_spectrum(G)) == 4 + 7 + 5 and len(enumerate_ideals(G)) == 5 * 8 * 2**5
+    tree = weakref.ref(s)
+    del s, G
+    gc.collect()
+    assert tree() is None
+
+
+def test_the_counters_read_stored_facts_as_hits_and_walks_as_misses():
+    s, unit = _fresh_product(4)
+    spectra, lattices = compute_spectrum.cache_info(), enumerate_ideals.cache_info()
+    for counted in (spectra, lattices):
+        assert counted._fields == ("hits", "misses", "maxsize", "currsize")
+        assert (counted.maxsize, counted.currsize) == (0, 0)
+    # the first call on a tree walks it; a group on the same tree with
+    # another unit reads what the walk stored
+    first = compute_spectrum(UnitalGroup(s, unit))
+    assert compute_spectrum.cache_info()[:2] == (spectra.hits, spectra.misses + 1)
+    second = compute_spectrum(UnitalGroup(s, scale(s, 2, unit)))
+    assert compute_spectrum.cache_info()[:2] == (spectra.hits + 1, spectra.misses + 1)
+    assert second.primes is first.primes and second.group != first.group
+    # every lattice call walks, on the same group too, and none is a hit
+    G = UnitalGroup(s, unit)
+    for _ in range(2):
         enumerate_ideals(G)
-        compute_spectrum(G)
-    for cached in (enumerate_ideals, compute_spectrum):
-        info = cached.cache_info()
-        assert info.maxsize == size and info.currsize <= size
+    assert enumerate_ideals.cache_info()[:2] == (0, lattices.misses + 2)
 
 
 def _fact_cases():

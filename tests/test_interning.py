@@ -225,8 +225,7 @@ def test_ideal_facts_leave_equality_hash_repr_copy_and_pickle():
 
 def test_stored_facts_die_with_their_trees():
     # the spectra and radicals of 1,000 distinct trees keep no node alive
-    # once the trees and the spectrum cache are dropped
-    compute_spectrum.cache_clear()
+    # once the trees are dropped
     gc.collect()
     before = _tables()
     for i in range(1000):
@@ -236,7 +235,6 @@ def test_stored_facts_die_with_their_trees():
         G = UnitalGroup(s, unit)
         assert len(compute_spectrum(G)) and radical(G) is s._radical
     del s, G
-    compute_spectrum.cache_clear()
     gc.collect()
     assert _tables() == before
 
@@ -332,7 +330,7 @@ def test_threads_filling_one_slot_store_equal_values():
                     errors.extend(r for r in results if r != walks)
                 step.wait()
                 results[t] = None
-                compute_spectrum.cache_clear()
+                del groups  # so that the next round's trees are fresh again
         except Exception as exc:  # a failing thread fails the test
             errors.append(exc)
             step.abort()
@@ -449,13 +447,13 @@ def test_nodes_3000_levels_tall_hash_and_compare(ideal):
 
 @pytest.mark.parametrize("level", ["lex", "prod"])
 def test_spectra_of_separately_parsed_tall_groups(level):
-    # two parses of one 399-level tree give one structure, so the spectrum
-    # cache answers the second from the first without a deep comparison
+    # two parses of one 399-level tree give one structure, so the second
+    # spectrum reads the first's stored primes without a deep comparison
     first = loads_instance(tower_instance(399, level)).group
     second = loads_instance(tower_instance(399, level)).group
     space = compute_spectrum(first)
     hits = compute_spectrum.cache_info().hits
-    assert compute_spectrum(second) is space
+    assert compute_spectrum(second).primes is space.primes
     assert compute_spectrum.cache_info().hits == hits + 1
     assert len(space) == 400
     assert first is not second and first.structure is second.structure

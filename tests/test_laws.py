@@ -48,6 +48,13 @@ def test_only_the_lattice_and_the_laws_enumerate():
     assert users == {name: {"ideals.py", "laws.py"} for name in users}
 
 
+def _tower(depth):
+    s, unit = Z, 1
+    for _ in range(depth):
+        s, unit = lex(s), (1, unit)
+    return validate_unital_group(s, unit)
+
+
 @pytest.mark.parametrize(
     "check, G, count, items",
     [
@@ -56,12 +63,19 @@ def test_only_the_lattice_and_the_laws_enumerate():
          "pairs of sets of primes"),
         (laws.interval_algebra, random_group(random.Random(6)), 96 * 586**2, "(ideal, point, point) triples"),
         # over 13 s each on Z^7, against about 2 s on Z^6, which both still sweep
-        (laws.ideal_lattice, validate_unital_group(prod(*[Z] * 7), (1,) * 7), 128**3,
-         "(ideal, ideal, ideal) triples"),
+        (laws.ideal_lattice, validate_unital_group(prod(*[Z] * 7), (1,) * 7), 128**3 + 128 * 3**7,
+         "ideal triples and (ideal, point) pairs"),
         (laws.riesz_splitting, validate_unital_group(prod(*[Z] * 7), (1,) * 7), 128**2 * 3**7,
          "(ideal, ideal, point) triples"),
+        # 27 ideals, but the box of 26 atoms ran out of memory
+        (laws.ideal_lattice, _tower(25), 27**3 + 27 * 3**26, "ideal triples and (ideal, point) pairs"),
+        # 145 s of sweeping on 202 ideals and 201 primes
+        (laws.quotient_spectra, _tower(200), 202 * 201**2, "(ideal, prime, prime) triples"),
     ],
-    ids=["spectral-axioms", "interval-algebra", "ideal-lattice", "riesz-splitting"],
+    ids=[
+        "spectral-axioms", "interval-algebra", "ideal-lattice", "riesz-splitting",
+        "ideal-lattice-tower", "quotient-spectra-tower",
+    ],
 )
 def test_the_wide_sweeps_are_refused_within_a_second(check, G, count, items):
     start = time.perf_counter()
@@ -70,3 +84,14 @@ def test_the_wide_sweeps_are_refused_within_a_second(check, G, count, items):
     assert time.perf_counter() - start < 1
     assert refused.value.count == count > refused.value.limit
     assert str(refused.value) == f"{count} {items} exceed the enumeration limit of {refused.value.limit}"
+
+
+@pytest.mark.parametrize(
+    "check, G",
+    [(laws.riesz_splitting, validate_unital_group(prod(*[Z] * 6), (1,) * 6)), (laws.ideal_lattice, _tower(8))],
+    ids=["riesz-splitting", "ideal-lattice-tower"],
+)
+def test_the_sweeps_just_under_their_limits_still_answer(check, G):
+    # Z^6 splits each ideal's first three members of the box once, and the
+    # 3^9 box of lex^8 is still tested against its 10 ideals
+    assert check(G) == []
