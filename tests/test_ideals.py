@@ -258,7 +258,7 @@ def _lex_power(depth):
 def _fresh_product(width):
     # a product of two lex towers and ``width`` atoms, which no other test
     # builds, so that its root is a new node
-    (s, u), (t, v) = _lex_power(3), _lex_power(width % 7 + 1)
+    (s, u), (t, v) = _lex_power(3), _lex_power(width + 1)
     return Prod((s, t) + (Z,) * width), (u, v) + (1,) * width
 
 
