@@ -58,14 +58,13 @@ template writes its eight kernels, part i calling child i's kernel (an
 atom child's interval check inline), and is compiled once per arity, at
 its first use, into a module table of at most 15 factories.  Only the
 arity and the indices go into the source, never a value.  A wider
-product loops over its children, and maps them in C when they are one
-tree: compiling costs about 0.3 ms per child, so a product of a thousand
-children would take most of a second to build.  The compile pays in a
-long-lived process (the library, ``cli.main`` called in process), but
-``python -m lgroup`` meets each arity about once, so its ``__main__``
-lowers the bound and every product it builds runs the loops.  A product
-of atoms extends the list of tops by its value.  A kernel calls its children's
-directly, from straight-line code, a loop or a ``map``, never from a
+product loops over its children, calling each child's kernel: compiling
+costs about 0.3 ms per child, so a product of a thousand children would
+take most of a second to build.  The compile pays in a long-lived
+process (the library, ``cli.main`` called in process), but ``python -m
+lgroup`` meets each arity about once, so its ``__main__`` lowers the
+bound and every product it builds runs the loops.  A kernel calls its
+children's directly, from straight-line code or a loop, never from a
 comprehension, so it takes one frame per tree level and recurses no
 deeper than the recursive walks it replaced.  A kernel holds its
 children's kernels and never a structure node, so the kernels form no
@@ -564,54 +563,40 @@ def _straight_factory(n: int):
 
 def _prod_kernels(children: tuple) -> tuple:
     """A product's kernels and whole ideal from its children's: straight-
-    line code up to _STRAIGHT_ARITY children, else loops; a product of
-    atoms extends the list of tops by its value."""
+    line code up to _STRAIGHT_ARITY children, else the loops."""
     *columns, wholes = zip(*map(_KERNELS, children))
     n = len(children)
     if n <= _STRAIGHT_ARITY:
         kernels = _straight_factory(n)(*columns)
     else:
         kernels = _loop_kernels(n, *columns)
-    if all(type(c) is Atom for c in children):  # the parts are the tops
-        kernels[4] = list.extend
     return (*kernels, ProdIdeal(wholes))
 
 
-def _map2(kernels: tuple):
-    """(g, h) -> the tuple of kernel k on part k of g and h: a map in C
-    when the kernels are one (the children are one tree), else a loop."""
-    first = kernels[0]
-    if kernels.count(first) == len(kernels):
-        return lambda g, h: tuple(map(first, g, h))
-
-    def kernel(g, h):
-        out = []
-        for f, a, b in zip(kernels, g, h):
-            out.append(f(a, b))
-        return tuple(out)
-
-    return kernel
-
-
 def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) -> list:
-    """A wide product's kernels: each calls its children's from a loop,
-    with one frame per level, and the interval check does an atom child's
-    work inline."""
-    atom_between = _atom_between
+    """A wide product's kernels: each calls every child's kernel from a
+    loop, with one frame per level.  They take no shortcut for any kind
+    of child, as none would pay: a one-shot command calls each of them a
+    few times, and no ``batch`` op calls them at all (CHANGES.md records
+    the counts, with the change that made the loops plain)."""
+
+    def partwise(kernels):  # add, sub or meet
+        def kernel(g, h):
+            out = []
+            for f, a, b in zip(kernels, g, h):
+                out.append(f(a, b))
+            return tuple(out)
+
+        return kernel
 
     def between(x, u, low, high):
         if not isinstance(x, tuple) or len(x) != n:
             return None
         verdict = True
         for f, part, top in zip(betweens, x, u):
-            if f is not atom_between:
-                inside = f(part, top, low, high)
-                if inside is None:
-                    return None
-            elif part.__class__ is bool or not isinstance(part, int):
+            inside = f(part, top, low, high)
+            if inside is None:
                 return None
-            else:
-                inside = (not low or 0 <= part) and (not high or part <= top)
             if not inside:  # out of the interval: check the shape only
                 verdict = low = high = False
         return verdict
@@ -635,15 +620,15 @@ def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) 
         return ProdIdeal(tuple(parts))
 
     def patch(g, t, I):
-        # a whole ideal or part pins nothing, and the zero one everything
+        # the whole ideal pins nothing, and the zero one everything
         if I._zero or not I._mask:
             return t if I._zero else g
         out = []
         for f, x, y, p in zip(patches, g, t, I.parts):
-            out.append(x if not p._mask else y if p._zero else f(x, y, p))
+            out.append(f(x, y, p))
         return tuple(out)
 
-    return [_map2(adds), _map2(subs), _map2(meets), between, tops, shape, gen, patch]
+    return [partwise(adds), partwise(subs), partwise(meets), between, tops, shape, gen, patch]
 
 
 class Atom(_Structure):

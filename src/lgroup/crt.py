@@ -90,6 +90,10 @@ class CongruenceSystem(_Record):
     @classmethod
     def of(cls, pairs) -> "CongruenceSystem":
         """The system of ``pairs``, any iterable of two-item iterables."""
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise LGroupError("system: expected an iterable of (ideal, target) pairs") from None
         constraints = []
         for k, constraint in enumerate(pairs):
             try:
@@ -311,6 +315,13 @@ def _strong(G: UnitalGroup, system: CongruenceSystem) -> PatchResult:
     return PatchResult(solution=g)
 
 
+def _length(items, name: str) -> int:
+    try:
+        return len(items)
+    except TypeError:
+        raise LGroupError(f"{name}: expected a sequence of elements") from None
+
+
 def zero_set_patch(
     G: UnitalGroup,
     generators: Sequence[Element],
@@ -329,10 +340,9 @@ def zero_set_patch(
     cover the whole maximal spectrum: two solutions then agree everywhere,
     and the trivial radical forces them equal.
     """
-    if len(generators) != len(targets):
-        raise LengthMismatch(
-            f"{len(generators)} generators against {len(targets)} targets"
-        )
+    n, m = _length(generators, "generators"), _length(targets, "targets")
+    if n != m:
+        raise LengthMismatch(f"{n} generators against {m} targets")
     ideals = [principal_ideal(G.structure, h) for h in generators]
     for g in targets:
         check_element(G.structure, g)

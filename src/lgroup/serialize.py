@@ -256,9 +256,21 @@ def instance_from_json(obj) -> Instance:
                 raise ParseError(path, "tagged entries need \"mv\": true and a value")
             raw, path = raw["value"], f"{path}.value"
         instance.elements[name] = ElementEntry(element_from_json(structure, raw, path), mv)
+    _check_intervals(instance)
     if "task" in obj:
         instance.task = _parse_task(structure, obj["task"], "task")
     return instance
+
+
+def _check_intervals(instance: Instance) -> None:
+    """Refuse an mv element outside [0, u], by one call of the tree's
+    interval kernel each; a malformed one (None) is left to its shape
+    check."""
+    G = instance.group
+    for name, e in instance.elements.items():
+        if e.mv and G.structure._between(e.value, G.unit, True, True) is False:
+            shown = _to_json(e.value)
+            raise ParseError(f"elements.{name}.value", f"{shown!r} is not between 0 and the unit")
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -266,6 +278,7 @@ def instance_to_json(instance: Instance) -> dict:
     element = partial(element_to_json, structure)
     for I in (*instance.ideals.values(), *getattr(task, "ideals", ())):
         check_ideal(structure, I)  # as element_to_json checks each element
+    _check_intervals(instance)  # as loads_instance does
     out: dict = {"structure": structure_to_json(structure), "unit": element(instance.group.unit)}
     if instance.ideals:
         out["ideals"] = {name: ideal_to_json(I) for name, I in instance.ideals.items()}

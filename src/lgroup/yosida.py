@@ -23,7 +23,8 @@ gets the plain Fraction, equal to its own, as ``Fraction`` makes ints.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
+from fractions import Fraction
+from typing import Dict, FrozenSet, Optional
 
 from .core import (
     CACHE_SIZE,
@@ -38,9 +39,6 @@ from .core import (
     top_values,
 )
 from .spectrum import SpectrumSpace, compute_spectrum
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class NotMaximal(LGroupError):
@@ -89,10 +87,9 @@ def _fraction(g: int, u: int) -> Fraction:
     """g/u from the shared table of Fractions, made and entered on a miss."""
     value = _FRACTIONS.get((g, u))
     if value is None:
-        import fractions  # here, not at the top: ``crt`` loads this module
         if len(_FRACTIONS) >= CACHE_SIZE:
             _FRACTIONS.clear()
-        value = _FRACTIONS[g, u] = fractions.Fraction(g, u)
+        value = _FRACTIONS[g, u] = Fraction(g, u)
     return value
 
 

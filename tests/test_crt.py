@@ -181,6 +181,21 @@ def test_malformed_constraints_raise_a_library_error(solver):
     assert solver(A2, (pair for pair in [good, (A2_M2, (1, 2))])).solution == (4, 2)
 
 
+def test_malformed_systems_raise_a_library_error_naming_the_argument():
+    g = (4, 9)
+    calls = [
+        (lambda: keimel_patch(A2, 5), "system: expected an iterable of (ideal, target) pairs"),
+        (lambda: strong_patch(A2, None), "system: expected an iterable of (ideal, target) pairs"),
+        (lambda: zero_set_patch(A2, 5, [g]), "generators: expected a sequence of elements"),
+        (lambda: zero_set_patch(A2, iter([g]), [g]), "generators: expected a sequence of elements"),
+    ]
+    for call, message in calls:
+        with pytest.raises(LGroupError) as info:
+            call()
+        assert type(info.value) is LGroupError
+        assert str(info.value) == message
+
+
 def test_keimel_duplicate_ideals_allowed():
     z = zero_ideal(LEX.structure)
     system = CongruenceSystem.of([(z, (0, 1)), (z, (0, 1))])

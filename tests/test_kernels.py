@@ -23,7 +23,7 @@ from oracles import (
     top_values_by_walk,
 )
 from lgroup import AtomIdeal, LexIdeal, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, Z, lex, prod
-from lgroup.core import _KERNELS, _STRAIGHT, _STRAIGHT_ARITY, _loop_kernels
+from lgroup.core import _KERNELS, _STRAIGHT, _STRAIGHT_ARITY, _loop_kernels, top_values
 
 # children of the mixed products: atoms, lex nodes and small products
 POOL = [Z, lex(Z), prod(Z, Z), lex(prod(Z, lex(Z))), prod(lex(Z), Z, Z)]
@@ -78,8 +78,7 @@ def _kernels(s, loops: bool):
 
 
 def test_every_compiled_arity_is_covered():
-    # by a mixed product and a one-tree one, whose add, sub and meet the
-    # loops map in C (_map2)
+    # by a mixed product and a one-tree one
     mixed, one_tree = set(), set()
     for G in CASES:
         if type(G.structure) is Prod:
@@ -195,15 +194,28 @@ def test_the_table_holds_only_arities_up_to_the_bound():
 
 
 def test_a_wide_product_builds_with_no_compile_and_answers():
-    # a 1,000-child mixed product: loops, so building it costs microseconds
-    # per child where compiling its straight-line kernels would take most
-    # of a second
-    children = tuple([Z, lex(Z), prod(Z, Z), lex(prod(Z, Z))][i % 4] for i in range(999)) + (Z,)
-    started = time.perf_counter()
-    s = prod(*children)
-    assert time.perf_counter() - started < 0.05
-    assert 1000 not in _STRAIGHT
+    # a 1,000-child product, mixed or of one tree (Z^1000, and 1,000 copies
+    # of lex(prod(Z, Z))): loops, so building it costs microseconds per
+    # child where compiling its straight-line kernels would take most of a
+    # second
+    mixed = tuple([Z, lex(Z), prod(Z, Z), lex(prod(Z, Z))][i % 4] for i in range(999)) + (Z,)
     rng = random.Random(3004)
-    g, h = random_element(rng, s, 3), random_element(rng, s, 3)
-    assert s._add(g, h) == add_by_walk(s, g, h)
-    assert s._between(g, h, True, True) == between_by_walk(s, g, h, True, True)
+    for children in (mixed, (Z,) * 1000, (lex(prod(Z, Z)),) * 1000):
+        started = time.perf_counter()
+        s = prod(*children)
+        assert time.perf_counter() - started < 0.05
+        assert 1000 not in _STRAIGHT
+        g, h = random_element(rng, s, 3), random_element(rng, s, 3)
+        assert s._add(g, h) == add_by_walk(s, g, h)
+        assert s._sub(g, h) == sub_by_walk(s, g, h)
+        assert s._meet(g, h) == meet_by_walk(s, g, h)
+        for x in (g, _malformed(rng, g)):
+            for low in (False, True):
+                for high in (False, True):
+                    assert s._between(x, h, low, high) == between_by_walk(s, x, h, low, high)
+        assert top_values(s, g) == top_values_by_walk(s, g)
+        assert s._gen(g) is principal_by_walk(s, g)
+        # zero, whole, and proper where g or h is 0
+        for I in (s._gen(s._zero), s._all, s._gen(g), s._gen(h)):
+            assert s._shape(I) is True
+            assert s._patch(g, h, I) == patch_by_walk(s, g, h, I)
