@@ -88,14 +88,22 @@ zero and whole ideals, the tests of the masks (``is_zero_ideal``,
 containment, ``principal_ideal``, ``ideal_count``, and ``_max_meet``,
 the meet of the maximal ideals at any set of top positions in one closed
 form (the whole group, the radical and a certificate's maximal ideal are
-the meets of none, all and one).  ``lgroup.ideals`` re-exports them, and
-keeps enumeration, quotients, generators and congruence.  Likewise
-``top_values``, g's top integers by one call of ``_tops``, lives here
-for its users outside ``lgroup.yosida``, which re-exports it: the patch
-solvers, and ``cli.analyze``, which prints each value as g's top integer
-over the unit's in lowest terms and so makes no Fraction.  The element
-generators that only the law checks and the tests use,
+the meets of none, all and one).  This module is their one home:
+``lgroup.ideals`` keeps enumeration, quotients, generators and
+congruence.  Likewise ``top_values``, g's top integers by one call of
+``_tops``, lives here for the patch solvers, for ``lgroup.yosida``'s
+tables, and for ``cli.analyze``, which prints each value as g's top
+integer over the unit's in lowest terms and so makes no Fraction.  The
+element generators that only the law checks and the tests use,
 ``random_element`` and ``elements_in_box``, live in ``lgroup.laws``.
+
+The element arithmetic (``add``, ``sub``, ``neg``, ``scale``, ``meet``,
+``join``, ``leq``, ``lt`` and ``absval``, and the ``UnitalGroup``
+methods over them) checks each element operand once with
+``check_element``, one interval-check call that descends only on
+failure, and then calls the kernels; ``scale`` refuses a multiplier that
+is not an int.  Library code that already holds checked values calls the
+kernels itself, so no sweep checks twice.
 """
 
 from __future__ import annotations
@@ -757,48 +765,77 @@ def zero(structure: Structure) -> Element:
     return structure._zero
 
 
+def _check_elements(structure, *values):
+    for value in values:
+        check_element(structure, value)
+
+
 def add(structure: Structure, g: Element, h: Element) -> Element:
+    _check_elements(structure, g, h)
     return structure._add(g, h)
 
 
 def neg(structure: Structure, g: Element) -> Element:
+    check_element(structure, g)
     return structure._sub(structure._zero, g)
 
 
 def sub(structure: Structure, g: Element, h: Element) -> Element:
+    _check_elements(structure, g, h)
     return structure._sub(g, h)
 
 
 def scale(structure: Structure, n: int, g: Element) -> Element:
+    """n times g, for an integer n (a bool is refused)."""
+    if not _is_int(n):
+        raise LGroupError(f"expected an integer multiplier, got {n!r}")
+    check_element(structure, g)
+    return _scale(structure, n, g)
+
+
+def _scale(structure, n, g):
     if isinstance(structure, Atom):
         return n * g
     if isinstance(structure, Prod):
-        return tuple(map(scale, structure.children, itertools.repeat(n), g))
-    return (n * g[0], scale(structure.bottom, n, g[1]))
+        return tuple(map(_scale, structure.children, itertools.repeat(n), g))
+    return (n * g[0], _scale(structure.bottom, n, g[1]))
 
 
 def leq(structure: Structure, g: Element, h: Element) -> bool:
-    """Component/lex order comparison; a partial order, total iff chain.
-    g <= h exactly when h - g lies in the positive cone."""
+    """Component/lex order comparison; a partial order, total iff chain."""
+    _check_elements(structure, g, h)
+    return _leq(structure, g, h)
+
+
+def _leq(structure, g, h):
+    # g <= h exactly when h - g lies in the positive cone
     d = structure._sub(h, g)
     return structure._between(d, d, True, False)
 
 
 def lt(structure: Structure, g: Element, h: Element) -> bool:
-    return g != h and leq(structure, g, h)
+    _check_elements(structure, g, h)
+    return g != h and _leq(structure, g, h)
 
 
 def meet(structure: Structure, g: Element, h: Element) -> Element:
+    _check_elements(structure, g, h)
     return structure._meet(g, h)
 
 
 def join(structure: Structure, g: Element, h: Element) -> Element:
-    """g v h = g + h - (g ^ h)."""
+    _check_elements(structure, g, h)
+    return _join(structure, g, h)
+
+
+def _join(structure, g, h):
+    # g v h = g + h - (g ^ h)
     return structure._sub(structure._add(g, h), structure._meet(g, h))
 
 
 def absval(structure: Structure, g: Element) -> Element:
-    return join(structure, g, neg(structure, g))
+    check_element(structure, g)
+    return _join(structure, g, structure._sub(structure._zero, g))
 
 
 # entries kept by each bounded table: the Fraction table of

@@ -235,7 +235,7 @@ def _pairwise_failure(G: UnitalGroup, system: CongruenceSystem):
     for (i, (Ii, gi)), (j, (Ij, gj)) in itertools.combinations(cons, 2):
         joined = ideal_join(Ii, Ij)
         if G.structure._patch(gi, gj, joined) != gi:
-            return i, j, G.sub(gi, gj), joined
+            return i, j, G.structure._sub(gi, gj), joined
     raise InternalInvariantViolation("the patch fold failed on a compatible system")
 
 

@@ -5,13 +5,10 @@ structurally: ``AtomIdeal(full)`` ({0} or all of Z), ``ProdIdeal(parts)``
 (a componentwise product of child ideals) and ``LexIdeal(inner)`` (the
 whole lexicographic extension, ``inner is None``, or {0} x inner).  The
 node classes, their stored facts and kernels, and the closed forms that
-read those facts live in ``lgroup.core``, which every command loads, and
-are re-exported here, one object under both names: ``CACHE_SIZE``,
-``_structure_of``, ``zero_ideal``, ``all_ideal``, ``_max_meet``,
-``is_zero_ideal``, ``is_all_ideal``, ``is_proper``, ``check_ideal``,
-``ideal_join``, ``ideal_meet``, ``ideal_leq``, ``principal_ideal`` and
-``ideal_count``.  No command of the CLI but ``selftest`` loads this
-module.
+read those facts (the zero and whole ideals, meet, join, containment,
+``principal_ideal``, ``ideal_count`` and ``check_ideal``) live in
+``lgroup.core``, which every command loads.  No command of the CLI but
+``selftest`` loads this module.
 
 What stays here walks the lattice or the quotient.  Because the class
 only has finitely many ideals per structure, the whole lattice is
@@ -49,21 +46,6 @@ from .core import (
     check_element,
     check_ideal,
     zero,
-)
-from .core import (  # noqa: F401  (re-exported: see the module docstring)
-    CACHE_SIZE,
-    AtomIdeal,
-    _max_meet,
-    all_ideal,
-    ideal_count,
-    ideal_join,
-    ideal_leq,
-    ideal_meet,
-    is_all_ideal,
-    is_proper,
-    is_zero_ideal,
-    principal_ideal,
-    zero_ideal,
 )
 
 # the most ideals ``enumerate_ideals`` lists: Z^16 has this many

@@ -27,10 +27,17 @@ from .core import (
     Structure,
     TooLarge,
     UnitalGroup,
+    _join,
+    _leq,
+    all_ideal,
     atom_count,
     ideal_count,
+    ideal_join,
+    ideal_leq,
+    ideal_meet,
+    is_proper,
     leq,
-    meet,
+    principal_ideal,
     scale,
     zero,
 )
@@ -43,16 +50,7 @@ from .crt import (
     zero_set_patch,
 )
 from .gallery import GALLERY_NAMES, gallery_instance, gallery_json
-from .ideals import (
-    all_ideal,
-    enumerate_ideals,
-    ideal_join,
-    ideal_leq,
-    ideal_meet,
-    is_proper,
-    principal_ideal,
-    quotient,
-)
+from .ideals import enumerate_ideals, quotient
 from .mv import GammaAlgebra
 from .semisimple import is_semisimple, is_strongly_semisimple, radical
 from .serialize import dumps_canonical, instance_to_json, loads_instance
@@ -68,15 +66,16 @@ _BOX_LIMIT = 50000
 # of the box (Z^6 has 2^18 + 2^6 * 3^6 and took about 2 s, Z^7 over 13 s;
 # a lex tower has few ideals but one atom per level, lex^8 has
 # 10^3 + 10 * 3^9 and took 0.25 s, lex^10 2.6 s, and the box of lex^25
-# alone outgrows memory); riesz_splitting over two ideals and a point of
-# the box (Z^6 has 64^2 * 3^6 and took about 2 s, Z^7 over 13 s); and
+# alone outgrows memory); riesz_splitting over the pairs of an ideal and a
+# point of the box it filters once, and the at most 3 x 3 splits it makes
+# per pair of ideals (Z^7 has 2^7 * 3^7 + 9 * 2^14 and took 0.9 s, Z^8
+# 4.0 s; lex^9 has 11 * 3^10 + 9 * 11^2 and took 0.4 s, lex^10 1.5 s); and
 # quotient_spectra over an ideal and two primes, which it compares above
 # each ideal and projects with one walk each (lex^57 has 59 * 58^2 and
 # took about 0.85 s, lex^100 7.8 s, lex^200 145 s; Z^n costs less per
 # triple, since fewer primes lie above each ideal)
 _SUBSET_PAIR_LIMIT = 1 << 16
 _TRIPLE_LIMIT = 1 << 20
-_SPLIT_LIMIT = 1 << 22
 _PRIME_PAIR_LIMIT = 200_000
 
 
@@ -388,11 +387,12 @@ def semisimplicity(G):
 
 def riesz_splitting(G):
     """Sums of members of I and J lie in I v J and split back into them.
-    Over ``_SPLIT_LIMIT`` triples of two ideals and a point of the box it
-    raises ``TooLarge`` before any check."""
+    Over ``_TRIPLE_LIMIT`` pairs of an ideal and a point of the box, which
+    it filters once per ideal, and splits, at most 3 x 3 per pair of
+    ideals, it raises ``TooLarge`` before any check."""
     s = G.structure
-    count = ideal_count(s) ** 2 * 3 ** atom_count(s)
-    _refuse_over(count, _SPLIT_LIMIT, "(ideal, ideal, point) triples")
+    count = ideal_count(s) * 3 ** atom_count(s) + 9 * ideal_count(s) ** 2
+    _refuse_over(count, _TRIPLE_LIMIT, "(ideal, point) pairs and splits")
     errors = []
     ideals = enumerate_ideals(G).ideals
     box = list(elements_in_box(s, 1))
@@ -402,12 +402,12 @@ def riesz_splitting(G):
         for J in ideals:
             for a in members[I]:
                 for b in members[J]:
-                    d = G.add(a, b)
+                    d = s._add(a, b)
                     if s._patch(d, s._zero, ideal_join(I, J)) != d:
                         errors.append("sum escaped the join")
                         continue
                     x, y = riesz_split(G, d, I, J)
-                    if G.add(x, y) != d:
+                    if s._add(x, y) != d:
                         errors.append("riesz split does not re-sum")
     return errors
 
@@ -423,10 +423,7 @@ def _interval_box(G, bound):
     ordered; a seeded clamped sample when the box is too large."""
     s = G.structure
     if (2 * bound + 1) ** atom_count(s) <= _BOX_LIMIT:
-        z = zero(s)
-        return [
-            x for x in elements_in_box(s, bound) if leq(s, z, x) and leq(s, x, G.unit)
-        ]
+        return [x for x in elements_in_box(s, bound) if s._between(x, G.unit, True, True)]
     alg = GammaAlgebra(G)
     rng = random.Random(20480)
     out = {alg.clamp(g) for g in (random_element(rng, s, bound) for _ in range(2000))}
@@ -472,7 +469,7 @@ def interval_algebra(G):
         rhs = alg.oplus(alg.neg(alg.oplus(alg.neg(y), x)), x)
         if lhs != rhs:
             errors.append("characteristic identity failed")
-        if lhs != G.join(x, y):
+        if lhs != _join(s, x, y):
             errors.append("interval order disagrees with the group order")
         if alg.mv_meet(x, y) != alg.neg(alg.mv_join(alg.neg(x), alg.neg(y))):
             errors.append("interval meet is not the De Morgan dual of the join")
@@ -489,7 +486,7 @@ def interval_algebra(G):
                 z in T or z not in boxset
                 for z in (alg._oplus(x, y) for x in T for y in T)
             )
-            and all(y in T for x in T for y in box if leq(s, y, x))
+            and all(y in T for x in T for y in box if _leq(s, y, x))
         ):
             errors.append("a trace is not an interval ideal")
 
@@ -499,7 +496,7 @@ def interval_algebra(G):
     for I in filter(is_proper, ideals):
         T = traces[I]
         prime = not any(
-            meet(s, x, y) in T and x not in T and y not in T for x in box for y in box
+            s._meet(x, y) in T and x not in T and y not in T for x in box for y in box
         )
         # the witness lies in [0, u] but may leave the slice, so it is
         # tested against I itself, whose meet with [0, u] is the interval

@@ -46,8 +46,8 @@ from .core import (
     InternalInvariantViolation,
     LGroupError,
     _Record,
+    _leq,
     check_element,
-    leq,
 )
 
 
@@ -139,7 +139,7 @@ class GammaAlgebra(_AlgebraFacts):
         return self.group.structure._meet(self.validate(x), self.validate(y))
 
     def leq(self, x: Element, y: Element) -> bool:
-        return leq(self.group.structure, self.validate(x), self.validate(y))
+        return _leq(self.group.structure, self.validate(x), self.validate(y))
 
     def _oplus(self, x: Element, y: Element) -> Element:
         s = self.group.structure

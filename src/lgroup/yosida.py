@@ -10,15 +10,16 @@ unique unital embedding of the quotient into the reals, is g's integer
 there over the unit's, ``g[k]/u[k]``.  So an element's table over the
 maximal spectrum is a list of its top integers, and its zero set is where
 they are 0.  ``top_values`` reads them with one call of the structure's
-stored kernel ``_tops``; it lives in ``lgroup.core`` and is re-exported
-here.  The patch solvers import it from there without this module, and
-so does ``lgroup analyze``, which prints g[k]/u[k] in lowest terms from
-the two integers and never loads this module or ``fractions``.  A group
-stores its unit's at construction.  On [0, u] the integer at k runs over
-0..u[k], so values repeat: the tables and ``holder_eval`` share one table
-of the (immutable) Fractions, keyed by (integer, unit integer), of at
-most ``core.CACHE_SIZE`` entries and cleared when full.  An ``int`` subclass
-gets the plain Fraction, equal to its own, as ``Fraction`` makes ints.
+stored kernel ``_tops``; it lives in ``lgroup.core``, and this module
+imports it for its own tables.  The patch solvers import it from there
+without this module, and so does ``lgroup analyze``, which prints
+g[k]/u[k] in lowest terms from the two integers and never loads this
+module or ``fractions``.  A group stores its unit's at construction.
+On [0, u] the integer at k runs over 0..u[k], so values repeat: the
+tables and ``holder_eval`` share one table of the (immutable) Fractions,
+keyed by (integer, unit integer), of at most ``core.CACHE_SIZE`` entries
+and cleared when full.  An ``int`` subclass gets the plain Fraction,
+equal to its own, as ``Fraction`` makes ints.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from lgroup import (
     radical,
     sub,
 )
-from lgroup.ideals import CACHE_SIZE
+from lgroup.core import CACHE_SIZE
 
 CHANG = GammaAlgebra(LEX)
 

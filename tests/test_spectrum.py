@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-import lgroup.ideals
+import lgroup.core
 import lgroup.spectrum
 from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, ORACLE_GROUPS, random_group, tall_groups
 from oracles import primes_by_walk, radical_by_walk, zero_by_walk
@@ -97,8 +97,7 @@ def test_primes_walk_visits_each_node_once(monkeypatch):
         return visit
 
     monkeypatch.setattr(lgroup.spectrum, "_primes", counted(lgroup.spectrum._primes))
-    for module in (lgroup.spectrum, lgroup.ideals):
-        monkeypatch.setattr(module, "all_ideal", counted(lgroup.ideals.all_ideal))
+    monkeypatch.setattr(lgroup.spectrum, "all_ideal", counted(lgroup.core.all_ideal))
     height = 300
     tower, nest = Atom(), Atom()
     for _ in range(height):

@@ -18,6 +18,7 @@ from lgroup import (
     ProdIdeal,
     ShapeMismatch,
     Z,
+    absval,
     add,
     canonical_generator,
     closure,
@@ -25,12 +26,19 @@ from lgroup import (
     congruent,
     element_to_json,
     enumerate_ideals,
+    join,
     keimel_patch,
+    leq,
     loads_instance,
+    lt,
+    meet,
+    neg,
     prod,
     quotient,
     riesz_split,
+    scale,
     strong_patch,
+    sub,
     validate_unital_group,
     vanishing_locus,
     zero_ideal,
@@ -39,6 +47,7 @@ from lgroup import (
 
 # MIX is prod(Z, lex(Z)): each bad value below but the last ideal is wrong
 # only below the root
+S = MIX.structure
 E0 = (0, (0, 0))
 Z0 = zero_ideal(MIX)
 LEX_BOTTOM_ALL = ProdIdeal((AtomIdeal(False), LexIdeal(AtomIdeal(True))))
@@ -95,6 +104,33 @@ BAD_ARGUMENTS = [
      (1, "bottom"), BOTTOM_MSG),
     ("element_to_json", lambda: element_to_json(MIX.structure, BAD_TOP),
      (1, "top"), TOP_MSG),
+    # the element arithmetic checks each operand in turn: the first
+    # malformed one is named, though the second is malformed too
+    ("add first", lambda: add(S, BAD_TOP, BAD_BOTTOM), (1, "top"), TOP_MSG),
+    ("add second", lambda: add(S, E0, BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("sub first", lambda: sub(S, BAD_PAIR, E0), (1,), PAIR_MSG),
+    ("sub second", lambda: sub(S, E0, BAD_TOP), (1, "top"), TOP_MSG),
+    ("neg", lambda: neg(S, BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("scale", lambda: scale(S, 2, BAD_PAIR), (1,), PAIR_MSG),
+    ("meet first", lambda: meet(S, BAD_TOP, E0), (1, "top"), TOP_MSG),
+    ("meet second", lambda: meet(S, E0, BAD_PAIR), (1,), PAIR_MSG),
+    ("join first", lambda: join(S, BAD_BOTTOM, BAD_TOP), (1, "bottom"), BOTTOM_MSG),
+    ("join second", lambda: join(S, E0, BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("leq first", lambda: leq(S, BAD_PAIR, E0), (1,), PAIR_MSG),
+    ("leq second", lambda: leq(S, E0, BAD_TOP), (1, "top"), TOP_MSG),
+    # equal operands are compared only once both are checked
+    ("lt equal", lambda: lt(S, BAD_TOP, BAD_TOP), (1, "top"), TOP_MSG),
+    ("lt second", lambda: lt(S, E0, BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("absval", lambda: absval(S, BAD_TOP), (1, "top"), TOP_MSG),
+    ("UnitalGroup.add", lambda: MIX.add(E0, BAD_TOP), (1, "top"), TOP_MSG),
+    ("UnitalGroup.sub", lambda: MIX.sub(BAD_BOTTOM, E0), (1, "bottom"), BOTTOM_MSG),
+    ("UnitalGroup.neg", lambda: MIX.neg(BAD_PAIR), (1,), PAIR_MSG),
+    ("UnitalGroup.scale", lambda: MIX.scale(-1, BAD_TOP), (1, "top"), TOP_MSG),
+    ("UnitalGroup.meet", lambda: MIX.meet(E0, BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("UnitalGroup.join", lambda: MIX.join(BAD_PAIR, E0), (1,), PAIR_MSG),
+    ("UnitalGroup.abs", lambda: MIX.abs(BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
+    ("UnitalGroup.leq", lambda: MIX.leq(E0, BAD_PAIR), (1,), PAIR_MSG),
+    ("UnitalGroup.lt", lambda: MIX.lt(BAD_TOP, BAD_TOP), (1, "top"), TOP_MSG),
 ]
 
 
@@ -177,6 +213,19 @@ ONE_WALK_PER_ARGUMENT = [
     ("GammaAlgebra.clamp", lambda: GammaAlgebra(MIX).clamp((2, (-1, 5))), 1, 0),
     # rendering reads the element itself, after its one shape walk
     ("element_to_json", lambda: element_to_json(MIX.structure, (2, (-1, 5))), 1, 0),
+    # the element arithmetic: one shape walk per operand, then the kernels
+    ("add", lambda: add(S, E0, (1, (0, 4))), 2, 0),
+    ("sub", lambda: sub(S, E0, (1, (0, 4))), 2, 0),
+    ("neg", lambda: neg(S, (1, (0, 4))), 1, 0),
+    ("scale", lambda: scale(S, 3, (1, (0, 4))), 1, 0),
+    ("meet", lambda: meet(S, E0, (1, (0, 4))), 2, 0),
+    ("join", lambda: join(S, E0, (1, (0, 4))), 2, 0),
+    ("leq", lambda: leq(S, E0, (1, (0, 4))), 2, 0),
+    ("lt", lambda: lt(S, E0, E0), 2, 0),
+    ("absval", lambda: absval(S, (1, (0, -4))), 1, 0),
+    ("UnitalGroup.join", lambda: MIX.join(E0, (1, (0, 4))), 2, 0),
+    ("UnitalGroup.abs", lambda: MIX.abs((1, (0, -4))), 1, 0),
+    ("UnitalGroup.scale", lambda: MIX.scale(-2, (1, (0, 4))), 1, 0),
 ]
 
 
@@ -194,3 +243,12 @@ def test_a_malformed_interval_operand_costs_one_walk(validation_walks):
     with pytest.raises(ShapeMismatch):
         GammaAlgebra(MIX).oplus(E0, BAD_BOTTOM)
     assert (validation_walks["check_element"], validation_walks["check_ideal"]) == (1, 0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_scale_refuses_a_multiplier_that_is_not_an_int(n):
+    for call in (lambda: scale(S, n, E0), lambda: MIX.scale(n, E0)):
+        with pytest.raises(LGroupError) as info:
+            call()
+        assert type(info.value) is LGroupError
+        assert str(info.value) == f"expected an integer multiplier, got {n!r}"

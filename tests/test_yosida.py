@@ -45,7 +45,7 @@ from lgroup import (
 )
 from lgroup.laws import elements_in_box
 import lgroup
-from lgroup.ideals import CACHE_SIZE
+from lgroup.core import CACHE_SIZE
 from lgroup.yosida import ForeignSpectrum, top_values
 
 M1 = ProdIdeal((AtomIdeal(False), AtomIdeal(True), AtomIdeal(True)))
