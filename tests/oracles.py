@@ -21,7 +21,7 @@ those that read them: the canonical JSON, the top position of a maximal
 ideal, the strong solver's hypothesis check and the zero-set solver's
 uniqueness; and the walks that a structure's stored zero, ideal count
 and whole ideal replaced.  The radical and whole-ideal walks are those
-that ``ideals._max_meet``, the meet of the maximal ideals at a mask of
+that ``core._max_meet``, the meet of the maximal ideals at a mask of
 top positions, replaced.  The order and join walks are what ``core.leq``
 and ``core.join`` replaced by the positive cone and the meet, and the
 containment walk what ``ideal_leq`` replaced by the meet.  Last, the
