@@ -56,8 +56,9 @@ node's read the top and call its bottom's.  A product of up to
 ``_STRAIGHT_ARITY`` = 16 children runs straight-line code: one source
 template writes its eight kernels, part i calling child i's kernel (an
 atom child's interval check inline), and is compiled once per arity, at
-its first use, into a module table of at most 15 factories.  Only the
-arity and the indices go into the source, never a value.  A wider
+its first use, by ``_straight_factory``, an ``lru_cache`` that arities
+2 to 16 alone reach.  Only the arity and the indices go into the source,
+never a value.  A wider
 product loops over its children, calling each child's kernel: compiling
 costs about 0.3 ms per child, so a product of a thousand children would
 take most of a second to build.  The compile pays in a long-lived
@@ -71,9 +72,9 @@ children's kernels and never a structure node, so the kernels form no
 reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
-its primes with their covers and maximal ideals (``spectrum``), radical
-(``semisimple``) and zero ideal (``zero_ideal``): the first use sets them
-and every later one reads them.  The ideals of a unital group are those of
+its primes with their covers and maximal ideals, one slot
+(``spectrum``), radical (``semisimple``) and zero ideal
+(``zero_ideal``): the first use sets each and every later one reads it.  The ideals of a unital group are those of
 its tree, whatever the unit, so every group on the tree shares them.  The
 values are immutable and their ideal nodes interned, so two threads that
 fill a slot at once store equal values, and no lock is needed.  They live
@@ -111,6 +112,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import lru_cache
 from typing import Any, Optional, Union
 from _weakref import _remove_dead_weakref, ref
 
@@ -341,8 +343,8 @@ def _spell_ideal(I):
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring), all set at construction: its zero element, atom count,
-    chain flag and ideal count; its kernels; and its (primes, covers),
-    maximal ideals, radical and zero ideal, None until their first use
+    chain flag and ideal count; its kernels; and its (primes, covers,
+    maximal ideals), radical and zero ideal, None until their first use
     fills them with ``_store``.
 
     The element kernels are ``_add``, ``_sub``, ``_meet``, ``_between`` and
@@ -369,7 +371,7 @@ class _Structure(_Node):
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
         "_shape", "_gen", "_patch", "_all",
-        "_spectrum", "_max_ideals", "_radical", "_zero_ideal",
+        "_spectrum", "_radical", "_zero_ideal",
     )
 
 
@@ -394,13 +396,13 @@ def _atom_between(x, u, low, high):
 # an atom's zero, atom count, chain flag and ideal count (zero and all);
 # its element kernels: the builtins, and its value is its one top; its
 # ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
-# its unfilled (primes, covers), maximal ideals, radical and zero ideal
+# its unfilled (primes, covers, maximal ideals), radical and zero ideal
 _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
     AtomIdeal.__instancecheck__, lambda g: _ATOM_IDEALS[g != 0],
     lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
-    None, None, None, None,
+    None, None, None,
 )
 
 
@@ -420,14 +422,14 @@ def _prod_facts(children: tuple) -> tuple:
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
     count = math.prod([c._ideal_count for c in children])
-    return zero, atoms, False, count, *_prod_kernels(children), None, None, None, None
+    return zero, atoms, False, count, *_prod_kernels(children), None, None, None
 
 
 def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
     return (
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
-        *_lex_kernels(bottom), None, None, None, None,
+        *_lex_kernels(bottom), None, None, None,
     )
 
 
@@ -484,9 +486,8 @@ _KERNELS = operator.attrgetter(
 # once per arity; wider ones run the loops.  A fixed bound, not an option
 # (only ``lgroup.__main__`` lowers it, for its one-shot process): compiling
 # costs about 0.3 ms per child, so a 1,000-child product would take most
-# of a second to build, and the table holds at most 15 entries.
+# of a second to build, and ``_straight_factory`` holds at most 15 entries.
 _STRAIGHT_ARITY = 16
-_STRAIGHT = {}  # arity -> the factory compiled from _STRAIGHT_SOURCE
 
 # The eight kernels of an n-child product: each piece between two "@@"s is
 # written out once per child, "#" its index, and "$n" is n.  Part i calls
@@ -552,21 +553,21 @@ def factory(adds, subs, meets, betweens, topss, shapes, gens, patches):
 """
 
 
+@lru_cache(maxsize=None)
 def _straight_factory(n: int):
-    """The compiled factory of n-child kernels, compiled at its first use
-    (threads that race may compile it twice, and all keep the first)."""
-    factory = _STRAIGHT.get(n)
-    if factory is None:
-        pieces = _STRAIGHT_SOURCE.replace("$n", str(n)).split("@@")
-        # odd pieces repeat per child; within a repeated piece "#" is the index
-        source = "".join(
-            "".join(piece.replace("#", str(i)) for i in range(n)) if k % 2 else piece
-            for k, piece in enumerate(pieces)
-        )
-        namespace = {"ProdIdeal": ProdIdeal, "atom_between": _atom_between}
-        exec(compile(source, f"<kernels of {n}-child products>", "exec"), namespace)
-        factory = _STRAIGHT.setdefault(n, namespace["factory"])
-    return factory
+    """The factory of n-child kernels, compiled from ``_STRAIGHT_SOURCE`` at
+    its first use and cached; only arities 2 to ``_STRAIGHT_ARITY`` reach
+    it.  Threads that race may each compile one, and every factory they
+    get is equivalent."""
+    pieces = _STRAIGHT_SOURCE.replace("$n", str(n)).split("@@")
+    # odd pieces repeat per child; within a repeated piece "#" is the index
+    source = "".join(
+        "".join(piece.replace("#", str(i)) for i in range(n)) if k % 2 else piece
+        for k, piece in enumerate(pieces)
+    )
+    namespace = {"ProdIdeal": ProdIdeal, "atom_between": _atom_between}
+    exec(compile(source, f"<kernels of {n}-child products>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _prod_kernels(children: tuple) -> tuple:
@@ -838,9 +839,10 @@ def absval(structure: Structure, g: Element) -> Element:
     return _join(structure, g, structure._sub(structure._zero, g))
 
 
-# entries kept by each bounded table: the Fraction table of
-# ``lgroup.yosida`` and the operand record of ``mv.GammaAlgebra``, each
-# cleared when full, so a long-running process holds a bounded number
+# entries kept by each bounded table: the Fraction cache of
+# ``lgroup.yosida``, which drops its least recently used entry, and the
+# operand record of ``mv.GammaAlgebra``, cleared when full; so a
+# long-running process holds a bounded number
 CACHE_SIZE = 128
 
 

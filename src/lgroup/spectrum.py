@@ -6,8 +6,9 @@ The primes above any prime form a chain, so the specialization order is a
 forest: every prime has at most one cover, and one walk over the tree
 yields each prime together with the index of its cover.  The maximal
 ideals are the primes that nothing covers (``core._max_meet`` builds any
-of them, or their meet, without the spectrum); the tree stores them, and
-a space its own, so ``max_ideals()`` is a read.  Those stored facts are
+of them, or their meet, without the spectrum); the tree stores them in
+one slot with its primes and covers, and a space its own, so
+``max_ideals()`` is a read.  Those stored facts are
 the only memo: no table keyed by group keeps a tree alive, so a dropped
 group frees its tree and all that is stored on it.  The exports read
 pairs, closures and edges off those cover chains.  A prime containing the
@@ -108,21 +109,18 @@ _calls = [0, 0]
 def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     """The primes of G with their covers, in enumeration order.  They depend
     on the tree alone, so ``_primes`` walks each tree once and the node
-    stores them and the uncovered ones, its maximal ideals; every later
-    call, with any group on that tree, reads them.  Nothing else keeps
-    them: they die with the tree."""
+    stores them, their covers and the uncovered ones, its maximal ideals,
+    in one slot; every later call, with any group on that tree, reads
+    them.  Nothing else keeps them: they die with the tree."""
     s = G.structure
     _calls[s._spectrum is None] += 1
     if s._spectrum is None:
         found = _primes(s)
-        # the maximal ideals first: a thread that sees the primes stored
-        # must see them too
-        _store(s, "_max_ideals", tuple(p for p, c in found if c is None))
-        _store(s, "_spectrum", tuple(zip(*found)))
+        _store(s, "_spectrum", (*zip(*found), tuple(p for p, c in found if c is None)))
     # the walk made these covers, so the constructor's check is skipped
     space = object.__new__(SpectrumSpace)
-    _Record.__init__(space, G, *s._spectrum)
-    _store(space, "_max_ideals", s._max_ideals)
+    _Record.__init__(space, G, *s._spectrum[:2])
+    _store(space, "_max_ideals", s._spectrum[2])
     return space
 
 

@@ -16,15 +16,17 @@ without this module, and so does ``lgroup analyze``, which prints
 g[k]/u[k] in lowest terms from the two integers and never loads this
 module or ``fractions``.  A group stores its unit's at construction.
 On [0, u] the integer at k runs over 0..u[k], so values repeat: the
-tables and ``holder_eval`` share one table of the (immutable) Fractions,
-keyed by (integer, unit integer), of at most ``core.CACHE_SIZE`` entries
-and cleared when full.  An ``int`` subclass gets the plain Fraction,
-equal to its own, as ``Fraction`` makes ints.
+tables and ``holder_eval`` share one ``lru_cache`` of the (immutable)
+Fractions, keyed by (integer, unit integer), of at most
+``core.CACHE_SIZE`` entries, which drops the least recently used entry
+when full.  An ``int`` subclass gets the plain Fraction, equal to its
+own, as ``Fraction`` makes ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, FrozenSet, Optional
 
 from .core import (
@@ -74,24 +76,14 @@ def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
         return compute_spectrum(G).max_ideals()
     s = G.structure
     if space.group.structure is not s or space._max_ideals != (
-        s._max_ideals or compute_spectrum(G).max_ideals()
+        s._spectrum[2] if s._spectrum else compute_spectrum(G).max_ideals()
     ):
         raise ForeignSpectrum(s, space)
     return space._max_ideals
 
 
-# (integer, unit integer) -> its Fraction; no lock: a race can only make one twice
-_FRACTIONS: dict = {}
-
-
-def _fraction(g: int, u: int) -> Fraction:
-    """g/u from the shared table of Fractions, made and entered on a miss."""
-    value = _FRACTIONS.get((g, u))
-    if value is None:
-        if len(_FRACTIONS) >= CACHE_SIZE:
-            _FRACTIONS.clear()
-        value = _FRACTIONS[g, u] = Fraction(g, u)
-    return value
+# g/u, made once per (integer, unit integer) while it stays cached
+_fraction = lru_cache(maxsize=CACHE_SIZE)(Fraction)
 
 
 def top_index(structure: Structure, m: Ideal) -> Optional[int]:

@@ -545,7 +545,8 @@ COMMANDS = {
 
 def _loaded_after_start_up(tmp_path, args, codes=(0, 1, 2)) -> tuple:
     """The modules a fresh interpreter loads to run ``lgroup *args``, and
-    the product arities whose straight-line kernels it compiled.  A lazy
+    the number of product arities whose straight-line kernels it compiled
+    (the entries of ``core._straight_factory``'s cache).  A lazy
     module that ``import lgroup`` registered and nothing used is in
     ``sys.modules`` but did not run, so it is not listed."""
     path = tmp_path / "a2.json"
@@ -557,7 +558,7 @@ def _loaded_after_start_up(tmp_path, args, codes=(0, 1, 2)) -> tuple:
         "    runpy.run_module('lgroup', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         f"    assert exc.code in {codes!r}, exc.code\n"
-        "print(*sorted(sys.modules['lgroup.core']._STRAIGHT), file=sys.stderr)\n"
+        "print(sys.modules['lgroup.core']._straight_factory.cache_info().currsize, file=sys.stderr)\n"
         "print(*sorted(n for n, m in sys.modules.items()\n"
         "              if n not in before and type(m) is types.ModuleType), file=sys.stderr)\n"
     )
@@ -569,7 +570,7 @@ def _loaded_after_start_up(tmp_path, args, codes=(0, 1, 2)) -> tuple:
     )
     assert result.returncode == 0, result.stderr[-2000:]
     *_, compiled, loaded = result.stderr.splitlines()
-    return set(loaded.split()), set(map(int, compiled.split()))
+    return set(loaded.split()), int(compiled)
 
 
 @pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
@@ -663,13 +664,13 @@ def test_the_console_script_builds_products_with_the_loops():
         f"    sys.exit(importlib.import_module({module!r}).{function}())\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(*sorted(sys.modules['lgroup.core']._STRAIGHT), file=sys.stderr)\n"
+        "print(sys.modules['lgroup.core']._straight_factory.cache_info().currsize, file=sys.stderr)\n"
     )
     src = pathlib.Path(lgroup.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     script = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
     assert script.returncode == 0, script.stderr[-2000:]
-    assert script.stderr.splitlines()[-1] == b""  # no arity compiled
+    assert script.stderr.splitlines()[-1] == b"0"  # no arity compiled
     as_main = subprocess.run([sys.executable, "-m", "lgroup", *argv], capture_output=True, env=env)
     assert as_main.returncode == 0 and script.stdout == as_main.stdout
 
@@ -688,7 +689,7 @@ def test_a_cold_call_loads_no_argparse_and_compiles_no_kernels(tmp_path, args):
     loaded, compiled = _loaded_after_start_up(tmp_path, args)
     assert "lgroup.cli" in loaded
     assert not loaded & {"argparse", "gettext", "locale"}
-    assert compiled == set()
+    assert compiled == 0
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import random
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -307,14 +308,26 @@ def test_threads_building_the_same_trees_get_one_object():
 
 
 def test_threads_filling_one_slot_store_equal_values():
-    # 4 threads ask at once for the spectra and radicals of the same 40
-    # fresh trees, each with its own unit; a slot filled twice must hold
-    # the walk's values either way
+    # 4 threads ask at once for the spectra, maximal ideals, radicals and
+    # value tables of the same 40 fresh trees, each with its own unit; a
+    # slot filled twice, and the shared Fraction cache, must hold the
+    # walk's values either way
     def tree(k):
         s, unit = Z, 1
         for level in range(k % 5 + 2):
             s, unit = (Lex(s), (1, unit)) if (k + level) % 2 else (Prod((Z, s)), (2, unit))
         return s, unit
+
+    def stored(G, g):
+        space = compute_spectrum(G)
+        return space.primes, space.max_ideals(), radical(G), yosida_table(G, g, space)
+
+    def walked(G, g):
+        s = G.structure
+        primes, covers = primes_by_walk(s)
+        maxes = tuple(p for p, c in zip(primes, covers) if c is None)
+        values = map(Fraction, top_values_by_walk(s, g), top_values_by_walk(s, G.unit))
+        return primes, maxes, radical_by_walk(s), dict(zip(maxes, values))
 
     results, errors = [None] * 4, []
     step = threading.Barrier(4)
@@ -323,11 +336,11 @@ def test_threads_filling_one_slot_store_equal_values():
         try:
             for _ in range(20):
                 step.wait()
-                groups = [UnitalGroup(s, scale(s, t + 1, u)) for s, u in map(tree, range(40))]
-                results[t] = [(compute_spectrum(G).primes, radical(G)) for G in groups]
+                # each tree's own unit is 1/(t + 1) of the group's
+                groups = [(UnitalGroup(s, scale(s, t + 1, u)), u) for s, u in map(tree, range(40))]
+                results[t] = [(G, g, stored(G, g)) for G, g in groups]
                 if step.wait() == 0:
-                    walks = [(primes_by_walk(G.structure)[0], radical_by_walk(G.structure)) for G in groups]
-                    errors.extend(r for r in results if r != walks)
+                    errors.extend(got for r in results for G, g, got in r if got != walked(G, g))
                 step.wait()
                 results[t] = None
                 del groups  # so that the next round's trees are fresh again

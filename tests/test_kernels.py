@@ -23,7 +23,7 @@ from oracles import (
     top_values_by_walk,
 )
 from lgroup import AtomIdeal, LexIdeal, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, Z, lex, prod
-from lgroup.core import _KERNELS, _STRAIGHT, _STRAIGHT_ARITY, _loop_kernels, top_values
+from lgroup.core import _KERNELS, _STRAIGHT_ARITY, _loop_kernels, _straight_factory, top_values
 
 # children of the mixed products: atoms, lex nodes and small products
 POOL = [Z, lex(Z), prod(Z, Z), lex(prod(Z, lex(Z))), prod(lex(Z), Z, Z)]
@@ -168,7 +168,8 @@ def test_loop_kernels_agree_with_their_walks_at_every_arity():
 
 def test_a_second_tree_of_a_seen_arity_compiles_nothing(monkeypatch):
     first = prod(Z, lex(Z), Z, prod(Z, Z), lex(lex(Z)))
-    factory = _STRAIGHT[5]
+    factory = _straight_factory(5)
+    compiled = _straight_factory.cache_info()
     children = (lex(Z), prod(Z, lex(Z)), Z, lex(lex(lex(Z))), prod(Z, Z, Z))
 
     def refuse(*args, **kwargs):
@@ -177,7 +178,9 @@ def test_a_second_tree_of_a_seen_arity_compiles_nothing(monkeypatch):
     monkeypatch.setattr(lgroup.core, "compile", refuse, raising=False)
     monkeypatch.setattr(lgroup.core, "exec", refuse, raising=False)
     second = prod(*children)
-    assert second is not first and _STRAIGHT[5] is factory
+    assert second is not first and _straight_factory(5) is factory
+    after = _straight_factory.cache_info()
+    assert (after.hits, after.misses) == (compiled.hits + 2, compiled.misses)
     g = ((1, 2), (3, (4, 5)), 6, (7, (8, (9, 10))), (11, 12, 13))
     assert second._add(g, g) == add_by_walk(second, g, g)
 
@@ -189,8 +192,9 @@ def test_the_table_holds_only_arities_up_to_the_bound():
             tops = []
             s._tops(tops, s._zero)
             assert tops == top_values_by_walk(s, s._zero)
-    assert set(_STRAIGHT) <= set(range(2, _STRAIGHT_ARITY + 1))
-    assert len(_STRAIGHT) <= _STRAIGHT_ARITY - 1 == 15
+    # every arity from 2 to 40 was built, but only those up to the bound
+    # reach the cache
+    assert _straight_factory.cache_info().currsize == _STRAIGHT_ARITY - 1 == 15
 
 
 def test_a_wide_product_builds_with_no_compile_and_answers():
@@ -201,10 +205,11 @@ def test_a_wide_product_builds_with_no_compile_and_answers():
     mixed = tuple([Z, lex(Z), prod(Z, Z), lex(prod(Z, Z))][i % 4] for i in range(999)) + (Z,)
     rng = random.Random(3004)
     for children in (mixed, (Z,) * 1000, (lex(prod(Z, Z)),) * 1000):
+        compiled = _straight_factory.cache_info()
         started = time.perf_counter()
         s = prod(*children)
         assert time.perf_counter() - started < 0.05
-        assert 1000 not in _STRAIGHT
+        assert _straight_factory.cache_info() == compiled  # not even looked up
         g, h = random_element(rng, s, 3), random_element(rng, s, 3)
         assert s._add(g, h) == add_by_walk(s, g, h)
         assert s._sub(g, h) == sub_by_walk(s, g, h)

@@ -190,7 +190,7 @@ def test_compute_spectrum_trusts_the_covers_of_its_own_walk(monkeypatch):
     for G in (LEX, MIX):
         space = compute_spectrum(G)
         assert type(space) is SpectrumSpace and space.group is G
-        assert (space.primes, space.cover) == G.structure._spectrum
+        assert (space.primes, space.cover, space.max_ideals()) == G.structure._spectrum
 
 
 def test_dot_export():
@@ -279,16 +279,19 @@ def test_stored_facts_agree_with_their_walks():
         s = G.structure
         assert zero(s) == G.zero() == zero_by_walk(s)
         space = compute_spectrum(G)
-        assert (space.primes, space.cover) == s._spectrum == primes_by_walk(s)
+        assert (space.primes, space.cover) == s._spectrum[:2] == primes_by_walk(s)
+        assert space.max_ideals() is s._spectrum[2]
         assert radical(G) is s._radical is radical_by_walk(s)
 
 
 def test_a_space_answers_max_ideals_from_its_own_covers():
-    # the tree stores its maximal ideals beside its primes, and a space
-    # built by hand stores those of its own covers, not the tree's
+    # the tree stores its maximal ideals in one slot with its primes and
+    # covers, and a space built by hand stores those of its own covers,
+    # not the tree's
     tree = compute_spectrum(MIX)
     assert tree.cover == (None, 2, None)
-    assert tree.max_ideals() is MIX.structure._max_ideals
+    assert MIX.structure._spectrum == (tree.primes, tree.cover, tree.max_ideals())
+    assert tree.max_ideals() is MIX.structure._spectrum[2]
     assert tree.max_ideals() == (tree.primes[0], tree.primes[2])
     for cover in ((None, None, None), (2, 2, None), (1, None, None)):
         space = SpectrumSpace(MIX, tree.primes, cover)
