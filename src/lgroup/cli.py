@@ -39,7 +39,6 @@ from types import SimpleNamespace
 from .core import LGroupError, ideal_count, top_values
 from .serialize import (
     Instance,
-    ParseError,
     PatchTask,
     ZeroSetTask,
     certificate_to_json,
@@ -62,7 +61,7 @@ def _load(path: str) -> Instance:
             return loads_instance(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
-    except (ParseError, LGroupError) as exc:
+    except LGroupError as exc:  # a ParseError too
         _fail(str(exc))
 
 

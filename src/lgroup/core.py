@@ -57,11 +57,10 @@ node's read the top and call its bottom's.  A product of up to
 template writes its eight kernels, part i calling child i's kernel (an
 atom child's interval check inline), and is compiled once per arity, at
 its first use, by ``_straight_factory``, an ``lru_cache`` that arities
-2 to 16 alone reach.  Only the arity and the indices go into the source,
-never a value.  A wider
-product loops over its children, calling each child's kernel: compiling
-costs about 0.3 ms per child, so a product of a thousand children would
-take most of a second to build.  The compile pays in a long-lived
+2 to 16 alone reach.  Only the arity and the indices go into the
+source, never a value.  A wider product loops over its children,
+calling each child's kernel: compiling costs about 0.3 ms per child, so
+a product of a thousand children would take most of a second to build.  The compile pays in a long-lived
 process (the library, ``cli.main`` called in process), but ``python -m
 lgroup`` meets each arity about once, so its ``__main__`` lowers the
 bound and every product it builds runs the loops.  A kernel calls its
@@ -72,12 +71,13 @@ children's kernels and never a structure node, so the kernels form no
 reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
-its primes with their covers and maximal ideals, one slot
-(``spectrum``), radical (``semisimple``) and zero ideal
-(``zero_ideal``): the first use sets each and every later one reads it.  The ideals of a unital group are those of
-its tree, whatever the unit, so every group on the tree shares them.  The
-values are immutable and their ideal nodes interned, so two threads that
-fill a slot at once store equal values, and no lock is needed.  They live
+its primes with their covers and maximal ideals, in one slot
+(``spectrum``), its radical (``semisimple``) and its zero ideal
+(``zero_ideal``): the first use sets each and every later one reads it.
+The ideals of a unital group are those of its tree, whatever the unit,
+so every group on the tree shares them.  The values are immutable and
+their ideal nodes interned, so two threads that fill a slot at once
+store equal values, and no lock is needed.  They live
 and die with the node: the tables hold it weakly, and no other table holds
 them.  A ``UnitalGroup`` likewise stores its unit's top integers outside
 its fields, at construction: the strong-unit check reads them.
@@ -104,7 +104,10 @@ methods over them) checks each element operand once with
 ``check_element``, one interval-check call that descends only on
 failure, and then calls the kernels; ``scale`` refuses a multiplier that
 is not an int.  Library code that already holds checked values calls the
-kernels itself, so no sweep checks twice.
+kernels itself, so no sweep checks twice.  Every entry of the library
+that takes a unital group reads its structure through
+``_group_structure``, which refuses anything else, a bare structure
+included, with ``ShapeMismatch`` at the root.
 """
 
 from __future__ import annotations
@@ -1064,6 +1067,15 @@ class UnitalGroup(_GroupFacts):
 
     def lt(self, g: Element, h: Element) -> bool:
         return lt(self.structure, g, h)
+
+
+def _group_structure(G) -> Structure:
+    """G's structure, once G is checked to be a unital group: the entries
+    that take a group refuse anything else, a bare structure included,
+    before they read another argument."""
+    if not isinstance(G, UnitalGroup):
+        raise ShapeMismatch((), f"expected a unital group, got {G!r}")
+    return G.structure
 
 
 def validate_unital_group(structure: Structure, unit: Element) -> UnitalGroup:

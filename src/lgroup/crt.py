@@ -63,6 +63,7 @@ from .core import (
     InternalInvariantViolation,
     LGroupError,
     UnitalGroup,
+    _group_structure,
     _max_meet,
     _Record,
     check_element,
@@ -180,10 +181,11 @@ class PatchResult(_Record):
 
 
 def _normalize(G: UnitalGroup, system: SystemLike) -> CongruenceSystem:
+    s = _group_structure(G)
     system = CongruenceSystem.of(system)
     for I, g in system:
-        check_ideal(G.structure, I)
-        check_element(G.structure, g)
+        check_ideal(s, I)
+        check_element(s, g)
     return system
 
 
@@ -199,7 +201,7 @@ def riesz_split(
     coordinates, and it lies in J exactly when d lies in I v J.  Raises
     NotInJoin otherwise.  The operands are checked, and so is a in I.
     """
-    s = G.structure
+    s = _group_structure(G)
     check_element(s, d)
     check_ideal(s, I)
     check_ideal(s, J)
@@ -340,12 +342,13 @@ def zero_set_patch(
     cover the whole maximal spectrum: two solutions then agree everywhere,
     and the trivial radical forces them equal.
     """
+    s = _group_structure(G)
     n, m = _length(generators, "generators"), _length(targets, "targets")
     if n != m:
         raise LengthMismatch(f"{n} generators against {m} targets")
-    ideals = [principal_ideal(G.structure, h) for h in generators]
+    ideals = [principal_ideal(s, h) for h in generators]
     for g in targets:
-        check_element(G.structure, g)
+        check_element(s, g)
     result = _strong(G, CongruenceSystem(tuple(zip(ideals, targets))))
     cert = result.certificate
     if isinstance(cert, MaxHypothesisViolated):

@@ -41,6 +41,7 @@ from .core import (
     UnitalGroup,
     _ATOM_IDEALS,
     _Record,
+    _group_structure,
     _structure_of,
     _trusted_group,
     check_element,
@@ -129,7 +130,7 @@ def enumerate_ideals(G: UnitalGroup) -> IdealLattice:
     call walks and nothing stores the lattice: it has 2^atoms ideals on a
     product of atoms, and only the law checks and the tests list it.
     """
-    s = G.structure
+    s = _group_structure(G)
     if s._ideal_count > MAX_IDEALS:
         raise TooLarge(s._ideal_count, MAX_IDEALS)
     _walks[0] += 1
@@ -209,15 +210,17 @@ def quotient(G: UnitalGroup, I: Ideal) -> QuotientResult:
     structure; one walk gives it together with its unit, the image of
     G's unit.
     """
-    check_ideal(G.structure, I)
-    res = _quotient(G.structure, I, G.unit)
-    return QuotientResult(None if res is None else _trusted_group(*res), G.structure, I)
+    s = _group_structure(G)
+    check_ideal(s, I)
+    res = _quotient(s, I, G.unit)
+    return QuotientResult(None if res is None else _trusted_group(*res), s, I)
 
 
 def congruent(G: UnitalGroup, g: Element, h: Element, I: Ideal) -> bool:
     """True iff g and h fall in the same congruence class modulo I: they
     agree where I pins, so the stored patch of g by h on I is g."""
-    check_element(G.structure, g)
-    check_element(G.structure, h)
-    check_ideal(G.structure, I)
-    return G.structure._patch(g, h, I) == g
+    s = _group_structure(G)
+    check_element(s, g)
+    check_element(s, h)
+    check_ideal(s, I)
+    return s._patch(g, h, I) == g

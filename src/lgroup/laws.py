@@ -27,6 +27,7 @@ from .core import (
     Structure,
     TooLarge,
     UnitalGroup,
+    _check_elements,
     _join,
     _leq,
     all_ideal,
@@ -36,7 +37,6 @@ from .core import (
     ideal_leq,
     ideal_meet,
     is_proper,
-    leq,
     principal_ideal,
     scale,
     zero,
@@ -122,8 +122,14 @@ def dominated(structure: Structure, g: Element, h: Element) -> bool:
     component a makes n*a fall as n grows, so the first multiple decides:
     a < b, or a == b with the bottoms compared once.  A property test in
     ``tests/test_semisimple.py`` compares this with every multiple up to
-    the coordinate bound.
+    the coordinate bound.  Each operand is checked once, at the boundary,
+    and the recursion ``_dominated`` trusts them.
     """
+    _check_elements(structure, g, h)
+    return _dominated(structure, g, h)
+
+
+def _dominated(structure, g, h):
     if isinstance(structure, Atom):
         if g > 0:
             return False
@@ -131,9 +137,7 @@ def dominated(structure: Structure, g: Element, h: Element) -> bool:
             return h >= 0
         return g <= h
     if isinstance(structure, Prod):
-        return all(
-            dominated(c, a, b) for c, a, b in zip(structure.children, g, h)
-        )
+        return all(_dominated(c, a, b) for c, a, b in zip(structure.children, g, h))
     a, t = g
     b, s = h
     if a > 0:
@@ -143,8 +147,8 @@ def dominated(structure: Structure, g: Element, h: Element) -> bool:
             return True
         if b < 0:
             return False
-        return dominated(structure.bottom, t, s)
-    return a < b or (a == b and leq(structure.bottom, t, s))
+        return _dominated(structure.bottom, t, s)
+    return a < b or (a == b and _leq(structure.bottom, t, s))
 
 
 def _first_positive(structure: Structure) -> Element:
@@ -193,7 +197,7 @@ def archimedean_falsify(G: UnitalGroup) -> Optional[Tuple[Element, Element]]:
     """
     z = zero(G.structure)
     for g, h in _lex_witnesses(G.structure):
-        if g != z and leq(G.structure, z, g) and dominated(G.structure, g, h):
+        if g != z and _leq(G.structure, z, g) and _dominated(G.structure, g, h):
             return g, h
     return None
 

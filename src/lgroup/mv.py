@@ -46,6 +46,7 @@ from .core import (
     InternalInvariantViolation,
     LGroupError,
     _Record,
+    _group_structure,
     _leq,
     check_element,
 )
@@ -74,6 +75,7 @@ class GammaAlgebra(_AlgebraFacts):
 
     def __init__(self, *args, **kwargs):
         _Record.__init__(self, *args, **kwargs)
+        _group_structure(self.group)
         object.__setattr__(self, "_seen", {})
 
     @property

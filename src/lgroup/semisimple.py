@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .core import Ideal, UnitalGroup, _max_meet, _store
+from .core import Ideal, UnitalGroup, _group_structure, _max_meet, _store
 from .core import is_zero_ideal, zero_ideal
 
 
@@ -27,7 +27,7 @@ def radical(G: UnitalGroup) -> Ideal:
     the ideals, it depends on the tree alone, which stores it on first use
     (see ``lgroup.core``).
     """
-    s = G.structure
+    s = _group_structure(G)
     return s._radical or _store(s, "_radical", _max_meet(s, -1))
 
 

@@ -28,7 +28,7 @@ from typing import FrozenSet
 
 from .core import (
     Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, UnitalGroup, _ATOM_IDEALS, _Record, _store,
-    all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
+    _group_structure, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
 )
 from .serialize import ideal_to_json
 
@@ -112,7 +112,7 @@ def compute_spectrum(G: UnitalGroup) -> SpectrumSpace:
     stores them, their covers and the uncovered ones, its maximal ideals,
     in one slot; every later call, with any group on that tree, reads
     them.  Nothing else keeps them: they die with the tree."""
-    s = G.structure
+    s = _group_structure(G)
     _calls[s._spectrum is None] += 1
     if s._spectrum is None:
         found = _primes(s)

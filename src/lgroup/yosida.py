@@ -36,6 +36,7 @@ from .core import (
     LGroupError,
     Structure,
     UnitalGroup,
+    _group_structure,
     _max_meet,
     check_element,
     check_ideal,
@@ -101,12 +102,13 @@ def top_index(structure: Structure, m: Ideal) -> Optional[int]:
 def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:
     """Value of g under the unique unital embedding of G/m into the reals:
     g's integer at m's top position over the unit's."""
-    check_element(G.structure, g)
-    check_ideal(G.structure, m)
-    k = top_index(G.structure, m)
+    s = _group_structure(G)
+    check_element(s, g)
+    check_ideal(s, m)
+    k = top_index(s, m)
     if k is None:
         raise NotMaximal(m)
-    return _fraction(top_values(G.structure, g)[k], G._tops[k])
+    return _fraction(top_values(s, g)[k], G._tops[k])
 
 
 def yosida_table(
@@ -119,8 +121,9 @@ def yosida_table(
     G's tree with the tree's maximal ideals, else ``ForeignSpectrum`` is
     raised: its maximal ideals are paired with the top positions in order.
     """
-    check_element(G.structure, g)
-    values = map(_fraction, top_values(G.structure, g), G._tops)
+    s = _group_structure(G)
+    check_element(s, g)
+    values = map(_fraction, top_values(s, g), G._tops)
     return dict(zip(_max_ideals(G, space), values))
 
 
@@ -129,7 +132,6 @@ def principal_zero_set(
 ) -> FrozenSet[Ideal]:
     """Maximal ideals containing g: those at the top positions where g is 0.
     A given ``space`` is checked as in ``yosida_table``."""
-    check_element(G.structure, g)
-    return frozenset(
-        m for m, v in zip(_max_ideals(G, space), top_values(G.structure, g)) if v == 0
-    )
+    s = _group_structure(G)
+    check_element(s, g)
+    return frozenset(m for m, v in zip(_max_ideals(G, space), top_values(s, g)) if v == 0)

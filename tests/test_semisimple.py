@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, random_element, random_group
 from lgroup import (
     Atom,
@@ -7,6 +9,7 @@ from lgroup import (
     LexIdeal,
     Prod,
     ProdIdeal,
+    ShapeMismatch,
     UnitalGroup,
     Z,
     add,
@@ -106,6 +109,12 @@ def test_dominated_decision():
     assert not dominated(LEX.structure, (-1, 1), (-1, 0))
     assert dominated(LEX.structure, (-2, 7), (-1, -7))
     assert not dominated(LEX.structure, (-1, 0), (-2, 0))
+    # each operand is checked at the boundary: a part short, or a string
+    # where an integer goes
+    with pytest.raises(ShapeMismatch, match=r"^root: expected a 2-tuple, got \(0,\)$"):
+        dominated(prod(Z, Z), (0,), (2, 3))
+    with pytest.raises(ShapeMismatch, match="^root.bottom: expected an integer, got 'x'$"):
+        dominated(lex(Z), (0, "x"), (0, 0))
 
 
 def _tied_negative_top(structure, g, h):

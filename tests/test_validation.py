@@ -26,6 +26,9 @@ from lgroup import (
     congruent,
     element_to_json,
     enumerate_ideals,
+    holder_eval,
+    is_semisimple,
+    is_strongly_semisimple,
     join,
     keimel_patch,
     leq,
@@ -33,14 +36,17 @@ from lgroup import (
     lt,
     meet,
     neg,
+    principal_zero_set,
     prod,
     quotient,
+    radical,
     riesz_split,
     scale,
     strong_patch,
     sub,
     validate_unital_group,
     vanishing_locus,
+    yosida_table,
     zero_ideal,
     zero_set_patch,
 )
@@ -131,6 +137,33 @@ BAD_ARGUMENTS = [
     ("UnitalGroup.abs", lambda: MIX.abs(BAD_BOTTOM), (1, "bottom"), BOTTOM_MSG),
     ("UnitalGroup.leq", lambda: MIX.leq(E0, BAD_PAIR), (1,), PAIR_MSG),
     ("UnitalGroup.lt", lambda: MIX.lt(BAD_TOP, BAD_TOP), (1, "top"), TOP_MSG),
+]
+
+# each entry that takes a unital group, called with a bare structure or
+# with no group at all, and otherwise good arguments: one check in core
+# refuses it before any other argument is read
+M0 = compute_spectrum(MIX).max_ideals()[0]
+GROUP_ENTRIES = {
+    "compute_spectrum": compute_spectrum,
+    "radical": radical,
+    "is_semisimple": is_semisimple,
+    "is_strongly_semisimple": is_strongly_semisimple,
+    "enumerate_ideals": enumerate_ideals,
+    "quotient": lambda G: quotient(G, Z0),
+    "congruent": lambda G: congruent(G, E0, E0, Z0),
+    "keimel_patch": lambda G: keimel_patch(G, [(Z0, E0)]),
+    "strong_patch": lambda G: strong_patch(G, [(Z0, E0)]),
+    "zero_set_patch": lambda G: zero_set_patch(G, [E0], [E0]),
+    "riesz_split": lambda G: riesz_split(G, E0, Z0, Z0),
+    "yosida_table": lambda G: yosida_table(G, E0),
+    "principal_zero_set": lambda G: principal_zero_set(G, E0),
+    "holder_eval": lambda G: holder_eval(G, E0, M0),
+    "GammaAlgebra": GammaAlgebra,
+}
+BAD_ARGUMENTS += [
+    (f"{name} on {label}", lambda f=f, x=x: f(x), (), f"root: expected a unital group, got {x!r}")
+    for name, f in GROUP_ENTRIES.items()
+    for label, x in (("a bare structure", S), ("None", None), ("an int", 5))
 ]
 
 
