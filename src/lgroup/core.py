@@ -103,11 +103,14 @@ The element arithmetic (``add``, ``sub``, ``neg``, ``scale``, ``meet``,
 methods over them) checks each element operand once with
 ``check_element``, one interval-check call that descends only on
 failure, and then calls the kernels; ``scale`` refuses a multiplier that
-is not an int.  Library code that already holds checked values calls the
-kernels itself, so no sweep checks twice.  Every entry of the library
-that takes a unital group reads its structure through
-``_group_structure``, which refuses anything else, a bare structure
-included, with ``ShapeMismatch`` at the root.
+is not an int.  ``_scale`` multiplies every integer of the nested tuple
+and reads no node: a walk that treats all integers alike takes the
+element's shape from the element itself, or from the tree's stored zero
+(the element generators of ``lgroup.laws``).  Library code that already
+holds checked values calls the kernels itself, so no sweep checks twice.
+Every entry of the library that takes a unital group reads its structure
+through ``_group_structure``, which refuses anything else, a bare
+structure included, with ``ShapeMismatch`` at the root.
 """
 
 from __future__ import annotations
@@ -794,15 +797,13 @@ def scale(structure: Structure, n: int, g: Element) -> Element:
     if not _is_int(n):
         raise LGroupError(f"expected an integer multiplier, got {n!r}")
     check_element(structure, g)
-    return _scale(structure, n, g)
+    return _scale(n, g)
 
 
-def _scale(structure, n, g):
-    if isinstance(structure, Atom):
-        return n * g
-    if isinstance(structure, Prod):
-        return tuple(map(_scale, structure.children, itertools.repeat(n), g))
-    return (n * g[0], _scale(structure.bottom, n, g[1]))
+def _scale(n, g):
+    # every integer of g times n: the nested tuple is its own shape, and
+    # map takes one frame per level
+    return tuple(map(_scale, itertools.repeat(n), g)) if isinstance(g, tuple) else n * g
 
 
 def leq(structure: Structure, g: Element, h: Element) -> bool:

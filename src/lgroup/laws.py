@@ -11,7 +11,11 @@ and the tests run ``LAWS`` on small random groups too.
 The code that only the checks and the tests call lives here as well, so
 that no command compiles it: the element generators ``random_element``
 and ``elements_in_box``, and the Archimedean search ``archimedean_falsify``
-with its exact test ``dominated``, the cross-check of the radical.
+with its exact test ``dominated``, the cross-check of the radical.  The
+generators treat every integer alike, so they read the element's shape
+off the tree's stored zero, with no case per node kind: a draw per
+integer, in order, and the product over the parts of the zero, each
+integer over the box.  ``dominated`` is two order tests (see there).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import (
     _check_elements,
     _join,
     _leq,
+    _scale,
     all_ideal,
     atom_count,
     ideal_count,
@@ -85,103 +90,77 @@ def _refuse_over(count: int, limit: int, items: str) -> None:
 
 
 def random_element(rng, structure: Structure, bound: int) -> Element:
-    """A seeded random element with integer coordinates in [-bound, bound]."""
-    if isinstance(structure, Atom):
-        return rng.randint(-bound, bound)
-    if isinstance(structure, Prod):
-        return tuple(random_element(rng, c, bound) for c in structure.children)
-    return (rng.randint(-bound, bound), random_element(rng, structure.bottom, bound))
+    """A seeded random element with integer coordinates in [-bound, bound],
+    drawn for each integer of the zero element in turn."""
+
+    def draw(z):
+        return tuple(map(draw, z)) if isinstance(z, tuple) else rng.randint(-bound, bound)
+
+    return draw(zero(structure))
 
 
 def elements_in_box(structure: Structure, bound: int) -> Iterator[Element]:
-    """Yield every element whose integer coordinates lie in [-bound, bound].
+    """Every element whose integer coordinates lie in [-bound, bound]: the
+    product over the parts of the zero element, each integer over the box.
 
     The count is (2*bound+1)**atom_count(structure); callers are expected
     to keep that small.
     """
-    rng = range(-bound, bound + 1)
-    if isinstance(structure, Atom):
-        yield from rng
-    elif isinstance(structure, Prod):
-        pools = [list(elements_in_box(c, bound)) for c in structure.children]
-        for combo in itertools.product(*pools):
-            yield combo
-    else:
-        pool = list(elements_in_box(structure.bottom, bound))
-        for a in rng:
-            for t in pool:
-                yield (a, t)
+    box = range(-bound, bound + 1)
+
+    def walk(z):
+        return itertools.product(*map(walk, z)) if isinstance(z, tuple) else box
+
+    return iter(walk(zero(structure)))
 
 
 def dominated(structure: Structure, g: Element, h: Element) -> bool:
     """Decide exactly whether n*g <= h for every integer n >= 1.
 
-    The only way a positive g can stay below all of its multiples' bound
-    is through a lex extension: a zero dominant component against a
-    positive one.  The recursion mirrors that.  A negative dominant
-    component a makes n*a fall as n grows, so the first multiple decides:
-    a < b, or a == b with the bottoms compared once.  A property test in
+    Two multiples decide: n = 1, and n = N, one more than the largest
+    |integer| of h.  Take a top position, an atom or a lex node's dominant
+    component, where g has the integer a and h has b.  When a > 0, no
+    multiple n > b/a passes there, and b/a <= |b| < N.  When a = 0, every
+    multiple passes or none does, unless b = 0 at a lex node, which leaves
+    them all to the bottoms, where the same holds.  When a < 0 and n = 1
+    passes, a <= b, so n*a < b for every n > 1, and those pass whatever
+    the bottoms.  A product holds a multiple when each part does.  So once
+    n = 1 passes, the multiples that pass are all of them or an initial
+    segment that ends below N, and N tells which.  A property test in
     ``tests/test_semisimple.py`` compares this with every multiple up to
     the coordinate bound.  Each operand is checked once, at the boundary,
-    and the recursion ``_dominated`` trusts them.
+    and ``_dominated`` trusts them.
     """
     _check_elements(structure, g, h)
     return _dominated(structure, g, h)
 
 
 def _dominated(structure, g, h):
-    if isinstance(structure, Atom):
-        if g > 0:
-            return False
-        if g == 0:
-            return h >= 0
-        return g <= h
-    if isinstance(structure, Prod):
-        return all(_dominated(c, a, b) for c, a, b in zip(structure.children, g, h))
-    a, t = g
-    b, s = h
-    if a > 0:
-        return False
-    if a == 0:
-        if b > 0:
-            return True
-        if b < 0:
-            return False
-        return _dominated(structure.bottom, t, s)
-    return a < b or (a == b and _leq(structure.bottom, t, s))
+    return _leq(structure, g, h) and _leq(structure, _scale(_max_coordinate(h) + 1, g), h)
 
 
-def _first_positive(structure: Structure) -> Element:
-    """A minimal positive element touching only the first coordinate."""
-    if isinstance(structure, Atom):
-        return 1
-    if isinstance(structure, Prod):
-        parts = [zero(c) for c in structure.children]
-        parts[0] = _first_positive(structure.children[0])
-        return tuple(parts)
-    return (1, zero(structure.bottom))
-
-
-def _embed_at(structure: Prod, i: int, value: Element) -> Element:
-    return tuple(
-        value if j == i else zero(c) for j, c in enumerate(structure.children)
-    )
+def _first_positive(z: Element) -> Element:
+    """The zero element z with its first integer set to 1: a minimal
+    positive element touching only the first coordinate."""
+    return (_first_positive(z[0]), *z[1:]) if isinstance(z, tuple) else 1
 
 
 def _lex_witnesses(structure: Structure) -> Iterator[Tuple[Element, Element]]:
     """Yield (g, h) candidates, one per lex position, outermost first.
 
     At a lex node the infinitesimal pair is g = (0, positive) against
-    h = (1, 0); in surrounding positions both members are zero.
+    h = (1, 0); in surrounding positions both members are zero, spliced
+    into a product's stored zero.
     """
     if isinstance(structure, Atom):
         return
     if isinstance(structure, Prod):
+        z = zero(structure)
         for i, child in enumerate(structure.children):
             for g, h in _lex_witnesses(child):
-                yield _embed_at(structure, i, g), _embed_at(structure, i, h)
+                yield (*z[:i], g, *z[i + 1 :]), (*z[:i], h, *z[i + 1 :])
         return
-    yield (0, _first_positive(structure.bottom)), (1, zero(structure.bottom))
+    yield (0, _first_positive(zero(structure.bottom))), (1, zero(structure.bottom))
     for g, h in _lex_witnesses(structure.bottom):
         yield (0, g), (0, h)
 
@@ -195,9 +174,10 @@ def archimedean_falsify(G: UnitalGroup) -> Optional[Tuple[Element, Element]]:
     before being returned.  Returns the first surviving witness, or None
     when there is none.
     """
-    z = zero(G.structure)
-    for g, h in _lex_witnesses(G.structure):
-        if g != z and _leq(G.structure, z, g) and _dominated(G.structure, g, h):
+    s = G.structure
+    z = zero(s)
+    for g, h in _lex_witnesses(s):
+        if g != z and _leq(s, z, g) and _dominated(s, g, h):
             return g, h
     return None
 
@@ -417,9 +397,7 @@ def riesz_splitting(G):
 
 
 def _max_coordinate(e) -> int:
-    if isinstance(e, int):
-        return abs(e)
-    return max(_max_coordinate(p) for p in e)
+    return max(map(_max_coordinate, e)) if isinstance(e, tuple) else abs(e)
 
 
 def _interval_box(G, bound):
