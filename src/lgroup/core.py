@@ -110,7 +110,10 @@ element's shape from the element itself, or from the tree's stored zero
 holds checked values calls the kernels itself, so no sweep checks twice.
 Every entry of the library that takes a unital group reads its structure
 through ``_group_structure``, which refuses anything else, a bare
-structure included, with ``ShapeMismatch`` at the root.
+structure included, with ``ShapeMismatch`` at the root; the closed forms
+that take a group or a structure read it through ``_structure_of``, and
+``check_element`` takes a structure alone, each refusing anything else
+the same way.
 """
 
 from __future__ import annotations
@@ -748,6 +751,8 @@ def check_element(structure: Structure, value: Element, path: Path = ()) -> None
     first in pre-order, found by descending into the first malformed part.
     The shape test is the stored interval check with neither bound.
     """
+    if not isinstance(structure, _Structure):
+        raise ShapeMismatch((), f"expected a structure, got {structure!r}")
     s, x = structure, value
     while s._between(x, x, False, False) is None:
         if type(s) is Atom:
@@ -851,7 +856,13 @@ CACHE_SIZE = 128
 
 
 def _structure_of(g) -> Structure:
-    return g.structure if isinstance(g, UnitalGroup) else g
+    """The structure g is, or g's, for a unital group g; anything else is
+    refused with ``ShapeMismatch`` at the root."""
+    if isinstance(g, UnitalGroup):
+        return g.structure
+    if not isinstance(g, _Structure):
+        raise ShapeMismatch((), f"expected a structure or a unital group, got {g!r}")
+    return g
 
 
 def zero_ideal(structure) -> Ideal:

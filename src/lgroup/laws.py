@@ -32,6 +32,7 @@ from .core import (
     TooLarge,
     UnitalGroup,
     _check_elements,
+    _group_structure,
     _join,
     _leq,
     _scale,
@@ -174,7 +175,7 @@ def archimedean_falsify(G: UnitalGroup) -> Optional[Tuple[Element, Element]]:
     before being returned.  Returns the first surviving witness, or None
     when there is none.
     """
-    s = G.structure
+    s = _group_structure(G)
     z = zero(s)
     for g, h in _lex_witnesses(s):
         if g != z and _leq(s, z, g) and _dominated(s, g, h):
@@ -322,7 +323,7 @@ def ideal_lattice(G):
     ideal, and <g> as the least ideal containing g.  Over ``_TRIPLE_LIMIT``
     triples of ideals and pairs of an ideal and a point of the box it
     raises ``TooLarge`` before any check."""
-    s = G.structure
+    s = _group_structure(G)
     count = ideal_count(s) ** 3 + ideal_count(s) * 3 ** atom_count(s)
     _refuse_over(count, _TRIPLE_LIMIT, "ideal triples and (ideal, point) pairs")
     errors = []
@@ -374,7 +375,7 @@ def riesz_splitting(G):
     Over ``_TRIPLE_LIMIT`` pairs of an ideal and a point of the box, which
     it filters once per ideal, and splits, at most 3 x 3 per pair of
     ideals, it raises ``TooLarge`` before any check."""
-    s = G.structure
+    s = _group_structure(G)
     count = ideal_count(s) * 3 ** atom_count(s) + 9 * ideal_count(s) ** 2
     _refuse_over(count, _TRIPLE_LIMIT, "(ideal, point) pairs and splits")
     errors = []

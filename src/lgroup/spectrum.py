@@ -27,7 +27,8 @@ from functools import _CacheInfo
 from typing import FrozenSet
 
 from .core import (
-    Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, UnitalGroup, _ATOM_IDEALS, _Record, _store,
+    Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, _ATOM_IDEALS,
+    _Record, _store,
     _group_structure, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
 )
 from .serialize import ideal_to_json
@@ -156,7 +157,21 @@ def _primes(structure) -> list:
 
 
 def _space_of(x) -> SpectrumSpace:
-    return x if isinstance(x, SpectrumSpace) else compute_spectrum(x)
+    """x, a spectrum, or the spectrum of x, a unital group: every function
+    here that takes a space takes either, and refuses anything else with
+    ``ShapeMismatch`` at the root."""
+    if isinstance(x, SpectrumSpace):
+        return x
+    if not isinstance(x, UnitalGroup):
+        raise ShapeMismatch((), f"expected a spectrum or a unital group, got {x!r}")
+    return compute_spectrum(x)
+
+
+def _members(S) -> Iterable:
+    # a set of primes is any iterable of them
+    if not isinstance(S, Iterable):
+        raise LGroupError(f"expected an iterable of primes, got {S!r}")
+    return S
 
 
 def vanishing_locus(space, R) -> FrozenSet[Ideal]:
@@ -183,7 +198,7 @@ def ideal_of_locus(space, S: Iterable[Ideal]) -> Ideal:
     """I(S): the intersection of the primes in S; the whole group for S empty."""
     space = _space_of(space)
     out = all_ideal(space.group.structure)
-    for p in S:
+    for p in _members(S):
         space.index(p)
         out = ideal_meet(out, p)
     return out
@@ -193,12 +208,13 @@ def closure(space, S: Iterable[Ideal]) -> FrozenSet[Ideal]:
     """Topological closure: the primes on the cover chains of S's members,
     which is the vanishing locus of the kernel of S."""
     space = _space_of(space)
-    return frozenset(space.primes[j] for p in S for j in space.chain(space.index(p)))
+    return frozenset(space.primes[j] for p in _members(S) for j in space.chain(space.index(p)))
 
 
-def specialization_dot(space: SpectrumSpace) -> str:
+def specialization_dot(space) -> str:
     """DOT digraph of the specialization order (cover edges only);
-    maximal primes are drawn double-circled."""
+    maximal primes are drawn double-circled.  ``space`` may be a group."""
+    space = _space_of(space)
     lines = ["digraph spectrum {", "  rankdir=BT;"]
     for i, (p, mx) in enumerate(zip(space.primes, space.maximal)):
         shape = ", shape=doublecircle" if mx else ""
@@ -210,13 +226,15 @@ def specialization_dot(space: SpectrumSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_json(space: SpectrumSpace) -> dict:
+def spectrum_json(space) -> dict:
     """JSON-ready description: primes with flags, specialization pairs, and
     the closure of each singleton (closures of unions follow, since the
     closure operator preserves finite unions).  The closure of a prime is
     its chain of covers, so the maximal primes are dense exactly when every
     prime is maximal.  A cover has a larger index, so one pass from the
-    last prime down builds each chain from its cover's."""
+    last prime down builds each chain from its cover's.  ``space`` may
+    be a group."""
+    space = _space_of(space)
     cover, n = space.cover, len(space)
     ids, above = [f"p{i}" for i in range(n)], [None] * n  # above[i]: ids above prime i, ascending
     for i in reversed(range(n)):

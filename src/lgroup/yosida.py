@@ -42,7 +42,7 @@ from .core import (
     check_ideal,
     top_values,
 )
-from .spectrum import SpectrumSpace, compute_spectrum
+from .spectrum import SpectrumSpace, _space_of, compute_spectrum
 
 
 class NotMaximal(LGroupError):
@@ -68,13 +68,15 @@ class ForeignSpectrum(LGroupError):
         super().__init__(message)
 
 
-def _max_ideals(G: UnitalGroup, space: Optional[SpectrumSpace]) -> tuple:
-    """The maximal ideals of G, from ``space`` when given.  A spectrum
-    depends on the tree alone, so one of any group on G's tree will do,
-    and a space whose maximal ideals are not the tree's stored ones (an
-    identity test, as ideal nodes are interned) is refused."""
+def _max_ideals(G: UnitalGroup, space) -> tuple:
+    """The maximal ideals of G, from ``space`` when given, a spectrum or a
+    group (``spectrum._space_of``).  A spectrum depends on the tree alone,
+    so one of any group on G's tree will do, and a space whose maximal
+    ideals are not the tree's stored ones (an identity test, as ideal
+    nodes are interned) is refused."""
     if space is None:
         return compute_spectrum(G).max_ideals()
+    space = _space_of(space)
     s = G.structure
     if space.group.structure is not s or space._max_ideals != (
         s._spectrum[2] if s._spectrum else compute_spectrum(G).max_ideals()
@@ -112,14 +114,16 @@ def holder_eval(G: UnitalGroup, g: Element, m: Ideal) -> Fraction:
 
 
 def yosida_table(
-    G: UnitalGroup, g: Element, space: Optional[SpectrumSpace] = None
+    G: UnitalGroup, g: Element, space=None
 ) -> Dict[Ideal, Fraction]:
     """Map each maximal ideal to the value of g there.
 
     The domain is exactly the maximal spectrum, in enumeration order; the
-    unit's table is constantly 1.  A given ``space`` must be a spectrum of
-    G's tree with the tree's maximal ideals, else ``ForeignSpectrum`` is
-    raised: its maximal ideals are paired with the top positions in order.
+    unit's table is constantly 1.  A given ``space``, a spectrum or a group
+    whose spectrum is read, must be one of G's tree with the tree's
+    maximal ideals, else ``ForeignSpectrum`` is raised, and anything else
+    ``ShapeMismatch``: its maximal ideals are paired with the top
+    positions in order.
     """
     s = _group_structure(G)
     check_element(s, g)
@@ -128,7 +132,7 @@ def yosida_table(
 
 
 def principal_zero_set(
-    G: UnitalGroup, g: Element, space: Optional[SpectrumSpace] = None
+    G: UnitalGroup, g: Element, space=None
 ) -> FrozenSet[Ideal]:
     """Maximal ideals containing g: those at the top positions where g is 0.
     A given ``space`` is checked as in ``yosida_table``."""

@@ -707,7 +707,7 @@ def test_every_other_argv_goes_to_argparse(tmp_path, args, code):
 # again, and compiling costs by the node, not by the line (comments and
 # docstrings cost almost nothing), so a change that compiles more for a
 # command must raise its budget here
-COLD_NODE_BUDGET = {"analyze": 11173, "spectrum": 11061, "crt": 11219}
+COLD_NODE_BUDGET = {"analyze": 11246, "spectrum": 11134, "crt": 11222}
 
 
 @pytest.mark.parametrize("command", COLD_NODE_BUDGET)

@@ -109,6 +109,23 @@ def test_dominated_decision():
     assert not dominated(LEX.structure, (-1, 1), (-1, 0))
     assert dominated(LEX.structure, (-2, 7), (-1, -7))
     assert not dominated(LEX.structure, (-1, 0), (-2, 0))
+    # a product holding a lex node: each part must pass every multiple
+    s = MIX.structure
+    assert dominated(s, (0, (0, 1)), (0, (1, 0)))
+    assert not dominated(s, (0, (0, 1)), (-1, (1, 0)))
+    # the atom passes n = 1..5 and first fails at 6, one past h's largest
+    # |integer|
+    assert not dominated(s, (1, (0, 1)), (5, (1, 0)))
+    # a tied negative top inside: the bottoms decide n = 1, and every
+    # larger multiple passes
+    assert dominated(s, (-1, (-2, 3)), (0, (-2, 3)))
+    assert not dominated(s, (-1, (-2, 4)), (0, (-2, 3)))
+    assert not dominated(s, (1, (-2, 0)), (3, (-2, 0)))
+    # and under a lex node, reached through a zero top against a zero top
+    t = lex(s)
+    assert dominated(t, (0, (0, (0, 1))), (0, (0, (1, 0))))
+    assert dominated(t, (0, (0, (-1, 5))), (0, (1, (-1, 5))))
+    assert not dominated(t, (0, (0, (-1, 6))), (0, (1, (-1, 5))))
     # each operand is checked at the boundary: a part short, or a string
     # where an integer goes
     with pytest.raises(ShapeMismatch, match=r"^root: expected a 2-tuple, got \(0,\)$"):

@@ -18,15 +18,21 @@ from lgroup import (
     ProdIdeal,
     ShapeMismatch,
     Z,
+    UnitalGroup,
     absval,
     add,
+    all_ideal,
     canonical_generator,
+    check_element,
     closure,
     compute_spectrum,
     congruent,
+    contains,
     element_to_json,
     enumerate_ideals,
     holder_eval,
+    ideal_count,
+    ideal_of_locus,
     is_semisimple,
     is_strongly_semisimple,
     join,
@@ -36,12 +42,15 @@ from lgroup import (
     lt,
     meet,
     neg,
+    principal_ideal,
     principal_zero_set,
     prod,
     quotient,
     radical,
     riesz_split,
     scale,
+    specialization_dot,
+    spectrum_json,
     strong_patch,
     sub,
     validate_unital_group,
@@ -50,6 +59,8 @@ from lgroup import (
     zero_ideal,
     zero_set_patch,
 )
+from lgroup.laws import archimedean_falsify, ideal_lattice, riesz_splitting
+from lgroup.yosida import ForeignSpectrum
 
 # MIX is prod(Z, lex(Z)): each bad value below but the last ideal is wrong
 # only below the root
@@ -166,6 +177,54 @@ BAD_ARGUMENTS += [
     for label, x in (("a bare structure", S), ("None", None), ("an int", 5))
 ]
 
+# the law checks that read a group's structure before any other call does
+BAD_ARGUMENTS += [
+    (f"{f.__name__} on {label}", lambda f=f, x=x: f(x), (), f"root: expected a unital group, got {x!r}")
+    for f in (archimedean_falsify, ideal_lattice, riesz_splitting)
+    for label, x in (("a bare structure", S), ("None", None), ("an int", 5))
+]
+
+# the closed forms that take a structure or a unital group, and the
+# element checks that take a structure, called with neither
+STRUCTURE_ENTRIES = {
+    "zero_ideal": zero_ideal,
+    "all_ideal": all_ideal,
+    "ideal_count": ideal_count,
+    "principal_ideal": lambda s: principal_ideal(s, 0),
+    "contains": lambda s: contains(s, AtomIdeal(True), 0),
+    "canonical_generator": lambda s: canonical_generator(s, AtomIdeal(True)),
+}
+ELEMENT_ENTRIES = {
+    "check_element": lambda s: check_element(s, 0),
+    "add": lambda s: add(s, 1, 2),
+    "UnitalGroup": lambda s: UnitalGroup(s, 1),
+    "validate_unital_group": lambda s: validate_unital_group(s, 1),
+}
+BAD_ARGUMENTS += [
+    (f"{name} on {label}", lambda f=f, x=x: f(x), (), f"root: expected {wanted}, got {x!r}")
+    for entries, wanted in (
+        (STRUCTURE_ENTRIES, "a structure or a unital group"),
+        (ELEMENT_ENTRIES, "a structure"),
+    )
+    for name, f in entries.items()
+    for label, x in (("None", None), ("an int", 5))
+]
+
+# the functions that take a spectrum or a unital group, given neither (a
+# space of None is yosida_table's default)
+SPACE_ENTRIES = {
+    "spectrum_json": spectrum_json,
+    "specialization_dot": specialization_dot,
+    "closure": lambda x: closure(x, []),
+    "yosida_table space": lambda x: yosida_table(MIX, E0, x),
+    "principal_zero_set space": lambda x: principal_zero_set(MIX, E0, x),
+}
+BAD_ARGUMENTS += [
+    (f"{name} on {label}", lambda f=f, x=x: f(x), (), f"root: expected a spectrum or a unital group, got {x!r}")
+    for name, f in SPACE_ENTRIES.items()
+    for label, x in (("an int", 5), ("a string", "p0"), ("a bare structure", S))
+]
+
 
 @pytest.mark.parametrize(
     "call, path, message", [row[1:] for row in BAD_ARGUMENTS], ids=[row[0] for row in BAD_ARGUMENTS]
@@ -193,6 +252,28 @@ def test_a_constraint_that_is_not_a_pair_is_named(call, k):
         call()
     assert type(info.value) is LGroupError
     assert str(info.value) == f"constraint {k}: expected an (ideal, target) pair"
+
+
+@pytest.mark.parametrize("locus", [closure, ideal_of_locus])
+@pytest.mark.parametrize("primes", [5, None, Z0], ids=["int", "none", "ideal"])
+def test_a_set_of_primes_that_is_not_iterable_is_refused(locus, primes):
+    with pytest.raises(LGroupError) as info:
+        locus(MIX, primes)
+    assert type(info.value) is LGroupError
+    assert str(info.value) == f"expected an iterable of primes, got {primes!r}"
+
+
+def test_a_group_serves_where_a_spectrum_goes():
+    space = compute_spectrum(MIX)
+    assert spectrum_json(MIX) == spectrum_json(space)
+    assert specialization_dot(MIX) == specialization_dot(space)
+    # a group is checked as its spectrum is: one on another tree is foreign
+    for evaluate in (yosida_table, principal_zero_set):
+        assert evaluate(MIX, (1, (2, 0)), MIX) == evaluate(MIX, (1, (2, 0)), space)
+        with pytest.raises(ForeignSpectrum):
+            evaluate(MIX, E0, WIDE)
+
+
 # a strongly semisimple group, so every solver runs its fold and its check
 WIDE = validate_unital_group(prod(Z, prod(Z, Z), Z), (1, (2, 1), 3))
 WIDE_IDEALS = enumerate_ideals(WIDE).ideals
