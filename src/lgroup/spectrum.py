@@ -28,8 +28,7 @@ from typing import FrozenSet
 
 from .core import (
     Atom, Ideal, LexIdeal, LGroupError, Prod, ProdIdeal, ShapeMismatch, UnitalGroup, _ATOM_IDEALS,
-    _Record, _store,
-    _group_structure, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
+    _Record, _store, _group_structure, all_ideal, check_element, check_ideal, ideal_leq, ideal_meet,
 )
 from .serialize import ideal_to_json
 

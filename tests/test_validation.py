@@ -17,8 +17,8 @@ from lgroup import (
     LexIdeal,
     ProdIdeal,
     ShapeMismatch,
-    Z,
     UnitalGroup,
+    Z,
     absval,
     add,
     all_ideal,
@@ -220,7 +220,8 @@ SPACE_ENTRIES = {
     "principal_zero_set space": lambda x: principal_zero_set(MIX, E0, x),
 }
 BAD_ARGUMENTS += [
-    (f"{name} on {label}", lambda f=f, x=x: f(x), (), f"root: expected a spectrum or a unital group, got {x!r}")
+    (f"{name} on {label}", lambda f=f, x=x: f(x), (),
+     f"root: expected a spectrum or a unital group, got {x!r}")
     for name, f in SPACE_ENTRIES.items()
     for label, x in (("an int", 5), ("a string", "p0"), ("a bare structure", S))
 ]
