@@ -118,7 +118,10 @@ def spectrum(args) -> int:
     if args.format == "dot":
         sys.stdout.write(specialization_dot(space))
     else:
-        sys.stdout.write(dumps_canonical(spectrum_json(space)))
+        # the text grows as the cube of the tree's height (220 MB for a
+        # product nest at the parser's 400 levels): written in pieces, it
+        # is never held whole
+        dumps_canonical(spectrum_json(space), sys.stdout.write)
     return 0
 
 

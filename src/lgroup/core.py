@@ -72,8 +72,10 @@ reference cycle and a tree dies with its last user.  The
 constructors refuse a child that is not a structure, and a product's
 children that are not a tuple, naming the position.  The lazy facts are
 its primes with their covers and maximal ideals, in one slot
-(``spectrum``), its radical (``semisimple``) and its zero ideal
-(``zero_ideal``): the first use sets each and every later one reads it.
+(``spectrum``), its radical (``semisimple``), its zero ideal
+(``zero_ideal``) and the ``marshal`` blob of its spectrum's JSON export
+(``spectrum.spectrum_json``): the first use sets each and every later
+one reads it.
 The ideals of a unital group are those of its tree, whatever the unit,
 so every group on the tree shares them.  The values are immutable and
 their ideal nodes interned, so two threads that fill a slot at once
@@ -353,8 +355,8 @@ class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring), all set at construction: its zero element, atom count,
     chain flag and ideal count; its kernels; and its (primes, covers,
-    maximal ideals), radical and zero ideal, None until their first use
-    fills them with ``_store``.
+    maximal ideals), radical, zero ideal and spectrum export, None until
+    their first use fills them with ``_store``.
 
     The element kernels are ``_add``, ``_sub``, ``_meet``, ``_between`` and
     ``_tops`` (``leq`` and ``join`` derive from them).  The interval check
@@ -380,7 +382,7 @@ class _Structure(_Node):
         "_zero", "_atoms", "_chain", "_ideal_count",
         "_add", "_sub", "_meet", "_between", "_tops",
         "_shape", "_gen", "_patch", "_all",
-        "_spectrum", "_radical", "_zero_ideal",
+        "_spectrum", "_radical", "_zero_ideal", "_export",
     )
 
 
@@ -405,13 +407,14 @@ def _atom_between(x, u, low, high):
 # an atom's zero, atom count, chain flag and ideal count (zero and all);
 # its element kernels: the builtins, and its value is its one top; its
 # ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
-# its unfilled (primes, covers, maximal ideals), radical and zero ideal
+# its unfilled (primes, covers, maximal ideals), radical, zero ideal and
+# spectrum export
 _ATOM_FACTS = (
     0, 1, True, 2,
     operator.add, operator.sub, min, _atom_between, list.append,
     AtomIdeal.__instancecheck__, lambda g: _ATOM_IDEALS[g != 0],
     lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
-    None, None, None,
+    None, None, None, None,
 )
 
 
@@ -431,14 +434,14 @@ def _prod_facts(children: tuple) -> tuple:
     zero = tuple([c._zero for c in children])
     atoms = sum([c._atoms for c in children])
     count = math.prod([c._ideal_count for c in children])
-    return zero, atoms, False, count, *_prod_kernels(children), None, None, None
+    return zero, atoms, False, count, *_prod_kernels(children), None, None, None, None
 
 
 def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
     return (
         (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
-        *_lex_kernels(bottom), None, None, None,
+        *_lex_kernels(bottom), None, None, None, None,
     )
 
 
@@ -932,32 +935,69 @@ def check_ideal(structure, I: Ideal, path: Path = ()) -> None:
 def ideal_leq(I: Ideal, J: Ideal) -> bool:
     """Containment I subseteq J: I is proper at every top position where J
     is (a test of the stored masks, which builds nothing), and their meet
-    is I, one object, as ideal nodes are interned."""
-    return (J._mask & ~I._mask) == 0 and ideal_meet(I, J) is I
+    is I, one object, as ideal nodes are interned.  Ideals of different
+    shapes raise ShapeMismatch, unless the mismatch is hidden: see
+    ``_checked``."""
+    return _checked(_leq_ideals, I, J)
 
 
 def ideal_meet(I: Ideal, J: Ideal) -> Ideal:
+    """I ^ J.  Ideals of different shapes raise ShapeMismatch, unless the
+    mismatch is hidden: see ``_checked``."""
+    return _checked(_meet_ideals, I, J)
+
+
+def ideal_join(I: Ideal, J: Ideal) -> Ideal:
+    """I v J.  Ideals of different shapes raise ShapeMismatch, unless the
+    mismatch is hidden: see ``_checked``."""
+    return _checked(_join_ideals, I, J)
+
+
+def _checked(walk, I, J):
+    """``walk(I, J)``, a closed form of two ideals of one structure, with
+    the kind and arity checked at every node that both operands walk: the
+    roots' kinds and stored widths are compared, and the walk reads inside
+    a ``try``, so the success path pays a call and two comparisons.  A
+    mismatch anywhere raises ShapeMismatch at the root, naming both
+    operands.  A node that one operand skips is not compared, so a
+    mismatch there is hidden: a whole or equal part is the answer there,
+    the mask test of ``ideal_leq`` walks nothing, and the whole lex ideal
+    ``LexIdeal(None)`` is one node shared by every lex structure, so
+    nothing beneath it is seen."""
+    try:
+        if type(I) is type(J) and I._width == J._width:
+            return walk(I, J)
+    except AttributeError:  # kinds or arities differ below the root
+        pass
+    raise ShapeMismatch((), f"expected ideals of one shape, got {I!r} and {J!r}")
+
+
+def _leq_ideals(I, J):
+    return not (J._mask & ~I._mask) and _meet_ideals(I, J) is I
+
+
+def _meet_ideals(I, J):
     # equal ideals are one object, and the whole ideal (mask 0) is the meet's unit
     if I is J or not J._mask:
         return I
     if not I._mask:
         return J
-    if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(map(ideal_meet, I.parts, J.parts)))
-    # both proper: {0} x inner at a lex node (proper atom ideals are zero, one object)
-    return LexIdeal(ideal_meet(I.inner, J.inner))
+    if type(I) is ProdIdeal and len(I.parts) == len(J.parts):
+        return ProdIdeal(tuple(map(_meet_ideals, I.parts, J.parts)))
+    # both proper: {0} x inner at a lex node (proper atom ideals are zero,
+    # one object); any other pair, a product of another arity too, has no inner
+    return LexIdeal(_meet_ideals(I.inner, J.inner))
 
 
-def ideal_join(I: Ideal, J: Ideal) -> Ideal:
+def _join_ideals(I, J):
     if I is J:
         return I
-    if isinstance(I, AtomIdeal):
-        return _ATOM_IDEALS[I.full or J.full]
-    if isinstance(I, ProdIdeal):
-        return ProdIdeal(tuple(map(ideal_join, I.parts, J.parts)))
-    if I.inner is None or J.inner is None:
-        return LexIdeal(None)
-    return LexIdeal(ideal_join(I.inner, J.inner))
+    if type(I) is AtomIdeal:
+        return _ATOM_IDEALS[J.full or I.full]
+    if type(I) is ProdIdeal and len(I.parts) == len(J.parts):
+        return ProdIdeal(tuple(map(_join_ideals, I.parts, J.parts)))
+    inner = I.inner, J.inner  # as in _meet_ideals
+    return _WHOLE_LEX if None in inner else LexIdeal(_join_ideals(*inner))
 
 
 def principal_ideal(structure, g: Element) -> Ideal:

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from .core import LGroupError
 from .serialize import Instance, dumps_canonical, instance_from_json
 
 _A2 = {
@@ -88,10 +89,20 @@ _GALLERY = {"a2": _A2, "c3": _C3, "lex": _LEX, "mix": _MIX, "chang": _CHANG}
 GALLERY_NAMES = tuple(sorted(_GALLERY))
 
 
+def _entry(name: str) -> dict:
+    """The document of a built-in instance; an unknown name is refused with
+    an LGroupError that lists the known ones."""
+    try:
+        return _GALLERY[name]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
+        known = ", ".join(GALLERY_NAMES)
+        raise LGroupError(f"unknown gallery instance {name!r}; known: {known}") from None
+
+
 def gallery_json(name: str) -> str:
     """Canonical instance-file text for a built-in instance."""
-    return dumps_canonical(_GALLERY[name])
+    return dumps_canonical(_entry(name))
 
 
 def gallery_instance(name: str) -> Instance:
-    return instance_from_json(_GALLERY[name])
+    return instance_from_json(_entry(name))

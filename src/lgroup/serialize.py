@@ -39,9 +39,9 @@ import json
 from functools import partial
 from typing import Union
 
-from .core import Atom, Element, Lex, LGroupError, NotAStrongUnit, Prod, Structure, UnitalGroup
+from .core import Atom, Element, Lex, LGroupError, NotAStrongUnit, Prod, ShapeMismatch, Structure
 from .core import _Ideal, _is_int, _Record, _trusted_group, check_element
-from .core import Ideal, LexIdeal, ProdIdeal, all_ideal, check_ideal, zero_ideal
+from .core import Ideal, LexIdeal, ProdIdeal, UnitalGroup, all_ideal, check_ideal, zero_ideal
 
 
 class ParseError(LGroupError):
@@ -57,7 +57,9 @@ def structure_to_json(structure: Structure):
         return "Z"
     if isinstance(structure, Prod):
         return {"prod": [structure_to_json(c) for c in structure.children]}
-    return {"lex": structure_to_json(structure.bottom)}
+    if isinstance(structure, Lex):
+        return {"lex": structure_to_json(structure.bottom)}
+    raise ShapeMismatch((), f"expected a structure, got {structure!r}")
 
 
 MAX_HEIGHT = 400
@@ -136,7 +138,10 @@ def element_from_json(structure: Structure, obj, path: str = "element") -> Eleme
 def ideal_to_json(I: Ideal):
     """The canonical form: the zero and improper ideals are their shorthands
     at every level, read off the flags each ideal node stores, so
-    serialisation is byte-stable and descends only into mixed nodes."""
+    serialisation is byte-stable and descends only into mixed nodes.
+    Anything but an ideal node is refused with ShapeMismatch."""
+    if not isinstance(I, _Ideal):
+        raise ShapeMismatch((), f"expected an ideal, got {I!r}")
     if I._zero:
         return "zero"
     if not I._mask:
@@ -274,6 +279,8 @@ def _check_intervals(instance: Instance) -> None:
 
 
 def instance_to_json(instance: Instance) -> dict:
+    if not isinstance(instance, Instance):
+        raise ShapeMismatch((), f"expected an instance, got {instance!r}")
     structure, task = instance.group.structure, instance.task
     element = partial(element_to_json, structure)
     for I in (*instance.ideals.values(), *getattr(task, "ideals", ())):
@@ -316,20 +323,38 @@ def certificate_to_json(structure: Structure, cert) -> dict:
 
 _escape = json.encoder.encode_basestring_ascii  # the C encoder's string writer
 _LITERALS = {None: "null", True: "true", False: "false"}
+_PIECE = 1 << 16  # the least text, in characters, of each piece but the last
 
 
-def dumps_canonical(obj) -> str:
+def dumps_canonical(obj, write=None):
     """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline: the
     stdlib's bytes, written in one pass with no recursion, so any depth
     exports.  Strings, integers, booleans, None, and non-empty lists, tuples
     and dicts are written here, each open container as the iterator of its
     items on one explicit stack, and a list of strings with one join.  Any
     other value is the stdlib's own text, indented to its place, and a
-    document with a key that is not a string is the stdlib's throughout."""
-    out, open_ids = [], set()
+    document with a key that is not a string is the stdlib's throughout.
+
+    With ``write``, the same text goes to ``write`` in pieces, and the call
+    returns None: the pieces written so far are joined and handed over at
+    the first container boundary after about 64 KB (a flat container's text
+    is written whole), and the rest, with the final newline, at the end.
+    So the text is never held whole.  The stdlib's text for a key that is
+    not a string is written only while nothing has been: once a piece is
+    out, such a key raises its TypeError, and what was written is a prefix
+    of the document, never followed by a second one."""
+    out, open_ids, wrote = [], set(), False
     stack = [(iter((("", obj),)), "", None)]  # (prefixed items, closing text, id) per container
     try:
         while stack:
+            if write is not None and len(out) > 255:
+                text = "".join(out)
+                out.clear()
+                if len(text) < _PIECE:
+                    out.append(text)
+                else:
+                    write(text)
+                    wrote = True
             items, close, key = stack[-1]
             for prefix, value in items:
                 kind = type(value)
@@ -366,13 +391,21 @@ def dumps_canonical(obj) -> str:
                 open_ids.discard(key)
                 stack.pop()
     except TypeError:  # a key that is not a string: the stdlib converts or refuses it
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return "".join(out) + "\n"
+        if wrote:
+            raise
+        out = [json.dumps(obj, indent=2, sort_keys=True)]
+    out.append("\n")
+    if write is None:
+        return "".join(out)
+    write("".join(out))
+    return None
 
 
 def loads_instance(text: str) -> Instance:
     try:
         obj = json.loads(text)
+    except TypeError:  # not text at all
+        raise ParseError("$", f"expected JSON text, got {type(text).__name__}") from None
     except ValueError as exc:  # malformed text, or an integer too long to convert
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     except RecursionError:

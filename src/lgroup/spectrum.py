@@ -8,12 +8,14 @@ yields each prime together with the index of its cover.  The maximal
 ideals are the primes that nothing covers (``core._max_meet`` builds any
 of them, or their meet, without the spectrum); the tree stores them in
 one slot with its primes and covers, and a space its own, so
-``max_ideals()`` is a read.  Those stored facts are
-the only memo: no table keyed by group keeps a tree alive, so a dropped
-group frees its tree and all that is stored on it.  The exports read
-pairs, closures and edges off those cover chains.  A prime containing the
-intersection of finitely many primes contains one of them, so the closure
-of a set of primes is the union of its members' cover chains; the
+``max_ideals()`` is a read.  The JSON export is a fact of the tree too,
+kept as a ``marshal`` blob in a slot of its own (``spectrum_json``).
+Those stored facts are the only memo: no table keyed by group keeps a
+tree alive, so a dropped group frees its tree and all that is stored on
+it.  The exports read pairs, closures and edges off those cover chains.
+A prime containing the intersection of finitely many primes contains one
+of them, so the closure of a set of primes is the union of its members'
+cover chains; the
 closure-operator law of ``lgroup.laws.spectral_axioms`` checks it against
 the vanishing locus of the kernel on every set of primes.  That module
 checks the vanishing-locus / kernel Galois connection and the other
@@ -22,6 +24,7 @@ topological laws by exhaustive enumeration.
 
 from __future__ import annotations
 
+import marshal
 from collections.abc import Iterable
 from functools import _CacheInfo
 from typing import FrozenSet
@@ -228,12 +231,34 @@ def specialization_dot(space) -> str:
 def spectrum_json(space) -> dict:
     """JSON-ready description: primes with flags, specialization pairs, and
     the closure of each singleton (closures of unions follow, since the
-    closure operator preserves finite unions).  The closure of a prime is
-    its chain of covers, so the maximal primes are dense exactly when every
-    prime is maximal.  A cover has a larger index, so one pass from the
-    last prime down builds each chain from its cover's.  ``space`` may
-    be a group."""
+    closure operator preserves finite unions).  ``space`` may be a group.
+
+    The document depends on the primes and covers alone, so it is a fact
+    of the tree: for a space whose primes and covers are the tree's stored
+    ones (every space that ``compute_spectrum`` gives), the first call
+    stores the ``marshal`` blob of the document it builds in the tree's
+    ``_export`` slot, and every later call returns ``marshal.loads`` of it,
+    a fresh document equal to the first, made in C.  The blob dies with
+    the tree.  Any other space's document is built on every call and
+    stored nowhere."""
     space = _space_of(space)
+    G = space.group
+    stored = G.structure._spectrum if isinstance(G, UnitalGroup) else None
+    if stored is None or space.primes is not stored[0] or space.cover is not stored[1]:
+        return _document(space)
+    s = G.structure
+    if s._export is not None:
+        return marshal.loads(s._export)
+    doc = _document(space)
+    _store(s, "_export", marshal.dumps(doc))
+    return doc
+
+
+def _document(space: SpectrumSpace) -> dict:
+    """The document of ``spectrum_json``.  The closure of a prime is its
+    chain of covers, so the maximal primes are dense exactly when every
+    prime is maximal.  A cover has a larger index, so one pass from the
+    last prime down builds each chain from its cover's."""
     cover, n = space.cover, len(space)
     ids, above = [f"p{i}" for i in range(n)], [None] * n  # above[i]: ids above prime i, ascending
     for i in reversed(range(n)):

@@ -252,6 +252,43 @@ def test_the_spectrum_of_a_350_level_tower_exports_in_under_1_5_s():
     assert len(text) == 33_615_525  # as the stdlib writes it
 
 
+@given(_DOCUMENTS)
+@settings(max_examples=100, deadline=None)
+def test_dumps_canonical_writes_the_same_text_in_pieces(obj):
+    pieces = []
+    assert dumps_canonical(obj, pieces.append) is None
+    assert "".join(pieces) == _stdlib_canonical(obj)
+
+
+def test_the_pieces_join_to_the_text_on_the_goldens_and_a_350_level_tower():
+    documents = [json.loads(path.read_text()) for path in sorted(DATA.rglob("*.json"))]
+    s, u = Z, 1
+    for _ in range(350):
+        s, u = lex(s), (1, u)
+    documents.append(spectrum_json(UnitalGroup(s, u)))
+    for doc in documents:
+        pieces = []
+        assert dumps_canonical(doc, pieces.append) is None
+        assert "".join(pieces) == dumps_canonical(doc)
+        # each piece but the last is handed over once 64 KB are pending
+        assert all(len(piece) >= 1 << 16 for piece in pieces[:-1])
+    assert len(pieces) > 100  # the tower's 33.6 MB
+
+
+def test_a_key_that_is_not_a_string_is_written_as_the_stdlib_writes_it_until_a_piece_is_out():
+    small = {"b": {1: 2, 3: [True]}}
+    pieces = []
+    dumps_canonical(small, pieces.append)
+    assert pieces == [_stdlib_canonical(small)]
+    # past the first piece, the key raises, and what was written is a
+    # prefix of the stdlib's text, never followed by a second document
+    large = {"a": [[i] for i in range(20_000)], "b": {1: 2}}
+    pieces.clear()
+    with pytest.raises(TypeError):
+        dumps_canonical(large, pieces.append)
+    assert pieces and _stdlib_canonical(large).startswith("".join(pieces))
+
+
 def _certificates(rng, G):
     """The certificates of the three solvers on four systems of two to four
     constraints around a common base, each target moved by a random

@@ -1,12 +1,18 @@
 import copy
+import gc
+import marshal
 import pickle
 import random
+import sys
+import weakref
 
 import pytest
 
 import lgroup.core
 import lgroup.spectrum
-from conftest import A2, C3, GALLERY_GROUPS, LEX, MIX, ORACLE_GROUPS, random_group, tall_groups
+from conftest import (
+    A2, C3, GALLERY_GROUPS, LEX, MIX, ORACLE_GROUPS, random_group, seeded_tree_group, tall_groups,
+)
 from oracles import primes_by_walk, radical_by_walk, zero_by_walk
 from lgroup import (
     Atom,
@@ -325,3 +331,72 @@ def test_groups_on_one_tree_share_one_primes_walk(monkeypatch):
     assert len({space.group for space in spaces}) == 5
     assert all(space.primes is spaces[0].primes for space in spaces)
     assert all(space.cover is spaces[0].cover for space in spaces)
+
+
+def _mutate(doc):
+    doc["primes"][0]["ideal"] = "mutated"
+    doc["primes"].append(None)
+    doc["specialization"].append(["p0", "p0"])
+    doc["closure"]["p0"].append("p9")
+    doc["max_dense"] = None
+
+
+def test_the_export_is_stored_once_per_tree_and_each_call_gets_a_fresh_copy():
+    for G in ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(12)]:
+        s, space = G.structure, compute_spectrum(G)
+        built = lgroup.spectrum._document(space)
+        lgroup.core._store(s, "_export", None)  # as if never exported
+        first = spectrum_json(space)
+        blob = s._export
+        assert first == built and marshal.loads(blob) == built
+        _mutate(first)
+        later = [spectrum_json(space), spectrum_json(G), spectrum_json(compute_spectrum(G))]
+        assert all(doc == built for doc in later)
+        assert s._export is blob
+        # new containers on every call: a mutated result leaves the next
+        _mutate(later[0])
+        assert spectrum_json(G) == built == later[1]
+
+
+def test_a_second_export_of_a_tree_builds_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        lgroup.spectrum, "ideal_to_json", lambda I: calls.append(I) or ideal_to_json(I)
+    )
+    # a tree that no other test builds, so its export is its own
+    s = prod(lex(prod(Z, lex(Z), Z)), *(Z,) * 23, lex(Z))
+    G = UnitalGroup(s, ((1, (1, (1, 0), 1)), *(1,) * 23, (1, 0)))
+    assert s._export is None
+    doc = spectrum_json(G)
+    assert len(calls) == len(doc["primes"]) == len(compute_spectrum(G))
+    for _ in range(3):
+        assert spectrum_json(G) == doc
+    assert len(calls) == len(doc["primes"])
+
+
+def test_a_space_that_does_not_hold_the_trees_primes_stores_no_export():
+    s = prod(lex(prod(Z, Z, lex(Z))), *(Z,) * 21, lex(lex(Z)))
+    G = UnitalGroup(s, ((1, (1, 1, (1, 0))), *(1,) * 21, (1, (1, 0))))
+    tree = compute_spectrum(G)
+    want = lgroup.spectrum._document(tree)
+    twins = [
+        # equal tuples, but not the tree's own
+        SpectrumSpace(G, tuple(list(tree.primes)), tuple(list(tree.cover))),
+        SpectrumSpace(G, tree.primes, tuple(list(tree.cover))),
+        # a group that is not one: nothing to store on
+        SpectrumSpace(None, tree.primes, tree.cover),
+    ]
+    for space in twins:
+        assert spectrum_json(space) == want and s._export is None
+    assert spectrum_json(tree) == want and s._export is not None
+
+
+def test_a_dropped_tree_frees_its_export():
+    s = prod(*(Z,) * 22, lex(prod(lex(Z), Z)))
+    G = UnitalGroup(s, (1,) * 22 + ((1, ((1, 0), 1)),))
+    spectrum_json(G)
+    blob, tree = s._export, weakref.ref(s)
+    held = sys.getrefcount(blob)
+    del s, G
+    gc.collect()
+    assert tree() is None and sys.getrefcount(blob) == held - 1

@@ -15,6 +15,7 @@ from lgroup import (
     GammaAlgebra,
     LGroupError,
     LexIdeal,
+    ParseError,
     ProdIdeal,
     ShapeMismatch,
     UnitalGroup,
@@ -32,7 +33,12 @@ from lgroup import (
     enumerate_ideals,
     holder_eval,
     ideal_count,
+    ideal_join,
+    ideal_leq,
+    ideal_meet,
     ideal_of_locus,
+    ideal_to_json,
+    instance_to_json,
     is_semisimple,
     is_strongly_semisimple,
     join,
@@ -52,6 +58,7 @@ from lgroup import (
     specialization_dot,
     spectrum_json,
     strong_patch,
+    structure_to_json,
     sub,
     validate_unital_group,
     vanishing_locus,
@@ -59,6 +66,7 @@ from lgroup import (
     zero_ideal,
     zero_set_patch,
 )
+from lgroup.gallery import gallery_instance, gallery_json
 from lgroup.laws import archimedean_falsify, ideal_lattice, riesz_splitting
 from lgroup.yosida import ForeignSpectrum
 
@@ -226,6 +234,48 @@ BAD_ARGUMENTS += [
     for label, x in (("an int", 5), ("a string", "p0"), ("a bare structure", S))
 ]
 
+# the ideal closed forms take two ideals of one structure: a kind or an
+# arity that differs at a node both operands walk, at the root or below
+# it, is refused at the root, naming both operands, in either order
+ZERO, WHOLE = AtomIdeal(False), AtomIdeal(True)
+P2, P3 = ProdIdeal((ZERO, ZERO)), ProdIdeal((ZERO, ZERO, ZERO))
+UNLIKE_IDEALS = [
+    ("products of two and three parts", P2, P3),
+    ("a product and a lex ideal", P2, LexIdeal(ZERO)),
+    ("an atom and a lex ideal", ZERO, LexIdeal(ZERO)),
+    ("the whole atom and a whole product", WHOLE, ProdIdeal((WHOLE, WHOLE))),
+    ("kinds that differ below the root",
+     ProdIdeal((ZERO, P2)), ProdIdeal((ZERO, ProdIdeal((ZERO, LexIdeal(ZERO)))))),
+    ("arities that differ below the root", ProdIdeal((ZERO, P3)), ProdIdeal((ZERO, P2, ZERO))),
+    ("an ideal and an int", Z0, 5),
+    ("two ints", 5, 5),
+    ("an ideal and a structure", ZERO, S),
+]
+BAD_ARGUMENTS += [
+    (f"{f.__name__} of {label}{order}", lambda f=f, I=I, J=J: f(I, J), (),
+     f"root: expected ideals of one shape, got {I!r} and {J!r}")
+    for f in (ideal_join, ideal_meet, ideal_leq)
+    for label, first, second in UNLIKE_IDEALS
+    for order, I, J in (("", first, second), (", swapped", second, first))
+]
+
+# the writers, given a value that they do not write
+BAD_ARGUMENTS += [
+    (f"{f.__name__} on {label}", lambda f=f, x=x: f(x), (), f"root: expected {wanted}, got {x!r}")
+    for f, wanted in (
+        (structure_to_json, "a structure"),
+        (ideal_to_json, "an ideal"),
+        (instance_to_json, "an instance"),
+    )
+    for label, x in (("an int", 5), ("None", None), ("a unital group", MIX))
+]
+BAD_ARGUMENTS += [
+    ("ideal_to_json on a structure", lambda: ideal_to_json(S), (),
+     f"root: expected an ideal, got {S!r}"),
+    ("structure_to_json on an ideal", lambda: structure_to_json(Z0), (),
+     f"root: expected a structure, got {Z0!r}"),
+]
+
 
 @pytest.mark.parametrize(
     "call, path, message", [row[1:] for row in BAD_ARGUMENTS], ids=[row[0] for row in BAD_ARGUMENTS]
@@ -367,3 +417,28 @@ def test_scale_refuses_a_multiplier_that_is_not_an_int(n):
             call()
         assert type(info.value) is LGroupError
         assert str(info.value) == f"expected an integer multiplier, got {n!r}"
+
+
+def test_a_mismatch_beneath_the_whole_lex_ideal_is_hidden():
+    # LexIdeal(None) is one node for every lex structure, so the whole
+    # ideal of lex(Z^2) is that of lex(Z), and meets like it
+    assert ideal_join(LexIdeal(None), LexIdeal(ZERO)) is LexIdeal(None)
+    assert ideal_meet(LexIdeal(None), LexIdeal(P2)) is LexIdeal(P2)
+    assert ideal_leq(LexIdeal(P2), LexIdeal(None))
+
+
+@pytest.mark.parametrize("text", [None, 5, ["{}"]], ids=["none", "int", "list"])
+def test_loads_instance_refuses_what_is_not_text(text):
+    with pytest.raises(ParseError) as info:
+        loads_instance(text)
+    assert info.value.path == "$"
+    assert str(info.value) == f"$: expected JSON text, got {type(text).__name__}"
+
+
+@pytest.mark.parametrize("name", ["nope", None, ["a2"]], ids=["unknown", "none", "list"])
+@pytest.mark.parametrize("entry", [gallery_instance, gallery_json])
+def test_an_unknown_gallery_name_is_refused_with_the_known_names(entry, name):
+    with pytest.raises(LGroupError) as info:
+        entry(name)
+    assert type(info.value) is LGroupError
+    assert str(info.value) == f"unknown gallery instance {name!r}; known: a2, c3, chang, lex, mix"
