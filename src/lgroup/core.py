@@ -43,18 +43,21 @@ construction from its children's in O(children): its zero element, atom
 count, chain flag and ideal count, and its kernels.  Construction goes
 bottom-up, so a tree of any height builds without recursion, and every
 fact is a plain slot read.  The element kernels are closures for ``add``,
-``sub``, ``meet``, the interval check ``_between`` and the top integers
-``_tops``, so each of those reads a slot and calls what is there, with
-no dispatch on the node class per call.  The rest follow from these by
-the identities of a lattice-ordered group: ``neg`` subtracts from the
-stored zero; g <= h exactly when h - g lies in the positive cone, which
-is the interval check with the lower bound alone; g v h = g + h -
-(g ^ h); and the shape test of ``check_element`` is the interval check
-with neither bound.  The ideal kernels (see ``_Structure``) do the same
-for the ideal walks.  An atom's kernels are the builtins, and a lex
-node's read the top and call its bottom's.  A product of up to
+``sub``, ``meet``, ``join``, the truncated sum ``_trunc`` of the interval
+algebra (see ``lgroup.mv``), the interval check ``_between`` and the top
+integers ``_tops``, so each of those reads a slot and calls what is
+there, with no dispatch on the node class per call, and each operation
+of ``lgroup.mv`` is one walk.  The rest follow from these by the
+identities of a lattice-ordered group: ``neg`` subtracts from the stored
+zero, and |g| = g v -g; g <= h exactly when h - g lies in the positive
+cone, which is the interval check with the lower bound alone; and the
+shape test of ``check_element`` is the interval check with neither
+bound.  The ideal kernels (see ``_Structure``) do the same for the ideal
+walks.  An atom's kernels are the builtins and plain compares (never
+``min``, which takes ten times as long on two ints), and a lex node's
+read the top and call its bottom's.  A product of up to
 ``_STRAIGHT_ARITY`` = 16 children runs straight-line code: one source
-template writes its eight kernels, part i calling child i's kernel (an
+template writes its ten kernels, part i calling child i's kernel (an
 atom child's interval check inline), and is compiled once per arity, at
 its first use, by ``_straight_factory``, an ``lru_cache`` that arities
 2 to 16 alone reach.  Only the arity and the indices go into the
@@ -115,7 +118,10 @@ through ``_group_structure``, which refuses anything else, a bare
 structure included, with ``ShapeMismatch`` at the root; the closed forms
 that take a group or a structure read it through ``_structure_of``, and
 ``check_element`` takes a structure alone, each refusing anything else
-the same way.
+the same way.  The O(1) reads (``zero``, ``atom_count``, ``is_chain``,
+and the ideal tests ``is_zero_ideal``, ``is_all_ideal`` and
+``is_proper``) read their slot inside a ``try`` and refuse a value that
+has none the same way, at no cost to a read that succeeds.
 """
 
 from __future__ import annotations
@@ -351,6 +357,14 @@ def _spell_ideal(I):
     return "all" if I.full else "zero"
 
 
+# a structure's kernel slots, and its whole ideal, which products read from
+# their children too, in order
+_KERNELS = (
+    "_add", "_sub", "_meet", "_join", "_trunc", "_between", "_tops",
+    "_shape", "_gen", "_patch", "_all",
+)
+
+
 class _Structure(_Node):
     """A structure node, with the stored facts of its tree (see the module
     docstring), all set at construction: its zero element, atom count,
@@ -358,13 +372,19 @@ class _Structure(_Node):
     maximal ideals), radical, zero ideal and spectrum export, None until
     their first use fills them with ``_store``.
 
-    The element kernels are ``_add``, ``_sub``, ``_meet``, ``_between`` and
-    ``_tops`` (``leq`` and ``join`` derive from them).  The interval check
-    ``_between(x, u, low, high)`` is None when x is malformed, by
-    ``check_element``'s tests in its order, else whether 0 <= x (if
-    ``low``) and x <= u (if ``high``): one walk, in which a lex top decides
-    a bound unless it ties, and which checks only the shape after a failed
-    bound.  ``_tops(out, g)`` appends g's top integers (see
+    The element kernels are ``_add``, ``_sub``, ``_meet``, ``_join``,
+    ``_trunc``, ``_between`` and ``_tops`` (``leq`` derives from them).
+    The truncated sum ``_trunc(x, y, c, u, low, high)`` is x + y - c, then
+    v 0 if ``low`` and ^ u if ``high``, in one walk: a lex top decides a
+    bound unless it ties, and only a tie passes the bound down, so with
+    both bounds 0 <= u must hold, as it does at every node below a root
+    where it holds.  ``oplus`` is (x, y, 0, u, False, True), ``odot`` (x,
+    y, u, u, True, False) and ``clamp`` (x, 0, 0, u, True, True).  The
+    interval check ``_between(x, u, low, high)`` is None when x is
+    malformed, by ``check_element``'s tests in its order, else whether 0
+    <= x (if ``low``) and x <= u (if ``high``): one walk, in which a lex
+    top decides a bound unless it ties, and which checks only the shape
+    after a failed bound.  ``_tops(out, g)`` appends g's top integers (see
     ``lgroup.yosida``) to the list ``out``.
 
     The ideal kernels are ``_shape(I)``, whether I has the shape of an
@@ -379,9 +399,7 @@ class _Structure(_Node):
     t = 0)."""
 
     __slots__ = _facts = (
-        "_zero", "_atoms", "_chain", "_ideal_count",
-        "_add", "_sub", "_meet", "_between", "_tops",
-        "_shape", "_gen", "_patch", "_all",
+        "_zero", "_atoms", "_chain", "_ideal_count", *_KERNELS,
         "_spectrum", "_radical", "_zero_ideal", "_export",
     )
 
@@ -404,14 +422,33 @@ def _atom_between(x, u, low, high):
     return (not low or 0 <= x) and (not high or x <= u)
 
 
+# an atom's meet and join are a compare: the builtin min takes about ten
+# times as long on two ints
+def _atom_meet(g, h):
+    return g if g <= h else h
+
+
+def _atom_join(g, h):
+    return g if h <= g else h
+
+
+def _atom_trunc(x, y, c, u, low, high):
+    t = x + y - c
+    if low and t < 0:
+        return 0
+    if high and u < t:
+        return u
+    return t
+
+
 # an atom's zero, atom count, chain flag and ideal count (zero and all);
-# its element kernels: the builtins, and its value is its one top; its
-# ideal kernels, whose shape check is isinstance(I, AtomIdeal), in C; and
-# its unfilled (primes, covers, maximal ideals), radical, zero ideal and
-# spectrum export
+# its element kernels: the builtins and compares, and its value is its one
+# top; its ideal kernels, whose shape check is isinstance(I, AtomIdeal), in
+# C; and its unfilled (primes, covers, maximal ideals), radical, zero ideal
+# and spectrum export
 _ATOM_FACTS = (
     0, 1, True, 2,
-    operator.add, operator.sub, min, _atom_between, list.append,
+    operator.add, operator.sub, _atom_meet, _atom_join, _atom_trunc, _atom_between, list.append,
     AtomIdeal.__instancecheck__, lambda g: _ATOM_IDEALS[g != 0],
     lambda g, t, I: g if I.full else t, _ATOM_IDEALS[True],
     None, None, None, None,
@@ -439,16 +476,18 @@ def _prod_facts(children: tuple) -> tuple:
 
 def _lex_facts(bottom: _Structure) -> tuple:
     _refuse_non_structures((bottom,), ("bottom",))
+    zero = (0, bottom._zero)
     return (
-        (0, bottom._zero), 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
-        *_lex_kernels(bottom), None, None, None, None,
+        zero, 1 + bottom._atoms, bottom._chain, bottom._ideal_count + 1,
+        *_lex_kernels(bottom, zero), None, None, None, None,
     )
 
 
-def _lex_kernels(bottom: _Structure) -> tuple:
+def _lex_kernels(bottom: _Structure, zero) -> tuple:
     """A lex node's kernels and whole ideal: each kernel reads the top and
     calls its bottom's."""
-    add, sub, meet, below = bottom._add, bottom._sub, bottom._meet, bottom._between
+    add, sub, meet, join = bottom._add, bottom._sub, bottom._meet, bottom._join
+    trunc, below = bottom._trunc, bottom._between
     shape, gen, patch = bottom._shape, bottom._gen, bottom._patch
 
     def lex_meet(g, h):
@@ -458,6 +497,23 @@ def _lex_kernels(bottom: _Structure) -> tuple:
         if h[0] < g[0]:
             return h
         return (g[0], meet(g[1], h[1]))
+
+    def lex_join(g, h):
+        if g[0] < h[0]:
+            return h
+        if h[0] < g[0]:
+            return g
+        return (g[0], join(g[1], h[1]))
+
+    def lex_trunc(x, y, c, u, low, high):
+        # the top decides a bound unless it ties, and only a tie passes the
+        # bound down; with both, 0 <= u here, so at most one top saturates
+        top = x[0] + y[0] - c[0]
+        if low and top < 0:
+            return zero
+        if high and u[0] < top:
+            return u
+        return (top, trunc(x[1], y[1], c[1], u[1], low and top == 0, high and top == u[0]))
 
     def lex_between(x, u, low, high):
         if not isinstance(x, tuple) or len(x) != 2:
@@ -483,16 +539,14 @@ def _lex_kernels(bottom: _Structure) -> tuple:
     return (
         lambda g, h: (g[0] + h[0], add(g[1], h[1])),
         lambda g, h: (g[0] - h[0], sub(g[1], h[1])),
-        lex_meet, lex_between,
+        lex_meet, lex_join, lex_trunc, lex_between,
         lambda out, g: out.append(g[0]),
         lex_shape, lex_gen, lex_patch, _WHOLE_LEX,
     )
 
 
 # the kernels a product reads from each child, in the order of its slots
-_KERNELS = operator.attrgetter(
-    "_add", "_sub", "_meet", "_between", "_tops", "_shape", "_gen", "_patch", "_all"
-)
+_read_kernels = operator.attrgetter(*_KERNELS)
 
 # Products of up to this many children run straight-line kernels, compiled
 # once per arity; wider ones run the loops.  A fixed bound, not an option
@@ -501,11 +555,12 @@ _KERNELS = operator.attrgetter(
 # of a second to build, and ``_straight_factory`` holds at most 15 entries.
 _STRAIGHT_ARITY = 16
 
-# The eight kernels of an n-child product: each piece between two "@@"s is
+# The ten kernels of an n-child product: each piece between two "@@"s is
 # written out once per child, "#" its index, and "$n" is n.  Part i calls
 # child i's kernel, so each kernel takes one frame per tree level.
 _STRAIGHT_SOURCE = """\
-def factory(adds, subs, meets, betweens, topss, shapes, gens, patches):
+def factory(adds, subs, meets, joins, truncs, betweens, topss, shapes, gens, patches):
+    @@trunc#, @@ = truncs
     @@between#, @@ = betweens
     @@tops#, @@ = topss
     @@shape#, @@ = shapes
@@ -513,13 +568,20 @@ def factory(adds, subs, meets, betweens, topss, shapes, gens, patches):
     @@patch#, @@ = patches
     @@atom# = between# is atom_between
     @@
-    def partwise(@@f#, @@):  # add, sub or meet
+    def partwise(@@f#, @@):  # add, sub, meet or join
         def kernel(g, h):
             @@g#, @@ = g
             @@h#, @@ = h
             return (@@f#(g#, h#), @@)
 
         return kernel
+
+    def trunc(x, y, c, u, low, high):
+        @@x#, @@ = x
+        @@y#, @@ = y
+        @@c#, @@ = c
+        @@u#, @@ = u
+        return (@@trunc#(x#, y#, c#, u#, low, high), @@)
 
     def between(x, u, low, high):
         if not isinstance(x, tuple) or len(x) != $n:
@@ -560,7 +622,7 @@ def factory(adds, subs, meets, betweens, topss, shapes, gens, patches):
         @@t#, @@ = t
         return (@@g# if not p#._mask else t# if p#._zero else patch#(g#, t#, p#), @@)
 
-    kernels = [partwise(*adds), partwise(*subs), partwise(*meets)]
+    kernels = [partwise(*adds), partwise(*subs), partwise(*meets), partwise(*joins), trunc]
     return kernels + [between, tops, shape, gen, patch]
 """
 
@@ -585,7 +647,7 @@ def _straight_factory(n: int):
 def _prod_kernels(children: tuple) -> tuple:
     """A product's kernels and whole ideal from its children's: straight-
     line code up to _STRAIGHT_ARITY children, else the loops."""
-    *columns, wholes = zip(*map(_KERNELS, children))
+    *columns, wholes = zip(*map(_read_kernels, children))
     n = len(children)
     if n <= _STRAIGHT_ARITY:
         kernels = _straight_factory(n)(*columns)
@@ -594,14 +656,16 @@ def _prod_kernels(children: tuple) -> tuple:
     return (*kernels, ProdIdeal(wholes))
 
 
-def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) -> list:
+def _loop_kernels(
+    n, adds, subs, meets, joins, truncs, betweens, topss, shapes, gens, patches
+) -> list:
     """A wide product's kernels: each calls every child's kernel from a
     loop, with one frame per level.  They take no shortcut for any kind
     of child, as none would pay: a one-shot command calls each of them a
     few times, and no ``batch`` op calls them at all (CHANGES.md records
     the counts, with the change that made the loops plain)."""
 
-    def partwise(kernels):  # add, sub or meet
+    def partwise(kernels):  # add, sub, meet or join
         def kernel(g, h):
             out = []
             for f, a, b in zip(kernels, g, h):
@@ -609,6 +673,12 @@ def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) 
             return tuple(out)
 
         return kernel
+
+    def trunc(x, y, c, u, low, high):
+        out = []
+        for f, a, b, d, top in zip(truncs, x, y, c, u):
+            out.append(f(a, b, d, top, low, high))
+        return tuple(out)
 
     def between(x, u, low, high):
         if not isinstance(x, tuple) or len(x) != n:
@@ -649,7 +719,8 @@ def _loop_kernels(n, adds, subs, meets, betweens, topss, shapes, gens, patches) 
             out.append(f(x, y, p))
         return tuple(out)
 
-    return [partwise(adds), partwise(subs), partwise(meets), between, tops, shape, gen, patch]
+    kernels = [partwise(adds), partwise(subs), partwise(meets), partwise(joins), trunc]
+    return kernels + [between, tops, shape, gen, patch]
 
 
 class Atom(_Structure):
@@ -727,14 +798,26 @@ def lex(bottom: Structure) -> Lex:
     return Lex(bottom)
 
 
+def _not_a(value, wanted: str) -> ShapeMismatch:
+    # the refusal of the O(1) reads, which read their slot inside a try, at
+    # no cost to a read that succeeds
+    return ShapeMismatch((), f"expected {wanted}, got {value!r}")
+
+
 def is_chain(structure: Structure) -> bool:
     """True iff the order is total: Atom is, Lex inherits, Prod never is."""
-    return structure._chain
+    try:
+        return structure._chain
+    except AttributeError:
+        raise _not_a(structure, "a structure") from None
 
 
 def atom_count(structure: Structure) -> int:
     """Number of integer coordinates an element of ``structure`` carries."""
-    return structure._atoms
+    try:
+        return structure._atoms
+    except AttributeError:
+        raise _not_a(structure, "a structure") from None
 
 
 def top_values(structure: Structure, g: Element) -> list:
@@ -777,7 +860,10 @@ def check_element(structure: Structure, value: Element, path: Path = ()) -> None
 
 def zero(structure: Structure) -> Element:
     """The zero element, stored on the node at construction."""
-    return structure._zero
+    try:
+        return structure._zero
+    except AttributeError:
+        raise _not_a(structure, "a structure") from None
 
 
 def _check_elements(structure, *values):
@@ -838,17 +924,12 @@ def meet(structure: Structure, g: Element, h: Element) -> Element:
 
 def join(structure: Structure, g: Element, h: Element) -> Element:
     _check_elements(structure, g, h)
-    return _join(structure, g, h)
-
-
-def _join(structure, g, h):
-    # g v h = g + h - (g ^ h)
-    return structure._sub(structure._add(g, h), structure._meet(g, h))
+    return structure._join(g, h)
 
 
 def absval(structure: Structure, g: Element) -> Element:
     check_element(structure, g)
-    return _join(structure, g, structure._sub(structure._zero, g))
+    return structure._join(g, structure._sub(structure._zero, g))
 
 
 # entries kept by each bounded table: the Fraction cache of
@@ -900,15 +981,24 @@ def _max_meet(structure, mask: int) -> Ideal:
 
 
 def is_zero_ideal(I: Ideal) -> bool:
-    return I._zero
+    try:
+        return I._zero
+    except AttributeError:
+        raise _not_a(I, "an ideal") from None
 
 
 def is_all_ideal(I: Ideal) -> bool:
-    return not I._mask
+    try:
+        return not I._mask
+    except AttributeError:
+        raise _not_a(I, "an ideal") from None
 
 
 def is_proper(I: Ideal) -> bool:
-    return I._mask != 0
+    try:
+        return I._mask != 0
+    except AttributeError:
+        raise _not_a(I, "an ideal") from None
 
 
 def check_ideal(structure, I: Ideal, path: Path = ()) -> None:

@@ -27,13 +27,14 @@ from typing import Iterator, Optional, Tuple
 from .core import (
     Atom,
     Element,
+    LGroupError,
     Prod,
     Structure,
     TooLarge,
     UnitalGroup,
     _check_elements,
     _group_structure,
-    _join,
+    _is_int,
     _leq,
     _scale,
     all_ideal,
@@ -90,9 +91,15 @@ def _refuse_over(count: int, limit: int, items: str) -> None:
         raise TooLarge(count, limit, items)
 
 
+def _check_bound(bound) -> None:
+    if not _is_int(bound):
+        raise LGroupError(f"expected an integer bound, got {bound!r}")
+
+
 def random_element(rng, structure: Structure, bound: int) -> Element:
     """A seeded random element with integer coordinates in [-bound, bound],
     drawn for each integer of the zero element in turn."""
+    _check_bound(bound)
 
     def draw(z):
         return tuple(map(draw, z)) if isinstance(z, tuple) else rng.randint(-bound, bound)
@@ -107,6 +114,7 @@ def elements_in_box(structure: Structure, bound: int) -> Iterator[Element]:
     The count is (2*bound+1)**atom_count(structure); callers are expected
     to keep that small.
     """
+    _check_bound(bound)
     box = range(-bound, bound + 1)
 
     def walk(z):
@@ -452,7 +460,7 @@ def interval_algebra(G):
         rhs = alg.oplus(alg.neg(alg.oplus(alg.neg(y), x)), x)
         if lhs != rhs:
             errors.append("characteristic identity failed")
-        if lhs != _join(s, x, y):
+        if lhs != s._join(x, y):
             errors.append("interval order disagrees with the group order")
         if alg.mv_meet(x, y) != alg.neg(alg.mv_join(alg.neg(x), alg.neg(y))):
             errors.append("interval meet is not the De Morgan dual of the join")

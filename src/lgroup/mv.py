@@ -35,7 +35,15 @@ recorded id is reused while it is there; it keeps at most
 two threads that race can only walk an operand twice.  It lives in a slot
 outside the fields, as ``UnitalGroup``'s top integers do, so it takes no
 part in ``==``, ``hash``, ``repr``, pickling or copying, and a copy starts
-with an empty record.  The operations call the tree's kernels directly.
+with an empty record.
+
+After validation each operation is one call of one kernel that the tree
+stores, so one walk of its operands: ``mv_meet`` and ``mv_join`` the
+meet and the join, ``neg`` the difference u - x, and ``oplus``, ``odot``
+and ``clamp`` the truncated sum ``_trunc``, which adds, subtracts and
+truncates at 0, at u or at both in the same walk, (x + y) ^ u, (x + y -
+u) v 0 and (x v 0) ^ u.  The compositions they replaced are oracles of
+the tests.
 """
 
 from __future__ import annotations
@@ -68,7 +76,8 @@ class GammaAlgebra(_AlgebraFacts):
 
     Elements are plain group elements validated into the interval;
     ``oplus`` is addition truncated at the unit, ``neg`` the reflection
-    u - x, and ``odot`` the dual truncated product.
+    u - x, and ``odot`` the dual truncated product: each one kernel call
+    (see the module docstring).
     """
 
     __slots__ = ("group",)
@@ -110,13 +119,13 @@ class GammaAlgebra(_AlgebraFacts):
         return x
 
     def clamp(self, x: Element) -> Element:
-        """Project an arbitrary group element into the interval, as 0 v m
-        for m = x ^ u, which is m - (m ^ 0): four walks with the shape walk;
-        a malformed x raises ``ShapeMismatch``, as ``check_element`` does."""
+        """Project an arbitrary group element into the interval, as
+        (x v 0) ^ u: the shape walk and one truncated-sum walk; a malformed
+        x raises ``ShapeMismatch``, as ``check_element`` does.  Where a top
+        saturates, the answer holds the unit's part or the stored zero."""
         s = self.group.structure
         check_element(s, x)
-        m = s._meet(x, self.group.unit)
-        return s._sub(m, s._meet(m, s._zero))
+        return s._trunc(x, s._zero, s._zero, self.group.unit, True, True)
 
     def oplus(self, x: Element, y: Element) -> Element:
         return self._oplus(self.validate(x), self.validate(y))
@@ -125,17 +134,14 @@ class GammaAlgebra(_AlgebraFacts):
         return self._neg(self.validate(x))
 
     def odot(self, x: Element, y: Element) -> Element:
-        """0 v (x + y - u), as x - (x ^ (u - y)) by a - (b ^ c) = (a - b) v
-        (a - c): three walks, where the join with 0 took five."""
+        """(x + y - u) v 0: one truncated-sum walk."""
         x, y = self.validate(x), self.validate(y)
-        s = self.group.structure
-        return s._sub(x, s._meet(x, s._sub(self.group.unit, y)))
+        u = self.group.unit
+        return self.group.structure._trunc(x, y, u, u, True, False)
 
     def mv_join(self, x: Element, y: Element) -> Element:
-        """x v y = x + y - (x ^ y), as ``core.join``."""
-        x, y = self.validate(x), self.validate(y)
-        s = self.group.structure
-        return s._sub(s._add(x, y), s._meet(x, y))
+        """x v y, as ``core.join``: one walk."""
+        return self.group.structure._join(self.validate(x), self.validate(y))
 
     def mv_meet(self, x: Element, y: Element) -> Element:
         return self.group.structure._meet(self.validate(x), self.validate(y))
@@ -145,7 +151,7 @@ class GammaAlgebra(_AlgebraFacts):
 
     def _oplus(self, x: Element, y: Element) -> Element:
         s = self.group.structure
-        return s._meet(self.group.unit, s._add(x, y))
+        return s._trunc(x, y, s._zero, self.group.unit, False, True)
 
     def _neg(self, x: Element) -> Element:
         return self.group.structure._sub(self.group.unit, x)

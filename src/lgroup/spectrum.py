@@ -56,12 +56,19 @@ class SpectrumSpace(_SpaceFacts):
     loci, so a prime specializes to every prime above it), and the primes
     above a prime form a chain: ``cover[i]`` is the index of the least prime
     strictly above ``primes[i]``, always larger than ``i``, or ``None``
-    exactly when ``primes[i]`` is maximal.
+    exactly when ``primes[i]`` is maximal.  The constructor refuses a
+    group that is not a unital group, and primes or covers that are not
+    tuples, with ``ShapeMismatch`` at the root, and covers that are not
+    such indices with ``ValueError``.
     """
 
     __slots__ = ("group", "primes", "cover")
 
     def __init__(self, group, primes: tuple, cover: tuple):
+        _group_structure(group)
+        for name, value in (("primes", primes), ("covers", cover)):
+            if value.__class__ is not tuple:
+                raise ShapeMismatch((), f"expected a tuple of {name}, got {value!r}")
         n = len(primes)
         if len(cover) != n or not all(
             c is None or (type(c) is int and i < c < n) for i, c in enumerate(cover)
@@ -242,11 +249,10 @@ def spectrum_json(space) -> dict:
     the tree.  Any other space's document is built on every call and
     stored nowhere."""
     space = _space_of(space)
-    G = space.group
-    stored = G.structure._spectrum if isinstance(G, UnitalGroup) else None
+    s = space.group.structure
+    stored = s._spectrum
     if stored is None or space.primes is not stored[0] or space.cover is not stored[1]:
         return _document(space)
-    s = G.structure
     if s._export is not None:
         return marshal.loads(s._export)
     doc = _document(space)

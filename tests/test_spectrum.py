@@ -383,8 +383,6 @@ def test_a_space_that_does_not_hold_the_trees_primes_stores_no_export():
         # equal tuples, but not the tree's own
         SpectrumSpace(G, tuple(list(tree.primes)), tuple(list(tree.cover))),
         SpectrumSpace(G, tree.primes, tuple(list(tree.cover))),
-        # a group that is not one: nothing to store on
-        SpectrumSpace(None, tree.primes, tree.cover),
     ]
     for space in twins:
         assert spectrum_json(space) == want and s._export is None
