@@ -46,8 +46,9 @@ fact is a plain slot read.  The element kernels are closures for ``add``,
 ``sub``, ``meet``, ``join``, the truncated sum ``_trunc`` of the interval
 algebra (see ``lgroup.mv``), the interval check ``_between`` and the top
 integers ``_tops``, so each of those reads a slot and calls what is
-there, with no dispatch on the node class per call, and each operation
-of ``lgroup.mv`` is one walk.  The rest follow from these by the
+there, with no dispatch on the node class per call, and each of
+``oplus``, ``odot``, ``clamp`` and ``mv_join`` in ``lgroup.mv`` is one
+walk.  The rest follow from these by the
 identities of a lattice-ordered group: ``neg`` subtracts from the stored
 zero, and |g| = g v -g; g <= h exactly when h - g lies in the positive
 cone, which is the interval check with the lower bound alone; and the

@@ -5,7 +5,9 @@ Most are the quotient and ideal-comparison forms that the top-position
 walks of ``lgroup.yosida`` replaced, written with ``quotient``,
 ``contains`` and ``ideal_leq`` over the spectrum.  Then come the
 compositions that ``GammaAlgebra.validate`` and ``core.sub`` replaced by
-one walk each, and the three patch solvers as they were before the fold
+one walk each, with those that the join and truncated-sum kernels
+replaced in ``oplus``, ``odot``, ``mv_join``, ``clamp`` and ``core.join``,
+and the three patch solvers as they were before the fold
 became their compatibility test: a sweep over all pairs first, then the
 old forward merge, which splits the difference between the running
 solution and the next target across the meet of the processed ideals and
@@ -22,8 +24,10 @@ ideal, the strong solver's hypothesis check and the zero-set solver's
 uniqueness; and the walks that a structure's stored zero, ideal count
 and whole ideal replaced.  The radical and whole-ideal walks are those
 that ``core._max_meet``, the meet of the maximal ideals at a mask of
-top positions, replaced.  The order and join walks are what ``core.leq``
-and ``core.join`` replaced by the positive cone and the meet, and the
+top positions, replaced.  The order walk is what ``core.leq`` replaced
+by the positive cone, the join walk what the stored join replaced, and
+the truncated-sum walk composes the sum, difference, join and meet walks
+as the kernel ``_trunc`` does in one; the
 containment walk what ``ideal_leq`` replaced by the meet.  Last, the
 walks that a structure's stored kernels replaced: the shape check of
 ``check_ideal``, membership, generation, the Riesz split (the three-way
@@ -163,6 +167,42 @@ def validate_by_four_walks(alg, x):
 def sub_by_negation(structure, g, h):
     """g - h as g plus the negation of h."""
     return add(structure, g, neg(structure, h))
+
+
+def oplus_by_composition(alg, x, y):
+    """``alg.oplus`` as the validation, a sum and a meet with u."""
+    x, y = alg.validate(x), alg.validate(y)
+    s = alg.group.structure
+    return s._meet(alg.group.unit, s._add(x, y))
+
+
+def odot_by_composition(alg, x, y):
+    """``alg.odot``, 0 v (x + y - u), as x - (x ^ (u - y)) by a - (b ^ c)
+    = (a - b) v (a - c): the validation and three walks."""
+    x, y = alg.validate(x), alg.validate(y)
+    s = alg.group.structure
+    return s._sub(x, s._meet(x, s._sub(alg.group.unit, y)))
+
+
+def mv_join_by_composition(alg, x, y):
+    """``alg.mv_join`` as the validation and x + y - (x ^ y)."""
+    x, y = alg.validate(x), alg.validate(y)
+    s = alg.group.structure
+    return join_by_sum(s, x, y)
+
+
+def clamp_by_composition(alg, x):
+    """``alg.clamp`` as the shape walk and 0 v m for m = x ^ u, which is
+    m - (m ^ 0)."""
+    s = alg.group.structure
+    check_element(s, x)
+    m = s._meet(x, alg.group.unit)
+    return s._sub(m, s._meet(m, s._zero))
+
+
+def join_by_sum(structure, g, h):
+    """g v h = g + h - (g ^ h), three walks of the stored kernels."""
+    return structure._sub(structure._add(g, h), structure._meet(g, h))
 
 
 def patch_by_sweep(G, system) -> PatchResult:
@@ -375,6 +415,17 @@ def join_by_walk(structure, g, h):
     if h[0] < g[0]:
         return g
     return (g[0], join_by_walk(structure.bottom, g[1], h[1]))
+
+
+def trunc_by_walk(structure, x, y, c, u, low, high):
+    """The truncated sum ``_trunc``: x + y - c, then v 0 if ``low``, then
+    ^ u if ``high``, each a walk of its own."""
+    t = sub_by_walk(structure, add_by_walk(structure, x, y), c)
+    if low:
+        t = join_by_walk(structure, t, zero_by_walk(structure))
+    if high:
+        t = meet_by_walk(structure, t, u)
+    return t
 
 
 def ideal_leq_by_walk(I, J) -> bool:

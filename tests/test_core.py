@@ -467,9 +467,10 @@ def test_construction_sets_every_kernel_of_3000_level_trees():
     # tower and nest has every kernel in its slot, set by the constructor
     code = (
         "from lgroup import Z, all_ideal, lex, prod\n"
+        "from lgroup.core import _KERNELS as KERNELS\n"
         "from lgroup.yosida import top_values\n"
-        "KERNELS = ('_add', '_sub', '_meet', '_between', '_tops',\n"
-        "           '_shape', '_gen', '_patch', '_all')\n"
+        "assert KERNELS == ('_add', '_sub', '_meet', '_join', '_trunc', '_between', '_tops',\n"
+        "                   '_shape', '_gen', '_patch', '_all')\n"
         "for name, level in (('lex', lex), ('prod', lambda s: prod(Z, s))):\n"
         "    s = Z\n"
         "    for _ in range(3000):\n"
@@ -495,13 +496,19 @@ def test_kernels_answer_on_a_900_level_lex_tower():
     # in a fresh interpreter, as deep as the parser never goes: one frame
     # per level, as the recursive walks took
     code = (
-        "from lgroup import GammaAlgebra, UnitalGroup, Z, add, lex, meet\n"
+        "from lgroup import GammaAlgebra, UnitalGroup, Z, add, join, lex, meet\n"
         "s, u = Z, 1\n"
         "for _ in range(900):\n"
         "    s, u = lex(s), (1, u)\n"
-        "G = UnitalGroup(s, u)\n"
-        "assert add(s, u, u)[0] == 2 and meet(s, u, G.zero()) == G.zero()\n"
-        "assert GammaAlgebra(G).validate(u) is u\n"
+        "G, z = UnitalGroup(s, u), s._zero\n"
+        "alg = GammaAlgebra(G)\n"
+        "assert add(s, u, u)[0] == 2 and meet(s, u, z) == z\n"
+        "assert alg.validate(u) is u\n"
+        "# tied tops: the join walks every level\n"
+        "assert join(s, u, u) == u and alg.mv_join(u, u) == u\n"
+        "# tops inside the bounds, or tied with u: the truncated sums walk\n"
+        "# every level\n"
+        "assert alg.oplus(z, z) == z and alg.odot(u, u) == u and alg.clamp(u) == u\n"
         "print('ok')\n"
     )
     src = pathlib.Path(lgroup.__file__).parents[1]

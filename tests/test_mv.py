@@ -20,7 +20,11 @@ from conftest import (
 )
 from oracles import (
     add_by_walk,
+    clamp_by_composition,
     join_by_walk,
+    mv_join_by_composition,
+    odot_by_composition,
+    oplus_by_composition,
     sub_by_walk,
     validate_by_four_walks,
     zero_by_walk,
@@ -319,7 +323,13 @@ def test_a_reused_operand_is_walked_once():
     for G in _lex_trees(range(2400, 2420))[:4]:
         s = G.structure
         alg = GammaAlgebra(G)
-        box = [alg.clamp(random_element(rng, s, 3)) for _ in range(6)]
+        # six distinct objects: a clamp that saturates returns the unit's
+        # part or the stored zero, so two clamps can be one object
+        box = {}
+        while len(box) < 6:
+            x = alg.clamp(random_element(rng, s, 3))
+            box.setdefault(id(x), x)
+        box = list(box.values())
         between, walks = s._between, []
 
         def counted(x, hi, low, high):
@@ -335,3 +345,75 @@ def test_a_reused_operand_is_walked_once():
         finally:
             object.__setattr__(s, "_between", between)
         assert walks.count(True) == len({id(x) for x in box}) == 6
+
+
+# the element kernels but the interval check, which validation calls
+COUNTED = ("_add", "_sub", "_meet", "_join", "_trunc", "_tops")
+# each binary operation with the one kernel that it calls
+ONE_CALL = [("oplus", "_trunc"), ("odot", "_trunc"), ("mv_join", "_join"), ("mv_meet", "_meet")]
+
+
+def test_each_interval_operation_is_one_kernel_call():
+    # the root's element kernels are rebound to count their calls, as the
+    # interval check is above; a child's kernel is called through its
+    # parent's, never through a slot
+    rng = random.Random(2427)
+    for G in ORACLE_GROUPS + _lex_trees(range(2420, 2440))[:4]:
+        s = G.structure
+        alg = GammaAlgebra(G)
+        box = [G.unit, G.zero()] + [alg.clamp(random_element(rng, s, 3)) for _ in range(3)]
+        kernels, calls = {name: getattr(s, name) for name in COUNTED}, []
+
+        def counting(name, kernel):
+            def counted(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return counted
+
+        for name, kernel in kernels.items():
+            object.__setattr__(s, name, counting(name, kernel))
+        try:
+            for x in box:
+                for y in box:
+                    for op, kernel in ONE_CALL:
+                        calls.clear()
+                        getattr(alg, op)(x, y)
+                        assert calls == [kernel], op
+                calls.clear()
+                alg.neg(x)
+                assert calls == ["_sub"]
+                calls.clear()
+                alg.clamp(random_element(rng, s, 4))
+                assert calls == ["_trunc"]
+        finally:
+            for name, kernel in kernels.items():
+                object.__setattr__(s, name, kernel)
+
+
+def test_operations_equal_the_compositions_they_replaced():
+    # oplus, odot, mv_join and clamp against the sums, differences and
+    # meets they were composed of, on operands inside the interval, on its
+    # bounds, outside it and malformed: equal values, or the same error
+    rng = random.Random(2428)
+    groups = ORACLE_GROUPS + [seeded_tree_group(seed) for seed in range(2440, 2480)]
+    for G in groups:
+        s, u = G.structure, G.unit
+        alg = GammaAlgebra(G)
+        raw = [random_element(rng, s, 4) for _ in range(5)] + [G.add(u, u), G.neg(u), "x"]
+        box = [u, G.zero()] + [alg.clamp(random_element(rng, s, 3)) for _ in range(5)]
+        for x in raw + box:
+            assert _raised(lambda: alg.clamp(x)) == _raised(lambda: clamp_by_composition(alg, x))
+        for x in box + raw[-3:]:
+            for y in box + raw[-3:]:
+                for op, composed in (
+                    (alg.oplus, oplus_by_composition),
+                    (alg.odot, odot_by_composition),
+                    (alg.mv_join, mv_join_by_composition),
+                ):
+                    expected = _raised(lambda: composed(alg, x, y))
+                    assert _raised(lambda: op(x, y)) == expected
+                    if expected is None:
+                        assert op(x, y) == composed(alg, x, y)
+        for x in raw[:5]:
+            assert alg.clamp(x) == clamp_by_composition(alg, x)

@@ -6,6 +6,8 @@ validation walks a call makes, so library code that re-validates what it
 has already checked shows up as extra walks.
 """
 
+import random
+
 import pytest
 
 from conftest import MIX
@@ -18,11 +20,13 @@ from lgroup import (
     ParseError,
     ProdIdeal,
     ShapeMismatch,
+    SpectrumSpace,
     UnitalGroup,
     Z,
     absval,
     add,
     all_ideal,
+    atom_count,
     canonical_generator,
     check_element,
     closure,
@@ -39,8 +43,12 @@ from lgroup import (
     ideal_of_locus,
     ideal_to_json,
     instance_to_json,
+    is_all_ideal,
+    is_chain,
+    is_proper,
     is_semisimple,
     is_strongly_semisimple,
+    is_zero_ideal,
     join,
     keimel_patch,
     leq,
@@ -63,11 +71,18 @@ from lgroup import (
     validate_unital_group,
     vanishing_locus,
     yosida_table,
+    zero,
     zero_ideal,
     zero_set_patch,
 )
 from lgroup.gallery import gallery_instance, gallery_json
-from lgroup.laws import archimedean_falsify, ideal_lattice, riesz_splitting
+from lgroup.laws import (
+    archimedean_falsify,
+    elements_in_box,
+    ideal_lattice,
+    random_element,
+    riesz_splitting,
+)
 from lgroup.yosida import ForeignSpectrum
 
 # MIX is prod(Z, lex(Z)): each bad value below but the last ideal is wrong
@@ -161,7 +176,8 @@ BAD_ARGUMENTS = [
 # each entry that takes a unital group, called with a bare structure or
 # with no group at all, and otherwise good arguments: one check in core
 # refuses it before any other argument is read
-M0 = compute_spectrum(MIX).max_ideals()[0]
+SPACE = compute_spectrum(MIX)
+M0 = SPACE.max_ideals()[0]
 GROUP_ENTRIES = {
     "compute_spectrum": compute_spectrum,
     "radical": radical,
@@ -178,6 +194,7 @@ GROUP_ENTRIES = {
     "principal_zero_set": lambda G: principal_zero_set(G, E0),
     "holder_eval": lambda G: holder_eval(G, E0, M0),
     "GammaAlgebra": GammaAlgebra,
+    "SpectrumSpace": lambda G: SpectrumSpace(G, SPACE.primes, SPACE.cover),
 }
 BAD_ARGUMENTS += [
     (f"{name} on {label}", lambda f=f, x=x: f(x), (), f"root: expected a unital group, got {x!r}")
@@ -232,6 +249,33 @@ BAD_ARGUMENTS += [
      f"root: expected a spectrum or a unital group, got {x!r}")
     for name, f in SPACE_ENTRIES.items()
     for label, x in (("an int", 5), ("a string", "p0"), ("a bare structure", S))
+]
+
+# a hand-built spectrum takes its primes and its covers as tuples
+BAD_ARGUMENTS += [
+    (f"SpectrumSpace {label}", call, (), message)
+    for label, call, message in (
+        ("primes in a list", lambda: SpectrumSpace(MIX, list(SPACE.primes), SPACE.cover),
+         f"root: expected a tuple of primes, got {list(SPACE.primes)!r}"),
+        ("primes of None", lambda: SpectrumSpace(MIX, None, SPACE.cover),
+         "root: expected a tuple of primes, got None"),
+        ("covers of an int", lambda: SpectrumSpace(MIX, SPACE.primes, 5),
+         "root: expected a tuple of covers, got 5"),
+        ("covers in a list", lambda: SpectrumSpace(MIX, SPACE.primes, list(SPACE.cover)),
+         f"root: expected a tuple of covers, got {list(SPACE.cover)!r}"),
+    )
+]
+
+# the O(1) reads of a structure's or an ideal's stored facts, given
+# something else
+BAD_ARGUMENTS += [
+    (f"{f.__name__} on {label}", lambda f=f, x=x: f(x), (), f"root: expected {wanted}, got {x!r}")
+    for fs, wanted in (
+        ((zero, atom_count, is_chain), "a structure"),
+        ((is_zero_ideal, is_all_ideal, is_proper), "an ideal"),
+    )
+    for f in fs
+    for label, x in (("None", None), ("an int", 5), ("a string", "x"), ("a unital group", MIX))
 ]
 
 # the ideal closed forms take two ideals of one structure: a kind or an
@@ -417,6 +461,15 @@ def test_scale_refuses_a_multiplier_that_is_not_an_int(n):
             call()
         assert type(info.value) is LGroupError
         assert str(info.value) == f"expected an integer multiplier, got {n!r}"
+
+
+@pytest.mark.parametrize("bound", [2.5, True, "x", None], ids=["float", "bool", "str", "none"])
+def test_the_element_generators_refuse_a_bound_that_is_not_an_int(bound):
+    for call in (lambda: elements_in_box(Z, bound), lambda: random_element(random.Random(0), S, bound)):
+        with pytest.raises(LGroupError) as info:
+            call()
+        assert type(info.value) is LGroupError
+        assert str(info.value) == f"expected an integer bound, got {bound!r}"
 
 
 def test_a_mismatch_beneath_the_whole_lex_ideal_is_hidden():
