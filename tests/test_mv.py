@@ -403,7 +403,7 @@ def test_operations_equal_the_compositions_they_replaced():
         raw = [random_element(rng, s, 4) for _ in range(5)] + [G.add(u, u), G.neg(u), "x"]
         box = [u, G.zero()] + [alg.clamp(random_element(rng, s, 3)) for _ in range(5)]
         for x in raw + box:
-            assert _raised(lambda: alg.clamp(x)) == _raised(lambda: clamp_by_composition(alg, x))
+            assert _outcome(lambda: alg.clamp(x)) == _outcome(lambda: clamp_by_composition(alg, x))
         for x in box + raw[-3:]:
             for y in box + raw[-3:]:
                 for op, composed in (
@@ -411,9 +411,12 @@ def test_operations_equal_the_compositions_they_replaced():
                     (alg.odot, odot_by_composition),
                     (alg.mv_join, mv_join_by_composition),
                 ):
-                    expected = _raised(lambda: composed(alg, x, y))
-                    assert _raised(lambda: op(x, y)) == expected
-                    if expected is None:
-                        assert op(x, y) == composed(alg, x, y)
-        for x in raw[:5]:
-            assert alg.clamp(x) == clamp_by_composition(alg, x)
+                    assert _outcome(lambda: op(x, y)) == _outcome(lambda: composed(alg, x, y))
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type and message of what it raised."""
+    try:
+        return call()
+    except LGroupError as exc:
+        return type(exc), str(exc)
